@@ -1,4 +1,5 @@
-//! Ablations of the design decisions DESIGN.md §4b calls out, at one
+//! Ablations of the design decisions EXPERIMENTS.md records (the "§5.1
+//! ablations" row and "Substitutions and extensions"), at one
 //! moderate load point (28 tps, Table 4 configuration, 20 s windows):
 //!
 //! 1. write caching (sequential-batch discount) on/off — §5.1's "writes of

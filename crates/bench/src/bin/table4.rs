@@ -7,7 +7,7 @@ fn main() {
     let p = PaperParams::default();
     println!("Table 4 — simulator parameters:\n");
     print!("{}", p.render_table());
-    println!("\nExtensions beyond Table 4 (documented in DESIGN.md):");
+    println!("\nExtensions beyond Table 4 (EXPERIMENTS.md, \"Substitutions and extensions\"):");
     println!(
         "{:<50} {:.0}% of accesses to {:.0}% of items",
         "Hotspot (abort-rate calibration)",

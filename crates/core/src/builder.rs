@@ -45,7 +45,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use groupsafe_db::{DbConfig, ItemId, Operation};
-use groupsafe_gcs::BatchConfig;
+use groupsafe_gcs::{BatchConfig, MAX_GROUP_SIZE};
 use groupsafe_net::{NetConfig, NodeId};
 use groupsafe_sim::{decompose_commits, CommitSpan, ObsConfig, Scheduler, SimDuration, SimTime};
 
@@ -546,6 +546,14 @@ impl FaultPlan {
 pub enum BuildError {
     /// `servers(0)`: a replicated database needs at least one replica.
     NoServers,
+    /// More servers per replica group than the group communication
+    /// layer's stability-vote bitmask holds.
+    GroupTooWide {
+        /// The requested servers per group.
+        servers: u32,
+        /// The widest group supported.
+        max: usize,
+    },
     /// No clients at all: nothing would ever be submitted.
     NoClients,
     /// A rate-style [`Load`] with `tps <= 0` (or a zero inter-arrival
@@ -610,8 +618,8 @@ pub enum BuildError {
         /// The technique's label.
         technique: &'static str,
     },
-    /// A CI environment profile (`GROUPSAFE_READS`, `GROUPSAFE_BATCHING`)
-    /// carries a malformed value. A typo must fail the build loudly —
+    /// A CI environment profile (`GROUPSAFE_READS`, `GROUPSAFE_BATCHING`,
+    /// `GROUPSAFE_SHARDS`, …) carries a malformed value. A typo must fail the build loudly —
     /// silently falling back to the default profile would make a
     /// "profile on" CI pass vacuous.
     BadEnvProfile {
@@ -626,6 +634,12 @@ impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BuildError::NoServers => write!(f, "a system needs at least one server"),
+            BuildError::GroupTooWide { servers, max } => {
+                write!(
+                    f,
+                    "a replica group holds at most {max} servers, got {servers}"
+                )
+            }
             BuildError::NoClients => write!(f, "a system needs at least one client"),
             BuildError::NonPositiveLoad { tps } => {
                 write!(f, "offered load must be positive, got {tps} tps")
@@ -1056,12 +1070,20 @@ impl SystemBuilder {
 
     /// The shard configuration in force: an explicit setter call, else
     /// the `GROUPSAFE_SHARDS` env profile, else the single-group default.
-    fn effective_shard(&self) -> ShardSpec {
+    ///
+    /// # Errors
+    /// [`BuildError::BadEnvProfile`] if the profile is set but
+    /// malformed — a typo must not silently run unsharded.
+    fn effective_shard(&self) -> Result<ShardSpec, BuildError> {
         if self.shard_explicit {
-            self.shard.clone()
-        } else {
-            ShardSpec::from_env().unwrap_or_else(|| self.shard.clone())
+            return Ok(self.shard.clone());
         }
+        ShardSpec::from_env()
+            .map_err(|detail| BuildError::BadEnvProfile {
+                var: "GROUPSAFE_SHARDS",
+                detail,
+            })
+            .map(|opt| opt.unwrap_or_else(|| self.shard.clone()))
     }
 
     /// The observability configuration in force: an explicit
@@ -1161,6 +1183,12 @@ impl SystemBuilder {
         if self.n_servers == 0 {
             return Err(BuildError::NoServers);
         }
+        if self.n_servers as usize > MAX_GROUP_SIZE {
+            return Err(BuildError::GroupTooWide {
+                servers: self.n_servers,
+                max: MAX_GROUP_SIZE,
+            });
+        }
         if self.clients_per_server == 0 {
             return Err(BuildError::NoClients);
         }
@@ -1177,7 +1205,7 @@ impl SystemBuilder {
                 technique: self.replica.technique.label(),
             });
         }
-        let shard = self.effective_shard();
+        let shard = self.effective_shard()?;
         if !(0.0..=1.0).contains(&shard.cross_fraction) || shard.cross_fraction.is_nan() {
             return Err(BuildError::BadProbability {
                 name: "cross_shard_fraction",
@@ -1256,7 +1284,7 @@ impl SystemBuilder {
                 })?
                 .unwrap_or(self.replica.batch),
         };
-        let shard = self.effective_shard();
+        let shard = self.effective_shard()?;
         Ok(SystemConfig {
             n_servers: self.n_servers,
             clients_per_server: self.clients_per_server,
@@ -2326,6 +2354,23 @@ mod tests {
             System::builder().servers(0).build().err(),
             Some(BuildError::NoServers)
         );
+    }
+
+    #[test]
+    fn a_group_wider_than_the_vote_bitmask_is_a_typed_error() {
+        let max = MAX_GROUP_SIZE;
+        assert_eq!(
+            System::builder().servers(max as u32 + 1).build().err(),
+            Some(BuildError::GroupTooWide {
+                servers: max as u32 + 1,
+                max
+            })
+        );
+        // The widest group itself is accepted (servers count per group).
+        assert!(System::builder()
+            .servers(max as u32)
+            .to_system_config()
+            .is_ok());
     }
 
     #[test]

@@ -1498,7 +1498,8 @@ impl ReplicaServer {
     fn delivery_cpu(&mut self, now: SimTime, span: u32, cert_items: usize) -> SimTime {
         // CPU cost of the ordering traffic this delivery represents
         // (ordered message + the view's acknowledgements), charged in bulk
-        // rather than one event per ack. See DESIGN.md. Under the batched
+        // rather than one event per ack (ARCHITECTURE.md, single-group
+        // data flow, step 4). Under the batched
         // pipeline the frame and its aggregated votes are shared by every
         // entry they carry, so each delivery pays its amortised share.
         let acks = self.n_servers as u64;

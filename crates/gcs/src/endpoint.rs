@@ -50,6 +50,7 @@ use groupsafe_sim::{Ctx, Disk, ObsEvent, SimTime};
 use crate::config::{DeliveryGuarantee, GcsConfig, GcsModel};
 use crate::message::{Entry, GcsTimer, MsgId, Wire};
 use crate::output::GcsOutput;
+use crate::seqlog::{Quorum, SeqLog, Slot, MAX_GROUP_SIZE};
 use crate::view::View;
 
 /// Counters exposed by an endpoint.
@@ -144,6 +145,26 @@ struct JoinState {
     generation: u64,
 }
 
+/// What [`GcsEndpoint::deliver_one`] needs of the slot its caller just
+/// looked up: the entry to hand up and whether this incarnation already
+/// did.
+struct Deliverable<P> {
+    id: MsgId,
+    payload: P,
+    emitted: bool,
+}
+
+impl<P: Clone> Deliverable<P> {
+    /// `None` for a slot without an entry (a hole in the sequence).
+    fn of(slot: &Slot<P>) -> Option<Self> {
+        slot.entry.as_ref().map(|e| Deliverable {
+            id: e.id,
+            payload: e.payload.clone(),
+            emitted: slot.emitted,
+        })
+    }
+}
+
 /// The group communication endpoint. See the module docs.
 ///
 /// `P`: application payload (a replicated transaction). `S`: application
@@ -151,7 +172,11 @@ struct JoinState {
 pub struct GcsEndpoint<P, S> {
     cfg: GcsConfig,
     me: NodeId,
+    /// The static group, sorted; a member's position is its rank (its
+    /// bit in the log's vote masks).
     group: Vec<NodeId>,
+    /// `group` without this endpoint.
+    group_peers: Vec<NodeId>,
     net: Network,
     log_disk: Option<Rc<RefCell<Disk>>>,
     rng: StdRng,
@@ -159,7 +184,18 @@ pub struct GcsEndpoint<P, S> {
     // ---- volatile state (cleared by `on_crash`) ----
     started: bool,
     joined: bool,
+    /// Set only through [`GcsEndpoint::set_view`], which keeps the three
+    /// fields below in step with it.
     view: View,
+    /// The nodes an ordering frame goes to and whose votes count: the
+    /// whole view (dynamic model) or group (static model), including
+    /// this endpoint — self-delivery through the loopback keeps both
+    /// pipelines symmetric.
+    targets: Vec<NodeId>,
+    /// `targets` without this endpoint (votes, heartbeats).
+    peers: Vec<NodeId>,
+    /// `targets` as a stability quorum over the log's vote masks.
+    quorum: Quorum,
     epoch: u64,
     next_counter: u64,
     /// My broadcasts not yet seen ordered (resent on view change).
@@ -170,16 +206,9 @@ pub struct GcsEndpoint<P, S> {
     /// (sequencer dedup; the seq lets a resent forward be answered with
     /// a retransmission of the original assignment).
     ordered_ids: BTreeMap<MsgId, u64>,
-    /// Ordered entries received, by sequence number.
-    ordered: BTreeMap<u64, (MsgId, P)>,
-    /// Sequencer era of each stored entry (see [`Entry::era`]).
-    entry_era: BTreeMap<u64, u64>,
-    /// Stability votes per sequence number, tagged with the era they
-    /// were cast for: a vote for a superseded incarnation of a sequence
-    /// number must not count toward its replacement.
-    acks: BTreeMap<u64, (u64, BTreeSet<NodeId>)>,
-    /// Sequence numbers persisted locally (crash-recovery model).
-    persisted: BTreeSet<u64>,
+    /// Per sequence number: the ordered entry received, the stability
+    /// votes for it, and the persisted / emitted / frame-span marks.
+    log: SeqLog<P>,
     /// Next sequence number to deliver.
     next_deliver: u64,
     /// Every sequence number at or below this is known stable (learned
@@ -202,10 +231,6 @@ pub struct GcsEndpoint<P, S> {
     /// State transfers awaiting an application checkpoint:
     /// (joiner, generation, view to install, flush watermark).
     pending_state_transfers: Vec<(NodeId, u64, View, u64)>,
-    /// Sequence numbers already handed to the application in this
-    /// incarnation (guards against duplicate emission when recovery
-    /// replays overlap with normal delivery).
-    already_emitted: BTreeSet<u64>,
     /// Sequencer-side batch accumulator: entries with assigned sequence
     /// numbers not yet multicast (batched pipeline only).
     batch_acc: Vec<Entry<P>>,
@@ -217,10 +242,6 @@ pub struct GcsEndpoint<P, S> {
     batch_epoch: u64,
     /// A `BatchFlush` deadline is outstanding for the current epoch.
     batch_timer_armed: bool,
-    /// seq → number of messages in the frame that carried it (absent =
-    /// 1, the unbatched path). Hosts use this to amortise per-delivery
-    /// CPU accounting over the frame.
-    frame_spans: BTreeMap<u64, u32>,
     /// Batch size → flush count (sequencer side).
     batch_hist: BTreeMap<u32, u64>,
     /// A `ResendPending` timer is outstanding (static model).
@@ -268,26 +289,34 @@ where
             cfg.model == GcsModel::ViewBased || log_disk.is_some(),
             "the crash-recovery model needs a log disk"
         );
-        let view = View::initial(group.clone());
-        GcsEndpoint {
+        assert!(
+            group.len() <= MAX_GROUP_SIZE,
+            "a group is at most {MAX_GROUP_SIZE} members (vote bitmask width)"
+        );
+        let group_peers = group.iter().copied().filter(|&p| p != me).collect();
+        let mut endpoint = GcsEndpoint {
             cfg,
             me,
             group,
+            group_peers,
             net,
             log_disk,
             rng,
             started: false,
             joined: true,
-            view,
+            view: View::initial(Vec::new()),
+            targets: Vec::new(),
+            peers: Vec::new(),
+            quorum: Quorum {
+                mask: 0,
+                majority: 1,
+            },
             epoch: 0,
             next_counter: 0,
             pending: BTreeMap::new(),
             seq_assign: None,
             ordered_ids: BTreeMap::new(),
-            ordered: BTreeMap::new(),
-            entry_era: BTreeMap::new(),
-            acks: BTreeMap::new(),
-            persisted: BTreeSet::new(),
+            log: SeqLog::new(),
             next_deliver: 1,
             stable_floor: 0,
             stable_mark: 0,
@@ -298,12 +327,10 @@ where
             waiting_joiners: Vec::new(),
             join: None,
             pending_state_transfers: Vec::new(),
-            already_emitted: BTreeSet::new(),
             batch_acc: Vec::new(),
             batch_acc_bytes: 0,
             batch_epoch: 0,
             batch_timer_armed: false,
-            frame_spans: BTreeMap::new(),
             batch_hist: BTreeMap::new(),
             resend_armed: false,
             gap_repair_armed: false,
@@ -313,7 +340,36 @@ where
             generation: 0,
             stable: BTreeMap::new(),
             _state: PhantomData,
-        }
+        };
+        endpoint.set_view(View::initial(endpoint.group.clone()));
+        endpoint
+    }
+
+    /// Install `view` and recompute what follows from it: the ordering
+    /// targets, the vote peers and the stability quorum.
+    fn set_view(&mut self, view: View) {
+        self.view = view;
+        self.targets = match self.cfg.model {
+            GcsModel::ViewBased => self.view.members.clone(),
+            GcsModel::CrashRecovery => self.group.clone(),
+        };
+        self.peers = self
+            .targets
+            .iter()
+            .copied()
+            .filter(|&p| p != self.me)
+            .collect();
+        let mask = self.targets.iter().fold(0, |m, &p| m | self.rank_bit(p));
+        self.quorum = Quorum {
+            mask,
+            majority: (self.targets.len() / 2 + 1) as u32,
+        };
+    }
+
+    /// `node`'s bit in the log's vote masks: its rank in the static
+    /// group (0 — a vote that never counts — for an outsider).
+    fn rank_bit(&self, node: NodeId) -> u64 {
+        self.group.binary_search(&node).map_or(0, |rank| 1 << rank)
     }
 
     /// This endpoint's node id.
@@ -339,7 +395,7 @@ where
     /// Number of messages in the frame that carried `seq` (1 when it
     /// arrived on the unbatched path or via catch-up/retransmit).
     pub fn frame_span(&self, seq: u64) -> u32 {
-        self.frame_spans.get(&seq).copied().unwrap_or(1).max(1)
+        self.log.get(seq).map_or(1, |slot| slot.frame_span.max(1))
     }
 
     /// Batch-size histogram of the frames this endpoint flushed as
@@ -362,12 +418,13 @@ where
     /// Debug: the delivery head's state `(next_deliver, have_entry,
     /// persisted, stable)` (inspection helper for scenario forensics).
     pub fn head_state(&self) -> (u64, bool, bool, bool, usize, u64, u64) {
+        let head = self.log.get(self.next_deliver);
         (
             self.next_deliver,
-            self.ordered.contains_key(&self.next_deliver),
-            self.persisted.contains(&self.next_deliver),
+            self.holds_entry(self.next_deliver),
+            head.is_some_and(|slot| slot.persisted),
             self.is_stable(self.next_deliver),
-            self.acks.get(&self.next_deliver).map_or(0, |v| v.1.len()),
+            head.map_or(0, |slot| slot.vote_count() as usize),
             self.max_seq_seen,
             self.stable_floor,
         )
@@ -401,10 +458,7 @@ where
     }
 
     fn majority(&self) -> usize {
-        match self.cfg.model {
-            GcsModel::CrashRecovery => self.group.len() / 2 + 1,
-            GcsModel::ViewBased => self.view.majority(),
-        }
+        self.quorum.majority as usize
     }
 
     /// Start protocol activity (heartbeats, sequencer duty). Call once from
@@ -623,17 +677,11 @@ where
             }
             GcsTimer::ResumeRetry => {
                 if self.seq_resume_votes.is_some() {
-                    let targets: Vec<NodeId> = self
-                        .group
-                        .iter()
-                        .copied()
-                        .filter(|&p| p != self.me)
-                        .collect();
                     let have = self.contiguous_persisted();
                     self.net.multicast(
                         ctx,
                         self.me,
-                        &targets,
+                        &self.group_peers,
                         Wire::<P, S>::CatchUpReq { have_up_to: have },
                     );
                     ctx.timer(self.cfg.change_timeout, GcsTimer::ResumeRetry);
@@ -647,17 +695,11 @@ where
                         // true stall (a hole in the sequence, or votes
                         // that circulated while this node was down or
                         // partitioned away), not in-flight stability.
-                        let targets: Vec<NodeId> = self
-                            .group
-                            .iter()
-                            .copied()
-                            .filter(|&p| p != self.me)
-                            .collect();
                         let have_up_to = self.next_deliver - 1;
                         self.net.multicast(
                             ctx,
                             self.me,
-                            &targets,
+                            &self.group_peers,
                             Wire::<P, S>::CatchUpReq { have_up_to },
                         );
                     }
@@ -711,35 +753,21 @@ where
             if self.batch_acc.iter().any(|e| e.id == id) {
                 return; // still in the accumulator: its flush will carry it
             }
-            let era = self
-                .entry_era
-                .get(&seq)
-                .copied()
-                .unwrap_or(match self.cfg.model {
-                    GcsModel::CrashRecovery => self.generation,
-                    GcsModel::ViewBased => 0,
-                });
-            let entry = match self.ordered.get(&seq) {
-                Some((eid, p)) if *eid == id => Entry {
-                    seq,
-                    id,
-                    payload: p.clone(),
-                    era,
-                },
+            let entry = match self.log.get(seq).and_then(|slot| slot.entry.as_ref()) {
+                Some(held) if held.id == id => held.clone(),
                 Some(_) => return, // superseded meanwhile: let it die
                 None => Entry {
                     seq,
                     id,
                     payload,
-                    era,
+                    era: self.assign_era(),
                 },
             };
-            let members = self.ordering_targets();
             let view = self.view.id;
             self.net.multicast(
                 ctx,
                 self.me,
-                &members,
+                &self.targets,
                 Wire::<P, S>::Ordered { view, entry },
             );
             return;
@@ -753,14 +781,7 @@ where
             seq: next,
             id,
             payload,
-            // Static model: tag the assignment with this incarnation so a
-            // post-crash reassignment of the same seq supersedes it
-            // cleanly. The view-based model serialises reassignment via
-            // the view-change flush and keeps era 0.
-            era: match self.cfg.model {
-                GcsModel::CrashRecovery => self.generation,
-                GcsModel::ViewBased => 0,
-            },
+            era: self.assign_era(),
         };
         if self.cfg.batch.enabled() {
             self.accumulate(ctx, entry);
@@ -772,25 +793,25 @@ where
         // watermark BELOW this entry — the next sequencer would then
         // reuse its sequence number for a different message.
         self.max_seq_seen = self.max_seq_seen.max(next);
-        let members = self.ordering_targets();
         let view = self.view.id;
-        let fanout = members.len() as u32;
+        let fanout = self.targets.len() as u32;
         ctx.emit(|| ObsEvent::MulticastSend { fanout });
         self.net.multicast(
             ctx,
             self.me,
-            &members,
+            &self.targets,
             Wire::<P, S>::Ordered { view, entry },
         );
     }
 
-    /// The nodes an ordering frame goes to (the whole view or group,
-    /// including the sequencer itself — self-delivery through the
-    /// loopback keeps both pipelines symmetric).
-    fn ordering_targets(&self) -> Vec<NodeId> {
+    /// The era a sequence number assigned now is tagged with. Static
+    /// model: this incarnation, so a post-crash reassignment of the same
+    /// seq supersedes it cleanly. The view-based model serialises
+    /// reassignment via the view-change flush and keeps era 0.
+    fn assign_era(&self) -> u64 {
         match self.cfg.model {
-            GcsModel::ViewBased => self.view.members.clone(),
-            GcsModel::CrashRecovery => self.group.clone(),
+            GcsModel::CrashRecovery => self.generation,
+            GcsModel::ViewBased => 0,
         }
     }
 
@@ -837,14 +858,13 @@ where
         self.stats.batch_msgs_sent += n;
         *self.batch_hist.entry(n as u32).or_insert(0) += 1;
         ctx.emit(|| ObsEvent::BatchFlush { size: n as u32 });
-        let members = self.ordering_targets();
         let view = self.view.id;
-        let fanout = members.len() as u32;
+        let fanout = self.targets.len() as u32;
         ctx.emit(|| ObsEvent::MulticastSend { fanout });
         self.net.multicast_frame(
             ctx,
             self.me,
-            &members,
+            &self.targets,
             Wire::<P, S>::OrderedBatch { view, entries },
             n,
         );
@@ -877,29 +897,29 @@ where
         if entry.seq < self.next_deliver {
             return false;
         }
-        if let Some(&(old_id, _)) = self.ordered.get(&entry.seq) {
-            let old_era = self.entry_era.get(&entry.seq).copied().unwrap_or(0);
+        let Some(slot) = self.log.slot_mut(entry.seq) else {
+            return false;
+        };
+        if let Some(old) = &slot.entry {
             // A *higher-era* assignment supersedes an undelivered entry:
             // the old sequencer died before this seq stabilised anywhere
             // (otherwise its successor would have resumed above it), and
             // its next incarnation reassigned the number. Everything
             // attached to the dead incarnation — id registration, votes,
             // local persistence — is discarded with it.
-            if self.cfg.model != GcsModel::CrashRecovery || entry.era <= old_era {
+            if self.cfg.model != GcsModel::CrashRecovery || entry.era <= old.era {
                 return false;
             }
-            if old_id != entry.id {
-                self.ordered_ids.remove(&old_id);
+            if old.id != entry.id {
+                self.ordered_ids.remove(&old.id);
             }
-            self.acks.remove(&entry.seq);
-            self.persisted.remove(&entry.seq);
+            slot.discard_incarnation();
             self.stable.remove(&entry.seq);
         }
         self.max_seq_seen = self.max_seq_seen.max(entry.seq);
-        self.entry_era.insert(entry.seq, entry.era);
         self.ordered_ids.insert(entry.id, entry.seq);
         self.pending.remove(&entry.id);
-        self.ordered.insert(entry.seq, (entry.id, entry.payload));
+        slot.entry = Some(entry);
         true
     }
 
@@ -944,7 +964,9 @@ where
         let hi = entries.last().expect("non-empty").seq;
         let mut fresh = false;
         for e in entries {
-            self.frame_spans.insert(e.seq, span);
+            if let Some(slot) = self.log.slot_mut(e.seq) {
+                slot.frame_span = span;
+            }
             fresh |= self.store_entry_raw(e);
         }
         if fresh {
@@ -978,25 +1000,7 @@ where
     ) {
         let mut any = false;
         for seq in lo..=hi {
-            if self.persisted.contains(&seq) {
-                continue;
-            }
-            let Some((id, payload)) = self.ordered.get(&seq).cloned() else {
-                continue;
-            };
-            self.persisted.insert(seq);
-            let era = self.entry_era.get(&seq).copied().unwrap_or(0);
-            self.stable.insert(
-                seq,
-                StableEntry {
-                    id,
-                    payload,
-                    era,
-                    delivered: false,
-                    acked: false,
-                },
-            );
-            any = true;
+            any |= self.mark_persisted(seq, true);
         }
         if any {
             // One frame-wide stable-log write covered the whole window.
@@ -1020,39 +1024,55 @@ where
         self.try_deliver(ctx, out);
     }
 
-    fn on_persisted(&mut self, ctx: &mut Ctx<'_>, seq: u64, out: &mut Vec<GcsOutput<P, S>>) {
-        let Some((id, payload)) = self.ordered.get(&seq).cloned() else {
-            return;
+    /// The stable-log write covering `seq` finished: mark the entry held
+    /// there persisted and copy it into the stable log. False if there is
+    /// no such entry, or (`skip_persisted`, the frame-wide write) it was
+    /// persisted already.
+    fn mark_persisted(&mut self, seq: u64, skip_persisted: bool) -> bool {
+        let Some(slot) = self.log.get_mut(seq) else {
+            return false;
         };
-        ctx.emit(|| ObsEvent::StableWrite { seq });
-        self.persisted.insert(seq);
-        let era = self.entry_era.get(&seq).copied().unwrap_or(0);
+        let Some(entry) = &slot.entry else {
+            return false;
+        };
+        if skip_persisted && slot.persisted {
+            return false;
+        }
+        slot.persisted = true;
         self.stable.insert(
             seq,
             StableEntry {
-                id,
-                payload,
-                era,
+                id: entry.id,
+                payload: entry.payload.clone(),
+                era: entry.era,
                 delivered: false,
                 acked: false,
             },
         );
+        true
+    }
+
+    fn on_persisted(&mut self, ctx: &mut Ctx<'_>, seq: u64, out: &mut Vec<GcsOutput<P, S>>) {
+        if !self.mark_persisted(seq, false) {
+            return;
+        }
+        ctx.emit(|| ObsEvent::StableWrite { seq });
         self.send_ack(ctx, seq);
         self.try_deliver(ctx, out);
     }
 
+    /// Era of the entry held at `seq` (0 without one).
+    fn entry_era(&self, seq: u64) -> u64 {
+        self.log.get(seq).map_or(0, |slot| slot.era())
+    }
+
     fn send_ack(&mut self, ctx: &mut Ctx<'_>, seq: u64) {
         ctx.emit(|| ObsEvent::Vote { seq });
-        let era = self.entry_era.get(&seq).copied().unwrap_or(0);
+        let era = self.entry_era(seq);
         self.record_ack(self.me, seq, era);
-        let targets: Vec<NodeId> = self
-            .ordering_targets()
-            .into_iter()
-            .filter(|&p| p != self.me)
-            .collect();
         self.stats.acks_sent += 1;
         self.net
-            .multicast(ctx, self.me, &targets, Wire::<P, S>::Ack { seq, era });
+            .multicast(ctx, self.me, &self.peers, Wire::<P, S>::Ack { seq, era });
     }
 
     /// One aggregated stability vote covering `lo..=hi` (batched
@@ -1060,48 +1080,32 @@ where
     fn send_ack_range(&mut self, ctx: &mut Ctx<'_>, lo: u64, hi: u64) {
         // One aggregated vote: the window's head stands for the frame.
         ctx.emit(|| ObsEvent::Vote { seq: hi });
-        let era = self.entry_era.get(&lo).copied().unwrap_or(0);
+        let era = self.entry_era(lo);
         for seq in lo..=hi {
             self.record_ack(self.me, seq, era);
         }
-        let targets: Vec<NodeId> = self
-            .ordering_targets()
-            .into_iter()
-            .filter(|&p| p != self.me)
-            .collect();
         self.stats.acks_sent += 1;
         self.net.multicast_frame(
             ctx,
             self.me,
-            &targets,
+            &self.peers,
             Wire::<P, S>::AckRange { lo, hi, era },
             hi - lo + 1,
         );
     }
 
+    /// Count `from`'s stability vote for the `era` incarnation of `seq`,
+    /// then advance the cached contiguous-stable head past every
+    /// sequence number whose stability is now known (amortised O(1) per
+    /// vote).
     fn record_ack(&mut self, from: NodeId, seq: u64, era: u64) {
-        let slot = self
-            .acks
-            .entry(seq)
-            .or_insert_with(|| (era, BTreeSet::new()));
-        if era > slot.0 {
-            // Votes for a newer incarnation of the seq supersede the old.
-            *slot = (era, BTreeSet::new());
-        } else if era < slot.0 {
-            return; // stale vote for a superseded incarnation
+        let bit = self.rank_bit(from);
+        if let Some(slot) = self.log.slot_mut(seq) {
+            slot.vote(bit, era);
         }
-        slot.1.insert(from);
-        self.bump_stable_mark();
-    }
-
-    /// Advance the cached contiguous-stable head past every sequence
-    /// number whose stability is now known (amortised O(1) per vote).
-    fn bump_stable_mark(&mut self) {
-        let mut s = self.stable_mark.max(self.stable_floor);
-        while self.is_stable(s + 1) {
-            s += 1;
-        }
-        self.stable_mark = s;
+        self.stable_mark = self
+            .log
+            .stable_run_end(self.stable_watermark(), self.quorum);
     }
 
     /// The group-stable watermark: the highest sequence number `S` such
@@ -1123,51 +1127,40 @@ where
         if seq <= self.stable_floor {
             return true;
         }
-        let Some((vote_era, votes)) = self.acks.get(&seq) else {
-            return false;
-        };
-        // Votes must be for the incarnation of the entry actually held.
-        if *vote_era != self.entry_era.get(&seq).copied().unwrap_or(0) {
-            return false;
-        }
-        let voters: &[NodeId] = match self.cfg.model {
-            GcsModel::ViewBased => &self.view.members,
-            GcsModel::CrashRecovery => &self.group,
-        };
-        let count = votes.iter().filter(|v| voters.contains(v)).count();
-        count >= self.majority()
+        self.log
+            .get(seq)
+            .is_some_and(|slot| slot.is_stable(self.quorum))
     }
 
     fn try_deliver(&mut self, ctx: &mut Ctx<'_>, out: &mut Vec<GcsOutput<P, S>>) {
         if !self.joined {
             return;
         }
+        let uniform = self.cfg.guarantee == DeliveryGuarantee::Uniform;
+        // In the crash-recovery model an entry must additionally be
+        // persisted locally before uniform delivery (otherwise a crash
+        // right after delivery leaves no local record).
+        let needs_persist = uniform && self.cfg.model == GcsModel::CrashRecovery;
         loop {
             let seq = self.next_deliver;
-            if !self.ordered.contains_key(&seq) {
+            let head = self
+                .log
+                .get(seq)
+                .filter(|slot| {
+                    !uniform
+                        || ((slot.persisted || !needs_persist)
+                            && (seq <= self.stable_floor || slot.is_stable(self.quorum)))
+                })
+                .and_then(Deliverable::of);
+            let Some(head) = head else {
+                // A hole — or a head entry stuck behind stability, which
+                // can be as final as a hole: its votes may have circulated
+                // while this node was down. The repair's CatchUp reply
+                // carries the responder's stable floor, unsticking it.
                 self.maybe_arm_gap_repair(ctx);
                 return;
-            }
-            let deliverable = match self.cfg.guarantee {
-                DeliveryGuarantee::NonUniform => true,
-                DeliveryGuarantee::Uniform => {
-                    // In the crash-recovery model an entry must additionally
-                    // be persisted locally before delivery (otherwise a
-                    // crash right after delivery leaves no local record).
-                    let local_ok =
-                        self.cfg.model == GcsModel::ViewBased || self.persisted.contains(&seq);
-                    local_ok && self.is_stable(seq)
-                }
             };
-            if !deliverable {
-                // A head entry stuck behind stability can be as final as
-                // a hole: its votes may have circulated while this node
-                // was down. The repair's CatchUp reply carries the
-                // responder's stable floor, unsticking it.
-                self.maybe_arm_gap_repair(ctx);
-                return;
-            }
-            self.deliver_one(ctx, seq, false, out);
+            self.deliver_one(ctx, seq, head, false, out);
         }
     }
 
@@ -1194,16 +1187,16 @@ where
         &mut self,
         ctx: &mut Ctx<'_>,
         seq: u64,
+        head: Deliverable<P>,
         redelivery: bool,
         out: &mut Vec<GcsOutput<P, S>>,
     ) {
-        let (id, payload) = self.ordered.get(&seq).cloned().expect("entry present");
         // Entries already handed up in this incarnation, or already
         // *successfully* delivered in a previous one (end-to-end mode),
         // advance the cursor without a second emission (refined uniform
         // integrity: successful delivery at most once).
-        let already_done = self.already_emitted.contains(&seq)
-            || (self.cfg.end_to_end && self.stable.get(&seq).is_some_and(|e| e.acked));
+        let already_done =
+            head.emitted || (self.cfg.end_to_end && self.stable.get(&seq).is_some_and(|e| e.acked));
         if self.cfg.model == GcsModel::CrashRecovery {
             // Write-ahead delivery mark (see module docs). The mark itself
             // is free in time (piggybacked metadata write).
@@ -1215,7 +1208,9 @@ where
         if already_done {
             return;
         }
-        self.already_emitted.insert(seq);
+        if let Some(slot) = self.log.get_mut(seq) {
+            slot.emitted = true;
+        }
         ctx.emit(|| ObsEvent::UniformDeliver { seq });
         if redelivery {
             self.stats.redelivered += 1;
@@ -1224,8 +1219,8 @@ where
         }
         out.push(GcsOutput::Deliver {
             seq,
-            id,
-            payload,
+            id: head.id,
+            payload: head.payload,
             redelivery,
         });
     }
@@ -1235,8 +1230,8 @@ where
     fn flush_up_to(&mut self, ctx: &mut Ctx<'_>, watermark: u64, out: &mut Vec<GcsOutput<P, S>>) {
         while self.next_deliver <= watermark {
             let seq = self.next_deliver;
-            if self.ordered.contains_key(&seq) {
-                self.deliver_one(ctx, seq, false, out);
+            if let Some(head) = self.log.get(seq).and_then(Deliverable::of) {
+                self.deliver_one(ctx, seq, head, false, out);
             } else {
                 debug_assert!(false, "flush gap at seq {seq} (missing retransmit)");
                 self.next_deliver += 1;
@@ -1253,15 +1248,8 @@ where
             ctx.timer(self.cfg.hb_interval, GcsTimer::Heartbeat);
             return;
         }
-        let targets: Vec<NodeId> = self
-            .view
-            .members
-            .iter()
-            .copied()
-            .filter(|&p| p != self.me)
-            .collect();
         self.net
-            .multicast(ctx, self.me, &targets, Wire::<P, S>::Heartbeat);
+            .multicast(ctx, self.me, &self.peers, Wire::<P, S>::Heartbeat);
         let now = ctx.now();
         let mut newly = false;
         for &p in &self.view.members {
@@ -1451,7 +1439,7 @@ where
             .unwrap_or(0)
             .max(self.max_seq_seen);
         // Do we hold every entry up to the watermark?
-        let have_all = (self.next_deliver..=watermark).all(|s| self.ordered.contains_key(&s));
+        let have_all = (self.next_deliver..=watermark).all(|s| self.holds_entry(s));
         if !have_all {
             // Fetch from the other member holding the most.
             let holder = vc
@@ -1507,16 +1495,7 @@ where
         let vc = self.vc.take().expect("called with vc");
         let min_nd = vc.replies.values().map(|r| r.1).min().unwrap_or(1);
         // Retransmit everything any member might miss.
-        let entries: Vec<Entry<P>> = (min_nd..=watermark)
-            .filter_map(|s| {
-                self.ordered.get(&s).map(|(id, p)| Entry {
-                    seq: s,
-                    id: *id,
-                    payload: p.clone(),
-                    era: self.entry_era.get(&s).copied().unwrap_or(0),
-                })
-            })
-            .collect();
+        let entries = self.entries_between(min_nd, watermark);
         let joiner_nodes: Vec<NodeId> = vc.joiners.iter().map(|(n, _)| *n).collect();
         let new_view = View {
             id: self.view.id + 1,
@@ -1605,7 +1584,7 @@ where
             // where the per-seq votes never completed.
             self.stable_floor = self.stable_floor.max(watermark);
         }
-        self.view = view.clone();
+        self.set_view(view.clone());
         self.vc = None;
         // Joiners the new view already contains joined through another
         // coordinator's change; a stale parked entry would otherwise be
@@ -1707,14 +1686,12 @@ where
 
     fn send_join_req(&mut self, ctx: &mut Ctx<'_>) {
         let generation = self.generation;
-        let targets: Vec<NodeId> = self
-            .group
-            .iter()
-            .copied()
-            .filter(|&p| p != self.me)
-            .collect();
-        self.net
-            .multicast(ctx, self.me, &targets, Wire::<P, S>::JoinReq { generation });
+        self.net.multicast(
+            ctx,
+            self.me,
+            &self.group_peers,
+            Wire::<P, S>::JoinReq { generation },
+        );
         ctx.timer(self.cfg.change_timeout, GcsTimer::JoinRetry { generation });
     }
 
@@ -1783,16 +1760,7 @@ where
         } else {
             (view, watermark)
         };
-        let tail: Vec<Entry<P>> = (applied_seq + 1..=watermark)
-            .filter_map(|s| {
-                self.ordered.get(&s).map(|(id, p)| Entry {
-                    seq: s,
-                    id: *id,
-                    payload: p.clone(),
-                    era: self.entry_era.get(&s).copied().unwrap_or(0),
-                })
-            })
-            .collect();
+        let tail = self.entries_between(applied_seq + 1, watermark);
         self.net.send(
             ctx,
             self.me,
@@ -1823,17 +1791,16 @@ where
         }
         self.join = None;
         self.joined = true;
-        self.view = view.clone();
+        self.set_view(view.clone());
         self.waiting_joiners.retain(|&(n, _)| !view.contains(n));
         self.next_deliver = applied_seq + 1;
         self.max_seq_seen = watermark;
-        self.ordered.clear();
-        self.entry_era.clear();
-        self.acks.clear();
-        for e in &tail {
-            self.ordered.insert(e.seq, (e.id, e.payload.clone()));
-            self.entry_era.insert(e.seq, e.era);
+        self.log.forget_entries();
+        for e in tail {
             self.ordered_ids.insert(e.id, e.seq);
+            if let Some(slot) = self.log.slot_mut(e.seq) {
+                slot.entry = Some(e);
+            }
         }
         let now = ctx.now();
         for &p in &view.members {
@@ -1895,13 +1862,36 @@ where
         runs
     }
 
+    /// Sequence numbers at or above `from` persisted locally, ascending.
+    fn persisted_from(&self, from: u64) -> Vec<u64> {
+        self.log
+            .range(from)
+            .filter(|(_, slot)| slot.persisted)
+            .map(|(seq, _)| seq)
+            .collect()
+    }
+
     /// Highest sequence number with the whole prefix persisted locally.
     fn contiguous_persisted(&self) -> u64 {
         let mut k = 0;
-        while self.persisted.contains(&(k + 1)) {
+        while self.log.get(k + 1).is_some_and(|slot| slot.persisted) {
             k += 1;
         }
         k
+    }
+
+    fn holds_entry(&self, seq: u64) -> bool {
+        self.log.get(seq).is_some_and(|slot| slot.entry.is_some())
+    }
+
+    /// The entries held in `lo..=hi`, ascending (retransmission and
+    /// state-transfer tails).
+    fn entries_between(&self, lo: u64, hi: u64) -> Vec<Entry<P>> {
+        self.log
+            .entries_from(lo)
+            .take_while(|e| e.seq <= hi)
+            .cloned()
+            .collect()
     }
 
     fn on_catch_up_req(&mut self, ctx: &mut Ctx<'_>, from: NodeId, have_up_to: u64) {
@@ -1921,16 +1911,7 @@ where
             );
             return;
         }
-        let entries: Vec<Entry<P>> = self
-            .ordered
-            .range(have_up_to + 1..)
-            .map(|(s, (id, p))| Entry {
-                seq: *s,
-                id: *id,
-                payload: p.clone(),
-                era: self.entry_era.get(s).copied().unwrap_or(0),
-            })
-            .collect();
+        let entries: Vec<Entry<P>> = self.log.entries_from(have_up_to + 1).cloned().collect();
         // A peer recovering at the same time is a fresh source: if this
         // endpoint is itself waiting to resume sequencing, re-request a
         // catch-up from that peer (the original request may have been sent
@@ -1965,21 +1946,16 @@ where
         // *delivered* yet (so `stable_up_to` does not cover them) would
         // otherwise never reach majority at the requester, stalling its
         // delivery cursor forever.
-        let persisted: Vec<u64> = self
-            .persisted
-            .iter()
-            .copied()
-            .filter(|&s| s > stable_up_to)
-            .collect();
+        let persisted = self.persisted_from(stable_up_to + 1);
         if self.cfg.batch.enabled() {
             // Compress into contiguous runs: one aggregated vote per run
             // (split further wherever the era changes inside a run).
             for (lo, hi) in Self::contiguous_runs(&persisted) {
                 let mut start = lo;
                 while start <= hi {
-                    let era = self.entry_era.get(&start).copied().unwrap_or(0);
+                    let era = self.entry_era(start);
                     let mut end = start;
-                    while end < hi && self.entry_era.get(&(end + 1)).copied().unwrap_or(0) == era {
+                    while end < hi && self.entry_era(end + 1) == era {
                         end += 1;
                     }
                     self.net.send_frame(
@@ -1998,7 +1974,7 @@ where
             }
         } else {
             for seq in persisted {
-                let era = self.entry_era.get(&seq).copied().unwrap_or(0);
+                let era = self.entry_era(seq);
                 self.net
                     .send(ctx, self.me, from, Wire::<P, S>::Ack { seq, era });
             }
@@ -2013,16 +1989,7 @@ where
         have_up_to: u64,
         epoch: u64,
     ) {
-        let entries: Vec<Entry<P>> = self
-            .ordered
-            .range(have_up_to + 1..)
-            .map(|(s, (id, p))| Entry {
-                seq: *s,
-                id: *id,
-                payload: p.clone(),
-                era: self.entry_era.get(s).copied().unwrap_or(0),
-            })
-            .collect();
+        let entries: Vec<Entry<P>> = self.log.entries_from(have_up_to + 1).cloned().collect();
         self.net.send(
             ctx,
             self.me,
@@ -2040,14 +2007,11 @@ where
     pub fn on_crash(&mut self) {
         self.started = false;
         self.joined = false;
-        self.view = View::initial(self.group.clone());
+        self.set_view(View::initial(self.group.clone()));
         self.pending.clear();
         self.seq_assign = None;
         self.ordered_ids.clear();
-        self.ordered.clear();
-        self.entry_era.clear();
-        self.acks.clear();
-        self.persisted.clear();
+        self.log.clear();
         self.next_deliver = 1;
         self.stable_floor = 0;
         self.stable_mark = 0;
@@ -2058,12 +2022,10 @@ where
         self.waiting_joiners.clear();
         self.join = None;
         self.pending_state_transfers.clear();
-        self.already_emitted.clear();
         self.batch_acc.clear();
         self.batch_acc_bytes = 0;
         self.batch_epoch += 1; // any armed flush deadline is now stale
         self.batch_timer_armed = false;
-        self.frame_spans.clear();
         self.resend_armed = false;
         self.gap_repair_armed = false;
         self.seq_resume_votes = None;
@@ -2098,10 +2060,16 @@ where
                 // Rebuild the ordering state from the stable log.
                 let mut delivered_prefix = 0;
                 for (&seq, e) in &self.stable {
-                    self.ordered.insert(seq, (e.id, e.payload.clone()));
-                    self.entry_era.insert(seq, e.era);
+                    if let Some(slot) = self.log.slot_mut(seq) {
+                        slot.entry = Some(Entry {
+                            seq,
+                            id: e.id,
+                            payload: e.payload.clone(),
+                            era: e.era,
+                        });
+                        slot.persisted = true;
+                    }
                     self.ordered_ids.insert(e.id, seq);
-                    self.persisted.insert(seq);
                     self.max_seq_seen = self.max_seq_seen.max(seq);
                     if e.delivered && seq == delivered_prefix + 1 {
                         delivered_prefix = seq;
@@ -2124,7 +2092,9 @@ where
                         .map(|(s, _)| *s)
                         .collect();
                     for seq in to_redeliver {
-                        self.deliver_one(ctx, seq, true, out);
+                        if let Some(head) = self.log.get(seq).and_then(Deliverable::of) {
+                            self.deliver_one(ctx, seq, head, true, out);
+                        }
                     }
                     self.next_deliver = delivered_prefix + 1;
                 } else {
@@ -2134,7 +2104,7 @@ where
                     self.next_deliver = delivered_prefix + 1;
                 }
                 // Help others' stability and catch up on what we missed.
-                let persisted: Vec<u64> = self.persisted.iter().copied().collect();
+                let persisted = self.persisted_from(0);
                 if self.cfg.batch.enabled() {
                     // Aggregated votes, as on the fast path: one range
                     // message per contiguous run of the stable log.
@@ -2146,16 +2116,10 @@ where
                         self.send_ack(ctx, seq);
                     }
                 }
-                let targets: Vec<NodeId> = self
-                    .group
-                    .iter()
-                    .copied()
-                    .filter(|&p| p != self.me)
-                    .collect();
                 self.net.multicast(
                     ctx,
                     self.me,
-                    &targets,
+                    &self.group_peers,
                     Wire::<P, S>::CatchUpReq {
                         have_up_to: contiguous,
                     },
@@ -2198,7 +2162,7 @@ where
         self.started = true;
         self.joined = true;
         self.next_counter = self.generation << 32;
-        self.view = View {
+        self.set_view(View {
             id: (self.generation + 1) * 1_000_000, // fresh group: view ids restart above old ones
             members: {
                 let mut m = members;
@@ -2206,7 +2170,7 @@ where
                 m.dedup();
                 m
             },
-        };
+        });
         // Sequence numbers continue above `seq_base` so versions derived
         // from them never regress below the recovered application state.
         self.next_deliver = seq_base + 1;
@@ -2234,3 +2198,7 @@ where
         self.stable.get(&seq).map(|e| e.acked)
     }
 }
+
+#[cfg(test)]
+#[path = "tests/endpoint.rs"]
+mod tests;

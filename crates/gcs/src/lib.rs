@@ -33,6 +33,7 @@ pub mod message;
 pub mod output;
 pub mod process;
 pub mod properties;
+mod seqlog;
 pub mod view;
 
 pub use config::{BatchConfig, DeliveryGuarantee, GcsConfig, GcsModel};
@@ -41,4 +42,5 @@ pub use message::{Entry, GcsTimer, MsgId, Wire};
 pub use output::GcsOutput;
 pub use process::{classify, LifecycleEvent, ProcessClass};
 pub use properties::{DeliveryRecord, RunObservation, Violation};
+pub use seqlog::MAX_GROUP_SIZE;
 pub use view::View;

@@ -126,15 +126,125 @@ struct NetworkState {
     /// Per-domain delivery counters, indexed by domain id (sends are
     /// attributed to the *sender's* domain).
     domain_stats: Vec<NetStats>,
+    /// Scratch for counting a multicast's distinct receiver domains
+    /// without allocating: `domain_mark[d] == mark_epoch` means domain
+    /// `d` was already counted for the multicast in progress.
+    domain_mark: Vec<u64>,
+    mark_epoch: u64,
 }
 
 impl NetworkState {
-    fn charge(&mut self, from: NodeId, f: impl Fn(&mut NetStats)) {
+    fn domain_of(&self, node: NodeId) -> usize {
+        self.domain.get(node.index()).copied().unwrap_or(0) as usize
+    }
+
+    fn actor_of(&self, node: NodeId) -> ActorId {
+        self.actors[node.index()].expect("unregistered node")
+    }
+
+    /// Tick counters in the global stats and in those of the sender's
+    /// domain `d`.
+    fn charge(&mut self, d: usize, f: impl Fn(&mut NetStats)) {
         f(&mut self.stats);
-        let d = self.domain.get(from.index()).copied().unwrap_or(0) as usize;
         if let Some(s) = self.domain_stats.get_mut(d) {
             f(s);
         }
+    }
+
+    /// Number of distinct receiver domains among `targets`: the wire
+    /// transmissions of a multicast (hardware multicast reaches every
+    /// listener of a domain's address with a single frame on the wire).
+    fn distinct_domains(&mut self, targets: &[NodeId]) -> u64 {
+        self.mark_epoch += 1;
+        let mut n = 0;
+        for &t in targets {
+            let d = self.domain_of(t);
+            if let Some(mark) = self.domain_mark.get_mut(d) {
+                if *mark != self.mark_epoch {
+                    *mark = self.mark_epoch;
+                    n += 1;
+                }
+            }
+        }
+        n
+    }
+
+    /// Schedule one receiver-side delivery. The RNG is drawn in a fixed
+    /// order — loss, jitter, reorder (coin, then deferral), duplicate
+    /// (coin, then deferral) — and each draw happens only when its knob
+    /// is non-zero, so disabled features never touch the stream.
+    /// `frame`: `Some(k)` for a k-message batch frame, whose wire time
+    /// grows with its size: `latency + (k - 1) × frame_unit_cost`.
+    #[allow(clippy::too_many_arguments)]
+    fn deliver<M: Any + Clone>(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        cfg: &NetConfig,
+        d: usize,
+        from: NodeId,
+        to: NodeId,
+        msg: M,
+        frame: Option<u64>,
+    ) {
+        if self.colour[from.index()] != self.colour[to.index()] {
+            self.charge(d, |st| st.dropped_partition += 1);
+            return;
+        }
+        if cfg.loss_probability > 0.0 && ctx.rng().random_bool(cfg.loss_probability) {
+            self.charge(d, |st| st.dropped_loss += 1);
+            return;
+        }
+        let mut delay = cfg.latency;
+        if !cfg.jitter.is_zero() {
+            let extra = ctx.rng().random_range(0..=cfg.jitter.as_nanos());
+            delay += SimDuration::from_nanos(extra);
+        }
+        if let Some(k) = frame {
+            delay += cfg.frame_unit_cost * k.saturating_sub(1);
+        }
+        let reordered =
+            cfg.reorder_probability > 0.0 && ctx.rng().random_bool(cfg.reorder_probability);
+        if reordered {
+            delay += window_extra(cfg, ctx);
+        }
+        let actor = self.actor_of(to);
+        let duplicated =
+            cfg.duplicate_probability > 0.0 && ctx.rng().random_bool(cfg.duplicate_probability);
+        if duplicated {
+            // The copy is deferred within the reorder window past the
+            // original's delay.
+            let copy_delay = delay + window_extra(cfg, ctx);
+            ctx.send(
+                actor,
+                copy_delay,
+                Incoming {
+                    from,
+                    msg: msg.clone(),
+                },
+            );
+        }
+        self.charge(d, |st| {
+            st.sent += 1 + u64::from(duplicated);
+            st.duplicated += u64::from(duplicated);
+            st.reordered += u64::from(reordered);
+            if let Some(k) = frame {
+                st.frames += 1;
+                st.frame_msgs += k;
+            }
+        });
+        ctx.send(actor, delay, Incoming { from, msg });
+    }
+}
+
+/// Extra deferral inside the reorder window: a uniform draw in
+/// `(0, reorder_window]`, or one base latency when the window is zero.
+/// Only called once the feature's coin came up, so disabled runs never
+/// touch the RNG here (their event streams stay bit-for-bit).
+fn window_extra(cfg: &NetConfig, ctx: &mut Ctx<'_>) -> SimDuration {
+    if cfg.reorder_window.is_zero() {
+        cfg.latency
+    } else {
+        SimDuration::from_nanos(ctx.rng().random_range(1..=cfg.reorder_window.as_nanos()))
     }
 }
 
@@ -155,6 +265,8 @@ impl Network {
                 stats: NetStats::default(),
                 domain: Vec::new(),
                 domain_stats: vec![NetStats::default()],
+                domain_mark: vec![0],
+                mark_epoch: 0,
             })),
         }
     }
@@ -199,6 +311,7 @@ impl Network {
             }
         }
         s.domain_stats = vec![NetStats::default(); groups.len().max(1)];
+        s.domain_mark = vec![0; groups.len().max(1)];
     }
 
     /// Number of multicast domains (1 until [`Network::set_domains`]).
@@ -217,12 +330,7 @@ impl Network {
 
     /// The domain `node` belongs to.
     pub fn domain_of(&self, node: NodeId) -> u32 {
-        self.inner
-            .borrow()
-            .domain
-            .get(node.index())
-            .copied()
-            .unwrap_or(0)
+        self.inner.borrow().domain_of(node) as u32
     }
 
     /// Delivery counters attributed to senders of domain `d`.
@@ -265,157 +373,50 @@ impl Network {
     /// # Panics
     /// Panics if `node` was never registered.
     pub fn actor_of(&self, node: NodeId) -> ActorId {
-        self.inner.borrow().actors[node.index()].expect("unregistered node")
+        self.inner.borrow().actor_of(node)
     }
 
-    fn delivery_delay(&self, ctx: &mut Ctx<'_>) -> SimDuration {
-        let (latency, jitter) = {
-            let s = self.inner.borrow();
-            (s.config.latency, s.config.jitter)
-        };
-        if jitter.is_zero() {
-            latency
-        } else {
-            let extra = ctx.rng().random_range(0..=jitter.as_nanos());
-            latency + SimDuration::from_nanos(extra)
-        }
-    }
-
-    fn should_drop(&self, ctx: &mut Ctx<'_>, from: NodeId, to: NodeId) -> bool {
-        let loss = {
-            let s = self.inner.borrow();
-            if s.colour[from.index()] != s.colour[to.index()] {
-                drop(s);
-                self.inner
-                    .borrow_mut()
-                    .charge(from, |st| st.dropped_partition += 1);
-                return true;
-            }
-            s.config.loss_probability
-        };
-        if loss > 0.0 && ctx.rng().random_bool(loss) {
-            self.inner
-                .borrow_mut()
-                .charge(from, |st| st.dropped_loss += 1);
-            return true;
-        }
-        false
-    }
-
-    /// Extra deferral inside the reorder window: a uniform draw in
-    /// `(0, reorder_window]`, or one base latency when the window is zero.
-    /// Only called once the feature's coin came up, so disabled runs never
-    /// touch the RNG here (their event streams stay bit-for-bit).
-    fn window_extra(&self, ctx: &mut Ctx<'_>) -> SimDuration {
-        let (window, latency) = {
-            let s = self.inner.borrow();
-            (s.config.reorder_window, s.config.latency)
-        };
-        if window.is_zero() {
-            latency
-        } else {
-            SimDuration::from_nanos(ctx.rng().random_range(1..=window.as_nanos()))
-        }
-    }
-
-    /// Apply probabilistic reordering to a computed delay and account it.
-    fn maybe_defer(&self, ctx: &mut Ctx<'_>, from: NodeId, delay: SimDuration) -> SimDuration {
-        let p = self.inner.borrow().config.reorder_probability;
-        if p > 0.0 && ctx.rng().random_bool(p) {
-            self.inner.borrow_mut().charge(from, |st| st.reordered += 1);
-            delay + self.window_extra(ctx)
-        } else {
-            delay
-        }
-    }
-
-    /// Schedule a probabilistic duplicate of a delivery, deferred within
-    /// the reorder window past the original's delay.
-    fn maybe_duplicate<M: Any + Clone>(
-        &self,
-        ctx: &mut Ctx<'_>,
-        actor: ActorId,
-        from: NodeId,
-        delay: SimDuration,
-        msg: &M,
-    ) {
-        let p = self.inner.borrow().config.duplicate_probability;
-        if p > 0.0 && ctx.rng().random_bool(p) {
-            let extra = self.window_extra(ctx);
-            self.inner.borrow_mut().charge(from, |st| {
-                st.sent += 1;
-                st.duplicated += 1;
-            });
-            ctx.send(
-                actor,
-                delay + extra,
-                Incoming {
-                    from,
-                    msg: msg.clone(),
-                },
-            );
-        }
-    }
-
-    /// Account the wire transmissions of a multicast: one per distinct
-    /// receiver domain among `targets` (hardware multicast reaches every
-    /// listener of a domain's address with a single frame on the wire).
-    fn charge_multicast_transmissions(&self, from: NodeId, targets: &[NodeId]) {
-        let mut s = self.inner.borrow_mut();
-        let mut domains: Vec<u32> = targets
-            .iter()
-            .map(|t| s.domain.get(t.index()).copied().unwrap_or(0))
-            .collect();
-        domains.sort_unstable();
-        domains.dedup();
-        let n = domains.len() as u64;
-        s.charge(from, |st| st.transmissions += n);
-    }
-
-    /// Schedule one receiver-side delivery (shared by the unicast and
-    /// multicast entry points, which differ only in how they account the
-    /// wire). `frame`: `Some(k)` for a k-message batch frame, whose wire
-    /// time grows with its size: `latency + (k - 1) × frame_unit_cost`.
-    fn deliver<M: Any + Clone>(
+    /// The one path every send takes: account the wire (one transmission
+    /// per unicast, one per distinct receiver domain per multicast), then
+    /// schedule one delivery per target under a single borrow of the
+    /// shared state, reading the configuration once. The last target
+    /// receives the original `msg` by move, so an `n`-way fan-out pays
+    /// `n - 1` clones — and a refcounted payload (e.g. `Rc<GroupMsg>`)
+    /// pays none at all.
+    fn transmit<M: Any + Clone>(
         &self,
         ctx: &mut Ctx<'_>,
         from: NodeId,
-        to: NodeId,
+        targets: &[NodeId],
         msg: M,
         frame: Option<u64>,
+        multicast: bool,
     ) {
-        if self.should_drop(ctx, from, to) {
-            return;
-        }
-        let base = self.delivery_delay(ctx);
-        let delay = match frame {
-            Some(k) => {
-                let unit = self.inner.borrow().config.frame_unit_cost;
-                base + unit * k.saturating_sub(1)
-            }
-            None => base,
+        let mut s = self.inner.borrow_mut();
+        let cfg = s.config.clone();
+        let d = s.domain_of(from);
+        let wire = if multicast {
+            s.distinct_domains(targets)
+        } else {
+            1
         };
-        let delay = self.maybe_defer(ctx, from, delay);
-        let actor = self.actor_of(to);
-        self.inner.borrow_mut().charge(from, |st| {
-            st.sent += 1;
-            if let Some(k) = frame {
-                st.frames += 1;
-                st.frame_msgs += k;
-            }
+        s.charge(d, |st| {
+            st.broadcasts += u64::from(multicast);
+            st.transmissions += wire;
         });
-        self.maybe_duplicate(ctx, actor, from, delay, &msg);
-        ctx.send(actor, delay, Incoming { from, msg });
+        if let Some((&last, rest)) = targets.split_last() {
+            for &t in rest {
+                s.deliver(ctx, &cfg, d, from, t, msg.clone(), frame);
+            }
+            s.deliver(ctx, &cfg, d, from, last, msg, frame);
+        }
     }
 
     /// Send `msg` from `from` to `to`. The receiver gets an
     /// [`Incoming<M>`] event after the wire latency. Messages to
     /// partitioned or crashed nodes are lost.
     pub fn send<M: Any + Clone>(&self, ctx: &mut Ctx<'_>, from: NodeId, to: NodeId, msg: M) {
-        self.inner
-            .borrow_mut()
-            .charge(from, |st| st.transmissions += 1);
-        self.deliver(ctx, from, to, msg, None);
+        self.transmit(ctx, from, &[to], msg, None, false);
     }
 
     /// Send `msg` — a batch frame packing `msgs_in_frame` application
@@ -430,17 +431,12 @@ impl Network {
         msg: M,
         msgs_in_frame: u64,
     ) {
-        self.inner
-            .borrow_mut()
-            .charge(from, |st| st.transmissions += 1);
-        self.deliver(ctx, from, to, msg, Some(msgs_in_frame));
+        self.transmit(ctx, from, &[to], msg, Some(msgs_in_frame), false);
     }
 
     /// Multicast a batch frame to every node in `targets` (one delivery
     /// per target, one broadcast counter tick, one wire transmission per
-    /// distinct receiver domain). The last target receives the original
-    /// `msg` by move, so an `n`-way fan-out pays `n - 1` clones — and a
-    /// refcounted payload (e.g. `Rc<GroupMsg>`) pays none at all.
+    /// distinct receiver domain).
     pub fn multicast_frame<M: Any + Clone>(
         &self,
         ctx: &mut Ctx<'_>,
@@ -449,23 +445,13 @@ impl Network {
         msg: M,
         msgs_in_frame: u64,
     ) {
-        self.inner
-            .borrow_mut()
-            .charge(from, |st| st.broadcasts += 1);
-        self.charge_multicast_transmissions(from, targets);
-        if let Some((&last, rest)) = targets.split_last() {
-            for &t in rest {
-                self.deliver(ctx, from, t, msg.clone(), Some(msgs_in_frame));
-            }
-            self.deliver(ctx, from, last, msg, Some(msgs_in_frame));
-        }
+        self.transmit(ctx, from, targets, msg, Some(msgs_in_frame), true);
     }
 
     /// Multicast `msg` from `from` to every node in `targets` (the sender
     /// may include itself; self-delivery also pays the wire latency, which
     /// models the loopback through the network stack). Accounted as one
-    /// wire transmission per distinct receiver domain; the last target
-    /// receives `msg` by move (see [`Network::multicast_frame`]).
+    /// wire transmission per distinct receiver domain.
     pub fn multicast<M: Any + Clone>(
         &self,
         ctx: &mut Ctx<'_>,
@@ -473,16 +459,7 @@ impl Network {
         targets: &[NodeId],
         msg: M,
     ) {
-        self.inner
-            .borrow_mut()
-            .charge(from, |st| st.broadcasts += 1);
-        self.charge_multicast_transmissions(from, targets);
-        if let Some((&last, rest)) = targets.split_last() {
-            for &t in rest {
-                self.deliver(ctx, from, t, msg.clone(), None);
-            }
-            self.deliver(ctx, from, last, msg, None);
-        }
+        self.transmit(ctx, from, targets, msg, None, true);
     }
 
     /// Broadcast `msg` from `from` to every registered node (including the

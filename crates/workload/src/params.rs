@@ -66,8 +66,8 @@ impl Default for PaperParams {
             net_cpu_ms: 0.07,
             // Not in Table 4: a mild hotspot calibrated so the group-safe
             // abort rate lands near the paper's "slightly below 7 %" (§6);
-            // see DESIGN.md (substitutions). Set to 0 for a uniform
-            // workload (abort rate then falls to ~2 %).
+            // see EXPERIMENTS.md ("Substitutions and extensions"). Set to
+            // 0 for a uniform workload (abort rate then falls to ~2 %).
             hot_access_fraction: 0.15,
             hot_set_fraction: 0.02,
             read_fraction: 0.0,
