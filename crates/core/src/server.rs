@@ -63,7 +63,7 @@ use groupsafe_db::{
 };
 use groupsafe_gcs::{BatchConfig, GcsConfig, GcsEndpoint, GcsOutput, GcsTimer, Wire};
 use groupsafe_net::{Incoming, Network, NodeId, NET_CPU};
-use groupsafe_sim::{Actor, Ctx, Disk, Fcfs, ObsEvent, Payload, SimDuration, SimTime};
+use groupsafe_sim::{Actor, Ctx, Disk, Fcfs, ObsEvent, Payload, Shared, SimDuration, SimTime};
 
 use crate::certify::{certify, certify_snapshot, Certification};
 use crate::msg::{
@@ -2365,6 +2365,15 @@ impl ReplicaServer {
         }
     }
 
+    /// A group-communication message arrived from `from`.
+    fn on_wire(&mut self, ctx: &mut Ctx<'_>, from: NodeId, wire: &RWire) {
+        let mut outputs = Vec::new();
+        if let Some(gcs) = &mut self.gcs {
+            gcs.on_net(ctx, from, wire, &mut outputs);
+        }
+        self.handle_gcs_outputs(ctx, outputs);
+    }
+
     fn on_lazy_propagation(&mut self, ctx: &mut Ctx<'_>, msg: LazyPropagation) {
         self.charge_net_cpu(ctx.now());
         for (txn, writes) in msg.writesets {
@@ -2380,6 +2389,16 @@ impl ReplicaServer {
 }
 
 impl Actor for ReplicaServer {
+    /// A multicast group-communication message — most of what a replica
+    /// ever receives — is read in place, ahead of the downcast chain;
+    /// anything else takes the owned path.
+    fn on_shared(&mut self, ctx: &mut Ctx<'_>, payload: Shared<'_>) {
+        match payload.downcast_ref::<Incoming<RWire>>() {
+            Some(inc) => self.on_wire(ctx, inc.from, &inc.msg),
+            None => self.on_event(ctx, payload.to_payload()),
+        }
+    }
+
     fn on_event(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
         let payload = match payload.downcast::<InitServer>() {
             Ok(_) => {
@@ -2439,11 +2458,7 @@ impl Actor for ReplicaServer {
         };
         let payload = match payload.downcast::<Incoming<RWire>>() {
             Ok(inc) => {
-                let mut outputs = Vec::new();
-                if let Some(gcs) = &mut self.gcs {
-                    gcs.on_net(ctx, inc.from, inc.msg, &mut outputs);
-                }
-                self.handle_gcs_outputs(ctx, outputs);
+                self.on_wire(ctx, inc.from, &inc.msg);
                 return;
             }
             Err(p) => p,

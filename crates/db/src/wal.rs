@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use rand::rngs::StdRng;
 
-use groupsafe_sim::{Disk, SimTime};
+use groupsafe_sim::{BlockVec, Disk, SimTime};
 
 use crate::types::{ItemId, TxnId, WriteOp};
 
@@ -72,9 +72,11 @@ pub struct WalStats {
     pub flushed_records: u64,
 }
 
-/// The write-ahead log.
+/// The write-ahead log. It keeps every record for redo, so it only
+/// grows: the records sit in a [`BlockVec`], which adds a block at a time
+/// instead of copying the whole log at every doubling.
 pub struct Wal {
-    records: Vec<CommitRecord>,
+    records: BlockVec<CommitRecord>,
     /// Records below this index are on disk.
     durable: usize,
     /// Records below this index are covered by an in-flight flush.
@@ -87,7 +89,7 @@ impl Wal {
     /// Create a WAL backed by `log_disk`.
     pub fn new(log_disk: Rc<RefCell<Disk>>) -> Self {
         Wal {
-            records: Vec::new(),
+            records: BlockVec::new(),
             durable: 0,
             flushing: 0,
             log_disk,
@@ -170,8 +172,8 @@ impl Wal {
     }
 
     /// Redo: the durable commit records in LSN order.
-    pub fn durable_records(&self) -> &[CommitRecord] {
-        &self.records[..self.durable]
+    pub fn durable_records(&self) -> impl Iterator<Item = &CommitRecord> {
+        self.records.iter().take(self.durable)
     }
 
     /// Crash: lose everything that never reached the disk. In-flight
@@ -224,7 +226,7 @@ mod tests {
         assert_eq!(covered, 1);
         w.mark_durable(covered);
         assert!(w.is_durable(lsn));
-        assert_eq!(w.durable_records().len(), 1);
+        assert_eq!(w.durable_records().count(), 1);
     }
 
     #[test]
@@ -252,7 +254,7 @@ mod tests {
         // Start a flush but crash before completion: records 2, 3 are gone.
         let _ = w.flush(SimTime::from_millis(1), &mut rng);
         w.crash();
-        assert_eq!(w.durable_records().len(), 1);
+        assert_eq!(w.durable_records().count(), 1);
         assert_eq!(w.end_lsn(), 1);
         // New appends continue after the truncation point.
         let lsn = w.append(rec(4));

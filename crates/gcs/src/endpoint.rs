@@ -219,8 +219,10 @@ pub struct GcsEndpoint<P, S> {
     stable_mark: u64,
     /// Highest sequence number seen in any entry.
     max_seq_seen: u64,
-    /// Failure detector bookkeeping.
-    last_heard: BTreeMap<NodeId, SimTime>,
+    /// Failure detector bookkeeping: when each member of the static
+    /// group was last heard, by rank (`SimTime::ZERO`: not since start
+    /// or the last crash).
+    last_heard: Vec<SimTime>,
     suspected: BTreeSet<NodeId>,
     /// In-flight coordinator-side view change.
     vc: Option<ViewChange>,
@@ -294,6 +296,7 @@ where
             "a group is at most {MAX_GROUP_SIZE} members (vote bitmask width)"
         );
         let group_peers = group.iter().copied().filter(|&p| p != me).collect();
+        let last_heard = vec![SimTime::ZERO; group.len()];
         let mut endpoint = GcsEndpoint {
             cfg,
             me,
@@ -321,7 +324,7 @@ where
             stable_floor: 0,
             stable_mark: 0,
             max_seq_seen: 0,
-            last_heard: BTreeMap::new(),
+            last_heard,
             suspected: BTreeSet::new(),
             vc: None,
             waiting_joiners: Vec::new(),
@@ -366,10 +369,31 @@ where
         };
     }
 
+    /// `node`'s rank in the static group (`None` for an outsider).
+    fn rank(&self, node: NodeId) -> Option<usize> {
+        self.group.binary_search(&node).ok()
+    }
+
     /// `node`'s bit in the log's vote masks: its rank in the static
     /// group (0 — a vote that never counts — for an outsider).
     fn rank_bit(&self, node: NodeId) -> u64 {
-        self.group.binary_search(&node).map_or(0, |rank| 1 << rank)
+        self.rank(node).map_or(0, |rank| 1 << rank)
+    }
+
+    /// When `node` was last heard (`None` for an outsider).
+    fn heard(&self, node: NodeId) -> Option<SimTime> {
+        self.rank(node)
+            .and_then(|rank| self.last_heard.get(rank).copied())
+    }
+
+    /// Count every member of the current view as heard at `now`.
+    fn hear_view(&mut self, now: SimTime) {
+        for p in &self.view.members {
+            let rank = self.group.binary_search(p).ok();
+            if let Some(heard) = rank.and_then(|rank| self.last_heard.get_mut(rank)) {
+                *heard = now;
+            }
+        }
     }
 
     /// This endpoint's node id.
@@ -468,10 +492,7 @@ where
         if self.sequencer() == Some(self.me) {
             self.seq_assign = Some(1);
         }
-        let now = ctx.now();
-        for &p in &self.group {
-            self.last_heard.insert(p, now);
-        }
+        self.last_heard.fill(ctx.now());
         if self.cfg.model == GcsModel::ViewBased {
             ctx.timer(self.cfg.hb_interval, GcsTimer::Heartbeat);
         }
@@ -514,15 +535,20 @@ where
         }
     }
 
-    /// Handle an incoming network message.
+    /// Handle an incoming network message. The message is read in place
+    /// — every receiver of a multicast is handed the same one — and only
+    /// what the endpoint keeps is copied out of it.
     pub fn on_net(
         &mut self,
         ctx: &mut Ctx<'_>,
         from: NodeId,
-        wire: Wire<P, S>,
+        wire: &Wire<P, S>,
         out: &mut Vec<GcsOutput<P, S>>,
     ) {
-        self.last_heard.insert(from, ctx.now());
+        let rank = self.rank(from);
+        if let Some(heard) = rank.and_then(|rank| self.last_heard.get_mut(rank)) {
+            *heard = ctx.now();
+        }
         // A suspected process that demonstrably speaks is alive again:
         // retract the suspicion. Without this, a partition that split the
         // view below quorum on every side (no view change could complete)
@@ -531,10 +557,12 @@ where
         // incarnation is re-suspected where it matters (`on_join_req`),
         // and a silent peer is re-suspected one heartbeat timeout later.
         self.suspected.remove(&from);
-        match wire {
-            Wire::Forward { id, payload } => self.on_forward(ctx, id, payload),
-            Wire::Ordered { view, entry } => self.on_ordered(ctx, view, entry, out),
-            Wire::OrderedBatch { view, entries } => self.on_ordered_batch(ctx, view, entries, out),
+        match *wire {
+            Wire::Forward { id, ref payload } => self.on_forward(ctx, id, payload.clone()),
+            Wire::Ordered { view, ref entry } => self.on_ordered(ctx, view, entry.clone(), out),
+            Wire::OrderedBatch { view, ref entries } => {
+                self.on_ordered_batch(ctx, view, entries, out)
+            }
             Wire::Ack { seq, era } => {
                 self.record_ack(from, seq, era);
                 self.try_deliver(ctx, out);
@@ -551,8 +579,9 @@ where
                 // partition's minority) and still believes in its old
                 // membership. Tell it, so it can rejoin instead of
                 // blocking forever on a view the group abandoned.
-                if self.cfg.model == GcsModel::ViewBased && self.joined && !self.view.contains(from)
-                {
+                // (In the view-based model the quorum mask is the view.)
+                let in_view = rank.is_some_and(|rank| self.quorum.mask >> rank & 1 == 1);
+                if self.cfg.model == GcsModel::ViewBased && self.joined && !in_view {
                     let view_id = self.view.id;
                     let members = self.view.members.clone();
                     self.net.send(
@@ -563,10 +592,11 @@ where
                     );
                 }
             }
-            Wire::NotInView { view_id, members } => {
-                self.on_not_in_view(ctx, from, view_id, &members)
-            }
-            Wire::ViewStart { epoch, proposed } => self.on_view_start(ctx, from, epoch, proposed),
+            Wire::NotInView {
+                view_id,
+                ref members,
+            } => self.on_not_in_view(ctx, from, view_id, members),
+            Wire::ViewStart { epoch, .. } => self.on_view_start(ctx, from, epoch),
             Wire::SyncReply {
                 epoch,
                 max_seq,
@@ -575,30 +605,43 @@ where
             Wire::SyncFetch { epoch, have_up_to } => {
                 self.on_view_change_fetch(ctx, from, have_up_to, epoch)
             }
-            Wire::SyncEntries { epoch, entries } => self.on_sync_entries(ctx, epoch, entries, out),
-            Wire::Retransmit { entries } => {
+            Wire::SyncEntries { epoch, ref entries } => {
+                self.on_sync_entries(ctx, epoch, entries, out)
+            }
+            Wire::Retransmit { ref entries } => {
                 for e in entries {
-                    self.store_entry(ctx, e);
+                    self.store_entry(ctx, e.clone());
                 }
                 self.try_deliver(ctx, out);
             }
-            Wire::NewView { view, watermark } => self.on_new_view(ctx, view, watermark, out),
+            Wire::NewView {
+                ref view,
+                watermark,
+            } => self.on_new_view(ctx, view.clone(), watermark, out),
             Wire::JoinReq { generation } => self.on_join_req(ctx, from, generation, out),
             Wire::StateTransfer {
-                view,
+                ref view,
                 applied_seq,
-                tail,
-                state,
+                ref tail,
+                ref state,
                 watermark,
-            } => self.on_state_transfer(ctx, view, applied_seq, tail, state, watermark, out),
+            } => self.on_state_transfer(
+                ctx,
+                view.clone(),
+                applied_seq,
+                tail.clone(),
+                state.clone(),
+                watermark,
+                out,
+            ),
             Wire::CatchUpReq { have_up_to } => self.on_catch_up_req(ctx, from, have_up_to),
             Wire::CatchUp {
-                entries,
+                ref entries,
                 stable_up_to,
             } => {
                 self.stable_floor = self.stable_floor.max(stable_up_to);
                 for e in entries {
-                    self.store_entry(ctx, e);
+                    self.store_entry(ctx, e.clone());
                 }
                 // A recovering sequencer resumes assigning only after a
                 // majority of peers confirmed what they hold, so it can
@@ -953,7 +996,7 @@ where
         &mut self,
         ctx: &mut Ctx<'_>,
         _view: u64,
-        entries: Vec<Entry<P>>,
+        entries: &[Entry<P>],
         out: &mut Vec<GcsOutput<P, S>>,
     ) {
         if !self.joined || entries.is_empty() {
@@ -967,7 +1010,7 @@ where
             if let Some(slot) = self.log.slot_mut(e.seq) {
                 slot.frame_span = span;
             }
-            fresh |= self.store_entry_raw(e);
+            fresh |= self.store_entry_raw(e.clone());
         }
         if fresh {
             match self.cfg.model {
@@ -1256,7 +1299,7 @@ where
             if p == self.me || self.suspected.contains(&p) {
                 continue;
             }
-            let heard = self.last_heard.get(&p).copied().unwrap_or(SimTime::ZERO);
+            let heard = self.heard(p).unwrap_or(SimTime::ZERO);
             if now.since(heard) > self.cfg.hb_timeout {
                 self.suspected.insert(p);
                 newly = true;
@@ -1323,9 +1366,8 @@ where
                     self.view.contains(*n)
                         && !survivors.contains(n)
                         && self
-                            .last_heard
-                            .get(n)
-                            .is_some_and(|&heard| now.since(heard) <= fresh)
+                            .heard(*n)
+                            .is_some_and(|heard| now.since(heard) <= fresh)
                 })
                 .count();
             if survivors.len() + rejoining < self.view.majority() {
@@ -1367,13 +1409,7 @@ where
         self.check_view_change_done(ctx, out);
     }
 
-    fn on_view_start(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        from: NodeId,
-        epoch: u64,
-        _proposed: Vec<NodeId>,
-    ) {
+    fn on_view_start(&mut self, ctx: &mut Ctx<'_>, from: NodeId, epoch: u64) {
         if epoch < self.epoch || !self.joined {
             return;
         }
@@ -1471,11 +1507,11 @@ where
         &mut self,
         ctx: &mut Ctx<'_>,
         epoch: u64,
-        entries: Vec<Entry<P>>,
+        entries: &[Entry<P>],
         out: &mut Vec<GcsOutput<P, S>>,
     ) {
         for e in entries {
-            self.store_entry(ctx, e);
+            self.store_entry(ctx, e.clone());
         }
         if let Some(vc) = &mut self.vc {
             if vc.epoch == epoch {
@@ -1596,10 +1632,7 @@ where
         // rejoined under a fresh incarnation must not inherit suspicion.
         self.suspected.clear();
         // Fresh members must not be instantly re-suspected.
-        let now = ctx.now();
-        for &p in &self.view.members {
-            self.last_heard.insert(p, now);
-        }
+        self.hear_view(ctx.now());
         self.seq_assign = if self.view.coordinator() == Some(self.me) {
             Some(self.max_seq_seen.max(watermark) + 1)
         } else {
@@ -1802,10 +1835,7 @@ where
                 slot.entry = Some(e);
             }
         }
-        let now = ctx.now();
-        for &p in &view.members {
-            self.last_heard.insert(p, now);
-        }
+        self.hear_view(ctx.now());
         out.push(GcsOutput::InstallState { state, applied_seq });
         // The join's view change may have made this joiner the view
         // coordinator (it rejoins with its old — possibly smallest — id).
@@ -2016,7 +2046,7 @@ where
         self.stable_floor = 0;
         self.stable_mark = 0;
         self.max_seq_seen = 0;
-        self.last_heard.clear();
+        self.last_heard.fill(SimTime::ZERO);
         self.suspected.clear();
         self.vc = None;
         self.waiting_joiners.clear();
@@ -2181,10 +2211,7 @@ where
         if self.view.coordinator() == Some(self.me) {
             self.seq_assign = Some(seq_base + 1);
         }
-        let now = ctx.now();
-        for &p in &self.view.members {
-            self.last_heard.insert(p, now);
-        }
+        self.hear_view(ctx.now());
         ctx.timer(self.cfg.hb_interval, GcsTimer::Heartbeat);
     }
 

@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use groupsafe_net::{Incoming, NetConfig, Network, NodeId};
-use groupsafe_sim::{Actor, ActorId, Ctx, Disk, Engine, Payload, SimDuration, SimTime};
+use groupsafe_sim::{Actor, ActorId, Ctx, Disk, Engine, Payload, Shared, SimDuration, SimTime};
 
 use crate::config::GcsConfig;
 use crate::endpoint::GcsEndpoint;
@@ -111,6 +111,12 @@ impl GcsHost {
         &self.endpoint
     }
 
+    fn on_wire(&mut self, ctx: &mut Ctx<'_>, from: NodeId, wire: &HostWire) {
+        let mut outputs = Vec::new();
+        self.endpoint.on_net(ctx, from, wire, &mut outputs);
+        self.handle_outputs(ctx, outputs);
+    }
+
     fn handle_outputs(&mut self, ctx: &mut Ctx<'_>, outputs: Vec<HostOutput>) {
         for o in outputs {
             match o {
@@ -156,6 +162,15 @@ impl GcsHost {
 }
 
 impl Actor for GcsHost {
+    /// A multicast wire message is read in place; anything else takes
+    /// the owned path.
+    fn on_shared(&mut self, ctx: &mut Ctx<'_>, payload: Shared<'_>) {
+        match payload.downcast_ref::<Incoming<HostWire>>() {
+            Some(inc) => self.on_wire(ctx, inc.from, &inc.msg),
+            None => self.on_event(ctx, payload.to_payload()),
+        }
+    }
+
     fn on_event(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
         let mut outputs = Vec::new();
         let payload = match payload.downcast::<InitCmd>() {
@@ -185,8 +200,7 @@ impl Actor for GcsHost {
         };
         let payload = match payload.downcast::<Incoming<HostWire>>() {
             Ok(inc) => {
-                self.endpoint.on_net(ctx, inc.from, inc.msg, &mut outputs);
-                self.handle_outputs(ctx, outputs);
+                self.on_wire(ctx, inc.from, &inc.msg);
                 return;
             }
             Err(p) => p,

@@ -2,7 +2,9 @@
 //! number, in one slot of a dense window.
 //!
 //! Sequence numbers are assigned densely and monotonically, so the log
-//! is a contiguous `Vec` of slots addressed by `seq - base`. A slot
+//! is a dense sequence of slots addressed by `seq - base` (a
+//! [`BlockVec`]: it grows a block at a time and never moves a slot, so a
+//! long run neither copies the log nor carries a doubling's slack). A slot
 //! holds the ordered entry, the stability votes cast for it (a bitmask
 //! over the voters' ranks in the static group, tagged with the era the
 //! votes were cast for) and the per-seq flags the endpoint keeps.
@@ -22,6 +24,8 @@
 //!   era 0.
 //! * Votes of a higher era supersede the slot's votes; votes of a lower
 //!   era are ignored.
+
+use groupsafe_sim::BlockVec;
 
 use crate::message::Entry;
 
@@ -110,14 +114,14 @@ impl<P> Slot<P> {
 pub(crate) struct SeqLog<P> {
     /// Sequence number of `slots[0]` (meaningless while empty).
     base: u64,
-    slots: Vec<Slot<P>>,
+    slots: BlockVec<Slot<P>>,
 }
 
 impl<P> SeqLog<P> {
     pub fn new() -> Self {
         SeqLog {
             base: 0,
-            slots: Vec::new(),
+            slots: BlockVec::new(),
         }
     }
 
@@ -146,8 +150,9 @@ impl<P> SeqLog<P> {
             self.base = seq;
         } else if seq < self.base {
             let gap = usize::try_from(self.base - seq).ok()?;
-            self.slots
-                .splice(0..0, std::iter::repeat_with(Slot::empty).take(gap));
+            let above = std::mem::take(&mut self.slots);
+            let below = std::iter::repeat_with(Slot::empty).take(gap);
+            self.slots = below.chain(above).collect();
             self.base = seq;
         }
         let i = self.index(seq)?;
@@ -160,8 +165,9 @@ impl<P> SeqLog<P> {
     /// Every slot at or above `from`, ascending, with its sequence
     /// number.
     pub fn range(&self, from: u64) -> impl Iterator<Item = (u64, &Slot<P>)> {
-        let skip = usize::try_from(from.saturating_sub(self.base)).unwrap_or(usize::MAX);
-        (self.base..).zip(&self.slots).skip(skip)
+        let from = from.max(self.base);
+        let skip = usize::try_from(from - self.base).unwrap_or(usize::MAX);
+        (from..).zip(self.slots.iter_from(skip))
     }
 
     /// Entries held at or above `from`, ascending.
@@ -190,7 +196,7 @@ impl<P> SeqLog<P> {
     /// (state-transfer install: the ordering state is replaced by the
     /// donor's, what this incarnation already emitted is not).
     pub fn forget_entries(&mut self) {
-        for slot in &mut self.slots {
+        for slot in self.slots.iter_mut() {
             slot.entry = None;
             slot.vote_era = 0;
             slot.votes = 0;

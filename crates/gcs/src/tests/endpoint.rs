@@ -200,7 +200,7 @@ impl Actor for RestartProbe {
             view: 0,
             entry: entry(FAR + 1, 42),
         };
-        self.endpoint.on_net(ctx, me, ordered, &mut self.out);
+        self.endpoint.on_net(ctx, me, &ordered, &mut self.out);
     }
 }
 

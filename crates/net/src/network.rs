@@ -131,6 +131,8 @@ struct NetworkState {
     /// `d` was already counted for the multicast in progress.
     domain_mark: Vec<u64>,
     mark_epoch: u64,
+    /// Scratch for the run of receivers a send is accumulating.
+    run: Vec<ActorId>,
 }
 
 impl NetworkState {
@@ -169,30 +171,30 @@ impl NetworkState {
         n
     }
 
-    /// Schedule one receiver-side delivery. The RNG is drawn in a fixed
-    /// order — loss, jitter, reorder (coin, then deferral), duplicate
-    /// (coin, then deferral) — and each draw happens only when its knob
-    /// is non-zero, so disabled features never touch the stream.
+    /// Decide one receiver-side delivery: `None` if it is dropped, else
+    /// its delay and, when it is duplicated, the delay of the extra copy.
+    /// The RNG is drawn in a fixed order — loss, jitter, reorder (coin,
+    /// then deferral), duplicate (coin, then deferral) — and each draw
+    /// happens only when its knob is non-zero, so disabled features never
+    /// touch the stream.
     /// `frame`: `Some(k)` for a k-message batch frame, whose wire time
     /// grows with its size: `latency + (k - 1) × frame_unit_cost`.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver<M: Any + Clone>(
+    fn plan_delivery(
         &mut self,
         ctx: &mut Ctx<'_>,
         cfg: &NetConfig,
         d: usize,
         from: NodeId,
         to: NodeId,
-        msg: M,
         frame: Option<u64>,
-    ) {
+    ) -> Option<(SimDuration, Option<SimDuration>)> {
         if self.colour[from.index()] != self.colour[to.index()] {
             self.charge(d, |st| st.dropped_partition += 1);
-            return;
+            return None;
         }
         if cfg.loss_probability > 0.0 && ctx.rng().random_bool(cfg.loss_probability) {
             self.charge(d, |st| st.dropped_loss += 1);
-            return;
+            return None;
         }
         let mut delay = cfg.latency;
         if !cfg.jitter.is_zero() {
@@ -207,22 +209,11 @@ impl NetworkState {
         if reordered {
             delay += window_extra(cfg, ctx);
         }
-        let actor = self.actor_of(to);
         let duplicated =
             cfg.duplicate_probability > 0.0 && ctx.rng().random_bool(cfg.duplicate_probability);
-        if duplicated {
-            // The copy is deferred within the reorder window past the
-            // original's delay.
-            let copy_delay = delay + window_extra(cfg, ctx);
-            ctx.send(
-                actor,
-                copy_delay,
-                Incoming {
-                    from,
-                    msg: msg.clone(),
-                },
-            );
-        }
+        // The copy is deferred within the reorder window past the
+        // original's delay.
+        let copy = duplicated.then(|| delay + window_extra(cfg, ctx));
         self.charge(d, |st| {
             st.sent += 1 + u64::from(duplicated);
             st.duplicated += u64::from(duplicated);
@@ -232,7 +223,7 @@ impl NetworkState {
                 st.frame_msgs += k;
             }
         });
-        ctx.send(actor, delay, Incoming { from, msg });
+        Some((delay, copy))
     }
 }
 
@@ -267,6 +258,7 @@ impl Network {
                 domain_stats: vec![NetStats::default()],
                 domain_mark: vec![0],
                 mark_epoch: 0,
+                run: Vec::new(),
             })),
         }
     }
@@ -378,11 +370,14 @@ impl Network {
 
     /// The one path every send takes: account the wire (one transmission
     /// per unicast, one per distinct receiver domain per multicast), then
-    /// schedule one delivery per target under a single borrow of the
-    /// shared state, reading the configuration once. The last target
-    /// receives the original `msg` by move, so an `n`-way fan-out pays
-    /// `n - 1` clones — and a refcounted payload (e.g. `Rc<GroupMsg>`)
-    /// pays none at all.
+    /// decide one delivery per target under a single borrow of the shared
+    /// state, reading the configuration once, and schedule them in
+    /// *runs*: deliveries that follow one another in scheduling order and
+    /// fall on the same instant become one kernel fan-out sharing one
+    /// [`Incoming`]. On a plain network a multicast is a single run; a
+    /// duplicate's extra copy, scheduled ahead of its original for a
+    /// later instant, closes the run before it, and jitter or reordering
+    /// leave runs of one. The last run takes `msg` by move.
     fn transmit<M: Any + Clone>(
         &self,
         ctx: &mut Ctx<'_>,
@@ -404,12 +399,29 @@ impl Network {
             st.broadcasts += u64::from(multicast);
             st.transmissions += wire;
         });
-        if let Some((&last, rest)) = targets.split_last() {
-            for &t in rest {
-                s.deliver(ctx, &cfg, d, from, t, msg.clone(), frame);
+        let mut run = std::mem::take(&mut s.run);
+        let mut run_delay = SimDuration::ZERO;
+        let mut deliver = |ctx: &mut Ctx<'_>, actor: ActorId, delay: SimDuration| {
+            if delay != run_delay && !run.is_empty() {
+                let msg = msg.clone();
+                ctx.send_shared(&run, run_delay, Incoming { from, msg });
+                run.clear();
             }
-            s.deliver(ctx, &cfg, d, from, last, msg, frame);
+            run_delay = delay;
+            run.push(actor);
+        };
+        for &to in targets {
+            if let Some((delay, copy)) = s.plan_delivery(ctx, &cfg, d, from, to, frame) {
+                let actor = s.actor_of(to);
+                if let Some(copy_delay) = copy {
+                    deliver(ctx, actor, copy_delay);
+                }
+                deliver(ctx, actor, delay);
+            }
         }
+        ctx.send_shared(&run, run_delay, Incoming { from, msg });
+        run.clear();
+        s.run = run;
     }
 
     /// Send `msg` from `from` to `to`. The receiver gets an

@@ -21,6 +21,14 @@
 //!   `(time, seq)` and therefore identical fingerprints; the equivalence is
 //!   pinned by unit tests here and a proptest in `tests/`.
 //!
+//! # Fan-out
+//!
+//! [`Ctx::send_shared`] schedules one payload for several actors as a
+//! single queue record. Dispatch walks the record's targets in order and
+//! is, per target, exactly a plain dispatch — same incarnation check,
+//! same count, same fingerprint — so the record is indistinguishable
+//! from the back-to-back sends it stands for (see [`Actor::on_shared`]).
+//!
 //! # Actors and crashes
 //!
 //! Simulated components implement [`Actor`]. Every actor carries an
@@ -77,6 +85,14 @@ pub trait Actor: AsAny {
     /// Handle an event addressed to this actor.
     fn on_event(&mut self, ctx: &mut Ctx<'_>, payload: Payload);
 
+    /// Handle an event whose payload this actor shares with the other
+    /// targets of a fan-out (see [`Ctx::send_shared`]). The default
+    /// copies the payload and handles it as an owned event; an actor on a
+    /// hot fan-out path overrides this to read the payload in place.
+    fn on_shared(&mut self, ctx: &mut Ctx<'_>, payload: Shared<'_>) {
+        self.on_event(ctx, payload.to_payload());
+    }
+
     /// The actor has crashed: drop all volatile state. State the actor
     /// models as *stable storage* (write-ahead logs, group-communication
     /// message logs) must survive this call.
@@ -92,8 +108,50 @@ pub trait Actor: AsAny {
     }
 }
 
+/// What a fan-out record keeps of its payload: a view for receivers that
+/// read it in place and an owned copy for those that do not. Implemented
+/// for every `Any + Clone` type, which is where the clone is captured.
+trait SharedBody {
+    fn as_any(&self) -> &dyn Any;
+    fn boxed_clone(&self) -> Payload;
+}
+
+impl<T: Any + Clone> SharedBody for T {
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn boxed_clone(&self) -> Payload {
+        Box::new(self.clone())
+    }
+}
+
+/// The one payload of a fan-out (see [`Ctx::send_shared`]), borrowed by
+/// each receiver in turn. It is immutable: every receiver of the fan-out
+/// observes the same value.
+#[derive(Clone, Copy)]
+pub struct Shared<'a>(&'a dyn SharedBody);
+
+impl<'a> Shared<'a> {
+    /// The payload in place, if it is a `T`.
+    pub fn downcast_ref<T: Any>(self) -> Option<&'a T> {
+        self.0.as_any().downcast_ref()
+    }
+
+    /// A copy of the payload as an owned [`Payload`].
+    pub fn to_payload(self) -> Payload {
+        self.0.boxed_clone()
+    }
+}
+
 /// Sentinel incarnation: deliver whenever the target is alive.
 const ANY_INCARNATION: u32 = u32::MAX;
+
+/// Body of an [`EventKind::FanOut`]: the targets in delivery order, each
+/// with its incarnation at scheduling time, and the payload they share.
+struct FanOut<P: ?Sized = dyn SharedBody> {
+    targets: Vec<(ActorId, u32)>,
+    payload: P,
+}
 
 enum EventKind {
     /// Deliver `payload` to `target` if its incarnation still matches
@@ -103,6 +161,9 @@ enum EventKind {
         incarnation: u32,
         payload: Payload,
     },
+    /// What one `Dispatch` per target, scheduled back to back for the
+    /// same instant, would do — as a single queue record.
+    FanOut(Box<FanOut>),
     /// Crash `target` (idempotent if already down).
     Crash(ActorId),
     /// Recover `target` (idempotent if already up).
@@ -291,10 +352,15 @@ impl TimingWheel {
             }
             self.horizon = base;
             self.occupancy[level] &= !(1 << slot);
-            let cascaded = std::mem::take(&mut self.slots[level * WHEEL_SLOTS + slot as usize]);
-            for (time, idx) in cascaded {
+            // Every entry re-files strictly below `level`, never back into
+            // this slot, which keeps its buffer for its next turn.
+            let index = level * WHEEL_SLOTS + slot as usize;
+            let mut cascaded = std::mem::take(&mut self.slots[index]);
+            for &(time, idx) in &cascaded {
                 self.file(time, idx);
             }
+            cascaded.clear();
+            self.slots[index] = cascaded;
         }
     }
 }
@@ -351,6 +417,8 @@ pub struct Kernel {
     queue: EventQueue,
     incarnations: Vec<u32>,
     alive: Vec<bool>,
+    /// Target vectors of dispatched fan-outs, kept for the next ones.
+    spare_targets: Vec<Vec<(ActorId, u32)>>,
     rng: StdRng,
     /// Metrics registry shared by the whole simulation.
     pub metrics: Metrics,
@@ -374,6 +442,7 @@ impl Kernel {
             queue: EventQueue::new(scheduler),
             incarnations: Vec::new(),
             alive: Vec::new(),
+            spare_targets: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             metrics: Metrics::new(),
             obs: Obs::default(),
@@ -429,6 +498,33 @@ impl Ctx<'_> {
     pub fn send(&mut self, target: ActorId, delay: SimDuration, payload: impl Any) {
         let at = self.kernel.now + delay;
         self.kernel.schedule_dispatch(at, target, Box::new(payload));
+    }
+
+    /// Schedule one `payload` for every actor in `targets`, in that order,
+    /// after `delay`: the same deliveries, drops and dispatch order as one
+    /// [`Ctx::send`] per target issued back to back, held as one queue
+    /// record. Each target receives it through [`Actor::on_shared`]; a
+    /// single target owns the payload and receives it as a plain send.
+    pub fn send_shared<T: Any + Clone>(
+        &mut self,
+        targets: &[ActorId],
+        delay: SimDuration,
+        payload: T,
+    ) {
+        match *targets {
+            [] => {}
+            [target] => self.send(target, delay, payload),
+            _ => {
+                let kernel = &mut *self.kernel;
+                let mut stamped = kernel.spare_targets.pop().unwrap_or_default();
+                stamped.extend(targets.iter().map(|&t| (t, kernel.incarnations[t.index()])));
+                let body = Box::new(FanOut {
+                    targets: stamped,
+                    payload,
+                });
+                kernel.push(kernel.now + delay, EventKind::FanOut(body));
+            }
+        }
     }
 
     /// Schedule an event to the executing actor itself (a timer).
@@ -627,6 +723,32 @@ impl Engine {
         self.kernel.now
     }
 
+    /// Hand one event to `target` at the current instant — unless it is
+    /// down, or crashed since the event was stamped with `incarnation`.
+    fn dispatch(
+        &mut self,
+        target: ActorId,
+        incarnation: u32,
+        deliver: impl FnOnce(&mut dyn Actor, &mut Ctx<'_>),
+    ) {
+        let idx = target.index();
+        if !self.kernel.alive[idx]
+            || (incarnation != ANY_INCARNATION && self.kernel.incarnations[idx] != incarnation)
+        {
+            return; // stale event: target crashed since scheduling
+        }
+        self.kernel.dispatched += 1;
+        self.kernel.mix(self.kernel.now.as_nanos());
+        self.kernel.mix(target.0 as u64);
+        let mut actor = self.actors[idx].take().expect("actor reentrancy");
+        let mut ctx = Ctx {
+            kernel: &mut self.kernel,
+            me: target,
+        };
+        deliver(&mut *actor, &mut ctx);
+        self.actors[idx] = Some(actor);
+    }
+
     fn process(&mut self, time: SimTime, kind: EventKind) {
         debug_assert!(time >= self.kernel.now, "time went backwards");
         self.kernel.now = time;
@@ -635,24 +757,18 @@ impl Engine {
                 target,
                 incarnation,
                 payload,
-            } => {
-                let idx = target.index();
-                if !self.kernel.alive[idx]
-                    || (incarnation != ANY_INCARNATION
-                        && self.kernel.incarnations[idx] != incarnation)
-                {
-                    return; // stale event: target crashed since scheduling
+            } => self.dispatch(target, incarnation, |actor, ctx| {
+                actor.on_event(ctx, payload)
+            }),
+            EventKind::FanOut(mut body) => {
+                for &(target, incarnation) in &body.targets {
+                    self.dispatch(target, incarnation, |actor, ctx| {
+                        actor.on_shared(ctx, Shared(&body.payload))
+                    });
                 }
-                self.kernel.dispatched += 1;
-                self.kernel.mix(time.as_nanos());
-                self.kernel.mix(target.0 as u64);
-                let mut actor = self.actors[idx].take().expect("actor reentrancy");
-                let mut ctx = Ctx {
-                    kernel: &mut self.kernel,
-                    me: target,
-                };
-                actor.on_event(&mut ctx, payload);
-                self.actors[idx] = Some(actor);
+                let mut targets = std::mem::take(&mut body.targets);
+                targets.clear();
+                self.kernel.spare_targets.push(targets);
             }
             EventKind::Crash(target) => {
                 let idx = target.index();
@@ -997,6 +1113,181 @@ mod tests {
         let heap = run(Scheduler::LegacyHeap);
         assert_eq!(wheel.1, 64);
         assert_eq!(wheel, heap);
+    }
+
+    /// Tagged payload for the fan-out tests; `Clone` so it can be shared.
+    #[derive(Clone)]
+    struct Note(u32);
+
+    /// Records `(now, tag, in place?)` per delivery; a delivery from the
+    /// caster (tag < 100) arms a zero-delay self-timer (tag + 100).
+    struct Listener {
+        in_place: bool,
+        got: Vec<(SimTime, u32, bool)>,
+    }
+
+    impl Listener {
+        fn note(&mut self, ctx: &mut Ctx<'_>, tag: u32, shared: bool) {
+            self.got.push((ctx.now(), tag, shared));
+            if tag < 100 {
+                ctx.timer(SimDuration::ZERO, Note(tag + 100));
+            }
+        }
+    }
+
+    impl Actor for Listener {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
+            let note = payload.downcast::<Note>().expect("note");
+            self.note(ctx, note.0, false);
+        }
+        fn on_shared(&mut self, ctx: &mut Ctx<'_>, payload: Shared<'_>) {
+            match payload.downcast_ref::<Note>() {
+                Some(note) if self.in_place => self.note(ctx, note.0, true),
+                _ => self.on_event(ctx, payload.to_payload()),
+            }
+        }
+    }
+
+    /// On its one event, sends `Note(tag)` to `targets` after 1 ms —
+    /// as one fan-out, or as one send per target.
+    struct Caster {
+        targets: Vec<ActorId>,
+        fan_out: bool,
+    }
+
+    impl Actor for Caster {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
+            let note = payload.downcast::<Note>().expect("note");
+            let delay = SimDuration::from_millis(1);
+            if self.fan_out {
+                ctx.send_shared(&self.targets, delay, *note);
+            } else {
+                for &t in &self.targets {
+                    ctx.send(t, delay, Note(note.0));
+                }
+            }
+        }
+    }
+
+    type Heard = Vec<Vec<(SimTime, u32, bool)>>;
+
+    /// Four listeners (the odd ones read in place) and a caster that
+    /// sends to `targets` at 1 ms and again at 3 ms; `faults` may crash
+    /// and recover listeners in between.
+    fn cast(
+        scheduler: Scheduler,
+        fan_out: bool,
+        targets: &[u32],
+        faults: impl Fn(&mut Engine, &[ActorId]),
+    ) -> (u64, u64, Heard) {
+        let mut eng = Engine::new_with_scheduler(1, scheduler);
+        let ids: Vec<ActorId> = (0..4)
+            .map(|i| {
+                eng.add_actor(Box::new(Listener {
+                    in_place: i % 2 == 1,
+                    got: Vec::new(),
+                }))
+            })
+            .collect();
+        let caster = eng.add_actor(Box::new(Caster {
+            targets: targets.iter().map(|&t| ids[t as usize]).collect(),
+            fan_out,
+        }));
+        eng.schedule(SimTime::from_millis(1), caster, Note(1));
+        eng.schedule(SimTime::from_millis(3), caster, Note(2));
+        faults(&mut eng, &ids);
+        eng.run_to_completion();
+        let heard = ids
+            .iter()
+            .map(|&id| eng.actor::<Listener>(id).got.clone())
+            .collect();
+        (eng.fingerprint(), eng.dispatched(), heard)
+    }
+
+    /// `heard` with the in-place flag dropped: what the per-target
+    /// reference (always owned) must agree on.
+    fn owned(heard: &Heard) -> Vec<Vec<(SimTime, u32)>> {
+        heard
+            .iter()
+            .map(|got| got.iter().map(|&(at, tag, _)| (at, tag)).collect())
+            .collect()
+    }
+
+    #[test]
+    fn fan_out_equals_one_send_per_target() {
+        for scheduler in BOTH {
+            let (fp, n, heard) = cast(scheduler, true, &[2, 0, 1, 3, 1], |_, _| {});
+            let (ref_fp, ref_n, ref_heard) = cast(scheduler, false, &[2, 0, 1, 3, 1], |_, _| {});
+            assert_eq!((fp, n), (ref_fp, ref_n));
+            assert_eq!(owned(&heard), owned(&ref_heard));
+            // 2 casts + 2 × 5 deliveries + 2 × 5 echoes.
+            assert_eq!(n, 22);
+            // Listener 1 is listed twice and reads in place; its echoes
+            // (tag + 100) run behind the whole run, not between targets.
+            let at = SimTime::from_millis(2);
+            assert_eq!(
+                heard[1][..4],
+                [
+                    (at, 1, true),
+                    (at, 1, true),
+                    (at, 101, false),
+                    (at, 101, false)
+                ]
+            );
+            // Listener 0 took the default entry point: an owned copy.
+            assert_eq!(heard[0][0], (at, 1, false));
+        }
+    }
+
+    #[test]
+    fn fan_out_checks_each_target_at_delivery() {
+        // Listener 0 is down at the first delivery; listener 1 crashed
+        // and recovered since the stamp (a new incarnation); listener 2
+        // does so under the second fan-out, recovering at the very
+        // instant of its delivery. Each is skipped alone, as its own
+        // send would be.
+        let faults = |eng: &mut Engine, ids: &[ActorId]| {
+            eng.schedule_crash(SimTime::from_micros(1_500), ids[0]);
+            eng.schedule_recover(SimTime::from_micros(2_500), ids[0]);
+            eng.schedule_crash(SimTime::from_micros(1_200), ids[1]);
+            eng.schedule_recover(SimTime::from_micros(1_700), ids[1]);
+            eng.schedule_crash(SimTime::from_micros(3_500), ids[2]);
+            eng.schedule_recover(SimTime::from_millis(4), ids[2]);
+        };
+        for scheduler in BOTH {
+            let (fp, n, heard) = cast(scheduler, true, &[0, 1, 2, 3], faults);
+            let (ref_fp, ref_n, ref_heard) = cast(scheduler, false, &[0, 1, 2, 3], faults);
+            assert_eq!((fp, n), (ref_fp, ref_n));
+            assert_eq!(owned(&heard), owned(&ref_heard));
+            let tags = |i: usize| heard[i].iter().map(|g| g.1).collect::<Vec<_>>();
+            assert_eq!(tags(0), [2, 102]);
+            assert_eq!(tags(1), [2, 102]);
+            assert_eq!(tags(2), [1, 101]);
+            assert_eq!(tags(3), [1, 101, 2, 102]);
+        }
+    }
+
+    #[test]
+    fn fan_out_of_one_is_a_plain_send_and_of_none_is_nothing() {
+        for scheduler in BOTH {
+            let (fp, n, heard) = cast(scheduler, true, &[1], |_, _| {});
+            assert_eq!((fp, n), {
+                let (fp, n, _) = cast(scheduler, false, &[1], |_, _| {});
+                (fp, n)
+            });
+            // The lone target owns the payload, in-place reader or not.
+            assert_eq!(heard[1][0], (SimTime::from_millis(2), 1, false));
+            let (_, n, _) = cast(scheduler, true, &[], |_, _| {});
+            assert_eq!(n, 2, "only the two casts themselves");
+        }
+    }
+
+    #[test]
+    fn the_fan_out_record_does_not_grow_the_slab_slot() {
+        // A slab slot (`Option<EventKind>`) was 32 bytes before the
+        // fan-out record — ids, a boxed payload and the tag — and the
+        // record, one fat pointer, must fit inside that.
+        assert!(std::mem::size_of::<Option<EventKind>>() <= 32);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //!   process model ([`Engine`], [`Actor`], [`Ctx`]),
 //! * analytic FCFS queueing resources for CPUs ([`Fcfs`]) and disks
 //!   ([`Disk`], Table 4 parameters),
+//! * block-wise storage for logs that only grow ([`BlockVec`]),
 //! * metrics ([`Metrics`], [`Histogram`]) and deterministic structured
 //!   observability ([`ObsEvent`], [`Obs`], [`obs`]): typed pipeline
 //!   events, a bounded flight recorder, and byte-stable exporters, with
@@ -22,6 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod blockvec;
 pub mod disk;
 pub mod engine;
 pub mod metrics;
@@ -30,8 +32,9 @@ pub mod resource;
 pub mod time;
 pub mod trace;
 
+pub use blockvec::BlockVec;
 pub use disk::{Disk, DiskConfig, DiskStats};
-pub use engine::{Actor, ActorId, AsAny, Ctx, Engine, Payload, Scheduler};
+pub use engine::{Actor, ActorId, AsAny, Ctx, Engine, Payload, Scheduler, Shared};
 pub use metrics::{Histogram, Metrics};
 pub use obs::{
     decompose_commits, prometheus_snapshot, CommitSpan, Obs, ObsConfig, ObsEvent, ObsMode,

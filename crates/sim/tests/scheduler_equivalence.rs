@@ -8,15 +8,36 @@
 //! every wheel level, including same-instant sends) and random crash /
 //! recover plans landing on the same tick boundaries as deliveries, then
 //! compare fingerprint, dispatch count, and the full trace entry-by-entry.
+//!
+//! The same storms also pin the fan-out record: every other hop goes to
+//! several peers at once, and a run that sends it as one
+//! `Ctx::send_shared` — read through the default owned entry point or in
+//! place — must be indistinguishable from the run that sends it as one
+//! `Ctx::send` per target, on either scheduler.
 
 use groupsafe_sim::{
-    downcast_payload, Actor, ActorId, Ctx, Engine, Payload, Scheduler, SimDuration, SimTime,
+    downcast_payload, Actor, ActorId, Ctx, Engine, Payload, Scheduler, Shared, SimDuration, SimTime,
 };
 use proptest::prelude::*;
 use rand::Rng;
 
 /// A hop-counted message bounced between workers.
+#[derive(Clone)]
 struct Hop(u8);
+
+/// How a worker sends a hop that goes to several peers at once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Multi {
+    /// One `Ctx::send` per target: the reference.
+    PerTarget,
+    /// One `Ctx::send_shared`, received through the default
+    /// `Actor::on_shared` (an owned copy per target).
+    FanOut,
+    /// One `Ctx::send_shared`, read in place by the receivers.
+    FanOutInPlace,
+}
+
+const MULTI: [Multi; 3] = [Multi::PerTarget, Multi::FanOut, Multi::FanOutInPlace];
 
 /// A worker that relays hop-counted messages to pseudo-random peers with
 /// pseudo-random delays. All randomness comes from the engine RNG, so the
@@ -25,6 +46,7 @@ struct Hop(u8);
 struct Worker {
     id: u32,
     peers: u32,
+    multi: Multi,
 }
 
 /// Delay palette in nanoseconds: same-instant, within the first wheel
@@ -32,24 +54,51 @@ struct Worker {
 /// single run exercises level filing, cascades, and same-tick FIFO.
 const DELAYS: [u64; 8] = [0, 1, 63, 900, 64_000, 1_000_000, 16_000_000, 1_000_000_000];
 
+impl Worker {
+    fn on_hop(&mut self, ctx: &mut Ctx<'_>, hops: u8) {
+        ctx.trace(|| format!("w{}:hop{}", self.id, hops));
+        if hops == 0 {
+            return;
+        }
+        let d = SimDuration::from_nanos(DELAYS[ctx.rng().random_range(0..DELAYS.len())]);
+        let first = ctx.rng().random_range(0..self.peers);
+        if hops.is_multiple_of(2) {
+            // A multi-target hop: 0 to 3 consecutive peers (wrapping, so
+            // a small group sees the same peer twice in one fan-out).
+            let width = ctx.rng().random_range(0..=3);
+            let targets: Vec<ActorId> = (0..width)
+                .map(|i| ActorId((first + i) % self.peers))
+                .collect();
+            if self.multi == Multi::PerTarget {
+                for &t in &targets {
+                    ctx.send(t, d, Hop(hops - 1));
+                }
+            } else {
+                ctx.send_shared(&targets, d, Hop(hops - 1));
+            }
+        } else {
+            ctx.send(ActorId(first), d, Hop(hops - 1));
+        }
+        if hops.is_multiple_of(3) {
+            // A self-timer at the same instant as the relay
+            // exercises same-tick FIFO between two pushes.
+            ctx.timer(d, Hop(hops / 3));
+        }
+    }
+}
+
 impl Actor for Worker {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
         downcast_payload!(payload, self.name(), {
-            hop: Hop => {
-                let hops = hop.0;
-                ctx.trace(|| format!("w{}:hop{}", self.id, hops));
-                if hops > 0 {
-                    let d = DELAYS[ctx.rng().random_range(0..DELAYS.len())];
-                    let target = ActorId(ctx.rng().random_range(0..self.peers));
-                    ctx.send(target, SimDuration::from_nanos(d), Hop(hops - 1));
-                    if hops.is_multiple_of(3) {
-                        // A self-timer at the same instant as the relay
-                        // exercises same-tick FIFO between two pushes.
-                        ctx.timer(SimDuration::from_nanos(d), Hop(hops / 3));
-                    }
-                }
-            },
+            hop: Hop => self.on_hop(ctx, hop.0),
         });
+    }
+
+    fn on_shared(&mut self, ctx: &mut Ctx<'_>, payload: Shared<'_>) {
+        match payload.downcast_ref::<Hop>() {
+            Some(hop) if self.multi == Multi::FanOutInPlace => self.on_hop(ctx, hop.0),
+            _ => self.on_event(ctx, payload.to_payload()),
+        }
     }
 
     fn on_crash(&mut self, ctx: &mut Ctx<'_>) {
@@ -80,6 +129,7 @@ struct Plan {
 
 fn run_plan(
     scheduler: Scheduler,
+    multi: Multi,
     seed: u64,
     n_workers: u32,
     plans: &[Plan],
@@ -90,6 +140,7 @@ fn run_plan(
         eng.add_actor(Box::new(Worker {
             id,
             peers: n_workers,
+            multi,
         }));
     }
     for (i, p) in plans.iter().enumerate() {
@@ -126,13 +177,17 @@ proptest! {
             .into_iter()
             .map(|(start_ms, hops, crash_ms)| Plan { start_ms, hops, crash_ms })
             .collect();
-        let heap = run_plan(Scheduler::LegacyHeap, seed, n_workers, &plans);
-        let wheel = run_plan(Scheduler::TimingWheel, seed, n_workers, &plans);
-        prop_assert_eq!(heap.0, wheel.0, "fingerprint diverged");
-        prop_assert_eq!(heap.1, wheel.1, "dispatch count diverged");
-        prop_assert_eq!(heap.2.len(), wheel.2.len(), "trace length diverged");
-        for (i, (h, w)) in heap.2.iter().zip(wheel.2.iter()).enumerate() {
-            prop_assert_eq!(h, w, "trace entry {} diverged", i);
+        let heap = run_plan(Scheduler::LegacyHeap, Multi::PerTarget, seed, n_workers, &plans);
+        for scheduler in [Scheduler::LegacyHeap, Scheduler::TimingWheel] {
+            for multi in MULTI {
+                let run = run_plan(scheduler, multi, seed, n_workers, &plans);
+                prop_assert_eq!(heap.0, run.0, "fingerprint diverged: {:?} {:?}", scheduler, multi);
+                prop_assert_eq!(heap.1, run.1, "dispatch count diverged: {:?} {:?}", scheduler, multi);
+                prop_assert_eq!(heap.2.len(), run.2.len(), "trace length diverged");
+                for (i, (h, w)) in heap.2.iter().zip(run.2.iter()).enumerate() {
+                    prop_assert_eq!(h, w, "trace entry {} diverged: {:?} {:?}", i, scheduler, multi);
+                }
+            }
         }
     }
 
@@ -151,8 +206,11 @@ proptest! {
             // deliveries land on a down / re-incarnated target.
             Plan { start_ms: 0, hops: 11, crash_ms: None },
         ];
-        let heap = run_plan(Scheduler::LegacyHeap, seed, 2, &plans);
-        let wheel = run_plan(Scheduler::TimingWheel, seed, 2, &plans);
-        prop_assert_eq!(heap, wheel);
+        let heap = run_plan(Scheduler::LegacyHeap, Multi::PerTarget, seed, 2, &plans);
+        for scheduler in [Scheduler::LegacyHeap, Scheduler::TimingWheel] {
+            for multi in MULTI {
+                prop_assert_eq!(&heap, &run_plan(scheduler, multi, seed, 2, &plans));
+            }
+        }
     }
 }
