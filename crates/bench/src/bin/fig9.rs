@@ -14,7 +14,6 @@
 use groupsafe_bench::plot::ascii_chart;
 use groupsafe_core::{BatchConfig, Load, Report, SafetyLevel, System};
 use groupsafe_sim::SimDuration;
-use groupsafe_workload::{csv_header, RunReport};
 
 fn run_point(level: SafetyLevel, tps: f64, quick: bool, batch: Option<BatchConfig>) -> Report {
     let mut builder = System::builder()
@@ -139,11 +138,24 @@ fn batch_mode(quick: bool, csv_path: Option<String>, json_path: Option<String>) 
 
 fn write_outputs(all: &[Report], csv_path: Option<String>, json_path: Option<String>) {
     if let Some(path) = csv_path {
-        let mut out = String::from(csv_header());
-        out.push('\n');
+        let mut out = String::from(
+            "technique,offered_tps,achieved_tps,mean_ms,p50_ms,p95_ms,abort_rate,samples,lost,distinct_states,lost_updates\n",
+        );
         for r in all {
-            out.push_str(&RunReport::from_report(r.offered_tps.unwrap_or(0.0), r).csv_row());
-            out.push('\n');
+            out.push_str(&format!(
+                "{},{:.1},{:.2},{:.2},{:.2},{:.2},{:.4},{},{},{},{}\n",
+                r.technique,
+                r.offered_tps.unwrap_or(0.0),
+                r.achieved_tps,
+                r.mean_ms,
+                r.p50_ms,
+                r.p95_ms,
+                r.abort_rate,
+                r.commits,
+                r.lost,
+                r.distinct_states,
+                r.lost_updates,
+            ));
         }
         std::fs::write(&path, out).expect("write csv");
         println!("wrote {path}");

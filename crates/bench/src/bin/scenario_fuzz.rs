@@ -21,8 +21,8 @@
 //!             SI (MVCC read phase, first-committer-wins certification);
 //!             the SI anomaly audits check every run (default: off;
 //!             zeroed on one-safe, whose lazy baseline has no SI path)
-//!   --obs     observability profile for every run: off | ring[:N] |
-//!             full[:N] (default: ring, the bounded flight recorder — a
+//!   --obs     observability profile for every run: `off` | `ring[:N]` |
+//!             `full[:N]` (default: ring, the bounded flight recorder — a
 //!             violation dump then carries the pipeline's last events;
 //!             recording never changes fingerprints, so repro seeds
 //!             replay identically under any profile)
@@ -88,14 +88,10 @@ fn main() {
         assert!((0.0..=1.0).contains(&f), "--txns fraction outside [0, 1]");
         f
     });
-    if let Some(profile) = value_after("--obs") {
-        // Validate eagerly, then hand the profile to the builders through
-        // the `GROUPSAFE_OBS` env hook every run already honours.
-        if let Err(e) = groupsafe_sim::ObsConfig::parse(&profile) {
-            panic!("--obs: {e}");
-        }
-        std::env::set_var("GROUPSAFE_OBS", &profile);
-    }
+    // An empty profile parses to `None`: the builder's default applies.
+    let obs = value_after("--obs").and_then(|profile| {
+        groupsafe_sim::ObsConfig::parse(&profile).unwrap_or_else(|e| panic!("--obs: {e}"))
+    });
     assert!(
         reads.is_none() || !levels.contains(&SafetyLevel::OneSafe),
         "--reads is not defined for one-safe: the lazy baseline has no \
@@ -126,6 +122,9 @@ fn main() {
         }
         if let Some(fraction) = txns {
             spec = spec.with_txns(fraction);
+        }
+        if let Some(obs) = obs {
+            spec = spec.with_obs(obs);
         }
         for seed in start..start + seeds {
             let out = run_fuzz_case(seed, &spec);

@@ -1,17 +1,66 @@
 //! Table 4 reproduction: the simulator parameters actually in use —
-//! printed in the paper's layout, from the canonical `PaperParams`.
+//! printed in the paper's layout, read from the defaults every
+//! `System::builder()` run starts from.
 
-use groupsafe_workload::PaperParams;
+use groupsafe_core::{System, WorkloadSpec, DISKS_PER_SERVER};
+use groupsafe_db::BufferModel;
+use groupsafe_net::NET_CPU;
+use groupsafe_sim::DiskConfig;
 
 fn main() {
-    let p = PaperParams::default();
+    let cfg = System::builder()
+        .to_system_config()
+        .expect("the default configuration is valid");
+    let db = &cfg.replica.db;
+    let disk = DiskConfig::default();
+    let w = WorkloadSpec::table4();
+    let buffer = match db.buffer {
+        BufferModel::Probabilistic { hit_ratio } => format!("{:.0}%", hit_ratio * 100.0),
+        BufferModel::Lru { capacity } => format!("LRU, {capacity} pages"),
+    };
+    let io = format!("{} - {} ms", disk.min_ms, disk.max_ms);
+    let rows: [(&str, String); 13] = [
+        ("Number of items in the database", db.n_items.to_string()),
+        ("Number of Servers", cfg.n_servers.to_string()),
+        (
+            "Number of Clients per Server",
+            cfg.clients_per_server.to_string(),
+        ),
+        ("Disks per Server", DISKS_PER_SERVER.to_string()),
+        ("CPUs per Server", cfg.replica.cpus.to_string()),
+        (
+            "Transaction Length",
+            format!("{} - {} Operations", w.txn_len_min, w.txn_len_max),
+        ),
+        (
+            "Probability that an operation is a write",
+            format!("{:.0}%", w.write_probability * 100.0),
+        ),
+        ("Buffer hit ratio", buffer),
+        ("Time for a read", io.clone()),
+        ("Time for a write", io),
+        (
+            "CPU Time used for an I/O operation",
+            format!("{} ms", db.cpu_per_io.as_millis_f64()),
+        ),
+        (
+            "Time for a message or a broadcast on the Network",
+            format!("{} ms", cfg.net.latency.as_millis_f64()),
+        ),
+        (
+            "CPU time for a network operation",
+            format!("{} ms", NET_CPU.as_millis_f64()),
+        ),
+    ];
     println!("Table 4 — simulator parameters:\n");
-    print!("{}", p.render_table());
+    for (k, v) in rows {
+        println!("{k:<50} {v}");
+    }
     println!("\nExtensions beyond Table 4 (EXPERIMENTS.md, \"Substitutions and extensions\"):");
     println!(
         "{:<50} {:.0}% of accesses to {:.0}% of items",
         "Hotspot (abort-rate calibration)",
-        p.hot_access_fraction * 100.0,
-        p.hot_set_fraction * 100.0
+        w.hot_access_fraction * 100.0,
+        w.hot_set_fraction * 100.0
     );
 }

@@ -17,9 +17,14 @@
 //!   with group-targeted faults and the cross-group atomicity digest),
 //! * `sharding` — group-count × cross-group-ratio sweep (asserts that
 //!   aggregate commit throughput grows monotonically with the group
-//!   count at 0 % cross traffic).
+//!   count at 0 % cross traffic),
+//! * `reads` / `txn` — the follower-read and snapshot-transaction
+//!   sweeps behind `BENCH_reads.json` / `BENCH_txn.json`,
+//! * `ablation` — the §5.1 ablations,
+//! * `obs_export` — the observability exporter and its golden check.
 //!
-//! Criterion micro-benches live under `benches/`.
+//! Wall-clock cost is measured by the stand-alone `perf` package
+//! (`crates/bench/perf`, see `benchmark/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,9 +1,8 @@
 //! The fluent system-assembly API: [`SystemBuilder`] → [`Run`] →
 //! [`Report`].
 //!
-//! One declarative entry point replaces the three historical config
-//! layers (`SystemConfig`, the workload crate's `RunConfig`, and the
-//! drivers' hand-rolled warm-up / measure / stop-clients / drain loops):
+//! One declarative entry point for the configuration and for the
+//! warm-up / measure / stop-clients / drain lifecycle:
 //!
 //! ```
 //! use groupsafe_core::{Load, SafetyLevel, System};
@@ -46,7 +45,7 @@ use rand::Rng;
 
 use groupsafe_db::{DbConfig, ItemId, Operation};
 use groupsafe_gcs::{BatchConfig, MAX_GROUP_SIZE};
-use groupsafe_net::{NetConfig, NodeId};
+use groupsafe_net::NetConfig;
 use groupsafe_sim::{decompose_commits, CommitSpan, ObsConfig, Scheduler, SimDuration, SimTime};
 
 use crate::client::{LoadModel, OpGenerator, StopClient, TxnPlan};
@@ -88,8 +87,7 @@ pub enum Load {
     ClosedThink(SimDuration),
 }
 
-/// The assumed base response time `Load::closed_tps` calibrates against
-/// (the historical `RunConfig` default).
+/// The assumed base response time `Load::closed_tps` calibrates against.
 pub const DEFAULT_ASSUMED_RESP_MS: f64 = 70.0;
 
 impl Load {
@@ -134,8 +132,7 @@ impl Load {
         }
     }
 
-    /// Resolve to the per-client [`LoadModel`], mirroring the historical
-    /// `workload::system_config` arithmetic exactly.
+    /// Resolve to the per-client [`LoadModel`].
     fn resolve(&self, n_clients: u32) -> Result<LoadModel, BuildError> {
         let n = n_clients.max(1) as f64;
         match *self {
@@ -267,9 +264,8 @@ impl WorkloadSpec {
         Ok(())
     }
 
-    /// One transaction's operations. The draw order matches the
-    /// historical `workload::generate_txn` exactly, so seeded runs
-    /// reproduce the old wiring bit-for-bit.
+    /// One transaction's operations. The draw order is part of the
+    /// behavioural contract: seeded runs reproduce bit-for-bit.
     pub fn generate_txn(&self, rng: &mut StdRng) -> Vec<Operation> {
         // The read-mix coin is drawn only when the knob is set, so the
         // default configuration's draw sequence is untouched (the
@@ -440,101 +436,6 @@ pub fn txn_from_env() -> Result<Option<TxnProfile>, BuildError> {
         }
     };
     Ok(Some((fraction, ops)))
-}
-
-// ---------------------------------------------------------------------
-// Faults
-// ---------------------------------------------------------------------
-
-/// One scripted fault-schedule entry.
-#[derive(Debug, Clone)]
-enum FaultEvent {
-    Crash { server: NodeId, at: SimTime },
-    Recover { server: NodeId, at: SimTime },
-    SwitchSafety { level: SafetyLevel, at: SimTime },
-}
-
-/// A declarative fault schedule applied when the run starts.
-///
-/// ```ignore
-/// FaultPlan::crash(NodeId(2), SimTime::from_secs(5))
-///     .recover(NodeId(2), SimTime::from_secs(9))
-///     .switch_safety(SafetyLevel::GroupOneSafe, SimTime::from_secs(12))
-/// ```
-///
-/// Superseded by the richer [`ScenarioPlan`] (partitions, targeted
-/// sequencer kills, network bursts, slow-disk windows, operator
-/// restarts); kept as convenience sugar for the crash/recover/switch
-/// subset. At build time it compiles into scenario steps, so both paths
-/// run on the same engine.
-#[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
-    events: Vec<FaultEvent>,
-}
-
-impl FaultPlan {
-    /// No faults.
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
-    /// A plan starting with one crash.
-    pub fn crash(server: NodeId, at: SimTime) -> Self {
-        FaultPlan::none().also_crash(server, at)
-    }
-
-    /// Add a crash of `server` at `at`.
-    pub fn also_crash(mut self, server: NodeId, at: SimTime) -> Self {
-        self.events.push(FaultEvent::Crash { server, at });
-        self
-    }
-
-    /// Add a recovery of `server` at `at`.
-    pub fn recover(mut self, server: NodeId, at: SimTime) -> Self {
-        self.events.push(FaultEvent::Recover { server, at });
-        self
-    }
-
-    /// Switch every server's safety level at `at` (group-safe ↔
-    /// group-1-safe, §5.2).
-    pub fn switch_safety(mut self, level: SafetyLevel, at: SimTime) -> Self {
-        self.events.push(FaultEvent::SwitchSafety { level, at });
-        self
-    }
-
-    /// True if the plan schedules nothing.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The [`ScenarioPlan`] this fault schedule denotes.
-    pub fn to_scenario(&self) -> ScenarioPlan {
-        let mut plan = ScenarioPlan::new();
-        for ev in &self.events {
-            plan = match *ev {
-                FaultEvent::Crash { server, at } => plan.crash(at, server.0),
-                FaultEvent::Recover { server, at } => plan.recover(at, server.0),
-                FaultEvent::SwitchSafety { level, at } => plan.switch_safety(at, level),
-            };
-        }
-        plan
-    }
-
-    fn validate(&self, n_servers: u32) -> Result<(), BuildError> {
-        for ev in &self.events {
-            let server = match ev {
-                FaultEvent::Crash { server, .. } | FaultEvent::Recover { server, .. } => *server,
-                FaultEvent::SwitchSafety { .. } => continue,
-            };
-            if server.0 >= n_servers {
-                return Err(BuildError::FaultTargetOutOfRange {
-                    server: server.0,
-                    n_servers,
-                });
-            }
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -715,7 +616,6 @@ pub struct SystemBuilder {
     drain: SimDuration,
     workload: WorkloadSpec,
     generator: Option<GeneratorFactory>,
-    faults: FaultPlan,
     scenario: ScenarioPlan,
     /// An explicit [`SystemBuilder::batching`] call; takes precedence
     /// over the `GROUPSAFE_BATCHING` env profile and over whatever
@@ -760,7 +660,6 @@ impl Default for SystemBuilder {
             drain: SimDuration::from_secs(3),
             workload: WorkloadSpec::default(),
             generator: None,
-            faults: FaultPlan::none(),
             scenario: ScenarioPlan::new(),
             batch_override: None,
             shard: ShardSpec::default(),
@@ -1046,18 +945,10 @@ impl SystemBuilder {
         self
     }
 
-    /// The scripted fault schedule (the crash/recover/switch subset;
-    /// compiled into the scenario engine at build time).
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
     /// The declarative fault-scenario timeline this run replays
     /// ([`ScenarioPlan`]): crashes with scripted recovery, partitions,
     /// targeted sequencer kills, loss/duplication/reorder bursts,
-    /// slow-disk windows, operator restarts. Merged after any
-    /// [`SystemBuilder::faults`] schedule; repeated calls accumulate.
+    /// slow-disk windows, operator restarts. Repeated calls accumulate.
     pub fn scenario(mut self, plan: ScenarioPlan) -> Self {
         self.scenario = std::mem::take(&mut self.scenario).merge(plan);
         self
@@ -1229,7 +1120,6 @@ impl SystemBuilder {
         };
         shard.resolve(n_items).map_err(BuildError::Shard)?;
         let total_servers = self.n_servers * shard.groups;
-        self.faults.validate(total_servers)?;
         self.scenario.validate(total_servers)?;
         self.scenario
             .validate_groups(shard.groups, self.n_servers)?;
@@ -1239,9 +1129,9 @@ impl SystemBuilder {
             .map(|_| ())
     }
 
-    /// The [`SystemConfig`] this builder denotes — the exact struct the
-    /// pre-builder API consumed, kept public so the deprecated shims (and
-    /// the equivalence tests) can prove the wiring is unchanged.
+    /// The [`SystemConfig`] this builder denotes: every default, env
+    /// profile and override resolved (what `table4` prints and the
+    /// env-profile suites inspect).
     pub fn to_system_config(&self) -> Result<SystemConfig, BuildError> {
         self.validate()?;
         let n_clients = self.n_servers * self.clients_per_server;
@@ -1331,14 +1221,9 @@ impl SystemBuilder {
             }
         };
         let mut run = Run::new(system, self.warmup, self.measure, self.drain, offered_tps);
-        // The fault schedule and the scenario timeline compile onto one
-        // engine: every step becomes a sim-time hook that fires exactly
+        // Every scenario step becomes a sim-time hook that fires exactly
         // at its instant, under `execute` and the stepwise API alike.
-        let plan = self
-            .faults
-            .to_scenario()
-            .merge(std::mem::take(&mut self.scenario));
-        plan.install(&mut run, &net_baseline);
+        self.scenario.install(&mut run, &net_baseline);
         Ok(run)
     }
 }
@@ -2427,19 +2312,37 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_targets_are_validated() {
-        let err = System::builder()
-            .servers(3)
-            .faults(FaultPlan::crash(NodeId(7), SimTime::from_secs(1)))
-            .build()
-            .err();
-        assert_eq!(
-            err,
-            Some(BuildError::FaultTargetOutOfRange {
-                server: 7,
-                n_servers: 3
-            })
-        );
+    fn generated_lengths_mix_and_items_match_table4() {
+        use rand::SeedableRng;
+        let spec = WorkloadSpec::table4();
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut writes = 0usize;
+        let mut total = 0usize;
+        for _ in 0..500 {
+            let ops = spec.generate_txn(&mut rng);
+            assert!((10..=20).contains(&ops.len()), "len {}", ops.len());
+            assert!(ops.iter().all(|o| o.item().0 < spec.n_items));
+            writes += ops.iter().filter(|o| o.is_write()).count();
+            total += ops.len();
+        }
+        let ratio = writes as f64 / total as f64;
+        assert!((0.45..=0.55).contains(&ratio), "write ratio {ratio}");
+    }
+
+    #[test]
+    fn hotspot_concentrates_accesses() {
+        use rand::SeedableRng;
+        let spec = WorkloadSpec {
+            hot_access_fraction: 0.8,
+            hot_set_fraction: 0.1,
+            ..WorkloadSpec::table4()
+        };
+        let mut rng = StdRng::seed_from_u64(3);
+        let hot_limit = (spec.n_items as f64 * spec.hot_set_fraction) as u32;
+        let ops: Vec<Operation> = (0..300).flat_map(|_| spec.generate_txn(&mut rng)).collect();
+        let hot = ops.iter().filter(|o| o.item().0 < hot_limit).count();
+        let frac = hot as f64 / ops.len() as f64;
+        assert!(frac > 0.7, "hot fraction {frac}");
     }
 
     #[test]
@@ -2603,24 +2506,5 @@ mod tests {
             .build()
             .err();
         assert!(matches!(err, Some(BuildError::BadScenario { .. })));
-    }
-
-    #[test]
-    fn fault_plan_crash_is_applied() {
-        let report = System::builder()
-            .servers(3)
-            .clients_per_server(2)
-            .load(Load::open_tps(10.0))
-            .measure(SimDuration::from_secs(5))
-            .drain(SimDuration::from_secs(2))
-            .faults(FaultPlan::crash(NodeId(1), SimTime::from_secs(2)))
-            .seed(3)
-            .build()
-            .expect("valid")
-            .execute();
-        // The crashed minority member must not cost safety.
-        assert_eq!(report.lost, 0);
-        assert_eq!(report.distinct_states, 1, "survivors agree");
-        assert!(report.timeouts > 0, "its clients must have failed over");
     }
 }

@@ -54,7 +54,7 @@ pub mod system;
 pub mod verify;
 
 pub use builder::{
-    txn_from_env, BuildError, FaultPlan, GroupStats, Load, ObsPhaseStats, PhaseStats, Report, Run,
+    txn_from_env, BuildError, GroupStats, Load, ObsPhaseStats, PhaseStats, Report, Run,
     SystemBuilder, WorkloadSpec,
 };
 
@@ -84,7 +84,7 @@ pub use scenario::{
 };
 pub use server::{
     InitServer, InstallCheckpointCmd, RWire, ReplicaConfig, ReplicaServer, RestartServerCmd,
-    SwitchSafetyCmd, Technique,
+    SwitchSafetyCmd, Technique, DISKS_PER_SERVER,
 };
 pub use shard::{sharded_generator, ShardError, ShardMap, ShardSpec, ShardStrategy};
 pub use system::{System, SystemConfig};

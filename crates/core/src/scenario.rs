@@ -8,10 +8,9 @@
 //! A [`ScenarioPlan`] is a timeline of typed [`ScenarioEvent`]s — crash
 //! (with optional scripted recovery), partition/heal, targeted sequencer
 //! kill, loss/duplication/reorder bursts, slow-disk windows, runtime
-//! safety switches and operator-style group restarts. It subsumes both
-//! the historical `FaultPlan` (crash/recover/switch only) and the
-//! workload crate's imperative `CrashScenario` (which is now a thin shim
-//! compiling to a plan).
+//! safety switches and operator-style group restarts. It is the only
+//! fault schedule a [`SystemBuilder`](crate::SystemBuilder) takes; the
+//! workload crate's `CrashScenario` compiles to one.
 //!
 //! Plans execute through the [`Run`] lifecycle: every step becomes a
 //! sim-time hook that fires exactly at its instant — also under the
@@ -1605,6 +1604,7 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
 pub mod fuzz {
     use super::*;
     use crate::builder::Load;
+    use groupsafe_sim::ObsConfig;
 
     /// The envelope the generator draws scenarios from.
     #[derive(Debug, Clone)]
@@ -1646,6 +1646,11 @@ pub mod fuzz {
         /// historical envelopes — plans and fingerprints replay
         /// identically).
         pub txn_fraction: f64,
+        /// Observability profile of every run (`None` = whatever the
+        /// builder resolves: the `GROUPSAFE_OBS` env profile, else the
+        /// bounded flight recorder). Recording never changes a
+        /// fingerprint.
+        pub obs: Option<ObsConfig>,
     }
 
     impl FuzzSpec {
@@ -1666,6 +1671,7 @@ pub mod fuzz {
                 read_level: None,
                 read_fraction: 0.0,
                 txn_fraction: 0.0,
+                obs: None,
             }
         }
 
@@ -1701,6 +1707,7 @@ pub mod fuzz {
                 read_level: None,
                 read_fraction: 0.0,
                 txn_fraction: 0.0,
+                obs: None,
             }
         }
 
@@ -1736,6 +1743,15 @@ pub mod fuzz {
             } else {
                 fraction.clamp(0.0, 1.0)
             };
+            self
+        }
+
+        /// This envelope recording under `obs` instead of the builder's
+        /// default (forwarded to [`SystemBuilder::observe`]).
+        ///
+        /// [`SystemBuilder::observe`]: crate::SystemBuilder::observe
+        pub fn with_obs(mut self, obs: ObsConfig) -> FuzzSpec {
+            self.obs = Some(obs);
             self
         }
     }
@@ -2094,6 +2110,9 @@ pub mod fuzz {
         }
         if spec.txn_fraction > 0.0 {
             builder = builder.txn_fraction(spec.txn_fraction);
+        }
+        if let Some(obs) = spec.obs {
+            builder = builder.observe(obs);
         }
         let mut run = builder
             .build()

@@ -125,6 +125,11 @@ impl Technique {
     }
 }
 
+/// Disks per server (Table 4: 2), pooled; log and data traffic share
+/// them ("all three techniques used the same logging setting, so they
+/// share the same throughput limits").
+pub const DISKS_PER_SERVER: usize = 2;
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
@@ -471,15 +476,12 @@ impl ReplicaServer {
         shard: Rc<ShardMap>,
     ) -> Self {
         let cpu = Rc::new(RefCell::new(Fcfs::new(cfg.cpus)));
-        // Table 4: two disks per server, pooled; log and data traffic
-        // share them ("all three techniques used the same logging
-        // setting, so they share the same throughput limits").
         let disk_pool = Rc::new(RefCell::new(Disk::pool(
             groupsafe_sim::DiskConfig {
                 sequential_factor: cfg.disk_sequential_factor,
                 ..groupsafe_sim::DiskConfig::default()
             },
-            2,
+            DISKS_PER_SERVER,
         )));
         let log_disk = disk_pool.clone();
         let data_disk = disk_pool;

@@ -57,7 +57,6 @@ use rand::{Rng, SeedableRng};
 use crate::metrics::Metrics;
 use crate::obs::{Obs, ObsConfig, ObsEvent};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Trace;
 
 /// Identifies an actor registered with the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -586,14 +585,6 @@ impl Ctx<'_> {
         let me = self.me;
         self.kernel.obs.emit_with(now, me, event);
     }
-
-    /// Record a free-form trace label (no-op unless recording is active).
-    /// Legacy shim: the label forwards into the typed layer as
-    /// [`ObsEvent::Legacy`] — prefer emitting a typed event via
-    /// [`Ctx::emit`].
-    pub fn trace(&mut self, label: impl FnOnce() -> String) {
-        self.emit(|| ObsEvent::Legacy { label: label() });
-    }
 }
 
 /// The simulation engine: actor registry plus kernel.
@@ -616,13 +607,6 @@ impl Engine {
             actors: Vec::new(),
             kernel: Kernel::new(seed, scheduler),
         }
-    }
-
-    /// Enable full-stream structured recording (sugar for
-    /// `set_obs(ObsConfig::stream())`; kept under its historical name for
-    /// the trace-consuming tests).
-    pub fn enable_trace(&mut self) {
-        self.set_obs(ObsConfig::stream());
     }
 
     /// Configure the observability layer (mode + flight-recorder size).
@@ -828,14 +812,6 @@ impl Engine {
     /// Mutable access to the shared metrics registry.
     pub fn metrics_mut(&mut self) -> &mut Metrics {
         &mut self.kernel.metrics
-    }
-
-    /// The recorded trace, materialised from the typed event stream
-    /// (empty unless full-stream recording was enabled). Legacy string
-    /// labels pass through verbatim; typed events render as
-    /// `stage k=v ...`.
-    pub fn trace(&self) -> Trace {
-        Trace::from_obs(&self.kernel.obs)
     }
 
     /// Borrow a registered actor (e.g. to read results after a run).

@@ -13,8 +13,7 @@
 //! * block-wise storage for logs that only grow ([`BlockVec`]),
 //! * metrics ([`Metrics`], [`Histogram`]) and deterministic structured
 //!   observability ([`ObsEvent`], [`Obs`], [`obs`]): typed pipeline
-//!   events, a bounded flight recorder, and byte-stable exporters, with
-//!   the legacy string [`Trace`] kept as a materialised view.
+//!   events, a bounded flight recorder, and byte-stable exporters.
 //!
 //! Determinism is a hard invariant: one seed, one dispatch sequence
 //! ([`Engine::fingerprint`]), so every experiment in the paper can be
@@ -30,7 +29,6 @@ pub mod metrics;
 pub mod obs;
 pub mod resource;
 pub mod time;
-pub mod trace;
 
 pub use blockvec::BlockVec;
 pub use disk::{Disk, DiskConfig, DiskStats};
@@ -42,7 +40,6 @@ pub use obs::{
 };
 pub use resource::Fcfs;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEntry};
 
 /// Downcast a [`Payload`] into one of several event types.
 ///

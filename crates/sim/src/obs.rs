@@ -1,8 +1,7 @@
 //! Deterministic structured observability: typed pipeline events, a
 //! bounded flight recorder, and byte-stable exporters.
 //!
-//! This module replaces the stringly [`crate::trace::Trace`] as the
-//! canonical event layer. Actors emit typed [`ObsEvent`]s through
+//! The one event record: actors emit typed [`ObsEvent`]s through
 //! [`crate::Ctx::emit`]; the kernel stamps them with the actor id and the
 //! *simulated* clock only (never wall clock — the GS-D02 lint applies
 //! here as everywhere), so the recorded stream is a pure function of the
@@ -38,8 +37,7 @@ pub const DEFAULT_RING_CAPACITY: usize = 256;
 /// sequencing → multicast transmission → stable-log write → vote →
 /// uniform delivery → certification → apply → reply → client ack — plus
 /// the read path, the cross-group 2PC rounds, view changes / state
-/// transfer, and WAL syncs. `Legacy` carries free-form labels from the
-/// deprecated string [`crate::Trace`] shim.
+/// transfer, and WAL syncs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ObsEvent {
     /// A client handed a transaction attempt to its delegate.
@@ -184,11 +182,6 @@ pub enum ObsEvent {
         /// Updates in the propagation batch.
         count: u32,
     },
-    /// Free-form label forwarded from the deprecated string trace shim.
-    Legacy {
-        /// The original label.
-        label: String,
-    },
 }
 
 impl ObsEvent {
@@ -220,13 +213,11 @@ impl ObsEvent {
             ObsEvent::StateTransfer { .. } => "state_transfer",
             ObsEvent::WalSync { .. } => "wal_sync",
             ObsEvent::LazyPropagate { .. } => "lazy_propagate",
-            ObsEvent::Legacy { .. } => "legacy",
         }
     }
 
     /// Deterministic one-line rendering: the stage followed by its fields
-    /// in declaration order (`stage k=v ...`). Legacy events render their
-    /// original label verbatim.
+    /// in declaration order (`stage k=v ...`).
     pub fn render(&self) -> String {
         match self {
             ObsEvent::ClientSubmit { txn, attempt } => {
@@ -273,7 +264,6 @@ impl ObsEvent {
             }
             ObsEvent::WalSync { lsn } => format!("wal_sync lsn={lsn}"),
             ObsEvent::LazyPropagate { count } => format!("lazy_propagate count={count}"),
-            ObsEvent::Legacy { label } => label.clone(),
         }
     }
 }

@@ -3,17 +3,21 @@
 //! The timing-wheel scheduler must be observationally identical to the
 //! legacy binary-heap scheduler it replaced: for ANY workload and fault
 //! plan, both dispatch the same events in the same `(time, seq)` order and
-//! therefore produce byte-identical fingerprints and trace logs. These
+//! therefore produce byte-identical fingerprints and event logs. These
 //! tests drive both kernels with random message storms (delays spanning
 //! every wheel level, including same-instant sends) and random crash /
 //! recover plans landing on the same tick boundaries as deliveries, then
-//! compare fingerprint, dispatch count, and the full trace entry-by-entry.
+//! compare fingerprint, dispatch count, and the workers' shared event log
+//! entry-by-entry.
 //!
 //! The same storms also pin the fan-out record: every other hop goes to
 //! several peers at once, and a run that sends it as one
 //! `Ctx::send_shared` — read through the default owned entry point or in
 //! place — must be indistinguishable from the run that sends it as one
 //! `Ctx::send` per target, on either scheduler.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use groupsafe_sim::{
     downcast_payload, Actor, ActorId, Ctx, Engine, Payload, Scheduler, Shared, SimDuration, SimTime,
@@ -39,6 +43,9 @@ enum Multi {
 
 const MULTI: [Multi; 3] = [Multi::PerTarget, Multi::FanOut, Multi::FanOutInPlace];
 
+/// The ordered `(now, label)` log every worker of a run appends to.
+type Log = Rc<RefCell<Vec<(SimTime, String)>>>;
+
 /// A worker that relays hop-counted messages to pseudo-random peers with
 /// pseudo-random delays. All randomness comes from the engine RNG, so the
 /// behavior is a pure function of the dispatch order — exactly the thing
@@ -47,6 +54,7 @@ struct Worker {
     id: u32,
     peers: u32,
     multi: Multi,
+    log: Log,
 }
 
 /// Delay palette in nanoseconds: same-instant, within the first wheel
@@ -55,8 +63,13 @@ struct Worker {
 const DELAYS: [u64; 8] = [0, 1, 63, 900, 64_000, 1_000_000, 16_000_000, 1_000_000_000];
 
 impl Worker {
+    fn record(&self, ctx: &Ctx<'_>, what: std::fmt::Arguments<'_>) {
+        let entry = (ctx.now(), format!("w{}:{what}", self.id));
+        self.log.borrow_mut().push(entry);
+    }
+
     fn on_hop(&mut self, ctx: &mut Ctx<'_>, hops: u8) {
-        ctx.trace(|| format!("w{}:hop{}", self.id, hops));
+        self.record(ctx, format_args!("hop{hops}"));
         if hops == 0 {
             return;
         }
@@ -102,11 +115,11 @@ impl Actor for Worker {
     }
 
     fn on_crash(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.trace(|| format!("w{}:crash", self.id));
+        self.record(ctx, format_args!("crash"));
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.trace(|| format!("w{}:recover", self.id));
+        self.record(ctx, format_args!("recover"));
         // The fresh incarnation kicks off new work of its own.
         ctx.timer(SimDuration::from_millis(1), Hop(2));
     }
@@ -133,14 +146,15 @@ fn run_plan(
     seed: u64,
     n_workers: u32,
     plans: &[Plan],
-) -> (u64, u64, Vec<String>) {
+) -> (u64, u64, Vec<(SimTime, String)>) {
     let mut eng = Engine::new_with_scheduler(seed, scheduler);
-    eng.enable_trace();
+    let log = Log::default();
     for id in 0..n_workers {
         eng.add_actor(Box::new(Worker {
             id,
             peers: n_workers,
             multi,
+            log: log.clone(),
         }));
     }
     for (i, p) in plans.iter().enumerate() {
@@ -152,18 +166,13 @@ fn run_plan(
         }
     }
     eng.run_to_completion();
-    let trace = eng
-        .trace()
-        .entries()
-        .iter()
-        .map(|e| format!("{:?}|{}|{}", e.time, e.actor.0, e.label))
-        .collect();
-    (eng.fingerprint(), eng.dispatched(), trace)
+    let log = log.take();
+    (eng.fingerprint(), eng.dispatched(), log)
 }
 
 proptest! {
     /// Random storms + fault plans: the wheel and the heap agree on the
-    /// fingerprint, the dispatch count, and every single trace entry.
+    /// fingerprint, the dispatch count, and every single log entry.
     #[test]
     fn wheel_and_heap_traces_are_identical(
         seed in 0u64..1_000_000,
@@ -183,9 +192,9 @@ proptest! {
                 let run = run_plan(scheduler, multi, seed, n_workers, &plans);
                 prop_assert_eq!(heap.0, run.0, "fingerprint diverged: {:?} {:?}", scheduler, multi);
                 prop_assert_eq!(heap.1, run.1, "dispatch count diverged: {:?} {:?}", scheduler, multi);
-                prop_assert_eq!(heap.2.len(), run.2.len(), "trace length diverged");
+                prop_assert_eq!(heap.2.len(), run.2.len(), "log length diverged");
                 for (i, (h, w)) in heap.2.iter().zip(run.2.iter()).enumerate() {
-                    prop_assert_eq!(h, w, "trace entry {} diverged: {:?} {:?}", i, scheduler, multi);
+                    prop_assert_eq!(h, w, "log entry {} diverged: {:?} {:?}", i, scheduler, multi);
                 }
             }
         }

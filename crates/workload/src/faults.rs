@@ -8,22 +8,17 @@
 //! outcome: how many *acknowledged* transactions were lost, and whether
 //! the surviving replicas agree.
 //!
-//! Deprecated in spirit: `CrashScenario` survives as a **thin shim over
-//! the core scenario engine**. [`CrashScenario::scenario_plan`] compiles
-//! the experiment into a declarative
-//! [`ScenarioPlan`], and
-//! [`run_crash_scenario`] simply installs that plan and drives the
-//! [`Run`](groupsafe_core::Run) lifecycle. The port is equivalence-locked:
-//! `tests/crash_scenario_equivalence.rs` pins the engine fingerprints of
-//! every historical scenario shape against values captured from the
-//! original imperative implementation. New code should build
-//! `ScenarioPlan`s directly.
+//! [`CrashScenario::scenario_plan`] compiles the experiment into a
+//! declarative [`ScenarioPlan`]; [`run_crash_scenario`] installs that
+//! plan on a [`System::builder`] system (the Table 4 defaults, open
+//! load, a 5 s client timeout) and drives the
+//! [`Run`](groupsafe_core::Run) lifecycle.
+//! `tests/crash_scenario_equivalence.rs` pins the outcome of every
+//! scenario shape and compares it against an imperative reference
+//! driver.
 
-use groupsafe_core::{ScenarioEvent, ScenarioPlan, ScenarioStep, System, Technique};
+use groupsafe_core::{Load, ScenarioEvent, ScenarioPlan, ScenarioStep, System, Technique};
 use groupsafe_sim::{SimDuration, SimTime};
-
-use crate::experiment::{builder_for, RunConfig};
-use crate::params::PaperParams;
 
 /// What happens to the crashed servers afterwards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,8 +40,10 @@ pub enum RecoveryPlan {
 pub struct CrashScenario {
     /// Technique under test.
     pub technique: Technique,
-    /// Table 4 parameters (shrink `n_servers` for quicker experiments).
-    pub params: PaperParams,
+    /// Number of servers (Table 4: 9; fewer for quicker experiments).
+    pub n_servers: u32,
+    /// Clients per server.
+    pub clients_per_server: u32,
     /// Offered load.
     pub load_tps: f64,
     /// Run this long before any failure.
@@ -85,11 +82,8 @@ impl CrashScenario {
     pub fn small(technique: Technique, crash: Vec<u32>, seed: u64) -> Self {
         CrashScenario {
             technique,
-            params: PaperParams {
-                n_servers: 5,
-                clients_per_server: 2,
-                ..PaperParams::default()
-            },
+            n_servers: 5,
+            clients_per_server: 2,
             load_tps: 20.0,
             // Not a multiple of any background interval: the crash must be
             // able to land inside propagation/flush windows.
@@ -155,7 +149,7 @@ impl CrashScenario {
             plan = plan.heal(strike);
         }
         if let RecoveryPlan::Recover { downtime } = self.recovery {
-            let total_failure = self.crash.len() == self.params.n_servers as usize;
+            let total_failure = self.crash.len() == self.n_servers as usize;
             let dynamic = self
                 .technique
                 .gcs_config()
@@ -174,27 +168,6 @@ impl CrashScenario {
             }
         }
         plan
-    }
-
-    /// The [`RunConfig`] whose builder translation wires this scenario's
-    /// system (crash scenarios and the throughput harnesses always share
-    /// one wiring).
-    fn run_config(&self) -> RunConfig {
-        RunConfig {
-            technique: self.technique,
-            load_tps: self.load_tps,
-            closed_loop: false,
-            assumed_resp_ms: 70.0,
-            lazy_prop_ms: self.lazy_prop_ms,
-            wal_flush_ms: self.wal_flush_ms,
-            params: self.params.clone(),
-            shards: 1,
-            cross_shard_fraction: 0.0,
-            warmup: SimDuration::ZERO,
-            duration: self.steady_for + self.run_after,
-            drain: SimDuration::from_secs(3),
-            seed: self.seed,
-        }
     }
 }
 
@@ -223,7 +196,18 @@ pub struct CrashOutcome {
 ///
 /// [`Run`]: groupsafe_core::Run
 pub fn run_crash_scenario(sc: &CrashScenario) -> CrashOutcome {
-    let mut run = builder_for(&sc.run_config())
+    let mut run = System::builder()
+        .servers(sc.n_servers)
+        .clients_per_server(sc.clients_per_server)
+        // Crash ids index one group: stay unsharded under any
+        // `GROUPSAFE_SHARDS` profile.
+        .shards(1)
+        .technique(sc.technique)
+        .lazy_prop_interval(SimDuration::from_millis_f64(sc.lazy_prop_ms))
+        .wal_flush_interval(SimDuration::from_millis_f64(sc.wal_flush_ms))
+        .load(Load::open_tps(sc.load_tps))
+        .client_timeout(SimDuration::from_secs(5))
+        .seed(sc.seed)
         .scenario(sc.scenario_plan())
         .build()
         .expect("a crash scenario always denotes a valid system");

@@ -1,29 +1,15 @@
-//! # groupsafe-workload — Table 4 workloads and the experiment runner
+//! # groupsafe-workload — the Table 1–3 crash experiments
 //!
-//! Generates the paper's workload (10–20 operations per transaction, 50 %
-//! writes, 10 000 items, 9 servers × 4 clients), assembles full systems
-//! through the core crate's fluent
-//! [`SystemBuilder`](groupsafe_core::SystemBuilder) ([`builder_for`] is
-//! the canonical `RunConfig` → builder translation), and runs warm-up /
-//! measurement / drain phases producing [`RunReport`]s — the rows of
-//! Fig. 9 and of the fault-injection tables.
-//!
-//! `system_config` and `table4_generator` survive as deprecated shims
-//! delegating to the builder.
+//! [`CrashScenario`] describes one fault-injection experiment on the
+//! Table 4 system (which servers crash, under which partition, whether
+//! and when they recover); [`run_crash_scenario`] compiles it to a core
+//! [`ScenarioPlan`](groupsafe_core::ScenarioPlan), runs it on a
+//! [`System::builder`](groupsafe_core::System::builder) system and
+//! audits the outcome ([`CrashOutcome`]) — the rows of Tables 1–3.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod experiment;
 pub mod faults;
-pub mod generator;
-pub mod params;
 
-#[allow(deprecated)]
-pub use experiment::system_config;
-pub use experiment::{builder_for, csv_header, report, run, sweep, RunConfig, RunReport};
 pub use faults::{run_crash_scenario, CrashOutcome, CrashScenario, RecoveryPlan};
-pub use generator::generate_txn;
-#[allow(deprecated)]
-pub use generator::table4_generator;
-pub use params::PaperParams;

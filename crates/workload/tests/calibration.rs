@@ -1,31 +1,26 @@
-//! Load-model calibration: the runner must actually deliver the load it
+//! Load-model calibration: a run must actually deliver the load it
 //! claims on the x-axis of Fig. 9.
 
-use groupsafe_core::{SafetyLevel, Technique};
+use groupsafe_core::{Load, Report, SafetyLevel, System};
 use groupsafe_sim::SimDuration;
-use groupsafe_workload::{run, PaperParams, RunConfig};
 
-fn cfg(closed: bool, load: f64, seed: u64) -> RunConfig {
-    RunConfig {
-        technique: Technique::Dsm(SafetyLevel::GroupSafe),
-        load_tps: load,
-        closed_loop: closed,
-        assumed_resp_ms: 70.0,
-        lazy_prop_ms: 20.0,
-        wal_flush_ms: 20.0,
-        params: PaperParams::default(),
-        shards: 1,
-        cross_shard_fraction: 0.0,
-        warmup: SimDuration::from_secs(2),
-        duration: SimDuration::from_secs(20),
-        drain: SimDuration::from_secs(2),
-        seed,
-    }
+fn run(level: SafetyLevel, load: Load, seed: u64) -> Report {
+    System::builder()
+        .safety(level)
+        .load(load)
+        .client_timeout(SimDuration::from_secs(5))
+        .warmup(SimDuration::from_secs(2))
+        .measure(SimDuration::from_secs(20))
+        .drain(SimDuration::from_secs(2))
+        .seed(seed)
+        .build()
+        .expect("the Table 4 configuration is valid")
+        .execute()
 }
 
 #[test]
 fn open_loop_achieves_offered_load() {
-    let r = run(&cfg(false, 24.0, 1));
+    let r = run(SafetyLevel::GroupSafe, Load::open_tps(24.0), 1);
     let ratio = r.achieved_tps / 24.0;
     assert!(
         (0.9..=1.1).contains(&ratio),
@@ -36,7 +31,11 @@ fn open_loop_achieves_offered_load() {
 
 #[test]
 fn closed_loop_achieves_target_at_moderate_load() {
-    let r = run(&cfg(true, 24.0, 2));
+    let r = run(
+        SafetyLevel::GroupSafe,
+        Load::closed_tps_assuming(24.0, 70.0),
+        2,
+    );
     let ratio = r.achieved_tps / 24.0;
     assert!(
         (0.85..=1.15).contains(&ratio),
@@ -50,10 +49,11 @@ fn closed_loop_self_limits_under_overload() {
     // Group-1-safe at 40 tps is beyond its pipeline capacity: the closed
     // population must saturate below the offered load instead of
     // diverging (this is what bounds the paper's Fig. 9 curve).
-    let r = run(&RunConfig {
-        technique: Technique::Dsm(SafetyLevel::GroupOneSafe),
-        ..cfg(true, 40.0, 3)
-    });
+    let r = run(
+        SafetyLevel::GroupOneSafe,
+        Load::closed_tps_assuming(40.0, 70.0),
+        3,
+    );
     assert!(
         r.achieved_tps < 34.0,
         "group-1-safe cannot reach 40 tps (achieved {:.1})",

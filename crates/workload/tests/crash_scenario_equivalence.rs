@@ -1,40 +1,34 @@
-//! Equivalence lock for the `CrashScenario` → `ScenarioPlan` port.
+//! Equivalence lock for `CrashScenario` → `ScenarioPlan`.
 //!
-//! `run_crash_scenario` is a thin shim compiling the experiment into a
-//! declarative plan. This suite keeps the ORIGINAL imperative driver
-//! (verbatim, as a test-local reference implementation) and runs every
-//! pinned scenario shape through both paths: the audits — including the
-//! engine's dispatch fingerprint, the strictest witness the simulator
-//! has — must match bit-for-bit. Any scheduling drift in the scenario
-//! engine (hook ordering, event push order, partition/heal timing, the
-//! operator-restart protocol) fails this suite.
+//! `run_crash_scenario` compiles the experiment into a declarative plan.
+//! This suite keeps an imperative driver (a test-local reference
+//! implementation) and runs every pinned scenario shape through both
+//! paths: the audits — including the engine's dispatch fingerprint, the
+//! strictest witness the simulator has — must match bit-for-bit. Any
+//! scheduling drift in the scenario engine (hook ordering, event push
+//! order, partition/heal timing, the operator-restart protocol) fails
+//! this suite. Both paths wire the system with the same builder calls,
+//! so the outcomes are also pinned against a table captured from the
+//! commit before `run_crash_scenario` was rebuilt on `System::builder()`.
 
-use groupsafe_core::{reconcile_restart, SafetyLevel, Technique};
+use groupsafe_core::{reconcile_restart, Load, SafetyLevel, System, Technique};
 use groupsafe_net::NodeId;
 use groupsafe_sim::{SimDuration, SimTime};
-use groupsafe_workload::{
-    builder_for, run_crash_scenario, CrashOutcome, CrashScenario, RecoveryPlan, RunConfig,
-};
+use groupsafe_workload::{run_crash_scenario, CrashOutcome, CrashScenario, RecoveryPlan};
 
-/// The pre-port `run_crash_scenario`, kept verbatim as the reference the
-/// scenario-engine shim is held to.
+/// The imperative reference `run_crash_scenario` is held to: the same
+/// system, its faults injected by hand between `run_until` calls.
 fn run_crash_scenario_imperative(sc: &CrashScenario) -> CrashOutcome {
-    let cfg = RunConfig {
-        technique: sc.technique,
-        load_tps: sc.load_tps,
-        closed_loop: false,
-        assumed_resp_ms: 70.0,
-        lazy_prop_ms: sc.lazy_prop_ms,
-        wal_flush_ms: sc.wal_flush_ms,
-        params: sc.params.clone(),
-        shards: 1,
-        cross_shard_fraction: 0.0,
-        warmup: SimDuration::ZERO,
-        duration: sc.steady_for + sc.run_after,
-        drain: SimDuration::from_secs(3),
-        seed: sc.seed,
-    };
-    let mut run = builder_for(&cfg)
+    let mut run = System::builder()
+        .servers(sc.n_servers)
+        .clients_per_server(sc.clients_per_server)
+        .shards(1)
+        .technique(sc.technique)
+        .lazy_prop_interval(SimDuration::from_millis_f64(sc.lazy_prop_ms))
+        .wal_flush_interval(SimDuration::from_millis_f64(sc.wal_flush_ms))
+        .load(Load::open_tps(sc.load_tps))
+        .client_timeout(SimDuration::from_secs(5))
+        .seed(sc.seed)
         .build()
         .expect("a crash scenario always denotes a valid system");
     run.start();
@@ -231,6 +225,26 @@ fn corpus() -> Vec<(&'static str, CrashScenario)> {
     ]
 }
 
+/// `(label, acked, lost, distinct_states, timeouts, fingerprint)` of
+/// `run_crash_scenario` over the corpus, captured at commit `8c951b5`
+/// (no `GROUPSAFE_*` profile set): a wiring slip such as a dropped
+/// `client_timeout` moves both paths above together, and only this table
+/// sees it.
+#[rustfmt::skip]
+const PINNED: [(&str, usize, usize, usize, u64, u64); 11] = [
+    ("group_safe_minority", 81, 0, 1, 9, 0x0a0b946d51d77346),
+    ("group_safe_all_but_one", 49, 0, 1, 24, 0x948d966bc0b747a1),
+    ("group_safe_total_recover", 136, 3, 1, 14, 0x57fbee318466d2c6),
+    ("two_safe_total_recover", 138, 0, 1, 9, 0x756bfca48496899a),
+    ("lazy_delegate_crash_hot", 227, 1, 2, 8, 0xae2f2f6fa9c481ea),
+    ("lazy_survivors", 108, 1, 1, 3, 0x0821199a2e83eb0d),
+    ("zero_safe_partitioned", 138, 10, 1, 5, 0x8e8cdc61617b692c),
+    ("group_safe_partitioned", 150, 0, 1, 10, 0x2b64818da198df93),
+    ("group_one_safe_delegate_last", 193, 0, 1, 66, 0xe26af5bc663dedb2),
+    ("group_one_safe_delegate_stays_down", 173, 1, 1, 81, 0x4615ff0c89d6d784),
+    ("very_safe_total_recover", 69, 0, 1, 9, 0x84532447e0234690),
+];
+
 #[test]
 fn scenario_engine_reproduces_the_imperative_runs_bit_for_bit() {
     for (label, sc) in corpus() {
@@ -254,6 +268,22 @@ fn scenario_engine_reproduces_the_imperative_runs_bit_for_bit() {
                 reference.timeouts,
             ),
             "{label}: the ScenarioPlan port diverged from the imperative reference"
+        );
+        let pinned = PINNED
+            .iter()
+            .find(|p| p.0 == label)
+            .expect("every corpus shape is pinned");
+        assert_eq!(
+            (
+                label,
+                ported.acked,
+                ported.lost,
+                ported.distinct_states,
+                ported.timeouts,
+                ported.fingerprint,
+            ),
+            *pinned,
+            "{label}: the outcome moved from the pinned table"
         );
     }
 }

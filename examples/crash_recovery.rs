@@ -3,15 +3,13 @@
 //! whole group fails, while the 2-safe system (end-to-end atomic
 //! broadcast) replays and keeps it — and a minority crash hurts neither.
 //!
-//! The minority-crash case uses the declarative [`FaultPlan`] on the
+//! The minority-crash case puts a declarative [`ScenarioPlan`] on the
 //! builder; the total-failure cases need operator-style group restarts
-//! and use the workload crate's [`CrashScenario`] machinery (itself
-//! builder-backed).
+//! and use the workload crate's [`CrashScenario`], which compiles to one.
 //!
 //! Run with: `cargo run --release --example crash_recovery`
 
-use groupsafe::core::{FaultPlan, Load, SafetyLevel, System, Technique};
-use groupsafe::net::NodeId;
+use groupsafe::core::{Load, SafetyLevel, ScenarioPlan, System, Technique};
 use groupsafe::sim::{SimDuration, SimTime};
 use groupsafe::workload::{run_crash_scenario, CrashScenario, RecoveryPlan};
 
@@ -58,7 +56,7 @@ fn main() {
         .load(Load::open_tps(20.0))
         .measure(SimDuration::from_secs(7))
         .drain(SimDuration::from_secs(3))
-        .faults(FaultPlan::crash(NodeId(1), crash_at).also_crash(NodeId(3), crash_at))
+        .scenario(ScenarioPlan::new().crash(crash_at, 1).crash(crash_at, 3))
         .seed(4242)
         .build()
         .expect("a valid configuration")

@@ -12,7 +12,7 @@
 //! * [`db`] — local database engine (buffer pool, 2PL, WAL, recovery),
 //! * [`core`] — the paper's contribution: safety criteria, the database
 //!   state machine replication technique, the lazy baseline, verification,
-//! * [`workload`] — Table 4 workloads, clients and the experiment runner.
+//! * [`workload`] — the Table 1–3 crash experiments (`CrashScenario`).
 //!
 //! See `README.md` for a quickstart and `EXPERIMENTS.md` for the
 //! paper-vs-measured record.

@@ -5,9 +5,8 @@
 //! One test, alone in its own binary: the env var is process-global, so
 //! it must not race sibling tests that build systems concurrently.
 
-use groupsafe::core::{BatchConfig, ReplicaConfig, SafetyLevel, System, Technique};
+use groupsafe::core::{BatchConfig, ReplicaConfig, System};
 use groupsafe::sim::SimDuration;
-use groupsafe::workload::{builder_for, RunConfig};
 
 #[test]
 fn env_profile_survives_replica_replacement_and_yields_to_explicit() {
@@ -62,21 +61,12 @@ fn env_profile_survives_replica_replacement_and_yields_to_explicit() {
     // ---- precedence through the builder.
     std::env::set_var("GROUPSAFE_BATCHING", "msgs=4,delay_us=100");
 
-    // A later `.replica(..)` (the workload drivers do exactly this) must
-    // not shed the env-selected profile.
+    // A later `.replica(..)` must not shed the env-selected profile.
     let cfg = System::builder()
         .replica(ReplicaConfig::default())
         .to_system_config()
         .expect("valid");
     assert_eq!(cfg.replica.batch.max_msgs, 4, "env profile was dropped");
-
-    // The canonical workload driver path (`builder_for`) as well.
-    let run_cfg = RunConfig::paper(Technique::Dsm(SafetyLevel::GroupSafe), 30.0, 1);
-    let cfg = builder_for(&run_cfg).to_system_config().expect("valid");
-    assert_eq!(
-        cfg.replica.batch.max_msgs, 4,
-        "builder_for shed the profile"
-    );
 
     // An explicit call still beats the env.
     let cfg = System::builder()

@@ -1,18 +1,17 @@
 //! Client-side behaviour across failures: timeout-driven failover to
 //! another delegate (update-everywhere), exactly-once commits across
 //! retries, and abort resubmission. Systems are wired by the builder;
-//! crashes come from the declarative `FaultPlan`; the audits use the
+//! crashes come from a declarative `ScenarioPlan`; the audits use the
 //! `Run` handle's stepwise API for direct oracle access.
 
-use groupsafe::core::{FaultPlan, Load, Run, SafetyLevel, System};
+use groupsafe::core::{Load, Run, SafetyLevel, ScenarioPlan, System};
 use groupsafe::db::TxnId;
-use groupsafe::net::NodeId;
 use groupsafe::sim::{SimDuration, SimTime};
 
 const MEASURE: SimDuration = SimDuration::from_secs(20);
 const DRAIN: SimDuration = SimDuration::from_secs(3);
 
-fn build(seed: u64, faults: FaultPlan) -> Run {
+fn build(seed: u64, faults: ScenarioPlan) -> Run {
     System::builder()
         .servers(3)
         .clients_per_server(1)
@@ -20,7 +19,7 @@ fn build(seed: u64, faults: FaultPlan) -> Run {
         .load(Load::open_tps(10.0))
         .measure(MEASURE)
         .drain(DRAIN)
-        .faults(faults)
+        .scenario(faults)
         .seed(seed)
         .build()
         .expect("a valid configuration")
@@ -38,7 +37,7 @@ fn drive_to_completion(run: &mut Run) {
 #[test]
 fn clients_fail_over_when_their_delegate_dies() {
     // Crash server 0 (home of client 0) at 5 s; it stays down.
-    let mut run = build(404, FaultPlan::crash(NodeId(0), SimTime::from_secs(5)));
+    let mut run = build(404, ScenarioPlan::new().crash(SimTime::from_secs(5), 0));
     drive_to_completion(&mut run);
 
     let system = run.system();
@@ -72,8 +71,9 @@ fn retries_commit_exactly_once() {
     // Make life hard: crash and recover a server mid-run.
     let mut run = build(
         405,
-        FaultPlan::crash(NodeId(1), SimTime::from_secs(4))
-            .recover(NodeId(1), SimTime::from_secs(8)),
+        ScenarioPlan::new()
+            .crash(SimTime::from_secs(4), 1)
+            .recover(SimTime::from_secs(8), 1),
     );
     drive_to_completion(&mut run);
     let system = run.system();

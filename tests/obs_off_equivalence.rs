@@ -89,6 +89,12 @@ fn violation_dump_includes_the_flight_recorder_tail() {
         !clean.flight.is_empty(),
         "the default ring must have recorded the pipeline's tail"
     );
+    // A profile carried by the spec reaches the builder: `off` records
+    // nothing and replays the same run.
+    let spec = FuzzSpec::smoke(SafetyLevel::GroupSafe).with_obs(ObsConfig::disabled());
+    let off = run_fuzz_case(3, &spec);
+    assert!(off.flight.is_empty(), "{}", off.flight);
+    assert_eq!(off.fingerprint, clean.fingerprint);
     // Seed a violation into a copy of the outcome and check the dump.
     let mut bad = clean.clone();
     bad.audit.violations = vec![OracleViolation::Divergence {

@@ -6,8 +6,7 @@
 //! it must not race sibling tests that build systems concurrently.
 
 use groupsafe::core::reads::{reads_from_env, ReadConfig, ReadLevel, ReadPath};
-use groupsafe::core::{ReplicaConfig, SafetyLevel, System, Technique};
-use groupsafe::workload::{builder_for, RunConfig};
+use groupsafe::core::{ReplicaConfig, System};
 
 #[test]
 fn env_profile_parses_plumbs_and_yields_to_explicit() {
@@ -82,15 +81,6 @@ fn env_profile_parses_plumbs_and_yields_to_explicit() {
         "env profile was dropped"
     );
     assert!(cfg.replica.db.mvcc_depth > 0, "local path enables MVCC");
-
-    // The canonical workload driver path (`builder_for`) as well.
-    let run_cfg = RunConfig::paper(Technique::Dsm(SafetyLevel::GroupSafe), 30.0, 1);
-    let cfg = builder_for(&run_cfg).to_system_config().expect("valid");
-    assert_eq!(
-        cfg.replica.reads.path,
-        ReadPath::Local(ReadLevel::Session),
-        "builder_for shed the profile"
-    );
 
     // Explicit calls still beat the env.
     let cfg = System::builder()

@@ -5,8 +5,7 @@
 //! One test, alone in its own binary: the env var is process-global, so
 //! it must not race sibling tests that build systems concurrently.
 
-use groupsafe::core::{txn_from_env, SafetyLevel, System, Technique};
-use groupsafe::workload::{builder_for, RunConfig};
+use groupsafe::core::{txn_from_env, System};
 
 #[test]
 fn env_profile_parses_plumbs_and_yields_to_explicit() {
@@ -67,11 +66,6 @@ fn env_profile_parses_plumbs_and_yields_to_explicit() {
         cfg.replica.db.mvcc_depth > 0,
         "the snapshot mix enables MVCC"
     );
-
-    // The canonical workload driver path (`builder_for`) as well.
-    let run_cfg = RunConfig::paper(Technique::Dsm(SafetyLevel::GroupSafe), 30.0, 1);
-    let spec = builder_for(&run_cfg).effective_workload().expect("valid");
-    assert_eq!(spec.txn_fraction, 0.4, "builder_for shed the profile");
 
     // Explicit calls still beat the env — including an explicit zero.
     let b = System::builder().txn_fraction(0.0);

@@ -2,12 +2,11 @@
 //! transaction is logged on *all* servers — so it survives anything, but
 //! "a single crash renders the system unavailable".
 
-use groupsafe::core::{FaultPlan, Load, Run, SafetyLevel, System, Technique};
-use groupsafe::net::NodeId;
+use groupsafe::core::{Load, Run, SafetyLevel, ScenarioPlan, System, Technique};
 use groupsafe::sim::{SimDuration, SimTime};
 use groupsafe::workload::{run_crash_scenario, CrashScenario, RecoveryPlan};
 
-fn build(seed: u64, faults: FaultPlan) -> Run {
+fn build(seed: u64, faults: ScenarioPlan) -> Run {
     System::builder()
         .servers(3)
         .clients_per_server(2)
@@ -16,7 +15,7 @@ fn build(seed: u64, faults: FaultPlan) -> Run {
         .warmup(SimDuration::from_secs(1))
         .measure(SimDuration::from_secs(10))
         .drain(SimDuration::from_secs(3))
-        .faults(faults)
+        .scenario(faults)
         .seed(seed)
         .build()
         .expect("a valid configuration")
@@ -24,7 +23,7 @@ fn build(seed: u64, faults: FaultPlan) -> Run {
 
 #[test]
 fn very_safe_commits_when_everyone_is_up() {
-    let mut run = build(61, FaultPlan::none());
+    let mut run = build(61, ScenarioPlan::new());
     let end = SimTime::from_secs(11);
     run.run_until(end);
     run.stop_clients_at(end);
@@ -58,7 +57,7 @@ fn very_safe_blocks_while_any_server_is_down() {
     // nothing is lost. (Contrast: group-safe keeps committing, see
     // tests/system_safety.rs.)
     let crash_at = SimTime::from_secs(4);
-    let mut run = build(63, FaultPlan::crash(NodeId(2), crash_at));
+    let mut run = build(63, ScenarioPlan::new().crash(crash_at, 2));
     run.run_until(SimTime::from_secs(9));
     let system = run.system();
     let oracle = system.oracle.borrow();
