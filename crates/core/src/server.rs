@@ -1444,12 +1444,9 @@ impl ReplicaServer {
             .collect();
         let res = self.db.commit(now, txn, &writes);
         ctx.metrics().incr("txn_committed");
-        self.oracle.borrow_mut().record_commit(
-            txn,
-            self.node,
-            exec.readset.clone(),
-            writes.clone(),
-        );
+        self.oracle
+            .borrow_mut()
+            .record_commit(txn, self.node, &exec.readset, &writes);
         // 1-safe: reply after the local synchronous log flush.
         let reply_at = if let Some((flush_done, lsn)) = self.db.flush_wal_sync(res.done) {
             let delay = flush_done - now;
@@ -1648,8 +1645,8 @@ impl ReplicaServer {
                     self.oracle.borrow_mut().record_commit(
                         msg.txn,
                         msg.delegate,
-                        msg.readset.clone(),
-                        writes,
+                        &msg.readset,
+                        &writes,
                     );
                 }
                 let record_lsn = self.db.wal_end_lsn().saturating_sub(1);
@@ -1812,7 +1809,7 @@ impl ReplicaServer {
                 // peers keep theirs. Append the record and ack once the
                 // background group-commit flush covers it; nothing else
                 // (vote, pipeline) waits on the disk.
-                let record_lsn = self.db.reserve_logged(p.txn, p.coordinator.0, items);
+                let record_lsn = self.db.reserve_logged(p.txn, p.coordinator.0, &items);
                 self.pending_acks.push((record_lsn, seq));
             } else {
                 self.db.reserve(p.txn, p.coordinator.0, items);
@@ -1957,7 +1954,7 @@ impl ReplicaServer {
             ctx.metrics().incr("xg_commits_applied");
             let coord_group = self.group_of_server(d.coordinator);
             let mut oracle = self.oracle.borrow_mut();
-            oracle.record_commit_slice(d.txn, d.coordinator, writes);
+            oracle.record_commit_slice(d.txn, d.coordinator, &writes);
             oracle.record_xg(d.txn, d.groups.clone(), coord_group);
         }
         let record_lsn = self.db.wal_end_lsn().saturating_sub(1);

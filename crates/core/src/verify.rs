@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 
 use groupsafe_db::{DbEngine, ItemId, TxnId, Version, WriteOp};
 use groupsafe_net::NodeId;
-use groupsafe_sim::SimTime;
+use groupsafe_sim::{BlockVec, SimTime};
 
 use crate::reads::ReadLevel;
 
@@ -130,9 +130,11 @@ pub struct Oracle {
     /// Client-side timeouts (requests that got no reply in time).
     pub timeouts: u64,
     /// Locally served reads, in serve order (read-freshness oracle).
-    pub reads: Vec<ReadRecord>,
+    /// Grow-only over a run, like `read_acks`: a [`BlockVec`] adds a
+    /// block at a time where a `Vec` would copy itself at every doubling.
+    pub reads: BlockVec<ReadRecord>,
     /// Read-only transaction acknowledgements, in client-accept order.
-    pub read_acks: Vec<ReadAckRecord>,
+    pub read_acks: BlockVec<ReadAckRecord>,
     /// Session reads a lagging replica answered with a redirect, per
     /// serving group.
     pub read_redirects_by_group: BTreeMap<u32, u64>,
@@ -142,18 +144,19 @@ pub struct Oracle {
 }
 
 impl Oracle {
-    /// Record a server-side commit (idempotent per transaction).
+    /// Record a server-side commit (idempotent per transaction: every
+    /// replica reports it, only the first report is copied and kept).
     pub fn record_commit(
         &mut self,
         txn: TxnId,
         delegate: NodeId,
-        readset: Vec<(ItemId, Version)>,
-        writes: Vec<WriteOp>,
+        readset: &[(ItemId, Version)],
+        writes: &[WriteOp],
     ) {
-        self.commits.entry(txn).or_insert(CommitRecord {
+        self.commits.entry(txn).or_insert_with(|| CommitRecord {
             delegate,
-            readset,
-            writes,
+            readset: readset.to_vec(),
+            writes: writes.to_vec(),
         });
     }
 
@@ -165,13 +168,13 @@ impl Oracle {
     /// snapshot-containment audit would otherwise see the second group's
     /// versions as written by nobody). Replicas of one group report
     /// identical (item, version) pairs; the dedup keeps one of each.
-    pub fn record_commit_slice(&mut self, txn: TxnId, coordinator: NodeId, writes: Vec<WriteOp>) {
+    pub fn record_commit_slice(&mut self, txn: TxnId, coordinator: NodeId, writes: &[WriteOp]) {
         let rec = self.commits.entry(txn).or_insert_with(|| CommitRecord {
             delegate: coordinator,
             readset: Vec::new(),
             writes: Vec::new(),
         });
-        for w in writes {
+        for &w in writes {
             if !rec
                 .writes
                 .iter()
@@ -370,8 +373,8 @@ mod tests {
     fn lost_update_detection() {
         let mut o = Oracle::default();
         // Both read version 0 of item 7 and wrote it: lost update.
-        o.record_commit(t(1), NodeId(0), vec![(ItemId(7), 0)], vec![w(7, 100)]);
-        o.record_commit(t(2), NodeId(1), vec![(ItemId(7), 0)], vec![w(7, 101)]);
+        o.record_commit(t(1), NodeId(0), &[(ItemId(7), 0)], &[w(7, 100)]);
+        o.record_commit(t(2), NodeId(1), &[(ItemId(7), 0)], &[w(7, 101)]);
         o.record_ack(t(1), SimTime::ZERO, 1.0);
         o.record_ack(t(2), SimTime::ZERO, 1.0);
         let lu = check_lost_updates(&o);
@@ -379,8 +382,8 @@ mod tests {
         assert_eq!(lu[0].item, ItemId(7));
         // If the second read the first's version, it is a normal overwrite.
         let mut o2 = Oracle::default();
-        o2.record_commit(t(1), NodeId(0), vec![(ItemId(7), 0)], vec![w(7, 100)]);
-        o2.record_commit(t(2), NodeId(1), vec![(ItemId(7), 100)], vec![w(7, 101)]);
+        o2.record_commit(t(1), NodeId(0), &[(ItemId(7), 0)], &[w(7, 100)]);
+        o2.record_commit(t(2), NodeId(1), &[(ItemId(7), 100)], &[w(7, 101)]);
         o2.record_ack(t(1), SimTime::ZERO, 1.0);
         o2.record_ack(t(2), SimTime::ZERO, 1.0);
         assert!(check_lost_updates(&o2).is_empty());
@@ -389,8 +392,8 @@ mod tests {
     #[test]
     fn unacked_commits_do_not_count_as_lost_updates() {
         let mut o = Oracle::default();
-        o.record_commit(t(1), NodeId(0), vec![(ItemId(7), 0)], vec![w(7, 100)]);
-        o.record_commit(t(2), NodeId(1), vec![(ItemId(7), 0)], vec![w(7, 101)]);
+        o.record_commit(t(1), NodeId(0), &[(ItemId(7), 0)], &[w(7, 100)]);
+        o.record_commit(t(2), NodeId(1), &[(ItemId(7), 0)], &[w(7, 101)]);
         // Neither acked.
         assert!(check_lost_updates(&o).is_empty());
     }

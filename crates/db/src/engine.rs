@@ -7,9 +7,14 @@
 //! continuations at those instants. State changes are applied eagerly at
 //! call time (the standard simulator simplification; the interleaving
 //! semantics are governed by the caller's concurrency control).
+//!
+//! The per-transaction state is indexed, not searched: the committed-
+//! transaction table is a [`TxnSet`] (a bitmap over each client's own
+//! counter) and a commit's writes are copied straight into the flat
+//! [`Wal`], so committing allocates nothing per transaction.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
@@ -18,8 +23,9 @@ use groupsafe_sim::{Disk, Fcfs, SimDuration, SimTime};
 
 use crate::buffer::{BufferModel, BufferPool};
 use crate::lock::{LockManager, LockMode, LockOutcome};
+use crate::txnset::TxnSet;
 use crate::types::{ItemId, ItemState, TxnId, Value, Version, WriteOp};
-use crate::wal::{CommitRecord, FlushPolicy, Lsn, Wal, WalKind};
+use crate::wal::{FlushPolicy, Lsn, Wal, WalKind};
 
 /// Engine configuration (defaults follow Table 4).
 #[derive(Debug, Clone)]
@@ -110,7 +116,7 @@ pub struct DbEngine {
 
     // Volatile (rebuilt by redo on recovery).
     items: Vec<ItemState>,
-    committed: BTreeSet<TxnId>,
+    committed: TxnSet,
     buffer: BufferPool,
     locks: LockManager,
     dirty_pages: usize,
@@ -134,6 +140,18 @@ pub struct DbEngine {
     /// pruned at the group-stable watermark by
     /// [`DbEngine::prune_versions`].
     history: Vec<Vec<(Version, ItemState)>>,
+    /// Indices of the non-empty chains of `history`, in no particular
+    /// order: what pruning, reseeding and counting visit instead of all
+    /// `n_items` chains. Outside [`DbEngine::prune_versions`] a
+    /// non-empty chain has at least two entries (the head alone is
+    /// implied by the item table).
+    populated: Vec<u32>,
+    /// A lower bound on the watermarks at which pruning changes
+    /// anything: the smallest second-oldest version over the populated
+    /// chains (pruning at `w` drops a chain's oldest entry only if the
+    /// next one is also at or below `w`). `Version::MAX` when nothing is
+    /// retained.
+    prune_from: Version,
     /// Newest group-stable watermark seen by [`DbEngine::prune_versions`]:
     /// the depth cap may only trim chain entries strictly below the
     /// snapshot floor this watermark pins.
@@ -152,7 +170,7 @@ pub struct DbCheckpoint {
     /// All item states.
     pub items: Vec<ItemState>,
     /// Committed transaction ids (testable-transaction table).
-    pub committed: BTreeSet<TxnId>,
+    pub committed: TxnSet,
     /// In-flight cross-group reservations (item → (holder, coordinator)).
     pub reservations: BTreeMap<ItemId, (TxnId, u32)>,
 }
@@ -169,13 +187,15 @@ impl DbEngine {
         let buffer = BufferPool::new(config.buffer.clone());
         DbEngine {
             items: vec![ItemState::default(); config.n_items as usize],
-            committed: BTreeSet::new(),
+            committed: TxnSet::new(),
             buffer,
             locks: LockManager::new(),
             dirty_pages: 0,
             stats: DbStats::default(),
             reservations: BTreeMap::new(),
             history: vec![Vec::new(); config.n_items as usize],
+            populated: Vec::new(),
+            prune_from: Version::MAX,
             stable_floor: 0,
             mvcc_evictions: 0,
             wal: Wal::new(log_disk),
@@ -203,7 +223,7 @@ impl DbEngine {
 
     /// True if `txn` already committed here (testable transactions).
     pub fn is_committed(&self, txn: TxnId) -> bool {
-        self.committed.contains(&txn)
+        self.committed.contains(txn)
     }
 
     /// Number of committed transactions.
@@ -212,7 +232,7 @@ impl DbEngine {
     }
 
     /// The set of committed transaction ids.
-    pub fn committed_txns(&self) -> &BTreeSet<TxnId> {
+    pub fn committed_txns(&self) -> &TxnSet {
         &self.committed
     }
 
@@ -291,13 +311,9 @@ impl DbEngine {
     /// state while its peers keep theirs). The record rides the normal
     /// background group-commit flush — nothing in the protocol waits on
     /// it except the ack. Returns the record's LSN.
-    pub fn reserve_logged(&mut self, txn: TxnId, coordinator: u32, items: Vec<ItemId>) -> Lsn {
+    pub fn reserve_logged(&mut self, txn: TxnId, coordinator: u32, items: &[ItemId]) -> Lsn {
         self.reserve(txn, coordinator, items.iter().copied());
-        self.wal.append(CommitRecord {
-            txn,
-            writes: Vec::new(),
-            kind: WalKind::Reserve { items, coordinator },
-        })
+        self.wal.append_reserve(txn, coordinator, items)
     }
 
     /// Release `txn`'s reservations and append the WAL record that
@@ -305,11 +321,7 @@ impl DbEngine {
     /// the record's LSN.
     pub fn release_logged(&mut self, txn: TxnId) -> Lsn {
         self.release(txn);
-        self.wal.append(CommitRecord {
-            txn,
-            writes: Vec::new(),
-            kind: WalKind::Release,
-        })
+        self.wal.append_release(txn)
     }
 
     /// Read `item` at `now`: returns value, version and completion time
@@ -388,12 +400,24 @@ impl DbEngine {
     /// Drop retained versions below the newest one at or below `stable`
     /// (the group-stable watermark): snapshots at or above the watermark
     /// stay servable, everything older is unreachable by construction.
+    ///
+    /// Visits only the populated chains, and none at all while `stable`
+    /// is below every chain's second-oldest version (the usual case
+    /// between two advances of the watermark).
     pub fn prune_versions(&mut self, stable: Version) {
         if self.config.mvcc_depth == 0 {
             return;
         }
         self.stable_floor = self.stable_floor.max(stable);
-        for chain in &mut self.history {
+        if stable < self.prune_from {
+            return;
+        }
+        let history = &mut self.history;
+        let mut prune_from = Version::MAX;
+        self.populated.retain(|&i| {
+            let Some(chain) = history.get_mut(i as usize) else {
+                return false;
+            };
             // Index of the first version above the watermark; the entry
             // just below it is the floor snapshot and must survive.
             let above = chain.partition_point(|&(v, _)| v <= stable);
@@ -405,12 +429,21 @@ impl DbEngine {
             if chain.len() <= 1 {
                 chain.clear();
             }
-        }
+            if let Some(&(second, _)) = chain.get(1) {
+                prune_from = prune_from.min(second);
+            }
+            !chain.is_empty()
+        });
+        self.prune_from = prune_from;
     }
 
     /// Retained versions across all items (inspection/test helper).
     pub fn mvcc_retained(&self) -> usize {
-        self.history.iter().map(|c| c.len()).sum()
+        self.populated
+            .iter()
+            .filter_map(|&i| self.history.get(i as usize))
+            .map(Vec::len)
+            .sum()
     }
 
     /// Entries the depth cap trimmed below the pruning floor.
@@ -432,6 +465,7 @@ impl DbEngine {
         let chain = &mut self.history[item.index()];
         if chain.is_empty() {
             chain.push((old.version, old));
+            self.populated.push(item.0);
         }
         match chain.last_mut() {
             Some(last @ &mut (v, _)) if v == state.version => *last = (state.version, state),
@@ -454,6 +488,10 @@ impl DbEngine {
             chain.remove(0);
             self.mvcc_evictions += 1;
         }
+        // A one-entry chain (a write at the version it overwrote) is
+        // cleared by the next prune at any watermark.
+        let second = chain.get(1).map_or(0, |&(v, _)| v);
+        self.prune_from = self.prune_from.min(second);
     }
 
     /// Reset the version store after a crash redo or checkpoint install:
@@ -463,9 +501,12 @@ impl DbEngine {
     /// `retain_version` call seeds each touched chain with the snapshot
     /// state it overwrites).
     fn reseed_versions(&mut self) {
-        for chain in &mut self.history {
-            chain.clear();
+        for i in self.populated.drain(..) {
+            if let Some(chain) = self.history.get_mut(i as usize) {
+                chain.clear();
+            }
         }
+        self.prune_from = Version::MAX;
     }
 
     /// Apply and commit `writes` for `txn` at `now`.
@@ -498,11 +539,7 @@ impl DbEngine {
             self.retain_version(w.item, old);
         }
         self.dirty_pages += writes.len();
-        self.wal.append(CommitRecord {
-            txn,
-            writes: writes.to_vec(),
-            kind: WalKind::Commit,
-        });
+        self.wal.append_commit(txn, writes);
         match self.config.flush_policy {
             FlushPolicy::Sync => {
                 let flush = self.wal.flush(cpu_done, &mut self.rng);
@@ -671,9 +708,9 @@ impl DbEngine {
         // processing left its durable prefix.
         let mut reservations = BTreeMap::new();
         for rec in self.wal.durable_records() {
-            match &rec.kind {
+            match rec.kind {
                 WalKind::Commit => {
-                    for w in &rec.writes {
+                    for w in rec.writes() {
                         self.items[w.item.index()] = ItemState {
                             value: w.value,
                             version: w.version,
@@ -682,9 +719,9 @@ impl DbEngine {
                     self.committed.insert(rec.txn);
                     reservations.retain(|_, &mut (t, _): &mut (TxnId, u32)| t != rec.txn);
                 }
-                WalKind::Reserve { items, coordinator } => {
-                    for &i in items {
-                        reservations.insert(i, (rec.txn, *coordinator));
+                WalKind::Reserve { coordinator } => {
+                    for &i in rec.items() {
+                        reservations.insert(i, (rec.txn, coordinator));
                     }
                 }
                 WalKind::Release => {
@@ -991,6 +1028,51 @@ mod tests {
         assert!(e.mvcc_retained() <= 4, "retained {}", e.mvcc_retained());
         assert_eq!(e.version_at(ItemId(1), 28).version, 28);
         assert_eq!(e.version_at(ItemId(1), 30).version, 30);
+    }
+
+    proptest::proptest! {
+        /// Pruning by the list of populated chains, skipped while the
+        /// watermark is below every chain's second entry, retains and
+        /// serves exactly what a scan of every chain at every call does
+        /// — also when versions arrive out of order or at or below the
+        /// floor (lazy interleavings, redelivery after a crash).
+        #[test]
+        fn indexed_pruning_matches_a_full_scan(
+            ops in proptest::collection::vec((0u8..10, 0u32..6, 0u64..40), 1..80),
+        ) {
+            let mut fast = mvcc_engine(3);
+            let mut scan = mvcc_engine(3);
+            for (i, (op, item, v)) in ops.into_iter().enumerate() {
+                match op {
+                    0 => {
+                        fast.reseed_versions();
+                        scan.reseed_versions();
+                    }
+                    1..=3 => {
+                        fast.prune_versions(v);
+                        scan.prune_from = 0;
+                        scan.populated = (0..scan.config.n_items).collect();
+                        scan.prune_versions(v);
+                    }
+                    _ => {
+                        let write = [w(item, i as i64, v)];
+                        fast.commit(SimTime::ZERO, t(i as u64), &write);
+                        scan.commit(SimTime::ZERO, t(i as u64), &write);
+                    }
+                }
+                proptest::prop_assert_eq!(fast.mvcc_retained(), scan.mvcc_retained());
+                proptest::prop_assert_eq!(fast.mvcc_evictions(), scan.mvcc_evictions());
+                proptest::prop_assert_eq!(&fast.history, &scan.history);
+                for item in 0..6 {
+                    for limit in 0..41 {
+                        proptest::prop_assert_eq!(
+                            fast.version_at(ItemId(item), limit),
+                            scan.version_at(ItemId(item), limit)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

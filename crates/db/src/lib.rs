@@ -11,6 +11,9 @@
 //!   deadlock detection,
 //! * [`Wal`] — write-ahead log with group commit and sync/async flush
 //!   policies (async is the optimisation group-safety legitimises),
+//!   stored flat: fixed-size record headers plus arenas for the bodies,
+//! * [`TxnSet`] — the committed-transaction table as a paged bitmap
+//!   over each client's own transaction counter,
 //! * [`DbEngine`] — operation execution with simulated timing, exactly-
 //!   once commits (testable transactions), WAL-redo crash recovery,
 //!   checkpoints for state transfer, and state digests for replica-
@@ -22,11 +25,13 @@
 pub mod buffer;
 pub mod engine;
 pub mod lock;
+pub mod txnset;
 pub mod types;
 pub mod wal;
 
 pub use buffer::{BufferAccess, BufferModel, BufferPool, BufferStats, ITEMS_PER_PAGE};
 pub use engine::{CommitResult, DbCheckpoint, DbConfig, DbEngine, DbStats, ReadResult};
 pub use lock::{LockManager, LockMode, LockOutcome};
+pub use txnset::TxnSet;
 pub use types::{ItemId, ItemState, Operation, TxnId, Value, Version, WriteOp};
-pub use wal::{CommitRecord, FlushPolicy, Lsn, Wal, WalKind, WalStats};
+pub use wal::{FlushPolicy, Lsn, Wal, WalKind, WalRecord, WalStats};

@@ -7,6 +7,17 @@
 //! exactly the optimisation group-safety legitimises (§5.1: "group-safe
 //! replication basically allows all disk writes to be done
 //! asynchronously").
+//!
+//! The log is flat. A record is appended once and never edited, so its
+//! body needs no allocation of its own: the log is one sequence of
+//! fixed-size headers (transaction, kind, where the body starts and how
+//! long it is) and two arenas the bodies are copied into back to back —
+//! the [`WriteOp`]s of commit records and the reserved [`ItemId`]s of
+//! reserve records. Headers and arenas are [`BlockVec`]s: the log only
+//! grows, a block at a time. Because all three grow in LSN order, the
+//! records from some LSN on own a suffix of each arena, which is what
+//! [`Wal::crash`] cuts off. Redo reads [`WalRecord`]s, views borrowed
+//! from the log.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -21,19 +32,16 @@ use crate::types::{ItemId, TxnId, WriteOp};
 pub type Lsn = u64;
 
 /// What a log record does at redo time.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalKind {
     /// Apply the record's writes, mark the transaction committed, and
     /// drop any reservation it held.
     Commit,
-    /// Reserve the listed items for the transaction (a cross-group
-    /// prepare certified under a logging safety level; `coordinator` is
-    /// the deciding server's node id, kept so a recovered replica can
-    /// resume probing for the missing decision).
+    /// Reserve the record's items for the transaction (a cross-group
+    /// prepare certified under a logging safety level).
     Reserve {
-        /// The reserved items.
-        items: Vec<ItemId>,
-        /// The coordinator to probe for the decision.
+        /// The deciding server's node id, kept so a recovered replica
+        /// can resume probing for the missing decision.
         coordinator: u32,
     },
     /// Drop the transaction's reservations without committing anything
@@ -41,15 +49,53 @@ pub enum WalKind {
     Release,
 }
 
-/// A log record: everything redo needs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommitRecord {
+/// A record's header as stored: 32 bytes, whatever the body's length.
+/// `start` and `len` locate the body in the arena its kind uses (the
+/// write arena for commits, the item arena for reserves; a release has
+/// no body). The transaction id is stored as its two fields because a
+/// nested [`TxnId`] would carry four bytes of padding of its own.
+#[derive(Debug, Clone, Copy)]
+struct Header {
+    seq: u64,
+    start: u64,
+    client: u32,
+    len: u32,
+    kind: WalKind,
+}
+
+/// A log record as redo sees it: a view borrowed from the log.
+pub struct WalRecord<'a> {
     /// The transaction the record belongs to.
     pub txn: TxnId,
-    /// Its writes, with assigned versions ([`WalKind::Commit`] only).
-    pub writes: Vec<WriteOp>,
     /// What redo does with the record.
     pub kind: WalKind,
+    wal: &'a Wal,
+    start: usize,
+    len: usize,
+}
+
+impl<'a> WalRecord<'a> {
+    /// The writes to apply, with assigned versions (empty unless the
+    /// record is a [`WalKind::Commit`]).
+    pub fn writes(&self) -> impl Iterator<Item = &'a WriteOp> {
+        let len = if self.kind == WalKind::Commit {
+            self.len
+        } else {
+            0
+        };
+        self.wal.writes.iter_from(self.start).take(len)
+    }
+
+    /// The items to reserve (empty unless the record is a
+    /// [`WalKind::Reserve`]).
+    pub fn items(&self) -> impl Iterator<Item = &'a ItemId> {
+        let len = if matches!(self.kind, WalKind::Reserve { .. }) {
+            self.len
+        } else {
+            0
+        };
+        self.wal.items.iter_from(self.start).take(len)
+    }
 }
 
 /// When commit records reach the disk.
@@ -62,7 +108,7 @@ pub enum FlushPolicy {
 }
 
 /// WAL counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
     /// Records appended.
     pub appends: u64,
@@ -73,10 +119,13 @@ pub struct WalStats {
 }
 
 /// The write-ahead log. It keeps every record for redo, so it only
-/// grows: the records sit in a [`BlockVec`], which adds a block at a time
-/// instead of copying the whole log at every doubling.
+/// grows; see the module docs for how the records are laid out.
 pub struct Wal {
-    records: BlockVec<CommitRecord>,
+    records: BlockVec<Header>,
+    /// Bodies of the commit records, in LSN order.
+    writes: BlockVec<WriteOp>,
+    /// Bodies of the reserve records, in LSN order.
+    items: BlockVec<ItemId>,
     /// Records below this index are on disk.
     durable: usize,
     /// Records below this index are covered by an in-flight flush.
@@ -90,6 +139,8 @@ impl Wal {
     pub fn new(log_disk: Rc<RefCell<Disk>>) -> Self {
         Wal {
             records: BlockVec::new(),
+            writes: BlockVec::new(),
+            items: BlockVec::new(),
             durable: 0,
             flushing: 0,
             log_disk,
@@ -97,10 +148,37 @@ impl Wal {
         }
     }
 
-    /// Append a commit record (buffered, not yet durable). Returns its LSN.
-    pub fn append(&mut self, record: CommitRecord) -> Lsn {
+    /// Append a commit record for `txn`, copying `writes` into the log
+    /// (buffered, not yet durable). Returns its LSN.
+    pub fn append_commit(&mut self, txn: TxnId, writes: &[WriteOp]) -> Lsn {
+        let start = self.writes.len();
+        self.writes.extend(writes.iter().copied());
+        self.push(txn, WalKind::Commit, start, writes.len())
+    }
+
+    /// Append a record reserving `items` for `txn`, decided by
+    /// `coordinator`. Returns its LSN.
+    pub fn append_reserve(&mut self, txn: TxnId, coordinator: u32, items: &[ItemId]) -> Lsn {
+        let start = self.items.len();
+        self.items.extend(items.iter().copied());
+        self.push(txn, WalKind::Reserve { coordinator }, start, items.len())
+    }
+
+    /// Append a record releasing `txn`'s reservations. Returns its LSN.
+    pub fn append_release(&mut self, txn: TxnId) -> Lsn {
+        self.push(txn, WalKind::Release, 0, 0)
+    }
+
+    fn push(&mut self, txn: TxnId, kind: WalKind, start: usize, len: usize) -> Lsn {
+        assert!(len <= u32::MAX as usize, "log record body too long");
         self.stats.appends += 1;
-        self.records.push(record);
+        self.records.push(Header {
+            seq: txn.seq,
+            start: start as u64,
+            client: txn.client,
+            len: len as u32,
+            kind,
+        });
         (self.records.len() - 1) as Lsn
     }
 
@@ -171,15 +249,40 @@ impl Wal {
         self.durable = self.durable.max(lsn as usize).min(self.records.len());
     }
 
-    /// Redo: the durable commit records in LSN order.
-    pub fn durable_records(&self) -> impl Iterator<Item = &CommitRecord> {
-        self.records.iter().take(self.durable)
+    /// Redo: the durable records in LSN order.
+    pub fn durable_records(&self) -> impl Iterator<Item = WalRecord<'_>> {
+        self.records.iter().take(self.durable).map(|h| WalRecord {
+            txn: TxnId {
+                client: h.client,
+                seq: h.seq,
+            },
+            kind: h.kind,
+            wal: self,
+            start: h.start as usize,
+            len: h.len as usize,
+        })
     }
 
     /// Crash: lose everything that never reached the disk. In-flight
     /// flushes are conservatively treated as failed (their completion
     /// event dies with the crash).
+    ///
+    /// Each arena is cut where the first dropped record of its kind
+    /// starts: bodies are appended in LSN order, so everything from
+    /// there on belongs to dropped records and nothing before does.
     pub fn crash(&mut self) {
+        let first_dropped = |is_kind: fn(WalKind) -> bool| {
+            let mut dropped = self.records.iter_from(self.durable);
+            dropped.find(|h| is_kind(h.kind)).map(|h| h.start as usize)
+        };
+        let writes_end = first_dropped(|k| k == WalKind::Commit);
+        let items_end = first_dropped(|k| matches!(k, WalKind::Reserve { .. }));
+        if let Some(end) = writes_end {
+            self.writes.truncate(end);
+        }
+        if let Some(end) = items_end {
+            self.items.truncate(end);
+        }
         self.records.truncate(self.durable);
         self.flushing = self.durable;
     }
@@ -193,19 +296,22 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::ItemId;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
-    fn rec(seq: u64) -> CommitRecord {
-        CommitRecord {
-            txn: TxnId { client: 0, seq },
-            writes: vec![WriteOp {
+    fn t(seq: u64) -> TxnId {
+        TxnId { client: 0, seq }
+    }
+
+    fn commit(w: &mut Wal, seq: u64) -> Lsn {
+        w.append_commit(
+            t(seq),
+            &[WriteOp {
                 item: ItemId(1),
                 value: seq as i64,
                 version: seq,
             }],
-            kind: WalKind::Commit,
-        }
+        )
     }
 
     fn wal() -> (Wal, StdRng) {
@@ -216,9 +322,14 @@ mod tests {
     }
 
     #[test]
+    fn a_record_header_is_32_bytes() {
+        assert!(std::mem::size_of::<Header>() <= 32);
+    }
+
+    #[test]
     fn append_then_flush_then_durable() {
         let (mut w, mut rng) = wal();
-        let lsn = w.append(rec(1));
+        let lsn = commit(&mut w, 1);
         assert_eq!(lsn, 0);
         assert!(!w.is_durable(lsn));
         let (done, covered) = w.flush(SimTime::ZERO, &mut rng).expect("flush starts");
@@ -233,7 +344,7 @@ mod tests {
     fn group_commit_batches_pending_records() {
         let (mut w, mut rng) = wal();
         for i in 0..5 {
-            w.append(rec(i));
+            commit(&mut w, i);
         }
         let (_, covered) = w.flush(SimTime::ZERO, &mut rng).expect("flush starts");
         assert_eq!(covered, 5);
@@ -246,32 +357,165 @@ mod tests {
     #[test]
     fn crash_drops_unflushed_tail() {
         let (mut w, mut rng) = wal();
-        w.append(rec(1));
+        commit(&mut w, 1);
         let (_, covered) = w.flush(SimTime::ZERO, &mut rng).expect("flush");
         w.mark_durable(covered);
-        w.append(rec(2));
-        w.append(rec(3));
+        commit(&mut w, 2);
+        commit(&mut w, 3);
         // Start a flush but crash before completion: records 2, 3 are gone.
         let _ = w.flush(SimTime::from_millis(1), &mut rng);
         w.crash();
         assert_eq!(w.durable_records().count(), 1);
         assert_eq!(w.end_lsn(), 1);
+        assert_eq!(w.writes.len(), 1, "the dropped bodies went with them");
         // New appends continue after the truncation point.
-        let lsn = w.append(rec(4));
+        let lsn = commit(&mut w, 4);
         assert_eq!(lsn, 1);
     }
 
     #[test]
     fn concurrent_flushes_cover_disjoint_ranges() {
         let (mut w, mut rng) = wal();
-        w.append(rec(1));
+        commit(&mut w, 1);
         let (_, c1) = w.flush(SimTime::ZERO, &mut rng).expect("first");
-        w.append(rec(2));
+        commit(&mut w, 2);
         let (_, c2) = w.flush(SimTime::ZERO, &mut rng).expect("second");
         assert_eq!((c1, c2), (1, 2));
         w.mark_durable(c2);
         // Out-of-order completion of the first flush must not regress.
         w.mark_durable(c1);
         assert_eq!(w.durable_lsn(), 2);
+    }
+
+    /// The log this one replaces: a vector of records that own their
+    /// bodies.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct OwnedRecord {
+        txn: TxnId,
+        kind: WalKind,
+        writes: Vec<WriteOp>,
+        items: Vec<ItemId>,
+    }
+
+    #[derive(Default)]
+    struct VecWal {
+        records: Vec<OwnedRecord>,
+        durable: usize,
+        flushing: usize,
+        stats: WalStats,
+    }
+
+    impl VecWal {
+        fn append(&mut self, record: OwnedRecord) -> Lsn {
+            self.stats.appends += 1;
+            self.records.push(record);
+            (self.records.len() - 1) as Lsn
+        }
+
+        fn flush(&mut self) -> Option<Lsn> {
+            let end = self.records.len();
+            if end <= self.flushing {
+                return None;
+            }
+            self.stats.flushes += 1;
+            self.stats.flushed_records += (end - self.flushing) as u64;
+            self.flushing = end;
+            Some(end as Lsn)
+        }
+
+        fn mark_durable(&mut self, lsn: Lsn) {
+            self.durable = self.durable.max(lsn as usize).min(self.records.len());
+        }
+
+        fn crash(&mut self) {
+            self.records.truncate(self.durable);
+            self.flushing = self.durable;
+        }
+    }
+
+    proptest! {
+        /// Any sequence of appends of the three kinds, flushes of both
+        /// sorts, completions and crashes leaves the LSNs, the counters
+        /// and the redo stream of the vector of owned records.
+        #[test]
+        fn behaves_like_a_vec_of_owned_records(
+            ops in proptest::collection::vec((0u8..8, 0u64..6, 0usize..700), 1..60),
+        ) {
+            let (mut wal, mut rng) = wal();
+            let mut model = VecWal::default();
+            let mut covered: Vec<Lsn> = Vec::new();
+            for (i, (op, n, len)) in ops.into_iter().enumerate() {
+                let txn = TxnId { client: n as u32, seq: i as u64 };
+                match op {
+                    0 | 1 => {
+                        // Bodies from empty to longer than one arena block.
+                        let writes: Vec<WriteOp> = (0..len)
+                            .map(|k| WriteOp {
+                                item: ItemId(k as u32),
+                                value: i as i64,
+                                version: n,
+                            })
+                            .collect();
+                        let lsn = wal.append_commit(txn, &writes);
+                        let kind = WalKind::Commit;
+                        let items = Vec::new();
+                        prop_assert_eq!(lsn, model.append(OwnedRecord { txn, kind, writes, items }));
+                    }
+                    2 => {
+                        let items: Vec<ItemId> = (0..len % 5).map(|k| ItemId((i + k) as u32)).collect();
+                        let lsn = wal.append_reserve(txn, n as u32, &items);
+                        let kind = WalKind::Reserve { coordinator: n as u32 };
+                        let writes = Vec::new();
+                        prop_assert_eq!(lsn, model.append(OwnedRecord { txn, kind, writes, items }));
+                    }
+                    3 => {
+                        let lsn = wal.append_release(txn);
+                        let kind = WalKind::Release;
+                        let (writes, items) = (Vec::new(), Vec::new());
+                        prop_assert_eq!(lsn, model.append(OwnedRecord { txn, kind, writes, items }));
+                    }
+                    4 | 5 => {
+                        let started = if op == 4 {
+                            wal.flush(SimTime::ZERO, &mut rng)
+                        } else {
+                            wal.flush_unbatched(SimTime::ZERO, &mut rng)
+                        };
+                        let lsn = started.map(|(_, lsn)| lsn);
+                        prop_assert_eq!(lsn, model.flush());
+                        covered.extend(lsn);
+                    }
+                    6 => {
+                        // Complete a started flush, in any order, or one
+                        // that a crash has since overtaken.
+                        if !covered.is_empty() {
+                            let lsn = covered.swap_remove(len % covered.len());
+                            wal.mark_durable(lsn);
+                            model.mark_durable(lsn);
+                        }
+                    }
+                    _ => {
+                        wal.crash();
+                        model.crash();
+                    }
+                }
+                prop_assert_eq!(wal.end_lsn(), model.records.len() as Lsn);
+                prop_assert_eq!(wal.durable_lsn(), model.durable as Lsn);
+                prop_assert_eq!(wal.stats(), model.stats);
+                let redo: Vec<OwnedRecord> = wal
+                    .durable_records()
+                    .map(|r| OwnedRecord {
+                        txn: r.txn,
+                        kind: r.kind,
+                        writes: r.writes().copied().collect(),
+                        items: r.items().copied().collect(),
+                    })
+                    .collect();
+                prop_assert_eq!(&redo[..], &model.records[..model.durable]);
+            }
+            // The arenas hold the surviving bodies and nothing else.
+            let bodies = |f: fn(&OwnedRecord) -> usize| model.records.iter().map(f).sum::<usize>();
+            prop_assert_eq!(wal.writes.len(), bodies(|r| r.writes.len()));
+            prop_assert_eq!(wal.items.len(), bodies(|r| r.items.len()));
+        }
     }
 }

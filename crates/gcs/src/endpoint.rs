@@ -48,6 +48,7 @@ use groupsafe_net::{Network, NodeId};
 use groupsafe_sim::{Ctx, Disk, ObsEvent, SimTime};
 
 use crate::config::{DeliveryGuarantee, GcsConfig, GcsModel};
+use crate::idtable::IdTable;
 use crate::message::{Entry, GcsTimer, MsgId, Wire};
 use crate::output::GcsOutput;
 use crate::seqlog::{Quorum, SeqLog, Slot, MAX_GROUP_SIZE};
@@ -205,7 +206,7 @@ pub struct GcsEndpoint<P, S> {
     /// Ids already ordered and the sequence number each was assigned
     /// (sequencer dedup; the seq lets a resent forward be answered with
     /// a retransmission of the original assignment).
-    ordered_ids: BTreeMap<MsgId, u64>,
+    ordered_ids: IdTable,
     /// Per sequence number: the ordered entry received, the stability
     /// votes for it, and the persisted / emitted / frame-span marks.
     log: SeqLog<P>,
@@ -318,7 +319,7 @@ where
             next_counter: 0,
             pending: BTreeMap::new(),
             seq_assign: None,
-            ordered_ids: BTreeMap::new(),
+            ordered_ids: IdTable::default(),
             log: SeqLog::new(),
             next_deliver: 1,
             stable_floor: 0,
@@ -784,7 +785,7 @@ where
         let Some(next) = self.seq_assign else {
             return; // not the sequencer (stale forward); sender will resend
         };
-        if let Some(&seq) = self.ordered_ids.get(&id) {
+        if let Some(seq) = self.ordered_ids.get(id) {
             // Duplicate (resend after a view change or a retry timer). A
             // resend means the broadcaster has not seen its message
             // ordered: the original Ordered multicast may have been lost
@@ -924,7 +925,7 @@ where
         }
         let first = self.batch_acc.first().map(|e| e.seq);
         for e in self.batch_acc.drain(..) {
-            self.ordered_ids.remove(&e.id);
+            self.ordered_ids.remove(e.id);
         }
         self.batch_acc_bytes = 0;
         self.batch_timer_armed = false;
@@ -954,7 +955,7 @@ where
                 return false;
             }
             if old.id != entry.id {
-                self.ordered_ids.remove(&old.id);
+                self.ordered_ids.remove(old.id);
             }
             slot.discard_incarnation();
             self.stable.remove(&entry.seq);

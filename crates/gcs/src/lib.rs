@@ -29,6 +29,7 @@
 pub mod config;
 pub mod endpoint;
 pub mod harness;
+mod idtable;
 pub mod message;
 pub mod output;
 pub mod process;

@@ -102,7 +102,7 @@ impl<T> BlockVec<T> {
 
     /// The elements in order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.blocks.iter().flatten()
+        self.into_iter()
     }
 
     /// As [`BlockVec::iter`], mutable.
@@ -141,6 +141,15 @@ impl<T> IntoIterator for BlockVec<T> {
 
     fn into_iter(self) -> Self::IntoIter {
         self.blocks.into_iter().flatten()
+    }
+}
+
+impl<'a, T> IntoIterator for &'a BlockVec<T> {
+    type Item = &'a T;
+    type IntoIter = std::iter::Flatten<std::slice::Iter<'a, Vec<T>>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.blocks.iter().flatten()
     }
 }
 
@@ -210,6 +219,7 @@ mod tests {
                 prop_assert!(v.blocks.iter().all(|b| !b.is_empty()));
             }
             prop_assert!(v.iter().eq(&model));
+            prop_assert!((&v).into_iter().eq(&model));
             prop_assert!(v.iter_from(from).eq(model.get(from..).unwrap_or(&[])));
             prop_assert_eq!(v.get(from), model.get(from));
             prop_assert_eq!(v.into_iter().collect::<Vec<_>>(), model);

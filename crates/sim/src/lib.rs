@@ -10,7 +10,8 @@
 //!   process model ([`Engine`], [`Actor`], [`Ctx`]),
 //! * analytic FCFS queueing resources for CPUs ([`Fcfs`]) and disks
 //!   ([`Disk`], Table 4 parameters),
-//! * block-wise storage for logs that only grow ([`BlockVec`]),
+//! * block-wise storage for logs that only grow ([`BlockVec`]) and paged
+//!   storage for tables indexed by a dense id ([`WordPages`]),
 //! * metrics ([`Metrics`], [`Histogram`]) and deterministic structured
 //!   observability ([`ObsEvent`], [`Obs`], [`obs`]): typed pipeline
 //!   events, a bounded flight recorder, and byte-stable exporters.
@@ -29,6 +30,7 @@ pub mod metrics;
 pub mod obs;
 pub mod resource;
 pub mod time;
+pub mod wordpages;
 
 pub use blockvec::BlockVec;
 pub use disk::{Disk, DiskConfig, DiskStats};
@@ -40,6 +42,7 @@ pub use obs::{
 };
 pub use resource::Fcfs;
 pub use time::{SimDuration, SimTime};
+pub use wordpages::WordPages;
 
 /// Downcast a [`Payload`] into one of several event types.
 ///

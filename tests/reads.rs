@@ -384,8 +384,8 @@ fn oracle_flags_a_stable_read_of_a_lost_value() {
     oracle.record_commit(
         lost_txn,
         NodeId(0),
-        vec![],
-        vec![WriteOp {
+        &[],
+        &[WriteOp {
             item: ItemId(4),
             value: 5,
             version: 6,
