@@ -1504,7 +1504,7 @@ impl Run {
                 }
             }
             let mut lag_sum = 0.0f64;
-            for r in &oracle.reads {
+            for r in oracle.reads.iter() {
                 let lag = r.applied_seq.saturating_sub(r.snapshot_seq) as f64;
                 lag_sum += lag;
                 if let Some(slot) = per_group.get_mut(r.group as usize) {
@@ -1563,12 +1563,12 @@ impl Run {
             let mut window_acks = 0usize;
             {
                 let oracle = system.oracle.borrow();
-                for (txn, ack) in &oracle.acked {
+                for (txn, ack) in oracle.acked.iter() {
                     if ack.at < measure_start {
                         continue;
                     }
                     window_acks += 1;
-                    let g = if let Some(xg) = oracle.xg.get(txn) {
+                    let g = if let Some(xg) = oracle.xg.get(&txn) {
                         cross += 1;
                         xg.coordinator_group
                     } else if let Some(c) = oracle.commits.get(txn) {

@@ -8,7 +8,6 @@
 //! failover rotates through that group's members.
 
 use std::cell::RefCell;
-use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
@@ -144,7 +143,6 @@ pub struct Client {
     gen: OpGenerator,
     next_seq: u64,
     outstanding: std::collections::BTreeMap<TxnId, Outstanding>,
-    done: BTreeSet<TxnId>,
     /// Per-group session tokens: the highest commit/read sequence number
     /// this session has observed in each group (read-your-writes +
     /// monotonic reads on the local read path).
@@ -178,15 +176,9 @@ impl Client {
             gen,
             next_seq: 0,
             outstanding: std::collections::BTreeMap::new(),
-            done: BTreeSet::new(),
             tokens: std::collections::BTreeMap::new(),
             stopped: false,
         }
-    }
-
-    /// Transactions completed (committed acks received).
-    pub fn completed(&self) -> usize {
-        self.done.len()
     }
 
     fn exp_sample(&mut self, mean: SimDuration) -> SimDuration {
@@ -374,7 +366,6 @@ impl Client {
                     // snapshot travels on these paths).
                     oracle.record_read_ack(ReadAckRecord {
                         txn,
-                        client: self.cfg.id,
                         group,
                         level: None,
                         snapshot_seq: commit_seq,
@@ -387,7 +378,6 @@ impl Client {
                 // reads at the session level will observe this write.
                 self.advance_token(group, commit_seq);
                 self.outstanding.remove(&txn);
-                self.done.insert(txn);
                 if matches!(self.cfg.load, LoadModel::Closed { .. }) {
                     self.schedule_next_arrival(ctx);
                 }
@@ -470,7 +460,6 @@ impl Client {
                 oracle.record_ack(txn, now, resp_ms);
                 oracle.record_read_ack(ReadAckRecord {
                     txn,
-                    client: self.cfg.id,
                     group,
                     level: Some(level),
                     snapshot_seq,
@@ -480,7 +469,6 @@ impl Client {
                 drop(oracle);
                 self.advance_token(group, snapshot_seq);
                 self.outstanding.remove(&txn);
-                self.done.insert(txn);
                 if matches!(self.cfg.load, LoadModel::Closed { .. }) {
                     self.schedule_next_arrival(ctx);
                 }

@@ -441,7 +441,7 @@ pub fn audit_reads(
     let mut lost_writes: std::collections::BTreeMap<(ItemId, Version), TxnId> =
         std::collections::BTreeMap::new();
     for lt in lost {
-        if let Some(c) = oracle.commits.get(&lt.txn) {
+        if let Some(c) = oracle.commits.get(lt.txn) {
             for w in &c.writes {
                 lost_writes.insert((w.item, w.version), lt.txn);
             }
@@ -449,7 +449,7 @@ pub fn audit_reads(
     }
 
     // Server-side records: per-read invariants at serve time.
-    for r in &oracle.reads {
+    for r in oracle.reads.iter() {
         if r.level == ReadLevel::Session && r.snapshot_seq < r.token {
             violations.push(ReadViolation::StaleSessionRead {
                 txn: r.txn,
@@ -466,7 +466,7 @@ pub fn audit_reads(
                 stable_seq: r.stable_seq,
             });
         }
-        for &(item, version) in &r.items {
+        for (item, version) in r.items() {
             if version > r.snapshot_seq {
                 violations.push(ReadViolation::ValueAboveSnapshot {
                     txn: r.txn,
@@ -496,11 +496,11 @@ pub fn audit_reads(
         if a.level != Some(ReadLevel::Session) {
             continue;
         }
-        let key = (a.client, a.group);
+        let key = (a.txn.client, a.group);
         let prev = seen.entry(key).or_insert(0);
         if a.snapshot_seq < *prev {
             violations.push(ReadViolation::SessionRegression {
-                client: a.client,
+                client: a.txn.client,
                 group: a.group,
                 txn: a.txn,
                 prev_seq: *prev,
@@ -527,7 +527,6 @@ mod tests {
     fn rec(level: ReadLevel, token: u64, snapshot: u64, stable: u64) -> ReadRecord {
         ReadRecord {
             txn: t(snapshot + 100),
-            client: 7,
             group: 0,
             level,
             token,
@@ -535,23 +534,29 @@ mod tests {
             stable_seq: stable,
             applied_seq: snapshot.max(stable),
             at: SimTime::ZERO,
-            items: vec![(ItemId(1), snapshot.min(stable))],
         }
+    }
+
+    /// Record a read that observed item 1 at the older of its snapshot
+    /// and watermark (a clean observation).
+    fn push(o: &mut Oracle, r: ReadRecord) {
+        let observed = (ItemId(1), r.snapshot_seq.min(r.stable_seq));
+        o.reads.push(r, [observed]);
     }
 
     #[test]
     fn clean_reads_audit_clean() {
         let mut o = Oracle::default();
-        o.reads.push(rec(ReadLevel::Session, 3, 5, 5));
-        o.reads.push(rec(ReadLevel::Stable, 0, 4, 4));
-        o.reads.push(rec(ReadLevel::Latest, 0, 9, 4));
+        push(&mut o, rec(ReadLevel::Session, 3, 5, 5));
+        push(&mut o, rec(ReadLevel::Stable, 0, 4, 4));
+        push(&mut o, rec(ReadLevel::Latest, 0, 9, 4));
         assert!(audit_reads(&o, &[], &|_| false).is_empty());
     }
 
     #[test]
     fn stale_session_read_is_flagged() {
         let mut o = Oracle::default();
-        o.reads.push(rec(ReadLevel::Session, 9, 5, 5));
+        push(&mut o, rec(ReadLevel::Session, 9, 5, 5));
         let v = audit_reads(&o, &[], &|_| false);
         assert!(
             matches!(
@@ -565,7 +570,7 @@ mod tests {
     #[test]
     fn read_above_watermark_is_flagged() {
         let mut o = Oracle::default();
-        o.reads.push(rec(ReadLevel::Stable, 0, 8, 5));
+        push(&mut o, rec(ReadLevel::Stable, 0, 8, 5));
         let v = audit_reads(&o, &[], &|_| false);
         assert!(
             v.iter()
@@ -577,9 +582,8 @@ mod tests {
     #[test]
     fn value_beyond_snapshot_is_flagged() {
         let mut o = Oracle::default();
-        let mut r = rec(ReadLevel::Latest, 0, 5, 5);
-        r.items = vec![(ItemId(2), 12)];
-        o.reads.push(r);
+        o.reads
+            .push(rec(ReadLevel::Latest, 0, 5, 5), [(ItemId(2), 12)]);
         let v = audit_reads(&o, &[], &|_| false);
         assert!(
             matches!(
@@ -595,7 +599,6 @@ mod tests {
         let mut o = Oracle::default();
         let ack = |seq: u64, txn: u64| ReadAckRecord {
             txn: t(txn),
-            client: 3,
             group: 1,
             level: Some(ReadLevel::Session),
             snapshot_seq: seq,

@@ -1292,7 +1292,7 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
             .oracle
             .borrow()
             .commits
-            .get(&lt.txn)
+            .get(lt.txn)
             .map(|c| c.delegate)
         else {
             continue; // no commit record: check_no_loss never reports these
@@ -1324,7 +1324,7 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
             SafetyLevel::OneSafe => {
                 delegate_crashed
                     && (plan.has_kill_sequencer() || {
-                        let ack_at = system.oracle.borrow().acked.get(&lt.txn).map(|a| a.at);
+                        let ack_at = system.oracle.borrow().acked.get(lt.txn).map(|a| a.at);
                         ack_at.is_some_and(|at| {
                             plan.crash_strikes(delegate.0)
                                 .iter()
@@ -1373,7 +1373,7 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
     if sharded {
         let oracle = system.oracle.borrow();
         for (txn, xg) in &oracle.xg {
-            if !oracle.acked.contains_key(txn) {
+            if !oracle.acked.contains(*txn) {
                 continue;
             }
             cross_group_audited += 1;

@@ -934,11 +934,9 @@ impl ReplicaServer {
         };
         let mut cursor = now;
         let mut values = Vec::with_capacity(req.items.len());
-        let mut observed = Vec::with_capacity(req.items.len());
         for &item in &req.items {
             let r = self.db.read_versioned(cursor, item, limit);
             values.push((item, r.value, r.version));
-            observed.push((item, r.version));
             cursor = r.done;
         }
         ctx.metrics().incr("reads_served");
@@ -949,18 +947,19 @@ impl ReplicaServer {
                 redirected,
             });
         }
-        self.oracle.borrow_mut().record_read(ReadRecord {
-            txn: req.id,
-            client: req.id.client,
-            group: self.group,
-            level: req.level,
-            token: req.token,
-            snapshot_seq: snapshot,
-            stable_seq: stable,
-            applied_seq: applied,
-            at: now,
-            items: observed,
-        });
+        self.oracle.borrow_mut().record_read(
+            ReadRecord {
+                txn: req.id,
+                group: self.group,
+                level: req.level,
+                token: req.token,
+                snapshot_seq: snapshot,
+                stable_seq: stable,
+                applied_seq: applied,
+                at: now,
+            },
+            &values,
+        );
         let reply = ReadReply::Served {
             txn: req.id,
             attempt: req.attempt,

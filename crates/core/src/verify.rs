@@ -3,10 +3,33 @@
 //! decide whether any *acknowledged* transaction was lost, whether the
 //! replicas converged, and whether lazy replication produced lost
 //! updates (§7).
+//!
+//! # Evidence layout
+//!
+//! The oracle keeps its evidence for the whole run, so its layout is the
+//! run's memory. Every table is either keyed by a [`TxnId`] — a client
+//! plus that client's own counter, dense by construction — or appended
+//! once in arrival order, and is stored by position accordingly:
+//!
+//! * [`Oracle::acked`] and [`Oracle::commits`] are [`TxnTable`]s: the
+//!   values in insertion order, found through a paged index addressed
+//!   by `(client, seq)`. The first insert wins, which is what every
+//!   replica reporting the same commit needs (one index probe each).
+//! * [`Oracle::reads`] is a [`ReadLog`]: a fixed-size [`ReadRecord`]
+//!   per served read, and the `(item, version)` pairs each read observed
+//!   back to back in two lockstep arenas (items, versions). Iterating
+//!   it yields [`ReadView`]s — the record plus an `items()` walk over
+//!   its slice of the arenas.
+//! * [`Oracle::read_acks`] and [`Oracle::si_txns`] are [`BlockVec`]s of
+//!   records, in client-accept and delivery order.
+//!
+//! [`check_lost_updates`] reads the commit table once and keeps only its
+//! candidates: writes whose item the same transaction read.
 
 use std::collections::BTreeMap;
+use std::ops::Deref;
 
-use groupsafe_db::{DbEngine, ItemId, TxnId, Version, WriteOp};
+use groupsafe_db::{DbEngine, ItemId, TxnId, TxnTable, Value, Version, WriteOp};
 use groupsafe_net::NodeId;
 use groupsafe_sim::{BlockVec, SimTime};
 
@@ -33,13 +56,13 @@ pub struct AckRecord {
 }
 
 /// A locally served read, as recorded by the replica that served it
-/// (the read-freshness oracle's server-side evidence).
-#[derive(Debug, Clone)]
+/// (the read-freshness oracle's server-side evidence). The session is
+/// `txn.client`; the items the read observed are kept beside the record
+/// in the [`ReadLog`] (see [`ReadView::items`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadRecord {
     /// The read transaction.
     pub txn: TxnId,
-    /// The issuing session (numeric client id).
-    pub client: u32,
     /// The serving replica's group.
     pub group: u32,
     /// Freshness level requested.
@@ -54,19 +77,104 @@ pub struct ReadRecord {
     pub applied_seq: u64,
     /// Serve instant.
     pub at: SimTime,
-    /// Items observed, with the committed versions returned.
-    pub items: Vec<(ItemId, Version)>,
+}
+
+/// The served reads in serve order: one [`ReadRecord`] each, and the
+/// `(item, version)` pairs each observed, back to back in two arenas
+/// that grow in lockstep — an item costs 12 bytes and a read no
+/// allocation of its own. Grow-only over a run, like every log here.
+#[derive(Debug, Default)]
+pub struct ReadLog {
+    records: BlockVec<ReadRecord>,
+    /// Arena length after each record's items (lockstep with `records`).
+    ends: BlockVec<u32>,
+    items: BlockVec<ItemId>,
+    versions: BlockVec<Version>,
+}
+
+impl ReadLog {
+    /// Append a read and the `(item, version)` pairs it observed.
+    pub fn push(
+        &mut self,
+        record: ReadRecord,
+        observed: impl IntoIterator<Item = (ItemId, Version)>,
+    ) {
+        for (item, version) in observed {
+            self.items.push(item);
+            self.versions.push(version);
+        }
+        assert!(
+            self.items.len() <= u32::MAX as usize,
+            "read evidence arena full"
+        );
+        self.ends.push(self.items.len() as u32);
+        self.records.push(record);
+    }
+
+    /// Number of reads.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// True when no read was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The reads in serve order.
+    pub fn iter(&self) -> impl Iterator<Item = ReadView<'_>> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        let spans = starts.zip(self.ends.iter().copied());
+        self.records
+            .iter()
+            .zip(spans)
+            .map(move |(record, (start, end))| ReadView {
+                record,
+                log: self,
+                start: start as usize,
+                end: end as usize,
+            })
+    }
+}
+
+/// One served read as the audit sees it: the [`ReadRecord`] (through
+/// `Deref`) plus the items it observed, borrowed from the log.
+#[derive(Clone, Copy)]
+pub struct ReadView<'a> {
+    record: &'a ReadRecord,
+    log: &'a ReadLog,
+    start: usize,
+    end: usize,
+}
+
+impl<'a> ReadView<'a> {
+    /// The items observed, with the committed versions returned.
+    pub fn items(&self) -> impl Iterator<Item = (ItemId, Version)> + 'a {
+        let log = self.log;
+        log.items
+            .iter_from(self.start)
+            .zip(log.versions.iter_from(self.start))
+            .take(self.end.saturating_sub(self.start))
+            .map(|(&item, &version)| (item, version))
+    }
+}
+
+impl Deref for ReadView<'_> {
+    type Target = ReadRecord;
+
+    fn deref(&self) -> &ReadRecord {
+        self.record
+    }
 }
 
 /// A read-only transaction's acknowledgement as accepted by the client
-/// (the read-freshness oracle's session-order evidence; `level` is
-/// `None` for reads that rode the classic or broadcast pipeline).
-#[derive(Debug, Clone)]
+/// (the read-freshness oracle's session-order evidence; the session is
+/// `txn.client`, and `level` is `None` for reads that rode the classic
+/// or broadcast pipeline).
+#[derive(Debug, Clone, Copy)]
 pub struct ReadAckRecord {
     /// The read transaction.
     pub txn: TxnId,
-    /// The accepting session (numeric client id).
-    pub client: u32,
     /// The group the read was served from.
     pub group: u32,
     /// Freshness level (None = classic/broadcast pipeline).
@@ -113,13 +221,15 @@ pub struct XgRecord {
     pub coordinator_group: u32,
 }
 
-/// Shared run oracle.
+/// Shared run oracle. See the module docs for how the evidence is laid
+/// out.
 #[derive(Debug, Default)]
 pub struct Oracle {
-    /// Client-visible commit acknowledgements.
-    pub acked: BTreeMap<TxnId, AckRecord>,
-    /// Server-side commit records (first commit per transaction).
-    pub commits: BTreeMap<TxnId, CommitRecord>,
+    /// Client-visible commit acknowledgements (first per transaction).
+    pub acked: TxnTable<AckRecord>,
+    /// Server-side commit records (first commit per transaction; the
+    /// slices of a cross-group commit merged in).
+    pub commits: TxnTable<CommitRecord>,
     /// Cross-group commits and the groups they touched (the atomicity
     /// oracle audits all-or-nothing over these).
     pub xg: BTreeMap<TxnId, XgRecord>,
@@ -130,9 +240,7 @@ pub struct Oracle {
     /// Client-side timeouts (requests that got no reply in time).
     pub timeouts: u64,
     /// Locally served reads, in serve order (read-freshness oracle).
-    /// Grow-only over a run, like `read_acks`: a [`BlockVec`] adds a
-    /// block at a time where a `Vec` would copy itself at every doubling.
-    pub reads: BlockVec<ReadRecord>,
+    pub reads: ReadLog,
     /// Read-only transaction acknowledgements, in client-accept order.
     pub read_acks: BlockVec<ReadAckRecord>,
     /// Session reads a lagging replica answered with a redirect, per
@@ -140,7 +248,7 @@ pub struct Oracle {
     pub read_redirects_by_group: BTreeMap<u32, u64>,
     /// Snapshot-isolation certification outcomes, in delegate delivery
     /// order (SI anomaly audits + per-group accounting).
-    pub si_txns: Vec<SiRecord>,
+    pub si_txns: BlockVec<SiRecord>,
 }
 
 impl Oracle {
@@ -153,7 +261,7 @@ impl Oracle {
         readset: &[(ItemId, Version)],
         writes: &[WriteOp],
     ) {
-        self.commits.entry(txn).or_insert_with(|| CommitRecord {
+        self.commits.insert_with(txn, || CommitRecord {
             delegate,
             readset: readset.to_vec(),
             writes: writes.to_vec(),
@@ -169,11 +277,14 @@ impl Oracle {
     /// versions as written by nobody). Replicas of one group report
     /// identical (item, version) pairs; the dedup keeps one of each.
     pub fn record_commit_slice(&mut self, txn: TxnId, coordinator: NodeId, writes: &[WriteOp]) {
-        let rec = self.commits.entry(txn).or_insert_with(|| CommitRecord {
+        self.commits.insert_with(txn, || CommitRecord {
             delegate: coordinator,
             readset: Vec::new(),
             writes: Vec::new(),
         });
+        let Some(rec) = self.commits.get_mut(txn) else {
+            return;
+        };
         for &w in writes {
             if !rec
                 .writes
@@ -193,9 +304,12 @@ impl Oracle {
         });
     }
 
-    /// Record a locally served read (server side, at serve time).
-    pub fn record_read(&mut self, rec: ReadRecord) {
-        self.reads.push(rec);
+    /// Record a locally served read (server side, at serve time) with
+    /// the values its reply carries; the items and versions are copied
+    /// into the read log.
+    pub fn record_read(&mut self, rec: ReadRecord, values: &[(ItemId, Value, Version)]) {
+        let observed = values.iter().map(|&(item, _, version)| (item, version));
+        self.reads.push(rec, observed);
     }
 
     /// Record a read-only transaction's acknowledgement (client side, in
@@ -224,8 +338,7 @@ impl Oracle {
     pub fn record_ack(&mut self, txn: TxnId, at: SimTime, response_ms: f64) {
         self.commit_acks += 1;
         self.acked
-            .entry(txn)
-            .or_insert(AckRecord { at, response_ms });
+            .insert_with(txn, || AckRecord { at, response_ms });
     }
 
     /// Abort rate over all answered attempts.
@@ -257,14 +370,14 @@ pub struct LostTransaction {
 pub fn check_no_loss(oracle: &Oracle, replicas: &[(&DbEngine, bool)]) -> Vec<LostTransaction> {
     let mut lost = Vec::new();
     for txn in oracle.acked.keys() {
-        if !oracle.commits.contains_key(txn) {
+        if !oracle.commits.contains(txn) {
             continue; // read-only: nothing durable was promised
         }
         let present = replicas
             .iter()
-            .any(|(db, live)| *live && db.is_committed(*txn));
+            .any(|(db, live)| *live && db.is_committed(txn));
         if !present {
-            lost.push(LostTransaction { txn: *txn });
+            lost.push(LostTransaction { txn });
         }
     }
     lost
@@ -298,36 +411,58 @@ pub struct LostUpdate {
 }
 
 /// Detect lost updates among acknowledged commits.
+///
+/// Only a write whose item the same transaction read (the first readset
+/// entry for it) can take part, so those are the candidates. Sorted by
+/// item, version read and transaction, the candidates of one
+/// `(item, version read)` form a run, and every pair of a run is a lost
+/// update: the pairs come out by item, then version read, then `a`
+/// before `b` in id order. Blind writes produce no candidate at all.
+/// The audit runs when every log is at its largest, so the candidates
+/// are counted first and stored in a vector of exactly that size.
 pub fn check_lost_updates(oracle: &Oracle) -> Vec<LostUpdate> {
-    // Index: item -> [(txn, version read, version written)].
-    let mut by_item: BTreeMap<ItemId, Vec<(TxnId, Option<Version>, Version)>> = BTreeMap::new();
-    for (txn, rec) in &oracle.commits {
-        if !oracle.acked.contains_key(txn) {
-            continue;
-        }
-        for w in &rec.writes {
-            let read_v = rec
-                .readset
-                .iter()
-                .find(|(i, _)| *i == w.item)
-                .map(|(_, v)| *v);
-            by_item
-                .entry(w.item)
-                .or_default()
-                .push((*txn, read_v, w.version));
-        }
+    /// The derived order is the sort order: item, version read, then
+    /// the transaction (`client`, `seq`). 24 bytes.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    struct Candidate {
+        item: ItemId,
+        read: Version,
+        client: u32,
+        seq: u64,
     }
+    let candidates = || {
+        oracle
+            .commits
+            .iter()
+            .filter(|&(txn, _)| oracle.acked.contains(txn))
+            .flat_map(|(txn, rec)| {
+                rec.writes.iter().filter_map(move |w| {
+                    let &(_, read) = rec.readset.iter().find(|(i, _)| *i == w.item)?;
+                    Some(Candidate {
+                        item: w.item,
+                        read,
+                        client: txn.client,
+                        seq: txn.seq,
+                    })
+                })
+            })
+    };
+    let mut sorted = Vec::with_capacity(candidates().count());
+    sorted.extend(candidates());
+    sorted.sort_unstable();
+    let txn = |c: &Candidate| TxnId {
+        client: c.client,
+        seq: c.seq,
+    };
     let mut out = Vec::new();
-    for (item, entries) in by_item {
-        for i in 0..entries.len() {
-            for j in i + 1..entries.len() {
-                let (ta, ra, _) = entries[i];
-                let (tb, rb, _) = entries[j];
-                if let (Some(ra), Some(rb)) = (ra, rb) {
-                    if ra == rb {
-                        out.push(LostUpdate { a: ta, b: tb, item });
-                    }
-                }
+    for run in sorted.chunk_by(|x, y| (x.item, x.read) == (y.item, y.read)) {
+        for (i, a) in run.iter().enumerate() {
+            for b in run.iter().skip(i + 1) {
+                out.push(LostUpdate {
+                    a: txn(a),
+                    b: txn(b),
+                    item: a.item,
+                });
             }
         }
     }
@@ -336,6 +471,8 @@ pub fn check_lost_updates(oracle: &Oracle) -> Vec<LostUpdate> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn t(seq: u64) -> TxnId {
@@ -367,6 +504,8 @@ mod tests {
         o.record_ack(t(1), SimTime::from_millis(5), 12.0);
         assert_eq!(o.acked.len(), 1);
         assert_eq!(o.commit_acks, 2);
+        let first = o.acked.get(t(1)).map(|a| (a.at, a.response_ms));
+        assert_eq!(first, Some((SimTime::ZERO, 10.0)), "the first ack wins");
     }
 
     #[test]
@@ -390,11 +529,198 @@ mod tests {
     }
 
     #[test]
+    fn three_readers_of_one_version_make_three_pairs() {
+        let mut o = Oracle::default();
+        for seq in [3, 1, 2] {
+            o.record_commit(t(seq), NodeId(0), &[(ItemId(7), 5)], &[w(7, 10 + seq)]);
+            o.record_ack(t(seq), SimTime::ZERO, 1.0);
+        }
+        // A blind write of the same item takes part in nothing.
+        o.record_commit(t(4), NodeId(0), &[], &[w(7, 20)]);
+        o.record_ack(t(4), SimTime::ZERO, 1.0);
+        let pairs: Vec<_> = check_lost_updates(&o)
+            .into_iter()
+            .map(|p| (p.a.seq, p.b.seq))
+            .collect();
+        assert_eq!(pairs, vec![(1, 2), (1, 3), (2, 3)]);
+    }
+
+    #[test]
     fn unacked_commits_do_not_count_as_lost_updates() {
         let mut o = Oracle::default();
         o.record_commit(t(1), NodeId(0), &[(ItemId(7), 0)], &[w(7, 100)]);
         o.record_commit(t(2), NodeId(1), &[(ItemId(7), 0)], &[w(7, 101)]);
         // Neither acked.
         assert!(check_lost_updates(&o).is_empty());
+    }
+
+    #[test]
+    fn cross_group_slices_merge_into_one_record() {
+        let mut o = Oracle::default();
+        // Two replicas of group 0 and one of group 1 report their slices.
+        o.record_commit_slice(t(4), NodeId(2), &[w(1, 10)]);
+        o.record_commit_slice(t(4), NodeId(5), &[w(1, 10)]);
+        o.record_commit_slice(t(4), NodeId(5), &[w(9, 11)]);
+        let rec = o.commits.get(t(4)).expect("recorded");
+        assert_eq!(rec.delegate, NodeId(2), "the first report names it");
+        assert_eq!(rec.writes, vec![w(1, 10), w(9, 11)]);
+        // A later single-group report of the same id changes nothing.
+        o.record_commit(t(4), NodeId(0), &[(ItemId(1), 3)], &[]);
+        assert!(o.commits.get(t(4)).expect("kept").readset.is_empty());
+    }
+
+    #[test]
+    fn evidence_records_stay_small() {
+        assert!(std::mem::size_of::<ReadRecord>() <= 64);
+        assert!(std::mem::size_of::<ReadAckRecord>() <= 48);
+        assert!(std::mem::size_of::<AckRecord>() <= 16);
+    }
+
+    fn read(seq: u64, snapshot_seq: u64) -> ReadRecord {
+        ReadRecord {
+            txn: TxnId { client: 3, seq },
+            group: (seq % 2) as u32,
+            level: ReadLevel::Session,
+            token: seq / 2,
+            snapshot_seq,
+            stable_seq: snapshot_seq / 2,
+            applied_seq: snapshot_seq + 1,
+            at: SimTime::from_millis(seq),
+        }
+    }
+
+    /// The audit this one replaces: every acknowledged commit's writes
+    /// indexed by item in a tree of vectors, then every pair of entries
+    /// of an item compared.
+    fn lost_updates_by_item_tree(oracle: &Oracle) -> Vec<LostUpdate> {
+        type Entry = (TxnId, Option<Version>, Version);
+        let mut by_item: BTreeMap<ItemId, Vec<Entry>> = BTreeMap::new();
+        for (txn, rec) in oracle.commits.iter() {
+            if !oracle.acked.contains(txn) {
+                continue;
+            }
+            for w in &rec.writes {
+                let read_v = rec
+                    .readset
+                    .iter()
+                    .find(|(i, _)| *i == w.item)
+                    .map(|(_, v)| *v);
+                by_item
+                    .entry(w.item)
+                    .or_default()
+                    .push((txn, read_v, w.version));
+            }
+        }
+        let mut out = Vec::new();
+        for (item, entries) in by_item {
+            for (i, &(ta, ra, _)) in entries.iter().enumerate() {
+                for &(tb, rb, _) in entries.iter().skip(i + 1) {
+                    if let (Some(ra), Some(rb)) = (ra, rb) {
+                        if ra == rb {
+                            out.push(LostUpdate { a: ta, b: tb, item });
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn sorted(mut pairs: Vec<LostUpdate>) -> Vec<(ItemId, TxnId, TxnId)> {
+        let mut keys: Vec<_> = pairs.drain(..).map(|p| (p.item, p.a, p.b)).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// One generated commit: its readset, its writes, whether it was
+    /// acknowledged, and whether it arrives as cross-group slices.
+    type GenCommit = (Vec<(u32, u64)>, Vec<u32>, bool, bool);
+
+    fn commit_strategy() -> impl Strategy<Value = GenCommit> {
+        (
+            // Few items and versions, so several transactions read one
+            // version of one item; an empty readset is a blind write.
+            proptest::collection::vec((0u32..4, 0u64..3), 0..4),
+            proptest::collection::vec(0u32..4, 0..4),
+            any::<bool>(),
+            any::<bool>(),
+        )
+    }
+
+    proptest! {
+        /// The sorting audit finds exactly the pairs the tree of
+        /// vectors found, over blind writes, unacknowledged commits,
+        /// cross-group slices and transactions writing an item twice.
+        #[test]
+        fn sorting_audit_matches_the_item_tree(
+            commits in proptest::collection::vec(commit_strategy(), 0..24),
+        ) {
+            let mut o = Oracle::default();
+            for (n, (readset, writes, acked, sliced)) in commits.into_iter().enumerate() {
+                let txn = TxnId { client: (n % 3) as u32, seq: n as u64 };
+                let readset: Vec<(ItemId, Version)> =
+                    readset.into_iter().map(|(i, v)| (ItemId(i), v)).collect();
+                let writes: Vec<WriteOp> =
+                    writes.into_iter().map(|i| w(i, 100 + n as u64)).collect();
+                if sliced {
+                    // A cross-group commit records its readset nowhere:
+                    // each group merges its own write slice.
+                    let (first, second) = writes.split_at(writes.len() / 2);
+                    o.record_commit_slice(txn, NodeId(0), first);
+                    o.record_commit_slice(txn, NodeId(3), second);
+                } else {
+                    o.record_commit(txn, NodeId(0), &readset, &writes);
+                }
+                if acked {
+                    o.record_ack(txn, SimTime::ZERO, 1.0);
+                }
+            }
+            let new = check_lost_updates(&o);
+            let old = lost_updates_by_item_tree(&o);
+            prop_assert_eq!(new.len(), old.len());
+            prop_assert_eq!(sorted(new), sorted(old));
+        }
+
+        /// The read log returns every record with its own items, in
+        /// serve order, whatever the lengths (0 to more than an arena
+        /// block).
+        #[test]
+        fn read_log_behaves_like_records_that_own_their_items(
+            lens in proptest::collection::vec(
+                prop_oneof![0usize..6, Just(0usize), 500usize..700],
+                0..12,
+            ),
+        ) {
+            let mut log = ReadLog::default();
+            let mut model: Vec<(ReadRecord, Vec<(ItemId, Version)>)> = Vec::new();
+            for (n, len) in lens.into_iter().enumerate() {
+                let record = read(n as u64, 10 * n as u64);
+                let items: Vec<(ItemId, Version)> =
+                    (0..len).map(|k| (ItemId((n + k) as u32), (n * k) as u64)).collect();
+                log.push(record, items.iter().copied());
+                model.push((record, items));
+                prop_assert_eq!(log.len(), model.len());
+            }
+            prop_assert_eq!(log.is_empty(), model.is_empty());
+            let seen: Vec<(ReadRecord, Vec<(ItemId, Version)>)> =
+                log.iter().map(|r| (*r, r.items().collect())).collect();
+            prop_assert_eq!(&seen, &model);
+        }
+    }
+
+    #[test]
+    fn record_read_keeps_the_reply_items_and_versions() {
+        let mut o = Oracle::default();
+        o.record_read(read(1, 8), &[(ItemId(4), -3, 7), (ItemId(2), 0, 8)]);
+        o.record_read(read(2, 9), &[]);
+        let views: Vec<_> = o
+            .reads
+            .iter()
+            .map(|r| (r.txn.seq, r.items().collect::<Vec<_>>()))
+            .collect();
+        assert_eq!(
+            views,
+            vec![(1, vec![(ItemId(4), 7), (ItemId(2), 8)]), (2, vec![])]
+        );
     }
 }

@@ -13,7 +13,9 @@
 //!   policies (async is the optimisation group-safety legitimises),
 //!   stored flat: fixed-size record headers plus arenas for the bodies,
 //! * [`TxnSet`] — the committed-transaction table as a paged bitmap
-//!   over each client's own transaction counter,
+//!   over each client's own transaction counter, and [`TxnTable`], the
+//!   same index holding one value per transaction (the run oracle's
+//!   acknowledgement and commit tables),
 //! * [`DbEngine`] — operation execution with simulated timing, exactly-
 //!   once commits (testable transactions), WAL-redo crash recovery,
 //!   checkpoints for state transfer, and state digests for replica-
@@ -26,6 +28,7 @@ pub mod buffer;
 pub mod engine;
 pub mod lock;
 pub mod txnset;
+pub mod txntable;
 pub mod types;
 pub mod wal;
 
@@ -33,5 +36,6 @@ pub use buffer::{BufferAccess, BufferModel, BufferPool, BufferStats, ITEMS_PER_P
 pub use engine::{CommitResult, DbCheckpoint, DbConfig, DbEngine, DbStats, ReadResult};
 pub use lock::{LockManager, LockMode, LockOutcome};
 pub use txnset::TxnSet;
+pub use txntable::TxnTable;
 pub use types::{ItemId, ItemState, Operation, TxnId, Value, Version, WriteOp};
 pub use wal::{FlushPolicy, Lsn, Wal, WalKind, WalRecord, WalStats};

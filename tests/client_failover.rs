@@ -82,7 +82,7 @@ fn retries_commit_exactly_once() {
     // replica exactly once — the testable-transaction table dedups
     // resubmissions that raced a slow first execution.
     let oracle = system.oracle.borrow();
-    let acked: Vec<TxnId> = oracle.acked.keys().copied().collect();
+    let acked: Vec<TxnId> = oracle.acked.keys().collect();
     drop(oracle);
     // Shard-aware form (identical to "on every replica" when there is
     // one group): a committed transaction must be held by *every*
@@ -113,7 +113,7 @@ fn retries_commit_exactly_once() {
     let oracle = system.oracle.borrow();
     let updates = acked
         .iter()
-        .filter(|t| oracle.commits.contains_key(t))
+        .filter(|&&t| oracle.commits.contains(t))
         .count();
     assert_eq!(
         on_all, updates,

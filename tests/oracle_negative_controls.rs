@@ -145,22 +145,18 @@ fn oracle_catches_seeded_atomicity_violation() {
     // claiming it touched both.
     let victim = {
         let oracle = system.oracle.borrow();
-        oracle
-            .acked
-            .keys()
-            .copied()
-            .find(|txn| {
-                !oracle.xg.contains_key(txn)
-                    && system
-                        .replica_states_of(0)
-                        .iter()
-                        .any(|(db, live)| *live && db.is_committed(*txn))
-                    && !system
-                        .replica_states_of(1)
-                        .iter()
-                        .any(|(db, live)| *live && db.is_committed(*txn))
-            })
-            .expect("a sharded run commits some group-0-only transaction")
+        let found = oracle.acked.keys().find(|txn| {
+            !oracle.xg.contains_key(txn)
+                && system
+                    .replica_states_of(0)
+                    .iter()
+                    .any(|(db, live)| *live && db.is_committed(*txn))
+                && !system
+                    .replica_states_of(1)
+                    .iter()
+                    .any(|(db, live)| *live && db.is_committed(*txn))
+        });
+        found.expect("a sharded run commits some group-0-only transaction")
     };
     system.oracle.borrow_mut().record_xg(victim, vec![0, 1], 0);
 

@@ -47,7 +47,7 @@ fn local_reads_serve_and_audit_clean_at_every_level() {
                 "{level}: every local read carries its level"
             );
             // Session reads honour their token at serve time.
-            for r in &oracle.reads {
+            for r in oracle.reads.iter() {
                 assert!(
                     r.snapshot_seq >= r.token || r.level != ReadLevel::Session,
                     "{level}: read {:?} served at {} below token {}",
@@ -143,11 +143,12 @@ fn stable_reads_never_exceed_the_watermark() {
     run.run_until(SimTime::from_secs(7));
     let system = run.into_system();
     let oracle = system.oracle.borrow();
-    for r in &oracle.reads {
-        assert!(r.snapshot_seq <= r.stable_seq, "{r:?}");
-        assert!(r.snapshot_seq <= r.applied_seq, "{r:?}");
-        for &(item, version) in &r.items {
-            assert!(version <= r.snapshot_seq, "{item:?}@{version} in {r:?}");
+    for r in oracle.reads.iter() {
+        let rec = *r;
+        assert!(r.snapshot_seq <= r.stable_seq, "{rec:?}");
+        assert!(r.snapshot_seq <= r.applied_seq, "{rec:?}");
+        for (item, version) in r.items() {
+            assert!(version <= r.snapshot_seq, "{item:?}@{version} in {rec:?}");
         }
     }
 }
@@ -304,7 +305,6 @@ fn read_mixed_fuzz_replays_bit_for_bit() {
 fn served_read(level: ReadLevel, token: u64, snapshot: u64, stable: u64) -> ReadRecord {
     ReadRecord {
         txn: TxnId { client: 1, seq: 99 },
-        client: 1,
         group: 0,
         level,
         token,
@@ -312,8 +312,14 @@ fn served_read(level: ReadLevel, token: u64, snapshot: u64, stable: u64) -> Read
         stable_seq: stable,
         applied_seq: snapshot.max(stable),
         at: SimTime::from_secs(1),
-        items: vec![(ItemId(4), snapshot.min(stable))],
     }
+}
+
+/// A served read that observed item 4 at the older of its snapshot and
+/// watermark.
+fn push_served(oracle: &mut Oracle, read: ReadRecord) {
+    let observed = (ItemId(4), read.snapshot_seq.min(read.stable_seq));
+    oracle.reads.push(read, [observed]);
 }
 
 /// A deliberately stale session read — served below the token the
@@ -321,9 +327,7 @@ fn served_read(level: ReadLevel, token: u64, snapshot: u64, stable: u64) -> Read
 #[test]
 fn oracle_flags_a_stale_session_read() {
     let mut oracle = Oracle::default();
-    oracle
-        .reads
-        .push(served_read(ReadLevel::Session, 12, 8, 20));
+    push_served(&mut oracle, served_read(ReadLevel::Session, 12, 8, 20));
     let v = audit_reads(&oracle, &[], &|_| false);
     assert!(
         v.iter().any(|v| matches!(
@@ -354,11 +358,10 @@ fn oracle_flags_a_stable_read_above_the_watermark() {
     assert!(honest.clean(), "{:?}", honest.violations);
     // ...then seed the violation: a fabricated stable read served two
     // sequence numbers above the watermark its replica exported.
-    system
-        .oracle
-        .borrow_mut()
-        .reads
-        .push(served_read(ReadLevel::Stable, 0, 22, 20));
+    push_served(
+        &mut system.oracle.borrow_mut(),
+        served_read(ReadLevel::Stable, 0, 22, 20),
+    );
     let dishonest = audit_scenario(&ScenarioPlan::new(), &system, SafetyLevel::GroupSafe);
     assert!(
         dishonest.violations.iter().any(|v| matches!(
@@ -391,9 +394,8 @@ fn oracle_flags_a_stable_read_of_a_lost_value() {
             version: 6,
         }],
     );
-    let mut read = served_read(ReadLevel::Stable, 0, 6, 6);
-    read.items = vec![(ItemId(4), 6)];
-    oracle.reads.push(read);
+    let read = served_read(ReadLevel::Stable, 0, 6, 6);
+    oracle.reads.push(read, [(ItemId(4), 6)]);
     let lost = vec![LostTransaction { txn: lost_txn }];
     let v = audit_reads(&oracle, &lost, &|_| false);
     assert!(
@@ -414,7 +416,6 @@ fn oracle_flags_a_session_regression() {
     let mut oracle = Oracle::default();
     let ack = |seq: u64, n: u64| ReadAckRecord {
         txn: TxnId { client: 2, seq: n },
-        client: 2,
         group: 0,
         level: Some(ReadLevel::Session),
         snapshot_seq: seq,

@@ -52,7 +52,7 @@ fn minority_partition_blocks_but_stays_safe() {
     // by which side of the partition their client sat on.
     let (mut minority_acks, mut majority_acks) = (0, 0);
     for (txn, ack) in oracle.acked.iter() {
-        if !in_window(ack.at) || !oracle.commits.contains_key(txn) {
+        if !in_window(ack.at) || !oracle.commits.contains(txn) {
             continue;
         }
         if txn.client % 5 <= 1 {

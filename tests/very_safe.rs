@@ -45,12 +45,12 @@ fn very_safe_commits_when_everyone_is_up() {
     // the defining property.
     let oracle = system.oracle.borrow();
     for (txn, _) in oracle.acked.iter() {
-        if !oracle.commits.contains_key(txn) {
+        if !oracle.commits.contains(txn) {
             continue; // read-only
         }
         for i in 0..system.n_servers {
             let db = system.server(i).db();
-            assert!(db.is_committed(*txn), "acked {txn} missing on replica {i}");
+            assert!(db.is_committed(txn), "acked {txn} missing on replica {i}");
         }
     }
 }
@@ -73,7 +73,7 @@ fn very_safe_blocks_while_any_server_is_down() {
     let post_grace = oracle
         .acked
         .iter()
-        .filter(|(txn, a)| a.at > grace && oracle.commits.contains_key(txn))
+        .filter(|&(txn, a)| a.at > grace && oracle.commits.contains(txn))
         .count();
     drop(oracle);
     assert!(pre > 5, "pre-crash commits must have completed ({pre})");
