@@ -49,7 +49,7 @@ use groupsafe_net::NetConfig;
 use groupsafe_sim::{decompose_commits, CommitSpan, ObsConfig, Scheduler, SimDuration, SimTime};
 
 use crate::client::{LoadModel, OpGenerator, StopClient, TxnPlan};
-use crate::reads::{reads_from_env, ReadConfig, ReadLevel, ReadPath};
+use crate::reads::{ReadConfig, ReadLevel, ReadPath};
 use crate::safety::SafetyLevel;
 use crate::scenario::ScenarioPlan;
 use crate::server::{ReplicaConfig, SwitchSafetyCmd, Technique};
@@ -374,70 +374,6 @@ impl WorkloadSpec {
     }
 }
 
-/// A parsed `GROUPSAFE_TXN` profile: the snapshot-isolation transaction
-/// fraction and the optional operations-per-transaction range.
-pub type TxnProfile = (f64, Option<(usize, usize)>);
-
-/// The `GROUPSAFE_TXN` environment profile: `<fraction>[:<min>-<max>]`,
-/// where `<fraction>` is the workload's snapshot-isolation transaction
-/// fraction and the optional `<min>-<max>` the operations-per-transaction
-/// range. `off`, the empty string or an unset variable keep the caller's
-/// default.
-///
-/// Used by CI to run the same suites with the SI transaction mix on and
-/// off without touching the test sources. Explicit builder setters win
-/// over the profile.
-///
-/// # Errors
-/// Any malformed value is a typed [`BuildError::BadEnvProfile`]: a typo
-/// must fail the run loudly, not silently run the classic mix (which
-/// would make a "transactions on" CI pass vacuous).
-pub fn txn_from_env() -> Result<Option<TxnProfile>, BuildError> {
-    let bad = |detail: String| {
-        Err(BuildError::BadEnvProfile {
-            var: "GROUPSAFE_TXN",
-            detail,
-        })
-    };
-    let Ok(raw) = std::env::var("GROUPSAFE_TXN") else {
-        return Ok(None);
-    };
-    let raw = raw.trim();
-    if raw.is_empty() || raw.eq_ignore_ascii_case("off") {
-        return Ok(None);
-    }
-    let mut parts = raw.splitn(2, ':');
-    let fraction = {
-        let f = parts.next().unwrap_or("").trim();
-        let Ok(parsed) = f.parse::<f64>() else {
-            return bad(format!("cannot parse fraction {f:?}"));
-        };
-        if !(0.0..=1.0).contains(&parsed) {
-            return bad(format!("fraction {parsed} outside [0, 1]"));
-        }
-        parsed
-    };
-    let ops = match parts.next() {
-        None => None,
-        Some(range) => {
-            let range = range.trim();
-            let Some((lo, hi)) = range.split_once('-') else {
-                return bad(format!(
-                    "cannot parse ops range {range:?} (expected <min>-<max>)"
-                ));
-            };
-            let (Ok(lo), Ok(hi)) = (lo.trim().parse::<usize>(), hi.trim().parse::<usize>()) else {
-                return bad(format!("cannot parse ops range {range:?}"));
-            };
-            if lo > hi || hi == 0 {
-                return bad(format!("invalid ops range {lo}-{hi}"));
-            }
-            Some((lo, hi))
-        }
-    };
-    Ok(Some((fraction, ops)))
-}
-
 // ---------------------------------------------------------------------
 // Errors
 // ---------------------------------------------------------------------
@@ -519,16 +455,6 @@ pub enum BuildError {
         /// The technique's label.
         technique: &'static str,
     },
-    /// A CI environment profile (`GROUPSAFE_READS`, `GROUPSAFE_BATCHING`,
-    /// `GROUPSAFE_SHARDS`, …) carries a malformed value. A typo must fail the build loudly —
-    /// silently falling back to the default profile would make a
-    /// "profile on" CI pass vacuous.
-    BadEnvProfile {
-        /// The offending environment variable.
-        var: &'static str,
-        /// What is wrong with its value.
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for BuildError {
@@ -580,9 +506,6 @@ impl std::fmt::Display for BuildError {
                     "the {path} read path is not defined for the {technique} technique"
                 )
             }
-            BuildError::BadEnvProfile { var, detail } => {
-                write!(f, "{var}: {detail}")
-            }
         }
     }
 }
@@ -617,29 +540,16 @@ pub struct SystemBuilder {
     workload: WorkloadSpec,
     generator: Option<GeneratorFactory>,
     scenario: ScenarioPlan,
-    /// An explicit [`SystemBuilder::batching`] call; takes precedence
-    /// over the `GROUPSAFE_BATCHING` env profile and over whatever
-    /// `batch` a [`SystemBuilder::replica`] config carries.
-    batch_override: Option<BatchConfig>,
     shard: ShardSpec,
-    /// True once a shard setter ran; an explicit configuration beats the
-    /// `GROUPSAFE_SHARDS` env profile.
-    shard_explicit: bool,
-    reads: ReadConfig,
-    /// True once a read-path setter ran; an explicit configuration beats
-    /// the `GROUPSAFE_READS` env profile.
-    reads_explicit: bool,
     /// An explicit `read_fraction` call; applied over whatever workload
-    /// spec is in force (and over the env profile's optional fraction).
+    /// spec is in force.
     read_fraction_override: Option<f64>,
-    /// An explicit `txn_fraction` call; beats the `GROUPSAFE_TXN` env
-    /// profile and whatever the workload spec carries.
+    /// An explicit `txn_fraction` call; applied over whatever workload
+    /// spec is in force.
     txn_fraction_override: Option<f64>,
     /// An explicit `txn_ops` call (min, max); same precedence.
     txn_ops_override: Option<(usize, usize)>,
-    /// An explicit [`SystemBuilder::observe`] call; beats the
-    /// `GROUPSAFE_OBS` env profile.
-    obs_override: Option<ObsConfig>,
+    obs: ObsConfig,
     /// The engine's event-queue backend (timing wheel by default).
     scheduler: Scheduler,
 }
@@ -661,15 +571,11 @@ impl Default for SystemBuilder {
             workload: WorkloadSpec::default(),
             generator: None,
             scenario: ScenarioPlan::new(),
-            batch_override: None,
             shard: ShardSpec::default(),
-            shard_explicit: false,
-            reads: ReadConfig::classic(),
-            reads_explicit: false,
             read_fraction_override: None,
             txn_fraction_override: None,
             txn_ops_override: None,
-            obs_override: None,
+            obs: ObsConfig::default(),
             scheduler: Scheduler::default(),
         }
     }
@@ -718,12 +624,8 @@ impl SystemBuilder {
     /// persist and vote per frame instead of per transaction.
     /// [`BatchConfig::unbatched`] (the default) reproduces the classic
     /// per-message pipeline bit-for-bit.
-    ///
-    /// Precedence at build time: an explicit call here beats the
-    /// `GROUPSAFE_BATCHING` env profile, which beats the `batch` carried
-    /// by a [`SystemBuilder::replica`] config.
     pub fn batching(mut self, batch: BatchConfig) -> Self {
-        self.batch_override = Some(batch);
+        self.replica.batch = batch;
         self
     }
 
@@ -732,12 +634,8 @@ impl SystemBuilder {
     /// group*, and every group runs its own sequencer, GCS view and
     /// stable logs. `shards(1)` is the classic unsharded system —
     /// bit-for-bit, same fingerprint.
-    ///
-    /// Precedence: an explicit call here (or to the other shard setters)
-    /// beats the `GROUPSAFE_SHARDS`/`GROUPSAFE_CROSS_SHARD` env profile.
     pub fn shards(mut self, n: u32) -> Self {
         self.shard.groups = n;
-        self.shard_explicit = true;
         self
     }
 
@@ -748,7 +646,6 @@ impl SystemBuilder {
     pub fn shard_ranges(mut self, ranges: Vec<(u32, u32)>) -> Self {
         self.shard.groups = ranges.len() as u32;
         self.shard.strategy = ShardStrategy::Ranges(ranges);
-        self.shard_explicit = true;
         self
     }
 
@@ -757,14 +654,12 @@ impl SystemBuilder {
     /// with `shards(n > 1)`; requires a DSM technique.
     pub fn cross_shard_fraction(mut self, f: f64) -> Self {
         self.shard.cross_fraction = f;
-        self.shard_explicit = true;
         self
     }
 
     /// The full shard specification at once (see [`ShardSpec`]).
     pub fn shard(mut self, spec: ShardSpec) -> Self {
         self.shard = spec;
-        self.shard_explicit = true;
         self
     }
 
@@ -774,13 +669,8 @@ impl SystemBuilder {
     /// [`ReadPath::Broadcast`] (reads are ordered and certified like
     /// updates), or [`ReadPath::Local`] (follower reads at a freshness
     /// level).
-    ///
-    /// Precedence: an explicit call here (or to
-    /// [`SystemBuilder::read_level`] / [`SystemBuilder::reads`]) beats
-    /// the `GROUPSAFE_READS` env profile.
     pub fn read_path(mut self, path: ReadPath) -> Self {
-        self.reads.path = path;
-        self.reads_explicit = true;
+        self.replica.reads.path = path;
         self
     }
 
@@ -794,8 +684,7 @@ impl SystemBuilder {
     /// The full read-path configuration at once (path + session bounded
     /// wait).
     pub fn reads(mut self, cfg: ReadConfig) -> Self {
-        self.reads = cfg;
-        self.reads_explicit = true;
+        self.replica.reads = cfg;
         self
     }
 
@@ -814,7 +703,7 @@ impl SystemBuilder {
     /// first-committer-wins over the write set). 0 reproduces the classic
     /// pipeline draw-for-draw. Applied over whatever
     /// [`SystemBuilder::workload`] spec is in force, in either call
-    /// order; beats the `GROUPSAFE_TXN` env profile.
+    /// order.
     pub fn txn_fraction(mut self, f: f64) -> Self {
         self.txn_fraction_override = Some(f);
         self
@@ -834,11 +723,8 @@ impl SystemBuilder {
     /// stream the exporters and the phase decomposition consume.
     /// Recording never touches the dispatch fingerprint, the RNG or the
     /// event queue, so every mode replays bit-for-bit identically.
-    ///
-    /// Precedence: an explicit call here beats the `GROUPSAFE_OBS` env
-    /// profile (`off` | `ring[:N]` | `full[:N]`).
     pub fn observe(mut self, obs: ObsConfig) -> Self {
-        self.obs_override = Some(obs);
+        self.obs = obs;
         self
     }
 
@@ -893,7 +779,9 @@ impl SystemBuilder {
         self
     }
 
-    /// Replace the whole server configuration.
+    /// Replace the whole server configuration, including the knobs the
+    /// per-field setters (`db`, `cpus`, `batching`, `read_path`, …)
+    /// configured before this call.
     pub fn replica(mut self, replica: ReplicaConfig) -> Self {
         self.replica = replica;
         self
@@ -959,44 +847,6 @@ impl SystemBuilder {
         self.load.offered_tps()
     }
 
-    /// The shard configuration in force: an explicit setter call, else
-    /// the `GROUPSAFE_SHARDS` env profile, else the single-group default.
-    ///
-    /// # Errors
-    /// [`BuildError::BadEnvProfile`] if the profile is set but
-    /// malformed — a typo must not silently run unsharded.
-    fn effective_shard(&self) -> Result<ShardSpec, BuildError> {
-        if self.shard_explicit {
-            return Ok(self.shard.clone());
-        }
-        ShardSpec::from_env()
-            .map_err(|detail| BuildError::BadEnvProfile {
-                var: "GROUPSAFE_SHARDS",
-                detail,
-            })
-            .map(|opt| opt.unwrap_or_else(|| self.shard.clone()))
-    }
-
-    /// The observability configuration in force: an explicit
-    /// [`SystemBuilder::observe`] call, else the `GROUPSAFE_OBS` env
-    /// profile, else the default bounded flight recorder.
-    ///
-    /// # Errors
-    /// [`BuildError::BadEnvProfile`] if `GROUPSAFE_OBS` is set but
-    /// malformed — a typo must fail the run loudly, not silently record
-    /// nothing.
-    fn effective_obs(&self) -> Result<ObsConfig, BuildError> {
-        if let Some(cfg) = self.obs_override {
-            return Ok(cfg);
-        }
-        ObsConfig::from_env()
-            .map_err(|detail| BuildError::BadEnvProfile {
-                var: "GROUPSAFE_OBS",
-                detail,
-            })
-            .map(|opt| opt.unwrap_or_default())
-    }
-
     /// True when the read path is defined for the technique: the lazy
     /// baseline serves reads through its own 2PL execution, and stable
     /// reads need an endpoint that tracks group stability (0-safe's
@@ -1012,62 +862,22 @@ impl SystemBuilder {
         )
     }
 
-    /// The read configuration in force: an explicit setter call, else
-    /// the `GROUPSAFE_READS` env profile, else the classic path. The
-    /// env profile reruns whole suites — including lazy and 0-safe
-    /// configurations the read path is not defined for — so it degrades
-    /// to the classic path there instead of failing the build; an
-    /// *explicit* unsupported combination is still a typed error.
-    fn effective_reads(&self) -> Result<ReadConfig, BuildError> {
-        if self.reads_explicit {
-            return Ok(self.reads);
-        }
-        if let Some((cfg, _)) = reads_from_env()? {
-            if Self::reads_supported(self.replica.technique, cfg.path) {
-                return Ok(cfg);
-            }
-            return Ok(ReadConfig::classic());
-        }
-        // Same precedence as batching: whatever the replica config
-        // carries (the classic default).
-        Ok(self.replica.reads)
-    }
-
     /// The workload spec in force: the configured spec with the
-    /// read-fraction and snapshot-transaction overrides (explicit call,
-    /// else the matching env profile) applied — what the built system's
-    /// generator will actually draw from.
-    ///
-    /// # Errors
-    /// [`BuildError::BadEnvProfile`] if `GROUPSAFE_READS` or
-    /// `GROUPSAFE_TXN` is set but malformed.
-    pub fn effective_workload(&self) -> Result<WorkloadSpec, BuildError> {
+    /// read-fraction and snapshot-transaction overrides applied — what
+    /// the built system's generator will actually draw from.
+    pub fn effective_workload(&self) -> WorkloadSpec {
         let mut w = self.workload.clone();
         if let Some(f) = self.read_fraction_override {
             w.read_fraction = f;
-        } else if !self.reads_explicit {
-            if let Some((_, Some(f))) = reads_from_env()? {
-                w.read_fraction = f;
-            }
         }
-        // SI transaction mix: explicit setters, else the `GROUPSAFE_TXN`
-        // env profile, else the spec's own knobs.
-        match (self.txn_fraction_override, txn_from_env()?) {
-            (Some(f), _) => w.txn_fraction = f,
-            (None, Some((f, ops))) => {
-                w.txn_fraction = f;
-                if let Some((lo, hi)) = ops {
-                    w.txn_ops_min = lo;
-                    w.txn_ops_max = hi;
-                }
-            }
-            (None, None) => {}
+        if let Some(f) = self.txn_fraction_override {
+            w.txn_fraction = f;
         }
         if let Some((lo, hi)) = self.txn_ops_override {
             w.txn_ops_min = lo;
             w.txn_ops_max = hi;
         }
-        Ok(w)
+        w
     }
 
     fn validate(&self) -> Result<(), BuildError> {
@@ -1084,19 +894,16 @@ impl SystemBuilder {
             return Err(BuildError::NoClients);
         }
         if self.generator.is_none() {
-            self.effective_workload()?.validate()?;
+            self.effective_workload().validate()?;
         }
-        // Explicit (or replica-carried) read configurations the
-        // technique does not define are typed errors; the env profile
-        // never reaches here (`effective_reads` degrades it).
-        let reads = self.effective_reads()?;
-        if !Self::reads_supported(self.replica.technique, reads.path) {
+        let path = self.replica.reads.path;
+        if !Self::reads_supported(self.replica.technique, path) {
             return Err(BuildError::UnsupportedReads {
-                path: reads.path.label(),
+                path: path.label(),
                 technique: self.replica.technique.label(),
             });
         }
-        let shard = self.effective_shard()?;
+        let shard = &self.shard;
         if !(0.0..=1.0).contains(&shard.cross_fraction) || shard.cross_fraction.is_nan() {
             return Err(BuildError::BadProbability {
                 name: "cross_shard_fraction",
@@ -1129,9 +936,8 @@ impl SystemBuilder {
             .map(|_| ())
     }
 
-    /// The [`SystemConfig`] this builder denotes: every default, env
-    /// profile and override resolved (what `table4` prints and the
-    /// env-profile suites inspect).
+    /// The [`SystemConfig`] this builder denotes: every default and
+    /// override resolved (what `table4` prints).
     pub fn to_system_config(&self) -> Result<SystemConfig, BuildError> {
         self.validate()?;
         let n_clients = self.n_servers * self.clients_per_server;
@@ -1142,13 +948,10 @@ impl SystemBuilder {
             // generators own their item space via `.db(..)`.
             db.n_items = self.workload.n_items;
         }
-        // Read-path precedence mirrors batching: explicit setter, then
-        // the `GROUPSAFE_READS` env profile, then the classic default.
-        // The local path serves snapshots, so it switches the engines'
-        // multi-version store on (bounded; pruned at the group-stable
-        // watermark).
-        let reads = self.effective_reads()?;
-        if reads.is_local() && db.mvcc_depth == 0 {
+        // The local read path serves snapshots, so it switches the
+        // engines' multi-version store on (bounded; pruned at the
+        // group-stable watermark).
+        if self.replica.reads.is_local() && db.mvcc_depth == 0 {
             db.mvcc_depth = 64;
         }
         // Snapshot-isolation transactions read from the multi-version
@@ -1156,41 +959,24 @@ impl SystemBuilder {
         // them.
         if self.generator.is_none()
             && db.mvcc_depth == 0
-            && self.effective_workload()?.txn_fraction > 0.0
+            && self.effective_workload().txn_fraction > 0.0
         {
             db.mvcc_depth = 64;
         }
-        // Batching precedence: explicit `.batching(..)` call, then the
-        // `GROUPSAFE_BATCHING` env profile (the CI hook that runs the
-        // same suite batched and unbatched — resolved here, after every
-        // setter, so a later `.replica(..)` cannot silently shed it),
-        // then whatever the replica config carries.
-        let batch = match self.batch_override {
-            Some(b) => b,
-            None => BatchConfig::from_env()
-                .map_err(|detail| BuildError::BadEnvProfile {
-                    var: "GROUPSAFE_BATCHING",
-                    detail,
-                })?
-                .unwrap_or(self.replica.batch),
-        };
-        let shard = self.effective_shard()?;
         Ok(SystemConfig {
             n_servers: self.n_servers,
             clients_per_server: self.clients_per_server,
             replica: ReplicaConfig {
                 db,
-                batch,
-                reads,
                 ..self.replica.clone()
             },
-            load: self.load.resolve(n_clients * shard.groups)?,
+            load: self.load.resolve(n_clients * self.shard.groups)?,
             client_timeout: self.client_timeout,
             measure_from: SimTime::ZERO + self.warmup,
             net: self.net.clone(),
-            shard,
+            shard: self.shard.clone(),
             seed: self.seed,
-            obs: self.effective_obs()?,
+            obs: self.obs,
             scheduler: self.scheduler,
         })
     }
@@ -1201,7 +987,7 @@ impl SystemBuilder {
         let cfg = self.to_system_config()?;
         let net_baseline = cfg.net.clone();
         let offered_tps = self.load.offered_tps();
-        let spec = self.effective_workload()?;
+        let spec = self.effective_workload();
         let system = match self.generator.take() {
             Some(factory) => System::build(cfg, factory),
             None => {

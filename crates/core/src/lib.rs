@@ -54,8 +54,8 @@ pub mod system;
 pub mod verify;
 
 pub use builder::{
-    txn_from_env, BuildError, GroupStats, Load, ObsPhaseStats, PhaseStats, Report, Run,
-    SystemBuilder, WorkloadSpec,
+    BuildError, GroupStats, Load, ObsPhaseStats, PhaseStats, Report, Run, SystemBuilder,
+    WorkloadSpec,
 };
 
 /// Stable `u64` encoding of a [`groupsafe_db::TxnId`] for observability

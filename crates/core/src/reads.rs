@@ -52,7 +52,6 @@ use groupsafe_db::{ItemId, TxnId, Value, Version};
 use groupsafe_net::NodeId;
 use groupsafe_sim::SimDuration;
 
-use crate::builder::BuildError;
 use crate::verify::{LostTransaction, Oracle};
 
 // ---------------------------------------------------------------------
@@ -165,75 +164,6 @@ impl ReadConfig {
     pub fn is_local(&self) -> bool {
         matches!(self.path, ReadPath::Local(_))
     }
-}
-
-/// The `GROUPSAFE_READS` environment profile: `<path>[:<fraction>]`,
-/// where `<path>` is `classic`, `broadcast`, `stable`, `session` or
-/// `latest` and the optional `<fraction>` is the workload's read-only
-/// transaction fraction. `off`, the empty string or an unset variable
-/// keep the caller's default.
-///
-/// Used by CI to run the same suites with the read path on and off
-/// without touching the test sources. Explicit builder setters win over
-/// the profile.
-///
-/// # Errors
-/// Any malformed value is a typed [`BuildError::BadEnvProfile`]: a typo
-/// must fail the run loudly, not silently select the classic path
-/// (which would make a "reads on" CI pass vacuous).
-pub fn reads_from_env() -> Result<Option<(ReadConfig, Option<f64>)>, BuildError> {
-    let bad = |detail: String| {
-        Err(BuildError::BadEnvProfile {
-            var: "GROUPSAFE_READS",
-            detail,
-        })
-    };
-    let Ok(raw) = std::env::var("GROUPSAFE_READS") else {
-        return Ok(None);
-    };
-    let raw = raw.trim();
-    if raw.is_empty() || raw.eq_ignore_ascii_case("off") {
-        return Ok(None);
-    }
-    let mut parts = raw.splitn(2, ':');
-    let path = match parts
-        .next()
-        .unwrap_or("")
-        .trim()
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "classic" => ReadPath::Classic,
-        "broadcast" => ReadPath::Broadcast,
-        "stable" => ReadPath::Local(ReadLevel::Stable),
-        "session" => ReadPath::Local(ReadLevel::Session),
-        "latest" => ReadPath::Local(ReadLevel::Latest),
-        other => {
-            return bad(format!(
-                "unknown read path {other:?} (expected \
-                 off | classic | broadcast | stable | session | latest, got {raw:?})"
-            ))
-        }
-    };
-    let fraction = match parts.next() {
-        None => None,
-        Some(f) => {
-            let Ok(parsed) = f.trim().parse::<f64>() else {
-                return bad(format!("cannot parse fraction {f:?}"));
-            };
-            if !(0.0..=1.0).contains(&parsed) {
-                return bad(format!("fraction {parsed} outside [0, 1]"));
-            }
-            Some(parsed)
-        }
-    };
-    Ok(Some((
-        ReadConfig {
-            path,
-            ..ReadConfig::classic()
-        },
-        fraction,
-    )))
 }
 
 // ---------------------------------------------------------------------
@@ -623,9 +553,7 @@ mod tests {
     }
 
     #[test]
-    fn env_profile_parses() {
-        // Parsed shapes only (the env var itself is process-global and
-        // pinned by the root `reads_env_profile` test).
+    fn read_config_constructors() {
         assert_eq!(
             ReadConfig::local(ReadLevel::Session).path.label(),
             "local-session"

@@ -1604,6 +1604,7 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
 pub mod fuzz {
     use super::*;
     use crate::builder::Load;
+    use groupsafe_gcs::BatchConfig;
     use groupsafe_sim::ObsConfig;
 
     /// The envelope the generator draws scenarios from.
@@ -1646,11 +1647,13 @@ pub mod fuzz {
         /// historical envelopes — plans and fingerprints replay
         /// identically).
         pub txn_fraction: f64,
-        /// Observability profile of every run (`None` = whatever the
-        /// builder resolves: the `GROUPSAFE_OBS` env profile, else the
-        /// bounded flight recorder). Recording never changes a
-        /// fingerprint.
-        pub obs: Option<ObsConfig>,
+        /// Observability mode of every run (the builder's default, the
+        /// bounded flight recorder, unless set). Recording never changes
+        /// a fingerprint.
+        pub obs: ObsConfig,
+        /// Batching of every group's atomic-broadcast pipeline
+        /// (unbatched unless set).
+        pub batch: BatchConfig,
     }
 
     impl FuzzSpec {
@@ -1671,7 +1674,8 @@ pub mod fuzz {
                 read_level: None,
                 read_fraction: 0.0,
                 txn_fraction: 0.0,
-                obs: None,
+                obs: ObsConfig::default(),
+                batch: BatchConfig::unbatched(),
             }
         }
 
@@ -1707,7 +1711,8 @@ pub mod fuzz {
                 read_level: None,
                 read_fraction: 0.0,
                 txn_fraction: 0.0,
-                obs: None,
+                obs: ObsConfig::default(),
+                batch: BatchConfig::unbatched(),
             }
         }
 
@@ -1751,7 +1756,16 @@ pub mod fuzz {
         ///
         /// [`SystemBuilder::observe`]: crate::SystemBuilder::observe
         pub fn with_obs(mut self, obs: ObsConfig) -> FuzzSpec {
-            self.obs = Some(obs);
+            self.obs = obs;
+            self
+        }
+
+        /// This envelope with every group's sequencer batching under
+        /// `batch` (forwarded to [`SystemBuilder::batching`]).
+        ///
+        /// [`SystemBuilder::batching`]: crate::SystemBuilder::batching
+        pub fn with_batching(mut self, batch: BatchConfig) -> FuzzSpec {
+            self.batch = batch;
             self
         }
     }
@@ -2098,6 +2112,8 @@ pub mod fuzz {
             .measure(spec.measure)
             .drain(spec.drain)
             .seed(seed ^ 0x5EED_CAFE)
+            .observe(spec.obs)
+            .batching(spec.batch)
             .scenario(plan.clone());
         if let Some(level) = spec.read_level {
             // The lazy baseline has no local read path (the builder
@@ -2110,9 +2126,6 @@ pub mod fuzz {
         }
         if spec.txn_fraction > 0.0 {
             builder = builder.txn_fraction(spec.txn_fraction);
-        }
-        if let Some(obs) = spec.obs {
-            builder = builder.observe(obs);
         }
         let mut run = builder
             .build()

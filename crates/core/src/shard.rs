@@ -345,47 +345,6 @@ impl ShardSpec {
     pub fn is_single(&self) -> bool {
         self.groups == 1 && self.cross_fraction == 0.0
     }
-
-    /// The `GROUPSAFE_SHARDS` environment profile (the CI hook that runs
-    /// the same suite sharded and unsharded): `GROUPSAFE_SHARDS=3` runs
-    /// every builder-assembled system as 3 hash-routed groups, and
-    /// `GROUPSAFE_CROSS_SHARD=0.1` adds a 10 % cross-group transaction
-    /// fraction. Explicit shard setters on the builder win over the
-    /// profile. `Ok(None)` when `GROUPSAFE_SHARDS` is unset, empty or
-    /// `off` (`GROUPSAFE_CROSS_SHARD` is then not read).
-    ///
-    /// # Errors
-    /// Any other value that is not a group count, and a
-    /// `GROUPSAFE_CROSS_SHARD` that is not a number, is an `Err`
-    /// describing the problem: a typo must fail the run loudly, not
-    /// silently run unsharded (which would make a "sharded" CI pass
-    /// vacuous). The caller (the system builder) turns it into its
-    /// typed build error; range checks stay with the builder.
-    pub fn from_env() -> Result<Option<ShardSpec>, String> {
-        let Ok(raw) = std::env::var("GROUPSAFE_SHARDS") else {
-            return Ok(None);
-        };
-        let raw = raw.trim();
-        if raw.is_empty() || raw.eq_ignore_ascii_case("off") {
-            return Ok(None);
-        }
-        let groups: u32 = raw
-            .parse()
-            .map_err(|_| format!("cannot parse {raw:?} (expected off | a group count)"))?;
-        let cross_fraction = match std::env::var("GROUPSAFE_CROSS_SHARD") {
-            Ok(raw) => raw.trim().parse().map_err(|_| {
-                format!(
-                    "GROUPSAFE_CROSS_SHARD: cannot parse {raw:?} (expected a fraction in [0, 1])"
-                )
-            })?,
-            Err(_) => 0.0,
-        };
-        Ok(Some(ShardSpec {
-            groups,
-            strategy: ShardStrategy::Hash,
-            cross_fraction,
-        }))
-    }
 }
 
 // ---------------------------------------------------------------------

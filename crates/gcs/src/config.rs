@@ -63,58 +63,6 @@ impl BatchConfig {
     pub fn enabled(&self) -> bool {
         self.max_msgs > 1 || self.max_bytes > 0
     }
-
-    /// The profile selected by the `GROUPSAFE_BATCHING` environment
-    /// variable, if any. Recognised values:
-    ///
-    /// * unset, empty, or `off` → `None` (callers keep their default),
-    /// * `on` → `Some(BatchConfig::of(8, 500 µs))`,
-    /// * `msgs=N[,delay_us=D][,bytes=B]` → the explicit knobs.
-    ///
-    /// Used by CI to run the same integration suite with batching on and
-    /// off without touching the test sources.
-    ///
-    /// # Errors
-    /// Any malformed value is an `Err` describing the problem: a typo
-    /// must fail the run loudly, not silently select the unbatched
-    /// profile (which would make a "batching on" CI pass vacuous).
-    /// The caller (the system builder) turns it into its typed build
-    /// error.
-    pub fn from_env() -> Result<Option<Self>, String> {
-        let Ok(raw) = std::env::var("GROUPSAFE_BATCHING") else {
-            return Ok(None);
-        };
-        let raw = raw.trim();
-        if raw.is_empty() || raw.eq_ignore_ascii_case("off") {
-            return Ok(None);
-        }
-        if raw.eq_ignore_ascii_case("on") {
-            return Ok(Some(BatchConfig::of(8, SimDuration::from_micros(500))));
-        }
-        let bad = |part: &str| -> Result<Option<BatchConfig>, String> {
-            Err(format!(
-                "cannot parse {part:?} (expected \
-                 off | on | msgs=N[,delay_us=D][,bytes=B], got {raw:?})"
-            ))
-        };
-        let mut cfg = BatchConfig::of(8, SimDuration::from_micros(500));
-        for part in raw.split(',') {
-            let mut kv = part.splitn(2, '=');
-            let (Some(key), Some(value)) = (kv.next(), kv.next()) else {
-                return bad(part);
-            };
-            let Ok(value) = value.trim().parse::<u64>() else {
-                return bad(part);
-            };
-            match key.trim() {
-                "msgs" if value >= 1 => cfg.max_msgs = value as usize,
-                "delay_us" => cfg.max_delay = SimDuration::from_micros(value),
-                "bytes" => cfg.max_bytes = value as usize,
-                _ => return bad(part),
-            }
-        }
-        Ok(Some(cfg))
-    }
 }
 
 /// Which of the paper's two system models the endpoint runs in (§2.3).
@@ -264,11 +212,6 @@ mod tests {
         assert!(batched.batch.enabled());
         assert_eq!(batched.batch.max_msgs, 16);
     }
-
-    // `BatchConfig::from_env` parse/panic behavior is pinned in
-    // `tests/batching_env_profile.rs` (root package): the env var is
-    // process-global, so the test must live alone in its own binary
-    // rather than race this crate's parallel unit tests.
 
     #[test]
     fn batch_config_triggers() {

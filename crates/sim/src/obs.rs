@@ -345,10 +345,10 @@ impl ObsConfig {
         }
     }
 
-    /// Parse a `GROUPSAFE_OBS`-style profile value: `off`, `ring[:N]`, or
-    /// `full[:N]` (`N` = ring capacity). Returns `Ok(None)` for an empty
-    /// value (caller keeps its default); malformed values are an error
-    /// string the caller wraps into its typed config error.
+    /// Parse an observability profile flag value (`scenario_fuzz --obs`):
+    /// `off`, `ring[:N]`, or `full[:N]` (`N` = ring capacity). Returns
+    /// `Ok(None)` for an empty value (caller keeps its default); malformed
+    /// values are an error string describing the problem.
     pub fn parse(raw: &str) -> Result<Option<ObsConfig>, String> {
         let raw = raw.trim();
         if raw.is_empty() {
@@ -383,15 +383,6 @@ impl ObsConfig {
         Err(format!(
             "unknown mode {mode:?} (expected off, ring[:N] or full[:N])"
         ))
-    }
-
-    /// The `GROUPSAFE_OBS` environment profile (same shape as
-    /// [`ObsConfig::parse`]; unset or empty keeps the caller's default).
-    pub fn from_env() -> Result<Option<ObsConfig>, String> {
-        match std::env::var("GROUPSAFE_OBS") {
-            Ok(raw) => ObsConfig::parse(&raw),
-            Err(_) => Ok(None),
-        }
     }
 }
 

@@ -17,9 +17,7 @@
 //! scenario shape and compares it against an imperative reference
 //! driver.
 
-use groupsafe_core::{
-    Load, ReadPath, ScenarioEvent, ScenarioPlan, ScenarioStep, System, Technique,
-};
+use groupsafe_core::{Load, ScenarioEvent, ScenarioPlan, ScenarioStep, System, Technique};
 use groupsafe_sim::{SimDuration, SimTime};
 
 /// What happens to the crashed servers afterwards.
@@ -201,13 +199,6 @@ pub fn run_crash_scenario(sc: &CrashScenario) -> CrashOutcome {
     let mut run = System::builder()
         .servers(sc.n_servers)
         .clients_per_server(sc.clients_per_server)
-        // Crash ids index one group: stay unsharded under any
-        // `GROUPSAFE_SHARDS` profile.
-        .shards(1)
-        // The loss windows are measured on the paper's update mix: a
-        // `GROUPSAFE_READS` profile would turn part of it into follower
-        // reads, which have no durability to lose.
-        .read_path(ReadPath::Classic)
         .technique(sc.technique)
         .lazy_prop_interval(SimDuration::from_millis_f64(sc.lazy_prop_ms))
         .wal_flush_interval(SimDuration::from_millis_f64(sc.wal_flush_ms))

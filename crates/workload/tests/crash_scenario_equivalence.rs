@@ -11,7 +11,7 @@
 //! so the outcomes are also pinned against a table captured from the
 //! commit before `run_crash_scenario` was rebuilt on `System::builder()`.
 
-use groupsafe_core::{reconcile_restart, Load, ReadPath, SafetyLevel, System, Technique};
+use groupsafe_core::{reconcile_restart, Load, SafetyLevel, System, Technique};
 use groupsafe_net::NodeId;
 use groupsafe_sim::{SimDuration, SimTime};
 use groupsafe_workload::{run_crash_scenario, CrashOutcome, CrashScenario, RecoveryPlan};
@@ -22,8 +22,6 @@ fn run_crash_scenario_imperative(sc: &CrashScenario) -> CrashOutcome {
     let mut run = System::builder()
         .servers(sc.n_servers)
         .clients_per_server(sc.clients_per_server)
-        .shards(1)
-        .read_path(ReadPath::Classic)
         .technique(sc.technique)
         .lazy_prop_interval(SimDuration::from_millis_f64(sc.lazy_prop_ms))
         .wal_flush_interval(SimDuration::from_millis_f64(sc.wal_flush_ms))
@@ -227,8 +225,8 @@ fn corpus() -> Vec<(&'static str, CrashScenario)> {
 }
 
 /// `(label, acked, lost, distinct_states, timeouts, fingerprint)` of
-/// `run_crash_scenario` over the corpus, captured at commit `8c951b5`
-/// (no `GROUPSAFE_*` profile set): a wiring slip such as a dropped
+/// `run_crash_scenario` over the corpus, captured at commit `8c951b5`:
+/// a wiring slip such as a dropped
 /// `client_timeout` moves both paths above together, and only this table
 /// sees it.
 #[rustfmt::skip]

@@ -12,8 +12,7 @@
 //! * a view change while the accumulator is non-empty,
 //! * stale flush timers after a crash (regression for the epoch guard),
 //! * full-system equivalence: the group-safety outcome of a batched run
-//!   matches the unbatched run bit-for-bit (this is the check the CI
-//!   batching job relies on, whatever `GROUPSAFE_BATCHING` selects).
+//!   matches the unbatched run bit-for-bit.
 
 use groupsafe::core::{BatchConfig, Load, SafetyLevel, System};
 use groupsafe::gcs::harness::Cluster;

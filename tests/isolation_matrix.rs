@@ -100,9 +100,6 @@ fn run_matrix(level: SafetyLevel, scripts: &[Script], corrupt_delegate: Option<u
             flush_policy: FlushPolicy::Async,
             ..DbConfig::default()
         })
-        // Shield the matrix from the `GROUPSAFE_TXN` env profile: the
-        // scripted transactions are the whole workload.
-        .txn_fraction(0.0)
         .load(Load::open_tps(1.0))
         .measure(SimDuration::from_secs(6))
         .drain(SimDuration::from_secs(2))

@@ -13,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System as Heap};
 use std::cell::Cell;
 
-use groupsafe::core::{BatchConfig, Load, ReadLevel, ReadPath, SafetyLevel, System, WorkloadSpec};
+use groupsafe::core::{Load, ReadLevel, ReadPath, SafetyLevel, System, WorkloadSpec};
 use groupsafe::db::{BufferModel, DbConfig};
 use groupsafe::sim::{ObsConfig, SimDuration};
 
@@ -87,14 +87,10 @@ const BUDGET_BYTES_PER_ACK: f64 = 488.0;
 
 #[test]
 fn readmix_peak_heap_per_acknowledged_transaction_stays_in_budget() {
-    // Every knob an environment profile could reach is set explicitly,
-    // so the CI profiles run the same system.
     let run = System::builder()
         .safety(SafetyLevel::GroupSafe)
         .servers(3)
         .clients_per_server(6)
-        .shards(1)
-        .batching(BatchConfig::unbatched())
         .observe(ObsConfig::disabled())
         .read_path(ReadPath::Local(ReadLevel::Session))
         .workload(WorkloadSpec {

@@ -10,8 +10,6 @@ use groupsafe::sim::{prometheus_snapshot, ObsConfig, Scheduler, SimDuration};
 /// One full-stream run under `scheduler`: the rendered event stream, the
 /// Chrome trace, the Prometheus snapshot and the dispatch fingerprint.
 fn run_stream(seed: u64, scheduler: Scheduler) -> (String, String, String, u64) {
-    // No sibling test sets the variable; clearing is race-free.
-    std::env::remove_var("GROUPSAFE_OBS");
     let mut run = System::builder()
         .servers(3)
         .clients_per_server(2)

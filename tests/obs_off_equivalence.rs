@@ -1,10 +1,7 @@
 //! The `obs ≡ seed` pin: observability recording never touches the
 //! dispatch fingerprint, the RNG streams or the event queue, so the
 //! disabled, flight-recorder-ring and full-stream modes replay one seed
-//! bit-for-bit — same fingerprint, same commits, same digests. Same
-//! pattern as `tests/reads_off_equivalence.rs`: the baseline pins the
-//! disabled mode explicitly, so the comparison holds under the
-//! `GROUPSAFE_OBS` env profile too.
+//! bit-for-bit — same fingerprint, same commits, same digests.
 
 use groupsafe::core::scenario::fuzz::{run_fuzz_case, FuzzSpec};
 use groupsafe::core::scenario::OracleViolation;
@@ -12,9 +9,6 @@ use groupsafe::core::{Load, SafetyLevel, System, SystemBuilder};
 use groupsafe::sim::{ObsConfig, SimDuration};
 
 fn base(seed: u64) -> SystemBuilder {
-    // Pin the profile-free default (no sibling test in this binary ever
-    // sets the variable, so clearing it is race-free).
-    std::env::remove_var("GROUPSAFE_OBS");
     System::builder()
         .servers(3)
         .clients_per_server(2)

@@ -1,21 +1,13 @@
 //! The `reads-off ≡ seed` pin: with the read path disabled (the
 //! default), the system is bit-for-bit the pre-read-path system — same
 //! dispatch fingerprint, same commits, same digests, same report JSON.
-//! Same pattern as the `shards(1)` pin in `tests/sharding.rs`: the
-//! baseline pins the classic configuration explicitly, so the
-//! comparison holds under the `GROUPSAFE_READS` env profile too.
+//! Same pattern as the `shards(1)` pin in `tests/sharding.rs`.
 
 use groupsafe::core::reads::{ReadConfig, ReadLevel};
 use groupsafe::core::{Load, SafetyLevel, System, SystemBuilder};
 use groupsafe::sim::SimDuration;
 
 fn base(seed: u64) -> SystemBuilder {
-    // This binary pins the *profile-free* default (every test builds
-    // through here, and none ever sets the variable, so clearing it is
-    // race-free): under `GROUPSAFE_READS` the untouched default
-    // legitimately serves follower reads and the comparison below would
-    // be comparing two different — both correct — systems.
-    std::env::remove_var("GROUPSAFE_READS");
     System::builder()
         .servers(3)
         .clients_per_server(2)

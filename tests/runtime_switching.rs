@@ -4,7 +4,7 @@
 //! response-time regime changes accordingly, (b) nothing is lost and the
 //! replicas stay convergent throughout.
 
-use groupsafe::core::{Load, ReadPath, SafetyLevel, SwitchSafetyCmd, System};
+use groupsafe::core::{Load, SafetyLevel, SwitchSafetyCmd, System};
 use groupsafe::sim::{SimDuration, SimTime};
 
 #[test]
@@ -14,10 +14,6 @@ fn switching_changes_the_reply_point_live() {
         .clients_per_server(3)
         .safety(SafetyLevel::GroupSafe)
         .load(Load::open_tps(20.0))
-        // The phase means compare reply points. Follower reads (the
-        // `GROUPSAFE_READS` profile) never reach one, and blending them
-        // in dilutes the group-1-safe slowdown below what is asserted.
-        .read_path(ReadPath::Classic)
         .measure(SimDuration::from_secs(40))
         .drain(SimDuration::from_secs(2))
         .seed(55)

@@ -35,14 +35,11 @@ fn small(shards: u32, cross: f64, seed: u64) -> groupsafe_core::SystemBuilder {
 
 #[test]
 fn shards_1_is_fingerprint_identical_to_unsharded() {
-    // The unsharded baseline pins the default single-group ShardSpec
-    // explicitly, so the comparison holds under the GROUPSAFE_SHARDS
-    // env profile too.
+    // The untouched default builder against an explicit `shards(1)`.
     let unsharded = System::builder()
         .servers(3)
         .clients_per_server(2)
         .safety(SafetyLevel::GroupSafe)
-        .shard(groupsafe_core::ShardSpec::default())
         .load(Load::open_tps(15.0))
         .measure(SimDuration::from_secs(5))
         .drain(SimDuration::from_secs(2))

@@ -31,8 +31,6 @@ fn contended_mix(txn_fraction: f64) -> Report {
             read_fraction: 0.5,
             ..WorkloadSpec::default()
         })
-        // Explicit on both runs, so the `GROUPSAFE_TXN` env profile can
-        // never blur the single-knob comparison.
         .txn_fraction(txn_fraction)
         .load(Load::open_tps(32.0))
         .measure(SimDuration::from_secs(20))

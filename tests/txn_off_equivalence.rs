@@ -4,21 +4,12 @@
 //! discipline is the draw-order contract: the SI coin is flipped only
 //! when `txn_fraction > 0`, so a zero fraction consumes not a single
 //! extra random draw anywhere in the generator. Same pattern as
-//! `tests/reads_off_equivalence.rs`: the baseline pins the classic
-//! configuration explicitly, so the comparison holds under the
-//! `GROUPSAFE_TXN` env profile too.
+//! `tests/reads_off_equivalence.rs`.
 
 use groupsafe::core::{Load, SafetyLevel, System, SystemBuilder};
 use groupsafe::sim::SimDuration;
 
 fn base(seed: u64) -> SystemBuilder {
-    // This binary pins the *profile-free* default (every test builds
-    // through here, and none ever sets the variables, so clearing is
-    // race-free): under `GROUPSAFE_TXN` the untouched default
-    // legitimately runs snapshot transactions and the comparison below
-    // would be comparing two different — both correct — systems.
-    std::env::remove_var("GROUPSAFE_TXN");
-    std::env::remove_var("GROUPSAFE_READS");
     System::builder()
         .servers(3)
         .clients_per_server(2)

@@ -10,11 +10,6 @@ fn build(seed: u64, faults: ScenarioPlan) -> Run {
     System::builder()
         .servers(3)
         .clients_per_server(2)
-        // The property is "logged on *all* servers of the group", and
-        // the tests below check it (and crash ids) across all three
-        // servers: stay one group under any `GROUPSAFE_SHARDS` profile,
-        // as `run_crash_scenario` does.
-        .shards(1)
         .safety(SafetyLevel::VerySafe)
         .load(Load::open_tps(10.0))
         .warmup(SimDuration::from_secs(1))
