@@ -1,17 +1,18 @@
 //! Table 4 reproduction: the simulator parameters actually in use —
-//! printed in the paper's layout, read from the defaults every
-//! `System::builder()` run starts from.
+//! printed in the paper's layout, read from the system a default
+//! `System::builder()` wires and from the defaults it starts from.
 
-use groupsafe_core::{System, WorkloadSpec, DISKS_PER_SERVER};
+use groupsafe_core::{ReplicaConfig, System, WorkloadSpec, DISKS_PER_SERVER};
 use groupsafe_db::BufferModel;
-use groupsafe_net::NET_CPU;
+use groupsafe_net::{NetConfig, NET_CPU};
 use groupsafe_sim::DiskConfig;
 
 fn main() {
-    let cfg = System::builder()
-        .to_system_config()
+    let run = System::builder()
+        .build()
         .expect("the default configuration is valid");
-    let db = &cfg.replica.db;
+    let system = run.system();
+    let db = system.server(0).db().config();
     let disk = DiskConfig::default();
     let w = WorkloadSpec::table4();
     let buffer = match db.buffer {
@@ -21,13 +22,13 @@ fn main() {
     let io = format!("{} - {} ms", disk.min_ms, disk.max_ms);
     let rows: [(&str, String); 13] = [
         ("Number of items in the database", db.n_items.to_string()),
-        ("Number of Servers", cfg.n_servers.to_string()),
+        ("Number of Servers", system.n_servers.to_string()),
         (
             "Number of Clients per Server",
-            cfg.clients_per_server.to_string(),
+            (system.clients.len() / system.servers.len()).to_string(),
         ),
         ("Disks per Server", DISKS_PER_SERVER.to_string()),
-        ("CPUs per Server", cfg.replica.cpus.to_string()),
+        ("CPUs per Server", ReplicaConfig::default().cpus.to_string()),
         (
             "Transaction Length",
             format!("{} - {} Operations", w.txn_len_min, w.txn_len_max),
@@ -45,7 +46,7 @@ fn main() {
         ),
         (
             "Time for a message or a broadcast on the Network",
-            format!("{} ms", cfg.net.latency.as_millis_f64()),
+            format!("{} ms", NetConfig::default().latency.as_millis_f64()),
         ),
         (
             "CPU time for a network operation",

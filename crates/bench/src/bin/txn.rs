@@ -25,7 +25,7 @@
 //! holds the abort rate under 0.1 — and exits non-zero if snapshot
 //! certification ever stops paying.
 
-use groupsafe_core::{Load, ReadConfig, Report, SafetyLevel, System, WorkloadSpec};
+use groupsafe_core::{Load, ReadPath, Report, SafetyLevel, System, WorkloadSpec};
 use groupsafe_sim::SimDuration;
 
 /// Offered load (tps) just past the classic pipeline's knee at the
@@ -44,7 +44,7 @@ fn run_point(txn_fraction: f64, ops: Option<(usize, usize)>) -> Report {
         // Strictly serializable reads: the baseline's read-only
         // transactions certify their full read sets, which is exactly
         // the storm the snapshot path dissolves.
-        .reads(ReadConfig::broadcast())
+        .read_path(ReadPath::Broadcast)
         .workload(WorkloadSpec {
             read_fraction: 0.5,
             ..WorkloadSpec::default()

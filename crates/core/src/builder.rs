@@ -24,9 +24,10 @@
 //! assert_eq!(report.distinct_states, 1, "replicas converged");
 //! ```
 //!
-//! * [`SystemBuilder`] validates the configuration ([`BuildError`]) and
-//!   wires the full system exactly as [`System::build`] always has — the
-//!   same seed produces the same commit count and state digests,
+//! * [`SystemBuilder`] is the whole configuration: [`SystemBuilder::build`]
+//!   checks and resolves every setting once ([`BuildError`]) and wires
+//!   the full system from the result — the same seed produces the same
+//!   commit count and state digests,
 //! * [`Run`] owns the warm-up → measure → stop-clients → drain lifecycle
 //!   and offers phase hooks ([`Run::at`], [`Run::switch_safety_at`]) for
 //!   mid-run commands such as [`SwitchSafetyCmd`],
@@ -40,21 +41,23 @@
 //! replica groups ([`crate::shard`]) and the [`Report`] gains per-group
 //! and cross-group statistics.
 
+use std::rc::Rc;
+
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use groupsafe_db::{DbConfig, ItemId, Operation};
 use groupsafe_gcs::{BatchConfig, MAX_GROUP_SIZE};
 use groupsafe_net::NetConfig;
-use groupsafe_sim::{decompose_commits, CommitSpan, ObsConfig, Scheduler, SimDuration, SimTime};
+use groupsafe_sim::{decompose_commits, CommitSpan, ObsConfig, SimDuration, SimTime};
 
 use crate::client::{LoadModel, OpGenerator, StopClient, TxnPlan};
-use crate::reads::{ReadConfig, ReadLevel, ReadPath};
+use crate::reads::{ReadLevel, ReadPath};
 use crate::safety::SafetyLevel;
 use crate::scenario::ScenarioPlan;
 use crate::server::{ReplicaConfig, SwitchSafetyCmd, Technique};
-use crate::shard::{self, ShardError, ShardSpec, ShardStrategy};
-use crate::system::{System, SystemConfig};
+use crate::shard::{self, ShardError, ShardMap, ShardSpec, ShardStrategy};
+use crate::system::System;
 use crate::verify::{self, LostTransaction};
 
 // ---------------------------------------------------------------------
@@ -383,6 +386,13 @@ impl WorkloadSpec {
 pub enum BuildError {
     /// `servers(0)`: a replicated database needs at least one replica.
     NoServers,
+    /// `technique(Technique::Dsm(level))` at a level no database state
+    /// machine variant implements (1-safe is the lazy baseline:
+    /// [`SystemBuilder::safety`] selects it).
+    NoDsmVariant {
+        /// The requested level.
+        level: SafetyLevel,
+    },
     /// More servers per replica group than the group communication
     /// layer's stability-vote bitmask holds.
     GroupTooWide {
@@ -461,6 +471,9 @@ impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BuildError::NoServers => write!(f, "a system needs at least one server"),
+            BuildError::NoDsmVariant { level } => {
+                write!(f, "no database state machine variant implements {level}")
+            }
             BuildError::GroupTooWide { servers, max } => {
                 write!(
                     f,
@@ -520,51 +533,42 @@ impl std::error::Error for BuildError {}
 /// with its numeric id).
 pub type GeneratorFactory = Box<dyn FnMut(u32) -> OpGenerator>;
 
-/// Fluent configuration of a full replicated-database experiment.
+/// Fluent configuration of a full replicated-database experiment — the
+/// only configuration there is: [`SystemBuilder::build`] checks and
+/// resolves every setting once and wires the system from the result.
 ///
-/// Obtain one with [`System::builder`]. Defaults reproduce
-/// [`SystemConfig::default`] (9 servers × 4 clients, group-safe DSM,
-/// Table 4 database and network, seed 42) with a 60 s measurement window
-/// and 3 s drain.
+/// Obtain one with [`System::builder`]. Defaults are Table 4's system
+/// (9 servers × 4 clients, group-safe DSM, Table 4 database, workload
+/// and network, seed 42), open-loop clients at a 1.2 s mean
+/// inter-arrival time each, a 60 s measurement window and 3 s drain.
 pub struct SystemBuilder {
-    n_servers: u32,
-    clients_per_server: u32,
-    replica: ReplicaConfig,
+    pub(crate) n_servers: u32,
+    pub(crate) clients_per_server: u32,
+    pub(crate) replica: ReplicaConfig,
     load: Load,
-    client_timeout: SimDuration,
-    net: NetConfig,
-    seed: u64,
-    warmup: SimDuration,
+    pub(crate) client_timeout: SimDuration,
+    pub(crate) net: NetConfig,
+    pub(crate) seed: u64,
+    pub(crate) warmup: SimDuration,
     measure: SimDuration,
     drain: SimDuration,
     workload: WorkloadSpec,
     generator: Option<GeneratorFactory>,
     scenario: ScenarioPlan,
     shard: ShardSpec,
-    /// An explicit `read_fraction` call; applied over whatever workload
-    /// spec is in force.
-    read_fraction_override: Option<f64>,
-    /// An explicit `txn_fraction` call; applied over whatever workload
-    /// spec is in force.
-    txn_fraction_override: Option<f64>,
-    /// An explicit `txn_ops` call (min, max); same precedence.
-    txn_ops_override: Option<(usize, usize)>,
-    obs: ObsConfig,
-    /// The engine's event-queue backend (timing wheel by default).
-    scheduler: Scheduler,
+    pub(crate) obs: ObsConfig,
 }
 
 impl Default for SystemBuilder {
     fn default() -> Self {
-        let base = SystemConfig::default();
         SystemBuilder {
-            n_servers: base.n_servers,
-            clients_per_server: base.clients_per_server,
-            replica: base.replica,
+            n_servers: 9,
+            clients_per_server: 4,
+            replica: ReplicaConfig::default(),
             load: Load::OpenInterarrival(SimDuration::from_millis(1_200)),
-            client_timeout: base.client_timeout,
-            net: base.net,
-            seed: base.seed,
+            client_timeout: SimDuration::from_secs(2),
+            net: NetConfig::default(),
+            seed: 42,
             warmup: SimDuration::ZERO,
             measure: SimDuration::from_secs(60),
             drain: SimDuration::from_secs(3),
@@ -572,11 +576,7 @@ impl Default for SystemBuilder {
             generator: None,
             scenario: ScenarioPlan::new(),
             shard: ShardSpec::default(),
-            read_fraction_override: None,
-            txn_fraction_override: None,
-            txn_ops_override: None,
             obs: ObsConfig::default(),
-            scheduler: Scheduler::default(),
         }
     }
 }
@@ -613,6 +613,9 @@ impl SystemBuilder {
     }
 
     /// Choose the replication technique explicitly.
+    /// `Technique::Dsm(SafetyLevel::OneSafe)` is a build error: no
+    /// database state machine variant is 1-safe (use
+    /// [`SystemBuilder::safety`], which maps it to [`Technique::Lazy`]).
     pub fn technique(mut self, technique: Technique) -> Self {
         self.replica.technique = technique;
         self
@@ -657,20 +660,16 @@ impl SystemBuilder {
         self
     }
 
-    /// The full shard specification at once (see [`ShardSpec`]).
-    pub fn shard(mut self, spec: ShardSpec) -> Self {
-        self.shard = spec;
-        self
-    }
-
     /// How read-only transactions travel (see [`crate::reads`]):
     /// [`ReadPath::Classic`] (the default — reads ride the transaction
     /// pipeline, bit-for-bit the pre-read-path behavior),
     /// [`ReadPath::Broadcast`] (reads are ordered and certified like
     /// updates), or [`ReadPath::Local`] (follower reads at a freshness
-    /// level).
+    /// level, parked at most [`READ_MAX_WAIT`] behind a session token).
+    ///
+    /// [`READ_MAX_WAIT`]: crate::reads::READ_MAX_WAIT
     pub fn read_path(mut self, path: ReadPath) -> Self {
-        self.replica.reads.path = path;
+        self.replica.reads = path;
         self
     }
 
@@ -681,38 +680,32 @@ impl SystemBuilder {
         self.read_path(ReadPath::Local(level))
     }
 
-    /// The full read-path configuration at once (path + session bounded
-    /// wait).
-    pub fn reads(mut self, cfg: ReadConfig) -> Self {
-        self.replica.reads = cfg;
-        self
-    }
-
     /// Fraction of generated transactions that are read-only (the
-    /// read/write mix, first-class: plumbed into the built-in and the
-    /// sharded generators). 0 reproduces the historical generator
-    /// draw-for-draw. Applied over whatever [`SystemBuilder::workload`]
-    /// spec is in force, in either call order.
+    /// workload spec's `read_fraction`; plumbed into the built-in and
+    /// the sharded generators). 0 reproduces the historical generator
+    /// draw-for-draw. A later [`SystemBuilder::workload`] call replaces
+    /// it.
     pub fn read_fraction(mut self, f: f64) -> Self {
-        self.read_fraction_override = Some(f);
+        self.workload.read_fraction = f;
         self
     }
 
     /// Fraction of generated update transactions that run under snapshot
-    /// isolation (reads off a consistent MVCC snapshot, certification
-    /// first-committer-wins over the write set). 0 reproduces the classic
-    /// pipeline draw-for-draw. Applied over whatever
-    /// [`SystemBuilder::workload`] spec is in force, in either call
-    /// order.
+    /// isolation (the workload spec's `txn_fraction`: reads off a
+    /// consistent MVCC snapshot, certification first-committer-wins over
+    /// the write set). 0 reproduces the classic pipeline draw-for-draw.
+    /// A later [`SystemBuilder::workload`] call replaces it.
     pub fn txn_fraction(mut self, f: f64) -> Self {
-        self.txn_fraction_override = Some(f);
+        self.workload.txn_fraction = f;
         self
     }
 
-    /// Operations per snapshot-isolation transaction (min..=max), applied
-    /// over whatever workload spec is in force.
+    /// Operations per snapshot-isolation transaction (the workload
+    /// spec's `txn_ops_min..=txn_ops_max`). A later
+    /// [`SystemBuilder::workload`] call replaces it.
     pub fn txn_ops(mut self, min: usize, max: usize) -> Self {
-        self.txn_ops_override = Some((min, max));
+        self.workload.txn_ops_min = min;
+        self.workload.txn_ops_max = max;
         self
     }
 
@@ -725,14 +718,6 @@ impl SystemBuilder {
     /// event queue, so every mode replays bit-for-bit identically.
     pub fn observe(mut self, obs: ObsConfig) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// The engine's event-queue backend ([`Scheduler::TimingWheel`] by
-    /// default; [`Scheduler::LegacyHeap`] is the reference
-    /// implementation the wheel is pinned against).
-    pub fn scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -779,16 +764,17 @@ impl SystemBuilder {
         self
     }
 
-    /// Replace the whole server configuration, including the knobs the
-    /// per-field setters (`db`, `cpus`, `batching`, `read_path`, …)
-    /// configured before this call.
-    pub fn replica(mut self, replica: ReplicaConfig) -> Self {
-        self.replica = replica;
-        self
-    }
-
-    /// Local database configuration (items default to the workload spec's
-    /// `n_items` unless set explicitly here).
+    /// Local database configuration of every replica. Start from
+    /// `ReplicaConfig::default().db`, whose engine leaves flushing to the
+    /// server; `..DbConfig::default()` selects [`FlushPolicy::Sync`].
+    ///
+    /// The workload owns the item space: with the built-in generator,
+    /// `n_items` is the [`WorkloadSpec`]'s and the value here does not
+    /// count. It counts only under [`SystemBuilder::generator`]. A zero
+    /// `mvcc_depth` becomes 64 when the local read path or the built-in
+    /// generator's snapshot transactions need the multi-version store.
+    ///
+    /// [`FlushPolicy::Sync`]: groupsafe_db::FlushPolicy::Sync
     pub fn db(mut self, db: DbConfig) -> Self {
         self.replica.db = db;
         self
@@ -821,7 +807,10 @@ impl SystemBuilder {
         self
     }
 
-    /// The transaction shape for the built-in generator.
+    /// The transaction shape for the built-in generator. Replaces the
+    /// whole spec, including fractions and lengths set earlier through
+    /// [`SystemBuilder::read_fraction`], [`SystemBuilder::txn_fraction`]
+    /// or [`SystemBuilder::txn_ops`]: call those after this.
     pub fn workload(mut self, spec: WorkloadSpec) -> Self {
         self.workload = spec;
         self
@@ -842,11 +831,6 @@ impl SystemBuilder {
         self
     }
 
-    /// The system-wide offered rate this configuration implies, if any.
-    pub fn offered_tps(&self) -> Option<f64> {
-        self.load.offered_tps()
-    }
-
     /// True when the read path is defined for the technique: the lazy
     /// baseline serves reads through its own 2PL execution, and stable
     /// reads need an endpoint that tracks group stability (0-safe's
@@ -862,25 +846,11 @@ impl SystemBuilder {
         )
     }
 
-    /// The workload spec in force: the configured spec with the
-    /// read-fraction and snapshot-transaction overrides applied — what
-    /// the built system's generator will actually draw from.
-    pub fn effective_workload(&self) -> WorkloadSpec {
-        let mut w = self.workload.clone();
-        if let Some(f) = self.read_fraction_override {
-            w.read_fraction = f;
-        }
-        if let Some(f) = self.txn_fraction_override {
-            w.txn_fraction = f;
-        }
-        if let Some((lo, hi)) = self.txn_ops_override {
-            w.txn_ops_min = lo;
-            w.txn_ops_max = hi;
-        }
-        w
-    }
-
-    fn validate(&self) -> Result<(), BuildError> {
+    /// Check every setting and resolve, in one pass, the ones the wiring
+    /// cannot take as set: the database (its item space and
+    /// multi-version depth, in place), the shard map and the per-client
+    /// load model.
+    fn resolve(&mut self) -> Result<(ShardMap, LoadModel), BuildError> {
         if self.n_servers == 0 {
             return Err(BuildError::NoServers);
         }
@@ -893,14 +863,21 @@ impl SystemBuilder {
         if self.clients_per_server == 0 {
             return Err(BuildError::NoClients);
         }
-        if self.generator.is_none() {
-            self.effective_workload().validate()?;
+        let builtin = self.generator.is_none();
+        if builtin {
+            self.workload.validate()?;
         }
-        let path = self.replica.reads.path;
-        if !Self::reads_supported(self.replica.technique, path) {
+        let technique = self.replica.technique;
+        if technique == Technique::Dsm(SafetyLevel::OneSafe) {
+            return Err(BuildError::NoDsmVariant {
+                level: SafetyLevel::OneSafe,
+            });
+        }
+        let path = self.replica.reads;
+        if !Self::reads_supported(technique, path) {
             return Err(BuildError::UnsupportedReads {
                 path: path.label(),
-                technique: self.replica.technique.label(),
+                technique: technique.label(),
             });
         }
         let shard = &self.shard;
@@ -910,106 +887,66 @@ impl SystemBuilder {
                 value: shard.cross_fraction,
             });
         }
-        if shard.cross_fraction > 0.0 && shard.groups > 1 {
-            match self.replica.technique {
-                Technique::Dsm(SafetyLevel::VerySafe) | Technique::Lazy => {
-                    return Err(BuildError::UnsupportedCrossShard {
-                        technique: self.replica.technique.label(),
-                    });
-                }
-                Technique::Dsm(_) => {}
-            }
+        if shard.cross_fraction > 0.0
+            && shard.groups > 1
+            && matches!(
+                technique,
+                Technique::Dsm(SafetyLevel::VerySafe) | Technique::Lazy
+            )
+        {
+            return Err(BuildError::UnsupportedCrossShard {
+                technique: technique.label(),
+            });
         }
-        let n_items = if self.generator.is_none() {
-            self.workload.n_items
-        } else {
-            self.replica.db.n_items
-        };
-        shard.resolve(n_items).map_err(BuildError::Shard)?;
-        let total_servers = self.n_servers * shard.groups;
-        self.scenario.validate(total_servers)?;
-        self.scenario
-            .validate_groups(shard.groups, self.n_servers)?;
-        // Resolve eagerly so rate errors surface at build time.
-        self.load
-            .resolve(total_servers * self.clients_per_server)
-            .map(|_| ())
-    }
-
-    /// The [`SystemConfig`] this builder denotes: every default and
-    /// override resolved (what `table4` prints).
-    pub fn to_system_config(&self) -> Result<SystemConfig, BuildError> {
-        self.validate()?;
-        let n_clients = self.n_servers * self.clients_per_server;
-        let mut db = self.replica.db.clone();
-        if self.generator.is_none() {
+        let db = &mut self.replica.db;
+        if builtin {
             // The built-in generator draws from the workload spec's item
             // space; keep the engine's catalogue in sync with it. Custom
             // generators own their item space via `.db(..)`.
             db.n_items = self.workload.n_items;
         }
-        // The local read path serves snapshots, so it switches the
-        // engines' multi-version store on (bounded; pruned at the
-        // group-stable watermark).
-        if self.replica.reads.is_local() && db.mvcc_depth == 0 {
+        // The local read path serves snapshots, and snapshot-isolation
+        // transactions read from them too: either switches the engines'
+        // multi-version store on (bounded; pruned at the group-stable
+        // watermark).
+        let snapshots =
+            matches!(path, ReadPath::Local(_)) || (builtin && self.workload.txn_fraction > 0.0);
+        if snapshots && db.mvcc_depth == 0 {
             db.mvcc_depth = 64;
         }
-        // Snapshot-isolation transactions read from the multi-version
-        // store too: switch it on whenever the effective mix contains
-        // them.
-        if self.generator.is_none()
-            && db.mvcc_depth == 0
-            && self.effective_workload().txn_fraction > 0.0
-        {
-            db.mvcc_depth = 64;
-        }
-        Ok(SystemConfig {
-            n_servers: self.n_servers,
-            clients_per_server: self.clients_per_server,
-            replica: ReplicaConfig {
-                db,
-                ..self.replica.clone()
-            },
-            load: self.load.resolve(n_clients * self.shard.groups)?,
-            client_timeout: self.client_timeout,
-            measure_from: SimTime::ZERO + self.warmup,
-            net: self.net.clone(),
-            shard: self.shard.clone(),
-            seed: self.seed,
-            obs: self.obs,
-            scheduler: self.scheduler,
-        })
+        let map = shard.resolve(db.n_items).map_err(BuildError::Shard)?;
+        let total_servers = self.n_servers * map.n_groups();
+        self.scenario.validate(total_servers)?;
+        self.scenario
+            .validate_groups(map.n_groups(), self.n_servers)?;
+        let load = self.load.resolve(total_servers * self.clients_per_server)?;
+        Ok((map, load))
     }
 
     /// Validate, wire the system, install the fault scenario, and hand
     /// back a [`Run`] ready to [`execute`](Run::execute).
     pub fn build(mut self) -> Result<Run, BuildError> {
-        let cfg = self.to_system_config()?;
-        let net_baseline = cfg.net.clone();
-        let offered_tps = self.load.offered_tps();
-        let spec = self.effective_workload();
-        let system = match self.generator.take() {
-            Some(factory) => System::build(cfg, factory),
+        let (map, load) = self.resolve()?;
+        let map = Rc::new(map);
+        let make_gen: GeneratorFactory = match self.generator.take() {
+            Some(factory) => factory,
             None => {
                 // Route the built-in generator through the shard map; a
                 // single-group map delegates to the spec's own generator,
                 // draw-for-draw (the sharded fingerprint-identity
                 // invariant).
-                let map = std::rc::Rc::new(
-                    cfg.shard
-                        .resolve(cfg.replica.db.n_items)
-                        .map_err(BuildError::Shard)?,
-                );
-                let cross = cfg.shard.cross_fraction;
-                System::build(cfg, move |_| {
-                    shard::sharded_generator(&spec, map.clone(), cross)
-                })
+                let spec = self.workload.clone();
+                let map = map.clone();
+                let cross = self.shard.cross_fraction;
+                Box::new(move |_| shard::sharded_generator(&spec, map.clone(), cross))
             }
         };
+        let system = System::wire(&self, load, map, make_gen);
+        let offered_tps = self.load.offered_tps();
         let mut run = Run::new(system, self.warmup, self.measure, self.drain, offered_tps);
         // Every scenario step becomes a sim-time hook that fires exactly
         // at its instant, under `execute` and the stepwise API alike.
-        self.scenario.install(&mut run, &net_baseline);
+        self.scenario.install(&mut run, &self.net);
         Ok(run)
     }
 }
@@ -1988,38 +1925,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_defaults_match_system_config_default() {
-        let cfg = System::builder().to_system_config().expect("valid");
-        let base = SystemConfig::default();
-        assert_eq!(cfg.n_servers, base.n_servers);
-        assert_eq!(cfg.clients_per_server, base.clients_per_server);
-        assert_eq!(cfg.seed, base.seed);
-        assert_eq!(cfg.client_timeout, base.client_timeout);
-        assert_eq!(cfg.measure_from, base.measure_from);
-        assert_eq!(cfg.replica.technique, base.replica.technique);
-        assert_eq!(cfg.replica.cpus, base.replica.cpus);
-        assert_eq!(
-            cfg.replica.wal_flush_interval,
-            base.replica.wal_flush_interval
-        );
-        assert_eq!(
-            cfg.replica.lazy_prop_interval,
-            base.replica.lazy_prop_interval
-        );
-        match (cfg.load, base.load) {
-            (
-                LoadModel::Open {
-                    mean_interarrival: a,
-                },
-                LoadModel::Open {
-                    mean_interarrival: b,
-                },
-            ) => assert_eq!(a, b),
-            other => panic!("load models differ: {other:?}"),
-        }
-    }
-
-    #[test]
     fn zero_servers_is_a_typed_error() {
         assert_eq!(
             System::builder().servers(0).build().err(),
@@ -2038,10 +1943,47 @@ mod tests {
             })
         );
         // The widest group itself is accepted (servers count per group).
-        assert!(System::builder()
-            .servers(max as u32)
-            .to_system_config()
-            .is_ok());
+        assert!(System::builder().servers(max as u32).build().is_ok());
+    }
+
+    #[test]
+    fn a_dsm_technique_without_a_variant_is_a_typed_error() {
+        assert_eq!(
+            System::builder()
+                .technique(Technique::Dsm(SafetyLevel::OneSafe))
+                .build()
+                .err(),
+            Some(BuildError::NoDsmVariant {
+                level: SafetyLevel::OneSafe
+            })
+        );
+    }
+
+    #[test]
+    fn the_workload_owns_the_item_space() {
+        let items = |b: SystemBuilder| {
+            let run = b
+                .servers(3)
+                .clients_per_server(1)
+                .db(DbConfig {
+                    n_items: 500,
+                    ..ReplicaConfig::default().db
+                })
+                .build()
+                .expect("valid");
+            run.system().server(0).db().config().n_items
+        };
+        // The built-in generator: the workload spec's item space wins.
+        assert_eq!(items(System::builder()), WorkloadSpec::table4().n_items);
+        // A custom generator: `.db(..)` sets it.
+        let custom = System::builder().generator(|_| {
+            WorkloadSpec {
+                n_items: 500,
+                ..WorkloadSpec::table4()
+            }
+            .generator()
+        });
+        assert_eq!(items(custom), 500);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use groupsafe_sim::{Actor, Ctx, ObsEvent, Payload, SimDuration, SimTime};
 
 use crate::msg::{ClientMsg, ServerReply, TxnRequest};
 use crate::obs_txn;
-use crate::reads::{ReadConfig, ReadLevel, ReadPath, ReadReply, ReadRequest};
+use crate::reads::{ReadLevel, ReadPath, ReadReply, ReadRequest};
 use crate::shard::ShardMap;
 use crate::verify::{Oracle, ReadAckRecord};
 
@@ -102,7 +102,7 @@ pub struct ClientConfig {
     pub measure_from: SimTime,
     /// How read-only transactions travel (classic pipeline, broadcast,
     /// or the local follower-read path — see [`crate::reads`]).
-    pub reads: ReadConfig,
+    pub reads: ReadPath,
 }
 
 enum ClientTimer {
@@ -239,7 +239,7 @@ impl Client {
         // The local read path serves read-only single-group transactions
         // at any replica of the owning group; everything else (updates,
         // cross-group reads) keeps the classic pipeline.
-        let read_level = match self.cfg.reads.path {
+        let read_level = match self.cfg.reads {
             ReadPath::Local(level) if readonly && self.cfg.shard.groups_of(&ops).len() == 1 => {
                 Some(level)
             }

@@ -75,7 +75,7 @@ pub use msg::{
     XgDecision, XgPrepare, XgVote,
 };
 pub use reads::{
-    audit_reads, ReadConfig, ReadLevel, ReadPath, ReadReply, ReadRequest, ReadViolation,
+    audit_reads, ReadLevel, ReadPath, ReadReply, ReadRequest, ReadViolation, READ_MAX_WAIT,
 };
 pub use safety::{table1, Guarantee, SafetyLevel};
 pub use scenario::{
@@ -87,7 +87,7 @@ pub use server::{
     SwitchSafetyCmd, Technique, DISKS_PER_SERVER,
 };
 pub use shard::{sharded_generator, ShardError, ShardMap, ShardSpec, ShardStrategy};
-pub use system::{System, SystemConfig};
+pub use system::System;
 pub use verify::{
     check_convergence, check_lost_updates, check_no_loss, LostTransaction, LostUpdate, Oracle,
     SiRecord, XgRecord,

@@ -118,53 +118,11 @@ impl ReadPath {
     }
 }
 
-/// Configuration of the read path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadConfig {
-    /// How read-only transactions travel.
-    pub path: ReadPath,
-    /// How long a replica parks a [`ReadLevel::Session`] read while its
-    /// applied state is behind the client's token before answering with
-    /// a redirect.
-    pub max_wait: SimDuration,
-}
-
-impl Default for ReadConfig {
-    fn default() -> Self {
-        ReadConfig::classic()
-    }
-}
-
-impl ReadConfig {
-    /// The seed behavior: reads ride the classic transaction pipeline.
-    pub fn classic() -> Self {
-        ReadConfig {
-            path: ReadPath::Classic,
-            max_wait: SimDuration::from_millis(50),
-        }
-    }
-
-    /// Follower reads at `level` with the default bounded wait.
-    pub fn local(level: ReadLevel) -> Self {
-        ReadConfig {
-            path: ReadPath::Local(level),
-            ..ReadConfig::classic()
-        }
-    }
-
-    /// Broadcast (strictly serializable) reads — the bench baseline.
-    pub fn broadcast() -> Self {
-        ReadConfig {
-            path: ReadPath::Broadcast,
-            ..ReadConfig::classic()
-        }
-    }
-
-    /// True when the local read path is in force.
-    pub fn is_local(&self) -> bool {
-        matches!(self.path, ReadPath::Local(_))
-    }
-}
+/// How long a replica parks a [`ReadLevel::Session`] read (or a snapshot
+/// transaction) while its applied state is behind the client's token,
+/// before answering with a redirect (or executing at the snapshot it
+/// has).
+pub const READ_MAX_WAIT: SimDuration = SimDuration::from_millis(50);
 
 // ---------------------------------------------------------------------
 // Protocol messages
@@ -553,12 +511,9 @@ mod tests {
     }
 
     #[test]
-    fn read_config_constructors() {
-        assert_eq!(
-            ReadConfig::local(ReadLevel::Session).path.label(),
-            "local-session"
-        );
-        assert_eq!(ReadConfig::broadcast().path, ReadPath::Broadcast);
-        assert!(ReadConfig::default().path == ReadPath::Classic);
+    fn read_path_labels() {
+        assert_eq!(ReadPath::Local(ReadLevel::Session).label(), "local-session");
+        assert_eq!(ReadPath::Broadcast.label(), "broadcast");
+        assert_eq!(ReadPath::Classic.label(), "classic");
     }
 }

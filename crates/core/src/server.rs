@@ -71,7 +71,7 @@ use crate::msg::{
     XgDecision, XgDecisionFwd, XgPrepare, XgStatusQuery, XgSubRequest, XgVote,
 };
 use crate::obs_txn;
-use crate::reads::{ReadConfig, ReadLevel, ReadPath, ReadReply, ReadRequest};
+use crate::reads::{ReadLevel, ReadPath, ReadReply, ReadRequest, READ_MAX_WAIT};
 use crate::safety::SafetyLevel;
 use crate::shard::ShardMap;
 use crate::verify::{Oracle, ReadRecord, SiRecord};
@@ -155,7 +155,7 @@ pub struct ReplicaConfig {
     pub batch: BatchConfig,
     /// How read-only transactions travel (classic pipeline, broadcast,
     /// or the local follower-read path — see [`crate::reads`]).
-    pub reads: ReadConfig,
+    pub reads: ReadPath,
 }
 
 impl Default for ReplicaConfig {
@@ -174,7 +174,7 @@ impl Default for ReplicaConfig {
             lazy_prop_interval: SimDuration::from_millis(20),
             disk_sequential_factor: 0.3,
             batch: BatchConfig::unbatched(),
-            reads: ReadConfig::classic(),
+            reads: ReadPath::Classic,
         }
     }
 }
@@ -417,10 +417,10 @@ pub struct ReplicaServer {
     /// be unique per node or the Thomas write rule diverges on ties.
     last_lazy_version: Version,
     /// Session reads parked until the applied state reaches their token
-    /// (bounded by the read config's `max_wait`, then redirected).
+    /// (bounded by [`READ_MAX_WAIT`], then redirected).
     parked_reads: std::collections::BTreeMap<TxnId, ReadRequest>,
     /// Snapshot transactions parked until the applied state reaches
-    /// their session token (bounded by the read config's `max_wait`,
+    /// their session token (bounded by [`READ_MAX_WAIT`],
     /// then executed at whatever snapshot the replica has).
     parked_txns: std::collections::BTreeMap<TxnId, TxnRequest>,
     /// The sequence number the replica's *recovered* state corresponds
@@ -786,10 +786,7 @@ impl ReplicaServer {
             let attempt = req.attempt;
             let txn = req.id;
             self.parked_txns.insert(txn, req);
-            ctx.timer(
-                self.cfg.reads.max_wait,
-                ServerTimer::TxnWaitTimeout { txn, attempt },
-            );
+            ctx.timer(READ_MAX_WAIT, ServerTimer::TxnWaitTimeout { txn, attempt });
             return;
         }
         self.start_local_exec(ctx, req, start);
@@ -895,10 +892,7 @@ impl ReplicaServer {
             let attempt = req.attempt;
             let txn = req.id;
             self.parked_reads.insert(txn, req);
-            ctx.timer(
-                self.cfg.reads.max_wait,
-                ServerTimer::ReadWaitTimeout { txn, attempt },
-            );
+            ctx.timer(READ_MAX_WAIT, ServerTimer::ReadWaitTimeout { txn, attempt });
             return;
         }
         self.serve_read(ctx, req);
@@ -1358,7 +1352,7 @@ impl ReplicaServer {
             return;
         }
         if !exec.req.is_update() {
-            if self.cfg.reads.path != ReadPath::Broadcast {
+            if self.cfg.reads != ReadPath::Broadcast {
                 // Read-only: commits locally without interaction (Fig. 2
                 // note) — the classic path. (The local read path answers
                 // read-only transactions before they ever reach the

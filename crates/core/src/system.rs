@@ -10,68 +10,17 @@ use rand::{Rng, SeedableRng};
 
 use groupsafe_db::DbEngine;
 use groupsafe_gcs::GcsStats;
-use groupsafe_net::{NetConfig, Network, NodeId};
-use groupsafe_sim::{ActorId, Engine, ObsConfig, Scheduler, SimDuration, SimTime};
+use groupsafe_net::{Network, NodeId};
+use groupsafe_sim::{ActorId, Engine, SimTime};
 
-use crate::client::{Client, ClientConfig, LoadModel, OpGenerator, StartClient};
-use crate::server::{InitServer, ReplicaConfig, ReplicaServer, Technique};
-use crate::shard::{ShardMap, ShardSpec};
+use crate::builder::{GeneratorFactory, SystemBuilder};
+use crate::client::{Client, ClientConfig, LoadModel, StartClient};
+use crate::server::{InitServer, ReplicaServer, Technique};
+use crate::shard::ShardMap;
 use crate::verify::{self, LostTransaction, Oracle};
 
-/// Configuration of a whole replicated-database system.
-pub struct SystemConfig {
-    /// Number of replica servers *per group* (Table 4: 9; the whole
-    /// system when `shard` keeps its single-group default).
-    pub n_servers: u32,
-    /// Clients per server (Table 4: 4).
-    pub clients_per_server: u32,
-    /// Server configuration (technique, database, timers).
-    pub replica: ReplicaConfig,
-    /// Client load model.
-    pub load: LoadModel,
-    /// Client request timeout (failover trigger).
-    pub client_timeout: SimDuration,
-    /// Discard response samples before this instant (warm-up).
-    pub measure_from: SimTime,
-    /// Network parameters.
-    pub net: NetConfig,
-    /// Sharding: how many replica groups and how keys route to them
-    /// (default: one group — the classic unsharded system).
-    pub shard: ShardSpec,
-    /// Master seed.
-    pub seed: u64,
-    /// Observability: recording mode of the typed event layer (default:
-    /// the ring-buffer flight recorder; recording never perturbs the
-    /// simulation).
-    pub obs: ObsConfig,
-    /// Event-queue scheduler of the simulation kernel (timing wheel by
-    /// default; the legacy heap is kept for equivalence testing).
-    pub scheduler: Scheduler,
-}
-
-impl Default for SystemConfig {
-    fn default() -> Self {
-        SystemConfig {
-            n_servers: 9,
-            clients_per_server: 4,
-            replica: ReplicaConfig::default(),
-            load: LoadModel::Open {
-                mean_interarrival: SimDuration::from_millis(1_200),
-            },
-            client_timeout: SimDuration::from_secs(2),
-            measure_from: SimTime::ZERO,
-            net: NetConfig::default(),
-            shard: ShardSpec::default(),
-            seed: 42,
-            obs: ObsConfig::default(),
-            scheduler: Scheduler::default(),
-        }
-    }
-}
-
 /// A fully wired system: one replica group in the classic configuration,
-/// `N` key-routed groups when built with a multi-group
-/// [`ShardSpec`].
+/// `N` key-routed groups when built with [`SystemBuilder::shards`].
 pub struct System {
     /// The simulation engine.
     pub engine: Engine,
@@ -95,26 +44,25 @@ pub struct System {
 }
 
 impl System {
-    /// Build a system. `make_gen` supplies each client's operation
-    /// generator (called once per client with its id).
-    ///
-    /// # Panics
-    /// Panics if `cfg.shard` does not denote a valid partition of the
-    /// database's key space (the builder validates this ahead of time).
-    pub fn build(cfg: SystemConfig, mut make_gen: impl FnMut(u32) -> OpGenerator) -> System {
-        let shard = Rc::new(
-            cfg.shard
-                .resolve(cfg.replica.db.n_items)
-                .expect("invalid shard configuration"),
-        );
+    /// Wire the system a validated builder denotes. `load` and `shard`
+    /// are the builder's load and shard settings, resolved once against
+    /// the client population and the item space; `make_gen` supplies
+    /// each client's operation generator (called once per client with
+    /// its id).
+    pub(crate) fn wire(
+        b: &SystemBuilder,
+        load: LoadModel,
+        shard: Rc<ShardMap>,
+        mut make_gen: GeneratorFactory,
+    ) -> System {
         let n_groups = shard.n_groups();
-        let spg = cfg.n_servers;
+        let spg = b.n_servers;
         let total_servers = spg * n_groups;
-        let mut engine = Engine::new_with_scheduler(cfg.seed, cfg.scheduler);
-        engine.set_obs(cfg.obs);
-        let net = Network::new(cfg.net.clone());
+        let mut engine = Engine::new(b.seed);
+        engine.set_obs(b.obs);
+        let net = Network::new(b.net.clone());
         let oracle = Rc::new(RefCell::new(Oracle::default()));
-        let mut seeder = StdRng::seed_from_u64(cfg.seed);
+        let mut seeder = StdRng::seed_from_u64(b.seed);
 
         let mut servers = Vec::with_capacity(total_servers as usize);
         for i in 0..total_servers {
@@ -122,7 +70,7 @@ impl System {
             let server = ReplicaServer::new(
                 node,
                 spg,
-                cfg.replica.clone(),
+                b.replica.clone(),
                 net.clone(),
                 oracle.clone(),
                 seeder.random(),
@@ -133,7 +81,7 @@ impl System {
             servers.push(id);
         }
 
-        let n_clients = total_servers * cfg.clients_per_server;
+        let n_clients = total_servers * b.clients_per_server;
         let mut clients = Vec::with_capacity(n_clients as usize);
         for c in 0..n_clients {
             let node = NodeId(total_servers + c);
@@ -146,10 +94,10 @@ impl System {
                     n_servers: total_servers,
                     servers_per_group: spg,
                     shard: shard.clone(),
-                    load: cfg.load,
-                    timeout: cfg.client_timeout,
-                    measure_from: cfg.measure_from,
-                    reads: cfg.replica.reads,
+                    load,
+                    timeout: b.client_timeout,
+                    measure_from: SimTime::ZERO + b.warmup,
+                    reads: b.replica.reads,
                 },
                 net.clone(),
                 oracle.clone(),

@@ -1,15 +1,16 @@
 //! Determinism of the observability layer itself: the structured event
 //! stream and both exporters are pure functions of the seed. Two runs of
-//! one seed must render byte-identical artefacts, and the two scheduler
-//! backends — which are pinned to dispatch the identical event sequence
-//! — must also record the identical stream.
+//! one seed must render byte-identical artefacts. (That the kernel's two
+//! scheduler backends dispatch the identical event sequence is pinned
+//! in `crates/sim`: `tests/scheduler_equivalence.rs` and the engine's
+//! unit tests.)
 
 use groupsafe::core::{Load, SafetyLevel, System};
-use groupsafe::sim::{prometheus_snapshot, ObsConfig, Scheduler, SimDuration};
+use groupsafe::sim::{prometheus_snapshot, ObsConfig, SimDuration};
 
-/// One full-stream run under `scheduler`: the rendered event stream, the
-/// Chrome trace, the Prometheus snapshot and the dispatch fingerprint.
-fn run_stream(seed: u64, scheduler: Scheduler) -> (String, String, String, u64) {
+/// One full-stream run: the rendered event stream, the Chrome trace, the
+/// Prometheus snapshot and the dispatch fingerprint.
+fn run_stream(seed: u64) -> (String, String, String, u64) {
     let mut run = System::builder()
         .servers(3)
         .clients_per_server(2)
@@ -18,7 +19,6 @@ fn run_stream(seed: u64, scheduler: Scheduler) -> (String, String, String, u64) 
         .measure(SimDuration::from_secs(4))
         .seed(seed)
         .observe(ObsConfig::stream())
-        .scheduler(scheduler)
         .build()
         .expect("valid");
     let end = run.measure_end();
@@ -36,8 +36,8 @@ fn run_stream(seed: u64, scheduler: Scheduler) -> (String, String, String, u64) 
 
 #[test]
 fn double_runs_render_byte_identical_artefacts() {
-    let (stream_a, trace_a, prom_a, fp_a) = run_stream(31, Scheduler::TimingWheel);
-    let (stream_b, trace_b, prom_b, fp_b) = run_stream(31, Scheduler::TimingWheel);
+    let (stream_a, trace_a, prom_a, fp_a) = run_stream(31);
+    let (stream_b, trace_b, prom_b, fp_b) = run_stream(31);
     assert_eq!(fp_a, fp_b);
     assert_eq!(stream_a, stream_b, "event stream must be byte-identical");
     assert_eq!(trace_a, trace_b, "chrome trace must be byte-identical");
@@ -49,18 +49,4 @@ fn double_runs_render_byte_identical_artefacts() {
     }
     assert!(prom_a.contains("groupsafe_obs_events_total"), "{prom_a}");
     assert!(trace_a.starts_with("{\"traceEvents\":["), "{trace_a}");
-}
-
-#[test]
-fn scheduler_backends_record_identical_streams() {
-    let (stream_wheel, trace_wheel, prom_wheel, fp_wheel) = run_stream(57, Scheduler::TimingWheel);
-    let (stream_heap, trace_heap, prom_heap, fp_heap) = run_stream(57, Scheduler::LegacyHeap);
-    assert_eq!(
-        fp_wheel, fp_heap,
-        "schedulers must dispatch the identical event sequence"
-    );
-    assert_eq!(stream_wheel, stream_heap, "identical recorded streams");
-    assert_eq!(trace_wheel, trace_heap);
-    assert_eq!(prom_wheel, prom_heap);
-    assert!(!stream_wheel.is_empty());
 }

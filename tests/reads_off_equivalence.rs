@@ -3,8 +3,7 @@
 //! dispatch fingerprint, same commits, same digests, same report JSON.
 //! Same pattern as the `shards(1)` pin in `tests/sharding.rs`.
 
-use groupsafe::core::reads::{ReadConfig, ReadLevel};
-use groupsafe::core::{Load, SafetyLevel, System, SystemBuilder};
+use groupsafe::core::{Load, ReadLevel, ReadPath, SafetyLevel, System, SystemBuilder};
 use groupsafe::sim::SimDuration;
 
 fn base(seed: u64) -> SystemBuilder {
@@ -22,7 +21,7 @@ fn base(seed: u64) -> SystemBuilder {
 fn reads_off_is_fingerprint_identical_to_the_default() {
     // Explicitly classic + zero read fraction...
     let pinned = base(4242)
-        .reads(ReadConfig::classic())
+        .read_path(ReadPath::Classic)
         .read_fraction(0.0)
         .build()
         .expect("valid")

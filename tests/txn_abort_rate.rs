@@ -15,8 +15,7 @@
 //! rising means the baseline changed; the snapshot ceiling breaking
 //! means reads leaked back into certification.
 
-use groupsafe::core::reads::ReadConfig;
-use groupsafe::core::{Load, Report, SafetyLevel, System, WorkloadSpec};
+use groupsafe::core::{Load, ReadPath, Report, SafetyLevel, System, WorkloadSpec};
 use groupsafe::sim::SimDuration;
 
 /// The contended 50 % read mix: Table 4 transaction shapes over
@@ -26,7 +25,7 @@ fn contended_mix(txn_fraction: f64) -> Report {
         .servers(3)
         .clients_per_server(4)
         .safety(SafetyLevel::GroupSafe)
-        .reads(ReadConfig::broadcast())
+        .read_path(ReadPath::Broadcast)
         .workload(WorkloadSpec {
             read_fraction: 0.5,
             ..WorkloadSpec::default()
