@@ -8,7 +8,7 @@
 //! server crashes before S2/S3 process m. On recovery, can the system
 //! still commit m?
 
-use groupsafe_gcs::harness::{Cluster, RestartGroupCmd};
+use groupsafe_gcs::harness::{Cluster, HostMsg};
 use groupsafe_gcs::GcsConfig;
 use groupsafe_net::NodeId;
 use groupsafe_sim::{SimDuration, SimTime};
@@ -39,9 +39,11 @@ fn run_scenario(label: &str, cfg: GcsConfig, restart: bool) -> Outcome {
         // Dynamic model, total failure: operator restarts the group.
         let members: Vec<NodeId> = (0..n).map(NodeId).collect();
         for &h in &cluster.hosts {
-            cluster
-                .engine
-                .schedule_resilient(ms(300), h, RestartGroupCmd(members.clone()));
+            cluster.engine.schedule_resilient(
+                ms(300),
+                h,
+                HostMsg::RestartGroup(members.clone().into()),
+            );
         }
     }
     cluster.engine.run_until(ms(2_000));

@@ -30,7 +30,7 @@
 //!   commit count and state digests,
 //! * [`Run`] owns the warm-up → measure → stop-clients → drain lifecycle
 //!   and offers phase hooks ([`Run::at`], [`Run::switch_safety_at`]) for
-//!   mid-run commands such as [`SwitchSafetyCmd`],
+//!   mid-run commands such as [`ServerEvent::SwitchSafety`],
 //! * [`Report`] is the structured outcome — commits, mean/p95/p99,
 //!   aborts, lost transactions, convergence digests, per-phase and
 //!   per-shard-group stats — with [`Display`](std::fmt::Display) and
@@ -51,11 +51,12 @@ use groupsafe_gcs::{BatchConfig, MAX_GROUP_SIZE};
 use groupsafe_net::NetConfig;
 use groupsafe_sim::{decompose_commits, CommitSpan, ObsConfig, SimDuration, SimTime};
 
-use crate::client::{LoadModel, OpGenerator, StopClient, TxnPlan};
+use crate::client::{LoadModel, OpGenerator, TxnPlan};
+use crate::msg::{ClientEvent, ServerEvent};
 use crate::reads::{ReadLevel, ReadPath};
 use crate::safety::SafetyLevel;
 use crate::scenario::ScenarioPlan;
-use crate::server::{ReplicaConfig, SwitchSafetyCmd, Technique};
+use crate::server::{ReplicaConfig, Technique};
 use crate::shard::{self, ShardError, ShardMap, ShardSpec, ShardStrategy};
 use crate::system::System;
 use crate::verify::{self, LostTransaction};
@@ -1097,7 +1098,7 @@ impl Run {
             for &s in &system.servers.clone() {
                 system
                     .engine
-                    .schedule_resilient(now.max(at), s, SwitchSafetyCmd(level));
+                    .schedule_resilient(now.max(at), s, ServerEvent::SwitchSafety(level));
             }
         })
     }
@@ -1135,7 +1136,9 @@ impl Run {
     /// Stop every client at `t` (outstanding transactions still finish).
     pub fn stop_clients_at(&mut self, t: SimTime) {
         for &c in &self.system.clients.clone() {
-            self.system.engine.schedule_resilient(t, c, StopClient);
+            self.system
+                .engine
+                .schedule_resilient(t, c, ClientEvent::Stop);
         }
     }
 

@@ -14,10 +14,10 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use groupsafe_db::{Operation, TxnId};
-use groupsafe_net::{Incoming, Network, NodeId};
-use groupsafe_sim::{Actor, Ctx, ObsEvent, Payload, SimDuration, SimTime};
+use groupsafe_net::{Network, NodeId};
+use groupsafe_sim::{Actor, Ctx, ObsEvent, SimDuration, SimTime};
 
-use crate::msg::{ClientMsg, ServerReply, TxnRequest};
+use crate::msg::{ClientEvent, ClientMsg, CoreMsg, ServerReply, TxnRequest};
 use crate::obs_txn;
 use crate::reads::{ReadLevel, ReadPath, ReadReply, ReadRequest};
 use crate::shard::ShardMap;
@@ -105,15 +105,25 @@ pub struct ClientConfig {
     pub reads: ReadPath,
 }
 
-enum ClientTimer {
+/// Client-internal timers. A transaction is named by its sequence
+/// number alone — its client is the one the timer fires at — which keeps
+/// a timer two words wide.
+#[derive(Debug, Clone, Copy)]
+pub enum ClientTimer {
+    /// The next transaction is due.
     Arrival,
+    /// No answer to this attempt in time: resubmit elsewhere.
     Timeout {
-        txn: TxnId,
+        /// Sequence number of the transaction.
+        seq: u64,
+        /// The attempt the timeout covers.
         attempt: u32,
     },
     /// Deferred abort-resubmission (contention backoff).
     Resubmit {
-        txn: TxnId,
+        /// Sequence number of the transaction.
+        seq: u64,
+        /// The attempt being retried.
         attempt: u32,
     },
 }
@@ -150,15 +160,6 @@ pub struct Client {
     stopped: bool,
 }
 
-/// Driver command: start generating load.
-#[derive(Debug, Clone, Copy)]
-pub struct StartClient;
-
-/// Driver command: stop generating new transactions (outstanding ones
-/// still complete — used to drain the system before verification).
-#[derive(Debug, Clone, Copy)]
-pub struct StopClient;
-
 impl Client {
     /// Build a client.
     pub fn new(
@@ -181,12 +182,20 @@ impl Client {
         }
     }
 
+    /// This client's transaction with sequence number `seq`.
+    fn txn(&self, seq: u64) -> TxnId {
+        TxnId {
+            client: self.cfg.id,
+            seq,
+        }
+    }
+
     fn exp_sample(&mut self, mean: SimDuration) -> SimDuration {
         let u: f64 = self.rng.random_range(1e-12..1.0);
         SimDuration::from_secs_f64(-mean.as_secs_f64() * u.ln())
     }
 
-    fn schedule_next_arrival(&mut self, ctx: &mut Ctx<'_>) {
+    fn schedule_next_arrival(&mut self, ctx: &mut Ctx<'_, CoreMsg>) {
         let delay = match self.cfg.load {
             LoadModel::Open { mean_interarrival } => self.exp_sample(mean_interarrival),
             LoadModel::Closed { mean_think } => self.exp_sample(mean_think),
@@ -225,12 +234,9 @@ impl Client {
         }
     }
 
-    fn submit_new(&mut self, ctx: &mut Ctx<'_>) {
+    fn submit_new(&mut self, ctx: &mut Ctx<'_, CoreMsg>) {
         self.next_seq += 1;
-        let id = TxnId {
-            client: self.cfg.id,
-            seq: self.next_seq,
-        };
+        let id = self.txn(self.next_seq);
         let plan = (self.gen)(&mut self.rng);
         let ops = plan.ops;
         let now = ctx.now();
@@ -263,7 +269,7 @@ impl Client {
         self.send_request(ctx, id);
     }
 
-    fn send_request(&mut self, ctx: &mut Ctx<'_>, id: TxnId) {
+    fn send_request(&mut self, ctx: &mut Ctx<'_, CoreMsg>, id: TxnId) {
         let o = self.outstanding.get(&id).expect("outstanding");
         let target = o.target;
         let attempt = o.attempt;
@@ -307,10 +313,11 @@ impl Client {
             self.net
                 .send(ctx, self.cfg.node, target, ClientMsg::Request(req));
         }
-        ctx.timer(self.cfg.timeout, ClientTimer::Timeout { txn: id, attempt });
+        let seq = id.seq;
+        ctx.timer(self.cfg.timeout, ClientTimer::Timeout { seq, attempt });
     }
 
-    fn resubmit(&mut self, ctx: &mut Ctx<'_>, id: TxnId, rotate: bool) {
+    fn resubmit(&mut self, ctx: &mut Ctx<'_, CoreMsg>, id: TxnId, rotate: bool) {
         let spg = self.cfg.servers_per_group.max(1);
         let Some(o) = self.outstanding.get_mut(&id) else {
             return;
@@ -331,7 +338,7 @@ impl Client {
         self.send_request(ctx, id);
     }
 
-    fn on_reply(&mut self, ctx: &mut Ctx<'_>, reply: ServerReply) {
+    fn on_reply(&mut self, ctx: &mut Ctx<'_, CoreMsg>, reply: ServerReply) {
         match reply {
             ServerReply::Committed {
                 txn,
@@ -411,13 +418,14 @@ impl Client {
                     let backoff =
                         SimDuration::from_millis(5) * (1u64 << u64::from(o.attempt.min(8)));
                     let attempt = o.attempt;
-                    ctx.timer(backoff, ClientTimer::Resubmit { txn, attempt });
+                    let seq = txn.seq;
+                    ctx.timer(backoff, ClientTimer::Resubmit { seq, attempt });
                 }
             }
         }
     }
 
-    fn on_read_reply(&mut self, ctx: &mut Ctx<'_>, reply: ReadReply) {
+    fn on_read_reply(&mut self, ctx: &mut Ctx<'_, CoreMsg>, reply: ReadReply) {
         match reply {
             ReadReply::Served {
                 txn,
@@ -488,7 +496,7 @@ impl Client {
         }
     }
 
-    fn on_timeout(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, attempt: u32) {
+    fn on_timeout(&mut self, ctx: &mut Ctx<'_, CoreMsg>, txn: TxnId, attempt: u32) {
         let Some(o) = self.outstanding.get(&txn) else {
             return; // already answered
         };
@@ -502,59 +510,39 @@ impl Client {
     }
 }
 
-impl Actor for Client {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
-        let payload = match payload.downcast::<StartClient>() {
-            Ok(_) => {
-                self.schedule_next_arrival(ctx);
-                return;
-            }
-            Err(p) => p,
+impl Actor<CoreMsg> for Client {
+    fn on_event(&mut self, ctx: &mut Ctx<'_, CoreMsg>, msg: CoreMsg) {
+        let ev = match msg {
+            CoreMsg::Client(ev) => ev,
+            CoreMsg::Server(_) => return ctx.metrics().incr("misrouted"),
         };
-        let payload = match payload.downcast::<StopClient>() {
-            Ok(_) => {
-                self.stopped = true;
-                return;
-            }
-            Err(p) => p,
-        };
-        let payload = match payload.downcast::<Incoming<ServerReply>>() {
-            Ok(inc) => {
-                self.on_reply(ctx, inc.msg);
-                return;
-            }
-            Err(p) => p,
-        };
-        let payload = match payload.downcast::<Incoming<ReadReply>>() {
-            Ok(inc) => {
-                self.on_read_reply(ctx, inc.msg);
-                return;
-            }
-            Err(p) => p,
-        };
-        match payload.downcast::<ClientTimer>() {
-            Ok(t) => match *t {
-                ClientTimer::Arrival => {
-                    if self.stopped {
-                        return;
-                    }
-                    self.submit_new(ctx);
-                    if matches!(self.cfg.load, LoadModel::Open { .. }) {
-                        self.schedule_next_arrival(ctx);
-                    }
+        match ev {
+            ClientEvent::Start => self.schedule_next_arrival(ctx),
+            ClientEvent::Stop => self.stopped = true,
+            ClientEvent::Reply(reply) => self.on_reply(ctx, *reply),
+            ClientEvent::ReadReply(reply) => self.on_read_reply(ctx, *reply),
+            ClientEvent::Timer(ClientTimer::Arrival) => {
+                if self.stopped {
+                    return;
                 }
-                ClientTimer::Timeout { txn, attempt } => self.on_timeout(ctx, txn, attempt),
-                ClientTimer::Resubmit { txn, attempt } => {
-                    let still = self
-                        .outstanding
-                        .get(&txn)
-                        .is_some_and(|o| o.attempt == attempt);
-                    if still {
-                        self.resubmit(ctx, txn, false);
-                    }
+                self.submit_new(ctx);
+                if matches!(self.cfg.load, LoadModel::Open { .. }) {
+                    self.schedule_next_arrival(ctx);
                 }
-            },
-            Err(_) => panic!("client: unhandled event payload"),
+            }
+            ClientEvent::Timer(ClientTimer::Timeout { seq, attempt }) => {
+                self.on_timeout(ctx, self.txn(seq), attempt)
+            }
+            ClientEvent::Timer(ClientTimer::Resubmit { seq, attempt }) => {
+                let txn = self.txn(seq);
+                let still = self
+                    .outstanding
+                    .get(&txn)
+                    .is_some_and(|o| o.attempt == attempt);
+                if still {
+                    self.resubmit(ctx, txn, false);
+                }
+            }
         }
     }
 

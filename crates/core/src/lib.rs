@@ -68,11 +68,11 @@ pub fn obs_txn(id: groupsafe_db::TxnId) -> u64 {
     (u64::from(id.client) << 40) ^ id.seq
 }
 pub use certify::{certify, certify_snapshot, certify_versions, Certification};
-pub use client::{Client, ClientConfig, LoadModel, OpGenerator, StartClient, StopClient, TxnPlan};
+pub use client::{Client, ClientConfig, LoadModel, OpGenerator, TxnPlan};
 pub use groupsafe_gcs::BatchConfig;
 pub use msg::{
-    ClientMsg, DsmMsg, GroupMsg, LazyPropagation, LoggedConfirm, ServerReply, TxnRequest,
-    XgDecision, XgPrepare, XgVote,
+    ClientEvent, ClientMsg, CoreMsg, DsmMsg, GroupMsg, LazyPropagation, LoggedConfirm, ServerEvent,
+    ServerReply, TxnRequest, XgDecision, XgPrepare, XgVote,
 };
 pub use reads::{
     audit_reads, ReadLevel, ReadPath, ReadReply, ReadRequest, ReadViolation, READ_MAX_WAIT,
@@ -83,8 +83,7 @@ pub use scenario::{
     ScenarioStep,
 };
 pub use server::{
-    InitServer, InstallCheckpointCmd, RWire, ReplicaConfig, ReplicaServer, RestartServerCmd,
-    SwitchSafetyCmd, Technique, DISKS_PER_SERVER,
+    RWire, ReplicaConfig, ReplicaServer, RestartServerCmd, Technique, DISKS_PER_SERVER,
 };
 pub use shard::{sharded_generator, ShardError, ShardMap, ShardSpec, ShardStrategy};
 pub use system::System;

@@ -1,7 +1,17 @@
-//! Messages of the replicated database component.
+//! Messages of the replicated database component, and [`CoreMsg`], the
+//! one type a system's engine carries them in.
 
-use groupsafe_db::{ItemId, Operation, TxnId, Value, Version, WriteOp};
-use groupsafe_net::NodeId;
+use std::rc::Rc;
+
+use groupsafe_db::{DbCheckpoint, ItemId, Operation, TxnId, Value, Version, WriteOp};
+use groupsafe_gcs::{GcsTimer, Wire};
+use groupsafe_net::{Incoming, NodeId};
+use groupsafe_sim::Message;
+
+use crate::client::ClientTimer;
+use crate::reads::{ReadReply, ReadRequest};
+use crate::safety::SafetyLevel;
+use crate::server::{RWire, RestartServerCmd, ServerTimer};
 
 /// A transaction as submitted by a client.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -239,6 +249,128 @@ pub struct LazyPropagation {
     /// Write sets, each with the versions the delegate assigned at its
     /// local commit (origin timestamps; Thomas write rule applies them).
     pub writesets: Vec<(TxnId, Vec<WriteOp>)>,
+}
+
+/// Everything a system's engine delivers, one half per kind of actor.
+/// Senders pass the value they mean — a timer, a wire message, a driver
+/// command — and the `From` table below files it; each actor dispatches
+/// its half with an exhaustive `match`. A message for the other half is
+/// a wiring fault: the receiver drops it and counts it under
+/// `misrouted`.
+///
+/// Three words wide, so a pending event fills a 32-byte kernel slot:
+/// [`ServerTimer`] is the one three-word variant, everything else fits in
+/// the two words beside its tag, and what is larger travels boxed.
+/// Multicast traffic is one `Rc` that every receiver of the fan-out
+/// shares.
+#[derive(Debug, Clone)]
+pub enum CoreMsg {
+    /// For a [`ReplicaServer`](crate::ReplicaServer).
+    Server(ServerEvent),
+    /// For a [`Client`](crate::Client).
+    Client(ClientEvent),
+}
+
+impl Message for CoreMsg {}
+
+/// What a replica server receives.
+#[derive(Debug, Clone)]
+pub enum ServerEvent {
+    /// Driver: initialise the server.
+    Init,
+    /// Driver, after a *total* group failure in the dynamic model: all
+    /// processes restart as a brand-new group.
+    Restart(Box<RestartServerCmd>),
+    /// Operator: switch the reply point between group-safe and
+    /// group-1-safe at runtime (§5.2: "switching between group-1-safe and
+    /// group-safe can be done easily at runtime"). Both levels run on the
+    /// same uniform atomic broadcast, so only the reply point changes;
+    /// transactions delivered after the switch follow the new level.
+    SwitchSafety(SafetyLevel),
+    /// Driver: adopt this checkpoint (operator-driven reconciliation
+    /// after a total failure: every replica installs the most advanced
+    /// recovered state — a durable-prefix union, since all states are
+    /// prefixes of the same delivery history).
+    InstallCheckpoint(Box<DbCheckpoint>),
+    /// Group-communication traffic other than heartbeats.
+    Wire(Rc<Incoming<RWire>>),
+    /// A failure-detector heartbeat from this node: the most frequent
+    /// message of all, so it travels without an allocation.
+    Heartbeat(NodeId),
+    /// A client's transaction, for this server as its delegate.
+    Request(Box<TxnRequest>),
+    /// A client's read on the local read path.
+    Read(Box<ReadRequest>),
+    /// Very-safe: a replica logged the transaction.
+    Confirm(Box<Incoming<LoggedConfirm>>),
+    /// Lazy write sets from another replica's delegate.
+    Lazy(Box<LazyPropagation>),
+    /// Cross-group: execute a remote slice as its group's gateway.
+    XgSub(Box<XgSubRequest>),
+    /// Cross-group: a group's vote, for this server as coordinator.
+    XgVote(Box<XgVote>),
+    /// Cross-group: broadcast this decision in this server's group.
+    XgDecision(Box<XgDecision>),
+    /// Cross-group: a participant's probe for a lost decision.
+    XgStatusQuery(Box<Incoming<XgStatusQuery>>),
+    /// A timer of the server's group-communication endpoint.
+    Gcs(GcsTimer),
+    /// A timer of the server itself.
+    Timer(ServerTimer),
+}
+
+/// What a client receives.
+#[derive(Debug, Clone)]
+pub enum ClientEvent {
+    /// Driver: start generating load.
+    Start,
+    /// Driver: stop generating new transactions (outstanding ones still
+    /// complete — used to drain the system before verification).
+    Stop,
+    /// A server's answer to a transaction.
+    Reply(Box<ServerReply>),
+    /// A server's answer to a local-path read.
+    ReadReply(Box<ReadReply>),
+    /// A timer of the client itself.
+    Timer(ClientTimer),
+}
+
+/// The `From` table: one impl per value a system's engine carries, each
+/// filing it in its variant.
+macro_rules! carry {
+    ($($value:ty => |$v:ident| $msg:expr;)+) => {
+        $(impl From<$value> for CoreMsg {
+            fn from($v: $value) -> CoreMsg {
+                $msg
+            }
+        })+
+    };
+}
+
+carry! {
+    ServerEvent => |ev| CoreMsg::Server(ev);
+    ClientEvent => |ev| CoreMsg::Client(ev);
+    GcsTimer => |t| CoreMsg::Server(ServerEvent::Gcs(t));
+    ServerTimer => |t| CoreMsg::Server(ServerEvent::Timer(t));
+    ClientTimer => |t| CoreMsg::Client(ClientEvent::Timer(t));
+    Incoming<RWire> => |inc| CoreMsg::Server(if let Wire::Heartbeat = inc.msg {
+        ServerEvent::Heartbeat(inc.from)
+    } else {
+        ServerEvent::Wire(Rc::new(inc))
+    });
+    Incoming<ClientMsg> => |inc| {
+        let ClientMsg::Request(req) = inc.msg;
+        CoreMsg::Server(ServerEvent::Request(Box::new(req)))
+    };
+    Incoming<ReadRequest> => |inc| CoreMsg::Server(ServerEvent::Read(Box::new(inc.msg)));
+    Incoming<LoggedConfirm> => |inc| CoreMsg::Server(ServerEvent::Confirm(Box::new(inc)));
+    Incoming<LazyPropagation> => |inc| CoreMsg::Server(ServerEvent::Lazy(Box::new(inc.msg)));
+    Incoming<XgSubRequest> => |inc| CoreMsg::Server(ServerEvent::XgSub(Box::new(inc.msg)));
+    Incoming<XgVote> => |inc| CoreMsg::Server(ServerEvent::XgVote(Box::new(inc.msg)));
+    Incoming<XgDecisionFwd> => |inc| CoreMsg::Server(ServerEvent::XgDecision(Box::new(inc.msg.0)));
+    Incoming<XgStatusQuery> => |inc| CoreMsg::Server(ServerEvent::XgStatusQuery(Box::new(inc)));
+    Incoming<ServerReply> => |inc| CoreMsg::Client(ClientEvent::Reply(Box::new(inc.msg)));
+    Incoming<ReadReply> => |inc| CoreMsg::Client(ClientEvent::ReadReply(Box::new(inc.msg)));
 }
 
 #[cfg(test)]

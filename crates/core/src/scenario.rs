@@ -69,8 +69,9 @@ use groupsafe_net::{NetConfig, NodeId};
 use groupsafe_sim::{SimDuration, SimTime};
 
 use crate::builder::{BuildError, Run};
+use crate::msg::ServerEvent;
 use crate::safety::SafetyLevel;
-use crate::server::{InstallCheckpointCmd, ReplicaServer, RestartServerCmd, SwitchSafetyCmd};
+use crate::server::{ReplicaServer, RestartServerCmd};
 use crate::system::System;
 
 // ---------------------------------------------------------------------
@@ -581,7 +582,7 @@ impl ScenarioPlan {
                         let now = sys.engine.now().max(at);
                         for &s in &sys.servers.clone() {
                             sys.engine
-                                .schedule_resilient(now, s, SwitchSafetyCmd(level));
+                                .schedule_resilient(now, s, ServerEvent::SwitchSafety(level));
                         }
                     });
                 }
@@ -1073,18 +1074,14 @@ pub fn reconcile_restart(system: &mut System, servers: &[u32]) {
     for &i in servers {
         let actor = system.servers[i as usize];
         if i != best {
-            system
-                .engine
-                .schedule_resilient(now, actor, InstallCheckpointCmd(ckpt.clone()));
+            let install = ServerEvent::InstallCheckpoint(Box::new(ckpt.clone()));
+            system.engine.schedule_resilient(now, actor, install);
         }
-        system.engine.schedule_resilient(
-            now,
-            actor,
-            RestartServerCmd {
-                members: members.clone(),
-                seq_base,
-            },
-        );
+        let restart = ServerEvent::Restart(Box::new(RestartServerCmd {
+            members: members.clone(),
+            seq_base,
+        }));
+        system.engine.schedule_resilient(now, actor, restart);
     }
 }
 

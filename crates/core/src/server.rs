@@ -61,14 +61,14 @@ use groupsafe_db::{
     DbCheckpoint, DbConfig, DbEngine, FlushPolicy, ItemId, LockMode, LockOutcome, Lsn, Operation,
     TxnId, Value, Version, WriteOp,
 };
-use groupsafe_gcs::{BatchConfig, GcsConfig, GcsEndpoint, GcsOutput, GcsTimer, Wire};
-use groupsafe_net::{Incoming, Network, NodeId, NET_CPU};
-use groupsafe_sim::{Actor, Ctx, Disk, Fcfs, ObsEvent, Payload, Shared, SimDuration, SimTime};
+use groupsafe_gcs::{BatchConfig, GcsConfig, GcsEndpoint, GcsOutput, Wire};
+use groupsafe_net::{Network, NodeId, NET_CPU};
+use groupsafe_sim::{Actor, Ctx, Disk, Fcfs, ObsEvent, SimDuration, SimTime};
 
 use crate::certify::{certify, certify_snapshot, Certification};
 use crate::msg::{
-    ClientMsg, DsmMsg, GroupMsg, LazyPropagation, LoggedConfirm, ServerReply, TxnRequest,
-    XgDecision, XgDecisionFwd, XgPrepare, XgStatusQuery, XgSubRequest, XgVote,
+    CoreMsg, DsmMsg, GroupMsg, LazyPropagation, LoggedConfirm, ServerEvent, ServerReply,
+    TxnRequest, XgDecision, XgDecisionFwd, XgPrepare, XgStatusQuery, XgSubRequest, XgVote,
 };
 use crate::obs_txn;
 use crate::reads::{ReadLevel, ReadPath, ReadReply, ReadRequest, READ_MAX_WAIT};
@@ -185,9 +185,10 @@ impl Default for ReplicaConfig {
 /// per receiver (the group log holds another shared reference).
 pub type RWire = Wire<Rc<GroupMsg>, DbCheckpoint>;
 
-/// Server-internal timers.
+/// Server-internal timers: two words at most beside the tag, so they
+/// travel inline in a [`CoreMsg`]; a reply the timer carries is boxed.
 #[derive(Debug, Clone)]
-enum ServerTimer {
+pub enum ServerTimer {
     /// The read phase (or lazy execution) of `txn` completed.
     ExecDone(TxnId),
     /// Periodic background WAL flush.
@@ -203,7 +204,7 @@ enum ServerTimer {
         /// Destination client.
         client: NodeId,
         /// The reply.
-        reply: ServerReply,
+        reply: Box<ServerReply>,
     },
     /// Send a read reply to `client` now (its simulated execution
     /// completed).
@@ -211,7 +212,7 @@ enum ServerTimer {
         /// Destination client.
         client: NodeId,
         /// The reply.
-        reply: ReadReply,
+        reply: Box<ReadReply>,
     },
     /// A parked session read's bounded wait expired: redirect unless the
     /// replica caught up meanwhile.
@@ -236,7 +237,7 @@ enum ServerTimer {
         /// The coordinator to vote to.
         to: NodeId,
         /// The vote.
-        vote: XgVote,
+        vote: Box<XgVote>,
     },
     /// A group delivered a cross-group prepare but no decision yet: probe
     /// the coordinator's group for it (rotating through its members).
@@ -267,13 +268,10 @@ const XG_PROBE_DELAY: SimDuration = SimDuration::from_millis(300);
 /// partitioned or down.
 const XG_ROUND_TIMEOUT: SimDuration = SimDuration::from_millis(600);
 
-/// Driver command: initialise the server.
-#[derive(Debug, Clone, Copy)]
-pub struct InitServer;
-
 /// Driver command after a *total* group failure in the dynamic model: all
 /// processes restart as a brand-new group (the GC history is gone), with
-/// sequence numbers continuing above `seq_base`.
+/// sequence numbers continuing above `seq_base` (see
+/// [`ServerEvent::Restart`]).
 #[derive(Debug, Clone)]
 pub struct RestartServerCmd {
     /// Members of the fresh group.
@@ -281,23 +279,6 @@ pub struct RestartServerCmd {
     /// Highest sequence number reflected in any recovered state.
     pub seq_base: u64,
 }
-
-/// Operator command: switch the reply point between group-safe and
-/// group-1-safe at runtime (§5.2: "switching between group-1-safe and
-/// group-safe can be done easily at runtime: an actual implementation
-/// might choose to switch between both modes depending on the
-/// situation"). Both levels run on the same uniform atomic broadcast, so
-/// only the reply point changes; transactions delivered after the switch
-/// follow the new level.
-#[derive(Debug, Clone, Copy)]
-pub struct SwitchSafetyCmd(pub SafetyLevel);
-
-/// Driver command: adopt this checkpoint (operator-driven reconciliation
-/// after a total failure: every replica installs the most advanced
-/// recovered state — a durable-prefix union, since all states are
-/// prefixes of the same delivery history).
-#[derive(Debug, Clone)]
-pub struct InstallCheckpointCmd(pub DbCheckpoint);
 
 /// What an in-flight local execution is for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -698,7 +679,7 @@ impl ReplicaServer {
         }
     }
 
-    fn init(&mut self, ctx: &mut Ctx<'_>) {
+    fn init(&mut self, ctx: &mut Ctx<'_, CoreMsg>) {
         if let Some(gcs) = &mut self.gcs {
             gcs.start(ctx);
         }
@@ -712,7 +693,7 @@ impl ReplicaServer {
     /// Switch between group-safe and group-1-safe (§5.2). Only these two
     /// levels share a group communication configuration, so only they can
     /// be swapped live.
-    fn switch_safety(&mut self, ctx: &mut Ctx<'_>, level: SafetyLevel) {
+    fn switch_safety(&mut self, ctx: &mut Ctx<'_, CoreMsg>, level: SafetyLevel) {
         assert!(
             matches!(level, SafetyLevel::GroupSafe | SafetyLevel::GroupOneSafe),
             "runtime switching is defined between group-safe and group-1-safe"
@@ -750,8 +731,15 @@ impl ReplicaServer {
         self.cpu.borrow_mut().request(from, NET_CPU)
     }
 
-    fn reply_at(&mut self, ctx: &mut Ctx<'_>, at: SimTime, client: NodeId, reply: ServerReply) {
+    fn reply_at(
+        &mut self,
+        ctx: &mut Ctx<'_, CoreMsg>,
+        at: SimTime,
+        client: NodeId,
+        reply: ServerReply,
+    ) {
         let delay = at - ctx.now();
+        let reply = Box::new(reply);
         ctx.timer(delay, ServerTimer::Reply { client, reply });
     }
 
@@ -759,7 +747,7 @@ impl ReplicaServer {
     // Request handling (delegate side)
     // ------------------------------------------------------------------
 
-    fn on_request(&mut self, ctx: &mut Ctx<'_>, req: TxnRequest) {
+    fn on_request(&mut self, ctx: &mut Ctx<'_, CoreMsg>, req: TxnRequest) {
         ctx.metrics().incr("server_requests");
         let start = self.charge_net_cpu(ctx.now());
         // A DSM transaction spanning several groups takes the two-phase
@@ -795,7 +783,7 @@ impl ReplicaServer {
     /// Begin the local execution of a single-group transaction: pin the
     /// snapshot (snapshot-isolation requests under DSM) and run the
     /// technique's read phase.
-    fn start_local_exec(&mut self, ctx: &mut Ctx<'_>, req: TxnRequest, start: SimTime) {
+    fn start_local_exec(&mut self, ctx: &mut Ctx<'_, CoreMsg>, req: TxnRequest, start: SimTime) {
         let snapshot = match self.technique {
             Technique::Dsm(_) if req.snapshot => Some(self.state_seq()),
             // The lazy baseline has no snapshot store: the flag degrades
@@ -823,7 +811,7 @@ impl ReplicaServer {
 
     /// Start every parked snapshot transaction the applied state has
     /// caught up to (called after each delivery advances `applied_seq`).
-    fn drain_parked_txns(&mut self, ctx: &mut Ctx<'_>) {
+    fn drain_parked_txns(&mut self, ctx: &mut Ctx<'_, CoreMsg>) {
         if self.parked_txns.is_empty() {
             return;
         }
@@ -844,7 +832,7 @@ impl ReplicaServer {
 
     /// A parked snapshot transaction's bounded wait expired: execute at
     /// the snapshot this replica has.
-    fn on_txn_wait_timeout(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, attempt: u32) {
+    fn on_txn_wait_timeout(&mut self, ctx: &mut Ctx<'_, CoreMsg>, txn: TxnId, attempt: u32) {
         let Some(req) = self.parked_txns.get(&txn) else {
             return; // started meanwhile
         };
@@ -882,7 +870,7 @@ impl ReplicaServer {
     /// A read-only transaction arrived on the local read path: serve it
     /// at the requested freshness level, park it (session level, behind
     /// its token) or — never — broadcast it.
-    fn on_read_request(&mut self, ctx: &mut Ctx<'_>, req: ReadRequest) {
+    fn on_read_request(&mut self, ctx: &mut Ctx<'_, CoreMsg>, req: ReadRequest) {
         ctx.metrics().incr("read_requests");
         self.charge_net_cpu(ctx.now());
         if req.level == ReadLevel::Session && self.state_seq() < req.token {
@@ -900,7 +888,7 @@ impl ReplicaServer {
 
     /// Execute a read at its level's snapshot and schedule the reply at
     /// the simulated completion instant.
-    fn serve_read(&mut self, ctx: &mut Ctx<'_>, req: ReadRequest) {
+    fn serve_read(&mut self, ctx: &mut Ctx<'_, CoreMsg>, req: ReadRequest) {
         let now = ctx.now();
         let applied = self.state_seq();
         // The stability evidence this replica holds: the live vote
@@ -966,14 +954,14 @@ impl ReplicaServer {
             delay,
             ServerTimer::ReadReplyAt {
                 client: req.client,
-                reply,
+                reply: Box::new(reply),
             },
         );
     }
 
     /// Serve every parked session read the applied state has caught up
     /// to (called after each delivery advances `applied_seq`).
-    fn drain_parked_reads(&mut self, ctx: &mut Ctx<'_>) {
+    fn drain_parked_reads(&mut self, ctx: &mut Ctx<'_, CoreMsg>) {
         if self.parked_reads.is_empty() {
             return;
         }
@@ -993,7 +981,7 @@ impl ReplicaServer {
 
     /// A parked read's bounded wait expired: answer with a redirect so
     /// the client retries at a fresher group member.
-    fn on_read_wait_timeout(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, attempt: u32) {
+    fn on_read_wait_timeout(&mut self, ctx: &mut Ctx<'_, CoreMsg>, txn: TxnId, attempt: u32) {
         let Some(req) = self.parked_reads.get(&txn) else {
             return; // served meanwhile
         };
@@ -1017,7 +1005,7 @@ impl ReplicaServer {
             delay,
             ServerTimer::ReadReplyAt {
                 client: req.client,
-                reply,
+                reply: Box::new(reply),
             },
         );
     }
@@ -1027,7 +1015,13 @@ impl ReplicaServer {
     /// locally and ship the remote slices to their gateways. A retry of
     /// the same transaction restarts the round (stale votes are filtered
     /// by attempt).
-    fn start_xg(&mut self, ctx: &mut Ctx<'_>, req: TxnRequest, groups: Vec<u32>, start: SimTime) {
+    fn start_xg(
+        &mut self,
+        ctx: &mut Ctx<'_, CoreMsg>,
+        req: TxnRequest,
+        groups: Vec<u32>,
+        start: SimTime,
+    ) {
         ctx.metrics().incr("xg_coordinated");
         let id = req.id;
         ctx.emit(|| ObsEvent::ExecStart { txn: obs_txn(id) });
@@ -1099,7 +1093,7 @@ impl ReplicaServer {
 
     /// Gateway entry point: execute a remote slice's read phase, then
     /// broadcast its prepare in this group.
-    fn on_xg_sub(&mut self, ctx: &mut Ctx<'_>, sub: XgSubRequest) {
+    fn on_xg_sub(&mut self, ctx: &mut Ctx<'_, CoreMsg>, sub: XgSubRequest) {
         ctx.metrics().incr("xg_sub_requests");
         let start = self.charge_net_cpu(ctx.now());
         let exec = Exec {
@@ -1128,7 +1122,7 @@ impl ReplicaServer {
     /// DSM read phase: no locks; reads observe committed versions, writes
     /// are buffered. The whole chain is computed analytically and the
     /// completion scheduled as one event.
-    fn run_dsm_read_phase(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
+    fn run_dsm_read_phase(&mut self, ctx: &mut Ctx<'_, CoreMsg>, txn: TxnId) {
         let mut exec = self.execs.remove(&txn).expect("exec exists");
         while exec.idx < exec.req.ops.len() {
             match (exec.req.ops[exec.idx], exec.snapshot) {
@@ -1200,7 +1194,7 @@ impl ReplicaServer {
     }
 
     /// Lazy execution: strict 2PL, one op at a time; parks on lock waits.
-    fn continue_lazy(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
+    fn continue_lazy(&mut self, ctx: &mut Ctx<'_, CoreMsg>, txn: TxnId) {
         loop {
             let Some(exec) = self.execs.get(&txn) else {
                 return; // aborted meanwhile
@@ -1259,7 +1253,7 @@ impl ReplicaServer {
 
     /// Abort a lazy transaction (deadlock victim): release its locks,
     /// answer its client, resume whoever the release unblocked.
-    fn abort_lazy(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
+    fn abort_lazy(&mut self, ctx: &mut Ctx<'_, CoreMsg>, txn: TxnId) {
         let Some(exec) = self.execs.remove(&txn) else {
             return;
         };
@@ -1277,14 +1271,14 @@ impl ReplicaServer {
         }
     }
 
-    fn on_exec_done(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
+    fn on_exec_done(&mut self, ctx: &mut Ctx<'_, CoreMsg>, txn: TxnId) {
         match self.technique {
             Technique::Dsm(_) => self.dsm_exec_done(ctx, txn),
             Technique::Lazy => self.lazy_exec_done(ctx, txn),
         }
     }
 
-    fn dsm_exec_done(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
+    fn dsm_exec_done(&mut self, ctx: &mut Ctx<'_, CoreMsg>, txn: TxnId) {
         let Some(exec) = self.execs.remove(&txn) else {
             return;
         };
@@ -1393,7 +1387,7 @@ impl ReplicaServer {
         ctx.metrics().incr("dsm_broadcasts");
     }
 
-    fn lazy_exec_done(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
+    fn lazy_exec_done(&mut self, ctx: &mut Ctx<'_, CoreMsg>, txn: TxnId) {
         let Some(exec) = self.execs.remove(&txn) else {
             return;
         };
@@ -1471,7 +1465,7 @@ impl ReplicaServer {
 
     fn on_deliver(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, CoreMsg>,
         seq: u64,
         msg: &GroupMsg,
         redelivery: bool,
@@ -1509,7 +1503,7 @@ impl ReplicaServer {
 
     fn deliver_txn(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, CoreMsg>,
         seq: u64,
         msg: &DsmMsg,
         redelivery: bool,
@@ -1761,7 +1755,13 @@ impl ReplicaServer {
     /// reservation check), reserve its items on success, and — on the
     /// replica that broadcast it — vote to the coordinator. Uniform
     /// delivery makes the verdict identical on every group member.
-    fn deliver_xg_prepare(&mut self, ctx: &mut Ctx<'_>, seq: u64, p: &XgPrepare, span: u32) {
+    fn deliver_xg_prepare(
+        &mut self,
+        ctx: &mut Ctx<'_, CoreMsg>,
+        seq: u64,
+        p: &XgPrepare,
+        span: u32,
+    ) {
         let now = ctx.now();
         let decided_at = self.delivery_cpu(now, span, p.readset.len());
         let level = match self.technique {
@@ -1833,7 +1833,7 @@ impl ReplicaServer {
                 delay,
                 ServerTimer::XgVoteAt {
                     to: p.coordinator,
-                    vote,
+                    vote: Box::new(vote),
                 },
             );
         }
@@ -1864,7 +1864,13 @@ impl ReplicaServer {
     /// processing semantics (asynchronous logging for 0-safe/group-safe,
     /// synchronous commit record otherwise). The coordinator's replica
     /// answers the client at the level's reply point.
-    fn deliver_xg_decision(&mut self, ctx: &mut Ctx<'_>, seq: u64, d: &XgDecision, span: u32) {
+    fn deliver_xg_decision(
+        &mut self,
+        ctx: &mut Ctx<'_, CoreMsg>,
+        seq: u64,
+        d: &XgDecision,
+        span: u32,
+    ) {
         let now = ctx.now();
         let slice: Vec<(ItemId, Value)> = d.writes_of(self.group).unwrap_or(&[]).to_vec();
         let decided_at = self.delivery_cpu(now, span, slice.len());
@@ -2002,7 +2008,7 @@ impl ReplicaServer {
     /// reservation in the (recovered or transferred) database: the
     /// probe timers died with the crash, and without them a decided-
     /// while-down transaction would stay reserved forever.
-    fn rearm_xg_probes(&mut self, ctx: &mut Ctx<'_>) {
+    fn rearm_xg_probes(&mut self, ctx: &mut Ctx<'_, CoreMsg>) {
         for (txn, coord) in self.db.reservation_holders() {
             self.xg_pending.insert(txn, (NodeId(coord), 0));
             ctx.timer(
@@ -2018,7 +2024,7 @@ impl ReplicaServer {
     /// Coordinator side: count a group's certification vote; once every
     /// touched group voted, decide and broadcast the decision — directly
     /// in the home group, via the gateways elsewhere.
-    fn on_xg_vote(&mut self, ctx: &mut Ctx<'_>, v: XgVote) {
+    fn on_xg_vote(&mut self, ctx: &mut Ctx<'_, CoreMsg>, v: XgVote) {
         let Some(entry) = self.xg_coord.get_mut(&v.txn) else {
             return; // decided, superseded or crashed away
         };
@@ -2037,7 +2043,13 @@ impl ReplicaServer {
     /// Build and fan out the decision for a completed (or timed-out)
     /// round: an ordered broadcast in the home group, gateway forwards to
     /// the other touched groups.
-    fn send_xg_decision(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, entry: XgCoord, commit: bool) {
+    fn send_xg_decision(
+        &mut self,
+        ctx: &mut Ctx<'_, CoreMsg>,
+        txn: TxnId,
+        entry: XgCoord,
+        commit: bool,
+    ) {
         ctx.metrics().incr(if commit {
             "xg_commit_decisions"
         } else {
@@ -2081,7 +2093,7 @@ impl ReplicaServer {
     /// A decision reached this replica by unicast (gateway fan-out or a
     /// probe answer): broadcast it in this group unless the group already
     /// delivered it.
-    fn on_xg_decision_fwd(&mut self, ctx: &mut Ctx<'_>, d: XgDecision) {
+    fn on_xg_decision_fwd(&mut self, ctx: &mut Ctx<'_, CoreMsg>, d: XgDecision) {
         self.charge_net_cpu(ctx.now());
         // Suppress decisions this group already delivered at the same
         // (or a later) attempt — a retry's decision supersedes an
@@ -2111,7 +2123,7 @@ impl ReplicaServer {
 
     /// A participant asks whether a transaction was decided; answer with
     /// the stored decision if this replica delivered it.
-    fn on_xg_status_query(&mut self, ctx: &mut Ctx<'_>, from: NodeId, q: XgStatusQuery) {
+    fn on_xg_status_query(&mut self, ctx: &mut Ctx<'_, CoreMsg>, from: NodeId, q: XgStatusQuery) {
         self.charge_net_cpu(ctx.now());
         if let Some(d) = self.xg_decided.get(&q.txn) {
             let d = d.clone();
@@ -2122,7 +2134,7 @@ impl ReplicaServer {
     /// Probe timer: the decision for `txn` has not been delivered here
     /// yet — ask a member of the coordinator's group (rotating, so a
     /// crashed coordinator does not silence the protocol) and re-arm.
-    fn on_xg_probe(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, tries: u32) {
+    fn on_xg_probe(&mut self, ctx: &mut Ctx<'_, CoreMsg>, txn: TxnId, tries: u32) {
         let Some(&(coordinator, _)) = self.xg_pending.get(&txn) else {
             return; // decided meanwhile
         };
@@ -2147,7 +2159,7 @@ impl ReplicaServer {
 
     fn handle_gcs_outputs(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, CoreMsg>,
         outputs: Vec<GcsOutput<Rc<GroupMsg>, DbCheckpoint>>,
     ) {
         for o in outputs {
@@ -2203,7 +2215,7 @@ impl ReplicaServer {
     // Timers
     // ------------------------------------------------------------------
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, t: ServerTimer) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, CoreMsg>, t: ServerTimer) {
         match t {
             ServerTimer::ExecDone(txn) => self.on_exec_done(ctx, txn),
             ServerTimer::WalFlushTick => {
@@ -2276,9 +2288,9 @@ impl ReplicaServer {
             }
             ServerTimer::Reply { client, reply } => {
                 let group = self.group;
-                let (txn, committed) = match &reply {
-                    ServerReply::Committed { txn, .. } => (*txn, true),
-                    ServerReply::Aborted { txn, .. } => (*txn, false),
+                let (txn, committed) = match *reply {
+                    ServerReply::Committed { txn, .. } => (txn, true),
+                    ServerReply::Aborted { txn, .. } => (txn, false),
                 };
                 ctx.emit(|| ObsEvent::Reply {
                     txn: obs_txn(txn),
@@ -2286,11 +2298,11 @@ impl ReplicaServer {
                     committed,
                 });
                 self.charge_net_cpu(ctx.now());
-                self.net.send(ctx, self.node, client, reply);
+                self.net.send(ctx, self.node, client, *reply);
             }
             ServerTimer::ReadReplyAt { client, reply } => {
                 self.charge_net_cpu(ctx.now());
-                self.net.send(ctx, self.node, client, reply);
+                self.net.send(ctx, self.node, client, *reply);
             }
             ServerTimer::ReadWaitTimeout { txn, attempt } => {
                 self.on_read_wait_timeout(ctx, txn, attempt)
@@ -2300,10 +2312,10 @@ impl ReplicaServer {
             }
             ServerTimer::XgVoteAt { to, vote } => {
                 if to == self.node {
-                    self.on_xg_vote(ctx, vote);
+                    self.on_xg_vote(ctx, *vote);
                 } else {
                     self.charge_net_cpu(ctx.now());
-                    self.net.send(ctx, self.node, to, vote);
+                    self.net.send(ctx, self.node, to, *vote);
                 }
             }
             ServerTimer::XgProbe { txn, tries } => self.on_xg_probe(ctx, txn, tries),
@@ -2323,7 +2335,7 @@ impl ReplicaServer {
 
     /// Delegate side of very-safe: count a replica's logging confirmation
     /// and answer the client once the whole group confirmed.
-    fn record_confirm(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, from: NodeId) {
+    fn record_confirm(&mut self, ctx: &mut Ctx<'_, CoreMsg>, txn: TxnId, from: NodeId) {
         ctx.metrics().incr("very_confirms_seen");
         let Some(entry) = self.very_waiting.get_mut(&txn) else {
             // Our own delivery has not opened the entry yet: buffer.
@@ -2336,7 +2348,7 @@ impl ReplicaServer {
     }
 
     /// Reply to the client once every group member confirmed logging.
-    fn check_very_complete(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
+    fn check_very_complete(&mut self, ctx: &mut Ctx<'_, CoreMsg>, txn: TxnId) {
         let Some(entry) = self.very_waiting.get(&txn) else {
             return;
         };
@@ -2358,7 +2370,7 @@ impl ReplicaServer {
     }
 
     /// A group-communication message arrived from `from`.
-    fn on_wire(&mut self, ctx: &mut Ctx<'_>, from: NodeId, wire: &RWire) {
+    fn on_wire(&mut self, ctx: &mut Ctx<'_, CoreMsg>, from: NodeId, wire: &RWire) {
         let mut outputs = Vec::new();
         if let Some(gcs) = &mut self.gcs {
             gcs.on_net(ctx, from, wire, &mut outputs);
@@ -2366,7 +2378,7 @@ impl ReplicaServer {
         self.handle_gcs_outputs(ctx, outputs);
     }
 
-    fn on_lazy_propagation(&mut self, ctx: &mut Ctx<'_>, msg: LazyPropagation) {
+    fn on_lazy_propagation(&mut self, ctx: &mut Ctx<'_, CoreMsg>, msg: LazyPropagation) {
         self.charge_net_cpu(ctx.now());
         for (txn, writes) in msg.writesets {
             // Thomas write rule, in memory only: 1-safe durability lives
@@ -2380,32 +2392,21 @@ impl ReplicaServer {
     }
 }
 
-impl Actor for ReplicaServer {
-    /// A multicast group-communication message — most of what a replica
-    /// ever receives — is read in place, ahead of the downcast chain;
-    /// anything else takes the owned path.
-    fn on_shared(&mut self, ctx: &mut Ctx<'_>, payload: Shared<'_>) {
-        match payload.downcast_ref::<Incoming<RWire>>() {
-            Some(inc) => self.on_wire(ctx, inc.from, &inc.msg),
-            None => self.on_event(ctx, payload.to_payload()),
-        }
-    }
-
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
-        let payload = match payload.downcast::<InitServer>() {
-            Ok(_) => {
-                self.init(ctx);
-                return;
-            }
-            Err(p) => p,
+impl Actor<CoreMsg> for ReplicaServer {
+    fn on_event(&mut self, ctx: &mut Ctx<'_, CoreMsg>, msg: CoreMsg) {
+        let ev = match msg {
+            CoreMsg::Server(ev) => ev,
+            CoreMsg::Client(_) => return ctx.metrics().incr("misrouted"),
         };
-        let payload = match payload.downcast::<RestartServerCmd>() {
-            Ok(cmd) => {
+        match ev {
+            ServerEvent::Init => self.init(ctx),
+            ServerEvent::Restart(cmd) => {
+                let RestartServerCmd { members, seq_base } = *cmd;
                 if let Some(gcs) = &mut self.gcs {
-                    gcs.restart_group(ctx, cmd.members.clone(), cmd.seq_base);
+                    gcs.restart_group(ctx, members, seq_base);
                 }
-                self.applied_seq = cmd.seq_base;
-                self.state_floor = self.state_floor.max(cmd.seq_base);
+                self.applied_seq = seq_base;
+                self.state_floor = self.state_floor.max(seq_base);
                 self.apply_cursor = ctx.now();
                 // Cross-group state died with the group: in-flight
                 // reservations can never be decided (their coordinator
@@ -2414,109 +2415,40 @@ impl Actor for ReplicaServer {
                 self.xg_coord.clear();
                 self.xg_pending.clear();
                 ctx.metrics().incr("group_restarts");
-                return;
             }
-            Err(p) => p,
-        };
-        let payload = match payload.downcast::<SwitchSafetyCmd>() {
-            Ok(cmd) => {
-                self.switch_safety(ctx, cmd.0);
-                return;
-            }
-            Err(p) => p,
-        };
-        let payload = match payload.downcast::<InstallCheckpointCmd>() {
-            Ok(cmd) => {
-                self.db.install_checkpoint(cmd.0);
+            ServerEvent::SwitchSafety(level) => self.switch_safety(ctx, level),
+            ServerEvent::InstallCheckpoint(ckpt) => {
+                self.db.install_checkpoint(*ckpt);
                 self.state_floor = self.state_floor.max(self.db.max_version());
-                return;
             }
-            Err(p) => p,
-        };
-        let payload = match payload.downcast::<Incoming<ClientMsg>>() {
-            Ok(inc) => {
-                let ClientMsg::Request(req) = inc.msg;
-                self.on_request(ctx, req);
-                return;
-            }
-            Err(p) => p,
-        };
-        let payload = match payload.downcast::<Incoming<ReadRequest>>() {
-            Ok(inc) => {
-                self.on_read_request(ctx, inc.msg);
-                return;
-            }
-            Err(p) => p,
-        };
-        let payload = match payload.downcast::<Incoming<RWire>>() {
-            Ok(inc) => {
-                self.on_wire(ctx, inc.from, &inc.msg);
-                return;
-            }
-            Err(p) => p,
-        };
-        let payload = match payload.downcast::<Incoming<LoggedConfirm>>() {
-            Ok(inc) => {
+            ServerEvent::Wire(inc) => self.on_wire(ctx, inc.from, &inc.msg),
+            ServerEvent::Heartbeat(from) => self.on_wire(ctx, from, &Wire::Heartbeat),
+            ServerEvent::Request(req) => self.on_request(ctx, *req),
+            ServerEvent::Read(req) => self.on_read_request(ctx, *req),
+            ServerEvent::Confirm(inc) => {
                 self.charge_net_cpu(ctx.now());
                 self.record_confirm(ctx, inc.msg.txn, inc.from);
-                return;
             }
-            Err(p) => p,
-        };
-        let payload = match payload.downcast::<Incoming<LazyPropagation>>() {
-            Ok(inc) => {
-                self.on_lazy_propagation(ctx, inc.msg);
-                return;
-            }
-            Err(p) => p,
-        };
-        let payload = match payload.downcast::<Incoming<XgSubRequest>>() {
-            Ok(inc) => {
-                self.on_xg_sub(ctx, inc.msg);
-                return;
-            }
-            Err(p) => p,
-        };
-        let payload = match payload.downcast::<Incoming<XgVote>>() {
-            Ok(inc) => {
+            ServerEvent::Lazy(msg) => self.on_lazy_propagation(ctx, *msg),
+            ServerEvent::XgSub(sub) => self.on_xg_sub(ctx, *sub),
+            ServerEvent::XgVote(vote) => {
                 self.charge_net_cpu(ctx.now());
-                self.on_xg_vote(ctx, inc.msg);
-                return;
+                self.on_xg_vote(ctx, *vote);
             }
-            Err(p) => p,
-        };
-        let payload = match payload.downcast::<Incoming<XgDecisionFwd>>() {
-            Ok(inc) => {
-                self.on_xg_decision_fwd(ctx, inc.msg.0);
-                return;
-            }
-            Err(p) => p,
-        };
-        let payload = match payload.downcast::<Incoming<XgStatusQuery>>() {
-            Ok(inc) => {
-                self.on_xg_status_query(ctx, inc.from, inc.msg);
-                return;
-            }
-            Err(p) => p,
-        };
-        let payload = match payload.downcast::<GcsTimer>() {
-            Ok(t) => {
+            ServerEvent::XgDecision(d) => self.on_xg_decision_fwd(ctx, *d),
+            ServerEvent::XgStatusQuery(inc) => self.on_xg_status_query(ctx, inc.from, inc.msg),
+            ServerEvent::Gcs(timer) => {
                 let mut outputs = Vec::new();
                 if let Some(gcs) = &mut self.gcs {
-                    gcs.on_timer(ctx, *t, &mut outputs);
+                    gcs.on_timer(ctx, timer, &mut outputs);
                 }
                 self.handle_gcs_outputs(ctx, outputs);
-                return;
             }
-            Err(p) => p,
-        };
-        match payload.downcast::<ServerTimer>() {
-            Ok(t) => self.on_timer(ctx, *t),
-            Err(_) => panic!("replica server: unhandled event payload"),
+            ServerEvent::Timer(t) => self.on_timer(ctx, t),
         }
     }
 
-    fn on_crash(&mut self, ctx: &mut Ctx<'_>) {
+    fn on_crash(&mut self, ctx: &mut Ctx<'_, CoreMsg>) {
         self.up = false;
         self.crashes += 1;
         if let Some(gcs) = &mut self.gcs {
@@ -2540,7 +2472,7 @@ impl Actor for ReplicaServer {
         self.data_disk.borrow_mut().reset(ctx.now());
     }
 
-    fn on_recover(&mut self, ctx: &mut Ctx<'_>) {
+    fn on_recover(&mut self, ctx: &mut Ctx<'_, CoreMsg>) {
         self.up = true;
         // Local database recovery: redo the durable WAL prefix.
         self.db.crash();

@@ -14,8 +14,9 @@ use groupsafe_net::{Network, NodeId};
 use groupsafe_sim::{ActorId, Engine, SimTime};
 
 use crate::builder::{GeneratorFactory, SystemBuilder};
-use crate::client::{Client, ClientConfig, LoadModel, StartClient};
-use crate::server::{InitServer, ReplicaServer, Technique};
+use crate::client::{Client, ClientConfig, LoadModel};
+use crate::msg::{ClientEvent, CoreMsg, ServerEvent};
+use crate::server::{ReplicaServer, Technique};
 use crate::shard::ShardMap;
 use crate::verify::{self, LostTransaction, Oracle};
 
@@ -23,7 +24,7 @@ use crate::verify::{self, LostTransaction, Oracle};
 /// `N` key-routed groups when built with [`SystemBuilder::shards`].
 pub struct System {
     /// The simulation engine.
-    pub engine: Engine,
+    pub engine: Engine<CoreMsg>,
     /// The shared network.
     pub net: Network,
     /// Server actor ids (index = node id; group `g` owns the contiguous
@@ -141,12 +142,12 @@ impl System {
     /// across the first 100 ms to avoid arrival synchronisation).
     pub fn start(&mut self) {
         for &s in &self.servers {
-            self.engine.schedule(SimTime::ZERO, s, InitServer);
+            self.engine.schedule(SimTime::ZERO, s, ServerEvent::Init);
         }
         let count = self.clients.len().max(1) as u64;
         for (i, &c) in self.clients.iter().enumerate() {
             let offset = SimTime::from_nanos(100_000_000 * i as u64 / count);
-            self.engine.schedule(offset, c, StartClient);
+            self.engine.schedule(offset, c, ClientEvent::Start);
         }
     }
 

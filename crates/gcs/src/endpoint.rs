@@ -44,8 +44,8 @@ use std::rc::Rc;
 
 use rand::rngs::StdRng;
 
-use groupsafe_net::{Network, NodeId};
-use groupsafe_sim::{Ctx, Disk, ObsEvent, SimTime};
+use groupsafe_net::{Incoming, Network, NodeId};
+use groupsafe_sim::{Ctx, Disk, ObsEvent, SimTime, Wrap};
 
 use crate::config::{DeliveryGuarantee, GcsConfig, GcsModel};
 use crate::idtable::IdTable;
@@ -53,6 +53,14 @@ use crate::message::{Entry, GcsTimer, MsgId, Wire};
 use crate::output::GcsOutput;
 use crate::seqlog::{Quorum, SeqLog, Slot, MAX_GROUP_SIZE};
 use crate::view::View;
+
+/// The message type of an actor hosting an endpoint with payload `P`
+/// and checkpoint `S`: it carries the endpoint's timers and its wire
+/// traffic, so the endpoint arms the one and sends the other through the
+/// host's [`Ctx`].
+pub trait GcsMessage<P, S>: Wrap<GcsTimer> + Wrap<Incoming<Wire<P, S>>> {}
+
+impl<P, S, M: Wrap<GcsTimer> + Wrap<Incoming<Wire<P, S>>>> GcsMessage<P, S> for M {}
 
 /// Counters exposed by an endpoint.
 #[derive(Debug, Clone, Copy, Default)]
@@ -488,7 +496,7 @@ where
 
     /// Start protocol activity (heartbeats, sequencer duty). Call once from
     /// the host's initialisation event.
-    pub fn start(&mut self, ctx: &mut Ctx<'_>) {
+    pub fn start<M: GcsMessage<P, S>>(&mut self, ctx: &mut Ctx<'_, M>) {
         self.started = true;
         if self.sequencer() == Some(self.me) {
             self.seq_assign = Some(1);
@@ -501,7 +509,7 @@ where
 
     /// `A-broadcast(m)`: submit `payload` to the total order. Returns the
     /// message id. Resent automatically across view changes until ordered.
-    pub fn broadcast(&mut self, ctx: &mut Ctx<'_>, payload: P) -> MsgId {
+    pub fn broadcast<M: GcsMessage<P, S>>(&mut self, ctx: &mut Ctx<'_, M>, payload: P) -> MsgId {
         self.next_counter += 1;
         let id = MsgId {
             origin: self.me,
@@ -530,7 +538,7 @@ where
 
     /// Application-level `ack(m)` (end-to-end mode, §4.2): the message at
     /// `seq` was processed (successfully delivered). Idempotent.
-    pub fn app_ack(&mut self, _ctx: &mut Ctx<'_>, seq: u64) {
+    pub fn app_ack<M: GcsMessage<P, S>>(&mut self, _ctx: &mut Ctx<'_, M>, seq: u64) {
         if let Some(e) = self.stable.get_mut(&seq) {
             e.acked = true;
         }
@@ -539,9 +547,9 @@ where
     /// Handle an incoming network message. The message is read in place
     /// — every receiver of a multicast is handed the same one — and only
     /// what the endpoint keeps is copied out of it.
-    pub fn on_net(
+    pub fn on_net<M: GcsMessage<P, S>>(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         from: NodeId,
         wire: &Wire<P, S>,
         out: &mut Vec<GcsOutput<P, S>>,
@@ -668,7 +676,12 @@ where
     }
 
     /// Handle a timer previously scheduled by this endpoint.
-    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: GcsTimer, out: &mut Vec<GcsOutput<P, S>>) {
+    pub fn on_timer<M: GcsMessage<P, S>>(
+        &mut self,
+        ctx: &mut Ctx<'_, M>,
+        timer: GcsTimer,
+        out: &mut Vec<GcsOutput<P, S>>,
+    ) {
         match timer {
             GcsTimer::Heartbeat => self.on_heartbeat_timer(ctx, out),
             GcsTimer::Persisted { seq } => self.on_persisted(ctx, seq, out),
@@ -709,7 +722,9 @@ where
                     self.flush_batch(ctx);
                 }
             }
-            GcsTimer::BatchPersisted { lo, hi } => self.on_batch_persisted(ctx, lo, hi, out),
+            GcsTimer::BatchPersisted { lo, span } => {
+                self.on_batch_persisted(ctx, lo, lo + u64::from(span) - 1, out)
+            }
             GcsTimer::SeqResume => {
                 if self.cfg.model == GcsModel::CrashRecovery
                     && self.sequencer() == Some(self.me)
@@ -781,7 +796,7 @@ where
     // Ordering fast path
     // ------------------------------------------------------------------
 
-    fn on_forward(&mut self, ctx: &mut Ctx<'_>, id: MsgId, payload: P) {
+    fn on_forward<M: GcsMessage<P, S>>(&mut self, ctx: &mut Ctx<'_, M>, id: MsgId, payload: P) {
         let Some(next) = self.seq_assign else {
             return; // not the sequencer (stale forward); sender will resend
         };
@@ -863,7 +878,7 @@ where
     /// entry until a flush trigger fires (size, bytes or deadline). The
     /// sequence number is already assigned, so accumulation changes the
     /// framing of the total order, never the order itself.
-    fn accumulate(&mut self, ctx: &mut Ctx<'_>, entry: Entry<P>) {
+    fn accumulate<M: GcsMessage<P, S>>(&mut self, ctx: &mut Ctx<'_, M>, entry: Entry<P>) {
         self.batch_acc_bytes += std::mem::size_of::<P>();
         self.batch_acc.push(entry);
         let full = self.batch_acc.len() >= self.cfg.batch.max_msgs
@@ -882,7 +897,7 @@ where
     }
 
     /// Ship the accumulator as one `OrderedBatch` frame.
-    fn flush_batch(&mut self, ctx: &mut Ctx<'_>) {
+    fn flush_batch<M: GcsMessage<P, S>>(&mut self, ctx: &mut Ctx<'_, M>) {
         if self.batch_acc.is_empty() {
             return;
         }
@@ -968,7 +983,7 @@ where
     }
 
     /// Record an ordered entry locally; in the view model also acknowledge.
-    fn store_entry(&mut self, ctx: &mut Ctx<'_>, entry: Entry<P>) {
+    fn store_entry<M: GcsMessage<P, S>>(&mut self, ctx: &mut Ctx<'_, M>, entry: Entry<P>) {
         let seq = entry.seq;
         if !self.store_entry_raw(entry) {
             return;
@@ -993,9 +1008,9 @@ where
     /// Receiver side of a batch frame: store every entry, then run the
     /// per-frame (instead of per-entry) side effects — ONE stable-log
     /// write covering the whole frame, ONE aggregated stability vote.
-    fn on_ordered_batch(
+    fn on_ordered_batch<M: GcsMessage<P, S>>(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         _view: u64,
         entries: &[Entry<P>],
         out: &mut Vec<GcsOutput<P, S>>,
@@ -1026,7 +1041,7 @@ where
                     let disk = self.log_disk.as_ref().expect("checked in new").clone();
                     let done = disk.borrow_mut().access(ctx.now(), &mut self.rng);
                     self.stats.persists += 1;
-                    ctx.timer(done - ctx.now(), GcsTimer::BatchPersisted { lo, hi });
+                    ctx.timer(done - ctx.now(), GcsTimer::BatchPersisted { lo, span });
                 }
             }
         }
@@ -1035,9 +1050,9 @@ where
 
     /// The frame-wide stable-log write finished: mark everything in the
     /// window persisted and send one aggregated vote for it.
-    fn on_batch_persisted(
+    fn on_batch_persisted<M: GcsMessage<P, S>>(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         lo: u64,
         hi: u64,
         out: &mut Vec<GcsOutput<P, S>>,
@@ -1054,9 +1069,9 @@ where
         }
     }
 
-    fn on_ordered(
+    fn on_ordered<M: GcsMessage<P, S>>(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         _view: u64,
         entry: Entry<P>,
         out: &mut Vec<GcsOutput<P, S>>,
@@ -1096,7 +1111,12 @@ where
         true
     }
 
-    fn on_persisted(&mut self, ctx: &mut Ctx<'_>, seq: u64, out: &mut Vec<GcsOutput<P, S>>) {
+    fn on_persisted<M: GcsMessage<P, S>>(
+        &mut self,
+        ctx: &mut Ctx<'_, M>,
+        seq: u64,
+        out: &mut Vec<GcsOutput<P, S>>,
+    ) {
         if !self.mark_persisted(seq, false) {
             return;
         }
@@ -1110,7 +1130,7 @@ where
         self.log.get(seq).map_or(0, |slot| slot.era())
     }
 
-    fn send_ack(&mut self, ctx: &mut Ctx<'_>, seq: u64) {
+    fn send_ack<M: GcsMessage<P, S>>(&mut self, ctx: &mut Ctx<'_, M>, seq: u64) {
         ctx.emit(|| ObsEvent::Vote { seq });
         let era = self.entry_era(seq);
         self.record_ack(self.me, seq, era);
@@ -1121,7 +1141,7 @@ where
 
     /// One aggregated stability vote covering `lo..=hi` (batched
     /// pipeline): semantically `hi - lo + 1` acks, one message.
-    fn send_ack_range(&mut self, ctx: &mut Ctx<'_>, lo: u64, hi: u64) {
+    fn send_ack_range<M: GcsMessage<P, S>>(&mut self, ctx: &mut Ctx<'_, M>, lo: u64, hi: u64) {
         // One aggregated vote: the window's head stands for the frame.
         ctx.emit(|| ObsEvent::Vote { seq: hi });
         let era = self.entry_era(lo);
@@ -1176,7 +1196,11 @@ where
             .is_some_and(|slot| slot.is_stable(self.quorum))
     }
 
-    fn try_deliver(&mut self, ctx: &mut Ctx<'_>, out: &mut Vec<GcsOutput<P, S>>) {
+    fn try_deliver<M: GcsMessage<P, S>>(
+        &mut self,
+        ctx: &mut Ctx<'_, M>,
+        out: &mut Vec<GcsOutput<P, S>>,
+    ) {
         if !self.joined {
             return;
         }
@@ -1218,7 +1242,7 @@ where
     /// a permanent hole. Arm a timer; if the head has not moved when it
     /// fires, ask the group for everything above the contiguous prefix
     /// (the reply also carries the responder's stable floor).
-    fn maybe_arm_gap_repair(&mut self, ctx: &mut Ctx<'_>) {
+    fn maybe_arm_gap_repair<M: GcsMessage<P, S>>(&mut self, ctx: &mut Ctx<'_, M>) {
         if self.gap_repair_armed || self.next_deliver > self.max_seq_seen {
             return;
         }
@@ -1227,9 +1251,9 @@ where
         ctx.timer(self.cfg.change_timeout, GcsTimer::GapRepair);
     }
 
-    fn deliver_one(
+    fn deliver_one<M: GcsMessage<P, S>>(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         seq: u64,
         head: Deliverable<P>,
         redelivery: bool,
@@ -1271,7 +1295,12 @@ where
 
     /// Deliver everything up to `watermark` unconditionally (view-change
     /// flush: all members of the incoming view hold these entries).
-    fn flush_up_to(&mut self, ctx: &mut Ctx<'_>, watermark: u64, out: &mut Vec<GcsOutput<P, S>>) {
+    fn flush_up_to<M: GcsMessage<P, S>>(
+        &mut self,
+        ctx: &mut Ctx<'_, M>,
+        watermark: u64,
+        out: &mut Vec<GcsOutput<P, S>>,
+    ) {
         while self.next_deliver <= watermark {
             let seq = self.next_deliver;
             if let Some(head) = self.log.get(seq).and_then(Deliverable::of) {
@@ -1287,7 +1316,11 @@ where
     // Failure detection and view changes (dynamic model)
     // ------------------------------------------------------------------
 
-    fn on_heartbeat_timer(&mut self, ctx: &mut Ctx<'_>, out: &mut Vec<GcsOutput<P, S>>) {
+    fn on_heartbeat_timer<M: GcsMessage<P, S>>(
+        &mut self,
+        ctx: &mut Ctx<'_, M>,
+        out: &mut Vec<GcsOutput<P, S>>,
+    ) {
         if !self.joined {
             ctx.timer(self.cfg.hb_interval, GcsTimer::Heartbeat);
             return;
@@ -1326,7 +1359,11 @@ where
     }
 
     /// The coordinator among un-suspected members starts the view change.
-    fn maybe_start_view_change(&mut self, ctx: &mut Ctx<'_>, out: &mut Vec<GcsOutput<P, S>>) {
+    fn maybe_start_view_change<M: GcsMessage<P, S>>(
+        &mut self,
+        ctx: &mut Ctx<'_, M>,
+        out: &mut Vec<GcsOutput<P, S>>,
+    ) {
         if self.vc.is_some() || !self.joined {
             return;
         }
@@ -1410,7 +1447,12 @@ where
         self.check_view_change_done(ctx, out);
     }
 
-    fn on_view_start(&mut self, ctx: &mut Ctx<'_>, from: NodeId, epoch: u64) {
+    fn on_view_start<M: GcsMessage<P, S>>(
+        &mut self,
+        ctx: &mut Ctx<'_, M>,
+        from: NodeId,
+        epoch: u64,
+    ) {
         if epoch < self.epoch || !self.joined {
             return;
         }
@@ -1430,9 +1472,9 @@ where
         );
     }
 
-    fn on_sync_reply(
+    fn on_sync_reply<M: GcsMessage<P, S>>(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         from: NodeId,
         epoch: u64,
         max_seq: u64,
@@ -1450,7 +1492,11 @@ where
     }
 
     /// If every proposed member replied, fill our gaps then finish.
-    fn check_view_change_done(&mut self, ctx: &mut Ctx<'_>, out: &mut Vec<GcsOutput<P, S>>) {
+    fn check_view_change_done<M: GcsMessage<P, S>>(
+        &mut self,
+        ctx: &mut Ctx<'_, M>,
+        out: &mut Vec<GcsOutput<P, S>>,
+    ) {
         let Some(vc) = &self.vc else {
             return;
         };
@@ -1504,9 +1550,9 @@ where
         self.finish_view_change(ctx, watermark, out);
     }
 
-    fn on_sync_entries(
+    fn on_sync_entries<M: GcsMessage<P, S>>(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         epoch: u64,
         entries: &[Entry<P>],
         out: &mut Vec<GcsOutput<P, S>>,
@@ -1523,9 +1569,9 @@ where
         self.check_view_change_done(ctx, out);
     }
 
-    fn finish_view_change(
+    fn finish_view_change<M: GcsMessage<P, S>>(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         watermark: u64,
         out: &mut Vec<GcsOutput<P, S>>,
     ) {
@@ -1590,9 +1636,9 @@ where
         }
     }
 
-    fn on_new_view(
+    fn on_new_view<M: GcsMessage<P, S>>(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         view: View,
         watermark: u64,
         out: &mut Vec<GcsOutput<P, S>>,
@@ -1603,9 +1649,9 @@ where
         self.install_view(ctx, view, watermark, out);
     }
 
-    fn install_view(
+    fn install_view<M: GcsMessage<P, S>>(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         view: View,
         watermark: u64,
         out: &mut Vec<GcsOutput<P, S>>,
@@ -1667,9 +1713,9 @@ where
     /// same-id views — more members, then the lexicographically smaller
     /// member list. Exactly one side of any fork loses the comparison,
     /// so the fork heals with a single surviving lineage.
-    fn on_not_in_view(
+    fn on_not_in_view<M: GcsMessage<P, S>>(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         from: NodeId,
         view_id: u64,
         members: &[NodeId],
@@ -1718,7 +1764,7 @@ where
         self.send_join_req(ctx);
     }
 
-    fn send_join_req(&mut self, ctx: &mut Ctx<'_>) {
+    fn send_join_req<M: GcsMessage<P, S>>(&mut self, ctx: &mut Ctx<'_, M>) {
         let generation = self.generation;
         self.net.multicast(
             ctx,
@@ -1729,9 +1775,9 @@ where
         ctx.timer(self.cfg.change_timeout, GcsTimer::JoinRetry { generation });
     }
 
-    fn on_join_req(
+    fn on_join_req<M: GcsMessage<P, S>>(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         from: NodeId,
         generation: u64,
         out: &mut Vec<GcsOutput<P, S>>,
@@ -1769,9 +1815,9 @@ where
     /// The host answers a [`GcsOutput::CheckpointRequest`] with the
     /// application state: `state` covers all deliveries up to
     /// `applied_seq`.
-    pub fn checkpoint_ready(
+    pub fn checkpoint_ready<M: GcsMessage<P, S>>(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         joiner: NodeId,
         generation: u64,
         state: S,
@@ -1810,9 +1856,9 @@ where
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn on_state_transfer(
+    fn on_state_transfer<M: GcsMessage<P, S>>(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         view: View,
         applied_seq: u64,
         tail: Vec<Entry<P>>,
@@ -1925,7 +1971,12 @@ where
             .collect()
     }
 
-    fn on_catch_up_req(&mut self, ctx: &mut Ctx<'_>, from: NodeId, have_up_to: u64) {
+    fn on_catch_up_req<M: GcsMessage<P, S>>(
+        &mut self,
+        ctx: &mut Ctx<'_, M>,
+        from: NodeId,
+        have_up_to: u64,
+    ) {
         // View model: answering a non-member would leak this view's
         // stable floor into the requester's abandoned fork — a healed
         // minority could then uniformly deliver entries the group never
@@ -2013,9 +2064,9 @@ where
     }
 
     /// A coordinator mid-view-change asks a member for entries it misses.
-    fn on_view_change_fetch(
+    fn on_view_change_fetch<M: GcsMessage<P, S>>(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         from: NodeId,
         have_up_to: u64,
         epoch: u64,
@@ -2066,7 +2117,11 @@ where
     /// (new identity, state transfer). In the crash-recovery model it
     /// rebuilds from the stable log, redelivers per the end-to-end rules
     /// and catches up from peers.
-    pub fn on_recover(&mut self, ctx: &mut Ctx<'_>, out: &mut Vec<GcsOutput<P, S>>) {
+    pub fn on_recover<M: GcsMessage<P, S>>(
+        &mut self,
+        ctx: &mut Ctx<'_, M>,
+        out: &mut Vec<GcsOutput<P, S>>,
+    ) {
         // Drain anything still sitting in the batch accumulator (a host
         // that recovers without a preceding `on_crash`): the entries were
         // never multicast, so their ids must be released for the senders'
@@ -2182,7 +2237,12 @@ where
     /// recovers from its own local stable state — any transaction that was
     /// delivered but never processed is lost, which is exactly the
     /// scenario the paper uses to show classic GC is not 2-safe.
-    pub fn restart_group(&mut self, ctx: &mut Ctx<'_>, members: Vec<NodeId>, seq_base: u64) {
+    pub fn restart_group<M: GcsMessage<P, S>>(
+        &mut self,
+        ctx: &mut Ctx<'_, M>,
+        members: Vec<NodeId>,
+        seq_base: u64,
+    ) {
         assert_eq!(
             self.cfg.model,
             GcsModel::ViewBased,

@@ -10,14 +10,14 @@
 //! message at this replica unless the end-to-end primitive replays it.
 
 use std::cell::RefCell;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use groupsafe_net::{Incoming, NetConfig, Network, NodeId};
-use groupsafe_sim::{Actor, ActorId, Ctx, Disk, Engine, Payload, Shared, SimDuration, SimTime};
+use groupsafe_sim::{Actor, ActorId, Ctx, Disk, Engine, Message, SimDuration, SimTime};
 
 use crate::config::GcsConfig;
 use crate::endpoint::GcsEndpoint;
@@ -40,24 +40,44 @@ type HostEndpoint = GcsEndpoint<u64, AppCheckpoint>;
 type HostWire = Wire<u64, AppCheckpoint>;
 type HostOutput = GcsOutput<u64, AppCheckpoint>;
 
-/// Driver-injected request: A-broadcast `value`.
-#[derive(Debug, Clone, Copy)]
-pub struct BroadcastCmd(pub u64);
-
-/// Driver-injected: start the endpoint.
-#[derive(Debug, Clone, Copy)]
-pub struct InitCmd;
-
-/// Driver-injected (dynamic model, total failure): form a fresh group.
+/// Everything a [`GcsHost`] receives: the harness engine's message type.
 #[derive(Debug, Clone)]
-pub struct RestartGroupCmd(pub Vec<NodeId>);
+pub enum HostMsg {
+    /// Driver: start the endpoint.
+    Init,
+    /// Driver: A-broadcast this value.
+    Broadcast(u64),
+    /// Driver (dynamic model, total failure): form a fresh group of these
+    /// members.
+    RestartGroup(Box<[NodeId]>),
+    /// Group-communication traffic other than heartbeats, one allocation
+    /// shared by every receiver of a multicast.
+    Wire(Rc<Incoming<HostWire>>),
+    /// A failure-detector heartbeat from this node, carried without an
+    /// allocation.
+    Heartbeat(NodeId),
+    /// A timer of the endpoint.
+    Gcs(GcsTimer),
+    /// Processing of the oldest delivery still in process finished.
+    Processed,
+}
 
-/// Internal: processing of a delivered message finished.
-#[derive(Debug, Clone, Copy)]
-struct ProcessDone {
-    seq: u64,
-    id: MsgId,
-    value: u64,
+impl Message for HostMsg {}
+
+impl From<Incoming<HostWire>> for HostMsg {
+    fn from(inc: Incoming<HostWire>) -> Self {
+        if let Wire::Heartbeat = inc.msg {
+            HostMsg::Heartbeat(inc.from)
+        } else {
+            HostMsg::Wire(Rc::new(inc))
+        }
+    }
+}
+
+impl From<GcsTimer> for HostMsg {
+    fn from(timer: GcsTimer) -> Self {
+        HostMsg::Gcs(timer)
+    }
 }
 
 /// Host actor embedding a [`GcsEndpoint`] and the toy application.
@@ -71,6 +91,10 @@ pub struct GcsHost {
 
     // Volatile application state.
     volatile_seen: Vec<u64>,
+    /// Deliveries in process, oldest first: `(seq, id, value)`. Every
+    /// delivery takes the same `process_delay`, so they finish in the
+    /// order they were delivered, one [`HostMsg::Processed`] each.
+    in_process: VecDeque<(u64, MsgId, u64)>,
 
     // Stable application state (the application's own "disk").
     stable_values: Vec<u64>,
@@ -95,6 +119,7 @@ impl GcsHost {
             obs,
             process_delay,
             volatile_seen: Vec::new(),
+            in_process: VecDeque::new(),
             stable_values: Vec::new(),
             processed_ids: BTreeSet::new(),
             applied_seq: 0,
@@ -111,13 +136,7 @@ impl GcsHost {
         &self.endpoint
     }
 
-    fn on_wire(&mut self, ctx: &mut Ctx<'_>, from: NodeId, wire: &HostWire) {
-        let mut outputs = Vec::new();
-        self.endpoint.on_net(ctx, from, wire, &mut outputs);
-        self.handle_outputs(ctx, outputs);
-    }
-
-    fn handle_outputs(&mut self, ctx: &mut Ctx<'_>, outputs: Vec<HostOutput>) {
+    fn handle_outputs(&mut self, ctx: &mut Ctx<'_, HostMsg>, outputs: Vec<HostOutput>) {
         for o in outputs {
             match o {
                 GcsOutput::Deliver {
@@ -128,14 +147,8 @@ impl GcsHost {
                     self.obs
                         .borrow_mut()
                         .record_delivery(self.node, seq, id, false, now);
-                    ctx.timer(
-                        self.process_delay,
-                        ProcessDone {
-                            seq,
-                            id,
-                            value: payload,
-                        },
-                    );
+                    self.in_process.push_back((seq, id, payload));
+                    ctx.timer(self.process_delay, HostMsg::Processed);
                 }
                 GcsOutput::CheckpointRequest { joiner, generation } => {
                     let ckpt = AppCheckpoint {
@@ -159,80 +172,61 @@ impl GcsHost {
             }
         }
     }
+
+    /// The oldest delivery in process finished: apply it to the stable
+    /// state, at most once per message (testable transactions).
+    fn processed(&mut self, ctx: &mut Ctx<'_, HostMsg>) {
+        let Some((seq, id, value)) = self.in_process.pop_front() else {
+            return;
+        };
+        if self.processed_ids.insert(id) {
+            self.stable_values.push(value);
+            self.applied_seq = self.applied_seq.max(seq);
+            self.obs.borrow_mut().mark_processed(self.node, id);
+        }
+        self.endpoint.app_ack(ctx, seq);
+    }
 }
 
-impl Actor for GcsHost {
-    /// A multicast wire message is read in place; anything else takes
-    /// the owned path.
-    fn on_shared(&mut self, ctx: &mut Ctx<'_>, payload: Shared<'_>) {
-        match payload.downcast_ref::<Incoming<HostWire>>() {
-            Some(inc) => self.on_wire(ctx, inc.from, &inc.msg),
-            None => self.on_event(ctx, payload.to_payload()),
-        }
-    }
-
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
+impl Actor<HostMsg> for GcsHost {
+    fn on_event(&mut self, ctx: &mut Ctx<'_, HostMsg>, msg: HostMsg) {
         let mut outputs = Vec::new();
-        let payload = match payload.downcast::<InitCmd>() {
-            Ok(_) => {
-                self.endpoint.start(ctx);
-                return;
-            }
-            Err(p) => p,
-        };
-        let payload = match payload.downcast::<BroadcastCmd>() {
-            Ok(cmd) => {
-                let id = self.endpoint.broadcast(ctx, cmd.0);
+        match msg {
+            HostMsg::Init => self.endpoint.start(ctx),
+            HostMsg::Broadcast(value) => {
+                let id = self.endpoint.broadcast(ctx, value);
                 self.obs.borrow_mut().broadcast.insert(id);
-                return;
             }
-            Err(p) => p,
-        };
-        let payload = match payload.downcast::<RestartGroupCmd>() {
-            Ok(cmd) => {
-                self.endpoint.restart_group(ctx, cmd.0, 0);
+            HostMsg::RestartGroup(members) => {
+                self.endpoint.restart_group(ctx, members.into_vec(), 0);
                 // Application-level local recovery: volatile state is
                 // rebuilt from the stable state.
                 self.volatile_seen = self.stable_values.clone();
-                return;
             }
-            Err(p) => p,
-        };
-        let payload = match payload.downcast::<Incoming<HostWire>>() {
-            Ok(inc) => {
-                self.on_wire(ctx, inc.from, &inc.msg);
-                return;
-            }
-            Err(p) => p,
-        };
-        let payload = match payload.downcast::<GcsTimer>() {
-            Ok(t) => {
-                self.endpoint.on_timer(ctx, *t, &mut outputs);
+            HostMsg::Wire(inc) => {
+                self.endpoint.on_net(ctx, inc.from, &inc.msg, &mut outputs);
                 self.handle_outputs(ctx, outputs);
-                return;
             }
-            Err(p) => p,
-        };
-        match payload.downcast::<ProcessDone>() {
-            Ok(done) => {
-                // Testable transactions: process each message at most once.
-                if self.processed_ids.insert(done.id) {
-                    self.stable_values.push(done.value);
-                    self.applied_seq = self.applied_seq.max(done.seq);
-                    self.obs.borrow_mut().mark_processed(self.node, done.id);
-                }
-                self.endpoint.app_ack(ctx, done.seq);
+            HostMsg::Heartbeat(from) => {
+                self.endpoint
+                    .on_net(ctx, from, &Wire::Heartbeat, &mut outputs);
+                self.handle_outputs(ctx, outputs);
             }
-            Err(_) => panic!("gcs harness: unhandled event payload"),
+            HostMsg::Gcs(timer) => {
+                self.endpoint.on_timer(ctx, timer, &mut outputs);
+                self.handle_outputs(ctx, outputs);
+            }
+            HostMsg::Processed => self.processed(ctx),
         }
     }
 
-    fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {
+    fn on_crash(&mut self, _ctx: &mut Ctx<'_, HostMsg>) {
         self.endpoint.on_crash();
         self.volatile_seen.clear();
+        self.in_process.clear();
     }
 
-    fn on_recover(&mut self, ctx: &mut Ctx<'_>) {
+    fn on_recover(&mut self, ctx: &mut Ctx<'_, HostMsg>) {
         let mut outputs = Vec::new();
         self.endpoint.on_recover(ctx, &mut outputs);
         self.volatile_seen = self.stable_values.clone();
@@ -247,7 +241,7 @@ impl Actor for GcsHost {
 /// A fully wired group for scenario tests and benches.
 pub struct Cluster {
     /// The simulation engine.
-    pub engine: Engine,
+    pub engine: Engine<HostMsg>,
     /// The shared network.
     pub net: Network,
     /// Host actor ids, indexed by node.
@@ -292,7 +286,7 @@ impl Cluster {
             hosts.push(id);
         }
         for &h in &hosts {
-            engine.schedule(SimTime::ZERO, h, InitCmd);
+            engine.schedule(SimTime::ZERO, h, HostMsg::Init);
         }
         Cluster {
             engine,
@@ -308,7 +302,7 @@ impl Cluster {
     pub fn broadcast_at(&mut self, at: SimTime, node: NodeId, value: u64) {
         let host = self.hosts[node.index()];
         self.engine
-            .schedule_resilient(at, host, BroadcastCmd(value));
+            .schedule_resilient(at, host, HostMsg::Broadcast(value));
     }
 
     /// The stable application state of `node`.

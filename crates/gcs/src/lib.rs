@@ -38,7 +38,7 @@ mod seqlog;
 pub mod view;
 
 pub use config::{BatchConfig, DeliveryGuarantee, GcsConfig, GcsModel};
-pub use endpoint::{GcsEndpoint, GcsStats};
+pub use endpoint::{GcsEndpoint, GcsMessage, GcsStats};
 pub use message::{Entry, GcsTimer, MsgId, Wire};
 pub use output::GcsOutput;
 pub use process::{classify, LifecycleEvent, ProcessClass};

@@ -237,8 +237,10 @@ pub enum GcsTimer {
     BatchPersisted {
         /// First sequence number of the frame.
         lo: u64,
-        /// Last sequence number of the frame (inclusive).
-        hi: u64,
+        /// Entries in the frame, whose sequence numbers are contiguous:
+        /// it covers `lo..lo + span`. A `u32` keeps the timer two words
+        /// wide, small enough to travel inline in a host's message.
+        span: u32,
     },
 }
 

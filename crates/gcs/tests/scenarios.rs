@@ -3,7 +3,7 @@
 //! unprocessed message on total failure) and Fig. 7 (end-to-end atomic
 //! broadcast replays it).
 
-use groupsafe_gcs::harness::{Cluster, GcsHost, RestartGroupCmd};
+use groupsafe_gcs::harness::{Cluster, GcsHost, HostMsg};
 use groupsafe_gcs::{GcsConfig, ProcessClass};
 use groupsafe_net::NodeId;
 use groupsafe_sim::{SimDuration, SimTime};
@@ -208,9 +208,11 @@ fn fig5_total_failure_loses_delivered_unprocessed_message() {
     // own; the operator restarts it from local application state.
     let members: Vec<NodeId> = (0..n).map(NodeId).collect();
     for &h in &cluster.hosts {
-        cluster
-            .engine
-            .schedule_resilient(ms(200), h, RestartGroupCmd(members.clone()));
+        cluster.engine.schedule_resilient(
+            ms(200),
+            h,
+            HostMsg::RestartGroup(members.clone().into()),
+        );
     }
     // The restarted group still works for new messages...
     cluster.broadcast_at(ms(300), NodeId(1), 4343);

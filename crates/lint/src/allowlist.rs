@@ -10,9 +10,9 @@
 //! ```toml
 //! [[allow]]
 //! rule = "panic-freedom"
-//! path = "crates/sim/src/lib.rs"
-//! contains = "unhandled event payload"
-//! justification = "downcast_payload! fall-through: a mis-routed event is a harness bug, failing loudly is the contract"
+//! path = "crates/sim/src/engine.rs"
+//! contains = "expect(\"slab slot\")"
+//! justification = "a vacant slab slot means the wheel and slab disagree: a kernel bug, failing loudly is the contract"
 //! ```
 //!
 //! `line` pins an entry to an exact line (brittle across edits — prefer
@@ -269,9 +269,9 @@ mod tests {
 # workspace exceptions
 [[allow]]
 rule = "panic-freedom"
-path = "crates/sim/src/lib.rs"
-contains = "unhandled event payload"
-justification = "fail-loudly contract of downcast_payload!"
+path = "crates/sim/src/engine.rs"
+contains = "slab slot"
+justification = "fail-loudly contract of the event slab"
 
 [[allow]]
 rule = "direct-index"
@@ -282,10 +282,7 @@ justification = "index bounded by the loop above"
         let list = Allowlist::parse(src).expect("parses");
         assert_eq!(list.entries.len(), 2);
         assert_eq!(list.entries[0].rule, "panic-freedom");
-        assert_eq!(
-            list.entries[0].contains.as_deref(),
-            Some("unhandled event payload")
-        );
+        assert_eq!(list.entries[0].contains.as_deref(), Some("slab slot"));
         assert_eq!(list.entries[1].line, Some(42));
         // Render → parse is identity.
         let again = Allowlist::parse(&list.render()).expect("re-parses");

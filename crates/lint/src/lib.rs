@@ -32,9 +32,10 @@
 //! * [`RuleId::WildcardDispatch`] (`GS-P01`): no wildcard (`_` or
 //!   catch-all binding) arms in `match`es over the protocol enums
 //!   (`GroupMsg`, `ServerReply`, `ClientMsg`, `ReadReply`, `Wire`,
-//!   `GcsOutput`, `ScenarioEvent`, `OracleViolation`, `ReadViolation`):
-//!   a new message variant must be a compile error at every dispatch
-//!   site, never silently swallowed.
+//!   `GcsOutput`, `ScenarioEvent`, `OracleViolation`, `ReadViolation`)
+//!   or over the engines' message enums (`CoreMsg`, `ServerEvent`,
+//!   `ClientEvent`, `HostMsg`): a new message variant must be a compile
+//!   error at every dispatch site, never silently swallowed.
 //! * [`RuleId::PanicFreedom`] (`GS-P02`): `unwrap`/`expect`/`panic!`/
 //!   `unreachable!`/`todo!`/`unimplemented!` are banned in non-test code
 //!   of the protocol crates (`gcs`, `core`, `db`, `net`, `sim`);
@@ -83,15 +84,20 @@ pub use allowlist::{AllowEntry, Allowlist};
 pub const PROTOCOL_CRATES: [&str; 5] = ["gcs", "core", "db", "net", "sim"];
 
 /// The enums whose dispatch sites must be exhaustive: the wire and
-/// protocol messages, the scenario timeline events, and the oracle's
-/// violation taxonomy. A `match` naming any of these in an arm pattern
-/// must not carry a wildcard arm.
-pub const WATCHED_ENUMS: [&str; 9] = [
+/// protocol messages, the message enums actors receive from their
+/// engine, the scenario timeline events, and the oracle's violation
+/// taxonomy. A `match` naming any of these in an arm pattern must not
+/// carry a wildcard arm.
+pub const WATCHED_ENUMS: [&str; 13] = [
     "GroupMsg",
     "ServerReply",
     "ClientMsg",
     "ReadReply",
     "Wire",
+    "CoreMsg",
+    "ServerEvent",
+    "ClientEvent",
+    "HostMsg",
     "GcsOutput",
     "ScenarioEvent",
     "OracleViolation",

@@ -97,6 +97,19 @@ fn wildcard_dispatch_fixture_fires_gs_p01() {
 }
 
 #[test]
+fn message_dispatch_fixture_fires_gs_p01() {
+    let diags = scan_as("message_dispatch.rs", PROTO);
+    let hits: Vec<usize> = diags
+        .iter()
+        .filter(|d| d.rule == RuleId::WildcardDispatch)
+        .map(|d| d.line)
+        .collect();
+    // The `_ => {}` arm over `ServerEvent` and the `rest =>` binding over
+    // `HostMsg` — not the named misroute arm or the exhaustive match.
+    assert_eq!(hits, vec![11, 19], "{diags:?}");
+}
+
+#[test]
 fn panic_freedom_fixture_fires_gs_p02_outside_tests_only() {
     let diags = scan_as("panic_freedom.rs", PROTO);
     let hits: Vec<usize> = diags

@@ -14,13 +14,12 @@
 //! sends overtake it). Each cause keeps its own counter in [`NetStats`] so
 //! scenario oracles can account for every perturbed delivery.
 
-use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use rand::Rng;
 
-use groupsafe_sim::{ActorId, Ctx, SimDuration};
+use groupsafe_sim::{ActorId, Ctx, SimDuration, Wrap};
 
 use crate::node::NodeId;
 
@@ -179,9 +178,9 @@ impl NetworkState {
     /// touch the stream.
     /// `frame`: `Some(k)` for a k-message batch frame, whose wire time
     /// grows with its size: `latency + (k - 1) × frame_unit_cost`.
-    fn plan_delivery(
+    fn plan_delivery<M>(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         cfg: &NetConfig,
         d: usize,
         from: NodeId,
@@ -231,7 +230,7 @@ impl NetworkState {
 /// `(0, reorder_window]`, or one base latency when the window is zero.
 /// Only called once the feature's coin came up, so disabled runs never
 /// touch the RNG here (their event streams stay bit-for-bit).
-fn window_extra(cfg: &NetConfig, ctx: &mut Ctx<'_>) -> SimDuration {
+fn window_extra<M>(cfg: &NetConfig, ctx: &mut Ctx<'_, M>) -> SimDuration {
     if cfg.reorder_window.is_zero() {
         cfg.latency
     } else {
@@ -338,12 +337,12 @@ impl Network {
     /// Multicast `msg` to every node of domain `d` (including the sender
     /// when it belongs to the domain). One hardware multicast on the
     /// domain's address: one broadcast counter tick.
-    pub fn multicast_domain<M: Any + Clone>(
+    pub fn multicast_domain<T: Clone, M: Wrap<Incoming<T>>>(
         &self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         from: NodeId,
         d: u32,
-        msg: M,
+        msg: T,
     ) {
         let targets = self.domain_members(d);
         self.multicast(ctx, from, &targets, msg);
@@ -373,17 +372,18 @@ impl Network {
     /// decide one delivery per target under a single borrow of the shared
     /// state, reading the configuration once, and schedule them in
     /// *runs*: deliveries that follow one another in scheduling order and
-    /// fall on the same instant become one kernel fan-out sharing one
-    /// [`Incoming`]. On a plain network a multicast is a single run; a
-    /// duplicate's extra copy, scheduled ahead of its original for a
-    /// later instant, closes the run before it, and jitter or reordering
-    /// leave runs of one. The last run takes `msg` by move.
-    fn transmit<M: Any + Clone>(
+    /// fall on the same instant become one kernel fan-out of one
+    /// [`Incoming`], wrapped into the caller's message type `M`. On a
+    /// plain network a multicast is a single run; a duplicate's extra
+    /// copy, scheduled ahead of its original for a later instant, closes
+    /// the run before it, and jitter or reordering leave runs of one. The
+    /// last run takes `msg` by move.
+    fn transmit<T: Clone, M: Wrap<Incoming<T>>>(
         &self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         from: NodeId,
         targets: &[NodeId],
-        msg: M,
+        msg: T,
         frame: Option<u64>,
         multicast: bool,
     ) {
@@ -401,7 +401,7 @@ impl Network {
         });
         let mut run = std::mem::take(&mut s.run);
         let mut run_delay = SimDuration::ZERO;
-        let mut deliver = |ctx: &mut Ctx<'_>, actor: ActorId, delay: SimDuration| {
+        let mut deliver = |ctx: &mut Ctx<'_, M>, actor: ActorId, delay: SimDuration| {
             if delay != run_delay && !run.is_empty() {
                 let msg = msg.clone();
                 ctx.send_shared(&run, run_delay, Incoming { from, msg });
@@ -425,9 +425,15 @@ impl Network {
     }
 
     /// Send `msg` from `from` to `to`. The receiver gets an
-    /// [`Incoming<M>`] event after the wire latency. Messages to
-    /// partitioned or crashed nodes are lost.
-    pub fn send<M: Any + Clone>(&self, ctx: &mut Ctx<'_>, from: NodeId, to: NodeId, msg: M) {
+    /// [`Incoming<T>`], as its message type `M`, after the wire latency.
+    /// Messages to partitioned or crashed nodes are lost.
+    pub fn send<T: Clone, M: Wrap<Incoming<T>>>(
+        &self,
+        ctx: &mut Ctx<'_, M>,
+        from: NodeId,
+        to: NodeId,
+        msg: T,
+    ) {
         self.transmit(ctx, from, &[to], msg, None, false);
     }
 
@@ -435,12 +441,12 @@ impl Network {
     /// messages — from `from` to `to`. The frame is accounted as ONE
     /// transmission whose wire time grows with its size: `latency +
     /// (msgs_in_frame - 1) × frame_unit_cost` (plus jitter, if any).
-    pub fn send_frame<M: Any + Clone>(
+    pub fn send_frame<T: Clone, M: Wrap<Incoming<T>>>(
         &self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         from: NodeId,
         to: NodeId,
-        msg: M,
+        msg: T,
         msgs_in_frame: u64,
     ) {
         self.transmit(ctx, from, &[to], msg, Some(msgs_in_frame), false);
@@ -449,12 +455,12 @@ impl Network {
     /// Multicast a batch frame to every node in `targets` (one delivery
     /// per target, one broadcast counter tick, one wire transmission per
     /// distinct receiver domain).
-    pub fn multicast_frame<M: Any + Clone>(
+    pub fn multicast_frame<T: Clone, M: Wrap<Incoming<T>>>(
         &self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         from: NodeId,
         targets: &[NodeId],
-        msg: M,
+        msg: T,
         msgs_in_frame: u64,
     ) {
         self.transmit(ctx, from, targets, msg, Some(msgs_in_frame), true);
@@ -464,19 +470,24 @@ impl Network {
     /// may include itself; self-delivery also pays the wire latency, which
     /// models the loopback through the network stack). Accounted as one
     /// wire transmission per distinct receiver domain.
-    pub fn multicast<M: Any + Clone>(
+    pub fn multicast<T: Clone, M: Wrap<Incoming<T>>>(
         &self,
-        ctx: &mut Ctx<'_>,
+        ctx: &mut Ctx<'_, M>,
         from: NodeId,
         targets: &[NodeId],
-        msg: M,
+        msg: T,
     ) {
         self.transmit(ctx, from, targets, msg, None, true);
     }
 
     /// Broadcast `msg` from `from` to every registered node (including the
     /// sender). One hardware multicast: one broadcast counter tick.
-    pub fn broadcast<M: Any + Clone>(&self, ctx: &mut Ctx<'_>, from: NodeId, msg: M) {
+    pub fn broadcast<T: Clone, M: Wrap<Incoming<T>>>(
+        &self,
+        ctx: &mut Ctx<'_, M>,
+        from: NodeId,
+        msg: T,
+    ) {
         let targets = self.nodes();
         self.multicast(ctx, from, &targets, msg);
     }

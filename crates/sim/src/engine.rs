@@ -5,29 +5,41 @@
 //! graph and seed produce the same dispatch sequence, which the kernel
 //! fingerprints with a running FNV-1a hash (see [`Engine::fingerprint`]).
 //!
-//! # Schedulers
+//! # Messages
 //!
-//! Two interchangeable queue implementations back the kernel (selected via
-//! [`Scheduler`], see [`Engine::new_with_scheduler`]):
+//! An [`Engine<M>`] carries one message type `M`, and every event an actor
+//! receives — a timer, a driver command, a network delivery — is an `M`
+//! handed to [`Actor::on_event`], the one entry point. A system names its
+//! own enum, marks it [`Message`] and gives it a `From` impl per value it
+//! carries; the kernel then stores a plain send or timer inline in its
+//! event slot, and the actor dispatches with an exhaustive `match`.
+//! Senders pass the carried value itself: [`Wrap`] turns it into an `M`.
 //!
-//! * [`Scheduler::TimingWheel`] (the default) — a hierarchical timing wheel
-//!   (64 slots × 11 levels over the `u64` nanosecond clock) with per-level
-//!   occupancy bitmaps and an event slab with freelist reuse. Insertion and
-//!   pop are O(1) amortised; events at the same instant drain in FIFO
-//!   (sequence-number) order because slot vectors append in scheduling
-//!   order and cascades preserve it.
-//! * [`Scheduler::LegacyHeap`] — the original `BinaryHeap` scheduler, kept
-//!   as an executable reference. Both produce the identical dispatch order
-//!   `(time, seq)` and therefore identical fingerprints; the equivalence is
-//!   pinned by unit tests here and a proptest in `tests/`.
+//! `M` defaults to [`Payload`], a `Box<dyn Any>` that actors downcast: the
+//! adapter for small test actors and benchmark drivers, where a boxed
+//! event per send costs nothing that matters.
+//!
+//! # Scheduler
+//!
+//! The kernel's queue is a hierarchical timing wheel (64 slots × 11
+//! levels over the `u64` nanosecond clock) with per-level occupancy
+//! bitmaps and an event slab with freelist reuse. Insertion and pop are
+//! O(1) amortised; events at the same instant drain in FIFO
+//! (sequence-number) order because slot vectors append in scheduling order
+//! and cascades preserve it. [`Scheduler::LegacyHeap`], the `BinaryHeap`
+//! the wheel replaced, is an executable reference for the equivalence
+//! tests (see [`Engine::new_with_scheduler`]); it dispatches in the same
+//! `(time, seq)` order and so yields the same fingerprints.
 //!
 //! # Fan-out
 //!
-//! [`Ctx::send_shared`] schedules one payload for several actors as a
+//! [`Ctx::send_shared`] schedules one message for several actors as a
 //! single queue record. Dispatch walks the record's targets in order and
 //! is, per target, exactly a plain dispatch — same incarnation check,
 //! same count, same fingerprint — so the record is indistinguishable
-//! from the back-to-back sends it stands for (see [`Actor::on_shared`]).
+//! from the back-to-back sends it stands for. Each target receives an
+//! owned `M`: the last one the record's own, the others a copy made by
+//! [`Wrap::share`] (a reference-count bump for a typed message).
 //!
 //! # Actors and crashes
 //!
@@ -69,37 +81,78 @@ impl ActorId {
     }
 }
 
-/// Dynamically-typed event payload exchanged between actors.
-///
-/// Each crate defines its own concrete event structs and downcasts on
-/// receipt; see [`crate::downcast_payload`] for the ergonomic helper.
+/// The default message type: any value, boxed, which the receiving actor
+/// downcasts. Each send allocates; systems on a hot path use a typed
+/// [`Message`] enum instead.
 pub type Payload = Box<dyn Any>;
 
-/// A simulated component driven by events.
+/// How a value of type `T` becomes a message of type `Self`: every send,
+/// timer and driver injection goes through it, so callers pass the value
+/// they mean and the engine stores the message.
+pub trait Wrap<T>: Sized {
+    /// `value` as a message.
+    fn wrap(value: T) -> Self;
+
+    /// A copy of `msg` — wrapped from a `T` — for another target of the
+    /// same fan-out.
+    fn share(msg: &Self) -> Self
+    where
+        T: Clone;
+}
+
+/// The [`Payload`] adapter: any value is boxed as it is, and a fan-out
+/// copy boxes a clone of it.
+impl<T: Any> Wrap<T> for Payload {
+    fn wrap(value: T) -> Payload {
+        Box::new(value)
+    }
+
+    fn share(msg: &Payload) -> Payload
+    where
+        T: Clone,
+    {
+        let value: &T = msg.downcast_ref().expect("fan-out payload type");
+        Box::new(value.clone())
+    }
+}
+
+/// A system's typed message: an enum with one `From` impl per value it
+/// carries, which is all [`Wrap`] needs. A fan-out clones it once per
+/// extra target, so a variant that travels by multicast holds an `Rc`
+/// and clones by bumping a count.
+pub trait Message: Clone + 'static {}
+
+impl<T, M: Message + From<T>> Wrap<T> for M {
+    fn wrap(value: T) -> M {
+        value.into()
+    }
+
+    fn share(msg: &M) -> M
+    where
+        T: Clone,
+    {
+        msg.clone()
+    }
+}
+
+/// A simulated component driven by events of type `M`.
 ///
 /// The [`AsAny`] supertrait (blanket-implemented for every `'static` type)
 /// lets drivers downcast registered actors back to their concrete type via
 /// [`Engine::actor`] after a run.
-pub trait Actor: AsAny {
-    /// Handle an event addressed to this actor.
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, payload: Payload);
-
-    /// Handle an event whose payload this actor shares with the other
-    /// targets of a fan-out (see [`Ctx::send_shared`]). The default
-    /// copies the payload and handles it as an owned event; an actor on a
-    /// hot fan-out path overrides this to read the payload in place.
-    fn on_shared(&mut self, ctx: &mut Ctx<'_>, payload: Shared<'_>) {
-        self.on_event(ctx, payload.to_payload());
-    }
+pub trait Actor<M = Payload>: AsAny {
+    /// Handle an event addressed to this actor: a timer, a driver
+    /// command or a network delivery, plain or from a fan-out.
+    fn on_event(&mut self, ctx: &mut Ctx<'_, M>, msg: M);
 
     /// The actor has crashed: drop all volatile state. State the actor
     /// models as *stable storage* (write-ahead logs, group-communication
     /// message logs) must survive this call.
-    fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {}
+    fn on_crash(&mut self, _ctx: &mut Ctx<'_, M>) {}
 
     /// The actor recovers with a fresh incarnation: run its recovery
     /// procedure (read stable storage, rejoin the group, ...).
-    fn on_recover(&mut self, _ctx: &mut Ctx<'_>) {}
+    fn on_recover(&mut self, _ctx: &mut Ctx<'_, M>) {}
 
     /// Human-readable name for traces and error messages.
     fn name(&self) -> &str {
@@ -107,62 +160,29 @@ pub trait Actor: AsAny {
     }
 }
 
-/// What a fan-out record keeps of its payload: a view for receivers that
-/// read it in place and an owned copy for those that do not. Implemented
-/// for every `Any + Clone` type, which is where the clone is captured.
-trait SharedBody {
-    fn as_any(&self) -> &dyn Any;
-    fn boxed_clone(&self) -> Payload;
-}
-
-impl<T: Any + Clone> SharedBody for T {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn boxed_clone(&self) -> Payload {
-        Box::new(self.clone())
-    }
-}
-
-/// The one payload of a fan-out (see [`Ctx::send_shared`]), borrowed by
-/// each receiver in turn. It is immutable: every receiver of the fan-out
-/// observes the same value.
-#[derive(Clone, Copy)]
-pub struct Shared<'a>(&'a dyn SharedBody);
-
-impl<'a> Shared<'a> {
-    /// The payload in place, if it is a `T`.
-    pub fn downcast_ref<T: Any>(self) -> Option<&'a T> {
-        self.0.as_any().downcast_ref()
-    }
-
-    /// A copy of the payload as an owned [`Payload`].
-    pub fn to_payload(self) -> Payload {
-        self.0.boxed_clone()
-    }
-}
-
 /// Sentinel incarnation: deliver whenever the target is alive.
 const ANY_INCARNATION: u32 = u32::MAX;
 
-/// Body of an [`EventKind::FanOut`]: the targets in delivery order, each
-/// with its incarnation at scheduling time, and the payload they share.
-struct FanOut<P: ?Sized = dyn SharedBody> {
+/// Sentinel incarnation of a fan-out: the delivery's `to` names an entry
+/// of the kernel's fan-out table, not an actor.
+const FAN_OUT: u32 = u32::MAX - 1;
+
+/// The targets of one pending fan-out in delivery order, each with its
+/// incarnation at scheduling time, and how every target but the last gets
+/// its copy of the message ([`Wrap::share`] for the type it was sent as).
+struct Fan<M> {
     targets: Vec<(ActorId, u32)>,
-    payload: P,
+    share: fn(&M) -> M,
 }
 
-enum EventKind {
-    /// Deliver `payload` to `target` if its incarnation still matches
-    /// (or matches any incarnation, for driver-injected events).
-    Dispatch {
-        target: ActorId,
-        incarnation: u32,
-        payload: Payload,
-    },
-    /// What one `Dispatch` per target, scheduled back to back for the
-    /// same instant, would do — as a single queue record.
-    FanOut(Box<FanOut>),
+enum EventKind<M> {
+    /// Deliver `msg` to actor `to` if its incarnation still matches
+    /// `stamp` (any incarnation, for [`ANY_INCARNATION`]) — or, with
+    /// `stamp` = [`FAN_OUT`], to every target of fan-out entry `to`, which
+    /// does what one delivery per target, scheduled back to back for the
+    /// same instant, would do. Both shapes share one variant so that a
+    /// slot is one `M` and two words wide.
+    Deliver { to: u32, stamp: u32, msg: M },
     /// Crash `target` (idempotent if already down).
     Crash(ActorId),
     /// Recover `target` (idempotent if already up).
@@ -175,8 +195,8 @@ enum EventKind {
 ///
 /// Both schedulers dispatch events in the identical `(time, seq)` order and
 /// therefore produce bit-for-bit identical fingerprints and traces; the
-/// legacy heap exists as an executable reference for equivalence tests and
-/// as a fallback while the wheel bakes.
+/// legacy heap is the executable reference the equivalence tests hold the
+/// wheel to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
     /// Hierarchical timing wheel + event slab (the default; O(1) amortised).
@@ -186,26 +206,26 @@ pub enum Scheduler {
     LegacyHeap,
 }
 
-struct QueuedEvent {
+struct QueuedEvent<M> {
     time: SimTime,
     seq: u64,
-    kind: EventKind,
+    kind: EventKind<M>,
 }
 
 // Order by (time, seq): the heap is a max-heap so we wrap in `Reverse` at
 // the call sites; equality/ordering here only consider the (time, seq) key.
-impl PartialEq for QueuedEvent {
+impl<M> PartialEq for QueuedEvent<M> {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl Eq for QueuedEvent {}
-impl PartialOrd for QueuedEvent {
+impl<M> Eq for QueuedEvent<M> {}
+impl<M> PartialOrd for QueuedEvent<M> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for QueuedEvent {
+impl<M> Ord for QueuedEvent<M> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.time, self.seq).cmp(&(other.time, other.seq))
     }
@@ -215,14 +235,13 @@ impl Ord for QueuedEvent {
 /// vectors hold 12-byte `(time, index)` entries instead of full event
 /// structs, and record storage is recycled across the run instead of
 /// churning the allocator once per event.
-#[derive(Default)]
-struct EventSlab {
-    slots: Vec<Option<EventKind>>,
+struct EventSlab<M> {
+    slots: Vec<Option<EventKind<M>>>,
     free: Vec<u32>,
 }
 
-impl EventSlab {
-    fn insert(&mut self, kind: EventKind) -> u32 {
+impl<M> EventSlab<M> {
+    fn insert(&mut self, kind: EventKind<M>) -> u32 {
         if let Some(idx) = self.free.pop() {
             self.slots[idx as usize] = Some(kind);
             idx
@@ -233,7 +252,7 @@ impl EventSlab {
         }
     }
 
-    fn remove(&mut self, idx: u32) -> EventKind {
+    fn remove(&mut self, idx: u32) -> EventKind<M> {
         let kind = self.slots[idx as usize].take().expect("slab slot");
         self.free.push(idx);
         kind
@@ -253,7 +272,9 @@ const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 /// Per-level `u64` occupancy bitmaps make "find earliest slot" a
 /// `trailing_zeros`. Advancing the horizon re-distributes ("cascades") one
 /// coarse slot into finer levels; each event cascades at most 10 times
-/// total, so operations are O(1) amortised.
+/// total, so operations are O(1) amortised. A coarse slot that holds a
+/// single instant — a lone event, most often — needs no cascade: it
+/// drains as the current instant directly.
 ///
 /// Two invariants carry determinism and the deadline contract:
 ///
@@ -349,11 +370,24 @@ impl TimingWheel {
             if base > limit {
                 return None;
             }
-            self.horizon = base;
             self.occupancy[level] &= !(1 << slot);
+            let index = level * WHEEL_SLOTS + slot as usize;
+            // Every finer level is empty and every other slot is later, so
+            // when this slot holds one instant only — a lone event, most
+            // often — that instant is the earliest queued: drain the slot
+            // as it, in its FIFO order, instead of re-filing it level by
+            // level. Moving the horizon to that time keeps every other
+            // entry's slot, since it shares the horizon's digits above
+            // `level`.
+            let first = self.slots[index].first().map_or(u64::MAX, |e| e.0);
+            if first <= limit && self.slots[index].iter().all(|e| e.0 == first) {
+                self.horizon = first;
+                std::mem::swap(&mut self.current, &mut self.slots[index]);
+                continue;
+            }
+            self.horizon = base;
             // Every entry re-files strictly below `level`, never back into
             // this slot, which keeps its buffer for its next turn.
-            let index = level * WHEEL_SLOTS + slot as usize;
             let mut cascaded = std::mem::take(&mut self.slots[index]);
             for &(time, idx) in &cascaded {
                 self.file(time, idx);
@@ -365,23 +399,29 @@ impl TimingWheel {
 }
 
 /// The kernel's event queue: one of the two [`Scheduler`] implementations.
-enum EventQueue {
-    Wheel { wheel: TimingWheel, slab: EventSlab },
-    Heap(BinaryHeap<Reverse<QueuedEvent>>),
+enum EventQueue<M> {
+    Wheel {
+        wheel: TimingWheel,
+        slab: EventSlab<M>,
+    },
+    Heap(BinaryHeap<Reverse<QueuedEvent<M>>>),
 }
 
-impl EventQueue {
+impl<M> EventQueue<M> {
     fn new(scheduler: Scheduler) -> Self {
         match scheduler {
             Scheduler::TimingWheel => EventQueue::Wheel {
                 wheel: TimingWheel::new(),
-                slab: EventSlab::default(),
+                slab: EventSlab {
+                    slots: Vec::new(),
+                    free: Vec::new(),
+                },
             },
             Scheduler::LegacyHeap => EventQueue::Heap(BinaryHeap::new()),
         }
     }
 
-    fn push(&mut self, time: SimTime, seq: u64, kind: EventKind) {
+    fn push(&mut self, time: SimTime, seq: u64, kind: EventKind<M>) {
         match self {
             EventQueue::Wheel { wheel, slab } => {
                 let idx = slab.insert(kind);
@@ -392,7 +432,7 @@ impl EventQueue {
     }
 
     /// Pop the earliest event with `time <= limit` in `(time, seq)` order.
-    fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, EventKind)> {
+    fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, EventKind<M>)> {
         match self {
             EventQueue::Wheel { wheel, slab } => {
                 let (time, idx) = wheel.pop_at_or_before(limit.as_nanos())?;
@@ -402,22 +442,23 @@ impl EventQueue {
                 if heap.peek().is_none_or(|Reverse(ev)| ev.time > limit) {
                     return None;
                 }
-                let Reverse(ev) = heap.pop().expect("peeked");
-                Some((ev.time, ev.kind))
+                heap.pop().map(|Reverse(ev)| (ev.time, ev.kind))
             }
         }
     }
 }
 
 /// Mutable kernel state shared with actors during dispatch via [`Ctx`].
-pub struct Kernel {
+pub struct Kernel<M> {
     now: SimTime,
     seq: u64,
-    queue: EventQueue,
+    queue: EventQueue<M>,
     incarnations: Vec<u32>,
     alive: Vec<bool>,
-    /// Target vectors of dispatched fan-outs, kept for the next ones.
-    spare_targets: Vec<Vec<(ActorId, u32)>>,
+    /// Fan-out table: an entry per pending fan-out, recycled through
+    /// `free_fans` (its target vector keeps its capacity).
+    fans: Vec<Fan<M>>,
+    free_fans: Vec<u32>,
     rng: StdRng,
     /// Metrics registry shared by the whole simulation.
     pub metrics: Metrics,
@@ -433,7 +474,7 @@ pub struct Kernel {
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
-impl Kernel {
+impl<M> Kernel<M> {
     fn new(seed: u64, scheduler: Scheduler) -> Self {
         Kernel {
             now: SimTime::ZERO,
@@ -441,7 +482,8 @@ impl Kernel {
             queue: EventQueue::new(scheduler),
             incarnations: Vec::new(),
             alive: Vec::new(),
-            spare_targets: Vec::new(),
+            fans: Vec::new(),
+            free_fans: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             metrics: Metrics::new(),
             obs: Obs::default(),
@@ -456,32 +498,62 @@ impl Kernel {
         self.fingerprint = self.fingerprint.wrapping_mul(FNV_PRIME);
     }
 
-    fn push(&mut self, time: SimTime, kind: EventKind) {
+    fn push(&mut self, time: SimTime, kind: EventKind<M>) {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(time, seq, kind);
     }
 
-    fn schedule_dispatch(&mut self, at: SimTime, target: ActorId, payload: Payload) {
-        let incarnation = self.incarnations[target.index()];
+    /// Schedule `msg` for `target` at `at`, stamped with `stamp`.
+    fn deliver(&mut self, at: SimTime, target: ActorId, stamp: u32, msg: M) {
         self.push(
             at,
-            EventKind::Dispatch {
-                target,
-                incarnation,
-                payload,
+            EventKind::Deliver {
+                to: target.0,
+                stamp,
+                msg,
             },
         );
+    }
+
+    /// Schedule `msg` for `target` at `at`, stamped with its current
+    /// incarnation.
+    fn send(&mut self, at: SimTime, target: ActorId, msg: M) {
+        let stamp = self.incarnations[target.index()];
+        self.deliver(at, target, stamp, msg);
+    }
+
+    /// File a fan-out table entry for `targets`, each stamped with its
+    /// current incarnation, and return its index.
+    fn fan(&mut self, targets: &[ActorId], share: fn(&M) -> M) -> u32 {
+        let idx = match self.free_fans.pop() {
+            Some(idx) => {
+                self.fans[idx as usize].share = share;
+                idx
+            }
+            None => {
+                self.fans.push(Fan {
+                    targets: Vec::with_capacity(targets.len()),
+                    share,
+                });
+                self.fans.len() as u32 - 1
+            }
+        };
+        let incarnations = &self.incarnations;
+        self.fans[idx as usize]
+            .targets
+            .extend(targets.iter().map(|&t| (t, incarnations[t.index()])));
+        idx
     }
 }
 
 /// The context handed to actors while they handle an event.
-pub struct Ctx<'a> {
-    kernel: &'a mut Kernel,
+pub struct Ctx<'a, M = Payload> {
+    kernel: &'a mut Kernel<M>,
     me: ActorId,
 }
 
-impl Ctx<'_> {
+impl<M> Ctx<'_, M> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.kernel.now
@@ -492,43 +564,49 @@ impl Ctx<'_> {
         self.me
     }
 
-    /// Schedule `payload` for `target` after `delay`. The event is dropped
-    /// if `target` crashes (or crashes and recovers) before it fires.
-    pub fn send(&mut self, target: ActorId, delay: SimDuration, payload: impl Any) {
+    /// Schedule `msg` for `target` after `delay`. The event is dropped if
+    /// `target` crashes (or crashes and recovers) before it fires.
+    pub fn send<T>(&mut self, target: ActorId, delay: SimDuration, msg: T)
+    where
+        M: Wrap<T>,
+    {
         let at = self.kernel.now + delay;
-        self.kernel.schedule_dispatch(at, target, Box::new(payload));
+        self.kernel.send(at, target, M::wrap(msg));
     }
 
-    /// Schedule one `payload` for every actor in `targets`, in that order,
+    /// Schedule one `msg` for every actor in `targets`, in that order,
     /// after `delay`: the same deliveries, drops and dispatch order as one
     /// [`Ctx::send`] per target issued back to back, held as one queue
-    /// record. Each target receives it through [`Actor::on_shared`]; a
-    /// single target owns the payload and receives it as a plain send.
-    pub fn send_shared<T: Any + Clone>(
-        &mut self,
-        targets: &[ActorId],
-        delay: SimDuration,
-        payload: T,
-    ) {
+    /// record. A single target receives it as a plain send.
+    pub fn send_shared<T: Clone>(&mut self, targets: &[ActorId], delay: SimDuration, msg: T)
+    where
+        M: Wrap<T>,
+    {
         match *targets {
             [] => {}
-            [target] => self.send(target, delay, payload),
+            [target] => self.send(target, delay, msg),
             _ => {
                 let kernel = &mut *self.kernel;
-                let mut stamped = kernel.spare_targets.pop().unwrap_or_default();
-                stamped.extend(targets.iter().map(|&t| (t, kernel.incarnations[t.index()])));
-                let body = Box::new(FanOut {
-                    targets: stamped,
-                    payload,
-                });
-                kernel.push(kernel.now + delay, EventKind::FanOut(body));
+                let fan = kernel.fan(targets, <M as Wrap<T>>::share);
+                let at = kernel.now + delay;
+                kernel.push(
+                    at,
+                    EventKind::Deliver {
+                        to: fan,
+                        stamp: FAN_OUT,
+                        msg: M::wrap(msg),
+                    },
+                );
             }
         }
     }
 
     /// Schedule an event to the executing actor itself (a timer).
-    pub fn timer(&mut self, delay: SimDuration, payload: impl Any) {
-        self.send(self.me, delay, payload);
+    pub fn timer<T>(&mut self, delay: SimDuration, msg: T)
+    where
+        M: Wrap<T>,
+    {
+        self.send(self.me, delay, msg);
     }
 
     /// True if `target` is currently up.
@@ -587,21 +665,27 @@ impl Ctx<'_> {
     }
 }
 
-/// The simulation engine: actor registry plus kernel.
-pub struct Engine {
-    actors: Vec<Option<Box<dyn Actor>>>,
-    kernel: Kernel,
+/// The simulation engine: actor registry plus kernel, over one message
+/// type `M` (see the [module docs](self)).
+pub struct Engine<M = Payload> {
+    actors: Vec<Box<dyn Actor<M>>>,
+    kernel: Kernel<M>,
 }
 
-impl Engine {
-    /// Create an engine whose RNG streams derive from `seed`, scheduled by
-    /// the default timing wheel.
+impl<M: 'static> Engine<M> {
+    /// Bytes one pending event occupies in the kernel's slab: a message
+    /// plus two words, so a variant of `M` larger than its slot share is
+    /// boxed by the system that defines it.
+    pub const SLOT_BYTES: usize = std::mem::size_of::<Option<EventKind<M>>>();
+
+    /// Create an engine for messages of type `M`, its RNG streams derived
+    /// from `seed`, scheduled by the timing wheel.
     pub fn new(seed: u64) -> Self {
         Engine::new_with_scheduler(seed, Scheduler::TimingWheel)
     }
 
-    /// Create an engine with an explicit [`Scheduler`] (equivalence tests
-    /// and benchmarks; production callers use [`Engine::new`]).
+    /// Create an engine with an explicit [`Scheduler`] (equivalence tests;
+    /// every other caller uses [`Engine::new`]).
     pub fn new_with_scheduler(seed: u64, scheduler: Scheduler) -> Self {
         Engine {
             actors: Vec::new(),
@@ -622,9 +706,9 @@ impl Engine {
 
     /// Register an actor; returns its id. All actors start alive with
     /// incarnation 0.
-    pub fn add_actor(&mut self, actor: Box<dyn Actor>) -> ActorId {
+    pub fn add_actor(&mut self, actor: Box<dyn Actor<M>>) -> ActorId {
         let id = ActorId(self.actors.len() as u32);
-        self.actors.push(Some(actor));
+        self.actors.push(actor);
         self.kernel.incarnations.push(0);
         self.kernel.alive.push(true);
         id
@@ -640,37 +724,39 @@ impl Engine {
         self.kernel.now
     }
 
-    /// Schedule `payload` for `target` at absolute time `at` (driver-side
+    /// Schedule `msg` for `target` at absolute time `at` (driver-side
     /// injection, e.g. workload arrivals or scripted scenarios). The event
     /// is dropped if `target` crashes before it fires.
-    pub fn schedule(&mut self, at: SimTime, target: ActorId, payload: impl Any) {
+    pub fn schedule<T>(&mut self, at: SimTime, target: ActorId, msg: T)
+    where
+        M: Wrap<T>,
+    {
         assert!(at >= self.kernel.now, "cannot schedule into the past");
-        self.kernel.schedule_dispatch(at, target, Box::new(payload));
+        self.kernel.send(at, target, M::wrap(msg));
     }
 
     /// Like [`Engine::schedule`], but the event is delivered as long as
     /// `target` is *alive at delivery time*, regardless of intervening
     /// crash/recovery cycles. Use for scripted scenarios that inject work
     /// after a planned recovery.
-    pub fn schedule_resilient(&mut self, at: SimTime, target: ActorId, payload: impl Any) {
+    pub fn schedule_resilient<T>(&mut self, at: SimTime, target: ActorId, msg: T)
+    where
+        M: Wrap<T>,
+    {
         assert!(at >= self.kernel.now, "cannot schedule into the past");
-        self.kernel.push(
-            at,
-            EventKind::Dispatch {
-                target,
-                incarnation: ANY_INCARNATION,
-                payload: Box::new(payload),
-            },
-        );
+        self.kernel
+            .deliver(at, target, ANY_INCARNATION, M::wrap(msg));
     }
 
     /// Schedule a crash of `target` at absolute time `at`.
     pub fn schedule_crash(&mut self, at: SimTime, target: ActorId) {
+        assert!(at >= self.kernel.now, "cannot schedule into the past");
         self.kernel.push(at, EventKind::Crash(target));
     }
 
     /// Schedule a recovery of `target` at absolute time `at`.
     pub fn schedule_recover(&mut self, at: SimTime, target: ActorId) {
+        assert!(at >= self.kernel.now, "cannot schedule into the past");
         self.kernel.push(at, EventKind::Recover(target));
     }
 
@@ -707,14 +793,21 @@ impl Engine {
         self.kernel.now
     }
 
-    /// Hand one event to `target` at the current instant — unless it is
-    /// down, or crashed since the event was stamped with `incarnation`.
-    fn dispatch(
-        &mut self,
-        target: ActorId,
-        incarnation: u32,
-        deliver: impl FnOnce(&mut dyn Actor, &mut Ctx<'_>),
-    ) {
+    /// Run `f` on actor `target` with a context for the current instant.
+    /// The context borrows the kernel alone, never the actor registry,
+    /// so a callback cannot reach another actor.
+    fn call(&mut self, target: ActorId, f: impl FnOnce(&mut dyn Actor<M>, &mut Ctx<'_, M>)) {
+        let mut ctx = Ctx {
+            kernel: &mut self.kernel,
+            me: target,
+        };
+        f(&mut *self.actors[target.index()], &mut ctx);
+    }
+
+    /// Hand `target` the message `msg` makes — unless it is down, or
+    /// crashed since the event was stamped with `incarnation`, in which
+    /// case no message is made.
+    fn dispatch(&mut self, target: ActorId, incarnation: u32, msg: impl FnOnce() -> M) {
         let idx = target.index();
         if !self.kernel.alive[idx]
             || (incarnation != ANY_INCARNATION && self.kernel.incarnations[idx] != incarnation)
@@ -724,36 +817,36 @@ impl Engine {
         self.kernel.dispatched += 1;
         self.kernel.mix(self.kernel.now.as_nanos());
         self.kernel.mix(target.0 as u64);
-        let mut actor = self.actors[idx].take().expect("actor reentrancy");
-        let mut ctx = Ctx {
-            kernel: &mut self.kernel,
-            me: target,
-        };
-        deliver(&mut *actor, &mut ctx);
-        self.actors[idx] = Some(actor);
+        self.call(target, |actor, ctx| actor.on_event(ctx, msg()));
     }
 
-    fn process(&mut self, time: SimTime, kind: EventKind) {
+    /// Deliver fan-out entry `fan`: a copy of `msg` to each target in
+    /// turn, `msg` itself to the last, then recycle the entry.
+    fn fan_out(&mut self, fan: u32, msg: M) {
+        let entry = &mut self.kernel.fans[fan as usize];
+        let share = entry.share;
+        let mut targets = std::mem::take(&mut entry.targets);
+        if let Some((&(last, stamp), rest)) = targets.split_last() {
+            for &(target, stamp) in rest {
+                self.dispatch(target, stamp, || share(&msg));
+            }
+            self.dispatch(last, stamp, || msg);
+        }
+        targets.clear();
+        self.kernel.fans[fan as usize].targets = targets;
+        self.kernel.free_fans.push(fan);
+    }
+
+    fn process(&mut self, time: SimTime, kind: EventKind<M>) {
         debug_assert!(time >= self.kernel.now, "time went backwards");
         self.kernel.now = time;
         match kind {
-            EventKind::Dispatch {
-                target,
-                incarnation,
-                payload,
-            } => self.dispatch(target, incarnation, |actor, ctx| {
-                actor.on_event(ctx, payload)
-            }),
-            EventKind::FanOut(mut body) => {
-                for &(target, incarnation) in &body.targets {
-                    self.dispatch(target, incarnation, |actor, ctx| {
-                        actor.on_shared(ctx, Shared(&body.payload))
-                    });
-                }
-                let mut targets = std::mem::take(&mut body.targets);
-                targets.clear();
-                self.kernel.spare_targets.push(targets);
-            }
+            EventKind::Deliver {
+                to,
+                stamp: FAN_OUT,
+                msg,
+            } => self.fan_out(to, msg),
+            EventKind::Deliver { to, stamp, msg } => self.dispatch(ActorId(to), stamp, || msg),
             EventKind::Crash(target) => {
                 let idx = target.index();
                 if !self.kernel.alive[idx] {
@@ -762,13 +855,7 @@ impl Engine {
                 self.kernel.alive[idx] = false;
                 self.kernel.mix(0xDEAD);
                 self.kernel.mix(target.0 as u64);
-                let mut actor = self.actors[idx].take().expect("actor reentrancy");
-                let mut ctx = Ctx {
-                    kernel: &mut self.kernel,
-                    me: target,
-                };
-                actor.on_crash(&mut ctx);
-                self.actors[idx] = Some(actor);
+                self.call(target, |actor, ctx| actor.on_crash(ctx));
             }
             EventKind::Recover(target) => {
                 let idx = target.index();
@@ -779,13 +866,7 @@ impl Engine {
                 self.kernel.incarnations[idx] += 1;
                 self.kernel.mix(0x11FE);
                 self.kernel.mix(target.0 as u64);
-                let mut actor = self.actors[idx].take().expect("actor reentrancy");
-                let mut ctx = Ctx {
-                    kernel: &mut self.kernel,
-                    me: target,
-                };
-                actor.on_recover(&mut ctx);
-                self.actors[idx] = Some(actor);
+                self.call(target, |actor, ctx| actor.on_recover(ctx));
             }
             EventKind::Halt => {
                 self.kernel.halted = true;
@@ -818,8 +899,9 @@ impl Engine {
     ///
     /// # Panics
     /// Panics if the actor is not of type `T`.
-    pub fn actor<T: Actor + 'static>(&self, id: ActorId) -> &T {
-        let actor: &dyn Actor = &**self.actors[id.index()].as_ref().expect("actor reentrancy");
+    pub fn actor<T: Actor<M> + 'static>(&self, id: ActorId) -> &T {
+        // Through the trait object: the box itself is an `Any` too.
+        let actor: &dyn Actor<M> = &*self.actors[id.index()];
         actor
             .as_any()
             .downcast_ref::<T>()
@@ -830,9 +912,8 @@ impl Engine {
     ///
     /// # Panics
     /// Panics if the actor is not of type `T`.
-    pub fn actor_mut<T: Actor + 'static>(&mut self, id: ActorId) -> &mut T {
-        let actor: &mut dyn Actor =
-            &mut **self.actors[id.index()].as_mut().expect("actor reentrancy");
+    pub fn actor_mut<T: Actor<M> + 'static>(&mut self, id: ActorId) -> &mut T {
+        let actor: &mut dyn Actor<M> = &mut *self.actors[id.index()];
         actor
             .as_any_mut()
             .downcast_mut::<T>()
@@ -906,10 +987,14 @@ mod tests {
         })
     }
 
+    fn engine(scheduler: Scheduler) -> Engine {
+        Engine::new_with_scheduler(1, scheduler)
+    }
+
     #[test]
     fn timers_fire_in_order() {
         for scheduler in BOTH {
-            let mut eng = Engine::new_with_scheduler(1, scheduler);
+            let mut eng = engine(scheduler);
             let id = eng.add_actor(counter());
             eng.schedule(SimTime::from_millis(1), id, Tick);
             eng.run_to_completion();
@@ -922,7 +1007,7 @@ mod tests {
     #[test]
     fn crash_drops_stale_timers_and_recover_bumps_incarnation() {
         for scheduler in BOTH {
-            let mut eng = Engine::new_with_scheduler(1, scheduler);
+            let mut eng = engine(scheduler);
             let id = eng.add_actor(counter());
             eng.schedule(SimTime::from_millis(1), id, Tick);
             // Crash at 15ms: ticks at 1ms and 11ms fire; the timer set for
@@ -943,7 +1028,7 @@ mod tests {
     #[test]
     fn events_to_dead_actor_are_lost() {
         for scheduler in BOTH {
-            let mut eng = Engine::new_with_scheduler(1, scheduler);
+            let mut eng = engine(scheduler);
             let id = eng.add_actor(counter());
             eng.schedule_crash(SimTime::from_millis(1), id);
             // Scheduled while alive, arrives while dead: lost.
@@ -954,10 +1039,30 @@ mod tests {
         }
     }
 
+    /// A control event may not land behind the clock any more than a
+    /// message may: the clock would run backwards into it.
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn crash_into_the_past_is_rejected() {
+        let mut eng = engine(Scheduler::TimingWheel);
+        let id = eng.add_actor(counter());
+        eng.run_until(SimTime::from_millis(10));
+        eng.schedule_crash(SimTime::from_millis(5), id);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn recovery_into_the_past_is_rejected() {
+        let mut eng = engine(Scheduler::LegacyHeap);
+        let id = eng.add_actor(counter());
+        eng.run_until(SimTime::from_millis(10));
+        eng.schedule_recover(SimTime::from_millis(5), id);
+    }
+
     #[test]
     fn same_seed_same_fingerprint() {
         let run = |seed, scheduler| {
-            let mut eng = Engine::new_with_scheduler(seed, scheduler);
+            let mut eng: Engine = Engine::new_with_scheduler(seed, scheduler);
             let id = eng.add_actor(counter());
             eng.schedule(SimTime::from_millis(1), id, Tick);
             eng.schedule_crash(SimTime::from_millis(15), id);
@@ -979,7 +1084,7 @@ mod tests {
     #[test]
     fn run_until_stops_at_deadline() {
         for scheduler in BOTH {
-            let mut eng = Engine::new_with_scheduler(1, scheduler);
+            let mut eng = engine(scheduler);
             let id = eng.add_actor(counter());
             eng.schedule(SimTime::from_millis(1), id, Tick);
             eng.run_until(SimTime::from_millis(12));
@@ -999,7 +1104,7 @@ mod tests {
         // still queued; scheduling at exactly the deadline afterwards must
         // still dispatch (time ≥ horizon) and in time order.
         for scheduler in BOTH {
-            let mut eng = Engine::new_with_scheduler(1, scheduler);
+            let mut eng = engine(scheduler);
             let id = eng.add_actor(counter());
             // Far-future tick parks an event at a coarse wheel level.
             eng.schedule(SimTime::from_secs(40), id, Tick);
@@ -1030,7 +1135,7 @@ mod tests {
             }
         }
         let run = |scheduler| {
-            let mut eng = Engine::new_with_scheduler(1, scheduler);
+            let mut eng = engine(scheduler);
             let id = eng.add_actor(Box::new(Recorder { got: Vec::new() }));
             let instant = SimTime::from_secs(3);
             // Scheduled far out (coarse level), then nearer inserts for the
@@ -1079,7 +1184,7 @@ mod tests {
             }
         }
         let run = |scheduler| {
-            let mut eng = Engine::new_with_scheduler(1, scheduler);
+            let mut eng = engine(scheduler);
             let id = eng.add_actor(Box::new(Spreader { fired: 0 }));
             eng.schedule(SimTime::ZERO, id, Fire);
             eng.run_to_completion();
@@ -1091,86 +1196,75 @@ mod tests {
         assert_eq!(wheel, heap);
     }
 
-    /// Tagged payload for the fan-out tests; `Clone` so it can be shared.
+    /// The fan-out tests' typed message: a tag, shared by reference count
+    /// the way a system's multicast variant is.
     #[derive(Clone)]
-    struct Note(u32);
+    struct Note(std::rc::Rc<u32>);
 
-    /// Records `(now, tag, in place?)` per delivery; a delivery from the
-    /// caster (tag < 100) arms a zero-delay self-timer (tag + 100).
+    impl Message for Note {}
+
+    impl From<u32> for Note {
+        fn from(tag: u32) -> Note {
+            Note(std::rc::Rc::new(tag))
+        }
+    }
+
+    /// Records `(now, tag)` per delivery; a delivery from the caster
+    /// (tag < 100) arms a zero-delay self-timer (tag + 100).
     struct Listener {
-        in_place: bool,
-        got: Vec<(SimTime, u32, bool)>,
+        got: Vec<(SimTime, u32)>,
     }
 
-    impl Listener {
-        fn note(&mut self, ctx: &mut Ctx<'_>, tag: u32, shared: bool) {
-            self.got.push((ctx.now(), tag, shared));
+    impl Actor<Note> for Listener {
+        fn on_event(&mut self, ctx: &mut Ctx<'_, Note>, note: Note) {
+            let tag = *note.0;
+            self.got.push((ctx.now(), tag));
             if tag < 100 {
-                ctx.timer(SimDuration::ZERO, Note(tag + 100));
+                ctx.timer(SimDuration::ZERO, tag + 100);
             }
         }
     }
 
-    impl Actor for Listener {
-        fn on_event(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
-            let note = payload.downcast::<Note>().expect("note");
-            self.note(ctx, note.0, false);
-        }
-        fn on_shared(&mut self, ctx: &mut Ctx<'_>, payload: Shared<'_>) {
-            match payload.downcast_ref::<Note>() {
-                Some(note) if self.in_place => self.note(ctx, note.0, true),
-                _ => self.on_event(ctx, payload.to_payload()),
-            }
-        }
-    }
-
-    /// On its one event, sends `Note(tag)` to `targets` after 1 ms —
-    /// as one fan-out, or as one send per target.
+    /// On its one event, sends its note to `targets` after 1 ms — as one
+    /// fan-out, or as one send per target.
     struct Caster {
         targets: Vec<ActorId>,
         fan_out: bool,
     }
 
-    impl Actor for Caster {
-        fn on_event(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
-            let note = payload.downcast::<Note>().expect("note");
+    impl Actor<Note> for Caster {
+        fn on_event(&mut self, ctx: &mut Ctx<'_, Note>, note: Note) {
             let delay = SimDuration::from_millis(1);
             if self.fan_out {
-                ctx.send_shared(&self.targets, delay, *note);
+                ctx.send_shared(&self.targets, delay, note);
             } else {
                 for &t in &self.targets {
-                    ctx.send(t, delay, Note(note.0));
+                    ctx.send(t, delay, *note.0);
                 }
             }
         }
     }
 
-    type Heard = Vec<Vec<(SimTime, u32, bool)>>;
+    type Heard = Vec<Vec<(SimTime, u32)>>;
 
-    /// Four listeners (the odd ones read in place) and a caster that
-    /// sends to `targets` at 1 ms and again at 3 ms; `faults` may crash
-    /// and recover listeners in between.
+    /// Four listeners and a caster that sends to `targets` at 1 ms and
+    /// again at 3 ms; `faults` may crash and recover listeners in between.
     fn cast(
         scheduler: Scheduler,
         fan_out: bool,
         targets: &[u32],
-        faults: impl Fn(&mut Engine, &[ActorId]),
+        faults: impl Fn(&mut Engine<Note>, &[ActorId]),
     ) -> (u64, u64, Heard) {
         let mut eng = Engine::new_with_scheduler(1, scheduler);
         let ids: Vec<ActorId> = (0..4)
-            .map(|i| {
-                eng.add_actor(Box::new(Listener {
-                    in_place: i % 2 == 1,
-                    got: Vec::new(),
-                }))
-            })
+            .map(|_| eng.add_actor(Box::new(Listener { got: Vec::new() })))
             .collect();
         let caster = eng.add_actor(Box::new(Caster {
             targets: targets.iter().map(|&t| ids[t as usize]).collect(),
             fan_out,
         }));
-        eng.schedule(SimTime::from_millis(1), caster, Note(1));
-        eng.schedule(SimTime::from_millis(3), caster, Note(2));
+        eng.schedule(SimTime::from_millis(1), caster, 1);
+        eng.schedule(SimTime::from_millis(3), caster, 2);
         faults(&mut eng, &ids);
         eng.run_to_completion();
         let heard = ids
@@ -1180,38 +1274,18 @@ mod tests {
         (eng.fingerprint(), eng.dispatched(), heard)
     }
 
-    /// `heard` with the in-place flag dropped: what the per-target
-    /// reference (always owned) must agree on.
-    fn owned(heard: &Heard) -> Vec<Vec<(SimTime, u32)>> {
-        heard
-            .iter()
-            .map(|got| got.iter().map(|&(at, tag, _)| (at, tag)).collect())
-            .collect()
-    }
-
     #[test]
     fn fan_out_equals_one_send_per_target() {
         for scheduler in BOTH {
-            let (fp, n, heard) = cast(scheduler, true, &[2, 0, 1, 3, 1], |_, _| {});
-            let (ref_fp, ref_n, ref_heard) = cast(scheduler, false, &[2, 0, 1, 3, 1], |_, _| {});
-            assert_eq!((fp, n), (ref_fp, ref_n));
-            assert_eq!(owned(&heard), owned(&ref_heard));
+            let shared = cast(scheduler, true, &[2, 0, 1, 3, 1], |_, _| {});
+            let reference = cast(scheduler, false, &[2, 0, 1, 3, 1], |_, _| {});
+            assert_eq!(shared, reference);
             // 2 casts + 2 × 5 deliveries + 2 × 5 echoes.
-            assert_eq!(n, 22);
-            // Listener 1 is listed twice and reads in place; its echoes
-            // (tag + 100) run behind the whole run, not between targets.
+            assert_eq!(shared.1, 22);
+            // Listener 1 is listed twice; its echoes (tag + 100) run
+            // behind the whole run, not between targets.
             let at = SimTime::from_millis(2);
-            assert_eq!(
-                heard[1][..4],
-                [
-                    (at, 1, true),
-                    (at, 1, true),
-                    (at, 101, false),
-                    (at, 101, false)
-                ]
-            );
-            // Listener 0 took the default entry point: an owned copy.
-            assert_eq!(heard[0][0], (at, 1, false));
+            assert_eq!(shared.2[1][..4], [(at, 1), (at, 1), (at, 101), (at, 101)]);
         }
     }
 
@@ -1222,7 +1296,7 @@ mod tests {
         // does so under the second fan-out, recovering at the very
         // instant of its delivery. Each is skipped alone, as its own
         // send would be.
-        let faults = |eng: &mut Engine, ids: &[ActorId]| {
+        let faults = |eng: &mut Engine<Note>, ids: &[ActorId]| {
             eng.schedule_crash(SimTime::from_micros(1_500), ids[0]);
             eng.schedule_recover(SimTime::from_micros(2_500), ids[0]);
             eng.schedule_crash(SimTime::from_micros(1_200), ids[1]);
@@ -1231,11 +1305,9 @@ mod tests {
             eng.schedule_recover(SimTime::from_millis(4), ids[2]);
         };
         for scheduler in BOTH {
-            let (fp, n, heard) = cast(scheduler, true, &[0, 1, 2, 3], faults);
-            let (ref_fp, ref_n, ref_heard) = cast(scheduler, false, &[0, 1, 2, 3], faults);
-            assert_eq!((fp, n), (ref_fp, ref_n));
-            assert_eq!(owned(&heard), owned(&ref_heard));
-            let tags = |i: usize| heard[i].iter().map(|g| g.1).collect::<Vec<_>>();
+            let shared = cast(scheduler, true, &[0, 1, 2, 3], faults);
+            assert_eq!(shared, cast(scheduler, false, &[0, 1, 2, 3], faults));
+            let tags = |i: usize| shared.2[i].iter().map(|g| g.1).collect::<Vec<_>>();
             assert_eq!(tags(0), [2, 102]);
             assert_eq!(tags(1), [2, 102]);
             assert_eq!(tags(2), [1, 101]);
@@ -1246,24 +1318,57 @@ mod tests {
     #[test]
     fn fan_out_of_one_is_a_plain_send_and_of_none_is_nothing() {
         for scheduler in BOTH {
-            let (fp, n, heard) = cast(scheduler, true, &[1], |_, _| {});
-            assert_eq!((fp, n), {
-                let (fp, n, _) = cast(scheduler, false, &[1], |_, _| {});
-                (fp, n)
-            });
-            // The lone target owns the payload, in-place reader or not.
-            assert_eq!(heard[1][0], (SimTime::from_millis(2), 1, false));
+            assert_eq!(
+                cast(scheduler, true, &[1], |_, _| {}),
+                cast(scheduler, false, &[1], |_, _| {})
+            );
             let (_, n, _) = cast(scheduler, true, &[], |_, _| {});
             assert_eq!(n, 2, "only the two casts themselves");
         }
     }
 
     #[test]
-    fn the_fan_out_record_does_not_grow_the_slab_slot() {
-        // A slab slot (`Option<EventKind>`) was 32 bytes before the
-        // fan-out record — ids, a boxed payload and the tag — and the
-        // record, one fat pointer, must fit inside that.
-        assert!(std::mem::size_of::<Option<EventKind>>() <= 32);
+    fn a_fan_out_shares_one_message_and_recycles_its_entry() {
+        // Three targets hold the same `Rc`: the copies are count bumps of
+        // the one message the record carries, not new values.
+        struct Keeper(Vec<Note>);
+        impl Actor<Note> for Keeper {
+            fn on_event(&mut self, _ctx: &mut Ctx<'_, Note>, note: Note) {
+                self.0.push(note);
+            }
+        }
+        let mut eng: Engine<Note> = Engine::new(1);
+        let ids: Vec<ActorId> = (0..3)
+            .map(|_| eng.add_actor(Box::new(Keeper(Vec::new()))))
+            .collect();
+        let caster = eng.add_actor(Box::new(Caster {
+            targets: ids.clone(),
+            fan_out: true,
+        }));
+        eng.schedule(SimTime::ZERO, caster, 7);
+        eng.schedule(SimTime::from_millis(5), caster, 8);
+        eng.run_to_completion();
+        let first = &eng.actor::<Keeper>(ids[0]).0;
+        for &id in &ids {
+            let kept = &eng.actor::<Keeper>(id).0;
+            assert!(std::rc::Rc::ptr_eq(&kept[0].0, &first[0].0));
+            assert!(std::rc::Rc::ptr_eq(&kept[1].0, &first[1].0));
+        }
+        // The second cast reused the first one's table entry.
+        assert_eq!(eng.kernel.fans.len(), 1);
+    }
+
+    #[test]
+    fn slab_slots_are_a_message_and_two_words() {
+        // A delivery and a fan-out share one variant, so the boxed-`Any`
+        // adapter keeps the 32 bytes its slot had before messages were
+        // typed, and a one-pointer message needs a tag word beside it. A
+        // 24-byte message fits in 32 only if its own tag leaves room for
+        // the control events' (a system enum's does); a plain 24-byte
+        // value does not.
+        assert_eq!(Engine::<Payload>::SLOT_BYTES, 32);
+        assert_eq!(Engine::<Note>::SLOT_BYTES, 24);
+        assert_eq!(Engine::<[u64; 3]>::SLOT_BYTES, 40);
     }
 
     #[test]
@@ -1277,7 +1382,7 @@ mod tests {
             }
         }
         for scheduler in BOTH {
-            let mut eng = Engine::new_with_scheduler(1, scheduler);
+            let mut eng = engine(scheduler);
             let id = eng.add_actor(Box::new(Halter));
             eng.schedule(SimTime::from_millis(1), id, Go);
             eng.run_to_completion();
@@ -1288,7 +1393,7 @@ mod tests {
     #[test]
     fn double_crash_and_double_recover_are_idempotent() {
         for scheduler in BOTH {
-            let mut eng = Engine::new_with_scheduler(1, scheduler);
+            let mut eng = engine(scheduler);
             let id = eng.add_actor(counter());
             eng.schedule_crash(SimTime::from_millis(1), id);
             eng.schedule_crash(SimTime::from_millis(2), id);

@@ -7,7 +7,8 @@
 //!
 //! * virtual time ([`SimTime`], [`SimDuration`]),
 //! * an actor model with crash/recovery semantics matching the paper's
-//!   process model ([`Engine`], [`Actor`], [`Ctx`]),
+//!   process model ([`Engine`], [`Actor`], [`Ctx`]), generic over one
+//!   message type per system ([`Message`], [`Wrap`]),
 //! * analytic FCFS queueing resources for CPUs ([`Fcfs`]) and disks
 //!   ([`Disk`], Table 4 parameters),
 //! * block-wise storage for logs that only grow ([`BlockVec`]) and paged
@@ -34,7 +35,7 @@ pub mod wordpages;
 
 pub use blockvec::BlockVec;
 pub use disk::{Disk, DiskConfig, DiskStats};
-pub use engine::{Actor, ActorId, AsAny, Ctx, Engine, Payload, Scheduler, Shared};
+pub use engine::{Actor, ActorId, AsAny, Ctx, Engine, Message, Payload, Scheduler, Wrap};
 pub use metrics::{Histogram, Metrics};
 pub use obs::{
     decompose_commits, prometheus_snapshot, CommitSpan, Obs, ObsConfig, ObsEvent, ObsMode,
@@ -43,35 +44,3 @@ pub use obs::{
 pub use resource::Fcfs;
 pub use time::{SimDuration, SimTime};
 pub use wordpages::WordPages;
-
-/// Downcast a [`Payload`] into one of several event types.
-///
-/// ```ignore
-/// downcast_payload!(payload, {
-///     ev: TickEvent => self.on_tick(ctx, ev),
-///     ev: StopEvent => self.on_stop(ctx, ev),
-/// });
-/// ```
-///
-/// Falls through to a panic naming the actor when no arm matches, which
-/// surfaces wiring bugs immediately in tests.
-#[macro_export]
-macro_rules! downcast_payload {
-    ($payload:expr, $name:expr, { $($var:ident : $ty:ty => $body:expr),+ $(,)? }) => {{
-        let mut __p: $crate::Payload = $payload;
-        loop {
-            $(
-                __p = match __p.downcast::<$ty>() {
-                    Ok(__boxed) => {
-                        let $var: $ty = *__boxed;
-                        #[allow(clippy::unused_unit)]
-                        { $body };
-                        break;
-                    }
-                    Err(__p) => __p,
-                };
-            )+
-            panic!("{}: unhandled event payload", $name);
-        }
-    }};
-}

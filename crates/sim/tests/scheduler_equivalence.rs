@@ -12,16 +12,15 @@
 //!
 //! The same storms also pin the fan-out record: every other hop goes to
 //! several peers at once, and a run that sends it as one
-//! `Ctx::send_shared` — read through the default owned entry point or in
-//! place — must be indistinguishable from the run that sends it as one
-//! `Ctx::send` per target, on either scheduler.
+//! `Ctx::send_shared` must be indistinguishable from the run that sends it
+//! as one `Ctx::send` per target, on either scheduler. The workers speak a
+//! typed message, as the systems do, so the storms drive the kernel's
+//! production path rather than its boxed-`Any` adapter.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use groupsafe_sim::{
-    downcast_payload, Actor, ActorId, Ctx, Engine, Payload, Scheduler, Shared, SimDuration, SimTime,
-};
+use groupsafe_sim::{Actor, ActorId, Ctx, Engine, Message, Scheduler, SimDuration, SimTime};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -29,19 +28,18 @@ use rand::Rng;
 #[derive(Clone)]
 struct Hop(u8);
 
+impl Message for Hop {}
+
 /// How a worker sends a hop that goes to several peers at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Multi {
     /// One `Ctx::send` per target: the reference.
     PerTarget,
-    /// One `Ctx::send_shared`, received through the default
-    /// `Actor::on_shared` (an owned copy per target).
+    /// One `Ctx::send_shared`: a copy per target but the last.
     FanOut,
-    /// One `Ctx::send_shared`, read in place by the receivers.
-    FanOutInPlace,
 }
 
-const MULTI: [Multi; 3] = [Multi::PerTarget, Multi::FanOut, Multi::FanOutInPlace];
+const MULTI: [Multi; 2] = [Multi::PerTarget, Multi::FanOut];
 
 /// The ordered `(now, label)` log every worker of a run appends to.
 type Log = Rc<RefCell<Vec<(SimTime, String)>>>;
@@ -63,12 +61,12 @@ struct Worker {
 const DELAYS: [u64; 8] = [0, 1, 63, 900, 64_000, 1_000_000, 16_000_000, 1_000_000_000];
 
 impl Worker {
-    fn record(&self, ctx: &Ctx<'_>, what: std::fmt::Arguments<'_>) {
+    fn record(&self, ctx: &Ctx<'_, Hop>, what: std::fmt::Arguments<'_>) {
         let entry = (ctx.now(), format!("w{}:{what}", self.id));
         self.log.borrow_mut().push(entry);
     }
 
-    fn on_hop(&mut self, ctx: &mut Ctx<'_>, hops: u8) {
+    fn on_hop(&mut self, ctx: &mut Ctx<'_, Hop>, hops: u8) {
         self.record(ctx, format_args!("hop{hops}"));
         if hops == 0 {
             return;
@@ -100,25 +98,16 @@ impl Worker {
     }
 }
 
-impl Actor for Worker {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
-        downcast_payload!(payload, self.name(), {
-            hop: Hop => self.on_hop(ctx, hop.0),
-        });
+impl Actor<Hop> for Worker {
+    fn on_event(&mut self, ctx: &mut Ctx<'_, Hop>, hop: Hop) {
+        self.on_hop(ctx, hop.0);
     }
 
-    fn on_shared(&mut self, ctx: &mut Ctx<'_>, payload: Shared<'_>) {
-        match payload.downcast_ref::<Hop>() {
-            Some(hop) if self.multi == Multi::FanOutInPlace => self.on_hop(ctx, hop.0),
-            _ => self.on_event(ctx, payload.to_payload()),
-        }
-    }
-
-    fn on_crash(&mut self, ctx: &mut Ctx<'_>) {
+    fn on_crash(&mut self, ctx: &mut Ctx<'_, Hop>) {
         self.record(ctx, format_args!("crash"));
     }
 
-    fn on_recover(&mut self, ctx: &mut Ctx<'_>) {
+    fn on_recover(&mut self, ctx: &mut Ctx<'_, Hop>) {
         self.record(ctx, format_args!("recover"));
         // The fresh incarnation kicks off new work of its own.
         ctx.timer(SimDuration::from_millis(1), Hop(2));

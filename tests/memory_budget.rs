@@ -1,25 +1,33 @@
-//! A memory budget for a long run's evidence, measured without a shim.
+//! Memory budgets for a long run, measured without a shim.
 //!
 //! Everything the run oracle and the clients keep grows with the number
 //! of transactions, so the heap a run needs is, past a fixed cost, a
-//! per-transaction figure. This file's global allocator wraps the
-//! system allocator and counts live and peak bytes in thread-local
-//! counters: only the thread running the test counts, whatever else the
-//! test harness does. The single test runs a `readmix`-shaped system —
-//! 3 servers × 6 clients, 90 % session follower reads beside
+//! per-transaction figure; and every heap allocation on the dispatch
+//! path is paid once per event, so the allocator traffic of a run is a
+//! per-event figure. This file's global allocator wraps the system
+//! allocator and counts live and peak bytes and allocations in
+//! thread-local counters: only the thread running a test counts,
+//! whatever else the test harness does. One test runs a `readmix`-shaped
+//! system — 3 servers × 6 clients, 90 % session follower reads beside
 //! snapshot-isolation writes, open load — and holds its peak live heap
-//! per acknowledged transaction to a pinned budget.
+//! per acknowledged transaction to a pinned budget; another runs the
+//! paper's Table 4 system and holds its allocations per dispatched event
+//! to one; a third pins the width of the messages the kernel stores.
 
 use std::alloc::{GlobalAlloc, Layout, System as Heap};
 use std::cell::Cell;
 
-use groupsafe::core::{Load, ReadLevel, ReadPath, SafetyLevel, System, WorkloadSpec};
+use groupsafe::core::{
+    BatchConfig, CoreMsg, Load, ReadLevel, ReadPath, SafetyLevel, System, WorkloadSpec,
+};
 use groupsafe::db::{BufferModel, DbConfig};
-use groupsafe::sim::{ObsConfig, SimDuration};
+use groupsafe::gcs::harness::HostMsg;
+use groupsafe::sim::{Engine, ObsConfig, SimDuration, SimTime};
 
 thread_local! {
     static LIVE: Cell<isize> = const { Cell::new(0) };
     static PEAK: Cell<isize> = const { Cell::new(0) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Move this thread's live count by `delta` and raise its peak.
@@ -29,6 +37,12 @@ fn count(delta: isize) {
         live.set(now);
         let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
     });
+}
+
+/// Count one fresh allocation of `size` bytes on this thread.
+fn count_alloc(size: usize) {
+    count(size as isize);
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
 struct Counting;
@@ -42,7 +56,7 @@ unsafe impl GlobalAlloc for Counting {
         // which is the system allocator's.
         let ptr = unsafe { Heap.alloc(layout) };
         if !ptr.is_null() {
-            count(layout.size() as isize);
+            count_alloc(layout.size());
         }
         ptr
     }
@@ -51,7 +65,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: as for `alloc`.
         let ptr = unsafe { Heap.alloc_zeroed(layout) };
         if !ptr.is_null() {
-            count(layout.size() as isize);
+            count_alloc(layout.size());
         }
         ptr
     }
@@ -129,4 +143,62 @@ fn readmix_peak_heap_per_acknowledged_transaction_stays_in_budget() {
          bytes each, budget {BUDGET_BYTES_PER_ACK}",
         report.acked
     );
+}
+
+/// Heap allocations per dispatched event this test allows on the Table 4
+/// system: the value measured when the budget was set, 0.112 (79 694
+/// allocations over 712 114 events, debug and release alike), plus 10 %.
+/// With a boxed `dyn Any` per event and a boxed record per fan-out, the
+/// kernel needed about 0.35 here, and fails it.
+const BUDGET_ALLOCS_PER_EVENT: f64 = 0.123;
+
+#[test]
+fn table4_heap_allocations_per_dispatched_event_stay_in_budget() {
+    // The paper's Table 4 system at 30 tps, as the `table4` benchmark
+    // workload runs it, counted over one minute after a 5 s warm-up.
+    let warmup = SimDuration::from_secs(5);
+    let window = SimDuration::from_secs(60);
+    let mut run = System::builder()
+        .safety(SafetyLevel::GroupSafe)
+        .servers(9)
+        .clients_per_server(4)
+        .batching(BatchConfig::unbatched())
+        .workload(WorkloadSpec::table4())
+        .read_path(ReadPath::Classic)
+        .client_timeout(SimDuration::from_secs(5))
+        .observe(ObsConfig::disabled())
+        .load(Load::open_tps(30.0))
+        .warmup(warmup)
+        .measure(window)
+        .seed(42)
+        .build()
+        .expect("a valid configuration");
+    run.start();
+    let from = SimTime::ZERO + warmup;
+    run.run_until(from);
+    let events_before = run.system().engine.dispatched();
+    let allocs_before = ALLOCS.with(Cell::get);
+    run.run_until(from + window);
+    let allocs = ALLOCS.with(Cell::get) - allocs_before;
+    let events = run.system().engine.dispatched() - events_before;
+
+    assert!(events > 500_000, "{events} events");
+    let per_event = allocs as f64 / events as f64;
+    assert!(
+        per_event <= BUDGET_ALLOCS_PER_EVENT,
+        "{allocs} heap allocations over {events} dispatched events = {per_event:.4} each, \
+         budget {BUDGET_ALLOCS_PER_EVENT}"
+    );
+    assert_eq!(run.system().engine.metrics().counter("misrouted"), 0);
+}
+
+/// A pending event is one message and two words in the kernel's slab: a
+/// system's enum stays three words wide, so its slot stays 32 bytes, by
+/// boxing what is larger than two words beside its tag.
+#[test]
+fn message_enums_fit_the_kernel_slot() {
+    assert_eq!(std::mem::size_of::<CoreMsg>(), 24);
+    assert_eq!(Engine::<CoreMsg>::SLOT_BYTES, 32);
+    assert_eq!(std::mem::size_of::<HostMsg>(), 24);
+    assert_eq!(Engine::<HostMsg>::SLOT_BYTES, 32);
 }

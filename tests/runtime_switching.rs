@@ -4,7 +4,7 @@
 //! response-time regime changes accordingly, (b) nothing is lost and the
 //! replicas stay convergent throughout.
 
-use groupsafe::core::{Load, SafetyLevel, SwitchSafetyCmd, System};
+use groupsafe::core::{Load, SafetyLevel, ServerEvent, System};
 use groupsafe::sim::{SimDuration, SimTime};
 
 #[test]
@@ -74,7 +74,7 @@ fn switching_to_two_safe_is_rejected() {
     let s0 = system.servers[0];
     system
         .engine
-        .schedule_resilient(now, s0, SwitchSafetyCmd(SafetyLevel::TwoSafe));
+        .schedule_resilient(now, s0, ServerEvent::SwitchSafety(SafetyLevel::TwoSafe));
     // 2-safe needs a different broadcast primitive (end-to-end): the
     // switch must be refused loudly, not silently mis-configured.
     run.run_until(SimTime::from_secs(2));
