@@ -295,7 +295,9 @@ pub enum ServerEvent {
     /// Group-communication traffic other than heartbeats.
     Wire(Rc<Incoming<RWire>>),
     /// A failure-detector heartbeat from this node: the most frequent
-    /// message of all, so it travels without an allocation.
+    /// message of all, so it travels without an allocation, and most
+    /// often as a kernel latch write instead (see
+    /// `ReplicaServer::publish_latching`).
     Heartbeat(NodeId),
     /// A client's transaction, for this server as its delegate.
     Request(Box<TxnRequest>),

@@ -2392,12 +2392,22 @@ impl ReplicaServer {
     }
 }
 
-impl Actor<CoreMsg> for ReplicaServer {
-    fn on_event(&mut self, ctx: &mut Ctx<'_, CoreMsg>, msg: CoreMsg) {
-        let ev = match msg {
-            CoreMsg::Server(ev) => ev,
-            CoreMsg::Client(_) => return ctx.metrics().incr("misrouted"),
-        };
+impl ReplicaServer {
+    /// Tell the kernel whether a heartbeat may reach this server as a
+    /// latch write instead of an event: only while the endpoint says a
+    /// heartbeat could only refresh a timestamp, and no parked read or
+    /// transaction waits. Every group-communication event retries those
+    /// (see `handle_gcs_outputs`), and a heartbeat may be the one that
+    /// serves them: a restart or a checkpoint install raises the state
+    /// floor without draining them.
+    fn publish_latching(&self, ctx: &mut Ctx<'_, CoreMsg>) {
+        let latch = self.gcs.as_ref().is_some_and(|g| g.latches_heartbeats())
+            && self.parked_reads.is_empty()
+            && self.parked_txns.is_empty();
+        ctx.set_latching(latch);
+    }
+
+    fn on_server_event(&mut self, ctx: &mut Ctx<'_, CoreMsg>, ev: ServerEvent) {
         match ev {
             ServerEvent::Init => self.init(ctx),
             ServerEvent::Restart(cmd) => {
@@ -2446,6 +2456,16 @@ impl Actor<CoreMsg> for ReplicaServer {
             }
             ServerEvent::Timer(t) => self.on_timer(ctx, t),
         }
+    }
+}
+
+impl Actor<CoreMsg> for ReplicaServer {
+    fn on_event(&mut self, ctx: &mut Ctx<'_, CoreMsg>, msg: CoreMsg) {
+        match msg {
+            CoreMsg::Server(ev) => self.on_server_event(ctx, ev),
+            CoreMsg::Client(_) => ctx.metrics().incr("misrouted"),
+        }
+        self.publish_latching(ctx);
     }
 
     fn on_crash(&mut self, ctx: &mut Ctx<'_, CoreMsg>) {
@@ -2496,6 +2516,7 @@ impl Actor<CoreMsg> for ReplicaServer {
         // back (their timers died with the crash).
         self.rearm_xg_probes(ctx);
         ctx.metrics().incr("server_recoveries");
+        self.publish_latching(ctx);
     }
 
     fn name(&self) -> &str {

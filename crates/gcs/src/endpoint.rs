@@ -86,6 +86,9 @@ pub struct GcsStats {
     /// Times this endpoint demoted itself to rejoin after learning it
     /// was excluded from a newer view (stale-member re-merge).
     pub demotions: u64,
+    /// Suspicions withdrawn because the suspected member was heard from
+    /// again before a view change excluded it.
+    pub retractions: u64,
 }
 
 impl GcsStats {
@@ -101,6 +104,7 @@ impl GcsStats {
         self.batches_sent += other.batches_sent;
         self.batch_msgs_sent += other.batch_msgs_sent;
         self.demotions += other.demotions;
+        self.retractions += other.retractions;
     }
 
     /// Mean messages per flushed batch (1.0 when nothing was batched).
@@ -230,9 +234,12 @@ pub struct GcsEndpoint<P, S> {
     max_seq_seen: u64,
     /// Failure detector bookkeeping: when each member of the static
     /// group was last heard, by rank (`SimTime::ZERO`: not since start
-    /// or the last crash).
+    /// or the last crash), other than by a latched heartbeat — those
+    /// the kernel keeps, and [`GcsEndpoint::heard`] reads both.
     last_heard: Vec<SimTime>,
-    suspected: BTreeSet<NodeId>,
+    /// The suspected members of the view, as a mask over their ranks in
+    /// the static group (like the log's vote masks).
+    suspected: u64,
     /// In-flight coordinator-side view change.
     vc: Option<ViewChange>,
     /// Joiners waiting for the next view change (coordinator side).
@@ -334,7 +341,7 @@ where
             stable_mark: 0,
             max_seq_seen: 0,
             last_heard,
-            suspected: BTreeSet::new(),
+            suspected: 0,
             vc: None,
             waiting_joiners: Vec::new(),
             join: None,
@@ -360,6 +367,10 @@ where
     /// Install `view` and recompute what follows from it: the ordering
     /// targets, the vote peers and the stability quorum.
     fn set_view(&mut self, view: View) {
+        debug_assert!(
+            view.members.iter().all(|&p| self.rank(p).is_some()),
+            "a view is drawn from the static group"
+        );
         self.view = view;
         self.targets = match self.cfg.model {
             GcsModel::ViewBased => self.view.members.clone(),
@@ -389,20 +400,41 @@ where
         self.rank(node).map_or(0, |rank| 1 << rank)
     }
 
-    /// When `node` was last heard (`None` for an outsider).
-    fn heard(&self, node: NodeId) -> Option<SimTime> {
-        self.rank(node)
-            .and_then(|rank| self.last_heard.get(rank).copied())
+    /// When the member of rank `rank` was last heard: by any message
+    /// this endpoint handled, or by a heartbeat the kernel latched for it
+    /// (see [`GcsEndpoint::latches_heartbeats`]).
+    fn heard<M>(&self, ctx: &Ctx<'_, M>, rank: usize) -> SimTime {
+        let handled = self.last_heard.get(rank).copied();
+        let latched = self.group.get(rank).map(|p| ctx.latched(p.0));
+        handled.max(latched).unwrap_or(SimTime::ZERO)
+    }
+
+    fn is_suspected(&self, node: NodeId) -> bool {
+        self.suspected & self.rank_bit(node) != 0
     }
 
     /// Count every member of the current view as heard at `now`.
     fn hear_view(&mut self, now: SimTime) {
-        for p in &self.view.members {
-            let rank = self.group.binary_search(p).ok();
-            if let Some(heard) = rank.and_then(|rank| self.last_heard.get_mut(rank)) {
+        for &p in &self.view.members {
+            if let Some(heard) = self.rank(p).and_then(|rank| self.last_heard.get_mut(rank)) {
                 *heard = now;
             }
         }
+    }
+
+    /// True when a heartbeat from any peer could only refresh the time
+    /// it was last heard: the view-based endpoint is joined, suspects no
+    /// one, and its view covers the whole static group, so the heartbeat
+    /// retracts no suspicion and draws no `NotInView`. A host republishes
+    /// this to the kernel after every event with [`Ctx::set_latching`];
+    /// the heartbeats then arrive not as events but as latch writes at
+    /// the sender's node index, which the failure detector reads back
+    /// with [`Ctx::latched`].
+    pub fn latches_heartbeats(&self) -> bool {
+        self.cfg.model == GcsModel::ViewBased
+            && self.joined
+            && self.suspected == 0
+            && self.quorum.mask.count_ones() as usize == self.group.len()
     }
 
     /// This endpoint's node id.
@@ -565,7 +597,11 @@ where
         // never regains a coordinator quorum. A genuinely-stale
         // incarnation is re-suspected where it matters (`on_join_req`),
         // and a silent peer is re-suspected one heartbeat timeout later.
-        self.suspected.remove(&from);
+        let bit = rank.map_or(0, |rank| 1 << rank);
+        if self.suspected & bit != 0 {
+            self.suspected &= !bit;
+            self.stats.retractions += 1;
+        }
         match *wire {
             Wire::Forward { id, ref payload } => self.on_forward(ctx, id, payload.clone()),
             Wire::Ordered { view, ref entry } => self.on_ordered(ctx, view, entry.clone(), out),
@@ -685,12 +721,6 @@ where
         match timer {
             GcsTimer::Heartbeat => self.on_heartbeat_timer(ctx, out),
             GcsTimer::Persisted { seq } => self.on_persisted(ctx, seq, out),
-            GcsTimer::DeliveredMarked { seq } => {
-                // The write-ahead "delivered" mark is modelled as free in
-                // time (piggybacked metadata) — the timer fires immediately
-                // and exists so the semantics stay explicit in the code.
-                let _ = seq;
-            }
             GcsTimer::ViewChangeRetry { epoch } => {
                 if self.vc.as_ref().is_some_and(|vc| vc.epoch == epoch) {
                     let vc = self.vc.take().expect("checked");
@@ -1326,28 +1356,29 @@ where
             return;
         }
         self.net
-            .multicast(ctx, self.me, &self.peers, Wire::<P, S>::Heartbeat);
+            .multicast_latched(ctx, self.me, &self.peers, Wire::<P, S>::Heartbeat);
         let now = ctx.now();
-        let mut newly = false;
-        for &p in &self.view.members {
-            if p == self.me || self.suspected.contains(&p) {
-                continue;
-            }
-            let heard = self.heard(p).unwrap_or(SimTime::ZERO);
-            if now.since(heard) > self.cfg.hb_timeout {
-                self.suspected.insert(p);
-                newly = true;
+        let was = self.suspected;
+        // The view's other unsuspected members, by rank.
+        let mut unsuspected = self.quorum.mask & !self.rank_bit(self.me) & !was;
+        while unsuspected != 0 {
+            let rank = unsuspected.trailing_zeros() as usize;
+            unsuspected &= unsuspected - 1;
+            if now.since(self.heard(ctx, rank)) > self.cfg.hb_timeout {
+                self.suspected |= 1 << rank;
             }
         }
-        if newly {
+        if self.suspected != was {
             // A running attempt that still counts a now-suspected member
             // must be restarted.
             if let Some(vc) = &self.vc {
-                if vc.proposed.iter().any(|p| self.suspected.contains(p)) {
+                if vc.proposed.iter().any(|&p| self.is_suspected(p)) {
                     self.vc = None;
                 }
             }
-            if self.suspected.len() == self.view.members.len() - 1 && self.view.len() > 1 {
+            if self.suspected.count_ones() as usize == self.view.members.len() - 1
+                && self.view.len() > 1
+            {
                 // Everyone else looks down: from this process's vantage
                 // point the group has failed (it may still continue alone,
                 // but durability-by-the-group is gone).
@@ -1372,7 +1403,7 @@ where
             .members
             .iter()
             .copied()
-            .filter(|p| !self.suspected.contains(p))
+            .filter(|&p| !self.is_suspected(p))
             .collect();
         let need_change =
             survivors.len() != self.view.members.len() || !self.waiting_joiners.is_empty();
@@ -1404,8 +1435,8 @@ where
                     self.view.contains(*n)
                         && !survivors.contains(n)
                         && self
-                            .heard(*n)
-                            .is_some_and(|heard| now.since(heard) <= fresh)
+                            .rank(*n)
+                            .is_some_and(|rank| now.since(self.heard(ctx, rank)) <= fresh)
                 })
                 .count();
             if survivors.len() + rejoining < self.view.majority() {
@@ -1677,7 +1708,7 @@ where
         // Reset suspicion wholesale: members that are genuinely still down
         // are re-suspected after one heartbeat timeout, and a node that
         // rejoined under a fresh incarnation must not inherit suspicion.
-        self.suspected.clear();
+        self.suspected = 0;
         // Fresh members must not be instantly re-suspected.
         self.hear_view(ctx.now());
         self.seq_assign = if self.view.coordinator() == Some(self.me) {
@@ -1753,7 +1784,7 @@ where
         self.seq_assign = None;
         self.vc = None;
         self.waiting_joiners.clear();
-        self.suspected.clear();
+        self.suspected = 0;
         self.generation += 1;
         self.next_counter = self.next_counter.max(self.generation << 32);
         self.joined = false;
@@ -1790,7 +1821,7 @@ where
             // incarnation — still listed in the view — must be gone.
             // Suspect it so the view change drops the stale incarnation
             // while the join adds the fresh one.
-            self.suspected.insert(from);
+            self.suspected |= self.rank_bit(from);
         }
         let transfer_in_flight = self
             .pending_state_transfers
@@ -2099,7 +2130,7 @@ where
         self.stable_mark = 0;
         self.max_seq_seen = 0;
         self.last_heard.fill(SimTime::ZERO);
-        self.suspected.clear();
+        self.suspected = 0;
         self.vc = None;
         self.waiting_joiners.clear();
         self.join = None;

@@ -54,7 +54,8 @@ pub enum HostMsg {
     /// shared by every receiver of a multicast.
     Wire(Rc<Incoming<HostWire>>),
     /// A failure-detector heartbeat from this node, carried without an
-    /// allocation.
+    /// allocation. Handed over only while the endpoint does not latch
+    /// heartbeats ([`GcsEndpoint::latches_heartbeats`]).
     Heartbeat(NodeId),
     /// A timer of the endpoint.
     Gcs(GcsTimer),
@@ -218,6 +219,7 @@ impl Actor<HostMsg> for GcsHost {
             }
             HostMsg::Processed => self.processed(ctx),
         }
+        ctx.set_latching(self.endpoint.latches_heartbeats());
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_, HostMsg>) {
@@ -231,6 +233,7 @@ impl Actor<HostMsg> for GcsHost {
         self.endpoint.on_recover(ctx, &mut outputs);
         self.volatile_seen = self.stable_values.clone();
         self.handle_outputs(ctx, outputs);
+        ctx.set_latching(self.endpoint.latches_heartbeats());
     }
 
     fn name(&self) -> &str {

@@ -192,12 +192,6 @@ pub enum GcsTimer {
         /// The sequence number whose entry is now on disk.
         seq: u64,
     },
-    /// The "delivered" flag write finished for `seq` (write-ahead delivery,
-    /// crash-recovery model without end-to-end guarantees).
-    DeliveredMarked {
-        /// The sequence number now marked delivered on disk.
-        seq: u64,
-    },
     /// A view-change attempt timed out; retry.
     ViewChangeRetry {
         /// Epoch of the timed-out attempt.

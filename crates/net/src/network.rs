@@ -238,6 +238,18 @@ fn window_extra<M>(cfg: &NetConfig, ctx: &mut Ctx<'_, M>) -> SimDuration {
     }
 }
 
+/// How a transmission reaches its receivers.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Cast {
+    /// One receiver: one wire transmission.
+    Unicast,
+    /// Hardware multicast: one transmission per distinct receiver domain.
+    Multicast,
+    /// A multicast whose receivers may latch it (see
+    /// [`Network::multicast_latched`]).
+    Latched,
+}
+
 /// Cloneable handle to the shared network state.
 #[derive(Clone)]
 pub struct Network {
@@ -377,7 +389,8 @@ impl Network {
     /// plain network a multicast is a single run; a duplicate's extra
     /// copy, scheduled ahead of its original for a later instant, closes
     /// the run before it, and jitter or reordering leave runs of one. The
-    /// last run takes `msg` by move.
+    /// last run takes `msg` by move. A [`Cast::Latched`] run is a latched
+    /// fan-out at the sender's node index.
     fn transmit<T: Clone, M: Wrap<Incoming<T>>>(
         &self,
         ctx: &mut Ctx<'_, M>,
@@ -385,11 +398,12 @@ impl Network {
         targets: &[NodeId],
         msg: T,
         frame: Option<u64>,
-        multicast: bool,
+        cast: Cast,
     ) {
         let mut s = self.inner.borrow_mut();
         let cfg = s.config.clone();
         let d = s.domain_of(from);
+        let multicast = cast != Cast::Unicast;
         let wire = if multicast {
             s.distinct_domains(targets)
         } else {
@@ -399,12 +413,19 @@ impl Network {
             st.broadcasts += u64::from(multicast);
             st.transmissions += wire;
         });
+        let schedule = |ctx: &mut Ctx<'_, M>, run: &[ActorId], delay, msg| {
+            let incoming = Incoming { from, msg };
+            if cast == Cast::Latched {
+                ctx.latch_shared(run, delay, incoming, from.0);
+            } else {
+                ctx.send_shared(run, delay, incoming);
+            }
+        };
         let mut run = std::mem::take(&mut s.run);
         let mut run_delay = SimDuration::ZERO;
         let mut deliver = |ctx: &mut Ctx<'_, M>, actor: ActorId, delay: SimDuration| {
             if delay != run_delay && !run.is_empty() {
-                let msg = msg.clone();
-                ctx.send_shared(&run, run_delay, Incoming { from, msg });
+                schedule(ctx, &run, run_delay, msg.clone());
                 run.clear();
             }
             run_delay = delay;
@@ -419,7 +440,7 @@ impl Network {
                 deliver(ctx, actor, delay);
             }
         }
-        ctx.send_shared(&run, run_delay, Incoming { from, msg });
+        schedule(ctx, &run, run_delay, msg);
         run.clear();
         s.run = run;
     }
@@ -434,7 +455,7 @@ impl Network {
         to: NodeId,
         msg: T,
     ) {
-        self.transmit(ctx, from, &[to], msg, None, false);
+        self.transmit(ctx, from, &[to], msg, None, Cast::Unicast);
     }
 
     /// Send `msg` — a batch frame packing `msgs_in_frame` application
@@ -449,7 +470,7 @@ impl Network {
         msg: T,
         msgs_in_frame: u64,
     ) {
-        self.transmit(ctx, from, &[to], msg, Some(msgs_in_frame), false);
+        self.transmit(ctx, from, &[to], msg, Some(msgs_in_frame), Cast::Unicast);
     }
 
     /// Multicast a batch frame to every node in `targets` (one delivery
@@ -463,7 +484,14 @@ impl Network {
         msg: T,
         msgs_in_frame: u64,
     ) {
-        self.transmit(ctx, from, targets, msg, Some(msgs_in_frame), true);
+        self.transmit(
+            ctx,
+            from,
+            targets,
+            msg,
+            Some(msgs_in_frame),
+            Cast::Multicast,
+        );
     }
 
     /// Multicast `msg` from `from` to every node in `targets` (the sender
@@ -477,7 +505,22 @@ impl Network {
         targets: &[NodeId],
         msg: T,
     ) {
-        self.transmit(ctx, from, targets, msg, None, true);
+        self.transmit(ctx, from, targets, msg, None, Cast::Multicast);
+    }
+
+    /// Multicast `msg` as [`Network::multicast`] does — same wire, same
+    /// drops, same draws, same counters — as latched fan-outs at the
+    /// sender's node index: a receiver that has opted in records the
+    /// arrival instant in its latch cell `from.0` instead of being handed
+    /// the message (see [`Ctx::latch_shared`]).
+    pub fn multicast_latched<T: Clone, M: Wrap<Incoming<T>>>(
+        &self,
+        ctx: &mut Ctx<'_, M>,
+        from: NodeId,
+        targets: &[NodeId],
+        msg: T,
+    ) {
+        self.transmit(ctx, from, targets, msg, None, Cast::Latched);
     }
 
     /// Broadcast `msg` from `from` to every registered node (including the
@@ -806,6 +849,70 @@ mod tests {
         // value < 3 echoes a unicast, so 6 echo sends follow.
         assert_eq!(stats.sent, 8);
         assert_eq!(stats.transmissions, 7);
+    }
+
+    /// Opts in to latching on its first delivery and counts what it is
+    /// still handed afterwards.
+    struct Latcher {
+        got: u32,
+    }
+    impl Actor for Latcher {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, _payload: Payload) {
+            self.got += 1;
+            ctx.set_latching(true);
+        }
+    }
+
+    /// Node 0 multicasts to nodes 1 and 2 on every kick, latched or not.
+    struct LatchKicker {
+        net: Network,
+        latched: bool,
+    }
+    impl Actor for LatchKicker {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, _payload: Payload) {
+            let (net, to) = (self.net.clone(), [NodeId(1), NodeId(2)]);
+            if self.latched {
+                net.multicast_latched(ctx, NodeId(0), &to, 7u32);
+            } else {
+                net.multicast(ctx, NodeId(0), &to, 7u32);
+            }
+        }
+    }
+
+    #[test]
+    fn a_latched_multicast_draws_drops_and_counts_like_a_multicast() {
+        let run = |latched: bool| {
+            let mut eng = Engine::new(5);
+            let net = Network::paper_default();
+            net.set_loss_probability(0.3);
+            net.set_reorder(0.2, SimDuration::from_micros(50));
+            let ids: Vec<ActorId> = (0..3)
+                .map(|i| {
+                    let id = eng.add_actor(Box::new(Latcher { got: 0 }));
+                    net.register(NodeId(i), id);
+                    id
+                })
+                .collect();
+            let kicker = eng.add_actor(Box::new(LatchKicker {
+                net: net.clone(),
+                latched,
+            }));
+            for i in 0..100 {
+                eng.schedule(SimTime::from_micros(i * 100), kicker, Kick);
+            }
+            eng.run_to_completion();
+            let got: Vec<u32> = ids.iter().map(|&id| eng.actor::<Latcher>(id).got).collect();
+            let s = net.stats();
+            let counters = (s.sent, s.dropped_loss, s.reordered, s.transmissions);
+            (eng.fingerprint(), eng.dispatched(), counters, got)
+        };
+        let (plain, latched) = (run(false), run(true));
+        assert_eq!((plain.0, plain.1), (latched.0, latched.1));
+        assert_eq!(plain.2, latched.2);
+        assert!(plain.2 .1 > 0 && plain.2 .2 > 0, "loss and reordering drew");
+        // Handed every delivery plainly; only the first one latched.
+        assert!(plain.3[1] > 50);
+        assert_eq!(latched.3, [0, 1, 1]);
     }
 
     /// A domain multicast reaches exactly the domain's members, and the

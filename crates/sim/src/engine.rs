@@ -41,6 +41,21 @@
 //! owned `M`: the last one the record's own, the others a copy made by
 //! [`Wrap::share`] (a reference-count bump for a typed message).
 //!
+//! # Latched deliveries
+//!
+//! [`Ctx::latch_shared`] schedules a fan-out whose message, for some
+//! receivers, carries nothing but its arrival time — a failure-detector
+//! heartbeat to a peer that suspects no one. A target that has opted in
+//! with [`Ctx::set_latching`] gets the delivery instant written to its
+//! latch cell `(target, slot)` instead of an [`Actor::on_event`] call,
+//! and reads it back with [`Ctx::latched`]; every other target is
+//! dispatched exactly as by [`Ctx::send_shared`]. A latch is checked per
+//! target at delivery — alive, same incarnation, opted in — and counted
+//! and fingerprinted like the dispatch it replaces, so switching it on or
+//! off never moves [`Engine::fingerprint`] or [`Engine::dispatched`]. A
+//! crash clears the actor's latch row and withdraws its opt-in, and the
+//! actor republishes its flag after every event it handles.
+//!
 //! # Actors and crashes
 //!
 //! Simulated components implement [`Actor`]. Every actor carries an
@@ -168,11 +183,14 @@ const ANY_INCARNATION: u32 = u32::MAX;
 const FAN_OUT: u32 = u32::MAX - 1;
 
 /// The targets of one pending fan-out in delivery order, each with its
-/// incarnation at scheduling time, and how every target but the last gets
-/// its copy of the message ([`Wrap::share`] for the type it was sent as).
+/// incarnation at scheduling time, how every target but the last gets
+/// its copy of the message ([`Wrap::share`] for the type it was sent as),
+/// and — for a latched fan-out — the latch slot an opted-in target's
+/// delivery writes instead.
 struct Fan<M> {
     targets: Vec<(ActorId, u32)>,
     share: fn(&M) -> M,
+    latch: Option<u32>,
 }
 
 enum EventKind<M> {
@@ -459,6 +477,12 @@ pub struct Kernel<M> {
     /// `free_fans` (its target vector keeps its capacity).
     fans: Vec<Fan<M>>,
     free_fans: Vec<u32>,
+    /// Per actor: a latched delivery writes its latch cell instead of
+    /// dispatching (see [`Ctx::set_latching`]).
+    latching: Vec<bool>,
+    /// Per actor, by slot: the instant of the last latched delivery
+    /// (`SimTime::ZERO`: none since registration or the last crash).
+    latches: Vec<Vec<SimTime>>,
     rng: StdRng,
     /// Metrics registry shared by the whole simulation.
     pub metrics: Metrics,
@@ -484,6 +508,8 @@ impl<M> Kernel<M> {
             alive: Vec::new(),
             fans: Vec::new(),
             free_fans: Vec::new(),
+            latching: Vec::new(),
+            latches: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             metrics: Metrics::new(),
             obs: Obs::default(),
@@ -523,18 +549,29 @@ impl<M> Kernel<M> {
         self.deliver(at, target, stamp, msg);
     }
 
-    /// File a fan-out table entry for `targets`, each stamped with its
-    /// current incarnation, and return its index.
-    fn fan(&mut self, targets: &[ActorId], share: fn(&M) -> M) -> u32 {
+    /// Schedule one fan-out record of `msg` for `targets` at `at`: a
+    /// fan-out table entry, each target stamped with its current
+    /// incarnation, and one queue record pointing at it.
+    fn fan_out(
+        &mut self,
+        at: SimTime,
+        targets: &[ActorId],
+        share: fn(&M) -> M,
+        latch: Option<u32>,
+        msg: M,
+    ) {
         let idx = match self.free_fans.pop() {
             Some(idx) => {
-                self.fans[idx as usize].share = share;
+                let fan = &mut self.fans[idx as usize];
+                fan.share = share;
+                fan.latch = latch;
                 idx
             }
             None => {
                 self.fans.push(Fan {
                     targets: Vec::with_capacity(targets.len()),
                     share,
+                    latch,
                 });
                 self.fans.len() as u32 - 1
             }
@@ -543,7 +580,24 @@ impl<M> Kernel<M> {
         self.fans[idx as usize]
             .targets
             .extend(targets.iter().map(|&t| (t, incarnations[t.index()])));
-        idx
+        self.push(
+            at,
+            EventKind::Deliver {
+                to: idx,
+                stamp: FAN_OUT,
+                msg,
+            },
+        );
+    }
+
+    /// Write the current instant into `target`'s latch cell `slot`.
+    fn latch(&mut self, target: ActorId, slot: u32) {
+        let row = &mut self.latches[target.index()];
+        let slot = slot as usize;
+        if row.len() <= slot {
+            row.resize(slot + 1, SimTime::ZERO);
+        }
+        row[slot] = self.now;
     }
 }
 
@@ -586,19 +640,52 @@ impl<M> Ctx<'_, M> {
             [] => {}
             [target] => self.send(target, delay, msg),
             _ => {
-                let kernel = &mut *self.kernel;
-                let fan = kernel.fan(targets, <M as Wrap<T>>::share);
-                let at = kernel.now + delay;
-                kernel.push(
-                    at,
-                    EventKind::Deliver {
-                        to: fan,
-                        stamp: FAN_OUT,
-                        msg: M::wrap(msg),
-                    },
-                );
+                let at = self.kernel.now + delay;
+                let share = <M as Wrap<T>>::share;
+                self.kernel.fan_out(at, targets, share, None, M::wrap(msg));
             }
         }
+    }
+
+    /// Schedule `msg` for `targets` as [`Ctx::send_shared`] does, as one
+    /// record even for a single target — except that a target which has
+    /// opted in with [`Ctx::set_latching`] by the delivery instant gets
+    /// that instant written to its latch cell `slot` instead of an
+    /// [`Actor::on_event`] call. The latch passes the same incarnation
+    /// check and is counted and fingerprinted like the dispatch it
+    /// replaces (see the [module docs](self)).
+    pub fn latch_shared<T: Clone>(
+        &mut self,
+        targets: &[ActorId],
+        delay: SimDuration,
+        msg: T,
+        slot: u32,
+    ) where
+        M: Wrap<T>,
+    {
+        if !targets.is_empty() {
+            let at = self.kernel.now + delay;
+            let share = <M as Wrap<T>>::share;
+            self.kernel
+                .fan_out(at, targets, share, Some(slot), M::wrap(msg));
+        }
+    }
+
+    /// The instant of the last latched delivery to the executing actor's
+    /// cell `slot` (`SimTime::ZERO` if none since it registered or last
+    /// crashed).
+    pub fn latched(&self, slot: u32) -> SimTime {
+        let row = &self.kernel.latches[self.me.index()];
+        row.get(slot as usize).copied().unwrap_or(SimTime::ZERO)
+    }
+
+    /// Publish whether a latched delivery to the executing actor writes
+    /// its latch cell (`true`) or dispatches (`false`, the default and the
+    /// state after a crash). The flag holds until the actor sets it again,
+    /// so an actor that opts in republishes it after every event it
+    /// handles.
+    pub fn set_latching(&mut self, on: bool) {
+        self.kernel.latching[self.me.index()] = on;
     }
 
     /// Schedule an event to the executing actor itself (a timer).
@@ -711,6 +798,8 @@ impl<M: 'static> Engine<M> {
         self.actors.push(actor);
         self.kernel.incarnations.push(0);
         self.kernel.alive.push(true);
+        self.kernel.latching.push(false);
+        self.kernel.latches.push(Vec::new());
         id
     }
 
@@ -806,8 +895,16 @@ impl<M: 'static> Engine<M> {
 
     /// Hand `target` the message `msg` makes — unless it is down, or
     /// crashed since the event was stamped with `incarnation`, in which
-    /// case no message is made.
-    fn dispatch(&mut self, target: ActorId, incarnation: u32, msg: impl FnOnce() -> M) {
+    /// case no message is made. A delivery latched at `latch` to a target
+    /// that opted in writes its latch cell instead, and makes no message
+    /// either; it is counted and mixed all the same.
+    fn dispatch(
+        &mut self,
+        target: ActorId,
+        incarnation: u32,
+        latch: Option<u32>,
+        msg: impl FnOnce() -> M,
+    ) {
         let idx = target.index();
         if !self.kernel.alive[idx]
             || (incarnation != ANY_INCARNATION && self.kernel.incarnations[idx] != incarnation)
@@ -817,20 +914,23 @@ impl<M: 'static> Engine<M> {
         self.kernel.dispatched += 1;
         self.kernel.mix(self.kernel.now.as_nanos());
         self.kernel.mix(target.0 as u64);
-        self.call(target, |actor, ctx| actor.on_event(ctx, msg()));
+        match latch {
+            Some(slot) if self.kernel.latching[idx] => self.kernel.latch(target, slot),
+            _ => self.call(target, |actor, ctx| actor.on_event(ctx, msg())),
+        }
     }
 
     /// Deliver fan-out entry `fan`: a copy of `msg` to each target in
     /// turn, `msg` itself to the last, then recycle the entry.
-    fn fan_out(&mut self, fan: u32, msg: M) {
+    fn deliver_fan(&mut self, fan: u32, msg: M) {
         let entry = &mut self.kernel.fans[fan as usize];
-        let share = entry.share;
+        let (share, latch) = (entry.share, entry.latch);
         let mut targets = std::mem::take(&mut entry.targets);
         if let Some((&(last, stamp), rest)) = targets.split_last() {
             for &(target, stamp) in rest {
-                self.dispatch(target, stamp, || share(&msg));
+                self.dispatch(target, stamp, latch, || share(&msg));
             }
-            self.dispatch(last, stamp, || msg);
+            self.dispatch(last, stamp, latch, || msg);
         }
         targets.clear();
         self.kernel.fans[fan as usize].targets = targets;
@@ -845,14 +945,18 @@ impl<M: 'static> Engine<M> {
                 to,
                 stamp: FAN_OUT,
                 msg,
-            } => self.fan_out(to, msg),
-            EventKind::Deliver { to, stamp, msg } => self.dispatch(ActorId(to), stamp, || msg),
+            } => self.deliver_fan(to, msg),
+            EventKind::Deliver { to, stamp, msg } => {
+                self.dispatch(ActorId(to), stamp, None, || msg)
+            }
             EventKind::Crash(target) => {
                 let idx = target.index();
                 if !self.kernel.alive[idx] {
                     return;
                 }
                 self.kernel.alive[idx] = false;
+                self.kernel.latching[idx] = false;
+                self.kernel.latches[idx].fill(SimTime::ZERO);
                 self.kernel.mix(0xDEAD);
                 self.kernel.mix(target.0 as u64);
                 self.call(target, |actor, ctx| actor.on_crash(ctx));
@@ -1356,6 +1460,166 @@ mod tests {
         }
         // The second cast reused the first one's table entry.
         assert_eq!(eng.kernel.fans.len(), 1);
+    }
+
+    /// The latch tests' cell.
+    const SLOT: u32 = 3;
+
+    /// Records each note it is handed, or — for tag 0, a probe — what its
+    /// latch cell [`SLOT`] reads; republishes `latch` after every event
+    /// and on recovery, and does nothing else in the kernel.
+    struct Sink {
+        latch: bool,
+        got: Vec<(SimTime, u32)>,
+        probes: Vec<SimTime>,
+    }
+
+    impl Actor<Note> for Sink {
+        fn on_event(&mut self, ctx: &mut Ctx<'_, Note>, note: Note) {
+            match *note.0 {
+                0 => self.probes.push(ctx.latched(SLOT)),
+                tag => self.got.push((ctx.now(), tag)),
+            }
+            ctx.set_latching(self.latch);
+        }
+
+        fn on_recover(&mut self, ctx: &mut Ctx<'_, Note>) {
+            ctx.set_latching(self.latch);
+        }
+    }
+
+    /// On each event, sends its note to `targets` after 1 ms: latched at
+    /// [`SLOT`], or as a plain fan-out.
+    struct Latcher {
+        targets: Vec<ActorId>,
+        latched: bool,
+    }
+
+    impl Actor<Note> for Latcher {
+        fn on_event(&mut self, ctx: &mut Ctx<'_, Note>, note: Note) {
+            let delay = SimDuration::from_millis(1);
+            if self.latched {
+                ctx.latch_shared(&self.targets, delay, note, SLOT);
+            } else {
+                ctx.send_shared(&self.targets, delay, note);
+            }
+        }
+    }
+
+    type Sunk = Vec<(Vec<(SimTime, u32)>, Vec<SimTime>)>;
+
+    /// Four sinks — 0 and 2 opt in, 1 and 3 do not — probed at 0, 3 and
+    /// 5 ms, and a caster sending to `targets` at 1 and 3 ms. Sink 2 is
+    /// down at the first delivery and back, opted in again, for the
+    /// second; sink 0 crashes and recovers under the second, a new
+    /// incarnation since its stamp.
+    fn latch_cast(scheduler: Scheduler, latched: bool, targets: &[u32]) -> (u64, u64, Sunk) {
+        let mut eng = Engine::new_with_scheduler(1, scheduler);
+        let ids: Vec<ActorId> = (0..4)
+            .map(|i| {
+                eng.add_actor(Box::new(Sink {
+                    latch: i % 2 == 0,
+                    got: Vec::new(),
+                    probes: Vec::new(),
+                }))
+            })
+            .collect();
+        let caster = eng.add_actor(Box::new(Latcher {
+            targets: targets.iter().map(|&t| ids[t as usize]).collect(),
+            latched,
+        }));
+        for probe in [0, 3, 5] {
+            for &id in &ids {
+                eng.schedule_resilient(SimTime::from_millis(probe), id, 0);
+            }
+        }
+        eng.schedule(SimTime::from_millis(1), caster, 1);
+        eng.schedule(SimTime::from_millis(3), caster, 2);
+        eng.schedule_crash(SimTime::from_micros(1_500), ids[2]);
+        eng.schedule_recover(SimTime::from_micros(2_500), ids[2]);
+        eng.schedule_crash(SimTime::from_micros(3_500), ids[0]);
+        eng.schedule_recover(SimTime::from_micros(3_800), ids[0]);
+        eng.run_to_completion();
+        let sunk = ids
+            .iter()
+            .map(|&id| {
+                let sink = eng.actor::<Sink>(id);
+                (sink.got.clone(), sink.probes.clone())
+            })
+            .collect();
+        (eng.fingerprint(), eng.dispatched(), sunk)
+    }
+
+    #[test]
+    fn a_latch_is_counted_and_mixed_like_the_dispatch_it_replaces() {
+        let ms = SimTime::from_millis;
+        for scheduler in BOTH {
+            for targets in [&[0, 1, 2, 3][..], &[0], &[1]] {
+                let latched = latch_cast(scheduler, true, targets);
+                let plain = latch_cast(scheduler, false, targets);
+                assert_eq!((latched.0, latched.1), (plain.0, plain.1), "{targets:?}");
+            }
+            let (_, dispatched, sunk) = latch_cast(scheduler, true, &[0, 1, 2, 3]);
+            // 12 probes, 2 casts, 3 live targets per delivery.
+            assert_eq!(dispatched, 20);
+            // Sink 0 latched the first delivery, and its crash cleared
+            // the cell; the second was stamped for its old incarnation.
+            assert_eq!(sunk[0], (vec![], vec![SimTime::ZERO, ms(2), SimTime::ZERO]));
+            // Sinks 1 and 3 never opted in: dispatched both times.
+            let both = vec![(ms(2), 1), (ms(4), 2)];
+            assert_eq!(sunk[1], (both.clone(), vec![SimTime::ZERO; 3]));
+            assert_eq!(sunk[3], (both, vec![SimTime::ZERO; 3]));
+            // Sink 2 was down for the first and opted in again on
+            // recovery for the second.
+            assert_eq!(sunk[2], (vec![], vec![SimTime::ZERO, SimTime::ZERO, ms(4)]));
+            // Without the latch, the same deliveries reach `on_event`.
+            let (_, _, plain) = latch_cast(scheduler, false, &[0, 1, 2, 3]);
+            assert_eq!(plain[0].0, [(ms(2), 1)]);
+            assert_eq!(plain[2].0, [(ms(4), 2)]);
+        }
+    }
+
+    #[test]
+    fn an_unset_latch_cell_reads_zero() {
+        struct Probe(Vec<SimTime>);
+        impl Actor<Note> for Probe {
+            fn on_event(&mut self, ctx: &mut Ctx<'_, Note>, _note: Note) {
+                self.0.push(ctx.latched(0));
+                self.0.push(ctx.latched(u32::MAX));
+            }
+        }
+        let mut eng: Engine<Note> = Engine::new(1);
+        let id = eng.add_actor(Box::new(Probe(Vec::new())));
+        eng.schedule(SimTime::from_millis(1), id, 1);
+        eng.run_to_completion();
+        assert_eq!(eng.actor::<Probe>(id).0, [SimTime::ZERO; 2]);
+    }
+
+    #[test]
+    fn a_crash_clears_the_latch_row_and_the_opt_in() {
+        let mut eng: Engine<Note> = Engine::new(1);
+        let sink = eng.add_actor(Box::new(Sink {
+            latch: true,
+            got: Vec::new(),
+            probes: Vec::new(),
+        }));
+        let caster = eng.add_actor(Box::new(Latcher {
+            targets: vec![sink],
+            latched: true,
+        }));
+        eng.schedule(SimTime::ZERO, sink, 0);
+        eng.schedule(SimTime::ZERO, caster, 1);
+        eng.run_until(SimTime::from_millis(2));
+        assert_eq!(
+            eng.kernel.latches[sink.index()][SLOT as usize],
+            SimTime::from_millis(1)
+        );
+        eng.schedule_crash(SimTime::from_millis(2), sink);
+        eng.run_until(SimTime::from_millis(3));
+        assert!(eng.kernel.latches[sink.index()]
+            .iter()
+            .all(|&t| t == SimTime::ZERO));
+        assert!(!eng.kernel.latching[sink.index()]);
     }
 
     #[test]

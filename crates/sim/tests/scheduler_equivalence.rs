@@ -16,6 +16,12 @@
 //! as one `Ctx::send` per target, on either scheduler. The workers speak a
 //! typed message, as the systems do, so the storms drive the kernel's
 //! production path rather than its boxed-`Any` adapter.
+//!
+//! A third mode sends those hops as latched fan-outs while every worker
+//! flips its latch opt-in at random after each event and logs a latch
+//! cell it reads: a latched run changes what the workers see, so it is
+//! held to the same run on the other scheduler rather than to the
+//! reference.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -37,8 +43,12 @@ enum Multi {
     PerTarget,
     /// One `Ctx::send_shared`: a copy per target but the last.
     FanOut,
+    /// One `Ctx::latch_shared` at the sender's slot, to workers that opt
+    /// in and out at random.
+    Latched,
 }
 
+/// The modes held to the per-target reference.
 const MULTI: [Multi; 2] = [Multi::PerTarget, Multi::FanOut];
 
 /// The ordered `(now, label)` log every worker of a run appends to.
@@ -80,12 +90,14 @@ impl Worker {
             let targets: Vec<ActorId> = (0..width)
                 .map(|i| ActorId((first + i) % self.peers))
                 .collect();
-            if self.multi == Multi::PerTarget {
-                for &t in &targets {
-                    ctx.send(t, d, Hop(hops - 1));
+            match self.multi {
+                Multi::PerTarget => {
+                    for &t in &targets {
+                        ctx.send(t, d, Hop(hops - 1));
+                    }
                 }
-            } else {
-                ctx.send_shared(&targets, d, Hop(hops - 1));
+                Multi::FanOut => ctx.send_shared(&targets, d, Hop(hops - 1)),
+                Multi::Latched => ctx.latch_shared(&targets, d, Hop(hops - 1), self.id),
             }
         } else {
             ctx.send(ActorId(first), d, Hop(hops - 1));
@@ -101,6 +113,13 @@ impl Worker {
 impl Actor<Hop> for Worker {
     fn on_event(&mut self, ctx: &mut Ctx<'_, Hop>, hop: Hop) {
         self.on_hop(ctx, hop.0);
+        if self.multi == Multi::Latched {
+            let slot = ctx.rng().random_range(0..self.peers);
+            let cell = ctx.latched(slot);
+            self.record(ctx, format_args!("latch{slot}={cell:?}"));
+            let on = ctx.rng().random_bool(0.5);
+            ctx.set_latching(on);
+        }
     }
 
     fn on_crash(&mut self, ctx: &mut Ctx<'_, Hop>) {
@@ -187,6 +206,9 @@ proptest! {
                 }
             }
         }
+        let heap = run_plan(Scheduler::LegacyHeap, Multi::Latched, seed, n_workers, &plans);
+        let wheel = run_plan(Scheduler::TimingWheel, Multi::Latched, seed, n_workers, &plans);
+        prop_assert_eq!(heap, wheel, "latched runs diverged");
     }
 
     /// Crash/recover exactly at a delivery tick: events stamped with the
@@ -210,5 +232,9 @@ proptest! {
                 prop_assert_eq!(&heap, &run_plan(scheduler, multi, seed, 2, &plans));
             }
         }
+        prop_assert_eq!(
+            run_plan(Scheduler::LegacyHeap, Multi::Latched, seed, 2, &plans),
+            run_plan(Scheduler::TimingWheel, Multi::Latched, seed, 2, &plans)
+        );
     }
 }
