@@ -25,7 +25,7 @@ use crate::buffer::{BufferModel, BufferPool};
 use crate::lock::{LockManager, LockMode, LockOutcome};
 use crate::txnset::TxnSet;
 use crate::types::{ItemId, ItemState, TxnId, Value, Version, WriteOp};
-use crate::wal::{FlushPolicy, Lsn, Wal, WalKind};
+use crate::wal::{FlushPolicy, Lsn, Wal, WalKind, WalRecord};
 
 /// Engine configuration (defaults follow Table 4).
 #[derive(Debug, Clone)]
@@ -162,6 +162,58 @@ pub struct DbEngine {
 
     // Stable.
     wal: Wal,
+    /// The fold of the durable WAL prefix — all of it but the records
+    /// still in the WAL's durable block (see
+    /// [`DbEngine::wal_mark_durable`]). Allocated at the first fold, so
+    /// a replica whose WAL never fills a durable block before a crash
+    /// pays nothing.
+    redo: Option<Redo>,
+}
+
+/// The redo image: the committed state that redoing the durable WAL
+/// prefix from the empty database yields.
+#[derive(Debug)]
+struct Redo {
+    items: Vec<ItemState>,
+    committed: TxnSet,
+    reservations: BTreeMap<ItemId, (TxnId, u32)>,
+}
+
+impl Redo {
+    fn empty(n_items: usize) -> Self {
+        Redo {
+            items: vec![ItemState::default(); n_items],
+            committed: TxnSet::new(),
+            reservations: BTreeMap::new(),
+        }
+    }
+
+    /// Redo one record, in LSN (= processing) order: commits apply
+    /// writes and drop the transaction's reservations; reserve/release
+    /// records rebuild the reservation table exactly as the pre-crash
+    /// processing left its durable prefix.
+    fn apply(&mut self, rec: &WalRecord<'_>) {
+        match rec.kind {
+            WalKind::Commit => {
+                for w in rec.writes() {
+                    self.items[w.item.index()] = ItemState {
+                        value: w.value,
+                        version: w.version,
+                    };
+                }
+                self.committed.insert(rec.txn);
+                self.reservations.retain(|_, &mut (t, _)| t != rec.txn);
+            }
+            WalKind::Reserve { coordinator } => {
+                for &i in rec.items() {
+                    self.reservations.insert(i, (rec.txn, coordinator));
+                }
+            }
+            WalKind::Release => {
+                self.reservations.retain(|_, &mut (t, _)| t != rec.txn);
+            }
+        }
+    }
 }
 
 /// A full application checkpoint (state transfer payload).
@@ -199,6 +251,7 @@ impl DbEngine {
             stable_floor: 0,
             mvcc_evictions: 0,
             wal: Wal::new(log_disk),
+            redo: None,
             config,
             cpu,
             data_disk,
@@ -618,9 +671,24 @@ impl DbEngine {
         }
     }
 
-    /// A WAL flush completed: records below `lsn` are durable.
+    /// A WAL flush completed: records below `lsn` are durable. Once the
+    /// durable records not yet folded fill a block of WAL headers, they
+    /// are folded into the redo image and the WAL frees them: the WAL
+    /// frees whole blocks, so folding fewer would free nothing, and a
+    /// short run (or a warm-up) folds nothing at all.
     pub fn wal_mark_durable(&mut self, lsn: Lsn) {
         self.wal.mark_durable(lsn);
+        if self.wal.durable_block_ready() {
+            self.fold_durable();
+        }
+    }
+
+    /// Fold every durable record the WAL still holds into the redo
+    /// image, in LSN order.
+    fn fold_durable(&mut self) {
+        let (redo, n_items) = (&mut self.redo, self.config.n_items as usize);
+        self.wal
+            .take_durable(|rec| redo.get_or_insert_with(|| Redo::empty(n_items)).apply(&rec));
     }
 
     /// LSN after the last appended record.
@@ -685,51 +753,41 @@ impl DbEngine {
         self.items = ckpt.items;
         self.committed = ckpt.committed;
         self.reservations = ckpt.reservations;
-        // The checkpointed state is authoritative; local WAL history no
-        // longer matters for redo (a real system would reset the log).
+        // The checkpoint replaces the committed state, not the log: the
+        // WAL drops its non-durable tail but keeps its durable prefix,
+        // and the redo image its fold. So a crash after an install
+        // redoes the pre-install durable log and loses the checkpoint's
+        // state. Resetting the log to the checkpoint would change what
+        // that crash recovers.
         self.wal.crash();
         self.dirty_pages = 0;
         self.reseed_versions();
     }
 
-    /// Crash: volatile state is lost; rebuild the committed state by
-    /// redoing the durable WAL prefix.
+    /// Crash: volatile state is lost. The committed state becomes the
+    /// redo image — the fold of the durable WAL prefix, kept as flushes
+    /// complete ([`DbEngine::wal_mark_durable`]) and completed here with
+    /// the durable records of the WAL's last block — or the empty
+    /// database when nothing has become durable. History is never
+    /// replayed.
     pub fn crash(&mut self) {
+        self.fold_durable();
         self.wal.crash();
         self.buffer.clear();
         self.locks.clear();
-        self.reservations.clear();
         self.dirty_pages = 0;
-        self.items = vec![ItemState::default(); self.config.n_items as usize];
-        self.committed.clear();
-        // Redo, in LSN (= processing) order: commits apply writes and
-        // drop the transaction's reservations; reserve/release records
-        // rebuild the reservation table exactly as the pre-crash
-        // processing left its durable prefix.
-        let mut reservations = BTreeMap::new();
-        for rec in self.wal.durable_records() {
-            match rec.kind {
-                WalKind::Commit => {
-                    for w in rec.writes() {
-                        self.items[w.item.index()] = ItemState {
-                            value: w.value,
-                            version: w.version,
-                        };
-                    }
-                    self.committed.insert(rec.txn);
-                    reservations.retain(|_, &mut (t, _): &mut (TxnId, u32)| t != rec.txn);
-                }
-                WalKind::Reserve { coordinator } => {
-                    for &i in rec.items() {
-                        reservations.insert(i, (rec.txn, coordinator));
-                    }
-                }
-                WalKind::Release => {
-                    reservations.retain(|_, &mut (t, _)| t != rec.txn);
-                }
+        match &self.redo {
+            Some(image) => {
+                self.items.clone_from(&image.items);
+                self.committed.clone_from(&image.committed);
+                self.reservations.clone_from(&image.reservations);
+            }
+            None => {
+                self.items.fill(ItemState::default());
+                self.committed.clear();
+                self.reservations.clear();
             }
         }
-        self.reservations = reservations;
         self.reseed_versions();
     }
 
@@ -879,6 +937,151 @@ mod tests {
         assert_eq!(e.item(ItemId(2)).value, 0, "unflushed commit lost");
         assert!(e.is_committed(t(1)));
         assert!(!e.is_committed(t(2)));
+    }
+
+    /// Today's behaviour, pinned: an install replaces the committed
+    /// state but not the log, so a crash after it redoes the local
+    /// durable log and the checkpoint's state is lost.
+    #[test]
+    fn a_crash_after_an_install_redoes_the_pre_install_log() {
+        let mut e = engine(FlushPolicy::Sync);
+        let r = e.commit(SimTime::ZERO, t(1), &[w(1, 10, 1)]);
+        e.wal_mark_durable(r.flush.expect("sync").1);
+        let mut donor = engine(FlushPolicy::Async);
+        donor.commit(SimTime::ZERO, t(2), &[w(2, 20, 2)]);
+        e.install_checkpoint(donor.checkpoint());
+        assert_eq!((e.item(ItemId(1)).value, e.item(ItemId(2)).value), (0, 20));
+        e.crash();
+        assert_eq!((e.item(ItemId(1)).value, e.item(ItemId(2)).value), (10, 0));
+        assert!(e.is_committed(t(1)) && !e.is_committed(t(2)));
+        assert_eq!(e.max_version(), 1);
+    }
+
+    /// A log record as the reference replay reads it.
+    #[derive(Debug, Clone)]
+    enum Logged {
+        Commit(TxnId, Vec<WriteOp>),
+        Reserve(TxnId, u32, Vec<ItemId>),
+        Release(TxnId),
+    }
+
+    /// What a crash recovered before the engine kept a redo image: a
+    /// replay of the durable log from the empty database. The reference
+    /// the image is held to.
+    fn replay_from_empty(
+        n_items: usize,
+        durable: &[Logged],
+    ) -> (Vec<ItemState>, TxnSet, BTreeMap<ItemId, (TxnId, u32)>) {
+        let mut items = vec![ItemState::default(); n_items];
+        let mut committed = TxnSet::new();
+        let mut reservations = BTreeMap::new();
+        for rec in durable {
+            match rec {
+                Logged::Commit(txn, writes) => {
+                    for w in writes {
+                        items[w.item.index()] = ItemState {
+                            value: w.value,
+                            version: w.version,
+                        };
+                    }
+                    committed.insert(*txn);
+                    reservations.retain(|_, &mut (t, _): &mut (TxnId, u32)| t != *txn);
+                }
+                Logged::Reserve(txn, coordinator, reserved) => {
+                    for &i in reserved {
+                        reservations.insert(i, (*txn, *coordinator));
+                    }
+                }
+                Logged::Release(txn) => reservations.retain(|_, &mut (t, _)| t != *txn),
+            }
+        }
+        (items, committed, reservations)
+    }
+
+    proptest::proptest! {
+        /// Whatever commits, reservations, releases, flushes of both
+        /// sorts, out-of-order flush completions, crashes and checkpoint
+        /// installs come before it, a crash recovers exactly what a
+        /// replay of the durable log from the empty database recovers.
+        #[test]
+        fn the_redo_image_is_a_replay_of_the_durable_prefix(
+            ops in proptest::collection::vec((0u8..11, 0u32..8, 0u64..6), 1..120),
+            sync in proptest::prelude::any::<bool>(),
+        ) {
+            let mut e = engine(if sync { FlushPolicy::Sync } else { FlushPolicy::Async });
+            let mut log: Vec<Logged> = Vec::new();
+            let mut durable = 0;
+            let mut covered: Vec<Lsn> = Vec::new();
+            let mut saved: Option<DbCheckpoint> = None;
+            let mut fresh = 0;
+            for (i, (op, a, b)) in ops.into_iter().enumerate() {
+                // A small id space, so that commits repeat: duplicates,
+                // and recommits of transactions a crash lost.
+                let txn = TxnId { client: a % 2, seq: b };
+                let now = SimTime::from_millis(i as u64);
+                match op {
+                    0..=2 => {
+                        let writes: Vec<WriteOp> =
+                            (0..b as u32 % 4).map(|k| w(a * 10 + k, i as i64, i as u64)).collect();
+                        let res = e.commit(now, txn, &writes);
+                        if !res.duplicate {
+                            log.push(Logged::Commit(txn, writes));
+                        }
+                        covered.extend(res.flush.map(|(_, lsn)| lsn));
+                    }
+                    3 => {
+                        let items = [ItemId(a), ItemId(a + 1 + b as u32)];
+                        e.reserve_logged(txn, b as u32, &items);
+                        log.push(Logged::Reserve(txn, b as u32, items.to_vec()));
+                    }
+                    4 => {
+                        e.release_logged(txn);
+                        log.push(Logged::Release(txn));
+                    }
+                    5 => covered.extend(e.flush_wal(now).map(|(_, lsn)| lsn)),
+                    6 => covered.extend(e.flush_wal_sync(now).map(|(_, lsn)| lsn)),
+                    7 => {
+                        // Complete a started flush, in any order, or one
+                        // that a crash has since overtaken.
+                        if !covered.is_empty() {
+                            let lsn = covered.swap_remove(a as usize % covered.len());
+                            e.wal_mark_durable(lsn);
+                            durable = durable.max(lsn as usize).min(log.len());
+                        }
+                    }
+                    8 => {
+                        e.crash();
+                        log.truncate(durable);
+                        let (items, committed, reservations) = replay_from_empty(100, &log);
+                        proptest::prop_assert_eq!(&e.items, &items);
+                        proptest::prop_assert_eq!(&e.committed, &committed);
+                        proptest::prop_assert_eq!(&e.reservations, &reservations);
+                    }
+                    9 => {
+                        // A burst of fresh commits, so that durable
+                        // blocks fill and fold before a crash.
+                        for _ in 0..100 * (b + 1) {
+                            fresh += 1;
+                            let txn = TxnId { client: 2, seq: fresh };
+                            let writes = [w(a * 10 + fresh as u32 % 10, i as i64, fresh)];
+                            let res = e.commit(now, txn, &writes);
+                            log.push(Logged::Commit(txn, writes.to_vec()));
+                            covered.extend(res.flush.map(|(_, lsn)| lsn));
+                        }
+                    }
+                    _ => {
+                        if b % 2 == 0 {
+                            saved = Some(e.checkpoint());
+                        } else if let Some(ckpt) = saved.clone() {
+                            e.install_checkpoint(ckpt);
+                            log.truncate(durable);
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(e.wal_end_lsn(), log.len() as Lsn);
+                proptest::prop_assert_eq!(e.wal_durable_lsn(), durable as Lsn);
+            }
+        }
     }
 
     #[test]

@@ -13,11 +13,18 @@
 //! fixed-size headers (transaction, kind, where the body starts and how
 //! long it is) and two arenas the bodies are copied into back to back —
 //! the [`WriteOp`]s of commit records and the reserved [`ItemId`]s of
-//! reserve records. Headers and arenas are [`BlockVec`]s: the log only
-//! grows, a block at a time. Because all three grow in LSN order, the
-//! records from some LSN on own a suffix of each arena, which is what
-//! [`Wal::crash`] cuts off. Redo reads [`WalRecord`]s, views borrowed
-//! from the log.
+//! reserve records. Headers and arenas are [`BlockVec`]s, grown a block
+//! at a time. Because all three grow in LSN order, the records from
+//! some LSN on own a suffix of each arena, which is what [`Wal::crash`]
+//! cuts off, and the records below it own a prefix.
+//!
+//! Redo is a fold kept as the log goes: [`Wal::take_durable`] hands
+//! each record over once, after it has become durable, as a
+//! [`WalRecord`] view borrowed from the log, and then frees the whole
+//! blocks of headers and bodies below the records taken. LSNs and arena
+//! offsets stay absolute. So the log holds its non-durable tail, the
+//! durable records not yet taken and at most a block of each sequence
+//! below them — not its history.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -63,7 +70,8 @@ struct Header {
     kind: WalKind,
 }
 
-/// A log record as redo sees it: a view borrowed from the log.
+/// A log record as redo sees it: a view borrowed from the log
+/// ([`Wal::take_durable`]).
 pub struct WalRecord<'a> {
     /// The transaction the record belongs to.
     pub txn: TxnId,
@@ -118,8 +126,9 @@ pub struct WalStats {
     pub flushed_records: u64,
 }
 
-/// The write-ahead log. It keeps every record for redo, so it only
-/// grows; see the module docs for how the records are laid out.
+/// The write-ahead log. It keeps each record until redo has taken it
+/// ([`Wal::take_durable`]); see the module docs for how the records are
+/// laid out.
 pub struct Wal {
     records: BlockVec<Header>,
     /// Bodies of the commit records, in LSN order.
@@ -128,6 +137,8 @@ pub struct Wal {
     items: BlockVec<ItemId>,
     /// Records below this index are on disk.
     durable: usize,
+    /// Records below this index were handed to redo (`≤ durable`).
+    taken: usize,
     /// Records below this index are covered by an in-flight flush.
     flushing: usize,
     log_disk: Rc<RefCell<Disk>>,
@@ -142,6 +153,7 @@ impl Wal {
             writes: BlockVec::new(),
             items: BlockVec::new(),
             durable: 0,
+            taken: 0,
             flushing: 0,
             log_disk,
             stats: WalStats::default(),
@@ -190,6 +202,12 @@ impl Wal {
     /// Records at or above this LSN are not yet durable.
     pub fn durable_lsn(&self) -> Lsn {
         self.durable as Lsn
+    }
+
+    /// True when the durable records not yet taken fill a block of
+    /// headers: taking fewer would free no header block.
+    pub fn durable_block_ready(&self) -> bool {
+        self.durable - self.taken >= BlockVec::<Header>::BLOCK_LEN
     }
 
     /// True if `lsn` is on disk.
@@ -249,18 +267,36 @@ impl Wal {
         self.durable = self.durable.max(lsn as usize).min(self.records.len());
     }
 
-    /// Redo: the durable records in LSN order.
-    pub fn durable_records(&self) -> impl Iterator<Item = WalRecord<'_>> {
-        self.records.iter().take(self.durable).map(|h| WalRecord {
-            txn: TxnId {
-                client: h.client,
-                seq: h.seq,
-            },
-            kind: h.kind,
-            wal: self,
-            start: h.start as usize,
-            len: h.len as usize,
-        })
+    /// Redo: hand every record that became durable since the last call
+    /// to `redo`, in LSN order, then free what no reader needs any more —
+    /// the whole blocks of headers below the taken point, and of each
+    /// arena below the end of the last taken body of its kind
+    /// ([`BlockVec::release_below`]).
+    pub fn take_durable(&mut self, mut redo: impl FnMut(WalRecord<'_>)) {
+        let (mut writes_end, mut items_end) = (0, 0);
+        let newly_durable = self.records.iter_from(self.taken);
+        for h in newly_durable.take(self.durable - self.taken) {
+            let (start, len) = (h.start as usize, h.len as usize);
+            match h.kind {
+                WalKind::Commit => writes_end = start + len,
+                WalKind::Reserve { .. } => items_end = start + len,
+                WalKind::Release => {}
+            }
+            redo(WalRecord {
+                txn: TxnId {
+                    client: h.client,
+                    seq: h.seq,
+                },
+                kind: h.kind,
+                wal: self,
+                start,
+                len,
+            });
+        }
+        self.taken = self.durable;
+        self.records.release_below(self.taken);
+        self.writes.release_below(writes_end);
+        self.items.release_below(items_end);
     }
 
     /// Crash: lose everything that never reached the disk. In-flight
@@ -269,7 +305,8 @@ impl Wal {
     ///
     /// Each arena is cut where the first dropped record of its kind
     /// starts: bodies are appended in LSN order, so everything from
-    /// there on belongs to dropped records and nothing before does.
+    /// there on belongs to dropped records and nothing before does —
+    /// in particular nothing redo has taken, which is durable.
     pub fn crash(&mut self) {
         let first_dropped = |is_kind: fn(WalKind) -> bool| {
             let mut dropped = self.records.iter_from(self.durable);
@@ -337,7 +374,41 @@ mod tests {
         assert_eq!(covered, 1);
         w.mark_durable(covered);
         assert!(w.is_durable(lsn));
-        assert_eq!(w.durable_records().count(), 1);
+        let mut taken = Vec::new();
+        w.take_durable(|r| taken.push(r.txn));
+        w.take_durable(|r| taken.push(r.txn));
+        assert_eq!(taken, [t(1)], "a record is taken once");
+    }
+
+    #[test]
+    fn taking_frees_the_blocks_below_and_keeps_lsns() {
+        let (mut w, mut rng) = wal();
+        for i in 0..1200 {
+            commit(&mut w, i);
+        }
+        let (_, covered) = w.flush(SimTime::ZERO, &mut rng).expect("flush");
+        w.mark_durable(covered - 100);
+        let mut taken = 0;
+        w.take_durable(|r| {
+            assert_eq!(
+                r.writes().map(|op| op.version).collect::<Vec<_>>(),
+                [r.txn.seq]
+            );
+            taken += 1;
+        });
+        assert_eq!(taken, 1100);
+        // Headers and bodies below the taken point's block are gone.
+        assert!(w.records.get(0).is_none() && w.writes.get(1023).is_none());
+        assert!(w.records.get(1024).is_some() && w.writes.get(1024).is_some());
+        // The tail is intact: a crash cuts it at the durable point, and
+        // appends go on at absolute positions.
+        w.crash();
+        assert_eq!((w.end_lsn(), w.writes.len()), (1100, 1100));
+        assert_eq!(commit(&mut w, 7), 1100);
+        w.mark_durable(1101);
+        let mut last = None;
+        w.take_durable(|r| last = Some((r.txn, r.writes().count())));
+        assert_eq!(last, Some((t(7), 1)));
     }
 
     #[test]
@@ -365,7 +436,7 @@ mod tests {
         // Start a flush but crash before completion: records 2, 3 are gone.
         let _ = w.flush(SimTime::from_millis(1), &mut rng);
         w.crash();
-        assert_eq!(w.durable_records().count(), 1);
+        assert_eq!(w.durable_lsn(), 1);
         assert_eq!(w.end_lsn(), 1);
         assert_eq!(w.writes.len(), 1, "the dropped bodies went with them");
         // New appends continue after the truncation point.
@@ -401,6 +472,7 @@ mod tests {
     struct VecWal {
         records: Vec<OwnedRecord>,
         durable: usize,
+        taken: usize,
         flushing: usize,
         stats: WalStats,
     }
@@ -433,17 +505,29 @@ mod tests {
         }
     }
 
+    fn owned(r: WalRecord<'_>) -> OwnedRecord {
+        OwnedRecord {
+            txn: r.txn,
+            kind: r.kind,
+            writes: r.writes().copied().collect(),
+            items: r.items().copied().collect(),
+        }
+    }
+
     proptest! {
         /// Any sequence of appends of the three kinds, flushes of both
-        /// sorts, completions and crashes leaves the LSNs, the counters
-        /// and the redo stream of the vector of owned records.
+        /// sorts, completions, takes and crashes leaves the LSNs, the
+        /// counters and the redo stream of the vector of owned records:
+        /// every durable record taken once, in LSN order, with its body,
+        /// whatever was freed below it.
         #[test]
         fn behaves_like_a_vec_of_owned_records(
-            ops in proptest::collection::vec((0u8..8, 0u64..6, 0usize..700), 1..60),
+            ops in proptest::collection::vec((0u8..9, 0u64..6, 0usize..700), 1..60),
         ) {
             let (mut wal, mut rng) = wal();
             let mut model = VecWal::default();
             let mut covered: Vec<Lsn> = Vec::new();
+            let mut taken: Vec<OwnedRecord> = Vec::new();
             for (i, (op, n, len)) in ops.into_iter().enumerate() {
                 let txn = TxnId { client: n as u32, seq: i as u64 };
                 match op {
@@ -493,6 +577,10 @@ mod tests {
                             model.mark_durable(lsn);
                         }
                     }
+                    7 => {
+                        wal.take_durable(|r| taken.push(owned(r)));
+                        model.taken = model.durable;
+                    }
                     _ => {
                         wal.crash();
                         model.crash();
@@ -501,18 +589,11 @@ mod tests {
                 prop_assert_eq!(wal.end_lsn(), model.records.len() as Lsn);
                 prop_assert_eq!(wal.durable_lsn(), model.durable as Lsn);
                 prop_assert_eq!(wal.stats(), model.stats);
-                let redo: Vec<OwnedRecord> = wal
-                    .durable_records()
-                    .map(|r| OwnedRecord {
-                        txn: r.txn,
-                        kind: r.kind,
-                        writes: r.writes().copied().collect(),
-                        items: r.items().copied().collect(),
-                    })
-                    .collect();
-                prop_assert_eq!(&redo[..], &model.records[..model.durable]);
+                prop_assert_eq!(&taken[..], &model.records[..model.taken]);
             }
-            // The arenas hold the surviving bodies and nothing else.
+            wal.take_durable(|r| taken.push(owned(r)));
+            prop_assert_eq!(&taken[..], &model.records[..model.durable]);
+            // The arenas' lengths count the surviving bodies, freed or not.
             let bodies = |f: fn(&OwnedRecord) -> usize| model.records.iter().map(f).sum::<usize>();
             prop_assert_eq!(wal.writes.len(), bodies(|r| r.writes.len()));
             prop_assert_eq!(wal.items.len(), bodies(|r| r.items.len()));

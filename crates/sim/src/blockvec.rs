@@ -11,17 +11,25 @@
 //! [`BlockVec`] stores its elements in blocks of 512 instead:
 //! growing allocates one more block, shrinking frees whole blocks, an
 //! element keeps its address for life, and indexing stays O(1).
+//!
+//! A log that no longer reads its front can free it:
+//! [`BlockVec::release_below`] frees the whole blocks below an index,
+//! and every other element keeps its index.
 
 /// Elements per block.
 const BLOCK: usize = 512;
 
 /// A sequence stored in fixed-size blocks. See the module docs.
 ///
-/// Every block but the last is full, and the last is never empty.
+/// Every block but the last is full, and the last is never empty —
+/// except the first `released` blocks, which are freed: empty, owning
+/// no allocation, and kept in place so that indices stay absolute.
 #[derive(Debug)]
 pub struct BlockVec<T> {
     blocks: Vec<Vec<T>>,
     len: usize,
+    /// Leading blocks freed by [`BlockVec::release_below`].
+    released: usize,
 }
 
 impl<T> Default for BlockVec<T> {
@@ -31,15 +39,19 @@ impl<T> Default for BlockVec<T> {
 }
 
 impl<T> BlockVec<T> {
+    /// Elements per block: the unit [`BlockVec::release_below`] frees.
+    pub const BLOCK_LEN: usize = BLOCK;
+
     /// An empty sequence; allocates nothing.
     pub fn new() -> Self {
         BlockVec {
             blocks: Vec::new(),
             len: 0,
+            released: 0,
         }
     }
 
-    /// Number of elements.
+    /// Number of elements, released ones included.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -49,7 +61,7 @@ impl<T> BlockVec<T> {
         self.len == 0
     }
 
-    /// The element at `index`, if there is one.
+    /// The element at `index`, if there is one and it is not released.
     pub fn get(&self, index: usize) -> Option<&T> {
         self.blocks.get(index / BLOCK)?.get(index % BLOCK)
     }
@@ -61,8 +73,10 @@ impl<T> BlockVec<T> {
 
     /// Append `value`.
     pub fn push(&mut self, value: T) {
+        // Decided by `len`, not by the last block's length: truncating
+        // to the released boundary leaves an empty, released block last.
         match self.blocks.last_mut() {
-            Some(last) if last.len() < BLOCK => last.push(value),
+            Some(last) if !self.len.is_multiple_of(BLOCK) => last.push(value),
             _ => {
                 let mut block = Vec::with_capacity(BLOCK);
                 block.push(value);
@@ -73,11 +87,16 @@ impl<T> BlockVec<T> {
     }
 
     /// Keep the first `len` elements and drop the rest (no-op when
-    /// there are no more than that).
+    /// there are no more than that). `len` must not fall inside the
+    /// released blocks: the elements there are gone.
     pub fn truncate(&mut self, len: usize) {
         if len >= self.len {
             return;
         }
+        assert!(
+            len >= self.released * BLOCK,
+            "truncating into released blocks"
+        );
         self.blocks.truncate(len.div_ceil(BLOCK));
         if let Some(last) = self.blocks.last_mut() {
             last.truncate(len - (len - 1) / BLOCK * BLOCK);
@@ -98,9 +117,23 @@ impl<T> BlockVec<T> {
     pub fn clear(&mut self) {
         self.blocks.clear();
         self.len = 0;
+        self.released = 0;
     }
 
-    /// The elements in order.
+    /// Free the whole blocks below `index`, but never the last block:
+    /// their elements read as absent from then on (`get` is `None`,
+    /// iteration skips them), and every other element keeps its index.
+    /// A block is freed once, so the calls of a run cost one step per
+    /// block in all.
+    pub fn release_below(&mut self, index: usize) {
+        let end = (index / BLOCK).min(self.blocks.len().saturating_sub(1));
+        for block in self.blocks.iter_mut().take(end).skip(self.released) {
+            *block = Vec::new();
+        }
+        self.released = self.released.max(end);
+    }
+
+    /// The elements in order (released ones skipped).
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.into_iter()
     }
@@ -111,7 +144,8 @@ impl<T> BlockVec<T> {
     }
 
     /// The elements from `start` on, in order, found without walking
-    /// the ones before (empty when `start` is at or past the end).
+    /// the ones before (empty when `start` is at or past the end;
+    /// released ones skipped).
     pub fn iter_from(&self, start: usize) -> impl Iterator<Item = &T> {
         let mut blocks = self.blocks.get(start / BLOCK..).unwrap_or(&[]).iter();
         let first = blocks.next().and_then(|b| b.get(start % BLOCK..));
@@ -182,16 +216,55 @@ mod tests {
         assert!(v.is_empty() && v.blocks.is_empty());
     }
 
+    #[test]
+    fn releasing_frees_whole_blocks_and_keeps_every_other_index() {
+        let mut v: BlockVec<usize> = (0..2 * BLOCK + 3).collect();
+        v.release_below(BLOCK + 1);
+        assert_eq!(v.released, 1);
+        assert_eq!(v.blocks.first().map(Vec::capacity), Some(0));
+        assert_eq!(v.get(BLOCK - 1), None);
+        assert_eq!(v.get(BLOCK), Some(&BLOCK));
+        assert_eq!(v.len(), 2 * BLOCK + 3);
+        assert!(v.iter().copied().eq(BLOCK..2 * BLOCK + 3));
+        // Everything below the end is not enough to free the last block.
+        v.release_below(v.len());
+        assert_eq!(v.released, 2);
+        assert_eq!(v.get(2 * BLOCK), Some(&(2 * BLOCK)));
+    }
+
+    #[test]
+    fn a_release_right_after_a_block_boundary() {
+        // One full block, released below its end: it is the last block,
+        // so it stays.
+        let mut v: BlockVec<usize> = (0..BLOCK).collect();
+        v.release_below(BLOCK);
+        assert_eq!(v.released, 0);
+        // One element past the boundary: now the full block goes.
+        v.push(BLOCK);
+        v.release_below(BLOCK);
+        assert_eq!(v.released, 1);
+        assert_eq!(v.get(BLOCK), Some(&BLOCK));
+        // Truncating back to the boundary leaves the freed block last;
+        // the next push still lands at the next index.
+        v.truncate(BLOCK);
+        v.push(7);
+        assert_eq!((v.len(), v.get(BLOCK)), (BLOCK + 1, Some(&7)));
+        assert!(v.iter().eq([7].iter()));
+    }
+
     proptest! {
         /// Any mix of the mutating operations leaves the same elements
-        /// a `Vec` holds, and every reader agrees with the slice.
+        /// a `Vec` holds, minus the released front, and every reader
+        /// agrees with the slice.
         #[test]
         fn behaves_like_a_vec(
-            ops in proptest::collection::vec((0u8..4, 0usize..3 * BLOCK), 1..40),
+            ops in proptest::collection::vec((0u8..6, 0usize..3 * BLOCK), 1..40),
             from in 0usize..4 * BLOCK,
         ) {
             let mut v = BlockVec::new();
             let mut model = Vec::new();
+            // The model's elements below this index are released in `v`.
+            let mut freed = 0;
             let mut next = 0u32;
             for (op, n) in ops {
                 match op {
@@ -201,28 +274,39 @@ mod tests {
                         next += 1;
                     }
                     1 => {
-                        v.truncate(n);
-                        model.truncate(n);
+                        v.truncate(n.max(freed));
+                        model.truncate(n.max(freed));
                     }
                     2 => {
-                        v.resize_with(n, || 0);
-                        model.resize_with(n, || 0);
+                        v.resize_with(n.max(freed), || 0);
+                        model.resize_with(n.max(freed), || 0);
                     }
-                    _ => {
+                    3 => {
                         if let (Some(a), Some(b)) = (v.get_mut(n), model.get_mut(n)) {
                             *a += 1;
                             *b += 1;
                         }
                     }
+                    _ => {
+                        // Below an arbitrary index, or below the end
+                        // (often right at a block boundary).
+                        let index = if op == 4 { n } else { model.len() };
+                        v.release_below(index);
+                        let last_block = model.len().saturating_sub(1) / BLOCK * BLOCK;
+                        freed = freed.max((index / BLOCK * BLOCK).min(last_block));
+                    }
                 }
                 prop_assert_eq!(v.len(), model.len());
-                prop_assert!(v.blocks.iter().all(|b| !b.is_empty()));
+                prop_assert_eq!(v.released * BLOCK, freed);
+                prop_assert!(v.blocks.iter().take(v.released).all(|b| b.capacity() == 0));
+                prop_assert!(v.blocks.iter().skip(v.released).all(|b| !b.is_empty()));
             }
-            prop_assert!(v.iter().eq(&model));
-            prop_assert!((&v).into_iter().eq(&model));
-            prop_assert!(v.iter_from(from).eq(model.get(from..).unwrap_or(&[])));
-            prop_assert_eq!(v.get(from), model.get(from));
-            prop_assert_eq!(v.into_iter().collect::<Vec<_>>(), model);
+            let held = &model[freed..];
+            prop_assert!(v.iter().eq(held));
+            prop_assert!((&v).into_iter().eq(held));
+            prop_assert!(v.iter_from(from).eq(model.get(from.max(freed)..).unwrap_or(&[])));
+            prop_assert_eq!(v.get(from), model.get(from).filter(|_| from >= freed));
+            prop_assert_eq!(v.into_iter().collect::<Vec<_>>(), held.to_vec());
         }
     }
 }

@@ -11,7 +11,7 @@
 //!   message type per system ([`Message`], [`Wrap`]),
 //! * analytic FCFS queueing resources for CPUs ([`Fcfs`]) and disks
 //!   ([`Disk`], Table 4 parameters),
-//! * block-wise storage for logs that only grow ([`BlockVec`]) and paged
+//! * block-wise storage for append-only logs ([`BlockVec`]) and paged
 //!   storage for tables indexed by a dense id ([`WordPages`]),
 //! * metrics ([`Metrics`], [`Histogram`]) and deterministic structured
 //!   observability ([`ObsEvent`], [`Obs`], [`obs`]): typed pipeline

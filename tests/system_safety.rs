@@ -1,8 +1,9 @@
 //! Cross-crate integration tests: the safety taxonomy (Tables 1–3) as
 //! executable scenarios on the full stack.
 
-use groupsafe::core::{SafetyLevel, Technique};
-use groupsafe::sim::SimDuration;
+use groupsafe::core::{Load, SafetyLevel, System, Technique};
+use groupsafe::db::DbConfig;
+use groupsafe::sim::{SimDuration, SimTime};
 use groupsafe::workload::{run_crash_scenario, CrashScenario, RecoveryPlan};
 
 fn recovering(sc: CrashScenario) -> CrashScenario {
@@ -142,4 +143,31 @@ fn group_one_safe_outliving_delegate_loss_requires_delegate_death() {
         lost > 0,
         "group-1-safe must lose when the delegate's log never returns"
     );
+}
+
+/// A known bug, pinned: a group-safe replica built on
+/// `DbConfig::default()` (`FlushPolicy::Sync`) never makes its WAL
+/// durable. `DbEngine::commit` starts a flush whose completion no caller
+/// schedules (`CommitResult::flush` has no reader), and the background
+/// tick then finds nothing new to flush — so a crash redoes nothing. The
+/// re-golden that fixes the `Sync` base flips the last assertion.
+#[test]
+fn a_sync_base_group_safe_replica_never_makes_its_wal_durable() {
+    let mut run = System::builder()
+        .safety(SafetyLevel::GroupSafe)
+        .servers(3)
+        .clients_per_server(2)
+        .db(DbConfig::default())
+        .load(Load::open_tps(50.0))
+        .measure(SimDuration::from_secs(2))
+        .seed(42)
+        .build()
+        .expect("a valid configuration");
+    run.start();
+    run.run_until(SimTime::from_secs(2));
+    for i in 0..3 {
+        let db = run.system().server(i).db();
+        assert!(db.wal_end_lsn() > 0, "replica {i} logged no commit");
+        assert_eq!(db.wal_durable_lsn(), 0, "replica {i}");
+    }
 }
