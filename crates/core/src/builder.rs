@@ -1346,11 +1346,11 @@ impl Run {
         // call sorts the histogram in place.
         let mut phases = Vec::new();
         {
-            let all: Vec<f64> = system
+            let all: &[f64] = system
                 .engine
                 .metrics()
                 .histogram("response_total_ms")
-                .map_or_else(Vec::new, |h| h.samples().to_vec());
+                .map_or(&[], |h| h.samples());
             for w in self.marks.windows(2) {
                 let (label, from) = w[0];
                 let (_, to) = w[1];
@@ -1509,18 +1509,22 @@ impl PhaseStats {
                 p95_ms: 0.0,
             };
         }
-        let mut sorted = samples.to_vec();
-        // total_cmp: NaN-free total order, no panic path (a NaN sample
-        // would sort last instead of poisoning the percentile).
-        sorted.sort_by(f64::total_cmp);
-        let idx = ((0.95 * sorted.len() as f64).ceil() as usize)
+        // The mean sums the samples in recording order; the percentile
+        // selects from the one copy. total_cmp: NaN-free total order, no
+        // panic path (a NaN sample would rank last instead of poisoning
+        // the percentile), and equal ranks are equal bits, so selecting
+        // picks exactly what a full sort would put at that rank.
+        let mean_ms = samples.iter().sum::<f64>() / samples.len() as f64;
+        let idx = ((0.95 * samples.len() as f64).ceil() as usize)
             .saturating_sub(1)
-            .min(sorted.len() - 1);
+            .min(samples.len() - 1);
+        let mut ranked = samples.to_vec();
+        let (_, &mut p95_ms, _) = ranked.select_nth_unstable_by(idx, f64::total_cmp);
         PhaseStats {
             label,
             commits: samples.len(),
-            mean_ms: samples.iter().sum::<f64>() / samples.len() as f64,
-            p95_ms: sorted[idx],
+            mean_ms,
+            p95_ms,
         }
     }
 }
@@ -1926,6 +1930,36 @@ impl std::fmt::Display for Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    proptest::proptest! {
+        /// Selecting the 95th percentile picks the bits a full sort puts
+        /// at that rank, and the mean sums in recording order: signed
+        /// zeros, ties and NaNs included.
+        #[test]
+        fn phase_stats_select_what_a_sort_would(
+            samples in proptest::collection::vec(
+                proptest::prop_oneof![
+                    0.0f64..5_000.0,
+                    proptest::strategy::Just(0.0),
+                    proptest::strategy::Just(-0.0),
+                    proptest::strategy::Just(f64::NAN),
+                    proptest::strategy::Just(17.25),
+                ],
+                1..300,
+            )
+        ) {
+            let stats = PhaseStats::from_samples("measure", &samples);
+            let mut sorted = samples.clone();
+            sorted.sort_by(f64::total_cmp);
+            let idx = ((0.95 * sorted.len() as f64).ceil() as usize)
+                .saturating_sub(1)
+                .min(sorted.len() - 1);
+            proptest::prop_assert_eq!(stats.p95_ms.to_bits(), sorted[idx].to_bits());
+            let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+            proptest::prop_assert_eq!(stats.mean_ms.to_bits(), mean.to_bits());
+            proptest::prop_assert_eq!(stats.commits, samples.len());
+        }
+    }
 
     #[test]
     fn zero_servers_is_a_typed_error() {

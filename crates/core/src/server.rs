@@ -2167,12 +2167,10 @@ impl ReplicaServer {
                 GcsOutput::Deliver {
                     seq,
                     payload,
+                    span,
                     redelivery,
                     ..
-                } => {
-                    let span = self.gcs.as_ref().map_or(1, |g| g.frame_span(seq));
-                    self.on_deliver(ctx, seq, &payload, redelivery, span)
-                }
+                } => self.on_deliver(ctx, seq, &payload, redelivery, span),
                 GcsOutput::CheckpointRequest { joiner, generation } => {
                     let ckpt = self.db.checkpoint();
                     let applied = self.applied_seq;

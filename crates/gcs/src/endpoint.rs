@@ -159,11 +159,12 @@ struct JoinState {
 }
 
 /// What [`GcsEndpoint::deliver_one`] needs of the slot its caller just
-/// looked up: the entry to hand up and whether this incarnation already
-/// did.
+/// looked up: the entry to hand up, the frame it came in and whether
+/// this incarnation already handed it up.
 struct Deliverable<P> {
     id: MsgId,
     payload: P,
+    span: u32,
     emitted: bool,
 }
 
@@ -173,10 +174,15 @@ impl<P: Clone> Deliverable<P> {
         slot.entry.as_ref().map(|e| Deliverable {
             id: e.id,
             payload: e.payload.clone(),
+            span: slot.frame_span.max(1),
             emitted: slot.emitted,
         })
     }
 }
+
+/// Deliveries between two attempts to trim the log: a [`SeqLog`]
+/// frees whole blocks, so trying more often could free nothing more.
+const TRIM_EVERY: u64 = groupsafe_sim::BlockVec::<()>::BLOCK_LEN as u64;
 
 /// The group communication endpoint. See the module docs.
 ///
@@ -221,7 +227,15 @@ pub struct GcsEndpoint<P, S> {
     ordered_ids: IdTable,
     /// Per sequence number: the ordered entry received, the stability
     /// votes for it, and the persisted / emitted / frame-span marks.
+    /// The view-based endpoint releases its front as the group delivers
+    /// it (see [`GcsEndpoint::trim_log`]).
     log: SeqLog<P>,
+    /// The highest delivery head each member of the static group
+    /// reported in a stability vote, by rank; this endpoint's own rank
+    /// holds `u64::MAX`, so that it never bounds the minimum.
+    reported_heads: Vec<u64>,
+    /// The delivery head at which [`GcsEndpoint::trim_log`] next runs.
+    trim_at: u64,
     /// Next sequence number to deliver.
     next_deliver: u64,
     /// Every sequence number at or below this is known stable (learned
@@ -313,6 +327,7 @@ where
         );
         let group_peers = group.iter().copied().filter(|&p| p != me).collect();
         let last_heard = vec![SimTime::ZERO; group.len()];
+        let reported_heads = vec![0; group.len()];
         let mut endpoint = GcsEndpoint {
             cfg,
             me,
@@ -336,6 +351,8 @@ where
             seq_assign: None,
             ordered_ids: IdTable::default(),
             log: SeqLog::new(),
+            reported_heads,
+            trim_at: 0,
             next_deliver: 1,
             stable_floor: 0,
             stable_mark: 0,
@@ -361,6 +378,7 @@ where
             _state: PhantomData,
         };
         endpoint.set_view(View::initial(endpoint.group.clone()));
+        endpoint.forget_reported_heads();
         endpoint
     }
 
@@ -457,12 +475,6 @@ where
         self.stats
     }
 
-    /// Number of messages in the frame that carried `seq` (1 when it
-    /// arrived on the unbatched path or via catch-up/retransmit).
-    pub fn frame_span(&self, seq: u64) -> u32 {
-        self.log.get(seq).map_or(1, |slot| slot.frame_span.max(1))
-    }
-
     /// Batch-size histogram of the frames this endpoint flushed as
     /// sequencer: size → count.
     pub fn batch_histogram(&self) -> &BTreeMap<u32, u64> {
@@ -480,19 +492,17 @@ where
         self.next_deliver
     }
 
-    /// Debug: the delivery head's state `(next_deliver, have_entry,
-    /// persisted, stable)` (inspection helper for scenario forensics).
-    pub fn head_state(&self) -> (u64, bool, bool, bool, usize, u64, u64) {
-        let head = self.log.get(self.next_deliver);
-        (
-            self.next_deliver,
-            self.holds_entry(self.next_deliver),
-            head.is_some_and(|slot| slot.persisted),
-            self.is_stable(self.next_deliver),
-            head.map_or(0, |slot| slot.vote_count() as usize),
-            self.max_seq_seen,
-            self.stable_floor,
-        )
+    /// The log's release boundary: every sequence number below it has
+    /// been delivered by every member of the static group and is freed
+    /// (inspection/test helper).
+    pub fn log_floor(&self) -> u64 {
+        self.log.floor()
+    }
+
+    /// Sequence-number slots the log still stores (inspection/test
+    /// helper).
+    pub fn log_held(&self) -> usize {
+        self.log.held()
     }
 
     /// Entries this endpoint knows exist but has not delivered yet (the
@@ -608,11 +618,22 @@ where
             Wire::OrderedBatch { view, ref entries } => {
                 self.on_ordered_batch(ctx, view, entries, out)
             }
-            Wire::Ack { seq, era } => {
+            Wire::Ack {
+                seq,
+                era,
+                delivered,
+            } => {
+                self.note_head(rank, delivered);
                 self.record_ack(from, seq, era);
                 self.try_deliver(ctx, out);
             }
-            Wire::AckRange { lo, hi, era } => {
+            Wire::AckRange {
+                lo,
+                hi,
+                era,
+                delivered,
+            } => {
+                self.note_head(rank, delivered);
                 for seq in lo..=hi {
                     self.record_ack(from, seq, era);
                 }
@@ -1165,8 +1186,17 @@ where
         let era = self.entry_era(seq);
         self.record_ack(self.me, seq, era);
         self.stats.acks_sent += 1;
-        self.net
-            .multicast(ctx, self.me, &self.peers, Wire::<P, S>::Ack { seq, era });
+        let delivered = self.delivered_head();
+        self.net.multicast(
+            ctx,
+            self.me,
+            &self.peers,
+            Wire::<P, S>::Ack {
+                seq,
+                era,
+                delivered,
+            },
+        );
     }
 
     /// One aggregated stability vote covering `lo..=hi` (batched
@@ -1179,11 +1209,17 @@ where
             self.record_ack(self.me, seq, era);
         }
         self.stats.acks_sent += 1;
+        let delivered = self.delivered_head();
         self.net.multicast_frame(
             ctx,
             self.me,
             &self.peers,
-            Wire::<P, S>::AckRange { lo, hi, era },
+            Wire::<P, S>::AckRange {
+                lo,
+                hi,
+                era,
+                delivered,
+            },
             hi - lo + 1,
         );
     }
@@ -1215,15 +1251,6 @@ where
     /// it as soon as the install raises the floor).
     pub fn stable_watermark(&self) -> u64 {
         self.stable_mark.max(self.stable_floor)
-    }
-
-    fn is_stable(&self, seq: u64) -> bool {
-        if seq <= self.stable_floor {
-            return true;
-        }
-        self.log
-            .get(seq)
-            .is_some_and(|slot| slot.is_stable(self.quorum))
     }
 
     fn try_deliver<M: GcsMessage<P, S>>(
@@ -1303,6 +1330,9 @@ where
             }
         }
         self.next_deliver = self.next_deliver.max(seq + 1);
+        if self.next_deliver >= self.trim_at {
+            self.trim_log();
+        }
         if already_done {
             return;
         }
@@ -1319,8 +1349,74 @@ where
             seq,
             id: head.id,
             payload: head.payload,
+            span: head.span,
             redelivery,
         });
+    }
+
+    /// This endpoint's delivery head: the highest sequence number it has
+    /// delivered (or skipped as delivered before).
+    fn delivered_head(&self) -> u64 {
+        self.next_deliver.saturating_sub(1)
+    }
+
+    /// Keep the highest delivery head the member of rank `rank` has
+    /// reported.
+    fn note_head(&mut self, rank: Option<usize>, delivered: u64) {
+        if let Some(head) = rank.and_then(|rank| self.reported_heads.get_mut(rank)) {
+            *head = (*head).max(delivered);
+        }
+    }
+
+    /// Forget every peer's reported delivery head (construction, crash).
+    fn forget_reported_heads(&mut self) {
+        self.reported_heads.fill(0);
+        if let Some(own) = self
+            .rank(self.me)
+            .and_then(|rank| self.reported_heads.get_mut(rank))
+        {
+            *own = u64::MAX;
+        }
+    }
+
+    /// View-based model: release the log below `T + 1`, where `T` is the
+    /// highest sequence number that every member of the static group has
+    /// reported delivered, capped by this endpoint's own delivery head
+    /// and by the stable watermark. Nothing at or below `T` is read
+    /// again: delivery reads from the head up, the stable mark walks up
+    /// from the watermark, and every entry this endpoint serves — a
+    /// catch-up, a view-change fetch or flush, a state-transfer tail —
+    /// starts above some member's delivered head or above the donor's
+    /// applied point, all of which are at or above `T` (the serving
+    /// paths assert it). A member that is down or excluded keeps its
+    /// last report, so retention freezes there until it is back. Runs
+    /// once per [`TRIM_EVERY`] deliveries. The crash-recovery model
+    /// keeps its whole log: its recovery walks it from the start.
+    fn trim_log(&mut self) {
+        self.trim_at = self.next_deliver + TRIM_EVERY;
+        if self.cfg.model != GcsModel::ViewBased {
+            return;
+        }
+        let all_delivered = self
+            .reported_heads
+            .iter()
+            .copied()
+            .min()
+            .unwrap_or(0)
+            .min(self.delivered_head())
+            .min(self.stable_watermark());
+        self.log.release_below(all_delivered + 1);
+    }
+
+    /// Debug-build tripwire on every path that serves entries from the
+    /// log: a start below the release boundary would silently ship a
+    /// shorter message.
+    fn assert_retained(&self, from: u64) {
+        debug_assert!(
+            from >= self.log.floor(),
+            "serving entries from {from}, below the release boundary {}",
+            self.log.floor()
+        );
     }
 
     /// Deliver everything up to `watermark` unconditionally (view-change
@@ -1336,7 +1432,15 @@ where
             if let Some(head) = self.log.get(seq).and_then(Deliverable::of) {
                 self.deliver_one(ctx, seq, head, false, out);
             } else {
-                debug_assert!(false, "flush gap at seq {seq} (missing retransmit)");
+                // Below the release boundary the entry was handed up by
+                // this incarnation already (a demoted member's transfer
+                // tail starts at the donor's applied point, which a host
+                // that applies after delivery can hold below it);
+                // anywhere else it is a hole.
+                debug_assert!(
+                    seq < self.log.floor(),
+                    "flush gap at seq {seq} (missing retransmit)"
+                );
                 self.next_deliver += 1;
             }
         }
@@ -1995,6 +2099,7 @@ where
     /// The entries held in `lo..=hi`, ascending (retransmission and
     /// state-transfer tails).
     fn entries_between(&self, lo: u64, hi: u64) -> Vec<Entry<P>> {
+        self.assert_retained(lo);
         self.log
             .entries_from(lo)
             .take_while(|e| e.seq <= hi)
@@ -2024,6 +2129,7 @@ where
             );
             return;
         }
+        self.assert_retained(have_up_to + 1);
         let entries: Vec<Entry<P>> = self.log.entries_from(have_up_to + 1).cloned().collect();
         // A peer recovering at the same time is a fresh source: if this
         // endpoint is itself waiting to resume sequencing, re-request a
@@ -2060,6 +2166,7 @@ where
         // otherwise never reach majority at the requester, stalling its
         // delivery cursor forever.
         let persisted = self.persisted_from(stable_up_to + 1);
+        let delivered = self.delivered_head();
         if self.cfg.batch.enabled() {
             // Compress into contiguous runs: one aggregated vote per run
             // (split further wherever the era changes inside a run).
@@ -2079,6 +2186,7 @@ where
                             lo: start,
                             hi: end,
                             era,
+                            delivered,
                         },
                         end - start + 1,
                     );
@@ -2088,8 +2196,16 @@ where
         } else {
             for seq in persisted {
                 let era = self.entry_era(seq);
-                self.net
-                    .send(ctx, self.me, from, Wire::<P, S>::Ack { seq, era });
+                self.net.send(
+                    ctx,
+                    self.me,
+                    from,
+                    Wire::<P, S>::Ack {
+                        seq,
+                        era,
+                        delivered,
+                    },
+                );
             }
         }
     }
@@ -2102,6 +2218,7 @@ where
         have_up_to: u64,
         epoch: u64,
     ) {
+        self.assert_retained(have_up_to + 1);
         let entries: Vec<Entry<P>> = self.log.entries_from(have_up_to + 1).cloned().collect();
         self.net.send(
             ctx,
@@ -2125,6 +2242,8 @@ where
         self.seq_assign = None;
         self.ordered_ids.clear();
         self.log.clear();
+        self.forget_reported_heads();
+        self.trim_at = 0;
         self.next_deliver = 1;
         self.stable_floor = 0;
         self.stable_mark = 0;
@@ -2310,11 +2429,6 @@ where
     /// Entries currently in the stable log (inspection/test helper).
     pub fn stable_log_seqs(&self) -> Vec<u64> {
         self.stable.keys().copied().collect()
-    }
-
-    /// Whether the stable-log entry at `seq` carries the application ack.
-    pub fn stable_entry_acked(&self, seq: u64) -> Option<bool> {
-        self.stable.get(&seq).map(|e| e.acked)
     }
 }
 

@@ -74,6 +74,12 @@ pub enum Wire<P, S> {
         /// votes for a superseded incarnation of the seq must not count
         /// toward its replacement's stability.
         era: u64,
+        /// The sender's delivery head when it voted: every sequence
+        /// number at or below it is delivered at the sender. A receiver
+        /// keeps the highest head each member reported, and the
+        /// view-based endpoint frees the log below the lowest of them
+        /// (the group has delivered it, so no member asks for it again).
+        delivered: u64,
     },
     /// All → all: aggregated stability vote — one message covering every
     /// sequence number in `lo..=hi` (batched pipeline; equivalent to
@@ -85,6 +91,8 @@ pub enum Wire<P, S> {
         hi: u64,
         /// Era of the acknowledged frame (all its entries share it).
         era: u64,
+        /// The sender's delivery head, as in [`Wire::Ack`].
+        delivered: u64,
     },
     /// Failure-detector heartbeat.
     Heartbeat,

@@ -27,6 +27,10 @@ pub enum GcsOutput<P, S> {
         id: MsgId,
         /// The payload.
         payload: P,
+        /// Messages in the batch frame that carried it (1 when it came
+        /// on the unbatched path, or by catch-up or retransmission): the
+        /// host spreads per-frame costs over them.
+        span: u32,
         /// True if this is a redelivery after recovery (end-to-end mode).
         redelivery: bool,
     },
@@ -76,6 +80,7 @@ mod tests {
                 counter: 1,
             },
             payload: 9,
+            span: 1,
             redelivery: false,
         };
         assert_eq!(a.clone(), a);

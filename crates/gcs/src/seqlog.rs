@@ -13,12 +13,20 @@
 //!
 //! Invariants:
 //!
-//! * `base` is the lowest sequence number ever touched since the last
+//! * `base` is the lowest sequence number touched since the last
 //!   [`SeqLog::clear`]; the window is anchored by the first touch and
-//!   grows in either direction, so nothing the endpoint records is ever
-//!   dropped — retention is the endpoint's decision (it clears the log
-//!   on crash and on group restart, and forgets entries and votes on a
-//!   state-transfer install).
+//!   grows in either direction until the first release. Retention is
+//!   the endpoint's decision: it clears the log on crash and on group
+//!   restart, forgets entries and votes on a state-transfer install,
+//!   and releases the front it will never read again.
+//! * [`SeqLog::release_below`] raises `floor`, and every sequence number
+//!   below `floor` is released for good (until the next clear): reading
+//!   it answers `None`, touching it is refused and allocates nothing,
+//!   and iteration starts at `floor`. The whole blocks below it are
+//!   freed; the rest of the block `floor` falls in stays allocated but
+//!   unreadable. A release never moves a slot, so the window cannot grow
+//!   downward past `floor` (that would compact indices across the freed
+//!   blocks).
 //! * A slot's votes count only for the era of the entry it holds
 //!   ([`Slot::is_stable`] compares the two); a slot without an entry is
 //!   era 0.
@@ -94,11 +102,6 @@ impl<P> Slot<P> {
         self.vote_era == self.era() && (self.votes & quorum.mask).count_ones() >= quorum.majority
     }
 
-    /// Group members that voted for the slot's current vote era.
-    pub fn vote_count(&self) -> u32 {
-        self.votes.count_ones()
-    }
-
     /// Drop everything attached to the incarnation held — the entry, its
     /// votes and its local persistence — ahead of a higher-era
     /// assignment of the same sequence number.
@@ -114,6 +117,8 @@ impl<P> Slot<P> {
 pub(crate) struct SeqLog<P> {
     /// Sequence number of `slots[0]` (meaningless while empty).
     base: u64,
+    /// Every sequence number below this is released (0: none is).
+    floor: u64,
     slots: BlockVec<Slot<P>>,
 }
 
@@ -121,12 +126,21 @@ impl<P> SeqLog<P> {
     pub fn new() -> Self {
         SeqLog {
             base: 0,
+            floor: 0,
             slots: BlockVec::new(),
         }
     }
 
     fn index(&self, seq: u64) -> Option<usize> {
+        if seq < self.floor {
+            return None;
+        }
         usize::try_from(seq.checked_sub(self.base)?).ok()
+    }
+
+    /// The release boundary: every sequence number below it is released.
+    pub fn floor(&self) -> u64 {
+        self.floor
     }
 
     /// The slot of `seq`, if anything was ever recorded at or around it.
@@ -143,9 +157,13 @@ impl<P> SeqLog<P> {
     /// The slot of `seq`, growing the window to cover it: the first
     /// touch after a clear anchors the window, later ones extend it up
     /// (the common case: the next sequence number) or down (a vote or
-    /// frame older than the anchor). `None` only if the distance does
-    /// not fit the address space.
+    /// frame older than the anchor, before any release). `None` below
+    /// the release boundary, or if the distance does not fit the
+    /// address space.
     pub fn slot_mut(&mut self, seq: u64) -> Option<&mut Slot<P>> {
+        if seq < self.floor {
+            return None;
+        }
         if self.slots.is_empty() {
             self.base = seq;
         } else if seq < self.base {
@@ -162,10 +180,10 @@ impl<P> SeqLog<P> {
         self.slots.get_mut(i)
     }
 
-    /// Every slot at or above `from`, ascending, with its sequence
-    /// number.
+    /// Every slot at or above `from` (and the release boundary),
+    /// ascending, with its sequence number.
     pub fn range(&self, from: u64) -> impl Iterator<Item = (u64, &Slot<P>)> {
-        let from = from.max(self.base);
+        let from = from.max(self.base).max(self.floor);
         let skip = usize::try_from(from - self.base).unwrap_or(usize::MAX);
         (from..).zip(self.slots.iter_from(skip))
     }
@@ -185,11 +203,30 @@ impl<P> SeqLog<P> {
         s
     }
 
+    /// Release every sequence number below `seq` (capped at the end of
+    /// the window): free the whole blocks below it, and refuse every
+    /// later read or touch there. The boundary only rises.
+    pub fn release_below(&mut self, seq: u64) {
+        let end = seq.min(self.base.saturating_add(self.slots.len() as u64));
+        if end <= self.floor.max(self.base) {
+            return;
+        }
+        self.floor = end;
+        self.slots.release_below((end - self.base) as usize);
+    }
+
+    /// Slots still stored: those of the window minus the released
+    /// blocks.
+    pub fn held(&self) -> usize {
+        self.slots.held()
+    }
+
     /// Forget everything (crash, group restart). The next touch anchors
     /// a fresh window wherever it lands, so restarting far above the old
     /// window allocates nothing for the distance.
     pub fn clear(&mut self) {
         self.slots.clear();
+        self.floor = 0;
     }
 
     /// Forget every entry and every vote but keep the per-seq flags
@@ -249,7 +286,8 @@ mod tests {
     }
 
     /// The per-sequence-number B-tree collections the log replaced, with
-    /// the bookkeeping the endpoint did on them.
+    /// the bookkeeping the endpoint did on them, and the release
+    /// boundary below which nothing is kept or accepted.
     #[derive(Default)]
     struct Model {
         ordered: BTreeMap<u64, Entry<u32>>,
@@ -257,9 +295,20 @@ mod tests {
         persisted: BTreeSet<u64>,
         emitted: BTreeSet<u64>,
         frame_spans: BTreeMap<u64, u32>,
+        floor: u64,
     }
 
     impl Model {
+        /// Drop everything below `end` and refuse it from now on.
+        fn release_below(&mut self, end: u64) {
+            self.floor = end;
+            self.ordered = self.ordered.split_off(&end);
+            self.acks = self.acks.split_off(&end);
+            self.persisted = self.persisted.split_off(&end);
+            self.emitted = self.emitted.split_off(&end);
+            self.frame_spans = self.frame_spans.split_off(&end);
+        }
+
         fn era(&self, seq: u64) -> u64 {
             self.ordered.get(&seq).map_or(0, |e| e.era)
         }
@@ -309,7 +358,9 @@ mod tests {
 
     /// What the endpoint does on the log for the same operations.
     fn log_insert(log: &mut SeqLog<u32>, e: Entry<u32>) {
-        let slot = log.slot_mut(e.seq).expect("in range");
+        let Some(slot) = log.slot_mut(e.seq) else {
+            return; // released
+        };
         if let Some(old) = &slot.entry {
             if e.era <= old.era {
                 return;
@@ -347,7 +398,7 @@ mod tests {
                 votes.iter().filter(|v| GROUP.contains(v)).count()
             });
             assert_eq!(
-                slot.map_or(0, |s| s.vote_count()) as usize,
+                slot.map_or(0, |s| s.votes.count_ones()) as usize,
                 member_votes,
                 "vote count at {seq}"
             );
@@ -383,15 +434,16 @@ mod tests {
         /// Random insert / supersede-by-higher-era / vote (before its
         /// entry, stale era, from a non-member) / persist / emit / frame
         /// span operations over out-of-order and gapped sequence
-        /// numbers, with clears that re-anchor the window far away and
-        /// state-transfer forgets: the log answers every question the
-        /// B-tree model answers, identically, and never allocates more
-        /// slots than the span of sequence numbers touched since the
+        /// numbers, with releases of the front, clears that re-anchor the
+        /// window far away and state-transfer forgets: the log answers
+        /// every question the B-tree model answers, identically, refuses
+        /// every touch below the release boundary, and never allocates
+        /// more slots than the span of sequence numbers touched since the
         /// last clear.
         #[test]
         fn log_matches_the_btree_model(
             ops in proptest::collection::vec(
-                (0u32..16, 1u64..25, 8u32..19, 0u64..3, 0u32..1000),
+                (0u32..18, 1u64..25, 8u32..19, 0u64..3, 0u32..1000),
                 1..120,
             )
         ) {
@@ -401,20 +453,25 @@ mod tests {
             let mut touched: Option<(u64, u64)> = None;
             for (kind, seq, who, era, extra) in ops {
                 let seq = seq + offset;
-                let mut touch = |s: u64| {
-                    touched = Some(touched.map_or((s, s), |(lo, hi)| (lo.min(s), hi.max(s))));
-                };
+                let accepted = seq >= model.floor;
+                if accepted && matches!(kind, 0..=9 | 12) {
+                    touched = Some(touched.map_or((seq, seq), |(lo, hi)| (lo.min(seq), hi.max(seq))));
+                }
                 match kind {
                     0..=3 => {
-                        touch(seq);
                         log_insert(&mut log, entry(seq, era, extra));
-                        model.insert(entry(seq, era, extra));
+                        if accepted {
+                            model.insert(entry(seq, era, extra));
+                        }
                     }
-                    4..=9 => {
-                        touch(seq);
-                        log.slot_mut(seq).expect("in range").vote(rank_bit(who), era);
-                        model.vote(who, seq, era);
-                    }
+                    4..=9 => match log.slot_mut(seq) {
+                        Some(slot) => {
+                            prop_assert!(accepted, "touched {seq} below the boundary");
+                            slot.vote(rank_bit(who), era);
+                            model.vote(who, seq, era);
+                        }
+                        None => prop_assert!(!accepted, "refused {seq} above the boundary"),
+                    },
                     10 => {
                         if let Some(slot) = log.get_mut(seq).filter(|s| s.entry.is_some()) {
                             slot.persisted = true;
@@ -428,9 +485,10 @@ mod tests {
                         }
                     }
                     12 => {
-                        touch(seq);
-                        log.slot_mut(seq).expect("in range").frame_span = extra + 1;
-                        model.frame_spans.insert(seq, extra + 1);
+                        if let Some(slot) = log.slot_mut(seq) {
+                            slot.frame_span = extra + 1;
+                            model.frame_spans.insert(seq, extra + 1);
+                        }
                     }
                     13 => {
                         // State-transfer install: entries and votes go,
@@ -438,6 +496,18 @@ mod tests {
                         log.forget_entries();
                         model.ordered.clear();
                         model.acks.clear();
+                    }
+                    14 | 15 => {
+                        // Release below a point, or below the whole
+                        // window (which stops at its end).
+                        let below = if kind == 14 { seq } else { u64::MAX };
+                        log.release_below(below);
+                        if let Some((lo, hi)) = touched {
+                            let end = below.min(hi + 1);
+                            if end > model.floor.max(lo) {
+                                model.release_below(end);
+                            }
+                        }
                     }
                     _ => {
                         // Crash or group restart, resuming far away.
@@ -449,6 +519,8 @@ mod tests {
                 }
                 let (lo, hi) = touched.unwrap_or((seq, seq));
                 prop_assert!(log.allocated() as u64 <= hi - lo + 1, "window wider than touched span");
+                prop_assert!(log.held() <= log.allocated());
+                prop_assert_eq!(log.floor(), model.floor);
                 assert_same(&log, &model, lo.min(seq), hi.max(seq));
             }
         }
@@ -462,9 +534,56 @@ mod tests {
         slot.vote(rank_bit(11), 0);
         assert!(slot.is_stable(q));
         slot.vote(rank_bit(99), 1); // an outsider, newer era
-        assert_eq!(slot.vote_count(), 0);
+        assert_eq!(slot.votes, 0);
         assert!(!slot.is_stable(q));
         slot.vote(rank_bit(11), 0); // stale now
-        assert_eq!(slot.vote_count(), 0);
+        assert_eq!(slot.votes, 0);
+    }
+
+    #[test]
+    fn below_the_release_boundary_nothing_reads_and_nothing_allocates() {
+        let block = BlockVec::<Slot<u32>>::BLOCK_LEN as u64;
+        let base = 7;
+        let mut log: SeqLog<u32> = SeqLog::new();
+        for seq in base..base + 3 * block {
+            log_insert(&mut log, entry(seq, 0, seq as u32));
+        }
+        let floor = base + 2 * block + 5;
+        log.release_below(floor);
+        assert_eq!(log.floor(), floor);
+        assert_eq!(
+            log.held() as u64,
+            block,
+            "the two whole blocks below the boundary are freed, the one it falls in is kept"
+        );
+        let stored = (log.allocated(), log.held());
+        for seq in [0, 1, base - 1, base, base + block, floor - 1] {
+            assert!(log.get(seq).is_none(), "get({seq})");
+            assert!(log.get_mut(seq).is_none(), "get_mut({seq})");
+            assert!(log.slot_mut(seq).is_none(), "slot_mut({seq})");
+            assert_eq!(
+                (log.allocated(), log.held()),
+                stored,
+                "touching {seq} regrew the log"
+            );
+        }
+        assert_eq!(log.entries_from(0).next().map(|e| e.seq), Some(floor));
+        assert_eq!(log.range(base).next().map(|(seq, _)| seq), Some(floor));
+        assert!(log.get(floor).is_some() && log.slot_mut(floor).is_some());
+        // A lower release changes nothing; one past the window stops at
+        // its end and still keeps the last block.
+        log.release_below(base + block);
+        assert_eq!(log.floor(), floor);
+        log.release_below(u64::MAX);
+        assert_eq!(log.floor(), base + 3 * block);
+        assert_eq!(log.held() as u64, block);
+        assert!(
+            log.slot_mut(base + 3 * block).is_some(),
+            "the next seq grows the window"
+        );
+        // A clear lifts the boundary with everything else.
+        log.clear();
+        assert_eq!(log.floor(), 0);
+        assert!(log.slot_mut(1).is_some());
     }
 }

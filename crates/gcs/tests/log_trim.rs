@@ -1,0 +1,174 @@
+//! The view-based endpoint's sequence log is bounded by delivery, not by
+//! history: every endpoint frees the log below the highest sequence
+//! number all members of the static group have delivered. While a
+//! member is down, its last reported delivery head holds that point
+//! back; once it has rejoined, trimming resumes.
+
+use groupsafe_gcs::harness::Cluster;
+use groupsafe_gcs::{BatchConfig, GcsConfig, ProcessClass};
+use groupsafe_net::NodeId;
+use groupsafe_sim::{BlockVec, SimDuration, SimTime};
+
+const N: u32 = 5;
+/// The unit the log frees.
+const BLOCK: u64 = BlockVec::<()>::BLOCK_LEN as u64;
+/// Broadcasts per phase: before the crash, while a member is down, and
+/// after it rejoined.
+const PER_PHASE: u64 = 2_000;
+/// One broadcast per millisecond, from rotating origins.
+const STEP_US: u64 = 1_000;
+
+/// Broadcast `count` values from rotating origins among the first
+/// `origins` nodes, one per millisecond from `from`, valued from `value`.
+fn broadcast(cluster: &mut Cluster, from: SimTime, count: u64, origins: u32, value: u64) {
+    for i in 0..count {
+        let at = from + SimDuration::from_micros(i * STEP_US);
+        let node = NodeId((i % u64::from(origins)) as u32);
+        cluster.broadcast_at(at, node, value + i);
+    }
+}
+
+/// The group's spread: highest sequence number seen anywhere minus the
+/// lowest delivery head among `members`.
+fn in_flight(cluster: &Cluster, members: &[u32]) -> u64 {
+    let heads = members
+        .iter()
+        .map(|&i| cluster.endpoint(NodeId(i)).next_deliver() - 1);
+    let seen = members.iter().map(|&i| {
+        let ep = cluster.endpoint(NodeId(i));
+        ep.next_deliver() - 1 + ep.backlog()
+    });
+    seen.max().unwrap_or(0) - heads.min().unwrap_or(0)
+}
+
+/// Step the run to `until` in 20 ms strides and check, at every stride,
+/// that each of `members` holds at most two blocks plus twice the
+/// largest spread seen so far (the spread when it last trimmed, and
+/// now). Returns that largest spread.
+fn run_bounded(cluster: &mut Cluster, until: SimTime, members: &[u32], mut spread: u64) -> u64 {
+    let stride = SimDuration::from_millis(20);
+    while cluster.engine.now() < until {
+        let next = (cluster.engine.now() + stride).min(until);
+        cluster.engine.run_until(next);
+        spread = spread.max(in_flight(cluster, members));
+        for &i in members {
+            let held = cluster.endpoint(NodeId(i)).log_held() as u64;
+            assert!(
+                held <= 2 * BLOCK + 2 * spread,
+                "node {i} holds {held} slots at {:?} (spread {spread})",
+                cluster.engine.now()
+            );
+        }
+    }
+    spread
+}
+
+fn trims_below_what_every_member_delivered(cfg: GcsConfig, seed: u64) {
+    let mut cluster = Cluster::new(N, cfg, seed);
+    let all: Vec<u32> = (0..N).collect();
+    let survivors: Vec<u32> = (0..N - 1).collect();
+    let down = NodeId(N - 1);
+    let ms = SimTime::from_millis;
+
+    // Phase 1: the whole group; the log stays bounded everywhere.
+    broadcast(&mut cluster, ms(10), PER_PHASE, N, 0);
+    let crash_at = ms(10) + SimDuration::from_micros(PER_PHASE * STEP_US + 50_000);
+    let spread = run_bounded(&mut cluster, crash_at, &all, 0);
+    for &i in &all {
+        let ep = cluster.endpoint(NodeId(i));
+        assert_eq!(ep.next_deliver(), PER_PHASE + 1, "node {i} drained");
+        assert!(
+            ep.log_floor() > PER_PHASE - 2 * BLOCK,
+            "node {i} trimmed only below {}",
+            ep.log_floor()
+        );
+    }
+
+    // Phase 2: one member down. Nobody frees what it has not reported
+    // delivered, so every survivor keeps everything since.
+    let last_head = cluster.endpoint(down).next_deliver() - 1;
+    cluster
+        .engine
+        .schedule_crash(crash_at, cluster.hosts[down.index()]);
+    let from = crash_at + SimDuration::from_millis(200);
+    broadcast(&mut cluster, from, PER_PHASE, N - 1, 10_000);
+    let midway = from + SimDuration::from_micros(PER_PHASE * STEP_US / 2);
+    cluster.engine.run_until(midway);
+    let floors: Vec<u64> = survivors
+        .iter()
+        .map(|&i| cluster.endpoint(NodeId(i)).log_floor())
+        .collect();
+    let recover_at = from + SimDuration::from_micros(PER_PHASE * STEP_US + 50_000);
+    cluster.engine.run_until(recover_at);
+    for (&i, &floor) in survivors.iter().zip(&floors) {
+        let ep = cluster.endpoint(NodeId(i));
+        assert_eq!(ep.next_deliver(), 2 * PER_PHASE + 1, "node {i} drained");
+        assert!(
+            floor <= last_head + 1,
+            "node {i} freed what the down member lacks"
+        );
+        assert_eq!(ep.log_floor(), floor, "node {i}'s retention did not freeze");
+        assert!(
+            ep.log_held() as u64 >= PER_PHASE,
+            "node {i} freed entries delivered while a member was down"
+        );
+    }
+
+    // Phase 3: the member rejoins by state transfer and reports its
+    // head again; trimming resumes everywhere within the next trim
+    // period (a block of deliveries), and the bound holds again.
+    cluster
+        .engine
+        .schedule_recover(recover_at, cluster.hosts[down.index()]);
+    cluster
+        .engine
+        .run_until(recover_at + SimDuration::from_millis(300));
+    assert!(cluster.endpoint(down).is_joined(), "the member rejoined");
+    let from = cluster.engine.now();
+    broadcast(&mut cluster, from, PER_PHASE, N, 20_000);
+    cluster
+        .engine
+        .run_until(from + SimDuration::from_micros(2 * BLOCK * STEP_US));
+    let end = from + SimDuration::from_micros(PER_PHASE * STEP_US + 50_000);
+    run_bounded(&mut cluster, end, &all, spread);
+    for &i in &all {
+        let ep = cluster.endpoint(NodeId(i));
+        assert_eq!(ep.next_deliver(), 3 * PER_PHASE + 1, "node {i} drained");
+        assert!(
+            ep.log_floor() > 3 * PER_PHASE - 2 * BLOCK,
+            "node {i} did not resume trimming: floor {}",
+            ep.log_floor()
+        );
+    }
+
+    // Trimming changed nothing the group delivered: every replica,
+    // the rejoined one included, holds the same complete state, and the
+    // survivors' deliveries pass every checker (the crashed incarnation
+    // is red: its successor took the state by transfer instead).
+    let reference = cluster.stable_values(NodeId(0));
+    assert_eq!(reference.len() as u64, 3 * PER_PHASE);
+    for &i in &all {
+        assert_eq!(cluster.stable_values(NodeId(i)), reference, "replica {i}");
+    }
+    {
+        let mut obs = cluster.obs.borrow_mut();
+        for &i in &survivors {
+            obs.classes.insert(NodeId(i), ProcessClass::Green);
+        }
+        obs.classes.insert(down, ProcessClass::Red);
+    }
+    let violations = cluster.obs.borrow().check_all(false);
+    assert!(violations.is_empty(), "{violations:?}");
+}
+
+#[test]
+fn the_log_frees_what_every_member_delivered() {
+    trims_below_what_every_member_delivered(GcsConfig::view_based_uniform(), 31);
+}
+
+#[test]
+fn the_batched_log_frees_what_every_member_delivered() {
+    let cfg = GcsConfig::view_based_uniform()
+        .with_batching(BatchConfig::of(8, SimDuration::from_micros(500)));
+    trims_below_what_every_member_delivered(cfg, 37);
+}

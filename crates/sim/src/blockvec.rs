@@ -61,6 +61,11 @@ impl<T> BlockVec<T> {
         self.len == 0
     }
 
+    /// Elements not released: what the sequence still stores.
+    pub fn held(&self) -> usize {
+        self.len - self.released * BLOCK
+    }
+
     /// The element at `index`, if there is one and it is not released.
     pub fn get(&self, index: usize) -> Option<&T> {
         self.blocks.get(index / BLOCK)?.get(index % BLOCK)
@@ -302,6 +307,7 @@ mod tests {
                 prop_assert!(v.blocks.iter().skip(v.released).all(|b| !b.is_empty()));
             }
             let held = &model[freed..];
+            prop_assert_eq!(v.held(), held.len());
             prop_assert!(v.iter().eq(held));
             prop_assert!((&v).into_iter().eq(held));
             prop_assert!(v.iter_from(from).eq(model.get(from.max(freed)..).unwrap_or(&[])));
