@@ -1298,7 +1298,7 @@ impl Run {
                         cross += 1;
                         xg.coordinator_group
                     } else if let Some(c) = oracle.commits.get(txn) {
-                        c.delegate.0 / spg
+                        c.delegate().0 / spg
                     } else {
                         continue; // read-only: no durable owner
                     };

@@ -330,8 +330,8 @@ pub fn audit_reads(
         std::collections::BTreeMap::new();
     for lt in lost {
         if let Some(c) = oracle.commits.get(lt.txn) {
-            for w in &c.writes {
-                lost_writes.insert((w.item, w.version), lt.txn);
+            for write in c.writes() {
+                lost_writes.insert(write, lt.txn);
             }
         }
     }

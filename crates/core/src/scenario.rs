@@ -1290,7 +1290,7 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
             .borrow()
             .commits
             .get(lt.txn)
-            .map(|c| c.delegate)
+            .map(|c| c.delegate())
         else {
             continue; // no commit record: check_no_loss never reports these
         };
@@ -1527,9 +1527,7 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
         let mut committed_versions: std::collections::BTreeSet<(groupsafe_db::ItemId, u64)> =
             std::collections::BTreeSet::new();
         for rec in oracle.commits.values() {
-            for w in &rec.writes {
-                committed_versions.insert((w.item, w.version));
-            }
+            committed_versions.extend(rec.writes());
         }
         type SiEntry = (u64, u64, TxnId);
         let mut by_item: std::collections::BTreeMap<(u32, groupsafe_db::ItemId), Vec<SiEntry>> =

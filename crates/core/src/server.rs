@@ -537,11 +537,6 @@ impl ReplicaServer {
         self.node
     }
 
-    /// True if the server is currently up.
-    pub fn is_up(&self) -> bool {
-        self.up
-    }
-
     /// The group communication endpoint, if the technique uses one.
     pub fn gcs(&self) -> Option<&GcsEndpoint<Rc<GroupMsg>, DbCheckpoint>> {
         self.gcs.as_ref()

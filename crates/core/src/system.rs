@@ -225,12 +225,6 @@ impl System {
         }
     }
 
-    /// Mean / p95 response time (ms) and sample count for this run.
-    pub fn response_stats(&mut self) -> (f64, f64, usize) {
-        let h = self.engine.metrics_mut().histogram_mut("response_ms");
-        (h.mean(), h.quantile(0.95), h.count())
-    }
-
     /// The technique's label (from the first server's config).
     pub fn technique(&self) -> Technique {
         self.server(0).technique()

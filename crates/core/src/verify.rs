@@ -11,15 +11,23 @@
 //! plus that client's own counter, dense by construction — or appended
 //! once in arrival order, and is stored by position accordingly:
 //!
-//! * [`Oracle::acked`] and [`Oracle::commits`] are [`TxnTable`]s: the
-//!   values in insertion order, found through a paged index addressed
-//!   by `(client, seq)`. The first insert wins, which is what every
-//!   replica reporting the same commit needs (one index probe each).
+//! * [`Oracle::acked`] is a [`TxnTable`]: the values in insertion order,
+//!   found through a paged index addressed by `(client, seq)`. The first
+//!   insert wins, which is what every replica reporting the same commit
+//!   needs (one index probe each).
+//! * [`Oracle::commits`] is a [`CommitLog`]: a 16-byte `CommitRecord`
+//!   per transaction in such a table, and its readset and write set as
+//!   `(item, version)` pairs back to back in two lockstep columns
+//!   (items, versions) — 12 bytes a pair, no allocation per commit. The
+//!   value a write stored is not kept: no audit reads it. Only the later
+//!   slices of a cross-group commit, which arrive after other commits
+//!   were appended, go to a small per-transaction overflow. Reading it
+//!   yields [`CommitView`]s.
 //! * [`Oracle::reads`] is a [`ReadLog`]: a fixed-size [`ReadRecord`]
 //!   per served read, and the `(item, version)` pairs each read observed
-//!   back to back in two lockstep arenas (items, versions). Iterating
-//!   it yields [`ReadView`]s — the record plus an `items()` walk over
-//!   its slice of the arenas.
+//!   back to back in two lockstep columns in the same way. Iterating it
+//!   yields [`ReadView`]s — the record plus an `items()` walk over its
+//!   slice of the columns.
 //! * [`Oracle::read_acks`] and [`Oracle::si_txns`] are [`BlockVec`]s of
 //!   records, in client-accept and delivery order.
 //!
@@ -35,15 +43,168 @@ use groupsafe_sim::{BlockVec, SimTime};
 
 use crate::reads::ReadLevel;
 
-/// A commit as recorded at the replica that processed it.
-#[derive(Debug, Clone)]
-pub struct CommitRecord {
+/// A commit as the [`CommitLog`] stores it: who executed it and where
+/// its pairs sit in the log's columns — `reads` readset pairs from
+/// `start`, then `writes` write pairs. 16 bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CommitRecord {
+    delegate: NodeId,
+    start: u32,
+    reads: u32,
+    writes: u32,
+}
+
+/// The server-side commit records, one per transaction (see the module
+/// docs): the first report of a transaction is kept, and the later
+/// slices of a cross-group commit merge their writes into it.
+#[derive(Debug, Default)]
+pub struct CommitLog {
+    records: TxnTable<CommitRecord>,
+    items: BlockVec<ItemId>,
+    versions: BlockVec<Version>,
+    /// Writes merged into a record after it was stored, by transaction,
+    /// in merge order.
+    merged: BTreeMap<TxnId, Vec<(ItemId, Version)>>,
+}
+
+impl CommitLog {
+    /// Store `txn`'s commit unless it has one: the first insert wins,
+    /// and a later one copies nothing. Returns true if `txn` was absent.
+    pub(crate) fn insert(
+        &mut self,
+        txn: TxnId,
+        delegate: NodeId,
+        readset: &[(ItemId, Version)],
+        writes: impl IntoIterator<Item = (ItemId, Version)>,
+    ) -> bool {
+        let (items, versions) = (&mut self.items, &mut self.versions);
+        self.records.insert_with(txn, || {
+            let start = items.len();
+            for (item, version) in readset.iter().copied().chain(writes) {
+                items.push(item);
+                versions.push(version);
+            }
+            assert!(
+                items.len() <= u32::MAX as usize,
+                "commit evidence column full"
+            );
+            CommitRecord {
+                delegate,
+                start: start as u32,
+                reads: readset.len() as u32,
+                writes: (items.len() - start - readset.len()) as u32,
+            }
+        })
+    }
+
+    /// Merge `writes` into `txn`'s write set, skipping every
+    /// `(item, version)` pair it holds already; a transaction without a
+    /// record gets one, executed by `delegate`, with an empty readset.
+    pub(crate) fn merge_writes(
+        &mut self,
+        txn: TxnId,
+        delegate: NodeId,
+        writes: impl IntoIterator<Item = (ItemId, Version)>,
+    ) {
+        // A fresh record is the columns' last, so it grows in place.
+        let fresh = self.insert(txn, delegate, &[], std::iter::empty());
+        for w in writes {
+            if self.get(txn).is_some_and(|c| c.writes().any(|e| e == w)) {
+                continue;
+            }
+            if fresh {
+                self.items.push(w.0);
+                self.versions.push(w.1);
+                if let Some(rec) = self.records.get_mut(txn) {
+                    rec.writes += 1;
+                }
+            } else {
+                self.merged.entry(txn).or_default().push(w);
+            }
+        }
+    }
+
+    /// `txn`'s commit, if it has one.
+    pub fn get(&self, txn: TxnId) -> Option<CommitView<'_>> {
+        Some(self.view(txn, self.records.get(txn)?))
+    }
+
+    /// True if `txn` has a commit.
+    pub fn contains(&self, txn: TxnId) -> bool {
+        self.records.contains(txn)
+    }
+
+    /// Number of transactions with a commit.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// True when no commit was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The commits in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = (TxnId, CommitView<'_>)> {
+        self.records
+            .iter()
+            .map(|(txn, record)| (txn, self.view(txn, record)))
+    }
+
+    /// The commits in ascending id order, without their ids.
+    pub fn values(&self) -> impl Iterator<Item = CommitView<'_>> {
+        self.iter().map(|(_, view)| view)
+    }
+
+    fn view<'a>(&'a self, txn: TxnId, record: &'a CommitRecord) -> CommitView<'a> {
+        let merged = self
+            .merged
+            .get(&txn)
+            .map_or(Default::default(), Vec::as_slice);
+        CommitView {
+            record,
+            log: self,
+            merged,
+        }
+    }
+}
+
+/// One commit as the audits see it, borrowed from the [`CommitLog`].
+#[derive(Clone, Copy)]
+pub struct CommitView<'a> {
+    record: &'a CommitRecord,
+    log: &'a CommitLog,
+    merged: &'a [(ItemId, Version)],
+}
+
+impl<'a> CommitView<'a> {
     /// The delegate that executed the transaction.
-    pub delegate: NodeId,
-    /// Items read with observed versions.
-    pub readset: Vec<(ItemId, Version)>,
-    /// Writes applied.
-    pub writes: Vec<WriteOp>,
+    pub fn delegate(&self) -> NodeId {
+        self.record.delegate
+    }
+
+    /// Items read, with the versions observed.
+    pub fn readset(&self) -> impl Iterator<Item = (ItemId, Version)> + 'a {
+        self.pairs(self.record.start, self.record.reads)
+    }
+
+    /// Items written, with the versions assigned: the first report's,
+    /// then those merged from later slices.
+    pub fn writes(&self) -> impl Iterator<Item = (ItemId, Version)> + 'a {
+        let start = self.record.start + self.record.reads;
+        let merged = self.merged.iter().copied();
+        self.pairs(start, self.record.writes).chain(merged)
+    }
+
+    fn pairs(&self, start: u32, len: u32) -> impl Iterator<Item = (ItemId, Version)> + 'a {
+        let log = self.log;
+        let items = log.items.iter_from(start as usize);
+        let versions = log.versions.iter_from(start as usize);
+        items
+            .zip(versions)
+            .take(len as usize)
+            .map(|(&item, &version)| (item, version))
+    }
 }
 
 /// An acknowledgement as observed by the client.
@@ -229,7 +390,7 @@ pub struct Oracle {
     pub acked: TxnTable<AckRecord>,
     /// Server-side commit records (first commit per transaction; the
     /// slices of a cross-group commit merged in).
-    pub commits: TxnTable<CommitRecord>,
+    pub commits: CommitLog,
     /// Cross-group commits and the groups they touched (the atomicity
     /// oracle audits all-or-nothing over these).
     pub xg: BTreeMap<TxnId, XgRecord>,
@@ -261,11 +422,8 @@ impl Oracle {
         readset: &[(ItemId, Version)],
         writes: &[WriteOp],
     ) {
-        self.commits.insert_with(txn, || CommitRecord {
-            delegate,
-            readset: readset.to_vec(),
-            writes: writes.to_vec(),
-        });
+        let pairs = writes.iter().map(|w| (w.item, w.version));
+        self.commits.insert(txn, delegate, readset, pairs);
     }
 
     /// Record one group's applied slice of a cross-group commit. Unlike
@@ -277,23 +435,8 @@ impl Oracle {
     /// versions as written by nobody). Replicas of one group report
     /// identical (item, version) pairs; the dedup keeps one of each.
     pub fn record_commit_slice(&mut self, txn: TxnId, coordinator: NodeId, writes: &[WriteOp]) {
-        self.commits.insert_with(txn, || CommitRecord {
-            delegate: coordinator,
-            readset: Vec::new(),
-            writes: Vec::new(),
-        });
-        let Some(rec) = self.commits.get_mut(txn) else {
-            return;
-        };
-        for &w in writes {
-            if !rec
-                .writes
-                .iter()
-                .any(|e| e.item == w.item && e.version == w.version)
-            {
-                rec.writes.push(w);
-            }
-        }
+        let pairs = writes.iter().map(|w| (w.item, w.version));
+        self.commits.merge_writes(txn, coordinator, pairs);
     }
 
     /// Record a cross-group commit's touched groups (idempotent).
@@ -436,10 +579,10 @@ pub fn check_lost_updates(oracle: &Oracle) -> Vec<LostUpdate> {
             .iter()
             .filter(|&(txn, _)| oracle.acked.contains(txn))
             .flat_map(|(txn, rec)| {
-                rec.writes.iter().filter_map(move |w| {
-                    let &(_, read) = rec.readset.iter().find(|(i, _)| *i == w.item)?;
+                rec.writes().filter_map(move |(item, _)| {
+                    let (_, read) = rec.readset().find(|&(i, _)| i == item)?;
                     Some(Candidate {
-                        item: w.item,
+                        item,
                         read,
                         client: txn.client,
                         seq: txn.seq,
@@ -562,11 +705,12 @@ mod tests {
         o.record_commit_slice(t(4), NodeId(5), &[w(1, 10)]);
         o.record_commit_slice(t(4), NodeId(5), &[w(9, 11)]);
         let rec = o.commits.get(t(4)).expect("recorded");
-        assert_eq!(rec.delegate, NodeId(2), "the first report names it");
-        assert_eq!(rec.writes, vec![w(1, 10), w(9, 11)]);
+        assert_eq!(rec.delegate(), NodeId(2), "the first report names it");
+        let writes: Vec<_> = rec.writes().collect();
+        assert_eq!(writes, vec![(ItemId(1), 10), (ItemId(9), 11)]);
         // A later single-group report of the same id changes nothing.
         o.record_commit(t(4), NodeId(0), &[(ItemId(1), 3)], &[]);
-        assert!(o.commits.get(t(4)).expect("kept").readset.is_empty());
+        assert_eq!(o.commits.get(t(4)).expect("kept").readset().count(), 0);
     }
 
     #[test]
@@ -574,6 +718,7 @@ mod tests {
         assert!(std::mem::size_of::<ReadRecord>() <= 64);
         assert!(std::mem::size_of::<ReadAckRecord>() <= 48);
         assert!(std::mem::size_of::<AckRecord>() <= 16);
+        assert!(std::mem::size_of::<CommitRecord>() <= 16);
     }
 
     fn read(seq: u64, snapshot_seq: u64) -> ReadRecord {
@@ -599,16 +744,12 @@ mod tests {
             if !oracle.acked.contains(txn) {
                 continue;
             }
-            for w in &rec.writes {
-                let read_v = rec
-                    .readset
-                    .iter()
-                    .find(|(i, _)| *i == w.item)
-                    .map(|(_, v)| *v);
+            for (item, version) in rec.writes() {
+                let read_v = rec.readset().find(|&(i, _)| i == item).map(|(_, v)| v);
                 by_item
-                    .entry(w.item)
+                    .entry(item)
                     .or_default()
-                    .push((txn, read_v, w.version));
+                    .push((txn, read_v, version));
             }
         }
         let mut out = Vec::new();
@@ -647,7 +788,88 @@ mod tests {
         )
     }
 
+    type Pairs = Vec<(ItemId, Version)>;
+
+    /// A commit record that owns its readset and write set.
+    type OwnedCommit = (NodeId, Pairs, Pairs);
+
+    /// The commit table the [`CommitLog`] replaces: a [`TxnTable`] of
+    /// records that own their pairs.
+    #[derive(Debug, Default)]
+    struct OwnedCommits(TxnTable<OwnedCommit>);
+
+    impl OwnedCommits {
+        fn record_commit(
+            &mut self,
+            txn: TxnId,
+            delegate: NodeId,
+            readset: &[(ItemId, Version)],
+            writes: &[WriteOp],
+        ) {
+            let writes = writes.iter().map(|w| (w.item, w.version)).collect();
+            self.0
+                .insert_with(txn, || (delegate, readset.to_vec(), writes));
+        }
+
+        fn record_commit_slice(&mut self, txn: TxnId, coordinator: NodeId, writes: &[WriteOp]) {
+            self.0
+                .insert_with(txn, || (coordinator, Vec::new(), Vec::new()));
+            let Some((_, _, merged)) = self.0.get_mut(txn) else {
+                return;
+            };
+            for w in writes {
+                if !merged.contains(&(w.item, w.version)) {
+                    merged.push((w.item, w.version));
+                }
+            }
+        }
+    }
+
+    fn owned(c: CommitView<'_>) -> OwnedCommit {
+        (c.delegate(), c.readset().collect(), c.writes().collect())
+    }
+
     proptest! {
+        /// Any interleaving of whole commits and cross-group slices —
+        /// repeated ids, repeated and overlapping slices, bodies longer
+        /// than a column block — leaves the commit log equal to the
+        /// table of owned records: the same lookups, length and
+        /// iteration order, the first report's delegate and readset, and
+        /// the merged write sets, deduplicated by `(item, version)`.
+        #[test]
+        fn commit_log_behaves_like_a_table_of_owned_records(
+            ops in proptest::collection::vec(
+                (any::<bool>(), 0u64..8, 0u32..4, prop_oneof![0usize..5, 500usize..700]),
+                1..40,
+            ),
+        ) {
+            let mut o = Oracle::default();
+            let mut model = OwnedCommits::default();
+            for (i, (slice, seq, node, len)) in ops.into_iter().enumerate() {
+                let txn = TxnId { client: (seq % 3) as u32, seq };
+                let writes: Vec<WriteOp> =
+                    (0..len).map(|k| w((k % 7) as u32 + node, (k % 3) as u64 + seq)).collect();
+                if slice {
+                    o.record_commit_slice(txn, NodeId(node), &writes);
+                    model.record_commit_slice(txn, NodeId(node), &writes);
+                } else {
+                    let readset: Vec<(ItemId, Version)> =
+                        (0..len % 4).map(|k| (ItemId(k as u32), i as u64)).collect();
+                    o.record_commit(txn, NodeId(node), &readset, &writes);
+                    model.record_commit(txn, NodeId(node), &readset, &writes);
+                }
+                prop_assert_eq!(o.commits.len(), model.0.len());
+                prop_assert_eq!(o.commits.is_empty(), model.0.is_empty());
+                for probe in (0..8).map(|seq| TxnId { client: (seq % 3) as u32, seq }) {
+                    prop_assert_eq!(o.commits.contains(probe), model.0.contains(probe));
+                    prop_assert_eq!(o.commits.get(probe).map(owned), model.0.get(probe).cloned());
+                }
+            }
+            let got: Vec<(TxnId, OwnedCommit)> = o.commits.iter().map(|(t, c)| (t, owned(c))).collect();
+            let want: Vec<(TxnId, OwnedCommit)> = model.0.iter().map(|(t, c)| (t, c.clone())).collect();
+            prop_assert_eq!(got, want);
+        }
+
         /// The sorting audit finds exactly the pairs the tree of
         /// vectors found, over blind writes, unacknowledged commits,
         /// cross-group slices and transactions writing an item twice.

@@ -205,7 +205,7 @@ impl Redo {
                 self.reservations.retain(|_, &mut (t, _)| t != rec.txn);
             }
             WalKind::Reserve { coordinator } => {
-                for &i in rec.items() {
+                for i in rec.items() {
                     self.reservations.insert(i, (rec.txn, coordinator));
                 }
             }
@@ -279,16 +279,6 @@ impl DbEngine {
         self.committed.contains(txn)
     }
 
-    /// Number of committed transactions.
-    pub fn committed_count(&self) -> usize {
-        self.committed.len()
-    }
-
-    /// The set of committed transaction ids.
-    pub fn committed_txns(&self) -> &TxnSet {
-        &self.committed
-    }
-
     /// The lock manager (2PL paths: local execution, lazy technique).
     pub fn locks(&mut self) -> &mut LockManager {
         &mut self.locks
@@ -328,11 +318,6 @@ impl DbEngine {
     /// arrived — commit or abort). Idempotent.
     pub fn release(&mut self, txn: TxnId) {
         self.reservations.retain(|_, &mut (t, _)| t != txn);
-    }
-
-    /// Number of items currently reserved (inspection/test helper).
-    pub fn reserved_count(&self) -> usize {
-        self.reservations.len()
     }
 
     /// True if `txn` currently reserves any item (cheap hot-path check;
@@ -569,7 +554,17 @@ impl DbEngine {
     /// the returned `done` includes the log flush (group commit); under
     /// [`FlushPolicy::Async`] the records wait for the next background
     /// flush and `done` only covers the in-memory apply.
+    ///
+    /// Every write of one commit must carry the same version — the
+    /// delivery sequence number, or the origin timestamp under lazy
+    /// replication: the log stores one version per record (debug-asserted).
     pub fn commit(&mut self, now: SimTime, txn: TxnId, writes: &[WriteOp]) -> CommitResult {
+        debug_assert!(
+            writes
+                .iter()
+                .all(|w| writes.first().is_some_and(|f| f.version == w.version)),
+            "the writes of one commit carry one version"
+        );
         if !self.committed.insert(txn) {
             self.stats.duplicate_commits += 1;
             return CommitResult {
@@ -817,11 +812,6 @@ impl DbEngine {
     /// Convenience for tests: acquire a lock.
     pub fn lock(&mut self, txn: TxnId, item: ItemId, mode: LockMode) -> LockOutcome {
         self.locks.acquire(txn, item, mode)
-    }
-
-    /// Convenience for tests: release a transaction's locks.
-    pub fn unlock_all(&mut self, txn: TxnId) -> Vec<(TxnId, ItemId)> {
-        self.locks.release_all(txn)
     }
 }
 

@@ -10,21 +10,32 @@
 //!
 //! The log is flat. A record is appended once and never edited, so its
 //! body needs no allocation of its own: the log is one sequence of
-//! fixed-size headers (transaction, kind, where the body starts and how
-//! long it is) and two arenas the bodies are copied into back to back —
-//! the [`WriteOp`]s of commit records and the reserved [`ItemId`]s of
-//! reserve records. Headers and arenas are [`BlockVec`]s, grown a block
-//! at a time. Because all three grow in LSN order, the records from
-//! some LSN on own a suffix of each arena, which is what [`Wal::crash`]
-//! cuts off, and the records below it own a prefix.
+//! 32-byte headers (transaction, kind, version and body length) and two
+//! columns the bodies are copied into back to back, in lockstep — the
+//! items ([`ItemId`]) and the values ([`Value`]) of the writes. A write
+//! is stored in 12 bytes, because its version is the record's: every
+//! write of one commit carries the same version (the delivery sequence
+//! number under the state machine, the origin timestamp under lazy
+//! replication), which [`DbEngine::commit`](crate::DbEngine::commit)
+//! requires and debug-asserts. A reserve record's items share the item column; their
+//! value cells are 0 and never read. Headers and columns are
+//! [`BlockVec`]s, grown a block at a time.
+//!
+//! A header does not say where its body starts: records and bodies grow
+//! in the same LSN order, so a body starts where the previous record's
+//! ends. Readers walk the headers from a cursor — the first record not
+//! yet taken and the column offset of its body (`body_taken`) — and sum
+//! the lengths. The records from some LSN on therefore own a suffix of
+//! the columns, which is what [`Wal::crash`] cuts off, and the records
+//! below it own a prefix.
 //!
 //! Redo is a fold kept as the log goes: [`Wal::take_durable`] hands
 //! each record over once, after it has become durable, as a
 //! [`WalRecord`] view borrowed from the log, and then frees the whole
-//! blocks of headers and bodies below the records taken. LSNs and arena
-//! offsets stay absolute. So the log holds its non-durable tail, the
-//! durable records not yet taken and at most a block of each sequence
-//! below them — not its history.
+//! blocks of headers and of both columns below the records taken. LSNs
+//! and column offsets stay absolute. So the log holds its non-durable
+//! tail, the durable records not yet taken and at most a block of each
+//! sequence below them — not its history.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -33,7 +44,7 @@ use rand::rngs::StdRng;
 
 use groupsafe_sim::{BlockVec, Disk, SimTime};
 
-use crate::types::{ItemId, TxnId, WriteOp};
+use crate::types::{ItemId, TxnId, Value, Version, WriteOp};
 
 /// Log sequence number: index of a record in the log (0-based).
 pub type Lsn = u64;
@@ -57,14 +68,15 @@ pub enum WalKind {
 }
 
 /// A record's header as stored: 32 bytes, whatever the body's length.
-/// `start` and `len` locate the body in the arena its kind uses (the
-/// write arena for commits, the item arena for reserves; a release has
-/// no body). The transaction id is stored as its two fields because a
-/// nested [`TxnId`] would carry four bytes of padding of its own.
+/// The body is the next `len` cells of the columns after the previous
+/// record's body (a release has none); `version` is the version of every
+/// write of a commit (0 for the other kinds). The transaction id is
+/// stored as its two fields because a nested [`TxnId`] would carry four
+/// bytes of padding of its own.
 #[derive(Debug, Clone, Copy)]
 struct Header {
     seq: u64,
-    start: u64,
+    version: Version,
     client: u32,
     len: u32,
     kind: WalKind,
@@ -77,6 +89,7 @@ pub struct WalRecord<'a> {
     pub txn: TxnId,
     /// What redo does with the record.
     pub kind: WalKind,
+    version: Version,
     wal: &'a Wal,
     start: usize,
     len: usize,
@@ -85,24 +98,34 @@ pub struct WalRecord<'a> {
 impl<'a> WalRecord<'a> {
     /// The writes to apply, with assigned versions (empty unless the
     /// record is a [`WalKind::Commit`]).
-    pub fn writes(&self) -> impl Iterator<Item = &'a WriteOp> {
+    pub fn writes(&self) -> impl Iterator<Item = WriteOp> + 'a {
         let len = if self.kind == WalKind::Commit {
             self.len
         } else {
             0
         };
-        self.wal.writes.iter_from(self.start).take(len)
+        let (wal, version) = (self.wal, self.version);
+        let items = wal.items.iter_from(self.start);
+        let values = wal.values.iter_from(self.start);
+        items
+            .zip(values)
+            .take(len)
+            .map(move |(&item, &value)| WriteOp {
+                item,
+                value,
+                version,
+            })
     }
 
     /// The items to reserve (empty unless the record is a
     /// [`WalKind::Reserve`]).
-    pub fn items(&self) -> impl Iterator<Item = &'a ItemId> {
+    pub fn items(&self) -> impl Iterator<Item = ItemId> + 'a {
         let len = if matches!(self.kind, WalKind::Reserve { .. }) {
             self.len
         } else {
             0
         };
-        self.wal.items.iter_from(self.start).take(len)
+        self.wal.items.iter_from(self.start).take(len).copied()
     }
 }
 
@@ -131,14 +154,16 @@ pub struct WalStats {
 /// laid out.
 pub struct Wal {
     records: BlockVec<Header>,
-    /// Bodies of the commit records, in LSN order.
-    writes: BlockVec<WriteOp>,
-    /// Bodies of the reserve records, in LSN order.
+    /// Items of every body, in LSN order (lockstep with `values`).
     items: BlockVec<ItemId>,
+    /// Values of every body, in LSN order (0 for a reserved item).
+    values: BlockVec<Value>,
     /// Records below this index are on disk.
     durable: usize,
     /// Records below this index were handed to redo (`≤ durable`).
     taken: usize,
+    /// Column offset where record `taken`'s body starts.
+    body_taken: usize,
     /// Records below this index are covered by an in-flight flush.
     flushing: usize,
     log_disk: Rc<RefCell<Disk>>,
@@ -150,10 +175,11 @@ impl Wal {
     pub fn new(log_disk: Rc<RefCell<Disk>>) -> Self {
         Wal {
             records: BlockVec::new(),
-            writes: BlockVec::new(),
             items: BlockVec::new(),
+            values: BlockVec::new(),
             durable: 0,
             taken: 0,
+            body_taken: 0,
             flushing: 0,
             log_disk,
             stats: WalStats::default(),
@@ -162,18 +188,23 @@ impl Wal {
 
     /// Append a commit record for `txn`, copying `writes` into the log
     /// (buffered, not yet durable). Returns its LSN.
+    ///
+    /// Every write must carry the same version, as
+    /// [`DbEngine::commit`](crate::DbEngine::commit) requires: the record
+    /// stores the first write's.
     pub fn append_commit(&mut self, txn: TxnId, writes: &[WriteOp]) -> Lsn {
-        let start = self.writes.len();
-        self.writes.extend(writes.iter().copied());
-        self.push(txn, WalKind::Commit, start, writes.len())
+        let version = writes.first().map_or(0, |w| w.version);
+        self.items.extend(writes.iter().map(|w| w.item));
+        self.values.extend(writes.iter().map(|w| w.value));
+        self.push(txn, WalKind::Commit, version, writes.len())
     }
 
     /// Append a record reserving `items` for `txn`, decided by
     /// `coordinator`. Returns its LSN.
     pub fn append_reserve(&mut self, txn: TxnId, coordinator: u32, items: &[ItemId]) -> Lsn {
-        let start = self.items.len();
         self.items.extend(items.iter().copied());
-        self.push(txn, WalKind::Reserve { coordinator }, start, items.len())
+        self.values.extend(items.iter().map(|_| 0));
+        self.push(txn, WalKind::Reserve { coordinator }, 0, items.len())
     }
 
     /// Append a record releasing `txn`'s reservations. Returns its LSN.
@@ -181,12 +212,12 @@ impl Wal {
         self.push(txn, WalKind::Release, 0, 0)
     }
 
-    fn push(&mut self, txn: TxnId, kind: WalKind, start: usize, len: usize) -> Lsn {
+    fn push(&mut self, txn: TxnId, kind: WalKind, version: Version, len: usize) -> Lsn {
         assert!(len <= u32::MAX as usize, "log record body too long");
         self.stats.appends += 1;
         self.records.push(Header {
             seq: txn.seq,
-            start: start as u64,
+            version,
             client: txn.client,
             len: len as u32,
             kind,
@@ -269,57 +300,51 @@ impl Wal {
 
     /// Redo: hand every record that became durable since the last call
     /// to `redo`, in LSN order, then free what no reader needs any more —
-    /// the whole blocks of headers below the taken point, and of each
-    /// arena below the end of the last taken body of its kind
+    /// the whole blocks of headers below the taken point, and of both
+    /// columns below the end of the last taken body
     /// ([`BlockVec::release_below`]).
     pub fn take_durable(&mut self, mut redo: impl FnMut(WalRecord<'_>)) {
-        let (mut writes_end, mut items_end) = (0, 0);
+        let mut start = self.body_taken;
         let newly_durable = self.records.iter_from(self.taken);
         for h in newly_durable.take(self.durable - self.taken) {
-            let (start, len) = (h.start as usize, h.len as usize);
-            match h.kind {
-                WalKind::Commit => writes_end = start + len,
-                WalKind::Reserve { .. } => items_end = start + len,
-                WalKind::Release => {}
-            }
+            let len = h.len as usize;
             redo(WalRecord {
                 txn: TxnId {
                     client: h.client,
                     seq: h.seq,
                 },
                 kind: h.kind,
+                version: h.version,
                 wal: self,
                 start,
                 len,
             });
+            start += len;
         }
         self.taken = self.durable;
+        self.body_taken = start;
         self.records.release_below(self.taken);
-        self.writes.release_below(writes_end);
-        self.items.release_below(items_end);
+        self.items.release_below(self.body_taken);
+        self.values.release_below(self.body_taken);
     }
 
     /// Crash: lose everything that never reached the disk. In-flight
     /// flushes are conservatively treated as failed (their completion
     /// event dies with the crash).
     ///
-    /// Each arena is cut where the first dropped record of its kind
-    /// starts: bodies are appended in LSN order, so everything from
-    /// there on belongs to dropped records and nothing before does —
-    /// in particular nothing redo has taken, which is durable.
+    /// The columns are cut where the first dropped record's body would
+    /// start: past the bodies taken and those of the durable records
+    /// not yet taken. Everything from there on belongs to dropped
+    /// records and nothing before does.
     pub fn crash(&mut self) {
-        let first_dropped = |is_kind: fn(WalKind) -> bool| {
-            let mut dropped = self.records.iter_from(self.durable);
-            dropped.find(|h| is_kind(h.kind)).map(|h| h.start as usize)
-        };
-        let writes_end = first_dropped(|k| k == WalKind::Commit);
-        let items_end = first_dropped(|k| matches!(k, WalKind::Reserve { .. }));
-        if let Some(end) = writes_end {
-            self.writes.truncate(end);
-        }
-        if let Some(end) = items_end {
-            self.items.truncate(end);
-        }
+        let kept = self.records.iter_from(self.taken);
+        let untaken: usize = kept
+            .take(self.durable - self.taken)
+            .map(|h| h.len as usize)
+            .sum();
+        let end = self.body_taken + untaken;
+        self.items.truncate(end);
+        self.values.truncate(end);
         self.records.truncate(self.durable);
         self.flushing = self.durable;
     }
@@ -398,12 +423,14 @@ mod tests {
         });
         assert_eq!(taken, 1100);
         // Headers and bodies below the taken point's block are gone.
-        assert!(w.records.get(0).is_none() && w.writes.get(1023).is_none());
-        assert!(w.records.get(1024).is_some() && w.writes.get(1024).is_some());
+        assert!(w.records.get(0).is_none() && w.items.get(1023).is_none());
+        assert!(w.values.get(1023).is_none() && w.values.get(1024).is_some());
+        assert!(w.records.get(1024).is_some() && w.items.get(1024).is_some());
         // The tail is intact: a crash cuts it at the durable point, and
         // appends go on at absolute positions.
         w.crash();
-        assert_eq!((w.end_lsn(), w.writes.len()), (1100, 1100));
+        assert_eq!((w.end_lsn(), w.items.len()), (1100, 1100));
+        assert_eq!(w.values.len(), 1100);
         assert_eq!(commit(&mut w, 7), 1100);
         w.mark_durable(1101);
         let mut last = None;
@@ -438,7 +465,8 @@ mod tests {
         w.crash();
         assert_eq!(w.durable_lsn(), 1);
         assert_eq!(w.end_lsn(), 1);
-        assert_eq!(w.writes.len(), 1, "the dropped bodies went with them");
+        assert_eq!(w.items.len(), 1, "the dropped bodies went with them");
+        assert_eq!(w.values.len(), 1);
         // New appends continue after the truncation point.
         let lsn = commit(&mut w, 4);
         assert_eq!(lsn, 1);
@@ -509,8 +537,8 @@ mod tests {
         OwnedRecord {
             txn: r.txn,
             kind: r.kind,
-            writes: r.writes().copied().collect(),
-            items: r.items().copied().collect(),
+            writes: r.writes().collect(),
+            items: r.items().collect(),
         }
     }
 
@@ -519,10 +547,12 @@ mod tests {
         /// sorts, completions, takes and crashes leaves the LSNs, the
         /// counters and the redo stream of the vector of owned records:
         /// every durable record taken once, in LSN order, with its body,
-        /// whatever was freed below it.
+        /// whatever was freed below it. Reserve bodies, short or longer
+        /// than a column block, sit between commit bodies in the shared
+        /// item column, and a crash may follow a take at once.
         #[test]
         fn behaves_like_a_vec_of_owned_records(
-            ops in proptest::collection::vec((0u8..9, 0u64..6, 0usize..700), 1..60),
+            ops in proptest::collection::vec((0u8..10, 0u64..6, 0usize..700), 1..60),
         ) {
             let (mut wal, mut rng) = wal();
             let mut model = VecWal::default();
@@ -532,11 +562,12 @@ mod tests {
                 let txn = TxnId { client: n as u32, seq: i as u64 };
                 match op {
                     0 | 1 => {
-                        // Bodies from empty to longer than one arena block.
+                        // Bodies from empty to longer than one column
+                        // block, every write at the record's version.
                         let writes: Vec<WriteOp> = (0..len)
                             .map(|k| WriteOp {
                                 item: ItemId(k as u32),
-                                value: i as i64,
+                                value: i as i64 - k as i64,
                                 version: n,
                             })
                             .collect();
@@ -546,7 +577,8 @@ mod tests {
                         prop_assert_eq!(lsn, model.append(OwnedRecord { txn, kind, writes, items }));
                     }
                     2 => {
-                        let items: Vec<ItemId> = (0..len % 5).map(|k| ItemId((i + k) as u32)).collect();
+                        let len = if n % 2 == 0 { len } else { len % 5 };
+                        let items: Vec<ItemId> = (0..len).map(|k| ItemId((i + k) as u32)).collect();
                         let lsn = wal.append_reserve(txn, n as u32, &items);
                         let kind = WalKind::Reserve { coordinator: n as u32 };
                         let writes = Vec::new();
@@ -577,9 +609,15 @@ mod tests {
                             model.mark_durable(lsn);
                         }
                     }
-                    7 => {
+                    7 | 8 => {
                         wal.take_durable(|r| taken.push(owned(r)));
                         model.taken = model.durable;
+                        if op == 8 {
+                            // A crash right after a take cuts the columns
+                            // at the taken bodies' end.
+                            wal.crash();
+                            model.crash();
+                        }
                     }
                     _ => {
                         wal.crash();
@@ -590,13 +628,13 @@ mod tests {
                 prop_assert_eq!(wal.durable_lsn(), model.durable as Lsn);
                 prop_assert_eq!(wal.stats(), model.stats);
                 prop_assert_eq!(&taken[..], &model.records[..model.taken]);
+                // Both columns count the surviving bodies, freed or not.
+                let bodies = model.records.iter().map(|r| r.writes.len() + r.items.len());
+                let cells = bodies.sum::<usize>();
+                prop_assert_eq!((wal.items.len(), wal.values.len()), (cells, cells));
             }
             wal.take_durable(|r| taken.push(owned(r)));
             prop_assert_eq!(&taken[..], &model.records[..model.durable]);
-            // The arenas' lengths count the surviving bodies, freed or not.
-            let bodies = |f: fn(&OwnedRecord) -> usize| model.records.iter().map(f).sum::<usize>();
-            prop_assert_eq!(wal.writes.len(), bodies(|r| r.writes.len()));
-            prop_assert_eq!(wal.items.len(), bodies(|r| r.items.len()));
         }
     }
 }

@@ -80,11 +80,6 @@ impl Disk {
         Disk::new(DiskConfig::default())
     }
 
-    /// The paper's per-server disk subsystem: a pool of 2 disks.
-    pub fn paper_pool() -> Self {
-        Disk::pool(DiskConfig::default(), 2)
-    }
-
     fn draw_service(&self, rng: &mut StdRng) -> SimDuration {
         let ms = rng.random_range(self.config.min_ms..=self.config.max_ms);
         SimDuration::from_millis_f64(ms * self.slowdown)

@@ -79,7 +79,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::metrics::Metrics;
 use crate::obs::{Obs, ObsConfig, ObsEvent};
@@ -728,12 +728,6 @@ impl<M> Ctx<'_, M> {
     /// The simulation-wide deterministic random number generator.
     pub fn rng(&mut self) -> &mut StdRng {
         &mut self.kernel.rng
-    }
-
-    /// Derive an independent deterministic RNG stream (for components that
-    /// must not perturb the global stream).
-    pub fn fork_rng(&mut self) -> StdRng {
-        StdRng::seed_from_u64(self.kernel.rng.random())
     }
 
     /// The shared metrics registry.

@@ -85,12 +85,15 @@ impl Histogram {
             return;
         }
         // total_cmp: NaN-free total order, no panic path (a NaN sample
-        // would sort last instead of poisoning quantiles).
-        let mut tail = self.samples.split_off(self.sorted_len);
-        tail.sort_by(f64::total_cmp);
-        if self.samples.is_empty() {
-            self.samples = tail;
+        // would sort last instead of poisoning quantiles). Samples it
+        // calls equal have the same bits, so an unstable sort gives the
+        // stable sort's order.
+        if self.sorted_len == 0 {
+            // Nothing sorted yet: sort in place, copying nothing.
+            self.samples.sort_unstable_by(f64::total_cmp);
         } else {
+            let mut tail = self.samples.split_off(self.sorted_len);
+            tail.sort_by(f64::total_cmp);
             // Back-merge the sorted tail into the sorted prefix: O(tail +
             // displaced-prefix) moves, and the untouched low prefix never
             // moves at all.
@@ -234,6 +237,26 @@ mod tests {
         assert_eq!(h.quantile(0.95), 95.0);
         assert_eq!(h.quantile(0.99), 99.0);
         assert_eq!(h.quantile(0.01), 1.0);
+    }
+
+    #[test]
+    fn the_first_query_sorts_in_place() {
+        let values = [3.0, -0.0, 0.0, 1.0, f64::NAN, -2.0, 1.0];
+        let mut h = Histogram::new();
+        for v in values {
+            h.record(v);
+        }
+        let (ptr, capacity) = (h.samples().as_ptr(), h.samples.capacity());
+        assert_eq!(h.quantile(0.5), 1.0);
+        assert_eq!(
+            (h.samples().as_ptr(), h.samples.capacity()),
+            (ptr, capacity)
+        );
+        // The order a stable sort gives, bit for bit.
+        let mut stable = values;
+        stable.sort_by(f64::total_cmp);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(h.samples()), bits(&stable));
     }
 
     #[test]
