@@ -123,11 +123,6 @@ impl Load {
         Load::OpenInterarrival(mean)
     }
 
-    /// Closed loop with an explicit per-client mean think time.
-    pub fn closed_think(mean: SimDuration) -> Load {
-        Load::ClosedThink(mean)
-    }
-
     /// The system-wide offered rate, when one is implied.
     pub fn offered_tps(&self) -> Option<f64> {
         match *self {
@@ -1000,6 +995,8 @@ impl Run {
         drain: SimDuration,
         offered_tps: Option<f64>,
     ) -> Run {
+        let measure_start = SimTime::ZERO + warmup;
+        system.oracle.borrow_mut().measure_reads_from(measure_start);
         Run {
             system,
             warmup,
@@ -1198,58 +1195,23 @@ impl Run {
 
         // Read-path accounting: throughput over the measurement window
         // (mirroring `commits`), staleness and redirects over the whole
-        // run.
+        // run — the oracle's tally, folded as the reads arrived.
         let measure_secs = self.measure.as_secs_f64().max(1e-9);
         let measure_start = SimTime::ZERO + self.warmup;
-        struct GroupReads {
-            reads: usize,
-            lag_sum: f64,
-            lag_n: usize,
-            redirects: u64,
-        }
-        let (reads, read_mean_ms, read_staleness, read_redirects, reads_by_group) = {
+        let (tally, read_redirects) = {
             let oracle = system.oracle.borrow();
-            let mut n = 0usize;
-            let mut ms = 0.0f64;
-            let mut per_group: Vec<GroupReads> = (0..system.n_groups.max(1))
-                .map(|g| GroupReads {
-                    reads: 0,
-                    lag_sum: 0.0,
-                    lag_n: 0,
-                    redirects: oracle.read_redirects_by_group.get(&g).copied().unwrap_or(0),
-                })
-                .collect();
-            for a in &oracle.read_acks {
-                if a.at < measure_start {
-                    continue;
-                }
-                n += 1;
-                ms += a.response_ms;
-                if let Some(slot) = per_group.get_mut(a.group as usize) {
-                    slot.reads += 1;
-                }
-            }
-            let mut lag_sum = 0.0f64;
-            for r in oracle.reads.iter() {
-                let lag = r.applied_seq.saturating_sub(r.snapshot_seq) as f64;
-                lag_sum += lag;
-                if let Some(slot) = per_group.get_mut(r.group as usize) {
-                    slot.lag_sum += lag;
-                    slot.lag_n += 1;
-                }
-            }
-            let staleness = if oracle.reads.is_empty() {
-                0.0
-            } else {
-                lag_sum / oracle.reads.len() as f64
-            };
-            (
-                n,
-                if n == 0 { 0.0 } else { ms / n as f64 },
-                staleness,
-                oracle.read_redirects(),
-                per_group,
-            )
+            (oracle.reads.tally().clone(), oracle.read_redirects())
+        };
+        let reads = tally.acked;
+        let read_mean_ms = if reads == 0 {
+            0.0
+        } else {
+            tally.ms_sum / reads as f64
+        };
+        let read_staleness = if tally.served == 0 {
+            0.0
+        } else {
+            tally.lag_sum / tally.served as f64
         };
 
         // Snapshot-isolation accounting: certification outcomes recorded
@@ -1311,18 +1273,21 @@ impl Run {
                 .map(|g| {
                     let (stats, hist) = system.gcs_stats_of(g);
                     let wire = system.net.domain_stats(g);
-                    let gr = &reads_by_group[g as usize];
+                    let gr = tally.group(g);
                     GroupStats {
                         group: g,
                         commits: per_group[g as usize],
                         achieved_tps: per_group[g as usize] as f64 / measure_secs,
-                        reads: gr.reads,
-                        read_tps: gr.reads as f64 / measure_secs,
-                        read_redirects: gr.redirects,
-                        read_staleness: if gr.lag_n == 0 {
+                        reads: gr.acked,
+                        read_tps: gr.acked as f64 / measure_secs,
+                        read_redirects: (system.oracle.borrow().read_redirects_by_group)
+                            .get(&g)
+                            .copied()
+                            .unwrap_or(0),
+                        read_staleness: if gr.served == 0 {
                             0.0
                         } else {
-                            gr.lag_sum / gr.lag_n as f64
+                            gr.lag_sum / gr.served as f64
                         },
                         txn_commits: si_by_group[g as usize].0,
                         txn_aborts: si_by_group[g as usize].1,

@@ -1506,7 +1506,7 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
             group_failed_of.get(g as usize).copied().unwrap_or(false)
         });
         violations.extend(read_violations.into_iter().map(OracleViolation::Read));
-        oracle.reads.len()
+        oracle.reads.tally().served
     };
 
     // The SI anomaly audits over the delegates' certification records:

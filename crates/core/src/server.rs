@@ -87,14 +87,6 @@ pub enum Technique {
 }
 
 impl Technique {
-    /// The safety level the client-visible guarantee corresponds to.
-    pub fn safety_level(self) -> SafetyLevel {
-        match self {
-            Technique::Dsm(l) => l,
-            Technique::Lazy => SafetyLevel::OneSafe,
-        }
-    }
-
     /// The group communication configuration this technique requires
     /// (`None` for lazy replication, which uses plain messages).
     pub fn gcs_config(self) -> Option<GcsConfig> {

@@ -340,11 +340,6 @@ impl ShardSpec {
             }
         }
     }
-
-    /// True for the degenerate unsharded configuration.
-    pub fn is_single(&self) -> bool {
-        self.groups == 1 && self.cross_fraction == 0.0
-    }
 }
 
 // ---------------------------------------------------------------------

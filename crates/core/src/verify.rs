@@ -6,8 +6,9 @@
 //!
 //! # Evidence layout
 //!
-//! The oracle keeps its evidence for the whole run, so its layout is the
-//! run's memory. Every table is either keyed by a [`TxnId`] — a client
+//! The oracle keeps its evidence for the whole run — all but the reads,
+//! which it audits on arrival — so its layout is the run's memory. Every
+//! table is either keyed by a [`TxnId`] — a client
 //! plus that client's own counter, dense by construction — or appended
 //! once in arrival order, and is stored by position accordingly:
 //!
@@ -23,13 +24,14 @@
 //!   slices of a cross-group commit, which arrive after other commits
 //!   were appended, go to a small per-transaction overflow. Reading it
 //!   yields [`CommitView`]s.
-//! * [`Oracle::reads`] is a [`ReadLog`]: a fixed-size [`ReadRecord`]
-//!   per served read, and the `(item, version)` pairs each read observed
-//!   back to back in two lockstep columns in the same way. Iterating it
-//!   yields [`ReadView`]s — the record plus an `items()` walk over its
-//!   slice of the columns.
-//! * [`Oracle::read_acks`] and [`Oracle::si_txns`] are [`BlockVec`]s of
-//!   records, in client-accept and delivery order.
+//! * [`Oracle::reads`] is a [`ReadAudit`]: the read-freshness oracle,
+//!   which audits each served read and each read acknowledgement on
+//!   arrival and keeps no history of them — a fixed-size [`ReadTally`]
+//!   of what the report reads, the highest snapshot each
+//!   (session, group) accepted, the violations found, and a [`ReadLog`]
+//!   of the [`ReadLevel::Stable`] reads alone, whose observed items the
+//!   post-run lost-value rule needs.
+//! * [`Oracle::si_txns`] is a [`BlockVec`] of records in delivery order.
 //!
 //! [`check_lost_updates`] reads the commit table once and keeps only its
 //! candidates: writes whose item the same transaction read.
@@ -41,7 +43,7 @@ use groupsafe_db::{DbEngine, ItemId, TxnId, TxnTable, Value, Version, WriteOp};
 use groupsafe_net::NodeId;
 use groupsafe_sim::{BlockVec, SimTime};
 
-use crate::reads::ReadLevel;
+use crate::reads::{ReadLevel, ReadViolation};
 
 /// A commit as the [`CommitLog`] stores it: who executed it and where
 /// its pairs sit in the log's columns — `reads` readset pairs from
@@ -216,10 +218,11 @@ pub struct AckRecord {
     pub response_ms: f64,
 }
 
-/// A locally served read, as recorded by the replica that served it
+/// A locally served read, as reported by the replica that served it
 /// (the read-freshness oracle's server-side evidence). The session is
-/// `txn.client`; the items the read observed are kept beside the record
-/// in the [`ReadLog`] (see [`ReadView::items`]).
+/// `txn.client`. The [`ReadAudit`] checks it on arrival and keeps it,
+/// with the items it observed, only at [`ReadLevel::Stable`] (see
+/// [`ReadView::items`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadRecord {
     /// The read transaction.
@@ -240,10 +243,11 @@ pub struct ReadRecord {
     pub at: SimTime,
 }
 
-/// The served reads in serve order: one [`ReadRecord`] each, and the
+/// Served reads in serve order: one [`ReadRecord`] each, and the
 /// `(item, version)` pairs each observed, back to back in two arenas
 /// that grow in lockstep — an item costs 12 bytes and a read no
-/// allocation of its own. Grow-only over a run, like every log here.
+/// allocation of its own. The [`ReadAudit`] keeps one, of its
+/// [`ReadLevel::Stable`] reads.
 #[derive(Debug, Default)]
 pub struct ReadLog {
     records: BlockVec<ReadRecord>,
@@ -255,7 +259,7 @@ pub struct ReadLog {
 
 impl ReadLog {
     /// Append a read and the `(item, version)` pairs it observed.
-    pub fn push(
+    pub(crate) fn push(
         &mut self,
         record: ReadRecord,
         observed: impl IntoIterator<Item = (ItemId, Version)>,
@@ -349,6 +353,157 @@ pub struct ReadAckRecord {
     pub response_ms: f64,
 }
 
+/// The read path's counters, folded as the reads arrive: what the
+/// report reads, plus the per-level and tokened counts that show a run's
+/// reads took the level it asked for. Its size is set by the number of
+/// groups, not of reads, and it sums in arrival order, so every sum is
+/// the one a walk over the recorded reads and acknowledgements would
+/// make, bit for bit.
+#[derive(Debug, Clone, Default)]
+pub struct ReadTally {
+    /// Reads served locally, whole run.
+    pub served: usize,
+    /// Of those, per level, indexed by `ReadLevel as usize`.
+    pub served_by_level: [usize; 3],
+    /// Served reads whose session token was above 0.
+    pub tokened: usize,
+    /// Σ `applied_seq − snapshot_seq` over the served reads.
+    pub lag_sum: f64,
+    /// Read acknowledgements accepted at or after the measurement start.
+    pub acked: usize,
+    /// Σ response time of those, milliseconds.
+    pub ms_sum: f64,
+    /// Per serving group (see [`ReadTally::group`]).
+    groups: BTreeMap<u32, GroupReadTally>,
+}
+
+/// One group's share of the [`ReadTally`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GroupReadTally {
+    /// Reads the group's replicas served, whole run.
+    pub served: usize,
+    /// Σ `applied_seq − snapshot_seq` over them.
+    pub lag_sum: f64,
+    /// Read acknowledgements from the group inside the window.
+    pub acked: usize,
+}
+
+impl ReadTally {
+    /// Group `g`'s share (zero if it served and answered nothing).
+    pub fn group(&self, g: u32) -> GroupReadTally {
+        self.groups.get(&g).copied().unwrap_or_default()
+    }
+}
+
+/// The read-freshness oracle, run as the reads arrive (see the module
+/// docs). Each served read is checked against its level's serve-time
+/// invariants, and each session acknowledgement against the highest
+/// snapshot its (session, group) accepted before; the violations are
+/// kept in arrival order, and the reads themselves are not — except the
+/// [`ReadLevel::Stable`] ones, for the lost-value rule
+/// [`crate::audit_reads`] applies once the loss audit has run.
+#[derive(Debug, Default)]
+pub struct ReadAudit {
+    measure_start: SimTime,
+    tally: ReadTally,
+    /// Highest snapshot each `(client, group)` session accepted.
+    session_high: BTreeMap<(u32, u32), u64>,
+    violations: Vec<ReadViolation>,
+    stable: ReadLog,
+}
+
+impl ReadAudit {
+    /// Audit and count a served read that observed `observed`.
+    fn serve(&mut self, r: ReadRecord, observed: impl Iterator<Item = (ItemId, Version)> + Clone) {
+        let lag = r.applied_seq.saturating_sub(r.snapshot_seq) as f64;
+        let t = &mut self.tally;
+        t.served += 1;
+        if let Some(n) = t.served_by_level.get_mut(r.level as usize) {
+            *n += 1;
+        }
+        t.tokened += usize::from(r.token > 0);
+        t.lag_sum += lag;
+        let g = t.groups.entry(r.group).or_default();
+        g.served += 1;
+        g.lag_sum += lag;
+
+        if r.level == ReadLevel::Session && r.snapshot_seq < r.token {
+            self.violations.push(ReadViolation::StaleSessionRead {
+                txn: r.txn,
+                group: r.group,
+                token: r.token,
+                snapshot_seq: r.snapshot_seq,
+            });
+        }
+        if r.level == ReadLevel::Stable && r.snapshot_seq > r.stable_seq {
+            self.violations.push(ReadViolation::UnstableRead {
+                txn: r.txn,
+                group: r.group,
+                snapshot_seq: r.snapshot_seq,
+                stable_seq: r.stable_seq,
+            });
+        }
+        for (item, version) in observed.clone() {
+            if version > r.snapshot_seq {
+                self.violations.push(ReadViolation::ValueAboveSnapshot {
+                    txn: r.txn,
+                    item,
+                    version,
+                    snapshot_seq: r.snapshot_seq,
+                });
+            }
+        }
+        if r.level == ReadLevel::Stable {
+            self.stable.push(r, observed);
+        }
+    }
+
+    /// Count an accepted read acknowledgement and check monotonic reads
+    /// for its session. Only the session level promises monotonicity;
+    /// `Latest` explicitly trades it away.
+    fn accept(&mut self, a: ReadAckRecord) {
+        if a.at >= self.measure_start {
+            self.tally.acked += 1;
+            self.tally.ms_sum += a.response_ms;
+            self.tally.groups.entry(a.group).or_default().acked += 1;
+        }
+        if a.level != Some(ReadLevel::Session) {
+            return;
+        }
+        let prev = self
+            .session_high
+            .entry((a.txn.client, a.group))
+            .or_insert(0);
+        if a.snapshot_seq < *prev {
+            self.violations.push(ReadViolation::SessionRegression {
+                client: a.txn.client,
+                group: a.group,
+                txn: a.txn,
+                prev_seq: *prev,
+                snapshot_seq: a.snapshot_seq,
+            });
+        } else {
+            *prev = a.snapshot_seq;
+        }
+    }
+
+    /// The counters the report reads.
+    pub fn tally(&self) -> &ReadTally {
+        &self.tally
+    }
+
+    /// The violations found on arrival, in arrival order.
+    pub fn violations(&self) -> &[ReadViolation] {
+        &self.violations
+    }
+
+    /// The [`ReadLevel::Stable`] reads, in serve order, with the items
+    /// each observed.
+    pub fn stable(&self) -> &ReadLog {
+        &self.stable
+    }
+}
+
 /// A snapshot-isolation transaction's certification outcome, recorded by
 /// the delegate at delivery time (the SI oracle's evidence for the
 /// lost-update and dirty-read audits and the per-group commit/abort
@@ -400,10 +555,9 @@ pub struct Oracle {
     pub commit_acks: u64,
     /// Client-side timeouts (requests that got no reply in time).
     pub timeouts: u64,
-    /// Locally served reads, in serve order (read-freshness oracle).
-    pub reads: ReadLog,
-    /// Read-only transaction acknowledgements, in client-accept order.
-    pub read_acks: BlockVec<ReadAckRecord>,
+    /// The read-freshness oracle: locally served reads and read-only
+    /// acknowledgements, audited and counted on arrival.
+    pub reads: ReadAudit,
     /// Session reads a lagging replica answered with a redirect, per
     /// serving group.
     pub read_redirects_by_group: BTreeMap<u32, u64>,
@@ -447,18 +601,25 @@ impl Oracle {
         });
     }
 
+    /// Count read acknowledgements as measured from `start` on (the end
+    /// of the warm-up; the run sets it when it is built).
+    pub fn measure_reads_from(&mut self, start: SimTime) {
+        self.reads.measure_start = start;
+    }
+
     /// Record a locally served read (server side, at serve time) with
-    /// the values its reply carries; the items and versions are copied
-    /// into the read log.
+    /// the values its reply carries: audited and counted on arrival,
+    /// and kept, items and versions copied, only at the stable level.
     pub fn record_read(&mut self, rec: ReadRecord, values: &[(ItemId, Value, Version)]) {
         let observed = values.iter().map(|&(item, _, version)| (item, version));
-        self.reads.push(rec, observed);
+        self.reads.serve(rec, observed);
     }
 
     /// Record a read-only transaction's acknowledgement (client side, in
-    /// session-accept order — the monotonic-reads evidence).
+    /// session-accept order — the monotonic-reads evidence), audited and
+    /// counted on arrival.
     pub fn record_read_ack(&mut self, rec: ReadAckRecord) {
-        self.read_acks.push(rec);
+        self.reads.accept(rec);
     }
 
     /// Record a snapshot-isolation certification outcome (delegate side,
@@ -933,16 +1094,23 @@ mod tests {
     #[test]
     fn record_read_keeps_the_reply_items_and_versions() {
         let mut o = Oracle::default();
-        o.record_read(read(1, 8), &[(ItemId(4), -3, 7), (ItemId(2), 0, 8)]);
-        o.record_read(read(2, 9), &[]);
+        let stable = |seq, snapshot| ReadRecord {
+            level: ReadLevel::Stable,
+            ..read(seq, snapshot)
+        };
+        o.record_read(stable(1, 8), &[(ItemId(4), -3, 7), (ItemId(2), 0, 8)]);
+        o.record_read(read(2, 9), &[(ItemId(5), 1, 9)]);
+        o.record_read(stable(3, 9), &[]);
         let views: Vec<_> = o
             .reads
+            .stable()
             .iter()
             .map(|r| (r.txn.seq, r.items().collect::<Vec<_>>()))
             .collect();
         assert_eq!(
             views,
-            vec![(1, vec![(ItemId(4), 7), (ItemId(2), 8)]), (2, vec![])]
+            vec![(1, vec![(ItemId(4), 7), (ItemId(2), 8)]), (3, vec![])]
         );
+        assert_eq!(o.reads.tally().served, 3, "every read is counted");
     }
 }

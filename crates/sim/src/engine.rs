@@ -68,7 +68,7 @@
 //!
 //! Crash and recovery are engine-level control events scheduled with
 //! [`Engine::schedule_crash`] / [`Engine::schedule_recover`] (or from
-//! within an actor via [`Ctx::crash_me`]). On crash the engine calls
+//! within an actor via [`Ctx::schedule_crash`]). On crash the engine calls
 //! [`Actor::on_crash`], where the actor must discard its volatile state
 //! while retaining anything it models as stable storage. On recovery the
 //! incarnation is bumped and [`Actor::on_recover`] runs the recovery
@@ -699,13 +699,6 @@ impl<M> Ctx<'_, M> {
     /// True if `target` is currently up.
     pub fn is_alive(&self, target: ActorId) -> bool {
         self.kernel.alive[target.index()]
-    }
-
-    /// Crash the executing actor immediately (its `on_crash` runs when the
-    /// control event is processed, at the current instant).
-    pub fn crash_me(&mut self) {
-        let me = self.me;
-        self.kernel.push(self.kernel.now, EventKind::Crash(me));
     }
 
     /// Schedule a crash of `target` after `delay`.

@@ -423,12 +423,6 @@ impl Obs {
         self.mode
     }
 
-    /// True when any recording is active (`emit` closures are evaluated).
-    #[inline]
-    pub fn is_active(&self) -> bool {
-        !matches!(self.mode, ObsMode::Disabled)
-    }
-
     /// Record one event; `event` is only evaluated when recording is
     /// active (the zero-cost-when-disabled contract).
     #[inline]

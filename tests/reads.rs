@@ -37,25 +37,24 @@ fn local_reads_serve_and_audit_clean_at_every_level() {
         let system = run.into_system();
         {
             let oracle = system.oracle.borrow();
+            let tally = oracle.reads.tally();
             assert!(
-                oracle.reads.len() > 20,
+                tally.served > 20,
                 "{level}: locally served reads expected, got {}",
-                oracle.reads.len()
+                tally.served
             );
-            assert!(
-                oracle.reads.iter().all(|r| r.level == level),
+            assert_eq!(
+                tally.served_by_level[level as usize], tally.served,
                 "{level}: every local read carries its level"
             );
             // Session reads honour their token at serve time.
-            for r in oracle.reads.iter() {
-                assert!(
-                    r.snapshot_seq >= r.token || r.level != ReadLevel::Session,
-                    "{level}: read {:?} served at {} below token {}",
-                    r.txn,
-                    r.snapshot_seq,
-                    r.token
-                );
-            }
+            let stale: Vec<_> = oracle
+                .reads
+                .violations()
+                .iter()
+                .filter(|v| matches!(v, ReadViolation::StaleSessionRead { .. }))
+                .collect();
+            assert!(stale.is_empty(), "{level}: {stale:?}");
         }
         let audit = audit_scenario(&ScenarioPlan::new(), &system, SafetyLevel::GroupSafe);
         assert!(audit.clean(), "{level}: {:?}", audit.violations);
@@ -92,11 +91,12 @@ fn session_tokens_advance_with_commits_and_reads() {
     let oracle = system.oracle.borrow();
     // Sessions that wrote before reading carry non-zero tokens: the
     // read-your-writes floor is actually exercised, not vacuous.
-    let tokened = oracle.reads.iter().filter(|r| r.token > 0).count();
+    let tally = oracle.reads.tally();
     assert!(
-        tokened > 5,
-        "tokened session reads expected, got {tokened}/{}",
-        oracle.reads.len()
+        tally.tokened > 5,
+        "tokened session reads expected, got {}/{}",
+        tally.tokened,
+        tally.served
     );
     // Monotonic reads per session (ack order), by construction.
     let viols = audit_reads(&oracle, &[], &|_| false);
@@ -143,7 +143,15 @@ fn stable_reads_never_exceed_the_watermark() {
     run.run_until(SimTime::from_secs(7));
     let system = run.into_system();
     let oracle = system.oracle.borrow();
-    for r in oracle.reads.iter() {
+    // Every stable read is kept, with the items it observed.
+    let stable = oracle.reads.stable();
+    assert!(
+        stable.len() > 20,
+        "stable reads expected, got {}",
+        stable.len()
+    );
+    assert_eq!(stable.len(), oracle.reads.tally().served);
+    for r in stable.iter() {
         let rec = *r;
         assert!(r.snapshot_seq <= r.stable_seq, "{rec:?}");
         assert!(r.snapshot_seq <= r.applied_seq, "{rec:?}");
@@ -315,11 +323,11 @@ fn served_read(level: ReadLevel, token: u64, snapshot: u64, stable: u64) -> Read
     }
 }
 
-/// A served read that observed item 4 at the older of its snapshot and
-/// watermark.
+/// Report a served read that observed item 4 at the older of its
+/// snapshot and watermark, as a replica does.
 fn push_served(oracle: &mut Oracle, read: ReadRecord) {
-    let observed = (ItemId(4), read.snapshot_seq.min(read.stable_seq));
-    oracle.reads.push(read, [observed]);
+    let observed = (ItemId(4), 0, read.snapshot_seq.min(read.stable_seq));
+    oracle.record_read(read, &[observed]);
 }
 
 /// A deliberately stale session read — served below the token the
@@ -395,7 +403,7 @@ fn oracle_flags_a_stable_read_of_a_lost_value() {
         }],
     );
     let read = served_read(ReadLevel::Stable, 0, 6, 6);
-    oracle.reads.push(read, [(ItemId(4), 6)]);
+    oracle.record_read(read, &[(ItemId(4), 5, 6)]);
     let lost = vec![LostTransaction { txn: lost_txn }];
     let v = audit_reads(&oracle, &lost, &|_| false);
     assert!(
@@ -422,8 +430,8 @@ fn oracle_flags_a_session_regression() {
         at: SimTime::from_millis(n),
         response_ms: 1.0,
     };
-    oracle.read_acks.push(ack(9, 1));
-    oracle.read_acks.push(ack(4, 2));
+    oracle.record_read_ack(ack(9, 1));
+    oracle.record_read_ack(ack(4, 2));
     let v = audit_reads(&oracle, &[], &|_| false);
     assert!(
         v.iter().any(|v| matches!(
@@ -435,5 +443,75 @@ fn oracle_flags_a_session_regression() {
             }
         )),
         "{v:?}"
+    );
+}
+
+/// The measurement window's boundary: a read served and acknowledged
+/// before the warm-up ends counts for staleness and for the audit, but
+/// not for `reads`, `read_tps` or `read_mean_ms` — the twin run without
+/// it reports those three bit for bit.
+#[test]
+fn a_read_acked_in_the_warm_up_counts_for_staleness_and_the_audit_only() {
+    let plan = ScenarioPlan::new();
+    let run_with = |inject: bool| {
+        let mut run = read_builder(ReadLevel::Session, 0.5, 83)
+            .warmup(SimDuration::from_secs(2))
+            .build()
+            .expect("valid");
+        run.run_until(SimTime::from_secs(1));
+        if inject {
+            // A session read no client made, served 12 sequence numbers
+            // behind its replica and below its token, acknowledged at
+            // once with a response time that would dominate any mean.
+            let read = ReadRecord {
+                txn: TxnId {
+                    client: 1_000,
+                    seq: 1,
+                },
+                at: SimTime::from_secs(1),
+                ..served_read(ReadLevel::Session, 12, 8, 20)
+            };
+            let mut oracle = run.system().oracle.borrow_mut();
+            oracle.record_read(read, &[]);
+            oracle.record_read_ack(ReadAckRecord {
+                txn: read.txn,
+                group: 0,
+                level: Some(ReadLevel::Session),
+                snapshot_seq: 8,
+                at: read.at,
+                response_ms: 1.0e6,
+            });
+        }
+        run.run_until(SimTime::from_secs(7));
+        run.stop_clients_at(SimTime::from_secs(7));
+        run.run_until(SimTime::from_secs(9));
+        let audit = audit_scenario(&plan, run.system(), SafetyLevel::GroupSafe);
+        (audit.violations, run.finish())
+    };
+    let (honest_violations, honest) = run_with(false);
+    let (violations, report) = run_with(true);
+    assert!(honest_violations.is_empty(), "{honest_violations:?}");
+    assert!(honest.reads > 20, "{honest}");
+
+    assert_eq!(report.reads, honest.reads);
+    assert_eq!(report.read_tps.to_bits(), honest.read_tps.to_bits());
+    assert_eq!(report.read_mean_ms.to_bits(), honest.read_mean_ms.to_bits());
+    assert!(
+        report.read_staleness > honest.read_staleness,
+        "staleness counts the whole run: {} vs {}",
+        report.read_staleness,
+        honest.read_staleness
+    );
+    assert!(
+        matches!(
+            violations.as_slice(),
+            [OracleViolation::Read(ReadViolation::StaleSessionRead {
+                txn: TxnId { client: 1_000, .. },
+                token: 12,
+                snapshot_seq: 8,
+                ..
+            })]
+        ),
+        "{violations:?}"
     );
 }
