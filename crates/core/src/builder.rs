@@ -1185,7 +1185,7 @@ impl Run {
                 oracle.abort_rate(),
                 oracle.aborts,
                 oracle.timeouts,
-                oracle.acked.len(),
+                oracle.acked_count(),
                 verify::check_lost_updates(&oracle).len(),
             )
         };
@@ -1248,14 +1248,13 @@ impl Run {
             // also records warm-up and drain acks).
             let mut per_group = vec![0usize; system.n_groups as usize];
             let mut cross = 0usize;
-            let mut window_acks = 0usize;
+            let window_acks = system.oracle.borrow().acked_in_window();
             {
                 let oracle = system.oracle.borrow();
                 for (txn, ack) in oracle.acked.iter() {
                     if ack.at < measure_start {
                         continue;
                     }
-                    window_acks += 1;
                     let g = if let Some(xg) = oracle.xg.get(&txn) {
                         cross += 1;
                         xg.coordinator_group

@@ -362,11 +362,11 @@ impl Client {
                 let group = self.group_of(o.target);
                 let readonly = o.readonly;
                 if now >= self.cfg.measure_from {
-                    ctx.metrics().record("response_ms", resp_ms);
+                    ctx.metrics().summarize("response_ms", resp_ms);
                     ctx.metrics().record("response_total_ms", total_ms);
                 }
                 let mut oracle = self.oracle.borrow_mut();
-                oracle.record_ack(txn, now, resp_ms);
+                oracle.record_ack(txn, now);
                 if readonly {
                     // Classic/broadcast-path read-only commit: recorded
                     // so the read throughput accounting sees it (no
@@ -461,11 +461,11 @@ impl Client {
                 let resp_ms = (now - o.sent_at).as_millis_f64();
                 let total_ms = (now - o.first_sent_at).as_millis_f64();
                 if now >= self.cfg.measure_from {
-                    ctx.metrics().record("response_ms", resp_ms);
+                    ctx.metrics().summarize("response_ms", resp_ms);
                     ctx.metrics().record("response_total_ms", total_ms);
                 }
                 let mut oracle = self.oracle.borrow_mut();
-                oracle.record_ack(txn, now, resp_ms);
+                oracle.record_local_read_ack(txn, now);
                 oracle.record_read_ack(ReadAckRecord {
                     txn,
                     group,

@@ -1370,7 +1370,7 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
     if sharded {
         let oracle = system.oracle.borrow();
         for (txn, xg) in &oracle.xg {
-            if !oracle.acked.contains(*txn) {
+            if !oracle.is_acked(*txn) {
                 continue;
             }
             cross_group_audited += 1;
@@ -2148,7 +2148,7 @@ pub mod fuzz {
         }
         let system = run.into_system();
         let audit = audit_scenario(&plan, &system, spec.level);
-        let commits = system.oracle.borrow().acked.len();
+        let commits = system.oracle.borrow().acked_count();
         let flight = system.engine.obs().render_tail();
         FuzzOutcome {
             seed,

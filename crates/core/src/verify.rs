@@ -12,10 +12,14 @@
 //! plus that client's own counter, dense by construction — or appended
 //! once in arrival order, and is stored by position accordingly:
 //!
-//! * [`Oracle::acked`] is a [`TxnTable`]: the values in insertion order,
-//!   found through a paged index addressed by `(client, seq)`. The first
-//!   insert wins, which is what every replica reporting the same commit
-//!   needs (one index probe each).
+//! * [`Oracle::acked`] is a [`TxnTable`] of the acknowledgements of
+//!   transactions that went through a commit path: the 8-byte instants
+//!   in insertion order, found through a paged index of 4-byte positions
+//!   addressed by `(client, seq)`. An acknowledgement of a read served by
+//!   the local read path is one bit in a [`TxnSet`] instead, and a count
+//!   of those inside the measurement window: no reader asks when one
+//!   arrived. The first acknowledgement of a transaction wins, across
+//!   both; [`Oracle::acked_count`] and [`Oracle::is_acked`] read both.
 //! * [`Oracle::commits`] is a [`CommitLog`]: a 16-byte `CommitRecord`
 //!   per transaction in such a table, and its readset and write set as
 //!   `(item, version)` pairs back to back in two lockstep columns
@@ -39,7 +43,7 @@
 use std::collections::BTreeMap;
 use std::ops::Deref;
 
-use groupsafe_db::{DbEngine, ItemId, TxnId, TxnTable, Value, Version, WriteOp};
+use groupsafe_db::{DbEngine, ItemId, TxnId, TxnSet, TxnTable, Value, Version, WriteOp};
 use groupsafe_net::NodeId;
 use groupsafe_sim::{BlockVec, SimTime};
 
@@ -209,13 +213,12 @@ impl<'a> CommitView<'a> {
     }
 }
 
-/// An acknowledgement as observed by the client.
+/// An acknowledgement of a transaction that went through a commit
+/// path, as observed by the client.
 #[derive(Debug, Clone, Copy)]
 pub struct AckRecord {
     /// When the client received the commit notification.
     pub at: SimTime,
-    /// Response time of the successful attempt, milliseconds.
-    pub response_ms: f64,
 }
 
 /// A locally served read, as reported by the replica that served it
@@ -541,8 +544,17 @@ pub struct XgRecord {
 /// out.
 #[derive(Debug, Default)]
 pub struct Oracle {
-    /// Client-visible commit acknowledgements (first per transaction).
+    /// Client-visible acknowledgements of the transactions that went
+    /// through a commit path — updates, classic and broadcast read-only,
+    /// cross-group — first per transaction. Reads served by the local
+    /// read path are not here: count and test through
+    /// [`Oracle::acked_count`] and [`Oracle::is_acked`].
     pub acked: TxnTable<AckRecord>,
+    /// Acknowledgements of reads served by the local read path, a bit
+    /// each (first per transaction, across both tables).
+    local_read_acks: TxnSet,
+    /// Of those, the ones received at or after the measurement start.
+    local_read_acks_in_window: usize,
     /// Server-side commit records (first commit per transaction; the
     /// slices of a cross-group commit merged in).
     pub commits: CommitLog,
@@ -601,8 +613,9 @@ impl Oracle {
         });
     }
 
-    /// Count read acknowledgements as measured from `start` on (the end
-    /// of the warm-up; the run sets it when it is built).
+    /// Count read acknowledgements, and acknowledgements inside the
+    /// window, as measured from `start` on (the end of the warm-up; the
+    /// run sets it when it is built).
     pub fn measure_reads_from(&mut self, start: SimTime) {
         self.reads.measure_start = start;
     }
@@ -638,11 +651,44 @@ impl Oracle {
         self.read_redirects_by_group.values().sum()
     }
 
-    /// Record a client-side acknowledgement.
-    pub fn record_ack(&mut self, txn: TxnId, at: SimTime, response_ms: f64) {
+    /// Record a client-side acknowledgement of a transaction that went
+    /// through a commit path.
+    pub fn record_ack(&mut self, txn: TxnId, at: SimTime) {
         self.commit_acks += 1;
-        self.acked
-            .insert_with(txn, || AckRecord { at, response_ms });
+        if !self.local_read_acks.contains(txn) {
+            self.acked.insert_with(txn, || AckRecord { at });
+        }
+    }
+
+    /// Record the client's acknowledgement of a read served by the local
+    /// read path: one bit, and one more in the window count if `at` is
+    /// at or after the measurement start.
+    pub fn record_local_read_ack(&mut self, txn: TxnId, at: SimTime) {
+        self.commit_acks += 1;
+        if !self.acked.contains(txn)
+            && self.local_read_acks.insert(txn)
+            && at >= self.reads.measure_start
+        {
+            self.local_read_acks_in_window += 1;
+        }
+    }
+
+    /// Transactions acknowledged to their client, whole run.
+    pub fn acked_count(&self) -> usize {
+        self.acked.len() + self.local_read_acks.len()
+    }
+
+    /// True if `txn` was acknowledged to its client.
+    pub fn is_acked(&self, txn: TxnId) -> bool {
+        self.acked.contains(txn) || self.local_read_acks.contains(txn)
+    }
+
+    /// Transactions first acknowledged at or after the measurement
+    /// start.
+    pub fn acked_in_window(&self) -> usize {
+        let start = self.reads.measure_start;
+        let committed = self.acked.values().filter(|a| a.at >= start).count();
+        committed + self.local_read_acks_in_window
     }
 
     /// Abort rate over all answered attempts.
@@ -738,7 +784,7 @@ pub fn check_lost_updates(oracle: &Oracle) -> Vec<LostUpdate> {
         oracle
             .commits
             .iter()
-            .filter(|&(txn, _)| oracle.acked.contains(txn))
+            .filter(|&(txn, _)| oracle.is_acked(txn))
             .flat_map(|(txn, rec)| {
                 rec.writes().filter_map(move |(item, _)| {
                     let (_, read) = rec.readset().find(|&(i, _)| i == item)?;
@@ -794,8 +840,8 @@ mod tests {
     #[test]
     fn abort_rate_counts_both_outcomes() {
         let mut o = Oracle::default();
-        o.record_ack(t(1), SimTime::ZERO, 10.0);
-        o.record_ack(t(2), SimTime::ZERO, 10.0);
+        o.record_ack(t(1), SimTime::ZERO);
+        o.record_ack(t(2), SimTime::ZERO);
         o.aborts = 2;
         assert!((o.abort_rate() - 0.5).abs() < 1e-12);
         assert_eq!(Oracle::default().abort_rate(), 0.0);
@@ -804,12 +850,12 @@ mod tests {
     #[test]
     fn duplicate_acks_dedup() {
         let mut o = Oracle::default();
-        o.record_ack(t(1), SimTime::ZERO, 10.0);
-        o.record_ack(t(1), SimTime::from_millis(5), 12.0);
+        o.record_ack(t(1), SimTime::ZERO);
+        o.record_ack(t(1), SimTime::from_millis(5));
         assert_eq!(o.acked.len(), 1);
         assert_eq!(o.commit_acks, 2);
-        let first = o.acked.get(t(1)).map(|a| (a.at, a.response_ms));
-        assert_eq!(first, Some((SimTime::ZERO, 10.0)), "the first ack wins");
+        let first = o.acked.get(t(1)).map(|a| a.at);
+        assert_eq!(first, Some(SimTime::ZERO), "the first ack wins");
     }
 
     #[test]
@@ -818,8 +864,8 @@ mod tests {
         // Both read version 0 of item 7 and wrote it: lost update.
         o.record_commit(t(1), NodeId(0), &[(ItemId(7), 0)], &[w(7, 100)]);
         o.record_commit(t(2), NodeId(1), &[(ItemId(7), 0)], &[w(7, 101)]);
-        o.record_ack(t(1), SimTime::ZERO, 1.0);
-        o.record_ack(t(2), SimTime::ZERO, 1.0);
+        o.record_ack(t(1), SimTime::ZERO);
+        o.record_ack(t(2), SimTime::ZERO);
         let lu = check_lost_updates(&o);
         assert_eq!(lu.len(), 1);
         assert_eq!(lu[0].item, ItemId(7));
@@ -827,8 +873,8 @@ mod tests {
         let mut o2 = Oracle::default();
         o2.record_commit(t(1), NodeId(0), &[(ItemId(7), 0)], &[w(7, 100)]);
         o2.record_commit(t(2), NodeId(1), &[(ItemId(7), 100)], &[w(7, 101)]);
-        o2.record_ack(t(1), SimTime::ZERO, 1.0);
-        o2.record_ack(t(2), SimTime::ZERO, 1.0);
+        o2.record_ack(t(1), SimTime::ZERO);
+        o2.record_ack(t(2), SimTime::ZERO);
         assert!(check_lost_updates(&o2).is_empty());
     }
 
@@ -837,11 +883,11 @@ mod tests {
         let mut o = Oracle::default();
         for seq in [3, 1, 2] {
             o.record_commit(t(seq), NodeId(0), &[(ItemId(7), 5)], &[w(7, 10 + seq)]);
-            o.record_ack(t(seq), SimTime::ZERO, 1.0);
+            o.record_ack(t(seq), SimTime::ZERO);
         }
         // A blind write of the same item takes part in nothing.
         o.record_commit(t(4), NodeId(0), &[], &[w(7, 20)]);
-        o.record_ack(t(4), SimTime::ZERO, 1.0);
+        o.record_ack(t(4), SimTime::ZERO);
         let pairs: Vec<_> = check_lost_updates(&o)
             .into_iter()
             .map(|p| (p.a.seq, p.b.seq))
@@ -878,7 +924,7 @@ mod tests {
     fn evidence_records_stay_small() {
         assert!(std::mem::size_of::<ReadRecord>() <= 64);
         assert!(std::mem::size_of::<ReadAckRecord>() <= 48);
-        assert!(std::mem::size_of::<AckRecord>() <= 16);
+        assert!(std::mem::size_of::<AckRecord>() <= 8);
         assert!(std::mem::size_of::<CommitRecord>() <= 16);
     }
 
@@ -1055,7 +1101,7 @@ mod tests {
                     o.record_commit(txn, NodeId(0), &readset, &writes);
                 }
                 if acked {
-                    o.record_ack(txn, SimTime::ZERO, 1.0);
+                    o.record_ack(txn, SimTime::ZERO);
                 }
             }
             let new = check_lost_updates(&o);
@@ -1088,6 +1134,82 @@ mod tests {
             let seen: Vec<(ReadRecord, Vec<(ItemId, Version)>)> =
                 log.iter().map(|r| (*r, r.items().collect())).collect();
             prop_assert_eq!(&seen, &model);
+        }
+    }
+
+    /// The one acknowledgement table the split replaces: every
+    /// acknowledgement — commit path or local read — in one
+    /// [`TxnTable`], the first per transaction winning, plus the count
+    /// of them all. The flag marks a local read's.
+    #[derive(Default)]
+    struct OneAckTable {
+        acked: TxnTable<(SimTime, bool)>,
+        commit_acks: u64,
+    }
+
+    impl OneAckTable {
+        fn record(&mut self, txn: TxnId, at: SimTime, local: bool) {
+            self.commit_acks += 1;
+            self.acked.insert_with(txn, || (at, local));
+        }
+    }
+
+    proptest! {
+        /// The split table — commit-path acknowledgements as records,
+        /// local-read ones as bits and a window count — answers every
+        /// question the one table answered, over update, classic
+        /// read-only and local-read acknowledgements of few ids (so
+        /// duplicates, across the two paths too), on both sides of the
+        /// measurement start.
+        #[test]
+        fn split_acks_behave_like_one_table(
+            acks in proptest::collection::vec((0u8..3, 0u32..3, 0u64..10, 0u64..20), 0..60),
+        ) {
+            let start = SimTime::from_millis(10);
+            let mut o = Oracle::default();
+            o.measure_reads_from(start);
+            let mut model = OneAckTable::default();
+            for (path, client, seq, ms) in acks {
+                let (txn, at) = (TxnId { client, seq }, SimTime::from_millis(ms));
+                let read_ack = |level| ReadAckRecord {
+                    txn,
+                    group: 0,
+                    level,
+                    snapshot_seq: seq,
+                    at,
+                    response_ms: 1.0,
+                };
+                match path {
+                    // An update.
+                    0 => o.record_ack(txn, at),
+                    // A read-only transaction on the classic pipeline.
+                    1 => {
+                        o.record_ack(txn, at);
+                        o.record_read_ack(read_ack(None));
+                    }
+                    // A read served by the local read path.
+                    _ => {
+                        o.record_local_read_ack(txn, at);
+                        o.record_read_ack(read_ack(Some(ReadLevel::Latest)));
+                    }
+                }
+                model.record(txn, at, path == 2);
+                prop_assert_eq!(o.acked_count(), model.acked.len());
+                prop_assert_eq!(o.commit_acks, model.commit_acks);
+                let in_window = model.acked.values().filter(|&&(at, _)| at >= start).count();
+                prop_assert_eq!(o.acked_in_window(), in_window);
+            }
+            for probe in (0..3).flat_map(|client| (0..11).map(move |seq| TxnId { client, seq })) {
+                prop_assert_eq!(o.is_acked(probe), model.acked.contains(probe));
+            }
+            let got: Vec<(TxnId, SimTime)> = o.acked.iter().map(|(t, a)| (t, a.at)).collect();
+            let want: Vec<(TxnId, SimTime)> = model
+                .acked
+                .iter()
+                .filter(|(_, &(_, local))| !local)
+                .map(|(t, &(at, _))| (t, at))
+                .collect();
+            prop_assert_eq!(got, want);
         }
     }
 

@@ -136,9 +136,10 @@ pub struct DbEngine {
     /// `(version, state)` chain as a contiguous vector in ascending
     /// version order (versions are delivery sequence numbers under the
     /// DSM technique), so snapshot lookups binary-search instead of
-    /// walking a tree. Populated only when `config.mvcc_depth > 0`;
-    /// pruned at the group-stable watermark by
-    /// [`DbEngine::prune_versions`].
+    /// walking a tree. Allocated and populated only when
+    /// `config.mvcc_depth > 0` (empty otherwise, so an engine without
+    /// the version store pays no chain per item); pruned at the
+    /// group-stable watermark by [`DbEngine::prune_versions`].
     history: Vec<Vec<(Version, ItemState)>>,
     /// Indices of the non-empty chains of `history`, in no particular
     /// order: what pruning, reseeding and counting visit instead of all
@@ -245,7 +246,11 @@ impl DbEngine {
             dirty_pages: 0,
             stats: DbStats::default(),
             reservations: BTreeMap::new(),
-            history: vec![Vec::new(); config.n_items as usize],
+            history: if config.mvcc_depth > 0 {
+                vec![Vec::new(); config.n_items as usize]
+            } else {
+                Vec::new()
+            },
             populated: Vec::new(),
             prune_from: Version::MAX,
             stable_floor: 0,
@@ -416,12 +421,11 @@ impl DbEngine {
         if head.version <= limit {
             return head;
         }
-        let chain = &self.history[item.index()];
-        if chain.is_empty() {
+        let Some(chain) = self.history.get(item.index()).filter(|c| !c.is_empty()) else {
             // No retained history (store disabled or item chain pruned
             // to the head): the head is all we have.
             return head;
-        }
+        };
         // Chains are version-sorted: binary-search the newest `≤ limit`.
         let above = chain.partition_point(|&(v, _)| v <= limit);
         if above > 0 {
@@ -1294,6 +1298,27 @@ mod tests {
         other.commit(SimTime::ZERO, t(3), &[w(1, 30, 9)]);
         assert_eq!(other.version_at(ItemId(1), 5).value, 20);
         assert_eq!(other.version_at(ItemId(1), 9).value, 30);
+    }
+
+    /// Without the version store an engine keeps no chain per item, and
+    /// a snapshot read is a read of the committed head.
+    #[test]
+    fn an_engine_without_the_version_store_allocates_no_chains() {
+        let mut e = mvcc_engine(0);
+        assert_eq!(e.history.capacity(), 0);
+        e.commit(SimTime::ZERO, t(1), &[w(1, 10, 2)]);
+        e.commit(SimTime::ZERO, t(2), &[w(1, 20, 5)]);
+        assert_eq!(e.version_at(ItemId(1), 3).value, 20);
+        e.prune_versions(5);
+        let (_, lsn) = e.flush_wal(SimTime::ZERO).expect("two records to flush");
+        e.wal_mark_durable(lsn);
+        e.crash();
+        assert_eq!(e.version_at(ItemId(1), 3), e.item(ItemId(1)));
+        let donor = mvcc_engine(0);
+        e.install_checkpoint(donor.checkpoint());
+        e.commit(SimTime::ZERO, t(3), &[w(2, 30, 9)]);
+        assert_eq!(e.version_at(ItemId(2), 1).value, 30);
+        assert_eq!((e.mvcc_retained(), e.history.capacity()), (0, 0));
     }
 
     #[test]

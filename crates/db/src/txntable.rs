@@ -3,15 +3,25 @@
 //! [`TxnSet`](crate::TxnSet) answers "is this transaction in the set";
 //! [`TxnTable`] also holds one value per transaction — an
 //! acknowledgement, a commit record. The values sit in a [`BlockVec`] in
-//! insertion order, and a [`WordPages`] word at `(client, seq)` holds
-//! the value's position + 1 (0 = absent): a lookup is one page probe, a
-//! value is never moved, and a run of one client's consecutive ids costs
-//! eight bytes of index each. As with `TxnSet`, an id far from every
-//! other one costs one page.
+//! insertion order, and the value's position + 1 (0 = absent) sits in a
+//! 32-bit half of the [`WordPages`] word at `(client, seq / 2)` — the
+//! low half for an even `seq`, the high half for an odd one: a lookup is
+//! one page probe, a value is never moved, and a run of one client's
+//! consecutive ids costs four bytes of index each (a page covers 128
+//! ids). As with `TxnSet`, an id far from every other one costs one
+//! page.
 
 use groupsafe_sim::{BlockVec, WordPages};
 
 use crate::types::TxnId;
+
+/// One half of an index word: a position + 1.
+const HALF: u64 = u32::MAX as u64;
+
+/// Index word and bit shift of `txn`'s half within its client's index.
+fn locate(txn: TxnId) -> (u64, u32) {
+    (txn.seq / 2, 32 * (txn.seq % 2) as u32)
+}
 
 /// Values keyed by [`TxnId`]; the first insert of an id wins. Iterates
 /// in ascending `(client, seq)` order, the order of [`TxnId`]'s `Ord`.
@@ -36,21 +46,37 @@ impl<T> TxnTable<T> {
         }
     }
 
+    /// `txn`'s stored position + 1 (0 = absent).
+    fn half(&self, txn: TxnId) -> u64 {
+        let (word, shift) = locate(txn);
+        (self.slots.get(txn.client, word) >> shift) & HALF
+    }
+
     /// Position of `txn`'s value, if it has one.
     fn slot(&self, txn: TxnId) -> Option<usize> {
-        let word = self.slots.get(txn.client, txn.seq);
-        word.checked_sub(1).map(|slot| slot as usize)
+        self.half(txn).checked_sub(1).map(|slot| slot as usize)
     }
 
     /// Store `value()` for `txn` unless it already has a value: the
     /// first insert wins, and a later one neither calls `value` nor
     /// touches what is stored. Returns true if `txn` was absent.
+    ///
+    /// # Panics
+    ///
+    /// If the table already holds `u32::MAX` values: a position must fit
+    /// its half word.
     pub fn insert_with(&mut self, txn: TxnId, value: impl FnOnce() -> T) -> bool {
         let next = self.values.len() as u64 + 1;
-        let old = self
-            .slots
-            .update(txn.client, txn.seq, |w| if w == 0 { next } else { w });
-        let fresh = old == 0;
+        assert!(next <= HALF, "transaction table full");
+        let (word, shift) = locate(txn);
+        let old = self.slots.update(txn.client, word, |w| {
+            if (w >> shift) & HALF == 0 {
+                w | (next << shift)
+            } else {
+                w
+            }
+        });
+        let fresh = (old >> shift) & HALF == 0;
         if fresh {
             self.values.push(value());
         }
@@ -70,7 +96,7 @@ impl<T> TxnTable<T> {
 
     /// True if `txn` has a value.
     pub fn contains(&self, txn: TxnId) -> bool {
-        self.slots.get(txn.client, txn.seq) != 0
+        self.half(txn) != 0
     }
 
     /// Number of transactions with a value.
@@ -85,17 +111,21 @@ impl<T> TxnTable<T> {
 
     /// The `(id, value)` pairs in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (TxnId, &T)> + '_ {
-        self.slots.iter().filter_map(|(client, seq, word)| {
-            let value = self.values.get(word.checked_sub(1)? as usize)?;
-            Some((TxnId { client, seq }, value))
+        self.slots.iter().flat_map(move |(client, word, halves)| {
+            [0, 1].into_iter().filter_map(move |odd| {
+                let slot = ((halves >> (32 * odd)) & HALF).checked_sub(1)?;
+                let txn = TxnId {
+                    client,
+                    seq: word * 2 + odd,
+                };
+                Some((txn, self.values.get(slot as usize)?))
+            })
         })
     }
 
     /// The ids in ascending order.
     pub fn keys(&self) -> impl Iterator<Item = TxnId> + '_ {
-        self.slots
-            .iter()
-            .map(|(client, seq, _)| TxnId { client, seq })
+        self.iter().map(|(txn, _)| txn)
     }
 
     /// The values in ascending id order.
@@ -126,14 +156,43 @@ mod tests {
         assert_eq!(t.iter().collect::<Vec<_>>(), vec![(far, &7)]);
     }
 
+    #[test]
+    fn a_page_holds_128_consecutive_ids() {
+        let mut t = TxnTable::new();
+        for seq in 128..256 {
+            assert!(t.insert_with(TxnId { client: 3, seq }, || seq));
+        }
+        assert_eq!(t.slots.pages(), 1);
+        assert!(t.keys().map(|txn| txn.seq).eq(128..256));
+        assert!(t.values().copied().eq(128..256));
+        let next_page = TxnId {
+            client: 3,
+            seq: 256,
+        };
+        t.insert_with(next_page, || 0);
+        assert_eq!(t.slots.pages(), 2);
+    }
+
     fn txn_id() -> impl Strategy<Value = TxnId> {
         let dense = (0u32..3, 0u64..9000).prop_map(|(client, seq)| TxnId { client, seq });
+        // Both ids of one index word: an even `seq` and the odd one
+        // after it share a word, each in its own half.
+        let pair = (0u32..2, 0u64..4, 0u64..2).prop_map(|(client, word, odd)| TxnId {
+            client,
+            seq: word * 2 + odd,
+        });
         let corners = (
             prop_oneof![Just(0u32), Just(u32::MAX)],
-            prop_oneof![Just(0u64), Just(1 << 32), Just(u64::MAX)],
+            prop_oneof![
+                Just(0u64),
+                Just(1),
+                Just(1 << 32),
+                Just(u64::MAX - 1),
+                Just(u64::MAX)
+            ],
         )
             .prop_map(|(client, seq)| TxnId { client, seq });
-        prop_oneof![dense, corners]
+        prop_oneof![dense, pair, corners]
     }
 
     proptest! {

@@ -531,16 +531,10 @@ pub fn prometheus_snapshot(metrics: &Metrics, obs: &Obs) -> String {
             "# TYPE groupsafe_{n}_total counter\ngroupsafe_{n}_total {value}\n"
         ));
     }
-    let hist_names: Vec<&'static str> = metrics.histogram_names().collect();
-    for name in hist_names {
-        let Some(h) = metrics.histogram(name) else {
-            continue; // unreachable: the name came from the registry itself
-        };
+    for (name, count, sum) in metrics.series() {
         let n = sanitize(name);
         out.push_str(&format!(
-            "# TYPE groupsafe_{n} summary\ngroupsafe_{n}_count {}\ngroupsafe_{n}_sum {:.6}\n",
-            h.count(),
-            h.sum(),
+            "# TYPE groupsafe_{n} summary\ngroupsafe_{n}_count {count}\ngroupsafe_{n}_sum {sum:.6}\n"
         ));
     }
     out.push_str("# TYPE groupsafe_obs_events_total counter\n");
@@ -781,6 +775,30 @@ mod tests {
         let apply_at = snap.find("stage=\"apply\"").unwrap();
         let vote_at = snap.find("stage=\"vote\"").unwrap();
         assert!(apply_at < vote_at);
+    }
+
+    /// A summary exports the rows a histogram fed the same samples
+    /// exports, in name order among the histograms.
+    #[test]
+    fn a_summary_exports_like_a_histogram_in_name_order() {
+        let obs = Obs::new(ObsConfig::disabled());
+        let samples = [3.25, 0.1, 1e6 / 3.0, 0.2];
+        let mut full = Metrics::new();
+        let mut split = Metrics::new();
+        for v in samples {
+            for name in ["a_ms", "m_ms", "z_ms"] {
+                full.record(name, v);
+            }
+            split.record("a_ms", v);
+            split.summarize("m_ms", v);
+            split.record("z_ms", v);
+        }
+        let snap = prometheus_snapshot(&split, &obs);
+        assert_eq!(snap, prometheus_snapshot(&full, &obs));
+        let a = snap.find("groupsafe_a_ms_count").unwrap();
+        let m = snap.find("groupsafe_m_ms_count").unwrap();
+        let z = snap.find("groupsafe_z_ms_count").unwrap();
+        assert!(a < m && m < z);
     }
 
     #[test]

@@ -218,7 +218,7 @@ pub fn run_crash_scenario(sc: &CrashScenario) -> CrashOutcome {
 
 fn audit(system: &System, crash_instant: SimTime) -> CrashOutcome {
     let oracle = system.oracle.borrow();
-    let acked = oracle.acked.len();
+    let acked = oracle.acked_count();
     let acked_after_crash = oracle
         .acked
         .values()

@@ -96,18 +96,20 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTING: Counting = Counting;
 
 /// Peak live heap bytes per acknowledged transaction this test allows:
-/// the value measured when the budget was set, 211 bytes (10 217 668
+/// the value measured when the budget was set, 176 bytes (8 539 068
 /// bytes over 48 535 transactions, debug and release alike), plus 10 %.
-/// While the oracle kept every served read and every read
-/// acknowledgement for a replay after the run, 365 bytes were needed
-/// here (17 729 372), which fails it; while the oracle kept two vectors
-/// per commit and the first latency quantile copied every sample, 400
-/// (19 424 804); while every endpoint's sequence log kept each entry for
-/// the whole run and the report copied the latency samples twice, 444
-/// (21 545 700); the layout before the oracle's tables were indexed by
-/// id — B-trees of acknowledgements and commits, a vector per served
+/// While a local read's acknowledgement was a 16-byte record beside an
+/// 8-byte index word and every response time a kept sample, 211 bytes
+/// were needed here (10 217 668), which fails it; while the oracle kept
+/// every served read and every read acknowledgement for a replay after
+/// the run, 365 (17 729 372); while the oracle kept two vectors per
+/// commit and the first latency quantile copied every sample, 400
+/// (19 424 804); while every endpoint's sequence log kept each entry
+/// for the whole run and the report copied the latency samples twice,
+/// 444 (21 545 700); the layout before the oracle's tables were indexed
+/// by id — B-trees of acknowledgements and commits, a vector per served
 /// read, a completion set per client — needed 583.
-const BUDGET_BYTES_PER_ACK: f64 = 232.0;
+const BUDGET_BYTES_PER_ACK: f64 = 194.0;
 
 #[test]
 fn readmix_peak_heap_per_acknowledged_transaction_stays_in_budget() {
@@ -155,15 +157,18 @@ fn readmix_peak_heap_per_acknowledged_transaction_stays_in_budget() {
     );
 }
 
-/// Peak live heap bytes per acknowledged transaction this test allows on
-/// the Table 4 system: the value measured when the budget was set, 2 569
-/// bytes (9 989 048 bytes over 3 888 transactions, debug and release
-/// alike), plus 10 %. While the oracle kept two vectors per commit and
-/// the WAL a 24-byte copy of each write, 2 840 bytes were needed here
-/// (11 043 488), which fails it; while every endpoint's sequence log
-/// kept each entry for the whole run, 3 759 (14 616 768); while every
-/// replica's WAL also kept each record, 5 087 (19 779 248).
-const TABLE4_BUDGET_BYTES_PER_ACK: f64 = 2826.0;
+/// Peak live heap bytes per acknowledged transaction this test allows
+/// on the Table 4 system: the value measured when the budget was set,
+/// 1 987 bytes (7 724 360 bytes over 3 888 transactions, debug and
+/// release alike), plus 10 %. While every engine kept an empty version
+/// chain per item without the version store, the oracle's index took 8
+/// bytes per id and every response time was a kept sample, 2 569 bytes
+/// were needed here (9 989 152), which fails it; while the oracle kept
+/// two vectors per commit and the WAL a 24-byte copy of each write,
+/// 2 840 (11 043 488); while every endpoint's sequence log kept each
+/// entry for the whole run, 3 759 (14 616 768); while every replica's
+/// WAL also kept each record, 5 087 (19 779 248).
+const TABLE4_BUDGET_BYTES_PER_ACK: f64 = 2185.0;
 
 #[test]
 fn table4_peak_heap_per_acknowledged_transaction_stays_in_budget() {
@@ -199,14 +204,16 @@ fn table4_peak_heap_per_acknowledged_transaction_stays_in_budget() {
     );
 }
 
-/// Peak live heap bytes per acknowledged transaction this test allows on
-/// an `ordering`-shaped system: the value measured when the budget was
-/// set, 1 058 bytes (32 663 040 bytes over 30 878 transactions, debug
-/// and release alike), plus 10 %. While the WAL stored each write as a
+/// Peak live heap bytes per acknowledged transaction this test allows
+/// on an `ordering`-shaped system: the value measured when the budget
+/// was set, 962 bytes (29 718 816 bytes over 30 878 transactions, debug
+/// and release alike), plus 10 %. While every engine kept an empty
+/// version chain per item, the oracle's index took 8 bytes per id and
+/// every response time was a kept sample, 1 058 bytes were needed here
+/// (32 663 144), just inside it; while the WAL stored each write as a
 /// 24-byte record with its own version and the oracle kept two vectors
-/// per commit, 1 404 bytes were needed here (43 365 016), which fails
-/// it.
-const ORDERING_BUDGET_BYTES_PER_ACK: f64 = 1164.0;
+/// per commit, 1 404 (43 365 016), which fails it.
+const ORDERING_BUDGET_BYTES_PER_ACK: f64 = 1059.0;
 
 #[test]
 fn ordering_peak_heap_per_acknowledged_transaction_stays_in_budget() {

@@ -144,8 +144,8 @@ fn sequencer_kill_mid_batch_is_safe_and_deterministic() {
     let again = run_once();
     assert_eq!(system.engine.fingerprint(), again.engine.fingerprint());
     assert_eq!(
-        system.oracle.borrow().acked.len(),
-        again.oracle.borrow().acked.len()
+        system.oracle.borrow().acked_count(),
+        again.oracle.borrow().acked_count()
     );
 }
 

@@ -166,7 +166,7 @@ fn cross_group_transactions_commit_atomically() {
     // rules (no faults here, so there is nothing to excuse).
     let oracle = system.oracle.borrow();
     for (txn, xg) in &oracle.xg {
-        if !oracle.acked.contains(*txn) {
+        if !oracle.is_acked(*txn) {
             continue;
         }
         assert!(xg.groups.len() >= 2, "recorded as cross-group");

@@ -29,7 +29,7 @@ fn very_safe_commits_when_everyone_is_up() {
     run.stop_clients_at(end);
     run.run_until(end + SimDuration::from_secs(3));
     let system = run.system();
-    let acked = system.oracle.borrow().acked.len();
+    let acked = system.oracle.borrow().acked_count();
     assert!(
         acked > 40,
         "very-safe must make progress when all are up ({acked})"
