@@ -1221,7 +1221,7 @@ impl Run {
             let mut per_group = vec![(0usize, 0usize); system.n_groups.max(1) as usize];
             let mut commits = 0usize;
             let mut aborts = 0usize;
-            for rec in &oracle.si_txns {
+            for rec in oracle.si_txns.iter() {
                 let slot = per_group.get_mut(rec.group as usize);
                 if rec.committed {
                     commits += 1;
@@ -1307,18 +1307,21 @@ impl Run {
         // Per-phase stats from the sample slices between marks. Samples
         // append in simulated-time order, so index ranges captured at the
         // boundaries segment the run exactly; compute before any quantile
-        // call sorts the histogram in place.
+        // call sorts the histogram in place. Each phase selects its
+        // percentile inside its own range, which is disjoint from the
+        // others', so nothing is copied.
         let mut phases = Vec::new();
         {
-            let all: &[f64] = system
+            let all = system
                 .engine
-                .metrics()
-                .histogram("response_total_ms")
-                .map_or(&[], |h| h.samples());
+                .metrics_mut()
+                .histogram_mut("response_total_ms")
+                .samples_mut();
+            let len = all.len();
             for w in self.marks.windows(2) {
                 let (label, from) = w[0];
                 let (_, to) = w[1];
-                let slice = &all[from.min(all.len())..to.min(all.len())];
+                let slice = &mut all[from.min(len)..to.min(len)];
                 phases.push(PhaseStats::from_samples(label, slice));
             }
         }
@@ -1464,7 +1467,9 @@ pub struct PhaseStats {
 }
 
 impl PhaseStats {
-    fn from_samples(label: &'static str, samples: &[f64]) -> PhaseStats {
+    /// The phase's statistics, from its samples in recording order;
+    /// leaves them reordered.
+    fn from_samples(label: &'static str, samples: &mut [f64]) -> PhaseStats {
         if samples.is_empty() {
             return PhaseStats {
                 label,
@@ -1473,17 +1478,17 @@ impl PhaseStats {
                 p95_ms: 0.0,
             };
         }
-        // The mean sums the samples in recording order; the percentile
-        // selects from the one copy. total_cmp: NaN-free total order, no
-        // panic path (a NaN sample would rank last instead of poisoning
-        // the percentile), and equal ranks are equal bits, so selecting
-        // picks exactly what a full sort would put at that rank.
+        // The mean sums the samples in recording order, before the
+        // percentile selects in place. total_cmp: NaN-free total order,
+        // no panic path (a NaN sample would rank last instead of
+        // poisoning the percentile), and equal ranks are equal bits, so
+        // selecting picks exactly what a full sort would put at that
+        // rank.
         let mean_ms = samples.iter().sum::<f64>() / samples.len() as f64;
         let idx = ((0.95 * samples.len() as f64).ceil() as usize)
             .saturating_sub(1)
             .min(samples.len() - 1);
-        let mut ranked = samples.to_vec();
-        let (_, &mut p95_ms, _) = ranked.select_nth_unstable_by(idx, f64::total_cmp);
+        let (_, &mut p95_ms, _) = samples.select_nth_unstable_by(idx, f64::total_cmp);
         PhaseStats {
             label,
             commits: samples.len(),
@@ -1912,7 +1917,7 @@ mod tests {
                 1..300,
             )
         ) {
-            let stats = PhaseStats::from_samples("measure", &samples);
+            let stats = PhaseStats::from_samples("measure", &mut samples.clone());
             let mut sorted = samples.clone();
             sorted.sort_by(f64::total_cmp);
             let idx = ((0.95 * sorted.len() as f64).ceil() as usize)
@@ -1922,6 +1927,40 @@ mod tests {
             let mean = samples.iter().sum::<f64>() / samples.len() as f64;
             proptest::prop_assert_eq!(stats.mean_ms.to_bits(), mean.to_bits());
             proptest::prop_assert_eq!(stats.commits, samples.len());
+        }
+
+        /// Phases selected in place, one after the other in the one
+        /// sample buffer, give the bits the copying selection gave each
+        /// phase: the mean is summed before the phase's range is
+        /// reordered, and no phase disturbs another's samples.
+        #[test]
+        fn phase_stats_in_place_match_a_copy_per_phase(
+            samples in proptest::collection::vec(0.001f64..5_000.0, 0..400),
+            cuts in proptest::collection::vec(0usize..400, 0..5),
+        ) {
+            /// The selection before it worked in place: on a copy.
+            fn from_a_copy(samples: &[f64]) -> (usize, u64, u64) {
+                if samples.is_empty() {
+                    return (0, 0.0f64.to_bits(), 0.0f64.to_bits());
+                }
+                let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+                let idx = ((0.95 * samples.len() as f64).ceil() as usize)
+                    .saturating_sub(1)
+                    .min(samples.len() - 1);
+                let mut ranked = samples.to_vec();
+                let (_, &mut p95, _) = ranked.select_nth_unstable_by(idx, f64::total_cmp);
+                (samples.len(), mean.to_bits(), p95.to_bits())
+            }
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(samples.len())).collect();
+            bounds.push(0);
+            bounds.push(samples.len());
+            bounds.sort_unstable();
+            let mut buffer = samples.clone();
+            for w in bounds.windows(2) {
+                let stats = PhaseStats::from_samples("phase", &mut buffer[w[0]..w[1]]);
+                let got = (stats.commits, stats.mean_ms.to_bits(), stats.p95_ms.to_bits());
+                proptest::prop_assert_eq!(got, from_a_copy(&samples[w[0]..w[1]]));
+            }
         }
     }
 

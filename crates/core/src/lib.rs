@@ -89,5 +89,5 @@ pub use shard::{sharded_generator, ShardError, ShardMap, ShardSpec, ShardStrateg
 pub use system::System;
 pub use verify::{
     check_convergence, check_lost_updates, check_no_loss, LostTransaction, LostUpdate, Oracle,
-    SiRecord, XgRecord,
+    SiLog, SiOutcome, SiRecord, SiView, XgRecord,
 };

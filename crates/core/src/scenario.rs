@@ -1091,6 +1091,8 @@ pub fn reconcile_restart(system: &mut System, servers: &[u32]) {
 
 use groupsafe_db::TxnId;
 
+use crate::verify::{Oracle, SiOutcome};
+
 /// One invariant the run violated.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OracleViolation {
@@ -1523,35 +1525,25 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
         || !plan.any_delivery_fault();
     let si_audited = {
         let oracle = system.oracle.borrow();
+        let audited_here = |rec: &SiOutcome| {
+            si_trustworthy
+                && !group_failed_of
+                    .get(rec.group as usize)
+                    .copied()
+                    .unwrap_or(false)
+        };
+        violations.extend(si_dirty_reads(&oracle, &audited_here));
         let mut audited = 0usize;
-        let mut committed_versions: std::collections::BTreeSet<(groupsafe_db::ItemId, u64)> =
-            std::collections::BTreeSet::new();
-        for rec in oracle.commits.values() {
-            committed_versions.extend(rec.writes());
-        }
         type SiEntry = (u64, u64, TxnId);
         let mut by_item: std::collections::BTreeMap<(u32, groupsafe_db::ItemId), Vec<SiEntry>> =
             std::collections::BTreeMap::new();
-        for rec in &oracle.si_txns {
-            let g_failed = group_failed_of
-                .get(rec.group as usize)
-                .copied()
-                .unwrap_or(false);
-            if !si_trustworthy || g_failed {
+        for rec in oracle.si_txns.iter() {
+            if !audited_here(&rec) {
                 continue;
             }
             audited += 1;
-            for &(item, v) in &rec.readset {
-                if v > rec.snapshot || (v != 0 && !committed_versions.contains(&(item, v))) {
-                    violations.push(OracleViolation::SiDirtyRead {
-                        txn: rec.txn,
-                        item,
-                        version: v,
-                    });
-                }
-            }
             if rec.committed {
-                for &item in &rec.writes {
+                for item in rec.writes() {
                     by_item.entry((rec.group, item)).or_default().push((
                         rec.commit_seq,
                         rec.snapshot,
@@ -1589,6 +1581,55 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
         reads_audited,
         si_audited,
     }
+}
+
+/// The snapshot-containment rule over the SI outcomes `audited` accepts,
+/// in delivery order and readset order: a snapshot read never observes a
+/// version above its snapshot, nor a version other than 0 (the initial
+/// state) that no committed transaction wrote. Only the second half needs
+/// the commit log, and only for the versions audited reads observed at
+/// or below their snapshot, so those are collected and sorted, the ones
+/// some commit wrote are struck out, and whatever is left is what no
+/// commit wrote; with no such version, no commit is read.
+fn si_dirty_reads(oracle: &Oracle, audited: &dyn Fn(&SiOutcome) -> bool) -> Vec<OracleViolation> {
+    let contained = || {
+        let audited = oracle.si_txns.iter().filter(|rec| audited(rec));
+        audited.flat_map(|rec| {
+            let snapshot = rec.snapshot;
+            rec.readset().filter(move |&(_, v)| v != 0 && v <= snapshot)
+        })
+    };
+    let mut unwritten = Vec::with_capacity(contained().count());
+    unwritten.extend(contained());
+    unwritten.sort_unstable();
+    unwritten.dedup();
+    if !unwritten.is_empty() {
+        let mut written = vec![false; unwritten.len()];
+        for rec in oracle.commits.values() {
+            for w in rec.writes() {
+                if let Ok(i) = unwritten.binary_search(&w) {
+                    if let Some(hit) = written.get_mut(i) {
+                        *hit = true;
+                    }
+                }
+            }
+        }
+        let mut struck = written.into_iter();
+        unwritten.retain(|_| !struck.next().unwrap_or(false));
+    }
+    let mut violations = Vec::new();
+    for rec in oracle.si_txns.iter().filter(|rec| audited(rec)) {
+        for (item, v) in rec.readset() {
+            if v > rec.snapshot || (v != 0 && unwritten.binary_search(&(item, v)).is_ok()) {
+                violations.push(OracleViolation::SiDirtyRead {
+                    txn: rec.txn,
+                    item,
+                    version: v,
+                });
+            }
+        }
+    }
+    violations
 }
 
 // ---------------------------------------------------------------------
@@ -2157,6 +2198,100 @@ pub mod fuzz {
             commits,
             fingerprint: system.engine.fingerprint(),
             flight,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use groupsafe_db::{ItemId, WriteOp};
+    use groupsafe_net::NodeId;
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::verify::SiRecord;
+
+    /// The snapshot-containment rule before it collected what the
+    /// audited reads observed: a set of every committed write, then each
+    /// audited read looked up in it.
+    fn dirty_reads_by_set_of_every_write(
+        oracle: &Oracle,
+        audited: &dyn Fn(&SiOutcome) -> bool,
+    ) -> Vec<OracleViolation> {
+        let mut committed_versions: BTreeSet<(ItemId, u64)> = BTreeSet::new();
+        for rec in oracle.commits.values() {
+            committed_versions.extend(rec.writes());
+        }
+        let mut violations = Vec::new();
+        for rec in oracle.si_txns.iter() {
+            if !audited(&rec) {
+                continue;
+            }
+            for (item, v) in rec.readset() {
+                if v > rec.snapshot || (v != 0 && !committed_versions.contains(&(item, v))) {
+                    violations.push(OracleViolation::SiDirtyRead {
+                        txn: rec.txn,
+                        item,
+                        version: v,
+                    });
+                }
+            }
+        }
+        violations
+    }
+
+    proptest! {
+        /// Collecting the audited reads' versions and striking out the
+        /// written ones finds the violations the set of every write
+        /// found, in the same order: over versions 0, versions above the
+        /// snapshot, versions written by a whole commit or a later
+        /// cross-group slice, versions nobody wrote, groups left out of
+        /// the audit, and no commits or no SI outcomes at all.
+        #[test]
+        fn si_dirty_reads_match_the_set_of_every_write(
+            commits in proptest::collection::vec(
+                (proptest::collection::vec((0u32..6, 1u64..12), 0..4), any::<bool>()),
+                0..20,
+            ),
+            outcomes in proptest::collection::vec(
+                (0u32..3, 0u64..12, proptest::collection::vec((0u32..6, 0u64..14), 0..5)),
+                0..20,
+            ),
+            failed in proptest::collection::vec(any::<bool>(), 3..4),
+        ) {
+            let mut o = Oracle::default();
+            for (n, (writes, sliced)) in commits.into_iter().enumerate() {
+                let txn = TxnId { client: 1, seq: n as u64 };
+                let writes: Vec<WriteOp> = writes
+                    .into_iter()
+                    .map(|(item, version)| WriteOp { item: ItemId(item), value: 1, version })
+                    .collect();
+                let (first, second) = writes.split_at(writes.len() / 2);
+                if sliced {
+                    o.record_commit(txn, NodeId(0), &[], first);
+                    o.record_commit_slice(txn, NodeId(3), second);
+                } else {
+                    o.record_commit(txn, NodeId(0), &[], &writes);
+                }
+            }
+            for (n, (group, snapshot, readset)) in outcomes.into_iter().enumerate() {
+                o.record_si(SiRecord {
+                    txn: TxnId { client: 2, seq: n as u64 },
+                    group,
+                    snapshot,
+                    readset: readset.into_iter().map(|(i, v)| (ItemId(i), v)).collect(),
+                    writes: Vec::new(),
+                    committed: n % 2 == 0,
+                    commit_seq: 0,
+                });
+            }
+            let audited = |rec: &SiOutcome| !failed.get(rec.group as usize).copied().unwrap_or(false);
+            prop_assert_eq!(
+                si_dirty_reads(&o, &audited),
+                dirty_reads_by_set_of_every_write(&o, &audited)
+            );
         }
     }
 }

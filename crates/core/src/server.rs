@@ -74,7 +74,7 @@ use crate::obs_txn;
 use crate::reads::{ReadLevel, ReadPath, ReadReply, ReadRequest, READ_MAX_WAIT};
 use crate::safety::SafetyLevel;
 use crate::shard::ShardMap;
-use crate::verify::{Oracle, ReadRecord, SiRecord};
+use crate::verify::{Oracle, ReadRecord, SiOutcome};
 
 /// Which replication technique a server runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1279,15 +1279,15 @@ impl ReplicaServer {
             {
                 let mut oracle = self.oracle.borrow_mut();
                 oracle.aborts += 1;
-                oracle.record_si(SiRecord {
+                let outcome = SiOutcome {
                     txn,
                     group: self.group,
                     snapshot: exec.snapshot.unwrap_or(0),
-                    readset: exec.readset,
-                    writes: exec.writes.iter().map(|&(i, _)| i).collect(),
                     committed: false,
                     commit_seq: 0,
-                });
+                };
+                let writes = exec.writes.iter().map(|&(i, _)| i);
+                oracle.record_si_outcome(outcome, &exec.readset, writes);
             }
             let at = self.charge_net_cpu(ctx.now());
             self.reply_at(
@@ -1566,15 +1566,17 @@ impl ReplicaServer {
         // (lost-update and dirty-read audits + per-group accounting).
         if let Some(snap) = msg.snapshot {
             if msg.delegate == self.node && !self.db.is_committed(msg.txn) {
-                self.oracle.borrow_mut().record_si(SiRecord {
+                let outcome = SiOutcome {
                     txn: msg.txn,
                     group: self.group,
                     snapshot: snap,
-                    readset: msg.readset.clone(),
-                    writes: msg.writes.iter().map(|&(i, _)| i).collect(),
                     committed,
                     commit_seq: if committed { seq } else { 0 },
-                });
+                };
+                let writes = msg.writes.iter().map(|&(i, _)| i);
+                self.oracle
+                    .borrow_mut()
+                    .record_si_outcome(outcome, &msg.readset, writes);
             }
         }
         match verdict {

@@ -35,10 +35,26 @@
 //!   (session, group) accepted, the violations found, and a [`ReadLog`]
 //!   of the [`ReadLevel::Stable`] reads alone, whose observed items the
 //!   post-run lost-value rule needs.
-//! * [`Oracle::si_txns`] is a [`BlockVec`] of records in delivery order.
+//! * [`Oracle::si_txns`] is an [`SiLog`], shaped like the commit log: a
+//!   48-byte entry per snapshot-isolation transaction in delivery order
+//!   (its [`SiOutcome`] and where its lists end), the readsets as
+//!   `(item, version)` pairs in two lockstep columns and the written
+//!   items in a third — no allocation per transaction. Reading it yields
+//!   [`SiView`]s. [`Oracle::record_si`] takes an owned [`SiRecord`],
+//!   [`Oracle::record_si_outcome`] borrowed lists.
 //!
-//! [`check_lost_updates`] reads the commit table once and keeps only its
-//! candidates: writes whose item the same transaction read.
+//! # Audits
+//!
+//! The audits run once the run is over, when every table above is at
+//! its largest, so each allocates by what it finds, not by what the run
+//! did. [`check_lost_updates`] walks the commit log in counting passes
+//! and stores only the candidates whose `(item, version read)` bucket
+//! another candidate hit — 2 bytes of bitmap per candidate, in bitmaps
+//! of at most 128 KiB; a clean run's candidates are mostly never
+//! stored. The snapshot-containment rule of
+//! [`crate::scenario::audit_scenario`] collects the versions the audited
+//! snapshot reads observed and strikes out those a commit wrote, reading
+//! no commit when there are none.
 
 use std::collections::BTreeMap;
 use std::ops::Deref;
@@ -510,8 +526,10 @@ impl ReadAudit {
 /// A snapshot-isolation transaction's certification outcome, recorded by
 /// the delegate at delivery time (the SI oracle's evidence for the
 /// lost-update and dirty-read audits and the per-group commit/abort
-/// accounting).
-#[derive(Debug, Clone)]
+/// accounting), as a record that owns its readset and writes. The
+/// [`SiLog`] stores it flat: [`Oracle::record_si`] keeps its
+/// [`SiOutcome`] and copies the two lists into columns.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiRecord {
     /// The transaction.
     pub txn: TxnId,
@@ -529,6 +547,158 @@ pub struct SiRecord {
     /// The delivery sequence number the commit was applied at (0 on
     /// abort).
     pub commit_seq: u64,
+}
+
+/// The fixed-size part of an [`SiRecord`]: everything but its readset
+/// and writes. 40 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SiOutcome {
+    /// The transaction.
+    pub txn: TxnId,
+    /// The delegate's group.
+    pub group: u32,
+    /// The delivery sequence number the read phase executed against.
+    pub snapshot: u64,
+    /// Certification verdict.
+    pub committed: bool,
+    /// The delivery sequence number the commit was applied at (0 on
+    /// abort).
+    pub commit_seq: u64,
+}
+
+/// An [`SiOutcome`] as the [`SiLog`] stores it, with the column lengths
+/// after its pairs: its readset ends at `reads_end`, its writes at
+/// `writes_end`, and each starts where the previous record's ended.
+/// 48 bytes.
+#[derive(Debug, Clone, Copy)]
+struct SiEntry {
+    outcome: SiOutcome,
+    reads_end: u32,
+    writes_end: u32,
+}
+
+/// Snapshot-isolation outcomes in delivery order: one fixed-size entry
+/// each, the readsets as `(item, version)` pairs back to back in two
+/// lockstep columns and the written items back to back in a third — 12
+/// bytes a read, 4 a write, and no allocation per transaction. Reading
+/// it yields [`SiView`]s.
+#[derive(Debug, Default)]
+pub struct SiLog {
+    entries: BlockVec<SiEntry>,
+    read_items: BlockVec<ItemId>,
+    read_versions: BlockVec<Version>,
+    write_items: BlockVec<ItemId>,
+}
+
+impl SiLog {
+    /// Append an outcome, the pairs its snapshot reads observed and the
+    /// items it wrote.
+    pub(crate) fn push(
+        &mut self,
+        outcome: SiOutcome,
+        readset: impl IntoIterator<Item = (ItemId, Version)>,
+        writes: impl IntoIterator<Item = ItemId>,
+    ) {
+        for (item, version) in readset {
+            self.read_items.push(item);
+            self.read_versions.push(version);
+        }
+        for item in writes {
+            self.write_items.push(item);
+        }
+        let (reads_end, writes_end) = (self.read_items.len(), self.write_items.len());
+        assert!(
+            reads_end.max(writes_end) <= u32::MAX as usize,
+            "SI evidence column full"
+        );
+        self.entries.push(SiEntry {
+            outcome,
+            reads_end: reads_end as u32,
+            writes_end: writes_end as u32,
+        });
+    }
+
+    /// Number of outcomes.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when no outcome was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The outcomes in delivery order.
+    pub fn iter(&self) -> impl Iterator<Item = SiView<'_>> {
+        let starts =
+            std::iter::once((0, 0)).chain(self.entries.iter().map(|e| (e.reads_end, e.writes_end)));
+        self.entries
+            .iter()
+            .zip(starts)
+            .map(move |(entry, (reads_start, writes_start))| SiView {
+                entry,
+                log: self,
+                reads_start: reads_start as usize,
+                writes_start: writes_start as usize,
+            })
+    }
+}
+
+/// One snapshot-isolation outcome as the audits see it: the
+/// [`SiOutcome`] (through `Deref`) plus its readset and writes, borrowed
+/// from the [`SiLog`].
+#[derive(Clone, Copy)]
+pub struct SiView<'a> {
+    entry: &'a SiEntry,
+    log: &'a SiLog,
+    reads_start: usize,
+    writes_start: usize,
+}
+
+impl<'a> SiView<'a> {
+    /// Items read (outside the transaction's own write buffer), with
+    /// the committed versions observed.
+    pub fn readset(&self) -> impl Iterator<Item = (ItemId, Version)> + 'a {
+        let log = self.log;
+        let len = (self.entry.reads_end as usize).saturating_sub(self.reads_start);
+        log.read_items
+            .iter_from(self.reads_start)
+            .zip(log.read_versions.iter_from(self.reads_start))
+            .take(len)
+            .map(|(&item, &version)| (item, version))
+    }
+
+    /// Items written.
+    pub fn writes(&self) -> impl Iterator<Item = ItemId> + 'a {
+        let len = (self.entry.writes_end as usize).saturating_sub(self.writes_start);
+        self.log
+            .write_items
+            .iter_from(self.writes_start)
+            .take(len)
+            .copied()
+    }
+}
+
+impl Deref for SiView<'_> {
+    type Target = SiOutcome;
+
+    fn deref(&self) -> &SiOutcome {
+        &self.entry.outcome
+    }
+}
+
+impl From<SiView<'_>> for SiRecord {
+    fn from(view: SiView<'_>) -> SiRecord {
+        SiRecord {
+            txn: view.txn,
+            group: view.group,
+            snapshot: view.snapshot,
+            readset: view.readset().collect(),
+            writes: view.writes().collect(),
+            committed: view.committed,
+            commit_seq: view.commit_seq,
+        }
+    }
 }
 
 /// Touched-group record of one committed cross-group transaction.
@@ -575,7 +745,7 @@ pub struct Oracle {
     pub read_redirects_by_group: BTreeMap<u32, u64>,
     /// Snapshot-isolation certification outcomes, in delegate delivery
     /// order (SI anomaly audits + per-group accounting).
-    pub si_txns: BlockVec<SiRecord>,
+    pub si_txns: SiLog,
 }
 
 impl Oracle {
@@ -638,7 +808,25 @@ impl Oracle {
     /// Record a snapshot-isolation certification outcome (delegate side,
     /// at delivery time).
     pub fn record_si(&mut self, rec: SiRecord) {
-        self.si_txns.push(rec);
+        let outcome = SiOutcome {
+            txn: rec.txn,
+            group: rec.group,
+            snapshot: rec.snapshot,
+            committed: rec.committed,
+            commit_seq: rec.commit_seq,
+        };
+        self.record_si_outcome(outcome, &rec.readset, rec.writes);
+    }
+
+    /// As [`Oracle::record_si`], from borrowed lists: the readset's
+    /// pairs and the written items are copied into the log's columns.
+    pub fn record_si_outcome(
+        &mut self,
+        outcome: SiOutcome,
+        readset: &[(ItemId, Version)],
+        writes: impl IntoIterator<Item = ItemId>,
+    ) {
+        self.si_txns.push(outcome, readset.iter().copied(), writes);
     }
 
     /// Count a session-read redirect answered by a replica of `group`.
@@ -760,17 +948,95 @@ pub struct LostUpdate {
     pub item: ItemId,
 }
 
+/// Buckets in one of the lost-update audit's bitmaps at most: 2^20, 128
+/// KiB.
+const MAX_BUCKETS: usize = 1 << 20;
+
+/// The lost-update audit's hash of a candidate's `(item, version read)`:
+/// a splitmix64 mix. Its top bits pick a bucket, its low bits a slice.
+fn candidate_key(item: ItemId, read: Version) -> u64 {
+    let mut x = (read.rotate_left(32) ^ u64::from(item.0)).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// A bitmap of a power-of-two number of buckets, addressed by the top
+/// bits of a [`candidate_key`].
+struct Buckets {
+    words: Vec<u64>,
+    /// `64 − log2(buckets)`.
+    shift: u32,
+}
+
+impl Buckets {
+    /// `buckets` clear buckets: a power of two, 64 or more.
+    fn new(buckets: usize) -> Buckets {
+        Buckets {
+            words: vec![0; buckets / 64],
+            shift: 64 - buckets.trailing_zeros(),
+        }
+    }
+
+    fn bit(&self, key: u64) -> (usize, u64) {
+        let b = (key >> self.shift) as usize;
+        (b / 64, 1 << (b % 64))
+    }
+
+    /// Set `key`'s bucket; true if it was set already.
+    fn set(&mut self, key: u64) -> bool {
+        let (word, bit) = self.bit(key);
+        self.words.get_mut(word).is_some_and(|w| {
+            let was = *w & bit != 0;
+            *w |= bit;
+            was
+        })
+    }
+
+    /// True if `key`'s bucket is set.
+    fn contains(&self, key: u64) -> bool {
+        let (word, bit) = self.bit(key);
+        self.words.get(word).is_some_and(|w| w & bit != 0)
+    }
+}
+
 /// Detect lost updates among acknowledged commits.
 ///
 /// Only a write whose item the same transaction read (the first readset
-/// entry for it) can take part, so those are the candidates. Sorted by
-/// item, version read and transaction, the candidates of one
-/// `(item, version read)` form a run, and every pair of a run is a lost
-/// update: the pairs come out by item, then version read, then `a`
-/// before `b` in id order. Blind writes produce no candidate at all.
-/// The audit runs when every log is at its largest, so the candidates
-/// are counted first and stored in a vector of exactly that size.
+/// entry for it) can take part, so those are the candidates. On the
+/// classic and lazy pipelines that is every write, blind ones included:
+/// execution records the version each write overwrites in the readset
+/// (`(Operation::Write, None)` in `run_dsm_read_phase`, and the lazy
+/// executor's write arm), so a blind-write workload such as `ordering`
+/// yields a candidate per write. A snapshot write is a candidate only if
+/// its transaction read the item first, and a cross-group slice, which
+/// is recorded without a readset, never is. Sorted by item, version read
+/// and transaction, the candidates of one `(item, version read)` form a
+/// run, and every pair of a run is a lost update: the pairs come out by
+/// item, then version read, then `a` before `b` in id order.
+///
+/// The audit runs when every log is at its largest, and a clean run has
+/// no pair, so it stores only the candidates that might have a partner.
+/// A counting pass sets each candidate's bucket, by a hash of
+/// `(item, version read)`, in a "seen once" bitmap and, if it was set
+/// already, in a "seen again" one — about 8 buckets per candidate, 2
+/// bytes for the two. Only the candidates whose bucket was seen again
+/// are stored (24 bytes each, in a vector of exactly their number),
+/// sorted and paired. Every run shares a bucket, so every pair survives;
+/// a candidate that only shares a bucket by hash sits alone in its run
+/// after the sort and pairs with nothing. A bitmap has at most 2^20
+/// buckets (128 KiB): past about 131 072 candidates the hash space is
+/// taken in slices, so what the audit holds at once stops growing with
+/// the run.
 pub fn check_lost_updates(oracle: &Oracle) -> Vec<LostUpdate> {
+    lost_updates_in_slices(oracle, MAX_BUCKETS)
+}
+
+/// [`check_lost_updates`] with bitmaps of at most `max_buckets` (a power
+/// of two, 64 or more): with more candidates than an eighth of that, the
+/// hash space is taken in slices, a pass of its own each, and the pairs
+/// the slices found are put back in run order.
+fn lost_updates_in_slices(oracle: &Oracle, max_buckets: usize) -> Vec<LostUpdate> {
     /// The derived order is the sort order: item, version read, then
     /// the transaction (`client`, `seq`). 24 bytes.
     #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -797,26 +1063,60 @@ pub fn check_lost_updates(oracle: &Oracle) -> Vec<LostUpdate> {
                 })
             })
     };
-    let mut sorted = Vec::with_capacity(candidates().count());
-    sorted.extend(candidates());
-    sorted.sort_unstable();
+    let n = candidates().count();
+    if n < 2 {
+        return Vec::new();
+    }
+    let wanted = n.saturating_mul(8).next_power_of_two().max(64);
+    let buckets = wanted.min(max_buckets);
+    // Both powers of two: the slice is the key's low bits.
+    let slices = (wanted / buckets) as u64;
+    let key = |c: &Candidate| candidate_key(c.item, c.read);
     let txn = |c: &Candidate| TxnId {
         client: c.client,
         seq: c.seq,
     };
-    let mut out = Vec::new();
-    for run in sorted.chunk_by(|x, y| (x.item, x.read) == (y.item, y.read)) {
-        for (i, a) in run.iter().enumerate() {
-            for b in run.iter().skip(i + 1) {
-                out.push(LostUpdate {
-                    a: txn(a),
-                    b: txn(b),
-                    item: a.item,
-                });
+    // Each pair with the version its transactions read, the sort key
+    // between slices.
+    let mut found: Vec<(Version, LostUpdate)> = Vec::new();
+    for slice in 0..slices {
+        let mine = |key: u64| key & (slices - 1) == slice;
+        let again = {
+            let mut once = Buckets::new(buckets);
+            let mut again = Buckets::new(buckets);
+            for k in candidates().map(|c| key(&c)).filter(|&k| mine(k)) {
+                if once.set(k) {
+                    again.set(k);
+                }
+            }
+            again
+        };
+        let paired = |c: &Candidate| {
+            let k = key(c);
+            mine(k) && again.contains(k)
+        };
+        let mut sorted = Vec::with_capacity(candidates().filter(paired).count());
+        sorted.extend(candidates().filter(paired));
+        drop(again);
+        sorted.sort_unstable();
+        for run in sorted.chunk_by(|x, y| (x.item, x.read) == (y.item, y.read)) {
+            for (i, a) in run.iter().enumerate() {
+                for b in run.iter().skip(i + 1) {
+                    let pair = LostUpdate {
+                        a: txn(a),
+                        b: txn(b),
+                        item: a.item,
+                    };
+                    found.push((a.read, pair));
+                }
             }
         }
     }
-    out
+    if slices > 1 {
+        // Stable: a run lies in one slice, and keeps its own order.
+        found.sort_by_key(|&(read, pair)| (pair.item, read));
+    }
+    found.into_iter().map(|(_, pair)| pair).collect()
 }
 
 #[cfg(test)]
@@ -926,6 +1226,181 @@ mod tests {
         assert!(std::mem::size_of::<ReadAckRecord>() <= 48);
         assert!(std::mem::size_of::<AckRecord>() <= 8);
         assert!(std::mem::size_of::<CommitRecord>() <= 16);
+        assert!(std::mem::size_of::<SiOutcome>() <= 40);
+        assert!(std::mem::size_of::<SiEntry>() <= 48);
+    }
+
+    /// The lost-update audit before it counted into buckets: every
+    /// candidate materialised, sorted and paired.
+    fn lost_updates_materialising_every_candidate(oracle: &Oracle) -> Vec<LostUpdate> {
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        struct Candidate {
+            item: ItemId,
+            read: Version,
+            client: u32,
+            seq: u64,
+        }
+        let candidates = || {
+            oracle
+                .commits
+                .iter()
+                .filter(|&(txn, _)| oracle.is_acked(txn))
+                .flat_map(|(txn, rec)| {
+                    rec.writes().filter_map(move |(item, _)| {
+                        let (_, read) = rec.readset().find(|&(i, _)| i == item)?;
+                        Some(Candidate {
+                            item,
+                            read,
+                            client: txn.client,
+                            seq: txn.seq,
+                        })
+                    })
+                })
+        };
+        let mut sorted = Vec::with_capacity(candidates().count());
+        sorted.extend(candidates());
+        sorted.sort_unstable();
+        let txn = |c: &Candidate| TxnId {
+            client: c.client,
+            seq: c.seq,
+        };
+        let mut out = Vec::new();
+        for run in sorted.chunk_by(|x, y| (x.item, x.read) == (y.item, y.read)) {
+            for (i, a) in run.iter().enumerate() {
+                for b in run.iter().skip(i + 1) {
+                    out.push(LostUpdate {
+                        a: txn(a),
+                        b: txn(b),
+                        item: a.item,
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// One generated commit for the bucket audit: readset pairs (raw,
+    /// reduced into the case's domain), how many of them it also wrote,
+    /// other items it wrote, whether it was acknowledged, and how it was
+    /// recorded — 0 to 3 whole, 4 whole plus a later cross-group slice,
+    /// 5 as a slice only, 6 with its readset dropped.
+    type BucketCommit = (Vec<(u32, u64)>, usize, Vec<u32>, bool, u8);
+
+    fn bucket_commit() -> impl Strategy<Value = BucketCommit> {
+        (
+            proptest::collection::vec((0u32..1_000_000, 0u64..1_000_000), 0..5),
+            0usize..5,
+            proptest::collection::vec(0u32..1_000_000, 0..3),
+            any::<bool>(),
+            0u8..7,
+        )
+    }
+
+    proptest! {
+        /// The bucket-counting audit reports exactly the pairs, in the
+        /// same order, as materialising every candidate did: over domains
+        /// where `(item, version read)` collides often, where it almost
+        /// never does, and where every candidate shares one key; with
+        /// partly acknowledged runs, slices merged into a recorded commit
+        /// or recorded alone, blind writes, no candidates at all, and
+        /// candidate counts across bitmaps of 64 to 8 192 buckets — in one
+        /// slice, and with the bitmaps capped so the hash space is taken
+        /// in several.
+        #[test]
+        fn bucket_audit_matches_materialising_every_candidate(
+            domain in prop_oneof![Just((1u32, 1u64)), Just((6, 3)), Just((5_000, 1_000))],
+            commits in proptest::collection::vec(bucket_commit(), 0..200),
+        ) {
+            let (items, versions) = domain;
+            let mut o = Oracle::default();
+            for (n, (reads, overwritten, extra, acked, kind)) in commits.into_iter().enumerate() {
+                let txn = TxnId { client: (n % 5) as u32, seq: n as u64 };
+                let readset: Vec<(ItemId, Version)> = reads
+                    .iter()
+                    .map(|&(i, v)| (ItemId(i % items), v % versions))
+                    .collect();
+                let version = 100 + n as u64;
+                let writes: Vec<WriteOp> = readset
+                    .iter()
+                    .take(overwritten)
+                    .map(|&(i, _)| w(i.0, version))
+                    .chain(extra.iter().map(|&i| w(i % items, version)))
+                    .collect();
+                match kind {
+                    0..=3 => o.record_commit(txn, NodeId(0), &readset, &writes),
+                    4 => {
+                        let (first, second) = writes.split_at(writes.len() / 2);
+                        o.record_commit(txn, NodeId(0), &readset, first);
+                        // A second group's slice: other versions, and the
+                        // readset's items again.
+                        let slice: Vec<WriteOp> = readset
+                            .iter()
+                            .map(|&(i, _)| w(i.0, version + 1))
+                            .chain(second.iter().copied())
+                            .collect();
+                        o.record_commit_slice(txn, NodeId(3), &slice);
+                    }
+                    5 => o.record_commit_slice(txn, NodeId(3), &writes),
+                    _ => o.record_commit(txn, NodeId(0), &[], &writes),
+                }
+                if acked {
+                    o.record_ack(txn, SimTime::ZERO);
+                }
+            }
+            let want = lost_updates_materialising_every_candidate(&o);
+            prop_assert_eq!(&check_lost_updates(&o), &want);
+            // Bitmaps capped small: the same pairs through 2 to 128 slices.
+            for max_buckets in [64, 256, 1024] {
+                prop_assert_eq!(&lost_updates_in_slices(&o, max_buckets), &want);
+            }
+        }
+
+        /// The SI log returns every outcome with its own readset and
+        /// writes, in delivery order, whatever the lengths (0 to more than
+        /// a column block), whether recorded owned or borrowed.
+        #[test]
+        fn si_log_behaves_like_a_vec_of_owned_records(
+            recs in proptest::collection::vec(
+                (
+                    prop_oneof![0usize..6, 500usize..700],
+                    prop_oneof![0usize..6, 500usize..700],
+                    any::<bool>(),
+                    any::<bool>(),
+                ),
+                0..12,
+            ),
+        ) {
+            let mut o = Oracle::default();
+            let mut model: Vec<SiRecord> = Vec::new();
+            for (n, (reads, writes, committed, borrowed)) in recs.into_iter().enumerate() {
+                let rec = SiRecord {
+                    txn: TxnId { client: (n % 3) as u32, seq: n as u64 },
+                    group: (n % 4) as u32,
+                    snapshot: 10 * n as u64,
+                    readset: (0..reads).map(|k| (ItemId((n + k) as u32), (n * k) as u64)).collect(),
+                    writes: (0..writes).map(|k| ItemId((n * 7 + k) as u32)).collect(),
+                    committed,
+                    commit_seq: if committed { 10 * n as u64 + 3 } else { 0 },
+                };
+                if borrowed {
+                    let outcome = SiOutcome {
+                        txn: rec.txn,
+                        group: rec.group,
+                        snapshot: rec.snapshot,
+                        committed: rec.committed,
+                        commit_seq: rec.commit_seq,
+                    };
+                    o.record_si_outcome(outcome, &rec.readset, rec.writes.iter().copied());
+                } else {
+                    o.record_si(rec.clone());
+                }
+                model.push(rec);
+                prop_assert_eq!(o.si_txns.len(), model.len());
+            }
+            prop_assert_eq!(o.si_txns.is_empty(), model.is_empty());
+            let seen: Vec<SiRecord> = o.si_txns.iter().map(SiRecord::from).collect();
+            prop_assert_eq!(&seen, &model);
+        }
     }
 
     fn read(seq: u64, snapshot_seq: u64) -> ReadRecord {

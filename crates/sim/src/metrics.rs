@@ -148,6 +148,15 @@ impl Histogram {
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
+
+    /// Mutably borrow the raw samples, in recording order until a
+    /// quantile sorts them: a caller may reorder them in place (no
+    /// statistic depends on their order), and the next quantile sorts
+    /// them all again.
+    pub fn samples_mut(&mut self) -> &mut [f64] {
+        self.sorted_len = 0;
+        &mut self.samples
+    }
 }
 
 /// A sample series kept as its count and running sum: what a

@@ -34,7 +34,7 @@
 use groupsafe::core::msg::{ClientMsg, TxnRequest};
 use groupsafe::core::scenario::{audit_scenario, OracleViolation, ScenarioPlan};
 use groupsafe::core::server::ReplicaServer;
-use groupsafe::core::{Load, SafetyLevel, SiRecord, System};
+use groupsafe::core::{Load, SafetyLevel, SiRecord, SiView, System};
 use groupsafe::db::{DbConfig, FlushPolicy, ItemId, Operation, TxnId};
 use groupsafe::net::{Incoming, NodeId};
 use groupsafe::sim::{SimDuration, SimTime};
@@ -144,13 +144,13 @@ fn run_matrix(level: SafetyLevel, scripts: &[Script], corrupt_delegate: Option<u
 /// verdict, pinned snapshot, observed read versions, commit sequence.
 fn record(system: &System, id: TxnId) -> SiRecord {
     let oracle = system.oracle.borrow();
-    let recs: Vec<&SiRecord> = oracle.si_txns.iter().filter(|r| r.txn == id).collect();
+    let recs: Vec<SiView<'_>> = oracle.si_txns.iter().filter(|r| r.txn == id).collect();
     assert_eq!(
         recs.len(),
         1,
         "exactly one certification record for {id:?} (no resubmissions)"
     );
-    recs[0].clone()
+    SiRecord::from(recs[0])
 }
 
 /// The version an injected reader observed for `item`, from its record.

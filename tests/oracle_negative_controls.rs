@@ -20,7 +20,7 @@
 
 use groupsafe::core::scenario::{audit_scenario, OracleViolation, ScenarioPlan};
 use groupsafe::core::server::ReplicaServer;
-use groupsafe::core::{Load, SafetyLevel, SiRecord, System};
+use groupsafe::core::{Load, SafetyLevel, SiRecord, SiView, System};
 use groupsafe::db::{ItemId, TxnId, WriteOp};
 use groupsafe::sim::{SimDuration, SimTime};
 
@@ -59,6 +59,19 @@ fn clean_system_with_txns(shards: u32, cross: f64, txns: f64) -> System {
 
 fn violations(system: &System) -> Vec<OracleViolation> {
     audit_scenario(&ScenarioPlan::new(), system, SafetyLevel::GroupSafe).violations
+}
+
+/// Forge a delegate certification record, and check that the oracle's
+/// SI log reads it back, through its last [`SiView`], as recorded.
+fn forge_si(system: &System, rec: SiRecord) {
+    let mut oracle = system.oracle.borrow_mut();
+    oracle.record_si(rec.clone());
+    let last: Option<SiView<'_>> = oracle.si_txns.iter().last();
+    assert_eq!(
+        last.map(SiRecord::from),
+        Some(rec),
+        "the log keeps the forgery"
+    );
 }
 
 /// Seeded state divergence: one replica gets a write the protocol never
@@ -232,28 +245,32 @@ fn oracle_catches_seeded_si_lost_update() {
         seq: 2,
     };
     let item = ItemId(3);
-    let mut oracle = system.oracle.borrow_mut();
-    oracle.record_si(SiRecord {
-        txn: first,
-        group: 0,
-        snapshot: 0,
-        readset: vec![],
-        writes: vec![item],
-        committed: true,
-        commit_seq: 1_000_000,
-    });
+    forge_si(
+        &system,
+        SiRecord {
+            txn: first,
+            group: 0,
+            snapshot: 0,
+            readset: vec![],
+            writes: vec![item],
+            committed: true,
+            commit_seq: 1_000_000,
+        },
+    );
     // Snapshot predates the first writer's commit, yet both committed:
     // the second writer overwrote an update it never saw.
-    oracle.record_si(SiRecord {
-        txn: second,
-        group: 0,
-        snapshot: 999_990,
-        readset: vec![],
-        writes: vec![item],
-        committed: true,
-        commit_seq: 1_000_010,
-    });
-    drop(oracle);
+    forge_si(
+        &system,
+        SiRecord {
+            txn: second,
+            group: 0,
+            snapshot: 999_990,
+            readset: vec![],
+            writes: vec![item],
+            committed: true,
+            commit_seq: 1_000_010,
+        },
+    );
 
     let found = violations(&system);
     assert!(
@@ -284,15 +301,35 @@ fn oracle_catches_seeded_si_dirty_read() {
         seq: 7,
     };
     let item = ItemId(5);
-    system.oracle.borrow_mut().record_si(SiRecord {
-        txn,
-        group: 0,
-        snapshot: 10,
-        readset: vec![(item, 999_999)],
-        writes: vec![],
-        committed: false,
-        commit_seq: 0,
-    });
+    forge_si(
+        &system,
+        SiRecord {
+            txn,
+            group: 0,
+            snapshot: 10,
+            readset: vec![(item, 999_999)],
+            writes: vec![],
+            committed: false,
+            commit_seq: 0,
+        },
+    );
+    // Within its snapshot this time, but a version no commit wrote.
+    let unwritten = TxnId {
+        client: u32::MAX,
+        seq: 8,
+    };
+    forge_si(
+        &system,
+        SiRecord {
+            txn: unwritten,
+            group: 0,
+            snapshot: 2_000_000,
+            readset: vec![(item, 1_000_001)],
+            writes: vec![],
+            committed: false,
+            commit_seq: 0,
+        },
+    );
 
     let found = violations(&system);
     assert!(
@@ -303,5 +340,14 @@ fn oracle_catches_seeded_si_dirty_read() {
         )),
         "a snapshot read above its snapshot must be reported as a dirty \
          read: {found:?}"
+    );
+    assert!(
+        found.iter().any(|v| matches!(
+            v,
+            OracleViolation::SiDirtyRead { txn: t, item: i, version: 1_000_001 }
+                if *t == unwritten && *i == item
+        )),
+        "a snapshot read of a version no commit wrote must be reported as \
+         a dirty read: {found:?}"
     );
 }
