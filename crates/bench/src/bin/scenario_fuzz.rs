@@ -107,9 +107,10 @@ fn main() {
     let mut group_failures = 0u64;
     let mut reads_audited = 0u64;
     let mut si_audited = 0u64;
-    // GS-D02 exemption: bench binaries report wall-clock throughput and
-    // never feed a fingerprint (see lint.toml / clippy.toml policy).
-    #[allow(clippy::disallowed_types)]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "GS-D02 exemption: bench binaries report wall-clock throughput and never feed a fingerprint"
+    )]
     let started = std::time::Instant::now();
     for &level in &levels {
         let mut spec = if shards > 1 {

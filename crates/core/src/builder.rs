@@ -41,6 +41,11 @@
 //! replica groups ([`crate::shard`]) and the [`Report`] gains per-group
 //! and cross-group statistics.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "servers/slices are indexed by indices derived from their own construction loops (i < n_servers, group < n_groups)"
+)]
+
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
@@ -603,7 +608,11 @@ impl SystemBuilder {
     pub fn safety(mut self, level: SafetyLevel) -> Self {
         self.replica.technique = match level {
             SafetyLevel::OneSafe => Technique::Lazy,
-            other => Technique::Dsm(other),
+            other @ (SafetyLevel::ZeroSafe
+            | SafetyLevel::GroupSafe
+            | SafetyLevel::GroupOneSafe
+            | SafetyLevel::TwoSafe
+            | SafetyLevel::VerySafe) => Technique::Dsm(other),
         };
         self
     }
@@ -1088,7 +1097,10 @@ impl Run {
         let label = match level {
             SafetyLevel::GroupOneSafe => "group-1-safe",
             SafetyLevel::GroupSafe => "group-safe",
-            _ => "switched",
+            SafetyLevel::ZeroSafe
+            | SafetyLevel::OneSafe
+            | SafetyLevel::TwoSafe
+            | SafetyLevel::VerySafe => "switched",
         };
         self.at(at, label, move |system| {
             let now = system.engine.now();

@@ -270,6 +270,10 @@ impl Client {
     }
 
     fn send_request(&mut self, ctx: &mut Ctx<'_, CoreMsg>, id: TxnId) {
+        #[expect(
+            clippy::expect_used,
+            reason = "the id was drawn from self.outstanding's own key set one statement earlier in the same borrow scope"
+        )]
         let o = self.outstanding.get(&id).expect("outstanding");
         let target = o.target;
         let attempt = o.attempt;

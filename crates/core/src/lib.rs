@@ -40,6 +40,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Determinism contract GS-P02/GS-P03: a panic in a protocol crate is a
+// correctness bug the paper's crash model does not have.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod builder;
 pub mod certify;

@@ -1,6 +1,11 @@
 //! Messages of the replicated database component, and [`CoreMsg`], the
 //! one type a system's engine carries them in.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "w[0]/w[1] index a windows(2) slice, which always has exactly two elements"
+)]
+
 use std::rc::Rc;
 
 use groupsafe_db::{DbCheckpoint, ItemId, Operation, TxnId, Value, Version, WriteOp};

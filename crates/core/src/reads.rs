@@ -613,7 +613,9 @@ mod tests {
         let kind_of = |v: &ReadViolation| match v {
             ReadViolation::SessionRegression { .. } => 1,
             ReadViolation::LostValueObserved { .. } => 2,
-            _ => 0,
+            ReadViolation::StaleSessionRead { .. }
+            | ReadViolation::UnstableRead { .. }
+            | ReadViolation::ValueAboveSnapshot { .. } => 0,
         };
         v.iter().filter(|v| kind_of(v) == kind).cloned().collect()
     }

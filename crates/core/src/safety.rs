@@ -39,7 +39,10 @@ impl SafetyLevel {
     pub fn delivered_on(self) -> Guarantee {
         match self {
             SafetyLevel::ZeroSafe | SafetyLevel::OneSafe => Guarantee::OneReplica,
-            _ => Guarantee::AllReplicas,
+            SafetyLevel::GroupSafe
+            | SafetyLevel::GroupOneSafe
+            | SafetyLevel::TwoSafe
+            | SafetyLevel::VerySafe => Guarantee::AllReplicas,
         }
     }
 

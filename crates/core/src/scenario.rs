@@ -62,6 +62,11 @@
 //! assert!(plan.validate(2).is_err(), "server 2 does not exist on 2");
 //! ```
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "busy_until is a fixed [SimTime; 4] with literal indices 0..=3; down_budget/ranges are sized to n_groups and indexed by g < n_groups; w[0]/w[1] come from windows(2)"
+)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -1731,7 +1736,10 @@ pub mod fuzz {
             // cross traffic.
             let cross_fraction = match level {
                 SafetyLevel::OneSafe | SafetyLevel::VerySafe => 0.0,
-                _ => 0.1,
+                SafetyLevel::ZeroSafe
+                | SafetyLevel::GroupSafe
+                | SafetyLevel::GroupOneSafe
+                | SafetyLevel::TwoSafe => 0.1,
             };
             FuzzSpec {
                 level,
@@ -2163,6 +2171,10 @@ pub mod fuzz {
         if spec.txn_fraction > 0.0 {
             builder = builder.txn_fraction(spec.txn_fraction);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "fuzz harness: the plan generator draws parameters from ranges the builder accepts by construction; a rejection is a generator bug the fuzzer must fail loudly on"
+        )]
         let mut run = builder
             .build()
             .expect("a generated scenario always denotes a valid system");

@@ -51,6 +51,11 @@
 //! decisions ([`XgStatusQuery`]), so a crashed
 //! gateway or a dropped forward cannot leave a group reserved forever.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "ops[exec.idx] is guarded by the execution state machine (idx < ops.len() checked at each step advance)"
+)]
+
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -63,7 +68,7 @@ use groupsafe_db::{
 };
 use groupsafe_gcs::{BatchConfig, GcsConfig, GcsEndpoint, GcsOutput, Wire};
 use groupsafe_net::{Network, NodeId, NET_CPU};
-use groupsafe_sim::{Actor, Ctx, Disk, Fcfs, ObsEvent, SimDuration, SimTime};
+use groupsafe_sim::{Actor, Ctx, Disk, Fcfs, Fnv64, ObsEvent, SimDuration, SimTime};
 
 use crate::certify::{certify, certify_snapshot, Certification};
 use crate::msg::{
@@ -98,6 +103,10 @@ impl Technique {
             Technique::Dsm(SafetyLevel::TwoSafe | SafetyLevel::VerySafe) => {
                 Some(GcsConfig::end_to_end())
             }
+            #[expect(
+                clippy::panic,
+                reason = "constructor-time exhaustiveness over Technique: SystemBuilder::build rejects Dsm(OneSafe) with BuildError::NoDsmVariant, so reaching it means a new safety level was added without a server implementation — a wiring bug that must abort, not limp"
+            )]
             Technique::Dsm(l) => panic!("no DSM variant implements {l}"),
             Technique::Lazy => None,
         }
@@ -414,7 +423,7 @@ pub struct ReplicaServer {
     /// FNV-1a hash over the delivery decisions `(seq, txn, verdict)` this
     /// replica processed, in processing order — the total-order witness
     /// the oracle compares across replicas that never crashed.
-    order_digest: u64,
+    order_digest: Fnv64,
     /// FNV-1a hash over the certification verdicts
     /// `(seq, txn, verdict, snapshot)` this replica reached for ordinary
     /// transaction deliveries, in processing order — the
@@ -422,15 +431,12 @@ pub struct ReplicaServer {
     /// replicas that never crashed (deterministic certification is the
     /// defining property of the non-voting technique, so any divergence
     /// here is a protocol bug even before states drift).
-    cert_digest: u64,
+    cert_digest: Fnv64,
     /// Test support (negative controls): force every certification this
     /// replica reaches to `Commit`, corrupting its verdicts relative to
     /// its peers. Never set outside audit-control tests.
     force_commit_cert: bool,
 }
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
 
 impl ReplicaServer {
     /// Build a server for `node` in a group of `n_servers` replicas.
@@ -438,7 +444,6 @@ impl ReplicaServer {
     /// In the unsharded system (`shard` is single-group) `n_servers` is
     /// the whole system; in a sharded one it is the group size and
     /// `node / n_servers` names the server's group.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         node: NodeId,
         n_servers: u32,
@@ -513,8 +518,8 @@ impl ReplicaServer {
             up: true,
             crashes: 0,
             transfers: 0,
-            order_digest: FNV_OFFSET,
-            cert_digest: FNV_OFFSET,
+            order_digest: Fnv64::new(),
+            cert_digest: Fnv64::new(),
             force_commit_cert: false,
         }
     }
@@ -575,7 +580,7 @@ impl ReplicaServer {
     /// Replicas that never crashed and never state-transferred must agree
     /// on it once the run quiesces (uniform total order).
     pub fn order_digest(&self) -> u64 {
-        self.order_digest
+        self.order_digest.finish()
     }
 
     /// FNV-1a hash of the certification verdicts reached so far, in
@@ -585,7 +590,7 @@ impl ReplicaServer {
     /// deterministic function of (delivery order, message), so disagreeing
     /// verdicts are a protocol bug even while the states still match.
     pub fn cert_digest(&self) -> u64 {
-        self.cert_digest
+        self.cert_digest.finish()
     }
 
     /// Test support: mutable access to the local database, so the
@@ -604,7 +609,7 @@ impl ReplicaServer {
     /// (`OracleViolation::OrderDivergence`).
     #[doc(hidden)]
     pub fn poison_order_digest_for_audit_controls(&mut self, salt: u64) {
-        self.order_digest ^= salt;
+        self.order_digest.mix(salt);
     }
 
     /// Test support: perturb the certification digest, seeding the
@@ -613,7 +618,7 @@ impl ReplicaServer {
     /// (`OracleViolation::CertificationDivergence`).
     #[doc(hidden)]
     pub fn poison_cert_digest_for_audit_controls(&mut self, salt: u64) {
-        self.cert_digest ^= salt;
+        self.cert_digest.mix(salt);
     }
 
     /// Test support: make this replica certify every delivery `Commit`
@@ -641,6 +646,7 @@ impl ReplicaServer {
         }
     }
 
+    #[deny(clippy::float_arithmetic)]
     fn mix_order(&mut self, seq: u64, txn: TxnId, committed: bool) {
         for v in [
             seq,
@@ -648,11 +654,11 @@ impl ReplicaServer {
             txn.seq,
             if committed { 0xC0 } else { 0xAB },
         ] {
-            self.order_digest ^= v;
-            self.order_digest = self.order_digest.wrapping_mul(FNV_PRIME);
+            self.order_digest.mix(v);
         }
     }
 
+    #[deny(clippy::float_arithmetic)]
     fn mix_cert(&mut self, seq: u64, txn: TxnId, committed: bool, snapshot: Option<u64>) {
         for v in [
             seq,
@@ -661,8 +667,7 @@ impl ReplicaServer {
             if committed { 0xC0 } else { 0xAB },
             snapshot.unwrap_or(u64::MAX),
         ] {
-            self.cert_digest ^= v;
-            self.cert_digest = self.cert_digest.wrapping_mul(FNV_PRIME);
+            self.cert_digest.mix(v);
         }
     }
 
@@ -1015,6 +1020,10 @@ impl ReplicaServer {
         let mut slices: Vec<Vec<Operation>> = vec![Vec::new(); groups.len()];
         for &op in &req.ops {
             let g = self.shard.group_of(op.item());
+            #[expect(
+                clippy::expect_used,
+                reason = "g was taken from the slice map's own groups vector in the enclosing loop"
+            )]
             let i = groups.iter().position(|&x| x == g).expect("sliced group");
             slices[i].push(op);
         }
@@ -1110,6 +1119,10 @@ impl ReplicaServer {
     /// are buffered. The whole chain is computed analytically and the
     /// completion scheduled as one event.
     fn run_dsm_read_phase(&mut self, ctx: &mut Ctx<'_, CoreMsg>, txn: TxnId) {
+        #[expect(
+            clippy::expect_used,
+            reason = "the execution record is created before the first disk/lock continuation that can resume it and removed only by the resume itself"
+        )]
         let mut exec = self.execs.remove(&txn).expect("exec exists");
         while exec.idx < exec.req.ops.len() {
             match (exec.req.ops[exec.idx], exec.snapshot) {
@@ -1200,12 +1213,15 @@ impl ReplicaServer {
             };
             match self.db.locks().acquire(txn, op.item(), mode) {
                 LockOutcome::Granted => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "continuation of an execution this server scheduled; the record is removed only on completion, which is what schedules no further continuations"
+                    )]
                     let exec = self.execs.get_mut(&txn).expect("exists");
                     let from = exec.cursor.max(ctx.now());
                     match op {
                         Operation::Read(item) => {
                             let r = self.db.read(from, item);
-                            let exec = self.execs.get_mut(&txn).expect("exists");
                             exec.readset.push((item, r.version));
                             exec.cursor = r.done;
                         }
@@ -1215,13 +1231,11 @@ impl ReplicaServer {
                                 .borrow_mut()
                                 .request(from, self.db.config().cpu_per_op);
                             let version = self.db.item(item).version;
-                            let exec = self.execs.get_mut(&txn).expect("exists");
                             exec.readset.push((item, version));
                             exec.writes.push((item, value));
                             exec.cursor = done;
                         }
                     }
-                    let exec = self.execs.get_mut(&txn).expect("exists");
                     exec.idx += 1;
                 }
                 LockOutcome::Waiting => return,
@@ -1327,8 +1341,8 @@ impl ReplicaServer {
                 ctx.emit(|| ObsEvent::BroadcastTxn { txn: obs_txn(txn) });
             }
             ctx.emit(|| ObsEvent::XgPrepare { txn: obs_txn(txn) });
-            let gcs = self.gcs.as_mut().expect("xg runs on group communication");
-            gcs.broadcast(ctx, Rc::new(GroupMsg::XgPrepare(prepare)));
+            self.xg_gcs()
+                .broadcast(ctx, Rc::new(GroupMsg::XgPrepare(prepare)));
             ctx.metrics().incr("xg_prepares");
             return;
         }
@@ -1369,6 +1383,10 @@ impl ReplicaServer {
             snapshot: exec.snapshot,
         };
         ctx.emit(|| ObsEvent::BroadcastTxn { txn: obs_txn(txn) });
+        #[expect(
+            clippy::expect_used,
+            reason = "DSM delivery callback: the endpoint that produced the delivery is the one being borrowed"
+        )]
         let gcs = self.gcs.as_mut().expect("DSM uses group communication");
         gcs.broadcast(ctx, Rc::new(GroupMsg::Txn(msg)));
         ctx.metrics().incr("dsm_broadcasts");
@@ -1465,6 +1483,18 @@ impl ReplicaServer {
         }
     }
 
+    /// The safety level of an ordered delivery.
+    fn delivered_level(&self) -> SafetyLevel {
+        match self.technique {
+            Technique::Dsm(l) => l,
+            #[expect(
+                clippy::unreachable,
+                reason = "only DSM-only delivery paths ask; the lazy technique never registers a GCS endpoint, so no delivery can be routed here (technique is fixed per run segment)"
+            )]
+            Technique::Lazy => unreachable!("lazy does not deliver"),
+        }
+    }
+
     /// The delivery-side CPU charge every ordered message pays: the
     /// ordering traffic's share plus certification over `cert_items`
     /// read-set entries. Returns the instant the verdict is reached.
@@ -1529,7 +1559,7 @@ impl ReplicaServer {
                         None => Certification::Commit,
                     }
                 }
-                abort => abort,
+                abort @ Certification::Abort { .. } => abort,
             }
         } else {
             match certify(&self.db, &msg.readset) {
@@ -1545,13 +1575,10 @@ impl ReplicaServer {
                         None => Certification::Commit,
                     }
                 }
-                abort => abort,
+                abort @ Certification::Abort { .. } => abort,
             }
         };
-        let level = match self.technique {
-            Technique::Dsm(l) => l,
-            Technique::Lazy => unreachable!("lazy does not deliver"),
-        };
+        let level = self.delivered_level();
         let committed = matches!(verdict, Certification::Commit);
         {
             let txn = msg.txn;
@@ -1753,10 +1780,7 @@ impl ReplicaServer {
     ) {
         let now = ctx.now();
         let decided_at = self.delivery_cpu(now, span, p.readset.len());
-        let level = match self.technique {
-            Technique::Dsm(l) => l,
-            Technique::Lazy => unreachable!("lazy does not deliver"),
-        };
+        let level = self.delivered_level();
         // The verdict depends only on delivery-ordered state that state
         // transfer carries (committed versions + the reservation table),
         // so every group member — including a mid-protocol joiner —
@@ -1863,10 +1887,7 @@ impl ReplicaServer {
         let now = ctx.now();
         let slice: Vec<(ItemId, Value)> = d.writes_of(self.group).unwrap_or(&[]).to_vec();
         let decided_at = self.delivery_cpu(now, span, slice.len());
-        let level = match self.technique {
-            Technique::Dsm(l) => l,
-            Technique::Lazy => unreachable!("lazy does not deliver"),
-        };
+        let level = self.delivered_level();
         {
             let (txn, commit) = (d.txn, d.commit);
             ctx.emit(|| ObsEvent::XgDecision {
@@ -2010,13 +2031,24 @@ impl ReplicaServer {
         }
     }
 
+    /// The group-communication endpoint a cross-group round broadcasts on.
+    fn xg_gcs(&mut self) -> &mut GcsEndpoint<Rc<GroupMsg>, DbCheckpoint> {
+        #[expect(
+            clippy::expect_used,
+            reason = "cross-group paths are only reachable under DSM techniques, which always construct a GCS endpoint (builder invariant, validated at build time)"
+        )]
+        self.gcs.as_mut().expect("xg runs on group communication")
+    }
+
     /// Coordinator side: count a group's certification vote; once every
     /// touched group voted, decide and broadcast the decision — directly
     /// in the home group, via the gateways elsewhere.
     fn on_xg_vote(&mut self, ctx: &mut Ctx<'_, CoreMsg>, v: XgVote) {
-        let Some(entry) = self.xg_coord.get_mut(&v.txn) else {
+        let std::collections::btree_map::Entry::Occupied(mut slot) = self.xg_coord.entry(v.txn)
+        else {
             return; // decided, superseded or crashed away
         };
+        let entry = slot.get_mut();
         if v.attempt != entry.attempt {
             return; // stale vote from an earlier round
         }
@@ -2024,7 +2056,7 @@ impl ReplicaServer {
         if entry.votes.len() < entry.groups.len() {
             return;
         }
-        let entry = self.xg_coord.remove(&v.txn).expect("present");
+        let entry = slot.remove();
         let commit = entry.votes.values().all(|&c| c);
         self.send_xg_decision(ctx, v.txn, entry, commit);
     }
@@ -2069,8 +2101,8 @@ impl ReplicaServer {
         };
         for &g in &entry.groups {
             if g == self.group {
-                let gcs = self.gcs.as_mut().expect("xg runs on group communication");
-                gcs.broadcast(ctx, Rc::new(GroupMsg::XgDecision(d.clone())));
+                self.xg_gcs()
+                    .broadcast(ctx, Rc::new(GroupMsg::XgDecision(d.clone())));
             } else {
                 self.charge_net_cpu(ctx.now());
                 self.net
@@ -2307,14 +2339,13 @@ impl ReplicaServer {
             }
             ServerTimer::XgProbe { txn, tries } => self.on_xg_probe(ctx, txn, tries),
             ServerTimer::XgRoundTimeout { txn, attempt } => {
-                if self
-                    .xg_coord
-                    .get(&txn)
-                    .is_some_and(|e| e.attempt == attempt)
+                if let std::collections::btree_map::Entry::Occupied(slot) = self.xg_coord.entry(txn)
                 {
-                    let entry = self.xg_coord.remove(&txn).expect("present");
-                    ctx.metrics().incr("xg_round_timeouts");
-                    self.send_xg_decision(ctx, txn, entry, false);
+                    if slot.get().attempt == attempt {
+                        let entry = slot.remove();
+                        ctx.metrics().incr("xg_round_timeouts");
+                        self.send_xg_decision(ctx, txn, entry, false);
+                    }
                 }
             }
         }
@@ -2336,12 +2367,13 @@ impl ReplicaServer {
 
     /// Reply to the client once every group member confirmed logging.
     fn check_very_complete(&mut self, ctx: &mut Ctx<'_, CoreMsg>, txn: TxnId) {
-        let Some(entry) = self.very_waiting.get(&txn) else {
+        let std::collections::btree_map::Entry::Occupied(slot) = self.very_waiting.entry(txn)
+        else {
             return;
         };
-        if entry.3.len() == self.n_servers as usize {
+        if slot.get().3.len() == self.n_servers as usize {
             ctx.metrics().incr("very_replies");
-            let (client, attempt, commit_seq, _) = self.very_waiting.remove(&txn).expect("present");
+            let (client, attempt, commit_seq, _) = slot.remove();
             let at = self.charge_net_cpu(ctx.now());
             self.reply_at(
                 ctx,

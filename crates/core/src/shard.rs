@@ -48,6 +48,11 @@
 //! assert!(ShardMap::ranges(vec![(0, 2_500), (5_000, 10_000)], 10_000).is_err());
 //! ```
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "ranges/slices are sized to the group count in the same constructor and indexed by group ids the shard map itself produced"
+)]
+
 use std::rc::Rc;
 
 use rand::rngs::StdRng;

@@ -2,6 +2,11 @@
 //! groups), their clients, the network and the oracle into a
 //! ready-to-run simulation.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "servers is sized to n_servers at construction and indexed by server indices i < n_servers produced by the group maps"
+)]
+
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -11,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use groupsafe_db::DbEngine;
 use groupsafe_gcs::GcsStats;
 use groupsafe_net::{Network, NodeId};
-use groupsafe_sim::{ActorId, Engine, SimTime};
+use groupsafe_sim::{ActorId, Engine, Fnv64, SimTime};
 
 use crate::builder::{GeneratorFactory, SystemBuilder};
 use crate::client::{Client, ClientConfig, LoadModel};
@@ -208,18 +213,18 @@ impl System {
     /// design, so convergence is checked *within* each group: when every
     /// group internally agrees this returns a single combined witness
     /// digest, otherwise the distinct digests of the divergent groups.
+    #[deny(clippy::float_arithmetic)]
     pub fn convergence(&self) -> Vec<u64> {
         if self.n_groups <= 1 {
             return verify::check_convergence(&self.replica_states());
         }
         let by_group = self.convergence_by_group();
         if by_group.iter().all(|d| d.len() <= 1) {
-            let mut h: u64 = 0xcbf29ce484222325;
-            for d in by_group.iter().flatten() {
-                h ^= *d;
-                h = h.wrapping_mul(0x100000001b3);
+            let mut h = Fnv64::new();
+            for &d in by_group.iter().flatten() {
+                h.mix(d);
             }
-            vec![h]
+            vec![h.finish()]
         } else {
             by_group.into_iter().flatten().collect()
         }

@@ -5,6 +5,11 @@
 //! provided for ablations (the hit ratio then emerges from the access
 //! pattern instead of being assumed).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "dirty is sized to the page count at construction; pos comes from the modulus of the same count"
+)]
+
 use rand::rngs::StdRng;
 use rand::Rng;
 

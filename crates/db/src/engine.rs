@@ -13,13 +13,18 @@
 //! counter) and a commit's writes are copied straight into the flat
 //! [`Wal`], so committing allocates nothing per transaction.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "items is sized to n_items at construction and indexed by ItemId::index(); the workload generator only draws item ids < n_items (construction invariant of the run)"
+)]
+
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
 
-use groupsafe_sim::{Disk, Fcfs, SimDuration, SimTime};
+use groupsafe_sim::{Disk, Fcfs, Fnv64, SimDuration, SimTime};
 
 use crate::buffer::{BufferModel, BufferPool};
 use crate::lock::{LockManager, LockMode, LockOutcome};
@@ -797,20 +802,17 @@ impl DbEngine {
     }
 
     /// FNV-1a digest of the committed state (replica-consistency checks).
+    #[deny(clippy::float_arithmetic)]
     pub fn state_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x100000001b3);
-        };
+        let mut h = Fnv64::new();
         for (i, s) in self.items.iter().enumerate() {
             if s.version != 0 {
-                mix(i as u64);
-                mix(s.value as u64);
-                mix(s.version);
+                h.mix(i as u64);
+                h.mix(s.value as u64);
+                h.mix(s.version);
             }
         }
-        h
+        h.finish()
     }
 
     /// Convenience for tests: acquire a lock.

@@ -321,10 +321,10 @@ mod tests {
             lm.acquire(t(0, 1), x(2), LockMode::Exclusive),
             LockOutcome::Waiting
         );
-        match lm.acquire(t(0, 2), x(1), LockMode::Exclusive) {
-            LockOutcome::Deadlock { victim } => assert_eq!(victim, t(0, 2)),
-            other => panic!("expected deadlock, got {other:?}"),
-        }
+        assert_eq!(
+            lm.acquire(t(0, 2), x(1), LockMode::Exclusive),
+            LockOutcome::Deadlock { victim: t(0, 2) }
+        );
         assert_eq!(lm.deadlocks(), 1);
         // Aborting the victim unblocks the other transaction.
         let granted = lm.release_all(t(0, 2));
@@ -348,10 +348,10 @@ mod tests {
             lm.acquire(t(0, 2), x(3), LockMode::Exclusive),
             LockOutcome::Waiting
         );
-        match lm.acquire(t(0, 3), x(1), LockMode::Exclusive) {
-            LockOutcome::Deadlock { victim } => assert_eq!(victim, t(0, 3)),
-            other => panic!("expected deadlock, got {other:?}"),
-        }
+        assert_eq!(
+            lm.acquire(t(0, 3), x(1), LockMode::Exclusive),
+            LockOutcome::Deadlock { victim: t(0, 3) }
+        );
     }
 
     #[test]

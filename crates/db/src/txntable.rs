@@ -150,7 +150,7 @@ mod tests {
             seq: u64::MAX,
         };
         assert!(t.insert_with(far, || 7u64));
-        assert!(!t.insert_with(far, || unreachable!("first insert wins")));
+        assert!(!t.insert_with(far, || panic!("first insert wins")));
         assert_eq!(t.get(far), Some(&7));
         assert_eq!(t.slots.pages(), 1);
         assert_eq!(t.iter().collect::<Vec<_>>(), vec![(far, &7)]);

@@ -743,8 +743,7 @@ where
             GcsTimer::Heartbeat => self.on_heartbeat_timer(ctx, out),
             GcsTimer::Persisted { seq } => self.on_persisted(ctx, seq, out),
             GcsTimer::ViewChangeRetry { epoch } => {
-                if self.vc.as_ref().is_some_and(|vc| vc.epoch == epoch) {
-                    let vc = self.vc.take().expect("checked");
+                if let Some(vc) = self.vc.take_if(|vc| vc.epoch == epoch) {
                     // The abandoned change took its joiners out of
                     // `waiting_joiners`; put them back or their (deduped)
                     // retries would never reach another view change.
@@ -1033,6 +1032,19 @@ where
         true
     }
 
+    /// One sequential stable-log write starting at `now` (crash-recovery
+    /// model). Returns the instant it is on disk.
+    fn persist(&mut self, now: SimTime) -> SimTime {
+        #[expect(
+            clippy::expect_used,
+            reason = "only the crash-recovery model persists, and `new` asserts that model is given a log disk"
+        )]
+        let disk = self.log_disk.as_ref().expect("checked in new");
+        let done = disk.borrow_mut().access(now, &mut self.rng);
+        self.stats.persists += 1;
+        done
+    }
+
     /// Record an ordered entry locally; in the view model also acknowledge.
     fn store_entry<M: GcsMessage<P, S>>(&mut self, ctx: &mut Ctx<'_, M>, entry: Entry<P>) {
         let seq = entry.seq;
@@ -1048,9 +1060,7 @@ where
             GcsModel::CrashRecovery => {
                 // Persist before acknowledging: stability is backed by
                 // stable storage in this model.
-                let disk = self.log_disk.as_ref().expect("checked in new").clone();
-                let done = disk.borrow_mut().access(ctx.now(), &mut self.rng);
-                self.stats.persists += 1;
+                let done = self.persist(ctx.now());
                 ctx.timer(done - ctx.now(), GcsTimer::Persisted { seq });
             }
         }
@@ -1066,12 +1076,14 @@ where
         entries: &[Entry<P>],
         out: &mut Vec<GcsOutput<P, S>>,
     ) {
-        if !self.joined || entries.is_empty() {
+        if !self.joined {
             return; // mid-join: the state transfer will cover these entries
         }
+        let (Some(first), Some(last)) = (entries.first(), entries.last()) else {
+            return;
+        };
+        let (lo, hi) = (first.seq, last.seq);
         let span = entries.len() as u32;
-        let lo = entries.first().expect("non-empty").seq;
-        let hi = entries.last().expect("non-empty").seq;
         let mut fresh = false;
         for e in entries {
             if let Some(slot) = self.log.slot_mut(e.seq) {
@@ -1089,9 +1101,7 @@ where
                 GcsModel::CrashRecovery => {
                     // One sequential stable-log write for the whole frame;
                     // the aggregated vote follows once it is on disk.
-                    let disk = self.log_disk.as_ref().expect("checked in new").clone();
-                    let done = disk.borrow_mut().access(ctx.now(), &mut self.rng);
-                    self.stats.persists += 1;
+                    let done = self.persist(ctx.now());
                     ctx.timer(done - ctx.now(), GcsTimer::BatchPersisted { lo, span });
                 }
             }
@@ -1668,7 +1678,12 @@ where
                 .map(|(n, _)| *n);
             if let Some(holder) = holder {
                 let epoch = vc.epoch;
-                self.vc.as_mut().expect("checked").fetching_from = Some(holder);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "this function returned early unless a view change is in progress, and nothing since has ended it"
+                )]
+                let vc = self.vc.as_mut().expect("checked");
+                vc.fetching_from = Some(holder);
                 let have = self.next_deliver.saturating_sub(1);
                 self.net.send(
                     ctx,
@@ -1710,6 +1725,10 @@ where
         watermark: u64,
         out: &mut Vec<GcsOutput<P, S>>,
     ) {
+        #[expect(
+            clippy::expect_used,
+            reason = "the single caller is the vc-completion path, entered only while a view change is in progress"
+        )]
         let vc = self.vc.take().expect("called with vc");
         let min_nd = vc.replies.values().map(|r| r.1).min().unwrap_or(1);
         // Retransmit everything any member might miss.
@@ -1990,7 +2009,10 @@ where
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fields of one Wire::StateTransfer, unpacked by the dispatch arm that receives it"
+    )]
     fn on_state_transfer<M: GcsMessage<P, S>>(
         &mut self,
         ctx: &mut Ctx<'_, M>,

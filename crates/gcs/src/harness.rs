@@ -9,6 +9,11 @@
 //! configurable processing delay, and a crash inside that window loses the
 //! message at this replica unless the end-to-end primitive replays it.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "hosts is sized to the node count at construction and indexed by NodeId::index() of nodes this harness created"
+)]
+
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
@@ -17,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use groupsafe_net::{Incoming, NetConfig, Network, NodeId};
-use groupsafe_sim::{Actor, ActorId, Ctx, Disk, Engine, Message, SimDuration, SimTime};
+use groupsafe_sim::{Actor, ActorId, Ctx, Disk, Engine, Fnv64, Message, SimDuration, SimTime};
 
 use crate::config::GcsConfig;
 use crate::endpoint::GcsEndpoint;
@@ -325,21 +330,18 @@ impl Cluster {
     /// hand the application the same histories — whatever the framing on
     /// the wire (batched or not) — produce the same fingerprint; any
     /// reordering, loss or duplication diverges it.
+    #[deny(clippy::float_arithmetic)]
     pub fn group_safety_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
+        let mut h = Fnv64::new();
         for i in 0..self.hosts.len() as u32 {
             let values = self.stable_values(NodeId(i));
-            mix(0x6e6f_6465 ^ u64::from(i));
-            mix(values.len() as u64);
+            h.mix(0x6e6f_6465 ^ u64::from(i));
+            h.mix(values.len() as u64);
             for v in values {
-                mix(v);
+                h.mix(v);
             }
         }
-        h
+        h.finish()
     }
 }
 

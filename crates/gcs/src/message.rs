@@ -280,9 +280,9 @@ mod tests {
             era: 0,
         };
         let w: Wire<String, ()> = Wire::Ordered { view: 0, entry: e };
-        match w {
-            Wire::Ordered { entry, .. } => assert_eq!(entry.payload, "txn"),
-            _ => unreachable!(),
-        }
+        let Wire::Ordered { entry, .. } = w else {
+            panic!("built as Wire::Ordered");
+        };
+        assert_eq!(entry.payload, "txn");
     }
 }

@@ -14,6 +14,11 @@
 //! sends overtake it). Each cause keeps its own counter in [`NetStats`] so
 //! scenario oracles can account for every perturbed delivery.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "actors/colour/domain are sized to n_nodes at construction and indexed by NodeId::index() of registered nodes (< n_nodes by registration)"
+)]
+
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -139,6 +144,10 @@ impl NetworkState {
         self.domain.get(node.index()).copied().unwrap_or(0) as usize
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "every NodeId is registered with the network during System construction before any message can name it; an unregistered node is a wiring bug"
+    )]
     fn actor_of(&self, node: NodeId) -> ActorId {
         self.actors[node.index()].expect("unregistered node")
     }

@@ -74,6 +74,11 @@
 //! incarnation is bumped and [`Actor::on_recover`] runs the recovery
 //! procedure.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "actors/alive/incarnations are indexed by ActorId::index(), and ActorIds are only ever issued by this kernel at spawn time with index < len (allocation invariant)"
+)]
+
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -81,6 +86,7 @@ use std::collections::BinaryHeap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::fnv::Fnv64;
 use crate::metrics::Metrics;
 use crate::obs::{Obs, ObsConfig, ObsEvent};
 use crate::time::{SimDuration, SimTime};
@@ -126,6 +132,10 @@ impl<T: Any> Wrap<T> for Payload {
     where
         T: Clone,
     {
+        #[expect(
+            clippy::expect_used,
+            reason = "the Payload adapter's fan-out copy downcasts to the type the same send_shared call wrapped the record's message from; a mismatch is a kernel bug, and typed message enums never take this path"
+        )]
         let value: &T = msg.downcast_ref().expect("fan-out payload type");
         Box::new(value.clone())
     }
@@ -271,6 +281,10 @@ impl<M> EventSlab<M> {
     }
 
     fn remove(&mut self, idx: u32) -> EventKind<M> {
+        #[expect(
+            clippy::expect_used,
+            reason = "slab slots are vacated exactly once, by the pop that owns the (slot, key) pair just removed from the wheel; a vacant slot here means the wheel and slab disagree, a kernel bug to fail loudly on"
+        )]
         let kind = self.slots[idx as usize].take().expect("slab slot");
         self.free.push(idx);
         kind
@@ -490,13 +504,10 @@ pub struct Kernel<M> {
     /// touches the fingerprint, the RNG or the queue: enabling it leaves
     /// the simulation's behaviour bit-for-bit identical.
     pub obs: Obs,
-    fingerprint: u64,
+    fingerprint: Fnv64,
     dispatched: u64,
     halted: bool,
 }
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
 
 impl<M> Kernel<M> {
     fn new(seed: u64, scheduler: Scheduler) -> Self {
@@ -513,15 +524,10 @@ impl<M> Kernel<M> {
             rng: StdRng::seed_from_u64(seed),
             metrics: Metrics::new(),
             obs: Obs::default(),
-            fingerprint: FNV_OFFSET,
+            fingerprint: Fnv64::new(),
             dispatched: 0,
             halted: false,
         }
-    }
-
-    fn mix(&mut self, v: u64) {
-        self.fingerprint ^= v;
-        self.fingerprint = self.fingerprint.wrapping_mul(FNV_PRIME);
     }
 
     fn push(&mut self, time: SimTime, kind: EventKind<M>) {
@@ -885,6 +891,7 @@ impl<M: 'static> Engine<M> {
     /// case no message is made. A delivery latched at `latch` to a target
     /// that opted in writes its latch cell instead, and makes no message
     /// either; it is counted and mixed all the same.
+    #[deny(clippy::float_arithmetic)]
     fn dispatch(
         &mut self,
         target: ActorId,
@@ -899,8 +906,8 @@ impl<M: 'static> Engine<M> {
             return; // stale event: target crashed since scheduling
         }
         self.kernel.dispatched += 1;
-        self.kernel.mix(self.kernel.now.as_nanos());
-        self.kernel.mix(target.0 as u64);
+        self.kernel.fingerprint.mix(self.kernel.now.as_nanos());
+        self.kernel.fingerprint.mix(target.0 as u64);
         match latch {
             Some(slot) if self.kernel.latching[idx] => self.kernel.latch(target, slot),
             _ => self.call(target, |actor, ctx| actor.on_event(ctx, msg())),
@@ -924,6 +931,7 @@ impl<M: 'static> Engine<M> {
         self.kernel.free_fans.push(fan);
     }
 
+    #[deny(clippy::float_arithmetic)]
     fn process(&mut self, time: SimTime, kind: EventKind<M>) {
         debug_assert!(time >= self.kernel.now, "time went backwards");
         self.kernel.now = time;
@@ -944,8 +952,8 @@ impl<M: 'static> Engine<M> {
                 self.kernel.alive[idx] = false;
                 self.kernel.latching[idx] = false;
                 self.kernel.latches[idx].fill(SimTime::ZERO);
-                self.kernel.mix(0xDEAD);
-                self.kernel.mix(target.0 as u64);
+                self.kernel.fingerprint.mix(0xDEAD);
+                self.kernel.fingerprint.mix(target.0 as u64);
                 self.call(target, |actor, ctx| actor.on_crash(ctx));
             }
             EventKind::Recover(target) => {
@@ -955,8 +963,8 @@ impl<M: 'static> Engine<M> {
                 }
                 self.kernel.alive[idx] = true;
                 self.kernel.incarnations[idx] += 1;
-                self.kernel.mix(0x11FE);
-                self.kernel.mix(target.0 as u64);
+                self.kernel.fingerprint.mix(0x11FE);
+                self.kernel.fingerprint.mix(target.0 as u64);
                 self.call(target, |actor, ctx| actor.on_recover(ctx));
             }
             EventKind::Halt => {
@@ -968,7 +976,7 @@ impl<M: 'static> Engine<M> {
     /// FNV-1a fingerprint of the dispatch sequence so far. Two runs with the
     /// same seed and inputs must report the same fingerprint (determinism).
     pub fn fingerprint(&self) -> u64 {
-        self.kernel.fingerprint
+        self.kernel.fingerprint.finish()
     }
 
     /// Number of events dispatched so far.
@@ -990,6 +998,10 @@ impl<M: 'static> Engine<M> {
     ///
     /// # Panics
     /// Panics if the actor is not of type `T`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the ActorId was issued by this kernel for a value of the requested concrete type; a mismatch is a caller wiring bug, not a runtime state"
+    )]
     pub fn actor<T: Actor<M> + 'static>(&self, id: ActorId) -> &T {
         // Through the trait object: the box itself is an `Any` too.
         let actor: &dyn Actor<M> = &*self.actors[id.index()];
@@ -1003,6 +1015,10 @@ impl<M: 'static> Engine<M> {
     ///
     /// # Panics
     /// Panics if the actor is not of type `T`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the ActorId was issued by this kernel for a value of the requested concrete type; a mismatch is a caller wiring bug, not a runtime state"
+    )]
     pub fn actor_mut<T: Actor<M> + 'static>(&mut self, id: ActorId) -> &mut T {
         let actor: &mut dyn Actor<M> = &mut *self.actors[id.index()];
         actor

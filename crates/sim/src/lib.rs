@@ -23,10 +23,22 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Determinism contract GS-P02/GS-P03: a panic in a protocol crate is a
+// correctness bug the paper's crash model does not have.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod blockvec;
 pub mod disk;
 pub mod engine;
+pub mod fnv;
 pub mod metrics;
 pub mod obs;
 pub mod resource;
@@ -36,6 +48,7 @@ pub mod wordpages;
 pub use blockvec::BlockVec;
 pub use disk::{Disk, DiskConfig, DiskStats};
 pub use engine::{Actor, ActorId, AsAny, Ctx, Engine, Message, Payload, Scheduler, Wrap};
+pub use fnv::Fnv64;
 pub use metrics::{Histogram, Metrics};
 pub use obs::{
     decompose_commits, prometheus_snapshot, CommitSpan, Obs, ObsConfig, ObsEvent, ObsMode,

@@ -8,6 +8,11 @@
 //! sum and nothing else, for a series whose only reader is the
 //! Prometheus export's count and sum.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "quantile index is clamped to len-1 after an is_empty early return two lines above"
+)]
+
 use std::collections::BTreeMap;
 
 /// A histogram over `f64` samples with exact quantiles.

@@ -666,7 +666,31 @@ pub fn decompose_commits(events: &[ObsRecord]) -> Vec<CommitSpan> {
                     reply_ms: ms(t_reply, r.time),
                 });
             }
-            _ => {}
+            ObsEvent::Reply {
+                committed: false, ..
+            }
+            | ObsEvent::ClientAck {
+                committed: false, ..
+            }
+            | ObsEvent::Forward { .. }
+            | ObsEvent::BatchFlush { .. }
+            | ObsEvent::Sequence { .. }
+            | ObsEvent::MulticastSend { .. }
+            | ObsEvent::StableWrite { .. }
+            | ObsEvent::Vote { .. }
+            | ObsEvent::UniformDeliver { .. }
+            | ObsEvent::Certify { .. }
+            | ObsEvent::Apply { .. }
+            | ObsEvent::ReadSubmit { .. }
+            | ObsEvent::ReadServe { .. }
+            | ObsEvent::ReadReply { .. }
+            | ObsEvent::XgPrepare { .. }
+            | ObsEvent::XgVote { .. }
+            | ObsEvent::XgDecision { .. }
+            | ObsEvent::ViewChange { .. }
+            | ObsEvent::StateTransfer { .. }
+            | ObsEvent::WalSync { .. }
+            | ObsEvent::LazyPropagate { .. } => {}
         }
     }
     spans

@@ -14,9 +14,8 @@
 //! group never committed, a forged snapshot-certification record. Each
 //! test first audits the untouched run clean (the control's control),
 //! then corrupts and asserts the specific violation variant is reported.
-//! `groupsafe-lint`'s `oracle-coverage` rule (GS-P04) keeps this file
-//! honest: every `OracleViolation` variant must be exercised by some
-//! test under `tests/`.
+//! `tests/oracle_coverage.rs` (GS-P04) keeps this file honest: every
+//! `OracleViolation` variant must be named by some test under `tests/`.
 
 use groupsafe::core::scenario::{audit_scenario, OracleViolation, ScenarioPlan};
 use groupsafe::core::server::ReplicaServer;

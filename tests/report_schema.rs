@@ -31,9 +31,10 @@ fn report_json_matches_the_golden_file() {
     let json = pinned_report().to_json();
     // Regenerate with:
     //   GROUPSAFE_REGOLDEN=1 cargo test --test report_schema
-    // A developer switch that rewrites the golden file; it never
-    // reaches a run, so the no-ambient-configuration ban does not apply.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a developer switch that rewrites the golden file; it never reaches a run, so the no-ambient-configuration ban does not apply"
+    )]
     let regolden = std::env::var("GROUPSAFE_REGOLDEN").is_ok();
     if regolden {
         let path = concat!(
