@@ -14,8 +14,9 @@
 //!             faults incl. whole-group failures (default: 1, classic)
 //!   --reads   mix read clients into every plan: a FRACTION of the
 //!             generated transactions are read-only and travel the local
-//!             read path at LEVEL (stable | session | latest); the
-//!             read-freshness oracle audits every run (default: off)
+//!             read path at LEVEL (stable | session | latest; stable is
+//!             undefined at zero-safe); the read-freshness oracle audits
+//!             every run (default: off)
 //!   --txns    mix snapshot-isolation transactions into every plan: a
 //!             FRACTION of the generated update transactions run under
 //!             SI (MVCC read phase, first-committer-wins certification);
@@ -97,6 +98,12 @@ fn main() {
         "--reads is not defined for one-safe: the lazy baseline has no \
          local read path (run it without --reads; its read-only mix \
          still travels the classic pipeline)"
+    );
+    assert!(
+        reads.is_none_or(|(level, _)| level != ReadLevel::Stable)
+            || !levels.contains(&SafetyLevel::ZeroSafe),
+        "--reads stable is not defined for zero-safe: non-uniform delivery \
+         casts no stability votes (use --reads session)"
     );
 
     let mut total = 0u64;

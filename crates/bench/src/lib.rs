@@ -21,7 +21,9 @@
 //! * `reads` / `txn` — the follower-read and snapshot-transaction
 //!   sweeps behind `BENCH_reads.json` / `BENCH_txn.json`,
 //! * `ablation` — the §5.1 ablations,
-//! * `obs_export` — the observability exporter and its golden check.
+//! * `obs_export` — the observability exporter and its golden check,
+//! * `contract` — writes and checks the behavioural contract
+//!   (`CONTRACT.txt`, see [`contract`]).
 //!
 //! Wall-clock cost is measured by the stand-alone `perf` package
 //! (`crates/bench/perf`, see `benchmark/README.md`).
@@ -29,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod contract;
 pub mod plot;
 
 use groupsafe_core::WorkloadSpec;

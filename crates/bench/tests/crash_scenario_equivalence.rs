@@ -2,16 +2,18 @@
 //!
 //! `run_crash_scenario` compiles the experiment into a declarative plan.
 //! This suite keeps an imperative driver (a test-local reference
-//! implementation) and runs every pinned scenario shape through both
+//! implementation) and runs every crash shape of the behavioural
+//! contract (`groupsafe_bench::contract::crash_shapes`) through both
 //! paths: the audits — including the engine's dispatch fingerprint, the
 //! strictest witness the simulator has — must match bit-for-bit. Any
 //! scheduling drift in the scenario engine (hook ordering, event push
 //! order, partition/heal timing, the operator-restart protocol) fails
-//! this suite. Both paths wire the system with the same builder calls,
-//! so the outcomes are also pinned against a table captured from the
-//! commit before `run_crash_scenario` was rebuilt on `System::builder()`.
+//! this suite. Both paths wire the system with the same builder calls;
+//! a wiring slip that moves both together (a dropped `client_timeout`)
+//! moves the shape's line of `CONTRACT.txt` instead.
 
-use groupsafe_core::{reconcile_restart, Load, SafetyLevel, System, Technique};
+use groupsafe_bench::contract::crash_shapes;
+use groupsafe_core::{reconcile_restart, Load, System};
 use groupsafe_net::NodeId;
 use groupsafe_sim::{SimDuration, SimTime};
 use groupsafe_workload::{run_crash_scenario, CrashOutcome, CrashScenario, RecoveryPlan};
@@ -119,134 +121,9 @@ fn run_crash_scenario_imperative(sc: &CrashScenario) -> CrashOutcome {
     }
 }
 
-fn recovering(sc: CrashScenario) -> CrashScenario {
-    CrashScenario {
-        recovery: RecoveryPlan::Recover {
-            downtime: SimDuration::from_millis(400),
-        },
-        ..sc
-    }
-}
-
-/// The pinned corpus: every distinct shape the integration suites use.
-fn corpus() -> Vec<(&'static str, CrashScenario)> {
-    vec![
-        (
-            "group_safe_minority",
-            CrashScenario::small(Technique::Dsm(SafetyLevel::GroupSafe), vec![1, 3], 1),
-        ),
-        (
-            "group_safe_all_but_one",
-            CrashScenario::small(Technique::Dsm(SafetyLevel::GroupSafe), vec![0, 1, 2, 3], 3),
-        ),
-        (
-            "group_safe_total_recover",
-            recovering(CrashScenario::small(
-                Technique::Dsm(SafetyLevel::GroupSafe),
-                vec![0, 1, 2, 3, 4],
-                5,
-            )),
-        ),
-        (
-            "two_safe_total_recover",
-            recovering(CrashScenario::small(
-                Technique::Dsm(SafetyLevel::TwoSafe),
-                vec![0, 1, 2, 3, 4],
-                7,
-            )),
-        ),
-        (
-            "lazy_delegate_crash_hot",
-            CrashScenario {
-                load_tps: 40.0,
-                ..CrashScenario::small(Technique::Lazy, vec![0], 11)
-            },
-        ),
-        (
-            "lazy_survivors",
-            CrashScenario::small(Technique::Lazy, vec![0], 13),
-        ),
-        (
-            "zero_safe_partitioned",
-            CrashScenario {
-                partition_before: vec![0],
-                partition_hold: SimDuration::from_millis(1_500),
-                ..CrashScenario::small(Technique::Dsm(SafetyLevel::ZeroSafe), vec![0], 17)
-            },
-        ),
-        (
-            "group_safe_partitioned",
-            CrashScenario {
-                partition_before: vec![0],
-                partition_hold: SimDuration::from_millis(1_500),
-                ..CrashScenario::small(Technique::Dsm(SafetyLevel::GroupSafe), vec![0], 19)
-            },
-        ),
-        (
-            "group_one_safe_delegate_last",
-            recovering(CrashScenario {
-                load_tps: 40.0,
-                crash_last: Some((0, SimDuration::from_millis(400))),
-                ..CrashScenario::small(
-                    Technique::Dsm(SafetyLevel::GroupOneSafe),
-                    vec![0, 1, 2, 3, 4],
-                    23,
-                )
-            }),
-        ),
-        (
-            "group_one_safe_delegate_stays_down",
-            recovering(CrashScenario {
-                load_tps: 40.0,
-                crash_last: Some((0, SimDuration::from_millis(400))),
-                stay_down: vec![0],
-                ..CrashScenario::small(
-                    Technique::Dsm(SafetyLevel::GroupOneSafe),
-                    vec![0, 1, 2, 3, 4],
-                    29,
-                )
-            }),
-        ),
-        (
-            "very_safe_total_recover",
-            CrashScenario {
-                load_tps: 10.0,
-                recovery: RecoveryPlan::Recover {
-                    downtime: SimDuration::from_millis(400),
-                },
-                ..CrashScenario::small(
-                    Technique::Dsm(SafetyLevel::VerySafe),
-                    vec![0, 1, 2, 3, 4],
-                    67,
-                )
-            },
-        ),
-    ]
-}
-
-/// `(label, acked, lost, distinct_states, timeouts, fingerprint)` of
-/// `run_crash_scenario` over the corpus, captured at commit `8c951b5`:
-/// a wiring slip such as a dropped
-/// `client_timeout` moves both paths above together, and only this table
-/// sees it.
-#[rustfmt::skip]
-const PINNED: [(&str, usize, usize, usize, u64, u64); 11] = [
-    ("group_safe_minority", 81, 0, 1, 9, 0x0a0b946d51d77346),
-    ("group_safe_all_but_one", 49, 0, 1, 24, 0x948d966bc0b747a1),
-    ("group_safe_total_recover", 136, 3, 1, 14, 0x57fbee318466d2c6),
-    ("two_safe_total_recover", 138, 0, 1, 9, 0x756bfca48496899a),
-    ("lazy_delegate_crash_hot", 227, 1, 2, 8, 0xae2f2f6fa9c481ea),
-    ("lazy_survivors", 108, 1, 1, 3, 0x0821199a2e83eb0d),
-    ("zero_safe_partitioned", 138, 10, 1, 5, 0x8e8cdc61617b692c),
-    ("group_safe_partitioned", 150, 0, 1, 10, 0x2b64818da198df93),
-    ("group_one_safe_delegate_last", 193, 0, 1, 66, 0xe26af5bc663dedb2),
-    ("group_one_safe_delegate_stays_down", 173, 1, 1, 81, 0x4615ff0c89d6d784),
-    ("very_safe_total_recover", 69, 0, 1, 9, 0x84532447e0234690),
-];
-
 #[test]
 fn scenario_engine_reproduces_the_imperative_runs_bit_for_bit() {
-    for (label, sc) in corpus() {
+    for (label, sc, _) in crash_shapes() {
         let reference = run_crash_scenario_imperative(&sc);
         let ported = run_crash_scenario(&sc);
         assert_eq!(
@@ -268,22 +145,6 @@ fn scenario_engine_reproduces_the_imperative_runs_bit_for_bit() {
             ),
             "{label}: the ScenarioPlan port diverged from the imperative reference"
         );
-        let pinned = PINNED
-            .iter()
-            .find(|p| p.0 == label)
-            .expect("every corpus shape is pinned");
-        assert_eq!(
-            (
-                label,
-                ported.acked,
-                ported.lost,
-                ported.distinct_states,
-                ported.timeouts,
-                ported.fingerprint,
-            ),
-            *pinned,
-            "{label}: the outcome moved from the pinned table"
-        );
     }
 }
 
@@ -292,7 +153,7 @@ fn scenario_engine_reproduces_the_imperative_runs_bit_for_bit() {
 /// renders a non-empty reproduction dump.
 #[test]
 fn compiled_plans_are_deterministic_and_renderable() {
-    for (label, sc) in corpus() {
+    for (label, sc, _) in crash_shapes() {
         let a = sc.scenario_plan();
         let b = sc.scenario_plan();
         assert_eq!(a, b, "{label}: plan compilation must be deterministic");

@@ -1765,15 +1765,9 @@ pub mod fuzz {
         /// read path at `level`, so every fault plan also stresses the
         /// follower-read machinery and the read-freshness oracle audits
         /// the outcome. Stable reads are not defined for 0-safe
-        /// (non-uniform delivery casts no stability votes); that
-        /// combination falls back to session reads.
+        /// (non-uniform delivery casts no stability votes): the builder
+        /// rejects that combination.
         pub fn with_reads(mut self, level: crate::reads::ReadLevel, fraction: f64) -> FuzzSpec {
-            use crate::reads::ReadLevel;
-            let level = if self.level == SafetyLevel::ZeroSafe && level == ReadLevel::Stable {
-                ReadLevel::Session
-            } else {
-                level
-            };
             self.read_level = Some(level);
             self.read_fraction = fraction.clamp(0.0, 1.0);
             self

@@ -885,17 +885,21 @@ impl ReplicaServer {
         let applied = self.state_seq();
         // The stability evidence this replica holds: the live vote
         // watermark its endpoint exports, floored by the recovered
-        // state's horizon (uniform delivery hands nothing up before it
-        // is stable, so state a pre-crash incarnation applied — and a
-        // crash redo rebuilt — was stable by construction, even though
-        // the vote bookkeeping died with the crash). `applied` is
-        // deliberately NOT folded in: if delivery ever outran
-        // stability tracking, stable reads would pin *below* the
-        // applied head — served from the multi-version store — rather
-        // than silently serve unproven state. (The builder rejects
-        // stable reads for non-uniform techniques, whose endpoints
-        // cast no votes at all.)
+        // state's horizon. `applied` is deliberately NOT folded in: where
+        // delivery outruns stability tracking, stable reads pin *below*
+        // the applied head rather than serve unproven state. At the
+        // view-based levels it never does (asserted); at 2-safe it does
+        // after a majority recovers from its logs, whose votes died with
+        // the crash. (The builder rejects non-uniform stable reads.)
         let stable = self.stable_watermark().max(self.state_floor);
+        let view_based = matches!(
+            self.technique,
+            Technique::Dsm(SafetyLevel::GroupSafe | SafetyLevel::GroupOneSafe)
+        );
+        debug_assert!(
+            applied <= stable || !view_based,
+            "applied {applied} past stable {stable}"
+        );
         // The snapshot each level pins: `Stable` never exceeds the
         // stability evidence; `Session`/`Latest` serve the freshest
         // applied state (the session guarantee is a floor, not a pin).

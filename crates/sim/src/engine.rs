@@ -1,7 +1,7 @@
 //! The discrete-event simulation engine.
 //!
-//! The engine is a single-threaded event loop over a priority queue ordered
-//! by `(time, sequence-number)`. Determinism is absolute: the same actor
+//! The engine is a single-threaded event loop over a queue ordered by
+//! `(time, scheduling order)`. Determinism is absolute: the same actor
 //! graph and seed produce the same dispatch sequence, which the kernel
 //! fingerprints with a running FNV-1a hash (see [`Engine::fingerprint`]).
 //!
@@ -19,17 +19,15 @@
 //! adapter for small test actors and benchmark drivers, where a boxed
 //! event per send costs nothing that matters.
 //!
-//! # Scheduler
+//! # Event queue
 //!
 //! The kernel's queue is a hierarchical timing wheel (64 slots × 11
 //! levels over the `u64` nanosecond clock) with per-level occupancy
 //! bitmaps and an event slab with freelist reuse. Insertion and pop are
-//! O(1) amortised; events at the same instant drain in FIFO
-//! (sequence-number) order because slot vectors append in scheduling order
-//! and cascades preserve it. [`Scheduler::LegacyHeap`], the `BinaryHeap`
-//! the wheel replaced, is an executable reference for the equivalence
-//! tests (see [`Engine::new_with_scheduler`]); it dispatches in the same
-//! `(time, seq)` order and so yields the same fingerprints.
+//! O(1) amortised; events at the same instant drain in FIFO (scheduling)
+//! order because slot vectors append in scheduling order and cascades
+//! preserve it. This module's tests hold the wheel to a binary-heap model
+//! of that order, pop for pop.
 //!
 //! # Fan-out
 //!
@@ -80,8 +78,6 @@
 )]
 
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -219,46 +215,6 @@ enum EventKind<M> {
     Halt,
 }
 
-/// Selects the event-queue implementation backing the kernel.
-///
-/// Both schedulers dispatch events in the identical `(time, seq)` order and
-/// therefore produce bit-for-bit identical fingerprints and traces; the
-/// legacy heap is the executable reference the equivalence tests hold the
-/// wheel to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Hierarchical timing wheel + event slab (the default; O(1) amortised).
-    #[default]
-    TimingWheel,
-    /// The original `BinaryHeap<Reverse<QueuedEvent>>` (O(log n) per op).
-    LegacyHeap,
-}
-
-struct QueuedEvent<M> {
-    time: SimTime,
-    seq: u64,
-    kind: EventKind<M>,
-}
-
-// Order by (time, seq): the heap is a max-heap so we wrap in `Reverse` at
-// the call sites; equality/ordering here only consider the (time, seq) key.
-impl<M> PartialEq for QueuedEvent<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<M> Eq for QueuedEvent<M> {}
-impl<M> PartialOrd for QueuedEvent<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for QueuedEvent<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
 /// Slab of pending event records with freelist reuse: the wheel's slot
 /// vectors hold 12-byte `(time, index)` entries instead of full event
 /// structs, and record storage is recycled across the run instead of
@@ -314,7 +270,7 @@ const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 ///   correct slot relative to the *current* horizon (a cascade at level `k`
 ///   only happens when every finer level is empty, so no event is ever
 ///   stranded at a stale level). Same-instant events therefore share a slot
-///   and append in scheduling (`seq`) order, which cascades preserve.
+///   and append in scheduling order, which cascades preserve.
 /// * **Bounded advance.** [`TimingWheel::pop_at_or_before`] never moves
 ///   `horizon` past `limit`: `run_until(deadline)` sets the kernel clock to
 ///   `deadline`, and later insertions at `time ≥ deadline` must still
@@ -430,61 +386,11 @@ impl TimingWheel {
     }
 }
 
-/// The kernel's event queue: one of the two [`Scheduler`] implementations.
-enum EventQueue<M> {
-    Wheel {
-        wheel: TimingWheel,
-        slab: EventSlab<M>,
-    },
-    Heap(BinaryHeap<Reverse<QueuedEvent<M>>>),
-}
-
-impl<M> EventQueue<M> {
-    fn new(scheduler: Scheduler) -> Self {
-        match scheduler {
-            Scheduler::TimingWheel => EventQueue::Wheel {
-                wheel: TimingWheel::new(),
-                slab: EventSlab {
-                    slots: Vec::new(),
-                    free: Vec::new(),
-                },
-            },
-            Scheduler::LegacyHeap => EventQueue::Heap(BinaryHeap::new()),
-        }
-    }
-
-    fn push(&mut self, time: SimTime, seq: u64, kind: EventKind<M>) {
-        match self {
-            EventQueue::Wheel { wheel, slab } => {
-                let idx = slab.insert(kind);
-                wheel.push(time.as_nanos(), idx);
-            }
-            EventQueue::Heap(heap) => heap.push(Reverse(QueuedEvent { time, seq, kind })),
-        }
-    }
-
-    /// Pop the earliest event with `time <= limit` in `(time, seq)` order.
-    fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, EventKind<M>)> {
-        match self {
-            EventQueue::Wheel { wheel, slab } => {
-                let (time, idx) = wheel.pop_at_or_before(limit.as_nanos())?;
-                Some((SimTime::from_nanos(time), slab.remove(idx)))
-            }
-            EventQueue::Heap(heap) => {
-                if heap.peek().is_none_or(|Reverse(ev)| ev.time > limit) {
-                    return None;
-                }
-                heap.pop().map(|Reverse(ev)| (ev.time, ev.kind))
-            }
-        }
-    }
-}
-
 /// Mutable kernel state shared with actors during dispatch via [`Ctx`].
 pub struct Kernel<M> {
     now: SimTime,
-    seq: u64,
-    queue: EventQueue<M>,
+    wheel: TimingWheel,
+    slab: EventSlab<M>,
     incarnations: Vec<u32>,
     alive: Vec<bool>,
     /// Fan-out table: an entry per pending fan-out, recycled through
@@ -510,11 +416,14 @@ pub struct Kernel<M> {
 }
 
 impl<M> Kernel<M> {
-    fn new(seed: u64, scheduler: Scheduler) -> Self {
+    fn new(seed: u64) -> Self {
         Kernel {
             now: SimTime::ZERO,
-            seq: 0,
-            queue: EventQueue::new(scheduler),
+            wheel: TimingWheel::new(),
+            slab: EventSlab {
+                slots: Vec::new(),
+                free: Vec::new(),
+            },
             incarnations: Vec::new(),
             alive: Vec::new(),
             fans: Vec::new(),
@@ -531,9 +440,15 @@ impl<M> Kernel<M> {
     }
 
     fn push(&mut self, time: SimTime, kind: EventKind<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(time, seq, kind);
+        let idx = self.slab.insert(kind);
+        self.wheel.push(time.as_nanos(), idx);
+    }
+
+    /// Pop the earliest event with `time <= limit`, in scheduling order
+    /// within an instant.
+    fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, EventKind<M>)> {
+        let (time, idx) = self.wheel.pop_at_or_before(limit.as_nanos())?;
+        Some((SimTime::from_nanos(time), self.slab.remove(idx)))
     }
 
     /// Schedule `msg` for `target` at `at`, stamped with `stamp`.
@@ -761,15 +676,9 @@ impl<M: 'static> Engine<M> {
     /// Create an engine for messages of type `M`, its RNG streams derived
     /// from `seed`, scheduled by the timing wheel.
     pub fn new(seed: u64) -> Self {
-        Engine::new_with_scheduler(seed, Scheduler::TimingWheel)
-    }
-
-    /// Create an engine with an explicit [`Scheduler`] (equivalence tests;
-    /// every other caller uses [`Engine::new`]).
-    pub fn new_with_scheduler(seed: u64, scheduler: Scheduler) -> Self {
         Engine {
             actors: Vec::new(),
-            kernel: Kernel::new(seed, scheduler),
+            kernel: Kernel::new(seed),
         }
     }
 
@@ -851,7 +760,7 @@ impl<M: 'static> Engine<M> {
     /// Returns the time of the last processed event.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
         while !self.kernel.halted {
-            let Some((time, kind)) = self.kernel.queue.pop_at_or_before(deadline) else {
+            let Some((time, kind)) = self.kernel.pop_at_or_before(deadline) else {
                 break;
             };
             self.process(time, kind);
@@ -867,7 +776,7 @@ impl<M: 'static> Engine<M> {
     /// Run until the event queue is empty (or a halt is requested).
     pub fn run_to_completion(&mut self) -> SimTime {
         while !self.kernel.halted {
-            let Some((time, kind)) = self.kernel.queue.pop_at_or_before(SimTime::MAX) else {
+            let Some((time, kind)) = self.kernel.pop_at_or_before(SimTime::MAX) else {
                 break;
             };
             self.process(time, kind);
@@ -1049,9 +958,65 @@ impl<T: Any> AsAny for T {
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use proptest::prelude::*;
+
     use super::*;
 
-    const BOTH: [Scheduler; 2] = [Scheduler::TimingWheel, Scheduler::LegacyHeap];
+    /// Delays in nanoseconds: the same instant, inside the first wheel
+    /// level, across its boundaries, and out at the seconds and hours
+    /// levels.
+    const SPANS: [u64; 10] = [
+        0,
+        1,
+        63,
+        64,
+        4_095,
+        4_096,
+        1_000_000,
+        16_000_000,
+        1_000_000_000,
+        1 << 42,
+    ];
+
+    proptest! {
+        /// The wheel and its slab pop what the binary heap they replaced
+        /// pops, `(time, scheduling order)` for `(time, scheduling order)`,
+        /// under any mix of pushes at or after the clock and bounded pops
+        /// — a pop that finds nothing due moves the clock to its limit, as
+        /// `run_until` does.
+        #[test]
+        fn the_wheel_pops_what_a_binary_heap_pops(
+            ops in proptest::collection::vec((any::<bool>(), 0usize..SPANS.len(), 0u64..3), 1..200),
+        ) {
+            let mut wheel = TimingWheel::new();
+            let mut slab: EventSlab<u64> = EventSlab { slots: Vec::new(), free: Vec::new() };
+            let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            let (mut now, mut seq) = (0u64, 0u64);
+            for (push, span, jitter) in ops {
+                let at = now + SPANS[span] + jitter;
+                if push {
+                    let idx = slab.insert(EventKind::Deliver { to: 0, stamp: 0, msg: seq });
+                    wheel.push(at, idx);
+                    heap.push(Reverse((at, seq)));
+                    seq += 1;
+                    continue;
+                }
+                let model = match heap.peek() {
+                    Some(&Reverse((time, _))) if time <= at => heap.pop().map(|Reverse(e)| e),
+                    _ => None,
+                };
+                let got = wheel.pop_at_or_before(at).map(|(time, idx)| match slab.remove(idx) {
+                    EventKind::Deliver { msg, .. } => (time, msg),
+                    EventKind::Crash(_) | EventKind::Recover(_) | EventKind::Halt => (time, u64::MAX),
+                });
+                prop_assert_eq!(got, model);
+                now = got.map_or(at, |(time, _)| time);
+            }
+        }
+    }
 
     struct Counter {
         ticks: u32,
@@ -1094,56 +1059,50 @@ mod tests {
         })
     }
 
-    fn engine(scheduler: Scheduler) -> Engine {
-        Engine::new_with_scheduler(1, scheduler)
+    fn engine() -> Engine {
+        Engine::new(1)
     }
 
     #[test]
     fn timers_fire_in_order() {
-        for scheduler in BOTH {
-            let mut eng = engine(scheduler);
-            let id = eng.add_actor(counter());
-            eng.schedule(SimTime::from_millis(1), id, Tick);
-            eng.run_to_completion();
-            let c: &Counter = eng.actor(id);
-            assert_eq!(c.ticks, 5);
-            assert_eq!(eng.now(), SimTime::from_millis(41));
-        }
+        let mut eng = engine();
+        let id = eng.add_actor(counter());
+        eng.schedule(SimTime::from_millis(1), id, Tick);
+        eng.run_to_completion();
+        let c: &Counter = eng.actor(id);
+        assert_eq!(c.ticks, 5);
+        assert_eq!(eng.now(), SimTime::from_millis(41));
     }
 
     #[test]
     fn crash_drops_stale_timers_and_recover_bumps_incarnation() {
-        for scheduler in BOTH {
-            let mut eng = engine(scheduler);
-            let id = eng.add_actor(counter());
-            eng.schedule(SimTime::from_millis(1), id, Tick);
-            // Crash at 15ms: ticks at 1ms and 11ms fire; the timer set for
-            // 21ms must be dropped. Recover at 50ms restarts ticking.
-            eng.schedule_crash(SimTime::from_millis(15), id);
-            eng.schedule_recover(SimTime::from_millis(50), id);
-            eng.run_to_completion();
-            let c: &Counter = eng.actor(id);
-            assert_eq!(c.recoveries, 1);
-            // 2 ticks before crash + 3 more after recovery (ticks counts to 5).
-            assert_eq!(c.ticks, 5);
-            // Volatile state was wiped at crash; stable survived.
-            assert_eq!(c.volatile, 3);
-            assert_eq!(c.stable, 5);
-        }
+        let mut eng = engine();
+        let id = eng.add_actor(counter());
+        eng.schedule(SimTime::from_millis(1), id, Tick);
+        // Crash at 15ms: ticks at 1ms and 11ms fire; the timer set for
+        // 21ms must be dropped. Recover at 50ms restarts ticking.
+        eng.schedule_crash(SimTime::from_millis(15), id);
+        eng.schedule_recover(SimTime::from_millis(50), id);
+        eng.run_to_completion();
+        let c: &Counter = eng.actor(id);
+        assert_eq!(c.recoveries, 1);
+        // 2 ticks before crash + 3 more after recovery (ticks counts to 5).
+        assert_eq!(c.ticks, 5);
+        // Volatile state was wiped at crash; stable survived.
+        assert_eq!(c.volatile, 3);
+        assert_eq!(c.stable, 5);
     }
 
     #[test]
     fn events_to_dead_actor_are_lost() {
-        for scheduler in BOTH {
-            let mut eng = engine(scheduler);
-            let id = eng.add_actor(counter());
-            eng.schedule_crash(SimTime::from_millis(1), id);
-            // Scheduled while alive, arrives while dead: lost.
-            eng.schedule(SimTime::from_millis(5), id, Tick);
-            eng.run_to_completion();
-            let c: &Counter = eng.actor(id);
-            assert_eq!(c.ticks, 0);
-        }
+        let mut eng = engine();
+        let id = eng.add_actor(counter());
+        eng.schedule_crash(SimTime::from_millis(1), id);
+        // Scheduled while alive, arrives while dead: lost.
+        eng.schedule(SimTime::from_millis(5), id, Tick);
+        eng.run_to_completion();
+        let c: &Counter = eng.actor(id);
+        assert_eq!(c.ticks, 0);
     }
 
     /// A control event may not land behind the clock any more than a
@@ -1151,7 +1110,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn crash_into_the_past_is_rejected() {
-        let mut eng = engine(Scheduler::TimingWheel);
+        let mut eng = engine();
         let id = eng.add_actor(counter());
         eng.run_until(SimTime::from_millis(10));
         eng.schedule_crash(SimTime::from_millis(5), id);
@@ -1160,7 +1119,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn recovery_into_the_past_is_rejected() {
-        let mut eng = engine(Scheduler::LegacyHeap);
+        let mut eng = engine();
         let id = eng.add_actor(counter());
         eng.run_until(SimTime::from_millis(10));
         eng.schedule_recover(SimTime::from_millis(5), id);
@@ -1168,8 +1127,8 @@ mod tests {
 
     #[test]
     fn same_seed_same_fingerprint() {
-        let run = |seed, scheduler| {
-            let mut eng: Engine = Engine::new_with_scheduler(seed, scheduler);
+        let run = |seed| {
+            let mut eng: Engine = Engine::new(seed);
             let id = eng.add_actor(counter());
             eng.schedule(SimTime::from_millis(1), id, Tick);
             eng.schedule_crash(SimTime::from_millis(15), id);
@@ -1177,31 +1136,22 @@ mod tests {
             eng.run_to_completion();
             (eng.fingerprint(), eng.dispatched())
         };
-        for scheduler in BOTH {
-            assert_eq!(run(7, scheduler), run(7, scheduler));
-            assert_eq!(run(7, scheduler).1, run(9, scheduler).1);
-        }
-        // Crash/recover mixing included: both schedulers agree exactly.
-        assert_eq!(
-            run(7, Scheduler::TimingWheel),
-            run(7, Scheduler::LegacyHeap)
-        );
+        assert_eq!(run(7), run(7));
+        assert_eq!(run(7).1, run(9).1);
     }
 
     #[test]
     fn run_until_stops_at_deadline() {
-        for scheduler in BOTH {
-            let mut eng = engine(scheduler);
-            let id = eng.add_actor(counter());
-            eng.schedule(SimTime::from_millis(1), id, Tick);
-            eng.run_until(SimTime::from_millis(12));
-            let c: &Counter = eng.actor(id);
-            assert_eq!(c.ticks, 2);
-            assert_eq!(eng.now(), SimTime::from_millis(12));
-            eng.run_to_completion();
-            let c: &Counter = eng.actor(id);
-            assert_eq!(c.ticks, 5);
-        }
+        let mut eng = engine();
+        let id = eng.add_actor(counter());
+        eng.schedule(SimTime::from_millis(1), id, Tick);
+        eng.run_until(SimTime::from_millis(12));
+        let c: &Counter = eng.actor(id);
+        assert_eq!(c.ticks, 2);
+        assert_eq!(eng.now(), SimTime::from_millis(12));
+        eng.run_to_completion();
+        let c: &Counter = eng.actor(id);
+        assert_eq!(c.ticks, 5);
     }
 
     #[test]
@@ -1210,20 +1160,18 @@ mod tests {
         // moves the kernel clock to the deadline while a far-future event is
         // still queued; scheduling at exactly the deadline afterwards must
         // still dispatch (time ≥ horizon) and in time order.
-        for scheduler in BOTH {
-            let mut eng = engine(scheduler);
-            let id = eng.add_actor(counter());
-            // Far-future tick parks an event at a coarse wheel level.
-            eng.schedule(SimTime::from_secs(40), id, Tick);
-            eng.run_until(SimTime::from_millis(7));
-            assert_eq!(eng.now(), SimTime::from_millis(7));
-            eng.schedule(SimTime::from_millis(7), id, Tick);
-            eng.run_to_completion();
-            let c: &Counter = eng.actor(id);
-            // Tick at 7ms starts a 5-tick chain; the 40s tick adds one more
-            // 5-tick chain (ticks only re-arm while below 5).
-            assert_eq!(c.ticks, 6);
-        }
+        let mut eng = engine();
+        let id = eng.add_actor(counter());
+        // Far-future tick parks an event at a coarse wheel level.
+        eng.schedule(SimTime::from_secs(40), id, Tick);
+        eng.run_until(SimTime::from_millis(7));
+        assert_eq!(eng.now(), SimTime::from_millis(7));
+        eng.schedule(SimTime::from_millis(7), id, Tick);
+        eng.run_to_completion();
+        let c: &Counter = eng.actor(id);
+        // Tick at 7ms starts a 5-tick chain; the 40s tick adds one more
+        // 5-tick chain (ticks only re-arm while below 5).
+        assert_eq!(c.ticks, 6);
     }
 
     #[test]
@@ -1241,42 +1189,37 @@ mod tests {
                 self.got.push(tag.0);
             }
         }
-        let run = |scheduler| {
-            let mut eng = engine(scheduler);
-            let id = eng.add_actor(Box::new(Recorder { got: Vec::new() }));
-            let instant = SimTime::from_secs(3);
-            // Scheduled far out (coarse level), then nearer inserts for the
-            // same instant, interleaved with an earlier warm-up event that
-            // forces horizon advances between the inserts.
-            eng.schedule(instant, id, Tag(0));
-            eng.schedule(instant, id, Tag(1));
-            eng.schedule(SimTime::from_millis(2), id, Tag(99));
-            eng.run_until(SimTime::from_millis(10));
-            eng.schedule(instant, id, Tag(2));
-            eng.run_until(SimTime::from_secs(1));
-            eng.schedule(instant, id, Tag(3));
-            eng.run_to_completion();
-            let r: &Recorder = eng.actor(id);
-            (r.got.clone(), eng.fingerprint())
-        };
-        let (wheel_order, wheel_fp) = run(Scheduler::TimingWheel);
-        let (heap_order, heap_fp) = run(Scheduler::LegacyHeap);
-        assert_eq!(wheel_order, vec![99, 0, 1, 2, 3]);
-        assert_eq!(wheel_order, heap_order);
-        assert_eq!(wheel_fp, heap_fp);
+        let mut eng = engine();
+        let id = eng.add_actor(Box::new(Recorder { got: Vec::new() }));
+        let instant = SimTime::from_secs(3);
+        // Scheduled far out (coarse level), then nearer inserts for the
+        // same instant, interleaved with an earlier warm-up event that
+        // forces horizon advances between the inserts.
+        eng.schedule(instant, id, Tag(0));
+        eng.schedule(instant, id, Tag(1));
+        eng.schedule(SimTime::from_millis(2), id, Tag(99));
+        eng.run_until(SimTime::from_millis(10));
+        eng.schedule(instant, id, Tag(2));
+        eng.run_until(SimTime::from_secs(1));
+        eng.schedule(instant, id, Tag(3));
+        eng.run_to_completion();
+        let r: &Recorder = eng.actor(id);
+        assert_eq!(r.got, vec![99, 0, 1, 2, 3]);
     }
 
     #[test]
     fn wide_timer_spread_crosses_wheel_levels() {
         // Delays from nanoseconds to tens of simulated minutes exercise
-        // insertion at many wheel levels and the cascade path; both
-        // schedulers must agree on the full dispatch fingerprint.
+        // insertion at many wheel levels and the cascade path; every
+        // timer fires, at the instant it was set for.
         struct Spreader {
             fired: u32,
+            due: SimTime,
         }
         struct Fire;
         impl Actor for Spreader {
             fn on_event(&mut self, ctx: &mut Ctx<'_>, _payload: Payload) {
+                assert_eq!(ctx.now(), self.due);
                 self.fired += 1;
                 let step = match self.fired % 5 {
                     0 => SimDuration::from_nanos(1),
@@ -1286,21 +1229,20 @@ mod tests {
                     _ => SimDuration::from_secs(601),
                 };
                 if self.fired < 64 {
+                    self.due = ctx.now() + step;
                     ctx.timer(step, Fire);
                 }
             }
         }
-        let run = |scheduler| {
-            let mut eng = engine(scheduler);
-            let id = eng.add_actor(Box::new(Spreader { fired: 0 }));
-            eng.schedule(SimTime::ZERO, id, Fire);
-            eng.run_to_completion();
-            (eng.fingerprint(), eng.dispatched(), eng.now())
-        };
-        let wheel = run(Scheduler::TimingWheel);
-        let heap = run(Scheduler::LegacyHeap);
-        assert_eq!(wheel.1, 64);
-        assert_eq!(wheel, heap);
+        let mut eng = engine();
+        let id = eng.add_actor(Box::new(Spreader {
+            fired: 0,
+            due: SimTime::ZERO,
+        }));
+        eng.schedule(SimTime::ZERO, id, Fire);
+        eng.run_to_completion();
+        assert_eq!(eng.dispatched(), 64);
+        assert_eq!(eng.now(), eng.actor::<Spreader>(id).due);
     }
 
     /// The fan-out tests' typed message: a tag, shared by reference count
@@ -1357,12 +1299,11 @@ mod tests {
     /// Four listeners and a caster that sends to `targets` at 1 ms and
     /// again at 3 ms; `faults` may crash and recover listeners in between.
     fn cast(
-        scheduler: Scheduler,
         fan_out: bool,
         targets: &[u32],
         faults: impl Fn(&mut Engine<Note>, &[ActorId]),
     ) -> (u64, u64, Heard) {
-        let mut eng = Engine::new_with_scheduler(1, scheduler);
+        let mut eng = Engine::new(1);
         let ids: Vec<ActorId> = (0..4)
             .map(|_| eng.add_actor(Box::new(Listener { got: Vec::new() })))
             .collect();
@@ -1383,17 +1324,15 @@ mod tests {
 
     #[test]
     fn fan_out_equals_one_send_per_target() {
-        for scheduler in BOTH {
-            let shared = cast(scheduler, true, &[2, 0, 1, 3, 1], |_, _| {});
-            let reference = cast(scheduler, false, &[2, 0, 1, 3, 1], |_, _| {});
-            assert_eq!(shared, reference);
-            // 2 casts + 2 × 5 deliveries + 2 × 5 echoes.
-            assert_eq!(shared.1, 22);
-            // Listener 1 is listed twice; its echoes (tag + 100) run
-            // behind the whole run, not between targets.
-            let at = SimTime::from_millis(2);
-            assert_eq!(shared.2[1][..4], [(at, 1), (at, 1), (at, 101), (at, 101)]);
-        }
+        let shared = cast(true, &[2, 0, 1, 3, 1], |_, _| {});
+        let reference = cast(false, &[2, 0, 1, 3, 1], |_, _| {});
+        assert_eq!(shared, reference);
+        // 2 casts + 2 × 5 deliveries + 2 × 5 echoes.
+        assert_eq!(shared.1, 22);
+        // Listener 1 is listed twice; its echoes (tag + 100) run
+        // behind the whole run, not between targets.
+        let at = SimTime::from_millis(2);
+        assert_eq!(shared.2[1][..4], [(at, 1), (at, 1), (at, 101), (at, 101)]);
     }
 
     #[test]
@@ -1411,27 +1350,20 @@ mod tests {
             eng.schedule_crash(SimTime::from_micros(3_500), ids[2]);
             eng.schedule_recover(SimTime::from_millis(4), ids[2]);
         };
-        for scheduler in BOTH {
-            let shared = cast(scheduler, true, &[0, 1, 2, 3], faults);
-            assert_eq!(shared, cast(scheduler, false, &[0, 1, 2, 3], faults));
-            let tags = |i: usize| shared.2[i].iter().map(|g| g.1).collect::<Vec<_>>();
-            assert_eq!(tags(0), [2, 102]);
-            assert_eq!(tags(1), [2, 102]);
-            assert_eq!(tags(2), [1, 101]);
-            assert_eq!(tags(3), [1, 101, 2, 102]);
-        }
+        let shared = cast(true, &[0, 1, 2, 3], faults);
+        assert_eq!(shared, cast(false, &[0, 1, 2, 3], faults));
+        let tags = |i: usize| shared.2[i].iter().map(|g| g.1).collect::<Vec<_>>();
+        assert_eq!(tags(0), [2, 102]);
+        assert_eq!(tags(1), [2, 102]);
+        assert_eq!(tags(2), [1, 101]);
+        assert_eq!(tags(3), [1, 101, 2, 102]);
     }
 
     #[test]
     fn fan_out_of_one_is_a_plain_send_and_of_none_is_nothing() {
-        for scheduler in BOTH {
-            assert_eq!(
-                cast(scheduler, true, &[1], |_, _| {}),
-                cast(scheduler, false, &[1], |_, _| {})
-            );
-            let (_, n, _) = cast(scheduler, true, &[], |_, _| {});
-            assert_eq!(n, 2, "only the two casts themselves");
-        }
+        assert_eq!(cast(true, &[1], |_, _| {}), cast(false, &[1], |_, _| {}));
+        let (_, n, _) = cast(true, &[], |_, _| {});
+        assert_eq!(n, 2, "only the two casts themselves");
     }
 
     #[test]
@@ -1516,8 +1448,8 @@ mod tests {
     /// down at the first delivery and back, opted in again, for the
     /// second; sink 0 crashes and recovers under the second, a new
     /// incarnation since its stamp.
-    fn latch_cast(scheduler: Scheduler, latched: bool, targets: &[u32]) -> (u64, u64, Sunk) {
-        let mut eng = Engine::new_with_scheduler(1, scheduler);
+    fn latch_cast(latched: bool, targets: &[u32]) -> (u64, u64, Sunk) {
+        let mut eng = Engine::new(1);
         let ids: Vec<ActorId> = (0..4)
             .map(|i| {
                 eng.add_actor(Box::new(Sink {
@@ -1556,30 +1488,28 @@ mod tests {
     #[test]
     fn a_latch_is_counted_and_mixed_like_the_dispatch_it_replaces() {
         let ms = SimTime::from_millis;
-        for scheduler in BOTH {
-            for targets in [&[0, 1, 2, 3][..], &[0], &[1]] {
-                let latched = latch_cast(scheduler, true, targets);
-                let plain = latch_cast(scheduler, false, targets);
-                assert_eq!((latched.0, latched.1), (plain.0, plain.1), "{targets:?}");
-            }
-            let (_, dispatched, sunk) = latch_cast(scheduler, true, &[0, 1, 2, 3]);
-            // 12 probes, 2 casts, 3 live targets per delivery.
-            assert_eq!(dispatched, 20);
-            // Sink 0 latched the first delivery, and its crash cleared
-            // the cell; the second was stamped for its old incarnation.
-            assert_eq!(sunk[0], (vec![], vec![SimTime::ZERO, ms(2), SimTime::ZERO]));
-            // Sinks 1 and 3 never opted in: dispatched both times.
-            let both = vec![(ms(2), 1), (ms(4), 2)];
-            assert_eq!(sunk[1], (both.clone(), vec![SimTime::ZERO; 3]));
-            assert_eq!(sunk[3], (both, vec![SimTime::ZERO; 3]));
-            // Sink 2 was down for the first and opted in again on
-            // recovery for the second.
-            assert_eq!(sunk[2], (vec![], vec![SimTime::ZERO, SimTime::ZERO, ms(4)]));
-            // Without the latch, the same deliveries reach `on_event`.
-            let (_, _, plain) = latch_cast(scheduler, false, &[0, 1, 2, 3]);
-            assert_eq!(plain[0].0, [(ms(2), 1)]);
-            assert_eq!(plain[2].0, [(ms(4), 2)]);
+        for targets in [&[0, 1, 2, 3][..], &[0], &[1]] {
+            let latched = latch_cast(true, targets);
+            let plain = latch_cast(false, targets);
+            assert_eq!((latched.0, latched.1), (plain.0, plain.1), "{targets:?}");
         }
+        let (_, dispatched, sunk) = latch_cast(true, &[0, 1, 2, 3]);
+        // 12 probes, 2 casts, 3 live targets per delivery.
+        assert_eq!(dispatched, 20);
+        // Sink 0 latched the first delivery, and its crash cleared
+        // the cell; the second was stamped for its old incarnation.
+        assert_eq!(sunk[0], (vec![], vec![SimTime::ZERO, ms(2), SimTime::ZERO]));
+        // Sinks 1 and 3 never opted in: dispatched both times.
+        let both = vec![(ms(2), 1), (ms(4), 2)];
+        assert_eq!(sunk[1], (both.clone(), vec![SimTime::ZERO; 3]));
+        assert_eq!(sunk[3], (both, vec![SimTime::ZERO; 3]));
+        // Sink 2 was down for the first and opted in again on
+        // recovery for the second.
+        assert_eq!(sunk[2], (vec![], vec![SimTime::ZERO, SimTime::ZERO, ms(4)]));
+        // Without the latch, the same deliveries reach `on_event`.
+        let (_, _, plain) = latch_cast(false, &[0, 1, 2, 3]);
+        assert_eq!(plain[0].0, [(ms(2), 1)]);
+        assert_eq!(plain[2].0, [(ms(4), 2)]);
     }
 
     #[test]
@@ -1648,27 +1578,23 @@ mod tests {
                 ctx.timer(SimDuration::from_millis(1), Go);
             }
         }
-        for scheduler in BOTH {
-            let mut eng = engine(scheduler);
-            let id = eng.add_actor(Box::new(Halter));
-            eng.schedule(SimTime::from_millis(1), id, Go);
-            eng.run_to_completion();
-            assert_eq!(eng.now(), SimTime::from_millis(1));
-        }
+        let mut eng = engine();
+        let id = eng.add_actor(Box::new(Halter));
+        eng.schedule(SimTime::from_millis(1), id, Go);
+        eng.run_to_completion();
+        assert_eq!(eng.now(), SimTime::from_millis(1));
     }
 
     #[test]
     fn double_crash_and_double_recover_are_idempotent() {
-        for scheduler in BOTH {
-            let mut eng = engine(scheduler);
-            let id = eng.add_actor(counter());
-            eng.schedule_crash(SimTime::from_millis(1), id);
-            eng.schedule_crash(SimTime::from_millis(2), id);
-            eng.schedule_recover(SimTime::from_millis(3), id);
-            eng.schedule_recover(SimTime::from_millis(4), id);
-            eng.run_to_completion();
-            let c: &Counter = eng.actor(id);
-            assert_eq!(c.recoveries, 1);
-        }
+        let mut eng = engine();
+        let id = eng.add_actor(counter());
+        eng.schedule_crash(SimTime::from_millis(1), id);
+        eng.schedule_crash(SimTime::from_millis(2), id);
+        eng.schedule_recover(SimTime::from_millis(3), id);
+        eng.schedule_recover(SimTime::from_millis(4), id);
+        eng.run_to_completion();
+        let c: &Counter = eng.actor(id);
+        assert_eq!(c.recoveries, 1);
     }
 }

@@ -47,7 +47,7 @@ pub mod wordpages;
 
 pub use blockvec::BlockVec;
 pub use disk::{Disk, DiskConfig, DiskStats};
-pub use engine::{Actor, ActorId, AsAny, Ctx, Engine, Message, Payload, Scheduler, Wrap};
+pub use engine::{Actor, ActorId, AsAny, Ctx, Engine, Message, Payload, Wrap};
 pub use fnv::Fnv64;
 pub use metrics::{Histogram, Metrics};
 pub use obs::{

@@ -1,38 +1,40 @@
-//! Scheduler-equivalence property tests.
+//! Kernel-equivalence property tests.
 //!
-//! The timing-wheel scheduler must be observationally identical to the
-//! legacy binary-heap scheduler it replaced: for ANY workload and fault
-//! plan, both dispatch the same events in the same `(time, seq)` order and
-//! therefore produce byte-identical fingerprints and event logs. These
-//! tests drive both kernels with random message storms (delays spanning
-//! every wheel level, including same-instant sends) and random crash /
-//! recover plans landing on the same tick boundaries as deliveries, then
-//! compare fingerprint, dispatch count, and the workers' shared event log
-//! entry-by-entry.
-//!
-//! The same storms also pin the fan-out record: every other hop goes to
-//! several peers at once, and a run that sends it as one
-//! `Ctx::send_shared` must be indistinguishable from the run that sends it
-//! as one `Ctx::send` per target, on either scheduler. The workers speak a
-//! typed message, as the systems do, so the storms drive the kernel's
-//! production path rather than its boxed-`Any` adapter.
+//! The kernel holds a multicast as one fan-out record: a run that sends a
+//! hop to several peers as one `Ctx::send_shared` must be
+//! indistinguishable from the run that sends it as one `Ctx::send` per
+//! target. These tests drive both with random message storms (delays
+//! spanning every wheel level, including same-instant sends) and random
+//! crash / recover plans landing on the same tick boundaries as
+//! deliveries, then compare fingerprint, dispatch count, and the workers'
+//! shared event log entry-by-entry. The workers speak a typed message, as
+//! the systems do, so the storms drive the kernel's production path
+//! rather than its boxed-`Any` adapter.
 //!
 //! A third mode sends those hops as latched fan-outs while every worker
 //! flips its latch opt-in at random after each event and logs a latch
 //! cell it reads: a latched run changes what the workers see, so it is
-//! held to the same run on the other scheduler rather than to the
-//! reference.
+//! held to a replay of itself rather than to the reference.
+//!
+//! In every mode, each hop carries the order it was scheduled in, and the
+//! dispatches must arrive in ascending `(time, scheduling order)` — the
+//! order the binary heap the timing wheel replaced dispatched in (the
+//! engine's unit tests hold the wheel to that heap, pop for pop).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use groupsafe_sim::{Actor, ActorId, Ctx, Engine, Message, Scheduler, SimDuration, SimTime};
+use groupsafe_sim::{Actor, ActorId, Ctx, Engine, Message, SimDuration, SimTime};
 use proptest::prelude::*;
 use rand::Rng;
 
-/// A hop-counted message bounced between workers.
+/// A hop-counted message bounced between workers, stamped with the
+/// order it was scheduled in.
 #[derive(Clone)]
-struct Hop(u8);
+struct Hop {
+    hops: u8,
+    order: u64,
+}
 
 impl Message for Hop {}
 
@@ -48,11 +50,25 @@ enum Multi {
     Latched,
 }
 
-/// The modes held to the per-target reference.
-const MULTI: [Multi; 2] = [Multi::PerTarget, Multi::FanOut];
-
 /// The ordered `(now, label)` log every worker of a run appends to.
 type Log = Rc<RefCell<Vec<(SimTime, String)>>>;
+
+/// A run's scheduling counter and the `(time, scheduling order)` of
+/// every hop dispatched, in dispatch order.
+#[derive(Default)]
+struct Order {
+    next: Cell<u64>,
+    dispatched: RefCell<Vec<(SimTime, u64)>>,
+}
+
+impl Order {
+    /// A hop of `hops`, stamped with the next scheduling order.
+    fn hop(&self, hops: u8) -> Hop {
+        let order = self.next.get();
+        self.next.set(order + 1);
+        Hop { hops, order }
+    }
+}
 
 /// A worker that relays hop-counted messages to pseudo-random peers with
 /// pseudo-random delays. All randomness comes from the engine RNG, so the
@@ -63,6 +79,7 @@ struct Worker {
     peers: u32,
     multi: Multi,
     log: Log,
+    order: Rc<Order>,
 }
 
 /// Delay palette in nanoseconds: same-instant, within the first wheel
@@ -93,26 +110,32 @@ impl Worker {
             match self.multi {
                 Multi::PerTarget => {
                     for &t in &targets {
-                        ctx.send(t, d, Hop(hops - 1));
+                        ctx.send(t, d, self.order.hop(hops - 1));
                     }
                 }
-                Multi::FanOut => ctx.send_shared(&targets, d, Hop(hops - 1)),
-                Multi::Latched => ctx.latch_shared(&targets, d, Hop(hops - 1), self.id),
+                Multi::FanOut => ctx.send_shared(&targets, d, self.order.hop(hops - 1)),
+                Multi::Latched => {
+                    ctx.latch_shared(&targets, d, self.order.hop(hops - 1), self.id);
+                }
             }
         } else {
-            ctx.send(ActorId(first), d, Hop(hops - 1));
+            ctx.send(ActorId(first), d, self.order.hop(hops - 1));
         }
         if hops.is_multiple_of(3) {
             // A self-timer at the same instant as the relay
             // exercises same-tick FIFO between two pushes.
-            ctx.timer(d, Hop(hops / 3));
+            ctx.timer(d, self.order.hop(hops / 3));
         }
     }
 }
 
 impl Actor<Hop> for Worker {
     fn on_event(&mut self, ctx: &mut Ctx<'_, Hop>, hop: Hop) {
-        self.on_hop(ctx, hop.0);
+        self.order
+            .dispatched
+            .borrow_mut()
+            .push((ctx.now(), hop.order));
+        self.on_hop(ctx, hop.hops);
         if self.multi == Multi::Latched {
             let slot = ctx.rng().random_range(0..self.peers);
             let cell = ctx.latched(slot);
@@ -129,7 +152,7 @@ impl Actor<Hop> for Worker {
     fn on_recover(&mut self, ctx: &mut Ctx<'_, Hop>) {
         self.record(ctx, format_args!("recover"));
         // The fresh incarnation kicks off new work of its own.
-        ctx.timer(SimDuration::from_millis(1), Hop(2));
+        ctx.timer(SimDuration::from_millis(1), self.order.hop(2));
     }
 
     fn name(&self) -> &str {
@@ -148,41 +171,52 @@ struct Plan {
     crash_ms: Option<(u64, u64)>,
 }
 
+/// Run `plans` with hops sent as `multi`: the fingerprint, the dispatch
+/// count and the log. Panics unless every hop was dispatched in
+/// ascending `(time, scheduling order)`.
 fn run_plan(
-    scheduler: Scheduler,
     multi: Multi,
     seed: u64,
     n_workers: u32,
     plans: &[Plan],
 ) -> (u64, u64, Vec<(SimTime, String)>) {
-    let mut eng = Engine::new_with_scheduler(seed, scheduler);
+    let mut eng = Engine::new(seed);
     let log = Log::default();
+    let order = Rc::new(Order::default());
     for id in 0..n_workers {
         eng.add_actor(Box::new(Worker {
             id,
             peers: n_workers,
             multi,
             log: log.clone(),
+            order: order.clone(),
         }));
     }
     for (i, p) in plans.iter().enumerate() {
         let target = ActorId(i as u32 % n_workers);
-        eng.schedule(SimTime::from_millis(p.start_ms), target, Hop(p.hops));
+        eng.schedule(SimTime::from_millis(p.start_ms), target, order.hop(p.hops));
         if let Some((crash_ms, down_ms)) = p.crash_ms {
             eng.schedule_crash(SimTime::from_millis(crash_ms), target);
             eng.schedule_recover(SimTime::from_millis(crash_ms + down_ms.max(1)), target);
         }
     }
     eng.run_to_completion();
+    let dispatched = order.dispatched.take();
+    // A fan-out's targets share one scheduling order.
+    assert!(
+        dispatched.is_sorted(),
+        "{multi:?}: a hop arrived out of (time, scheduling order)"
+    );
     let log = log.take();
     (eng.fingerprint(), eng.dispatched(), log)
 }
 
 proptest! {
-    /// Random storms + fault plans: the wheel and the heap agree on the
-    /// fingerprint, the dispatch count, and every single log entry.
+    /// Random storms + fault plans: a fan-out run agrees with the
+    /// per-target run on the fingerprint, the dispatch count, and every
+    /// single log entry; a latched run replays to itself.
     #[test]
-    fn wheel_and_heap_traces_are_identical(
+    fn fan_out_and_per_target_traces_are_identical(
         seed in 0u64..1_000_000,
         n_workers in 1u32..6,
         plans in proptest::collection::vec(
@@ -194,26 +228,24 @@ proptest! {
             .into_iter()
             .map(|(start_ms, hops, crash_ms)| Plan { start_ms, hops, crash_ms })
             .collect();
-        let heap = run_plan(Scheduler::LegacyHeap, Multi::PerTarget, seed, n_workers, &plans);
-        for scheduler in [Scheduler::LegacyHeap, Scheduler::TimingWheel] {
-            for multi in MULTI {
-                let run = run_plan(scheduler, multi, seed, n_workers, &plans);
-                prop_assert_eq!(heap.0, run.0, "fingerprint diverged: {:?} {:?}", scheduler, multi);
-                prop_assert_eq!(heap.1, run.1, "dispatch count diverged: {:?} {:?}", scheduler, multi);
-                prop_assert_eq!(heap.2.len(), run.2.len(), "log length diverged");
-                for (i, (h, w)) in heap.2.iter().zip(run.2.iter()).enumerate() {
-                    prop_assert_eq!(h, w, "log entry {} diverged: {:?} {:?}", i, scheduler, multi);
-                }
-            }
+        let reference = run_plan(Multi::PerTarget, seed, n_workers, &plans);
+        let run = run_plan(Multi::FanOut, seed, n_workers, &plans);
+        prop_assert_eq!(reference.0, run.0, "fingerprint diverged");
+        prop_assert_eq!(reference.1, run.1, "dispatch count diverged");
+        prop_assert_eq!(reference.2.len(), run.2.len(), "log length diverged");
+        for (i, (r, f)) in reference.2.iter().zip(run.2.iter()).enumerate() {
+            prop_assert_eq!(r, f, "log entry {} diverged", i);
         }
-        let heap = run_plan(Scheduler::LegacyHeap, Multi::Latched, seed, n_workers, &plans);
-        let wheel = run_plan(Scheduler::TimingWheel, Multi::Latched, seed, n_workers, &plans);
-        prop_assert_eq!(heap, wheel, "latched runs diverged");
+        prop_assert_eq!(
+            run_plan(Multi::Latched, seed, n_workers, &plans),
+            run_plan(Multi::Latched, seed, n_workers, &plans),
+            "latched runs diverged"
+        );
     }
 
     /// Crash/recover exactly at a delivery tick: events stamped with the
-    /// old incarnation are filtered identically by both schedulers, and
-    /// the recovered incarnation's own work interleaves identically.
+    /// old incarnation are filtered identically by both sends, and the
+    /// recovered incarnation's own work interleaves identically.
     #[test]
     fn crash_at_tick_boundary_filters_identically(
         seed in 0u64..1_000_000,
@@ -226,15 +258,11 @@ proptest! {
             // deliveries land on a down / re-incarnated target.
             Plan { start_ms: 0, hops: 11, crash_ms: None },
         ];
-        let heap = run_plan(Scheduler::LegacyHeap, Multi::PerTarget, seed, 2, &plans);
-        for scheduler in [Scheduler::LegacyHeap, Scheduler::TimingWheel] {
-            for multi in MULTI {
-                prop_assert_eq!(&heap, &run_plan(scheduler, multi, seed, 2, &plans));
-            }
-        }
+        let reference = run_plan(Multi::PerTarget, seed, 2, &plans);
+        prop_assert_eq!(&reference, &run_plan(Multi::FanOut, seed, 2, &plans));
         prop_assert_eq!(
-            run_plan(Scheduler::LegacyHeap, Multi::Latched, seed, 2, &plans),
-            run_plan(Scheduler::TimingWheel, Multi::Latched, seed, 2, &plans)
+            run_plan(Multi::Latched, seed, 2, &plans),
+            run_plan(Multi::Latched, seed, 2, &plans)
         );
     }
 }

@@ -13,9 +13,9 @@
 //! plan on a [`System::builder`] system (the Table 4 defaults, open
 //! load, a 5 s client timeout) and drives the
 //! [`Run`](groupsafe_core::Run) lifecycle.
-//! `tests/crash_scenario_equivalence.rs` pins the outcome of every
-//! scenario shape and compares it against an imperative reference
-//! driver.
+//! The behavioural contract (`CONTRACT.txt`) pins the outcome of every
+//! scenario shape, and `crates/bench/tests/crash_scenario_equivalence.rs`
+//! compares each against an imperative reference driver.
 
 use groupsafe_core::{Load, ScenarioEvent, ScenarioPlan, ScenarioStep, System, Technique};
 use groupsafe_sim::{SimDuration, SimTime};

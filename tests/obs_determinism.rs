@@ -1,9 +1,8 @@
 //! Determinism of the observability layer itself: the structured event
 //! stream and both exporters are pure functions of the seed. Two runs of
-//! one seed must render byte-identical artefacts. (That the kernel's two
-//! scheduler backends dispatch the identical event sequence is pinned
-//! in `crates/sim`: `tests/scheduler_equivalence.rs` and the engine's
-//! unit tests.)
+//! one seed must render byte-identical artefacts. (That the kernel
+//! dispatches in `(time, scheduling order)` is pinned in `crates/sim`:
+//! `tests/scheduler_equivalence.rs` and the engine's unit tests.)
 
 use groupsafe::core::{Load, SafetyLevel, System};
 use groupsafe::sim::{prometheus_snapshot, ObsConfig, SimDuration};

@@ -9,6 +9,7 @@ use groupsafe::core::{BuildError, Load, SafetyLevel, System};
 use groupsafe::db::{ItemId, TxnId, WriteOp};
 use groupsafe::net::NodeId;
 use groupsafe::sim::{SimDuration, SimTime};
+use groupsafe_bench::contract::parting_reads;
 
 fn read_builder(level: ReadLevel, fraction: f64, seed: u64) -> groupsafe::core::SystemBuilder {
     System::builder()
@@ -132,6 +133,34 @@ fn sharded_reads_stay_per_group_and_report_per_group() {
 // ---------------------------------------------------------------------
 // Levels differ where they should
 // ---------------------------------------------------------------------
+
+/// `Stable` and `Latest` reads part at 2-safe after a majority crashes
+/// and recovers: the recovered members' stability evidence trails their
+/// applied head, so the two levels run the same dispatches but serve
+/// other snapshots (the contract's `reads-part/…` cells pin both runs).
+#[test]
+fn stable_and_latest_reads_part_where_the_evidence_trails_the_applied_head() {
+    let run = |level| {
+        let mut run = parting_reads(level).build().expect("valid");
+        run.run_until(SimTime::from_secs(6));
+        run.stop_clients_at(SimTime::from_secs(6));
+        run.run_until(SimTime::from_secs(9));
+        let system = run.into_system();
+        let tally = system.oracle.borrow().reads.tally().clone();
+        (system.engine.fingerprint(), tally.served, tally.lag_sum)
+    };
+    let (stable, latest) = (run(ReadLevel::Stable), run(ReadLevel::Latest));
+    assert_eq!(
+        (stable.0, stable.1),
+        (latest.0, latest.1),
+        "the same dispatches"
+    );
+    assert!(
+        stable.2 > 0.0,
+        "a stable read pinned below the applied head"
+    );
+    assert_eq!(latest.2, 0.0, "every latest read served the applied head");
+}
 
 #[test]
 fn stable_reads_never_exceed_the_watermark() {

@@ -3,66 +3,17 @@
 //! control: the oracle must demonstrably *catch* violations when a run
 //! is audited against a safety level it does not honour.
 //!
-//! [`ROWS`] declares the system configurations every level is fuzzed
-//! under. Each row is set through builder calls only, so what a row
-//! covers is written here and nowhere else.
+//! The system configurations every level is fuzzed under are the
+//! behavioural contract's [`ROWS`]: each row at every level and seed of
+//! `FUZZ_SEEDS` is a cell of `CONTRACT.txt`, audited clean, committing
+//! and replaying to the same fingerprint with the full event stream
+//! recorded (`tests/contract.rs`).
 
 use groupsafe::core::scenario::fuzz::{generate_plan, run_fuzz_case, FuzzSpec};
 use groupsafe::core::scenario::{audit_scenario, OracleViolation, ScenarioPlan};
-use groupsafe::core::{BatchConfig, Load, ReadLevel, SafetyLevel, System, Technique};
-use groupsafe::sim::{ObsConfig, SimDuration, SimTime};
-
-/// A row's fuzz envelope at a given level.
-type Envelope = fn(SafetyLevel) -> FuzzSpec;
-
-/// The declared fuzz rows: a name and its envelope.
-const ROWS: [(&str, Envelope); 5] = [
-    ("smoke", FuzzSpec::smoke),
-    ("batched", |level| {
-        FuzzSpec::smoke(level).with_batching(BatchConfig::of(8, SimDuration::from_micros(500)))
-    }),
-    ("sharded", |level| FuzzSpec::sharded(level, 3)),
-    ("session reads", |level| {
-        FuzzSpec::smoke(level).with_reads(ReadLevel::Session, 0.4)
-    }),
-    ("snapshot txns", |level| {
-        FuzzSpec::smoke(level).with_txns(0.5)
-    }),
-];
-
-/// Every level `scenario_fuzz --level` accepts.
-const LEVELS: [SafetyLevel; 5] = [
-    SafetyLevel::ZeroSafe,
-    SafetyLevel::OneSafe,
-    SafetyLevel::GroupSafe,
-    SafetyLevel::GroupOneSafe,
-    SafetyLevel::TwoSafe,
-];
-
-/// Every row at every level audits clean and commits, and replays to
-/// the same fingerprint with the full event stream recorded.
-#[test]
-fn declared_rows_audit_clean_at_every_level() {
-    for (row, envelope) in ROWS {
-        for level in LEVELS {
-            let spec = envelope(level);
-            let traced = spec.clone().with_obs(ObsConfig::stream());
-            for seed in 0..5 {
-                let out = run_fuzz_case(seed, &spec);
-                assert!(out.ok(), "{row}: {}", out.describe());
-                assert!(
-                    out.commits > 0,
-                    "{row}, {level}, seed {seed} never committed"
-                );
-                assert_eq!(
-                    run_fuzz_case(seed, &traced).fingerprint,
-                    out.fingerprint,
-                    "{row}, {level}, seed {seed}: full tracing moved the run"
-                );
-            }
-        }
-    }
-}
+use groupsafe::core::{Load, SafetyLevel, System, Technique};
+use groupsafe::sim::{SimDuration, SimTime};
+use groupsafe_bench::contract::ROWS;
 
 /// Group-safe and 2-safe runs must satisfy the oracle on every seed.
 #[test]
@@ -91,21 +42,29 @@ fn weak_levels_satisfy_their_accounting_rules() {
     }
 }
 
-/// Same seed, same plan, same fingerprint: a failing seed is a complete
-/// reproduction recipe.
+/// Same seed, same plan, same fingerprint, in every declared row: a
+/// failing seed is a complete reproduction recipe.
 #[test]
 fn fuzz_cases_replay_bit_for_bit() {
-    let spec = FuzzSpec::smoke(SafetyLevel::GroupSafe);
-    let a = run_fuzz_case(7, &spec);
-    let b = run_fuzz_case(7, &spec);
-    assert_eq!(a.plan, b.plan, "plan generation must be deterministic");
-    assert_eq!(a.fingerprint, b.fingerprint, "replay must be bit-for-bit");
-    assert_eq!(a.commits, b.commits);
-    assert_ne!(
-        a.plan,
-        generate_plan(8, &spec),
-        "different seeds explore different scenarios"
-    );
+    for (row, envelope) in ROWS {
+        let spec = envelope(SafetyLevel::GroupSafe);
+        let a = run_fuzz_case(7, &spec);
+        let b = run_fuzz_case(7, &spec);
+        assert_eq!(
+            a.plan, b.plan,
+            "{row}: plan generation must be deterministic"
+        );
+        assert_eq!(
+            a.fingerprint, b.fingerprint,
+            "{row}: replay must be bit-for-bit"
+        );
+        assert_eq!(a.commits, b.commits, "{row}");
+        assert_ne!(
+            a.plan,
+            generate_plan(8, &spec),
+            "{row}: different seeds explore different scenarios"
+        );
+    }
 }
 
 fn lazy_delegate_crash_system() -> (ScenarioPlan, groupsafe::core::System) {
