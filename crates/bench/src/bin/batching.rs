@@ -19,6 +19,7 @@
 //! same seed. It exits non-zero if batching ever stops paying.
 
 use groupsafe_bench::ordering_bound_workload;
+use groupsafe_bench::Flags;
 use groupsafe_core::{BatchConfig, Load, Report, SafetyLevel, System};
 use groupsafe_sim::SimDuration;
 
@@ -53,16 +54,10 @@ fn run_point(max_msgs: usize, quick: bool) -> Report {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let path_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let csv_path = path_after("--csv");
-    let json_path = path_after("--json");
+    let flags = Flags::parse(&["--quick"], &["--csv", "--json"]);
+    let quick = flags.has("--quick");
+    let csv_path = flags.value("--csv");
+    let json_path = flags.value("--json");
 
     let sizes = [1usize, 2, 4, 8, 16, 32];
     println!("Batching sweep — group-safe, 9 servers, {OVERLOAD_TPS:.0} tps offered (overload)");
@@ -108,7 +103,7 @@ fn main() {
                 r.abcast_batches
             ));
         }
-        std::fs::write(&path, out).expect("write csv");
+        std::fs::write(path, out).expect("write csv");
         println!("wrote {path}");
     }
     if let Some(path) = json_path {
@@ -116,7 +111,7 @@ fn main() {
             .iter()
             .map(|(m, r)| format!("{{\"max_msgs\":{},\"report\":{}}}", m, r.to_json()))
             .collect();
-        std::fs::write(&path, format!("[{}]\n", rows.join(",\n"))).expect("write json");
+        std::fs::write(path, format!("[{}]\n", rows.join(",\n"))).expect("write json");
         println!("wrote {path}");
     }
 

@@ -12,6 +12,7 @@
 //!   --json    also write a JSON array of full structured reports
 
 use groupsafe_bench::plot::ascii_chart;
+use groupsafe_bench::Flags;
 use groupsafe_core::{BatchConfig, Load, Report, SafetyLevel, System};
 use groupsafe_sim::SimDuration;
 
@@ -64,7 +65,7 @@ fn run_batch_point(tps: f64, quick: bool, batch: Option<BatchConfig>) -> Report 
 /// the servers; the batched curve keeps climbing — the effect `bench
 /// --bin batching` pins down (with the ≥2× assertion) under open-loop
 /// overload.
-fn batch_mode(quick: bool, csv_path: Option<String>, json_path: Option<String>) {
+fn batch_mode(quick: bool, csv_path: Option<&str>, json_path: Option<&str>) {
     let loads: Vec<f64> = [250.0, 500.0, 1000.0, 1500.0, 2000.0, 2500.0, 3000.0, 3500.0].to_vec();
     let profile = BatchConfig::of(8, SimDuration::from_millis(1));
     println!("Fig. 9 (--batch) — group-safe, batched vs unbatched abcast");
@@ -121,7 +122,7 @@ fn batch_mode(quick: bool, csv_path: Option<String>, json_path: Option<String>) 
                 r.distinct_states
             ));
         }
-        std::fs::write(&path, out).expect("write csv");
+        std::fs::write(path, out).expect("write csv");
         println!("wrote {path}");
     }
     if let Some(path) = json_path {
@@ -131,12 +132,12 @@ fn batch_mode(quick: bool, csv_path: Option<String>, json_path: Option<String>) 
                 format!("{{\"pipeline\":\"{}\",\"report\":{}}}", label, r.to_json())
             })
             .collect();
-        std::fs::write(&path, format!("[{}]\n", rows.join(",\n"))).expect("write json");
+        std::fs::write(path, format!("[{}]\n", rows.join(",\n"))).expect("write json");
         println!("wrote {path}");
     }
 }
 
-fn write_outputs(all: &[Report], csv_path: Option<String>, json_path: Option<String>) {
+fn write_outputs(all: &[Report], csv_path: Option<&str>, json_path: Option<&str>) {
     if let Some(path) = csv_path {
         let mut out = String::from(
             "technique,offered_tps,achieved_tps,mean_ms,p50_ms,p95_ms,abort_rate,samples,lost,distinct_states,lost_updates\n",
@@ -157,29 +158,23 @@ fn write_outputs(all: &[Report], csv_path: Option<String>, json_path: Option<Str
                 r.lost_updates,
             ));
         }
-        std::fs::write(&path, out).expect("write csv");
+        std::fs::write(path, out).expect("write csv");
         println!("wrote {path}");
     }
     if let Some(path) = json_path {
         let rows: Vec<String> = all.iter().map(Report::to_json).collect();
-        std::fs::write(&path, format!("[{}]\n", rows.join(",\n"))).expect("write json");
+        std::fs::write(path, format!("[{}]\n", rows.join(",\n"))).expect("write json");
         println!("wrote {path}");
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let path_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let csv_path = path_after("--csv");
-    let json_path = path_after("--json");
+    let flags = Flags::parse(&["--quick", "--batch"], &["--csv", "--json"]);
+    let quick = flags.has("--quick");
+    let csv_path = flags.value("--csv");
+    let json_path = flags.value("--json");
 
-    if args.iter().any(|a| a == "--batch") {
+    if flags.has("--batch") {
         batch_mode(quick, csv_path, json_path);
         return;
     }

@@ -23,6 +23,7 @@
 //!             pinned scenario at every DSM safety level instead (the
 //!             EXPERIMENTS.md table; deterministic, markdown rows)
 
+use groupsafe_bench::Flags;
 use groupsafe_core::{Load, SafetyLevel, System};
 use groupsafe_sim::{prometheus_snapshot, ObsConfig, SimDuration};
 
@@ -91,18 +92,12 @@ fn print_phase_table() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let value_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let trace_path = value_after("--trace").unwrap_or_else(|| "OBS_trace.json".to_string());
-    let prom_path = value_after("--prom").unwrap_or_else(|| "OBS_metrics.prom".to_string());
-    let check = args.iter().any(|a| a == "--check");
+    let flags = Flags::parse(&["--check", "--phases"], &["--trace", "--prom"]);
+    let trace_path = flags.value("--trace").unwrap_or("OBS_trace.json");
+    let prom_path = flags.value("--prom").unwrap_or("OBS_metrics.prom");
+    let check = flags.has("--check");
 
-    if args.iter().any(|a| a == "--phases") {
+    if flags.has("--phases") {
         print_phase_table();
         return;
     }
@@ -135,8 +130,8 @@ fn main() {
         return;
     }
 
-    std::fs::write(&trace_path, &trace).expect("write chrome trace");
-    std::fs::write(&prom_path, &prom).expect("write prometheus snapshot");
+    std::fs::write(trace_path, &trace).expect("write chrome trace");
+    std::fs::write(prom_path, &prom).expect("write prometheus snapshot");
     println!(
         "obs-export: wrote {trace_path} ({} bytes) and {prom_path} ({} bytes)",
         trace.len(),

@@ -21,6 +21,7 @@
 //! the local path ever stops paying.
 
 use groupsafe_bench::read_bound_workload;
+use groupsafe_bench::Flags;
 use groupsafe_core::{Load, ReadLevel, ReadPath, Report, SafetyLevel, System};
 use groupsafe_db::{BufferModel, DbConfig};
 use groupsafe_sim::SimDuration;
@@ -62,16 +63,10 @@ fn label(path: ReadPath) -> &'static str {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let path_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let csv_path = path_after("--csv");
-    let json_path = path_after("--json");
+    let flags = Flags::parse(&["--quick"], &["--csv", "--json"]);
+    let quick = flags.has("--quick");
+    let csv_path = flags.value("--csv");
+    let json_path = flags.value("--json");
 
     let fractions = [0.5, 0.9];
     let paths = [
@@ -140,7 +135,7 @@ fn main() {
                 r.mean_ms
             ));
         }
-        std::fs::write(&path, out).expect("write csv");
+        std::fs::write(path, out).expect("write csv");
         println!("wrote {path}");
     }
     if let Some(path) = json_path {
@@ -155,7 +150,7 @@ fn main() {
                 )
             })
             .collect();
-        std::fs::write(&path, format!("[{}]\n", rows.join(",\n"))).expect("write json");
+        std::fs::write(path, format!("[{}]\n", rows.join(",\n"))).expect("write json");
         println!("wrote {path}");
     }
 

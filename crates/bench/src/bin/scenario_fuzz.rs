@@ -33,6 +33,7 @@
 //! plus the full plan dump and exits non-zero — the seed alone replays
 //! the run bit-for-bit (`fuzz::run_fuzz_case(seed, &FuzzSpec::smoke(level))`).
 
+use groupsafe_bench::Flags;
 use groupsafe_core::scenario::fuzz::{run_fuzz_case, FuzzSpec};
 use groupsafe_core::{ReadLevel, SafetyLevel};
 
@@ -59,39 +60,43 @@ fn parse_reads(s: &str) -> (ReadLevel, f64) {
         .next()
         .map(|f| f.parse().expect("--reads takes level:fraction"))
         .unwrap_or(0.5);
+    assert!(
+        (0.0..=1.0).contains(&fraction),
+        "--reads fraction outside [0, 1]"
+    );
     (level, fraction)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let value_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let seeds: u64 = value_after("--seeds")
+    let valued = [
+        "--seeds", "--start", "--level", "--shards", "--reads", "--txns", "--obs", "--json",
+    ];
+    let flags = Flags::parse(&[], &valued);
+    let seeds: u64 = flags
+        .value("--seeds")
         .map(|v| v.parse().expect("--seeds takes a number"))
         .unwrap_or(100);
-    let start: u64 = value_after("--start")
+    let start: u64 = flags
+        .value("--start")
         .map(|v| v.parse().expect("--start takes a number"))
         .unwrap_or(0);
-    let shards: u32 = value_after("--shards")
+    let shards: u32 = flags
+        .value("--shards")
         .map(|v| v.parse().expect("--shards takes a number"))
         .unwrap_or(1);
-    let levels: Vec<SafetyLevel> = match value_after("--level") {
-        Some(l) => vec![parse_level(&l)],
+    let levels: Vec<SafetyLevel> = match flags.value("--level") {
+        Some(l) => vec![parse_level(l)],
         None => vec![SafetyLevel::GroupSafe, SafetyLevel::TwoSafe],
     };
-    let reads = value_after("--reads").map(|v| parse_reads(&v));
-    let txns: Option<f64> = value_after("--txns").map(|v| {
+    let reads = flags.value("--reads").map(parse_reads);
+    let txns: Option<f64> = flags.value("--txns").map(|v| {
         let f: f64 = v.parse().expect("--txns takes a fraction");
         assert!((0.0..=1.0).contains(&f), "--txns fraction outside [0, 1]");
         f
     });
     // An empty profile parses to `None`: the builder's default applies.
-    let obs = value_after("--obs").and_then(|profile| {
-        groupsafe_sim::ObsConfig::parse(&profile).unwrap_or_else(|e| panic!("--obs: {e}"))
+    let obs = flags.value("--obs").and_then(|profile| {
+        groupsafe_sim::ObsConfig::parse(profile).unwrap_or_else(|e| panic!("--obs: {e}"))
     });
     assert!(
         reads.is_none() || !levels.contains(&SafetyLevel::OneSafe),
@@ -206,7 +211,7 @@ fn main() {
             "the txn-mixed envelope should actually certify snapshot transactions"
         );
     }
-    if let Some(path) = value_after("--json") {
+    if let Some(path) = flags.value("--json") {
         let json = format!(
             "{{\"scenarios\":{total},\"violations\":0,\"quiescent\":{quiescent},\
              \"with_loss\":{with_loss},\"commits\":{commits},\
@@ -214,7 +219,7 @@ fn main() {
              \"group_failures\":{group_failures},\"reads_audited\":{reads_audited},\
              \"si_audited\":{si_audited}}}"
         );
-        std::fs::write(&path, json).expect("write json");
+        std::fs::write(path, json).expect("write json");
         println!("wrote {path}");
     }
 }

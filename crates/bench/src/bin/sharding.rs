@@ -23,6 +23,7 @@
 //! non-zero if sharding ever stops paying.
 
 use groupsafe_bench::ordering_bound_workload;
+use groupsafe_bench::Flags;
 use groupsafe_core::{Load, Report, SafetyLevel, System};
 use groupsafe_sim::SimDuration;
 
@@ -58,16 +59,10 @@ fn run_point(groups: u32, cross: f64, quick: bool) -> Report {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let path_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let csv_path = path_after("--csv");
-    let json_path = path_after("--json");
+    let flags = Flags::parse(&["--quick"], &["--csv", "--json"]);
+    let quick = flags.has("--quick");
+    let csv_path = flags.value("--csv");
+    let json_path = flags.value("--json");
 
     let group_counts = [1u32, 2, 4];
     let cross_ratios = [0.0f64, 0.05, 0.2];
@@ -137,7 +132,7 @@ fn main() {
                 groups, cross, r.commits, r.achieved_tps, r.mean_ms, r.cross_group_commits
             ));
         }
-        std::fs::write(&path, csv).expect("write csv");
+        std::fs::write(path, csv).expect("write csv");
         println!("wrote {path}");
     }
     if let Some(path) = json_path {
@@ -152,7 +147,7 @@ fn main() {
             ));
         }
         json.push(']');
-        std::fs::write(&path, json).expect("write json");
+        std::fs::write(path, json).expect("write json");
         println!("wrote {path}");
     }
 }

@@ -25,6 +25,7 @@
 //! holds the abort rate under 0.1 — and exits non-zero if snapshot
 //! certification ever stops paying.
 
+use groupsafe_bench::Flags;
 use groupsafe_core::{Load, ReadPath, Report, SafetyLevel, System, WorkloadSpec};
 use groupsafe_sim::SimDuration;
 
@@ -63,16 +64,10 @@ fn run_point(txn_fraction: f64, ops: Option<(usize, usize)>) -> Report {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let path_after = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let csv_path = path_after("--csv");
-    let json_path = path_after("--json");
+    let flags = Flags::parse(&["--quick"], &["--csv", "--json"]);
+    let quick = flags.has("--quick");
+    let csv_path = flags.value("--csv");
+    let json_path = flags.value("--json");
 
     // (txn_fraction, ops-per-transaction range); None = the classic
     // baseline and the spec's Table 4 default respectively.
@@ -143,7 +138,7 @@ fn main() {
                 r.mean_ms
             ));
         }
-        std::fs::write(&path, out).expect("write csv");
+        std::fs::write(path, out).expect("write csv");
         println!("wrote {path}");
     }
     if let Some(path) = json_path {
@@ -160,7 +155,7 @@ fn main() {
                 )
             })
             .collect();
-        std::fs::write(&path, format!("[{}]\n", rows.join(",\n"))).expect("write json");
+        std::fs::write(path, format!("[{}]\n", rows.join(",\n"))).expect("write json");
         println!("wrote {path}");
     }
 

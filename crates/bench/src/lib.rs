@@ -32,7 +32,10 @@
 #![warn(missing_docs)]
 
 pub mod contract;
+pub mod flags;
 pub mod plot;
+
+pub use flags::Flags;
 
 use groupsafe_core::WorkloadSpec;
 

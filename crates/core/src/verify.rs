@@ -20,14 +20,10 @@
 //!   of those inside the measurement window: no reader asks when one
 //!   arrived. The first acknowledgement of a transaction wins, across
 //!   both; [`Oracle::acked_count`] and [`Oracle::is_acked`] read both.
-//! * [`Oracle::commits`] is a [`CommitLog`]: a 16-byte `CommitRecord`
-//!   per transaction in such a table, and its readset and write set as
-//!   `(item, version)` pairs back to back in two lockstep columns
-//!   (items, versions) — 12 bytes a pair, no allocation per commit. The
-//!   value a write stored is not kept: no audit reads it. Only the later
-//!   slices of a cross-group commit, which arrive after other commits
-//!   were appended, go to a small per-transaction overflow. Reading it
-//!   yields [`CommitView`]s.
+//! * [`Oracle::commits`] is a [`CommitLog`]: a [`Ragged`] log of the
+//!   commits' readsets and write sets, found through such a table's
+//!   index. The value a write stored is not kept: no audit reads it.
+//!   Reading it yields [`CommitView`]s.
 //! * [`Oracle::reads`] is a [`ReadAudit`]: the read-freshness oracle,
 //!   which audits each served read and each read acknowledgement on
 //!   arrival and keeps no history of them — a fixed-size [`ReadTally`]
@@ -35,13 +31,9 @@
 //!   (session, group) accepted, the violations found, and a [`ReadLog`]
 //!   of the [`ReadLevel::Stable`] reads alone, whose observed items the
 //!   post-run lost-value rule needs.
-//! * [`Oracle::si_txns`] is an [`SiLog`], shaped like the commit log: a
-//!   48-byte entry per snapshot-isolation transaction in delivery order
-//!   (its [`SiOutcome`] and where its lists end), the readsets as
-//!   `(item, version)` pairs in two lockstep columns and the written
-//!   items in a third — no allocation per transaction. Reading it yields
-//!   [`SiView`]s. [`Oracle::record_si`] takes an owned [`SiRecord`],
-//!   [`Oracle::record_si_outcome`] borrowed lists.
+//! * [`Oracle::si_txns`] is an [`SiLog`]: the snapshot-isolation
+//!   outcomes in delivery order, their readsets and writes in [`Ragged`]
+//!   logs. Reading it yields [`SiView`]s.
 //!
 //! # Audits
 //!
@@ -61,29 +53,39 @@ use std::ops::Deref;
 
 use groupsafe_db::{DbEngine, ItemId, TxnId, TxnSet, TxnTable, Value, Version, WriteOp};
 use groupsafe_net::NodeId;
-use groupsafe_sim::{BlockVec, SimTime};
+use groupsafe_sim::{BlockVec, Body, Extent, Ragged, SimTime};
 
 use crate::reads::{ReadLevel, ReadViolation};
 
-/// A commit as the [`CommitLog`] stores it: who executed it and where
-/// its pairs sit in the log's columns — `reads` readset pairs from
-/// `start`, then `writes` write pairs. 16 bytes.
+/// A commit as the [`CommitLog`] stores it: who executed it, how many
+/// of its body's pairs are its readset (the rest are its writes), and
+/// where its body ends.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CommitRecord {
     delegate: NodeId,
-    start: u32,
     reads: u32,
-    writes: u32,
+    end: u32,
 }
 
-/// The server-side commit records, one per transaction (see the module
-/// docs): the first report of a transaction is kept, and the later
-/// slices of a cross-group commit merge their writes into it.
+impl Extent for CommitRecord {
+    fn end(&self) -> u32 {
+        self.end
+    }
+
+    fn set_end(&mut self, end: u32) {
+        self.end = end;
+    }
+}
+
+/// The server-side commit records, one per transaction: the first
+/// report of a transaction is kept, and the later slices of a
+/// cross-group commit merge their writes into it — in place while the
+/// record is the log's last, into a small overflow after that.
 #[derive(Debug, Default)]
 pub struct CommitLog {
-    records: TxnTable<CommitRecord>,
-    items: BlockVec<ItemId>,
-    versions: BlockVec<Version>,
+    /// Each transaction's position in `records`.
+    index: TxnTable<()>,
+    records: Ragged<CommitRecord, ItemId, Version>,
     /// Writes merged into a record after it was stored, by transaction,
     /// in merge order.
     merged: BTreeMap<TxnId, Vec<(ItemId, Version)>>,
@@ -99,24 +101,18 @@ impl CommitLog {
         readset: &[(ItemId, Version)],
         writes: impl IntoIterator<Item = (ItemId, Version)>,
     ) -> bool {
-        let (items, versions) = (&mut self.items, &mut self.versions);
-        self.records.insert_with(txn, || {
-            let start = items.len();
-            for (item, version) in readset.iter().copied().chain(writes) {
-                items.push(item);
-                versions.push(version);
-            }
-            assert!(
-                items.len() <= u32::MAX as usize,
-                "commit evidence column full"
-            );
-            CommitRecord {
+        let fresh = self.index.insert_with(txn, || ());
+        if fresh {
+            let reads = readset.len() as u32;
+            let record = CommitRecord {
                 delegate,
-                start: start as u32,
-                reads: readset.len() as u32,
-                writes: (items.len() - start - readset.len()) as u32,
-            }
-        })
+                reads,
+                end: 0,
+            };
+            self.records
+                .push(record, readset.iter().copied().chain(writes));
+        }
+        fresh
     }
 
     /// Merge `writes` into `txn`'s write set, skipping every
@@ -128,18 +124,13 @@ impl CommitLog {
         delegate: NodeId,
         writes: impl IntoIterator<Item = (ItemId, Version)>,
     ) {
-        // A fresh record is the columns' last, so it grows in place.
         let fresh = self.insert(txn, delegate, &[], std::iter::empty());
         for w in writes {
             if self.get(txn).is_some_and(|c| c.writes().any(|e| e == w)) {
                 continue;
             }
             if fresh {
-                self.items.push(w.0);
-                self.versions.push(w.1);
-                if let Some(rec) = self.records.get_mut(txn) {
-                    rec.writes += 1;
-                }
+                self.records.extend_last([w]);
             } else {
                 self.merged.entry(txn).or_default().push(w);
             }
@@ -148,29 +139,28 @@ impl CommitLog {
 
     /// `txn`'s commit, if it has one.
     pub fn get(&self, txn: TxnId) -> Option<CommitView<'_>> {
-        Some(self.view(txn, self.records.get(txn)?))
+        self.view(txn, self.index.position(txn)?)
     }
 
     /// True if `txn` has a commit.
     pub fn contains(&self, txn: TxnId) -> bool {
-        self.records.contains(txn)
+        self.index.contains(txn)
     }
 
     /// Number of transactions with a commit.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.index.len()
     }
 
     /// True when no commit was recorded.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.index.is_empty()
     }
 
     /// The commits in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (TxnId, CommitView<'_>)> {
-        self.records
-            .iter()
-            .map(|(txn, record)| (txn, self.view(txn, record)))
+        let views = self.index.positions();
+        views.filter_map(|(txn, position)| Some((txn, self.view(txn, position)?)))
     }
 
     /// The commits in ascending id order, without their ids.
@@ -178,54 +168,43 @@ impl CommitLog {
         self.iter().map(|(_, view)| view)
     }
 
-    fn view<'a>(&'a self, txn: TxnId, record: &'a CommitRecord) -> CommitView<'a> {
-        let merged = self
-            .merged
-            .get(&txn)
-            .map_or(Default::default(), Vec::as_slice);
-        CommitView {
-            record,
-            log: self,
+    fn view(&self, txn: TxnId, position: usize) -> Option<CommitView<'_>> {
+        let (record, body) = self.records.get(position)?;
+        let (readset, writes) = body.split_at(record.reads as usize);
+        let merged = self.merged.get(&txn).map_or(&[][..], Vec::as_slice);
+        Some(CommitView {
+            delegate: record.delegate,
+            readset,
+            writes,
             merged,
-        }
+        })
     }
 }
 
 /// One commit as the audits see it, borrowed from the [`CommitLog`].
 #[derive(Clone, Copy)]
 pub struct CommitView<'a> {
-    record: &'a CommitRecord,
-    log: &'a CommitLog,
+    delegate: NodeId,
+    readset: Body<'a, ItemId, Version>,
+    writes: Body<'a, ItemId, Version>,
     merged: &'a [(ItemId, Version)],
 }
 
 impl<'a> CommitView<'a> {
     /// The delegate that executed the transaction.
     pub fn delegate(&self) -> NodeId {
-        self.record.delegate
+        self.delegate
     }
 
     /// Items read, with the versions observed.
     pub fn readset(&self) -> impl Iterator<Item = (ItemId, Version)> + 'a {
-        self.pairs(self.record.start, self.record.reads)
+        self.readset.iter()
     }
 
     /// Items written, with the versions assigned: the first report's,
     /// then those merged from later slices.
     pub fn writes(&self) -> impl Iterator<Item = (ItemId, Version)> + 'a {
-        let start = self.record.start + self.record.reads;
-        let merged = self.merged.iter().copied();
-        self.pairs(start, self.record.writes).chain(merged)
-    }
-
-    fn pairs(&self, start: u32, len: u32) -> impl Iterator<Item = (ItemId, Version)> + 'a {
-        let log = self.log;
-        let items = log.items.iter_from(start as usize);
-        let versions = log.versions.iter_from(start as usize);
-        items
-            .zip(versions)
-            .take(len as usize)
-            .map(|(&item, &version)| (item, version))
+        self.writes.iter().chain(self.merged.iter().copied())
     }
 }
 
@@ -262,18 +241,14 @@ pub struct ReadRecord {
     pub at: SimTime,
 }
 
-/// Served reads in serve order: one [`ReadRecord`] each, and the
-/// `(item, version)` pairs each observed, back to back in two arenas
-/// that grow in lockstep — an item costs 12 bytes and a read no
-/// allocation of its own. The [`ReadAudit`] keeps one, of its
-/// [`ReadLevel::Stable`] reads.
+/// Served reads in serve order, with the `(item, version)` pairs each
+/// observed. The [`ReadAudit`] keeps one, of its [`ReadLevel::Stable`]
+/// reads.
 #[derive(Debug, Default)]
 pub struct ReadLog {
     records: BlockVec<ReadRecord>,
-    /// Arena length after each record's items (lockstep with `records`).
-    ends: BlockVec<u32>,
-    items: BlockVec<ItemId>,
-    versions: BlockVec<Version>,
+    /// The pairs each read observed (lockstep with `records`).
+    observed: Ragged<u32, ItemId, Version>,
 }
 
 impl ReadLog {
@@ -283,16 +258,8 @@ impl ReadLog {
         record: ReadRecord,
         observed: impl IntoIterator<Item = (ItemId, Version)>,
     ) {
-        for (item, version) in observed {
-            self.items.push(item);
-            self.versions.push(version);
-        }
-        assert!(
-            self.items.len() <= u32::MAX as usize,
-            "read evidence arena full"
-        );
-        self.ends.push(self.items.len() as u32);
         self.records.push(record);
+        self.observed.push(0, observed);
     }
 
     /// Number of reads.
@@ -307,17 +274,9 @@ impl ReadLog {
 
     /// The reads in serve order.
     pub fn iter(&self) -> impl Iterator<Item = ReadView<'_>> {
-        let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        let spans = starts.zip(self.ends.iter().copied());
-        self.records
-            .iter()
-            .zip(spans)
-            .map(move |(record, (start, end))| ReadView {
-                record,
-                log: self,
-                start: start as usize,
-                end: end as usize,
-            })
+        let observed = self.observed.iter_from(0);
+        let reads = self.records.iter().zip(observed);
+        reads.map(|(record, (_, items))| ReadView { record, items })
     }
 }
 
@@ -326,20 +285,13 @@ impl ReadLog {
 #[derive(Clone, Copy)]
 pub struct ReadView<'a> {
     record: &'a ReadRecord,
-    log: &'a ReadLog,
-    start: usize,
-    end: usize,
+    items: Body<'a, ItemId, Version>,
 }
 
 impl<'a> ReadView<'a> {
     /// The items observed, with the committed versions returned.
     pub fn items(&self) -> impl Iterator<Item = (ItemId, Version)> + 'a {
-        let log = self.log;
-        log.items
-            .iter_from(self.start)
-            .zip(log.versions.iter_from(self.start))
-            .take(self.end.saturating_sub(self.start))
-            .map(|(&item, &version)| (item, version))
+        self.items.iter()
     }
 }
 
@@ -566,28 +518,15 @@ pub struct SiOutcome {
     pub commit_seq: u64,
 }
 
-/// An [`SiOutcome`] as the [`SiLog`] stores it, with the column lengths
-/// after its pairs: its readset ends at `reads_end`, its writes at
-/// `writes_end`, and each starts where the previous record's ended.
-/// 48 bytes.
-#[derive(Debug, Clone, Copy)]
-struct SiEntry {
-    outcome: SiOutcome,
-    reads_end: u32,
-    writes_end: u32,
-}
-
-/// Snapshot-isolation outcomes in delivery order: one fixed-size entry
-/// each, the readsets as `(item, version)` pairs back to back in two
-/// lockstep columns and the written items back to back in a third — 12
-/// bytes a read, 4 a write, and no allocation per transaction. Reading
-/// it yields [`SiView`]s.
+/// Snapshot-isolation outcomes in delivery order, with their readsets
+/// and the items they wrote.
 #[derive(Debug, Default)]
 pub struct SiLog {
-    entries: BlockVec<SiEntry>,
-    read_items: BlockVec<ItemId>,
-    read_versions: BlockVec<Version>,
-    write_items: BlockVec<ItemId>,
+    outcomes: BlockVec<SiOutcome>,
+    /// Each outcome's readset (lockstep with `outcomes`).
+    readsets: Ragged<u32, ItemId, Version>,
+    /// The items each outcome wrote (lockstep with `outcomes`).
+    writes: Ragged<u32, ItemId>,
 }
 
 impl SiLog {
@@ -599,48 +538,31 @@ impl SiLog {
         readset: impl IntoIterator<Item = (ItemId, Version)>,
         writes: impl IntoIterator<Item = ItemId>,
     ) {
-        for (item, version) in readset {
-            self.read_items.push(item);
-            self.read_versions.push(version);
-        }
-        for item in writes {
-            self.write_items.push(item);
-        }
-        let (reads_end, writes_end) = (self.read_items.len(), self.write_items.len());
-        assert!(
-            reads_end.max(writes_end) <= u32::MAX as usize,
-            "SI evidence column full"
-        );
-        self.entries.push(SiEntry {
-            outcome,
-            reads_end: reads_end as u32,
-            writes_end: writes_end as u32,
-        });
+        self.outcomes.push(outcome);
+        self.readsets.push(0, readset);
+        self.writes
+            .push(0, writes.into_iter().map(|item| (item, ())));
     }
 
     /// Number of outcomes.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.outcomes.len()
     }
 
     /// True when no outcome was recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.outcomes.is_empty()
     }
 
     /// The outcomes in delivery order.
     pub fn iter(&self) -> impl Iterator<Item = SiView<'_>> {
-        let starts =
-            std::iter::once((0, 0)).chain(self.entries.iter().map(|e| (e.reads_end, e.writes_end)));
-        self.entries
-            .iter()
-            .zip(starts)
-            .map(move |(entry, (reads_start, writes_start))| SiView {
-                entry,
-                log: self,
-                reads_start: reads_start as usize,
-                writes_start: writes_start as usize,
-            })
+        let lists = self.readsets.iter_from(0).zip(self.writes.iter_from(0));
+        let outcomes = self.outcomes.iter().zip(lists);
+        outcomes.map(|(outcome, ((_, readset), (_, writes)))| SiView {
+            outcome,
+            readset,
+            writes,
+        })
     }
 }
 
@@ -649,33 +571,21 @@ impl SiLog {
 /// from the [`SiLog`].
 #[derive(Clone, Copy)]
 pub struct SiView<'a> {
-    entry: &'a SiEntry,
-    log: &'a SiLog,
-    reads_start: usize,
-    writes_start: usize,
+    outcome: &'a SiOutcome,
+    readset: Body<'a, ItemId, Version>,
+    writes: Body<'a, ItemId>,
 }
 
 impl<'a> SiView<'a> {
     /// Items read (outside the transaction's own write buffer), with
     /// the committed versions observed.
     pub fn readset(&self) -> impl Iterator<Item = (ItemId, Version)> + 'a {
-        let log = self.log;
-        let len = (self.entry.reads_end as usize).saturating_sub(self.reads_start);
-        log.read_items
-            .iter_from(self.reads_start)
-            .zip(log.read_versions.iter_from(self.reads_start))
-            .take(len)
-            .map(|(&item, &version)| (item, version))
+        self.readset.iter()
     }
 
     /// Items written.
     pub fn writes(&self) -> impl Iterator<Item = ItemId> + 'a {
-        let len = (self.entry.writes_end as usize).saturating_sub(self.writes_start);
-        self.log
-            .write_items
-            .iter_from(self.writes_start)
-            .take(len)
-            .copied()
+        self.writes.iter().map(|(item, ())| item)
     }
 }
 
@@ -683,7 +593,7 @@ impl Deref for SiView<'_> {
     type Target = SiOutcome;
 
     fn deref(&self) -> &SiOutcome {
-        &self.entry.outcome
+        self.outcome
     }
 }
 
@@ -1222,12 +1132,15 @@ mod tests {
 
     #[test]
     fn evidence_records_stay_small() {
-        assert!(std::mem::size_of::<ReadRecord>() <= 64);
-        assert!(std::mem::size_of::<ReadAckRecord>() <= 48);
-        assert!(std::mem::size_of::<AckRecord>() <= 8);
-        assert!(std::mem::size_of::<CommitRecord>() <= 16);
-        assert!(std::mem::size_of::<SiOutcome>() <= 40);
-        assert!(std::mem::size_of::<SiEntry>() <= 48);
+        use std::mem::size_of;
+        // Each with the 4-byte ends of its lists, kept beside it.
+        assert!(size_of::<ReadRecord>() + size_of::<u32>() <= 64 + 4);
+        assert!(size_of::<SiOutcome>() <= 40);
+        assert!(size_of::<SiOutcome>() + 2 * size_of::<u32>() <= 48);
+        assert!(size_of::<ReadAckRecord>() <= 48);
+        assert!(size_of::<AckRecord>() <= 8);
+        // The end of its pairs included.
+        assert!(size_of::<CommitRecord>() <= 12);
     }
 
     /// The lost-update audit before it counted into buckets: every
@@ -1475,10 +1388,10 @@ mod tests {
     /// A commit record that owns its readset and write set.
     type OwnedCommit = (NodeId, Pairs, Pairs);
 
-    /// The commit table the [`CommitLog`] replaces: a [`TxnTable`] of
-    /// records that own their pairs.
+    /// The commit table the [`CommitLog`] replaces: records that own
+    /// their pairs, by transaction, the first report winning.
     #[derive(Debug, Default)]
-    struct OwnedCommits(TxnTable<OwnedCommit>);
+    struct OwnedCommits(BTreeMap<TxnId, OwnedCommit>);
 
     impl OwnedCommits {
         fn record_commit(
@@ -1490,15 +1403,13 @@ mod tests {
         ) {
             let writes = writes.iter().map(|w| (w.item, w.version)).collect();
             self.0
-                .insert_with(txn, || (delegate, readset.to_vec(), writes));
+                .entry(txn)
+                .or_insert((delegate, readset.to_vec(), writes));
         }
 
         fn record_commit_slice(&mut self, txn: TxnId, coordinator: NodeId, writes: &[WriteOp]) {
-            self.0
-                .insert_with(txn, || (coordinator, Vec::new(), Vec::new()));
-            let Some((_, _, merged)) = self.0.get_mut(txn) else {
-                return;
-            };
+            let record = self.0.entry(txn);
+            let (_, _, merged) = record.or_insert((coordinator, Vec::new(), Vec::new()));
             for w in writes {
                 if !merged.contains(&(w.item, w.version)) {
                     merged.push((w.item, w.version));
@@ -1543,12 +1454,12 @@ mod tests {
                 prop_assert_eq!(o.commits.len(), model.0.len());
                 prop_assert_eq!(o.commits.is_empty(), model.0.is_empty());
                 for probe in (0..8).map(|seq| TxnId { client: (seq % 3) as u32, seq }) {
-                    prop_assert_eq!(o.commits.contains(probe), model.0.contains(probe));
-                    prop_assert_eq!(o.commits.get(probe).map(owned), model.0.get(probe).cloned());
+                    prop_assert_eq!(o.commits.contains(probe), model.0.contains_key(&probe));
+                    prop_assert_eq!(o.commits.get(probe).map(owned), model.0.get(&probe).cloned());
                 }
             }
             let got: Vec<(TxnId, OwnedCommit)> = o.commits.iter().map(|(t, c)| (t, owned(c))).collect();
-            let want: Vec<(TxnId, OwnedCommit)> = model.0.iter().map(|(t, c)| (t, c.clone())).collect();
+            let want: Vec<(TxnId, OwnedCommit)> = model.0.iter().map(|(&t, c)| (t, c.clone())).collect();
             prop_assert_eq!(got, want);
         }
 
@@ -1586,7 +1497,7 @@ mod tests {
         }
 
         /// The read log returns every record with its own items, in
-        /// serve order, whatever the lengths (0 to more than an arena
+        /// serve order, whatever the lengths (0 to more than a column
         /// block).
         #[test]
         fn read_log_behaves_like_records_that_own_their_items(

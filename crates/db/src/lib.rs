@@ -11,7 +11,7 @@
 //!   deadlock detection,
 //! * [`Wal`] — write-ahead log with group commit and sync/async flush
 //!   policies (async is the optimisation group-safety legitimises),
-//!   stored flat: fixed-size record headers plus arenas for the bodies,
+//!   stored as a [`Ragged`](groupsafe_sim::Ragged) log,
 //! * [`TxnSet`] — the committed-transaction table as a paged bitmap
 //!   over each client's own transaction counter, and [`TxnTable`], the
 //!   same index holding one value per transaction (the run oracle's

@@ -9,7 +9,8 @@
 //! one page probe, a value is never moved, and a run of one client's
 //! consecutive ids costs four bytes of index each (a page covers 128
 //! ids). As with `TxnSet`, an id far from every other one costs one
-//! page.
+//! page. A `TxnTable<()>` is the index alone: it stores no value, and
+//! [`TxnTable::position`] finds an id's place in a log kept beside it.
 
 use groupsafe_sim::{BlockVec, WordPages};
 
@@ -52,8 +53,8 @@ impl<T> TxnTable<T> {
         (self.slots.get(txn.client, word) >> shift) & HALF
     }
 
-    /// Position of `txn`'s value, if it has one.
-    fn slot(&self, txn: TxnId) -> Option<usize> {
+    /// Position of `txn`'s value in insertion order, if it has one.
+    pub fn position(&self, txn: TxnId) -> Option<usize> {
         self.half(txn).checked_sub(1).map(|slot| slot as usize)
     }
 
@@ -85,13 +86,7 @@ impl<T> TxnTable<T> {
 
     /// The value stored for `txn`.
     pub fn get(&self, txn: TxnId) -> Option<&T> {
-        self.values.get(self.slot(txn)?)
-    }
-
-    /// As [`TxnTable::get`], mutable.
-    pub fn get_mut(&mut self, txn: TxnId) -> Option<&mut T> {
-        let slot = self.slot(txn)?;
-        self.values.get_mut(slot)
+        self.values.get(self.position(txn)?)
     }
 
     /// True if `txn` has a value.
@@ -109,8 +104,8 @@ impl<T> TxnTable<T> {
         self.values.is_empty()
     }
 
-    /// The `(id, value)` pairs in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = (TxnId, &T)> + '_ {
+    /// The `(id, position)` pairs in ascending id order.
+    pub fn positions(&self) -> impl Iterator<Item = (TxnId, usize)> + '_ {
         self.slots.iter().flat_map(move |(client, word, halves)| {
             [0, 1].into_iter().filter_map(move |odd| {
                 let slot = ((halves >> (32 * odd)) & HALF).checked_sub(1)?;
@@ -118,9 +113,15 @@ impl<T> TxnTable<T> {
                     client,
                     seq: word * 2 + odd,
                 };
-                Some((txn, self.values.get(slot as usize)?))
+                Some((txn, slot as usize))
             })
         })
+    }
+
+    /// The `(id, value)` pairs in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = (TxnId, &T)> + '_ {
+        let positions = self.positions();
+        positions.filter_map(|(txn, slot)| Some((txn, self.values.get(slot)?)))
     }
 
     /// The ids in ascending order.
@@ -207,12 +208,8 @@ mod tests {
             for (op, txn, value) in ops {
                 match op {
                     0 => {
-                        // Change a stored value in place.
-                        if let (Some(a), Some(b)) = (table.get_mut(txn), model.get_mut(&txn)) {
-                            *a += value;
-                            *b += value;
-                        }
-                        prop_assert_eq!(table.get_mut(txn).is_some(), model.contains_key(&txn));
+                        // A position lookup, present or not.
+                        prop_assert_eq!(table.position(txn).is_some(), model.contains_key(&txn));
                     }
                     _ => {
                         let fresh = !model.contains_key(&txn);
@@ -228,6 +225,10 @@ mod tests {
             prop_assert!(table.iter().eq(model.iter().map(|(&k, v)| (k, v))));
             prop_assert!(table.keys().eq(model.keys().copied()));
             prop_assert!(table.values().eq(model.values()));
+            for (txn, position) in table.positions() {
+                prop_assert_eq!(table.position(txn), Some(position));
+                prop_assert_eq!(table.values.get(position), model.get(&txn));
+            }
         }
     }
 }

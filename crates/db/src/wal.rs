@@ -8,41 +8,29 @@
 //! replication basically allows all disk writes to be done
 //! asynchronously").
 //!
-//! The log is flat. A record is appended once and never edited, so its
-//! body needs no allocation of its own: the log is one sequence of
-//! 32-byte headers (transaction, kind, version and body length) and two
-//! columns the bodies are copied into back to back, in lockstep — the
-//! items ([`ItemId`]) and the values ([`Value`]) of the writes. A write
-//! is stored in 12 bytes, because its version is the record's: every
-//! write of one commit carries the same version (the delivery sequence
-//! number under the state machine, the origin timestamp under lazy
-//! replication), which [`DbEngine::commit`](crate::DbEngine::commit)
-//! requires and debug-asserts. A reserve record's items share the item column; their
-//! value cells are 0 and never read. Headers and columns are
-//! [`BlockVec`]s, grown a block at a time.
-//!
-//! A header does not say where its body starts: records and bodies grow
-//! in the same LSN order, so a body starts where the previous record's
-//! ends. Readers walk the headers from a cursor — the first record not
-//! yet taken and the column offset of its body (`body_taken`) — and sum
-//! the lengths. The records from some LSN on therefore own a suffix of
-//! the columns, which is what [`Wal::crash`] cuts off, and the records
-//! below it own a prefix.
+//! The log is a [`Ragged`] log indexed by LSN: a 32-byte header per
+//! record, its body the `(item, value)` pairs of the writes. A write
+//! needs no version of its own: every write of one commit carries the
+//! record's (the delivery sequence number under the state machine, the
+//! origin timestamp under lazy replication), which
+//! [`DbEngine::commit`](crate::DbEngine::commit) requires and
+//! debug-asserts. A reserve record's items share the item column; their
+//! value cells are 0 and never read.
 //!
 //! Redo is a fold kept as the log goes: [`Wal::take_durable`] hands
 //! each record over once, after it has become durable, as a
-//! [`WalRecord`] view borrowed from the log, and then frees the whole
-//! blocks of headers and of both columns below the records taken. LSNs
-//! and column offsets stay absolute. So the log holds its non-durable
-//! tail, the durable records not yet taken and at most a block of each
-//! sequence below them — not its history.
+//! [`WalRecord`] view borrowed from the log, and then releases the
+//! records taken; [`Wal::crash`] truncates the log to its durable
+//! prefix. So the log holds its non-durable tail, the durable records
+//! not yet taken and at most a block of each column below them — not
+//! its history.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
 
-use groupsafe_sim::{BlockVec, Disk, SimTime};
+use groupsafe_sim::{BlockVec, Body, Disk, Extent, Ragged, SimTime};
 
 use crate::types::{ItemId, TxnId, Value, Version, WriteOp};
 
@@ -67,19 +55,27 @@ pub enum WalKind {
     Release,
 }
 
-/// A record's header as stored: 32 bytes, whatever the body's length.
-/// The body is the next `len` cells of the columns after the previous
-/// record's body (a release has none); `version` is the version of every
-/// write of a commit (0 for the other kinds). The transaction id is
-/// stored as its two fields because a nested [`TxnId`] would carry four
-/// bytes of padding of its own.
+/// A record's header as stored: 32 bytes, the [`Extent`] of its body
+/// included. `version` is the version of every write of a commit (0 for
+/// the other kinds). The transaction id is stored as its two fields
+/// because a nested [`TxnId`] would carry four bytes of padding.
 #[derive(Debug, Clone, Copy)]
 struct Header {
     seq: u64,
     version: Version,
     client: u32,
-    len: u32,
+    end: u32,
     kind: WalKind,
+}
+
+impl Extent for Header {
+    fn end(&self) -> u32 {
+        self.end
+    }
+
+    fn set_end(&mut self, end: u32) {
+        self.end = end;
+    }
 }
 
 /// A log record as redo sees it: a view borrowed from the log
@@ -90,27 +86,19 @@ pub struct WalRecord<'a> {
     /// What redo does with the record.
     pub kind: WalKind,
     version: Version,
-    wal: &'a Wal,
-    start: usize,
-    len: usize,
+    body: Body<'a, ItemId, Value>,
 }
 
 impl<'a> WalRecord<'a> {
     /// The writes to apply, with assigned versions (empty unless the
     /// record is a [`WalKind::Commit`]).
     pub fn writes(&self) -> impl Iterator<Item = WriteOp> + 'a {
-        let len = if self.kind == WalKind::Commit {
-            self.len
-        } else {
-            0
-        };
-        let (wal, version) = (self.wal, self.version);
-        let items = wal.items.iter_from(self.start);
-        let values = wal.values.iter_from(self.start);
-        items
-            .zip(values)
-            .take(len)
-            .map(move |(&item, &value)| WriteOp {
+        let version = self.version;
+        let writes = (self.kind == WalKind::Commit).then(|| self.body.iter());
+        writes
+            .into_iter()
+            .flatten()
+            .map(move |(item, value)| WriteOp {
                 item,
                 value,
                 version,
@@ -120,12 +108,9 @@ impl<'a> WalRecord<'a> {
     /// The items to reserve (empty unless the record is a
     /// [`WalKind::Reserve`]).
     pub fn items(&self) -> impl Iterator<Item = ItemId> + 'a {
-        let len = if matches!(self.kind, WalKind::Reserve { .. }) {
-            self.len
-        } else {
-            0
-        };
-        self.wal.items.iter_from(self.start).take(len).copied()
+        let reserve = matches!(self.kind, WalKind::Reserve { .. });
+        let items = reserve.then(|| self.body.iter());
+        items.into_iter().flatten().map(|(item, _)| item)
     }
 }
 
@@ -153,17 +138,11 @@ pub struct WalStats {
 /// ([`Wal::take_durable`]); see the module docs for how the records are
 /// laid out.
 pub struct Wal {
-    records: BlockVec<Header>,
-    /// Items of every body, in LSN order (lockstep with `values`).
-    items: BlockVec<ItemId>,
-    /// Values of every body, in LSN order (0 for a reserved item).
-    values: BlockVec<Value>,
+    log: Ragged<Header, ItemId, Value>,
     /// Records below this index are on disk.
     durable: usize,
     /// Records below this index were handed to redo (`≤ durable`).
     taken: usize,
-    /// Column offset where record `taken`'s body starts.
-    body_taken: usize,
     /// Records below this index are covered by an in-flight flush.
     flushing: usize,
     log_disk: Rc<RefCell<Disk>>,
@@ -174,12 +153,9 @@ impl Wal {
     /// Create a WAL backed by `log_disk`.
     pub fn new(log_disk: Rc<RefCell<Disk>>) -> Self {
         Wal {
-            records: BlockVec::new(),
-            items: BlockVec::new(),
-            values: BlockVec::new(),
+            log: Ragged::default(),
             durable: 0,
             taken: 0,
-            body_taken: 0,
             flushing: 0,
             log_disk,
             stats: WalStats::default(),
@@ -194,40 +170,43 @@ impl Wal {
     /// stores the first write's.
     pub fn append_commit(&mut self, txn: TxnId, writes: &[WriteOp]) -> Lsn {
         let version = writes.first().map_or(0, |w| w.version);
-        self.items.extend(writes.iter().map(|w| w.item));
-        self.values.extend(writes.iter().map(|w| w.value));
-        self.push(txn, WalKind::Commit, version, writes.len())
+        let body = writes.iter().map(|w| (w.item, w.value));
+        self.push(txn, WalKind::Commit, version, body)
     }
 
     /// Append a record reserving `items` for `txn`, decided by
     /// `coordinator`. Returns its LSN.
     pub fn append_reserve(&mut self, txn: TxnId, coordinator: u32, items: &[ItemId]) -> Lsn {
-        self.items.extend(items.iter().copied());
-        self.values.extend(items.iter().map(|_| 0));
-        self.push(txn, WalKind::Reserve { coordinator }, 0, items.len())
+        let body = items.iter().map(|&item| (item, 0));
+        self.push(txn, WalKind::Reserve { coordinator }, 0, body)
     }
 
     /// Append a record releasing `txn`'s reservations. Returns its LSN.
     pub fn append_release(&mut self, txn: TxnId) -> Lsn {
-        self.push(txn, WalKind::Release, 0, 0)
+        self.push(txn, WalKind::Release, 0, [])
     }
 
-    fn push(&mut self, txn: TxnId, kind: WalKind, version: Version, len: usize) -> Lsn {
-        assert!(len <= u32::MAX as usize, "log record body too long");
+    fn push(
+        &mut self,
+        txn: TxnId,
+        kind: WalKind,
+        version: Version,
+        body: impl IntoIterator<Item = (ItemId, Value)>,
+    ) -> Lsn {
         self.stats.appends += 1;
-        self.records.push(Header {
+        let header = Header {
             seq: txn.seq,
             version,
             client: txn.client,
-            len: len as u32,
+            end: 0,
             kind,
-        });
-        (self.records.len() - 1) as Lsn
+        };
+        self.log.push(header, body) as Lsn
     }
 
     /// Highest appended LSN + 1 (0 when empty).
     pub fn end_lsn(&self) -> Lsn {
-        self.records.len() as Lsn
+        self.log.len() as Lsn
     }
 
     /// Records at or above this LSN are not yet durable.
@@ -253,7 +232,7 @@ impl Wal {
     ///
     /// Group commit: all pending records go out as one sequential batch.
     pub fn flush(&mut self, now: SimTime, rng: &mut StdRng) -> Option<(SimTime, Lsn)> {
-        let end = self.records.len();
+        let end = self.log.len();
         if end <= self.flushing {
             return None;
         }
@@ -274,7 +253,7 @@ impl Wal {
     /// flush the synchronous-durability techniques pay on their critical
     /// path; the background [`Wal::flush`] always batches.
     pub fn flush_unbatched(&mut self, now: SimTime, rng: &mut StdRng) -> Option<(SimTime, Lsn)> {
-        let end = self.records.len();
+        let end = self.log.len();
         if end <= self.flushing {
             return None;
         }
@@ -295,19 +274,15 @@ impl Wal {
 
     /// A flush covering records below `lsn` completed.
     pub fn mark_durable(&mut self, lsn: Lsn) {
-        self.durable = self.durable.max(lsn as usize).min(self.records.len());
+        self.durable = self.durable.max(lsn as usize).min(self.log.len());
     }
 
     /// Redo: hand every record that became durable since the last call
-    /// to `redo`, in LSN order, then free what no reader needs any more —
-    /// the whole blocks of headers below the taken point, and of both
-    /// columns below the end of the last taken body
-    /// ([`BlockVec::release_below`]).
+    /// to `redo`, in LSN order, then release the records taken: no
+    /// reader needs them or their bodies any more.
     pub fn take_durable(&mut self, mut redo: impl FnMut(WalRecord<'_>)) {
-        let mut start = self.body_taken;
-        let newly_durable = self.records.iter_from(self.taken);
-        for h in newly_durable.take(self.durable - self.taken) {
-            let len = h.len as usize;
+        let newly_durable = self.log.iter_from(self.taken);
+        for (h, body) in newly_durable.take(self.durable - self.taken) {
             redo(WalRecord {
                 txn: TxnId {
                     client: h.client,
@@ -315,37 +290,18 @@ impl Wal {
                 },
                 kind: h.kind,
                 version: h.version,
-                wal: self,
-                start,
-                len,
+                body,
             });
-            start += len;
         }
         self.taken = self.durable;
-        self.body_taken = start;
-        self.records.release_below(self.taken);
-        self.items.release_below(self.body_taken);
-        self.values.release_below(self.body_taken);
+        self.log.release_below(self.taken);
     }
 
     /// Crash: lose everything that never reached the disk. In-flight
     /// flushes are conservatively treated as failed (their completion
     /// event dies with the crash).
-    ///
-    /// The columns are cut where the first dropped record's body would
-    /// start: past the bodies taken and those of the durable records
-    /// not yet taken. Everything from there on belongs to dropped
-    /// records and nothing before does.
     pub fn crash(&mut self) {
-        let kept = self.records.iter_from(self.taken);
-        let untaken: usize = kept
-            .take(self.durable - self.taken)
-            .map(|h| h.len as usize)
-            .sum();
-        let end = self.body_taken + untaken;
-        self.items.truncate(end);
-        self.values.truncate(end);
-        self.records.truncate(self.durable);
+        self.log.truncate(self.durable);
         self.flushing = self.durable;
     }
 
@@ -423,14 +379,14 @@ mod tests {
         });
         assert_eq!(taken, 1100);
         // Headers and bodies below the taken point's block are gone.
-        assert!(w.records.get(0).is_none() && w.items.get(1023).is_none());
-        assert!(w.values.get(1023).is_none() && w.values.get(1024).is_some());
-        assert!(w.records.get(1024).is_some() && w.items.get(1024).is_some());
+        let (items, values) = w.log.columns();
+        assert_eq!((items.held(), values.held()), (176, 176));
+        assert!(w.log.get(1099).is_none() && w.log.get(1100).is_some());
         // The tail is intact: a crash cuts it at the durable point, and
         // appends go on at absolute positions.
         w.crash();
-        assert_eq!((w.end_lsn(), w.items.len()), (1100, 1100));
-        assert_eq!(w.values.len(), 1100);
+        let (items, values) = w.log.columns();
+        assert_eq!((w.end_lsn(), items.len(), values.len()), (1100, 1100, 1100));
         assert_eq!(commit(&mut w, 7), 1100);
         w.mark_durable(1101);
         let mut last = None;
@@ -465,8 +421,9 @@ mod tests {
         w.crash();
         assert_eq!(w.durable_lsn(), 1);
         assert_eq!(w.end_lsn(), 1);
-        assert_eq!(w.items.len(), 1, "the dropped bodies went with them");
-        assert_eq!(w.values.len(), 1);
+        let (items, values) = w.log.columns();
+        assert_eq!(items.len(), 1, "the dropped bodies went with them");
+        assert_eq!(values.len(), 1);
         // New appends continue after the truncation point.
         let lsn = commit(&mut w, 4);
         assert_eq!(lsn, 1);
@@ -631,7 +588,8 @@ mod tests {
                 // Both columns count the surviving bodies, freed or not.
                 let bodies = model.records.iter().map(|r| r.writes.len() + r.items.len());
                 let cells = bodies.sum::<usize>();
-                prop_assert_eq!((wal.items.len(), wal.values.len()), (cells, cells));
+                let (items, values) = wal.log.columns();
+                prop_assert_eq!((items.len(), values.len()), (cells, cells));
             }
             wal.take_durable(|r| taken.push(owned(r)));
             prop_assert_eq!(&taken[..], &model.records[..model.durable]);

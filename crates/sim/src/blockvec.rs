@@ -140,7 +140,7 @@ impl<T> BlockVec<T> {
 
     /// The elements in order (released ones skipped).
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.into_iter()
+        self.blocks.iter().flatten()
     }
 
     /// As [`BlockVec::iter`], mutable.
@@ -158,18 +158,10 @@ impl<T> BlockVec<T> {
     }
 }
 
-impl<T> Extend<T> for BlockVec<T> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        for value in iter {
-            self.push(value);
-        }
-    }
-}
-
 impl<T> FromIterator<T> for BlockVec<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut out = BlockVec::new();
-        out.extend(iter);
+        iter.into_iter().for_each(|value| out.push(value));
         out
     }
 }
@@ -180,15 +172,6 @@ impl<T> IntoIterator for BlockVec<T> {
 
     fn into_iter(self) -> Self::IntoIter {
         self.blocks.into_iter().flatten()
-    }
-}
-
-impl<'a, T> IntoIterator for &'a BlockVec<T> {
-    type Item = &'a T;
-    type IntoIter = std::iter::Flatten<std::slice::Iter<'a, Vec<T>>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.blocks.iter().flatten()
     }
 }
 
@@ -203,7 +186,7 @@ mod tests {
         let mut v = BlockVec::new();
         v.push(7u64);
         let first: *const u64 = v.get(0).expect("pushed");
-        v.extend(1..4 * BLOCK as u64);
+        (1..4 * BLOCK as u64).for_each(|i| v.push(i));
         assert_eq!(v.len(), 4 * BLOCK);
         assert!(std::ptr::eq(first, v.get(0).expect("still there")));
         assert_eq!(v.get(BLOCK), Some(&(BLOCK as u64)));
@@ -309,7 +292,6 @@ mod tests {
             let held = &model[freed..];
             prop_assert_eq!(v.held(), held.len());
             prop_assert!(v.iter().eq(held));
-            prop_assert!((&v).into_iter().eq(held));
             prop_assert!(v.iter_from(from).eq(model.get(from.max(freed)..).unwrap_or(&[])));
             prop_assert_eq!(v.get(from), model.get(from).filter(|_| from >= freed));
             prop_assert_eq!(v.into_iter().collect::<Vec<_>>(), held.to_vec());

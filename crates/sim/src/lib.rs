@@ -11,7 +11,8 @@
 //!   message type per system ([`Message`], [`Wrap`]),
 //! * analytic FCFS queueing resources for CPUs ([`Fcfs`]) and disks
 //!   ([`Disk`], Table 4 parameters),
-//! * block-wise storage for append-only logs ([`BlockVec`]) and paged
+//! * block-wise storage for append-only logs ([`BlockVec`]), logs of
+//!   records with variable-length bodies over it ([`Ragged`]) and paged
 //!   storage for tables indexed by a dense id ([`WordPages`]),
 //! * metrics ([`Metrics`], [`Histogram`]) and deterministic structured
 //!   observability ([`ObsEvent`], [`Obs`], [`obs`]): typed pipeline
@@ -41,6 +42,7 @@ pub mod engine;
 pub mod fnv;
 pub mod metrics;
 pub mod obs;
+pub mod ragged;
 pub mod resource;
 pub mod time;
 pub mod wordpages;
@@ -54,6 +56,7 @@ pub use obs::{
     decompose_commits, prometheus_snapshot, CommitSpan, Obs, ObsConfig, ObsEvent, ObsMode,
     ObsRecord,
 };
+pub use ragged::{Body, Extent, Ragged};
 pub use resource::Fcfs;
 pub use time::{SimDuration, SimTime};
 pub use wordpages::WordPages;
