@@ -2,12 +2,15 @@
 //! printed in the paper's layout, read from the system a default
 //! `System::builder()` wires and from the defaults it starts from.
 
+use groupsafe_bench::Flags;
 use groupsafe_core::{ReplicaConfig, System, WorkloadSpec, DISKS_PER_SERVER};
 use groupsafe_db::BufferModel;
 use groupsafe_net::{NetConfig, NET_CPU};
 use groupsafe_sim::DiskConfig;
 
 fn main() {
+    // It takes no flags: any argument is an error.
+    Flags::parse(&[], &[]);
     let run = System::builder()
         .build()
         .expect("the default configuration is valid");

@@ -16,9 +16,15 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use groupsafe_core::scenario::fuzz::{generate_plan, run_fuzz_case, FuzzSpec};
 use groupsafe_core::{BatchConfig, Load, ReadLevel, ReplicaServer, Report, Run, SafetyLevel};
-use groupsafe_core::{ScenarioPlan, System, SystemBuilder, Technique};
-use groupsafe_sim::{Fnv64, ObsConfig, SimDuration, SimTime};
-use groupsafe_workload::{run_crash_scenario, CrashScenario, RecoveryPlan};
+use groupsafe_core::{ScenarioPlan, System, SystemBuilder, Technique, WorkloadSpec};
+use groupsafe_db::{BufferModel, DbConfig, FlushPolicy};
+use groupsafe_gcs::harness::{Cluster, HostMsg};
+use groupsafe_gcs::{DeliveryRecord, GcsConfig};
+use groupsafe_net::NodeId;
+use groupsafe_sim::{Disk, Fnv64, ObsConfig, SimDuration, SimTime};
+use groupsafe_workload::{run_crash_scenario, CrashOutcome, CrashScenario, RecoveryPlan};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A fuzz row's envelope at a given level.
 pub type Envelope = fn(SafetyLevel) -> FuzzSpec;
@@ -52,48 +58,69 @@ pub const FUZZ_LEVELS: [SafetyLevel; 5] = [
 /// The seeds each row is pinned at.
 pub const FUZZ_SEEDS: std::ops::Range<u64> = 0..5;
 
-/// A witness predicate: counter `counter` is `value` (`exact`) or at
-/// least `value`.
+/// How a witness bounds its counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bound {
+    /// The counter equals the value.
+    Exactly,
+    /// The counter reaches the value.
+    AtLeast,
+    /// The counter stays within the value.
+    AtMost,
+}
+
+/// A witness predicate: counter `counter` is `value`, at least `value`
+/// or at most `value`.
 #[derive(Debug, Clone, Copy)]
 pub struct Witness {
     /// The counter it reads.
     pub counter: &'static str,
     /// The bound.
     pub value: u64,
-    /// Whether the counter must equal the bound rather than reach it.
-    pub exact: bool,
+    /// Which side of the bound the counter must lie on.
+    pub bound: Bound,
 }
 
 impl Witness {
-    fn holds(&self, o: &Outcome) -> bool {
-        let v = o.counters.iter().find(|c| c.0 == self.counter);
-        v.is_some_and(|&(_, v)| v == self.value || (!self.exact && v > self.value))
+    /// Whether the counter's value `v` satisfies the witness.
+    pub fn admits(&self, v: u64) -> bool {
+        match self.bound {
+            Bound::Exactly => v == self.value,
+            Bound::AtLeast => v >= self.value,
+            Bound::AtMost => v <= self.value,
+        }
     }
 }
 
 impl std::fmt::Display for Witness {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let op = if self.exact { "==" } else { ">=" };
+        let op = match self.bound {
+            Bound::Exactly => "==",
+            Bound::AtLeast => ">=",
+            Bound::AtMost => "<=",
+        };
         write!(f, "{} {op} {}", self.counter, self.value)
     }
 }
 
-const fn at_least(counter: &'static str, value: u64) -> Witness {
-    let exact = false;
+const fn witness(counter: &'static str, bound: Bound, value: u64) -> Witness {
     Witness {
         counter,
         value,
-        exact,
+        bound,
     }
 }
 
+const fn at_least(counter: &'static str, value: u64) -> Witness {
+    witness(counter, Bound::AtLeast, value)
+}
+
 const fn exactly(counter: &'static str, value: u64) -> Witness {
-    let exact = true;
-    Witness {
-        counter,
-        value,
-        exact,
-    }
+    witness(counter, Bound::Exactly, value)
+}
+
+const fn at_most(counter: &'static str, value: u64) -> Witness {
+    witness(counter, Bound::AtMost, value)
 }
 
 /// What a cell's run left behind.
@@ -106,25 +133,27 @@ pub struct Outcome {
     /// [`Fnv64`] digest of `Report::to_json()`, where the run yields one.
     pub report: Option<u64>,
     /// The witness counters, in line order.
-    pub counters: Vec<(&'static str, u64)>,
+    pub counters: Vec<(String, u64)>,
 }
 
 impl Outcome {
-    fn new(fingerprint: u64, counters: &[(&'static str, usize)]) -> Outcome {
-        let counters = counters.iter().map(|&(k, v)| (k, v as u64)).collect();
-        let (dispatched, report) = (None, None);
-        Outcome {
+    fn new(fingerprint: u64, counters: &[(&str, usize)]) -> Outcome {
+        let mut o = Outcome {
             fingerprint,
-            dispatched,
-            report,
-            counters,
-        }
+            ..Outcome::default()
+        };
+        o.count(counters.iter().map(|&(k, v)| (k, v as u64)));
+        o
+    }
+
+    /// Append counters to the line.
+    fn count<'a>(&mut self, counters: impl IntoIterator<Item = (&'a str, u64)>) {
+        let counters = counters.into_iter().map(|(k, v)| (k.to_string(), v));
+        self.counters.extend(counters);
     }
 
     fn with_report(mut self, report: &Report) -> Outcome {
-        let mut h = Fnv64::new();
-        report.to_json().bytes().for_each(|b| h.mix(u64::from(b)));
-        self.report = Some(h.finish());
+        self.report = Some(digest(report));
         self
     }
 
@@ -141,6 +170,13 @@ impl Outcome {
         }
         out
     }
+}
+
+/// [`Fnv64`] digest of `Report::to_json()`.
+fn digest(report: &Report) -> u64 {
+    let mut h = Fnv64::new();
+    report.to_json().bytes().for_each(|b| h.mix(u64::from(b)));
+    h.finish()
 }
 
 /// A cell's run.
@@ -160,7 +196,12 @@ pub struct Cell {
 impl Cell {
     /// Hold `o` to the cell's witnesses.
     pub fn witness(&self, o: &Outcome) -> Result<(), String> {
-        let failed = self.witnesses.iter().filter(|w| !w.holds(o));
+        let holds = |w: &&Witness| {
+            o.counters
+                .iter()
+                .any(|(k, v)| k == w.counter && w.admits(*v))
+        };
+        let failed = self.witnesses.iter().filter(|w| !holds(w));
         let failed: Vec<String> = failed.map(Witness::to_string).collect();
         if failed.is_empty() {
             return Ok(());
@@ -289,7 +330,10 @@ pub fn cells() -> Vec<Cell> {
         let plan = ScenarioPlan::new().crash_for(ms(1_500), victim, down);
         cells.push(detector("rejoin", n, seed, plan, 6_000, &rejoin));
     }
-    cells.extend(crash_shapes().into_iter().map(crash));
+    for (name, sc, loses) in crash_shapes() {
+        let lost = if loses { LOSES } else { KEEPS };
+        cells.push(crash(format!("crash/{name}"), vec![sc], Some(lost)));
+    }
     cells.extend([3, 5, 9].map(lost_updates));
     cells.extend([ReadLevel::Stable, ReadLevel::Latest].map(parting));
     for (row, envelope) in ROWS {
@@ -297,6 +341,7 @@ pub fn cells() -> Vec<Cell> {
             cells.extend(FUZZ_SEEDS.map(|seed| fuzz(row, envelope, level, seed)));
         }
     }
+    cells.extend(claims());
     cells
 }
 
@@ -367,21 +412,21 @@ fn detector(
         let sum = |f: fn(&ReplicaServer) -> u32| (0..n).map(|i| f(system.server(i))).sum::<u32>();
         let mut o = Outcome::new(system.engine.fingerprint(), &[]);
         o.dispatched = Some(system.engine.dispatched());
-        o.counters = vec![
+        o.count([
             ("view_changes", gcs.view_changes),
             ("retractions", gcs.retractions),
             ("demotions", gcs.demotions),
             ("transfers", sum(ReplicaServer::transfer_count).into()),
             ("crashes", sum(ReplicaServer::crash_count).into()),
             ("rejoins", system.engine.metrics().counter("rejoins")),
-        ];
+        ]);
         let r = run.finish();
         let tail = [
             ("states", r.distinct_states),
             ("lost", r.lost),
             ("acked", r.acked),
         ];
-        o.counters.extend(tail.map(|(k, v)| (k, v as u64)));
+        o.count(tail.map(|(k, v)| (k, v as u64)));
         Ok(o.with_report(&r))
     };
     let stable = [
@@ -398,52 +443,77 @@ fn detector(
     }
 }
 
-/// A crash shape, through `run_crash_scenario`.
-fn crash((name, sc, loses): (&str, CrashScenario, bool)) -> Cell {
-    let settings = format!("{sc:?}");
-    let run = move || {
-        let o = run_crash_scenario(&sc);
-        let counters = [
-            ("states", o.distinct_states),
-            ("timeouts", o.timeouts as usize),
-            ("lost", o.lost),
-            ("acked", o.acked),
-        ];
-        Ok(Outcome::new(o.fingerprint, &counters))
+/// The loss witnesses of a crash shape: its level may lose acknowledged
+/// work under its failure and, at its seeds, does; or it loses nothing.
+const LOSES: Witness = at_least("lost", 1);
+const KEEPS: Witness = exactly("lost", 0);
+
+/// One digest of several runs' digests, in run order; a single run's
+/// digest is its own.
+fn chain(digests: impl IntoIterator<Item = u64>) -> u64 {
+    let fold = |a, b| {
+        let mut h = Fnv64::new();
+        h.mix(a);
+        h.mix(b);
+        h.finish()
     };
-    let lost = if loses {
-        at_least("lost", 1)
-    } else {
-        exactly("lost", 0)
+    digests.into_iter().reduce(fold).unwrap_or_default()
+}
+
+/// A crash shape through `run_crash_scenario`: one scenario, or one at
+/// several seeds, whose loss counts add up (a loss inside a window is a
+/// claim about the seeds together) and whose fingerprints chain.
+fn crash(name: String, runs: Vec<CrashScenario>, lost: Option<Witness>) -> Cell {
+    let seeds: Vec<u64> = runs.iter().map(|sc| sc.seed).collect();
+    let mut settings = format!("{:?}", runs[0]);
+    if seeds.len() > 1 {
+        settings += &format!(" seeds={seeds:?}");
+    }
+    let run = move || {
+        let outs: Vec<CrashOutcome> = runs.iter().map(run_crash_scenario).collect();
+        let sum = |f: fn(&CrashOutcome) -> usize| outs.iter().map(f).sum();
+        let states = outs.iter().map(|o| o.distinct_states).max();
+        let counters = [
+            ("states", states.unwrap_or(0)),
+            ("timeouts", sum(|o| o.timeouts as usize)),
+            ("lost", sum(|o| o.lost)),
+            ("acked", sum(|o| o.acked)),
+        ];
+        let fingerprint = chain(outs.iter().map(|o| o.fingerprint));
+        Ok(Outcome::new(fingerprint, &counters))
     };
     Cell {
-        name: format!("crash/{name}"),
+        name,
         settings,
-        witnesses: vec![ACKED, lost],
+        witnesses: [ACKED].into_iter().chain(lost).collect(),
         run: Box::new(run),
     }
 }
 
-/// The `scaling` bench's lazy run, the one end-to-end run in which the
-/// lost-update audit finds real pairs: 4 clients and 4 tps a server,
-/// lazy propagation every 100 ms, 2 s warm-up, 20 s measured, 2 s drain,
-/// at the bench's seed.
+/// The lazy run of §7's risk-versus-n claim at `n` servers, the one
+/// end-to-end run in which the lost-update audit finds real pairs: 4
+/// clients and 4 tps a server, lazy propagation every 100 ms, failover
+/// after 5 s, 2 s warm-up, 20 s measured, 2 s drain, at seed `900 + n`.
+fn lazy_risk(n: u32) -> SystemBuilder {
+    let secs = SimDuration::from_secs;
+    System::builder()
+        .servers(n)
+        .clients_per_server(4)
+        .safety(SafetyLevel::OneSafe)
+        .load(Load::open_tps(4.0 * f64::from(n)))
+        .client_timeout(secs(5))
+        .lazy_prop_interval(SimDuration::from_millis(100))
+        .warmup(secs(2))
+        .measure(secs(20))
+        .drain(secs(2))
+        .seed(900 + u64::from(n))
+}
+
+/// [`lazy_risk`] at `n` servers.
 fn lost_updates(n: u32) -> Cell {
     let seed = 900 + u64::from(n);
-    let secs = SimDuration::from_secs;
     let run = move || {
-        let b = System::builder()
-            .servers(n)
-            .clients_per_server(4)
-            .safety(SafetyLevel::OneSafe)
-            .load(Load::open_tps(4.0 * f64::from(n)))
-            .client_timeout(secs(5))
-            .lazy_prop_interval(SimDuration::from_millis(100))
-            .warmup(secs(2))
-            .measure(secs(20))
-            .drain(secs(2))
-            .seed(seed);
-        let r = build(b)?.execute();
+        let r = build(lazy_risk(n))?.execute();
         let counters = [
             ("lost_updates", r.lost_updates),
             ("commits", r.commits),
@@ -496,8 +566,7 @@ fn parting(level: ReadLevel) -> Cell {
         let mut o = Outcome::new(system.engine.fingerprint(), &counters);
         o.dispatched = Some(system.engine.dispatched());
         let r = run.finish();
-        o.counters
-            .extend([("lost", r.lost), ("acked", r.acked)].map(|(k, v)| (k, v as u64)));
+        o.count([("lost", r.lost), ("acked", r.acked)].map(|(k, v)| (k, v as u64)));
         Ok(o.with_report(&r))
     };
     let lag = match level {
@@ -532,6 +601,322 @@ fn fuzz(row: &str, envelope: Envelope, level: SafetyLevel, seed: u64) -> Cell {
         name: format!("fuzz/{row}/{level}/s{seed}"),
         settings: format!("row={row} safety={level} seed={seed}"),
         witnesses: vec![ACKED],
+        run: Box::new(run),
+    }
+}
+
+/// The paper's own claims, each a cell whose witnesses state the claim:
+/// Tables 1–3 as crash shapes, Fig. 5 and Fig. 7 and §6's costs on the
+/// gcs harness, §7's risk against n and the §5.1 ablations. A claim
+/// across runs is a margin counter inside one cell, with its bound.
+fn claims() -> Vec<Cell> {
+    let mut cells = table_claims();
+    cells.extend([
+        total_failure("fig5/classic", GcsConfig::view_based_uniform(), true, 0),
+        total_failure("fig5/persistent-log", GcsConfig::crash_recovery(), false, 0),
+        total_failure("fig7/end-to-end", GcsConfig::end_to_end(), false, 3),
+        durability_cost(),
+        risk_against_n(),
+        ablations(),
+    ]);
+    cells
+}
+
+/// Tables 1–3 on n = 5 servers as crash shapes, each with the loss its
+/// table claims; where the table claims nothing (`open`) the cell is
+/// pinned, not witnessed.
+fn table_claims() -> Vec<Cell> {
+    use SafetyLevel::{GroupOneSafe, GroupSafe, OneSafe, TwoSafe, VerySafe, ZeroSafe};
+    let ms = SimDuration::from_millis;
+    let technique = |level| match level {
+        OneSafe => Technique::Lazy,
+        ZeroSafe | GroupSafe | GroupOneSafe | TwoSafe | VerySafe => Technique::Dsm(level),
+    };
+    let (lose, keep, open) = (Some(LOSES), Some(KEEPS), None);
+    let mut cells = Vec::new();
+    // Table 1's anchors: the delegate crashes at 40 tps; a loss in its
+    // window is a claim about four seeds together.
+    for (level, lost) in [(OneSafe, lose), (GroupSafe, keep)] {
+        let runs = [301, 307, 311, 313].map(|seed| CrashScenario {
+            load_tps: 40.0,
+            ..CrashScenario::small(technique(level), vec![0], seed)
+        });
+        cells.push(crash(format!("claim/table1/{level}"), runs.to_vec(), lost));
+    }
+    // Table 2: the delegate crashes (0-safe's first loses touch with the
+    // rest, since non-uniform delivery acknowledges what nobody else
+    // received), all but one crash, or all crash and recover.
+    let columns: [(&str, &[u32], u64); 3] = [
+        ("1-crash", &[0], 101),
+        ("n-1-crashes", &[0, 1, 2, 3], 103),
+        ("n-crashes", &[0, 1, 2, 3, 4], 107),
+    ];
+    let table2 = [
+        (ZeroSafe, [lose, open, open]),
+        (OneSafe, [lose, open, open]),
+        (GroupSafe, [keep, keep, lose]),
+        (GroupOneSafe, [keep, keep, open]),
+        (TwoSafe, [keep, keep, keep]),
+        (VerySafe, [keep, keep, keep]),
+    ];
+    for (level, losses) in table2 {
+        for ((column, down, seed), lost) in columns.into_iter().zip(losses) {
+            let mut sc = CrashScenario::small(technique(level), down.to_vec(), seed);
+            sc.partition_hold = ms(1_500);
+            if down.len() == 5 {
+                sc.recovery = RecoveryPlan::Recover { downtime: ms(400) };
+            }
+            if level == ZeroSafe && down.len() == 1 {
+                sc.partition_before = down.to_vec();
+            }
+            let name = format!("claim/table2/{level}/{column}");
+            cells.push(crash(name, vec![sc], lost));
+        }
+    }
+    // Table 3 at 30 tps, six seeds a cell: a minority crashes (the group
+    // holds); all crash and every log returns (so does the delegate's);
+    // all crash, the delegate 250 ms after the rest, and it stays down.
+    let columns = ["group-ok", "logs-return", "delegate-gone"];
+    let table3 = [
+        (GroupSafe, [keep, lose, open]),
+        (GroupOneSafe, [keep, keep, lose]),
+    ];
+    for (level, losses) in table3 {
+        for ((column, base), lost) in columns.into_iter().zip([211, 223, 227]).zip(losses) {
+            let runs = (0..6).map(|s| {
+                let all = vec![0, 1, 2, 3, 4];
+                let mut sc = CrashScenario::small(technique(level), all, base + s * 13);
+                sc.load_tps = 30.0;
+                sc.recovery = RecoveryPlan::Recover { downtime: ms(400) };
+                match column {
+                    "group-ok" => (sc.crash, sc.recovery) = (vec![1, 2], RecoveryPlan::StayDown),
+                    "delegate-gone" => {
+                        (sc.crash_last, sc.stay_down) = (Some((0, ms(250))), vec![0])
+                    }
+                    _ => {}
+                }
+                sc
+            });
+            let name = format!("claim/table3/{level}/{column}");
+            cells.push(crash(name, runs.collect(), lost));
+        }
+    }
+    cells
+}
+
+/// Fig. 5, its §3 variant and Fig. 7 on the gcs harness: 3 nodes of
+/// `cfg`, 50 ms from delivery to processing. One transaction is
+/// broadcast at 10 ms and delivered everywhere; every node crashes at
+/// 45 ms, before processing it, and recovers at 100 ms (with `restart`,
+/// the operator restarts the group at 300 ms).
+/// `recovered` counts the nodes whose state holds it at 2 s; `acked` its
+/// deliveries at the node that broadcast it.
+fn total_failure(name: &str, cfg: GcsConfig, restart: bool, recovered: u64) -> Cell {
+    let settings = format!("{cfg:?} nodes=3 seed=1234 restart={restart}");
+    let run = move || {
+        let ms = SimTime::from_millis;
+        let delay = SimDuration::from_millis(50);
+        let mut cluster = Cluster::with_process_delay(3, cfg.clone(), 1234, delay);
+        cluster.broadcast_at(ms(10), NodeId(0), 4242);
+        for h in cluster.hosts.clone() {
+            cluster.engine.schedule_crash(ms(45), h);
+            cluster.engine.schedule_recover(ms(100), h);
+            if restart {
+                let members = HostMsg::RestartGroup((0..3).map(NodeId).collect());
+                cluster.engine.schedule_resilient(ms(300), h, members);
+            }
+        }
+        cluster.engine.run_until(ms(2_000));
+        let holds = |&i: &u32| cluster.stable_values(NodeId(i)).contains(&4242);
+        let obs = cluster.obs.borrow();
+        let acked = obs.deliveries.get(&NodeId(0)).map_or(0, Vec::len);
+        let counters = [
+            ("recovered", (0..3).filter(holds).count()),
+            ("acked", acked),
+        ];
+        Ok(Outcome::new(cluster.engine.fingerprint(), &counters))
+    };
+    Cell {
+        name: format!("claim/{name}"),
+        settings,
+        witnesses: vec![ACKED, exactly("recovered", recovered)],
+        run: Box::new(run),
+    }
+}
+
+/// §6: "writing to disk takes around 8 ms, while performing an atomic
+/// broadcast takes approximately 1 ms". The mean of 2 000 accesses to an
+/// idle disk of Table 4, and of 500 uniform broadcasts from one node of
+/// an idle 9-node group, 20 ms apart, submission to delivery at that
+/// node; `acked` counts those deliveries.
+fn durability_cost() -> Cell {
+    let run = || {
+        let (mut rng, mut disk) = (StdRng::seed_from_u64(5), Disk::paper_default());
+        let idle = |i| SimTime::from_millis(i * 50);
+        let access = |i| (disk.access(idle(i), &mut rng) - idle(i)).as_nanos();
+        let accesses = 2_000;
+        let disk_ns: u64 = (0..accesses).map(access).sum();
+        let mut cluster = Cluster::new(9, GcsConfig::view_based_uniform(), 7);
+        let (count, spacing) = (500, 20);
+        let submitted = |i: u64| SimTime::from_millis(100 + i * spacing);
+        for i in 0..count {
+            cluster.broadcast_at(submitted(i), NodeId(0), i);
+        }
+        cluster.engine.run_until(submitted(count + 50));
+        let obs = cluster.obs.borrow();
+        // One submitter on an idle group: total order keeps its order, so
+        // its i-th delivery is its i-th broadcast.
+        let delivered = &obs.deliveries[&NodeId(0)];
+        let latency = |(i, r): (u64, &DeliveryRecord)| (r.at - submitted(i)).as_nanos();
+        let abcast_ns: u64 = (0..).zip(delivered).map(latency).sum();
+        let counters = [
+            ("disk_mean_us", (disk_ns / accesses / 1_000) as usize),
+            ("abcast_mean_us", (abcast_ns / count / 1_000) as usize),
+            ("acked", delivered.len()),
+        ];
+        Ok(Outcome::new(cluster.engine.fingerprint(), &counters))
+    };
+    Cell {
+        name: "claim/s6/durability-cost".to_string(),
+        settings: "disk seed=5 accesses=2000 gcs=view_based_uniform nodes=9 seed=7 broadcasts=500"
+            .to_string(),
+        witnesses: vec![
+            exactly("acked", 500),
+            at_least("disk_mean_us", 7_000),
+            at_most("disk_mean_us", 8_999),
+            at_most("abcast_mean_us", 1_499),
+        ],
+        run: Box::new(run),
+    }
+}
+
+/// §7 / Fig. 10: "the chances that something bad happens increases with n
+/// for lazy replication, and decreases with group-safe replication". Per
+/// n, the lost updates and commits of [`lazy_risk`], and how many of
+/// 200 000 draws crash every one of n servers, each down with p = 0.3
+/// (seed `77 + n`). `lazy_risk_growth_ppm` is the lost-update rate at the
+/// largest n less that at the smallest, per million commits;
+/// `group_risk_rises` counts the steps where the group-failure count
+/// grew.
+fn risk_against_n() -> Cell {
+    const NS: [u32; 6] = [3, 5, 7, 9, 12, 15];
+    let run = || {
+        let runs = NS.map(|n| build(lazy_risk(n)).map(Run::execute));
+        let reports = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let group_failures = NS.map(|n| {
+            let mut rng = StdRng::seed_from_u64(77 + u64::from(n));
+            let draws = (0..200_000).filter(|_| (0..n).all(|_| rng.random_bool(0.3)));
+            draws.count() as u64
+        });
+        let ppm = |r: &Report| (r.lost_updates * 1_000_000 / r.commits.max(1)) as u64;
+        let mut o = Outcome::new(chain(reports.iter().map(|r| r.fingerprint)), &[]);
+        o.report = Some(chain(reports.iter().map(digest)));
+        for ((n, r), failures) in NS.iter().zip(&reports).zip(group_failures) {
+            o.counters.extend([
+                (format!("n{n}_lost_updates"), r.lost_updates as u64),
+                (format!("n{n}_commits"), r.commits as u64),
+                (format!("n{n}_group_failures"), failures),
+            ]);
+        }
+        let (first, last) = (&reports[0], &reports[NS.len() - 1]);
+        let rises = group_failures.windows(2).filter(|w| w[1] > w[0]).count();
+        o.count([
+            ("lazy_risk_growth_ppm", ppm(last).saturating_sub(ppm(first))),
+            ("group_risk_rises", rises as u64),
+            ("acked", reports.iter().map(|r| r.acked as u64).sum()),
+        ]);
+        Ok(o)
+    };
+    Cell {
+        name: "claim/fig10/risk-against-n".to_string(),
+        settings: format!("safety=1-safe servers={NS:?} seeds=900+n p=0.3 draws=200000"),
+        witnesses: vec![
+            ACKED,
+            at_least("lazy_risk_growth_ppm", 1),
+            exactly("group_risk_rises", 0),
+        ],
+        run: Box::new(run),
+    }
+}
+
+/// The §5.1 ablations at 28 tps closed on the Table 4 system, group-safe
+/// unless named, failover after 5 s, 5 s warm-up, 20 s measured, 3 s
+/// drain, seed 13: write caching off (every page a random access),
+/// non-uniform delivery (0-safe), no hotspot and a real LRU buffer of
+/// 200 pages. Write caching must pay (`caching_saves_us`), dropping
+/// uniformity must not cost more than 2 ms
+/// (`zero_safe_over_group_safe_us`) and the hotspot must be what drives
+/// aborts (`hotspot_aborts_ppm`).
+fn ablations() -> Cell {
+    let run = || {
+        let base = || {
+            System::builder()
+                .safety(SafetyLevel::GroupSafe)
+                .load(Load::closed_tps(28.0))
+                .client_timeout(SimDuration::from_secs(5))
+                .warmup(SimDuration::from_secs(5))
+                .measure(SimDuration::from_secs(20))
+                .drain(SimDuration::from_secs(3))
+                .seed(13)
+        };
+        let no_hotspot = WorkloadSpec {
+            hot_access_fraction: 0.0,
+            ..WorkloadSpec::table4()
+        };
+        let lru = DbConfig {
+            buffer: BufferModel::Lru { capacity: 200 },
+            // The replica server orders every flush per safety level; the
+            // engine must never flush inside `commit`.
+            flush_policy: FlushPolicy::Async,
+            ..DbConfig::default()
+        };
+        let variants = [
+            ("cached", base()),
+            ("uncached", base().disk_sequential_factor(1.0)),
+            ("zero_safe", base().safety(SafetyLevel::ZeroSafe)),
+            ("no_hotspot", base().workload(no_hotspot)),
+            ("lru", base().db(lru)),
+        ];
+        let us = |ms: f64| (ms * 1_000.0) as u64;
+        let ppm = |ratio: f64| (ratio * 1_000_000.0) as u64;
+        let (mut o, mut reports) = (Outcome::default(), Vec::new());
+        for (name, b) in variants {
+            let r = build(b)?.execute();
+            o.counters.extend([
+                (format!("{name}_mean_us"), us(r.mean_ms)),
+                (format!("{name}_p95_us"), us(r.p95_ms)),
+                (format!("{name}_abort_ppm"), ppm(r.abort_rate)),
+            ]);
+            reports.push(r);
+        }
+        o.fingerprint = chain(reports.iter().map(|r| r.fingerprint));
+        o.report = Some(chain(reports.iter().map(digest)));
+        let [cached, uncached, zero_safe, no_hotspot, _] = &reports[..] else {
+            return Err("a variant did not run".to_string());
+        };
+        let (mean, aborts) = (|r: &Report| us(r.mean_ms), |r: &Report| ppm(r.abort_rate));
+        let saves = mean(uncached).saturating_sub(mean(cached));
+        let uniformity = mean(zero_safe).saturating_sub(mean(cached));
+        let hotspot = aborts(cached).saturating_sub(aborts(no_hotspot));
+        o.count([
+            ("caching_saves_us", saves),
+            ("zero_safe_over_group_safe_us", uniformity),
+            ("hotspot_aborts_ppm", hotspot),
+            ("acked", reports.iter().map(|r| r.acked as u64).sum()),
+        ]);
+        Ok(o)
+    };
+    Cell {
+        name: "claim/ablation/28tps".to_string(),
+        settings: "safety=group-safe closed_tps=28 seed=13 variants: cached uncached zero_safe \
+                   no_hotspot lru"
+            .to_string(),
+        witnesses: vec![
+            ACKED,
+            at_least("caching_saves_us", 1),
+            at_most("zero_safe_over_group_safe_us", 2_000),
+            at_least("hotspot_aborts_ppm", 1),
+        ],
         run: Box::new(run),
     }
 }

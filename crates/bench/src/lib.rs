@@ -1,15 +1,14 @@
 //! # groupsafe-bench — harnesses regenerating the paper's tables/figures
 //!
-//! Binaries (one per artefact):
-//! * `table1` — empirical safety matrix (delivered × logged),
-//! * `table2` — tolerated crashes per safety level,
-//! * `table3` — group-safe vs group-1-safe loss conditions,
+//! The paper's claims that a run states — Tables 1–3, Fig. 5 and
+//! Fig. 7, §6's durability cost, §7's risk against n and the §5.1
+//! ablations — are the `claim/…` cells of the behavioural contract
+//! ([`contract`]), run and witnessed by `contract --check`.
+//!
+//! Binaries:
 //! * `table4` — the simulator parameters in use,
-//! * `fig5_fig7` — the lost-transaction and end-to-end recovery scenarios,
 //! * `fig9` — response time vs load for the three techniques (plus
 //!   `--batch`: batched vs unbatched group-safe curves),
-//! * `scaling` — §7/Fig. 10: lazy vs group-safe risk as n grows,
-//! * `latency_micro` — disk write vs atomic broadcast latency (§6),
 //! * `batching` — abcast batch-size sweep under open-loop overload
 //!   (asserts the ≥2× saturated-throughput claim),
 //! * `scenario_fuzz` — seeded random fault scenarios through the
@@ -20,7 +19,6 @@
 //!   count at 0 % cross traffic),
 //! * `reads` / `txn` — the follower-read and snapshot-transaction
 //!   sweeps behind `BENCH_reads.json` / `BENCH_txn.json`,
-//! * `ablation` — the §5.1 ablations,
 //! * `obs_export` — the observability exporter and its golden check,
 //! * `contract` — writes and checks the behavioural contract
 //!   (`CONTRACT.txt`, see [`contract`]).

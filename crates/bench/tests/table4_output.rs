@@ -1,7 +1,8 @@
 //! `table4` prints the live defaults of `System::builder()` in the
 //! paper's Table 4 layout. Its stdout is pinned here byte for byte, so a
 //! change to any default (or to how the builder resolves one) fails
-//! this test instead of silently rewriting the table.
+//! this test instead of silently rewriting the table. It takes no
+//! flags, so an argument stops it with the usage line.
 
 use std::process::Command;
 
@@ -34,4 +35,21 @@ fn table4_prints_the_pinned_defaults() {
     assert!(out.status.success(), "table4 exited with {}", out.status);
     let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
     assert_eq!(stdout, EXPECTED);
+}
+
+#[test]
+fn table4_rejects_an_argument_with_the_usage_line() {
+    let out = Command::new(env!("CARGO_BIN_EXE_table4"))
+        .arg("--bogus")
+        .output()
+        .expect("the table4 binary runs");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "table4 exited with {}",
+        out.status
+    );
+    assert!(out.stdout.is_empty(), "table4 printed its table");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 output");
+    assert_eq!(stderr, "unknown argument \"--bogus\"\nusage: table4\n");
 }

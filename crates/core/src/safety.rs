@@ -34,28 +34,6 @@ pub enum SafetyLevel {
 }
 
 impl SafetyLevel {
-    /// Table 1's vertical axis: replicas guaranteed to have *delivered*
-    /// the transaction's message when the client is notified.
-    pub fn delivered_on(self) -> Guarantee {
-        match self {
-            SafetyLevel::ZeroSafe | SafetyLevel::OneSafe => Guarantee::OneReplica,
-            SafetyLevel::GroupSafe
-            | SafetyLevel::GroupOneSafe
-            | SafetyLevel::TwoSafe
-            | SafetyLevel::VerySafe => Guarantee::AllReplicas,
-        }
-    }
-
-    /// Table 1's horizontal axis: replicas guaranteed to have *logged*
-    /// the transaction when the client is notified.
-    pub fn logged_on(self) -> Guarantee {
-        match self {
-            SafetyLevel::ZeroSafe | SafetyLevel::GroupSafe => Guarantee::NoReplica,
-            SafetyLevel::OneSafe | SafetyLevel::GroupOneSafe => Guarantee::OneReplica,
-            SafetyLevel::TwoSafe | SafetyLevel::VerySafe => Guarantee::AllReplicas,
-        }
-    }
-
     /// Table 2: the number of simultaneous crashes (out of `n`) the level
     /// tolerates without losing an acknowledged transaction.
     ///

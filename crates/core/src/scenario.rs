@@ -1765,11 +1765,12 @@ pub mod fuzz {
         /// read path at `level`, so every fault plan also stresses the
         /// follower-read machinery and the read-freshness oracle audits
         /// the outcome. Stable reads are not defined for 0-safe
-        /// (non-uniform delivery casts no stability votes): the builder
-        /// rejects that combination.
+        /// (non-uniform delivery casts no stability votes), and a
+        /// fraction outside [0, 1] is no probability: the builder
+        /// rejects both.
         pub fn with_reads(mut self, level: crate::reads::ReadLevel, fraction: f64) -> FuzzSpec {
             self.read_level = Some(level);
-            self.read_fraction = fraction.clamp(0.0, 1.0);
+            self.read_fraction = fraction;
             self
         }
 
@@ -1779,12 +1780,13 @@ pub mod fuzz {
         /// every fault plan also stresses the snapshot machinery and the
         /// SI anomaly audits check the outcome. The lazy baseline
         /// (1-safe) executes them through its classic 2PL path, so the
-        /// fraction is zeroed there.
+        /// fraction is zeroed there. Elsewhere the builder rejects a
+        /// fraction outside [0, 1].
         pub fn with_txns(mut self, fraction: f64) -> FuzzSpec {
             self.txn_fraction = if self.level == SafetyLevel::OneSafe {
                 0.0
             } else {
-                fraction.clamp(0.0, 1.0)
+                fraction
             };
             self
         }
@@ -2162,16 +2164,14 @@ pub mod fuzz {
             }
             builder = builder.read_fraction(spec.read_fraction);
         }
-        if spec.txn_fraction > 0.0 {
-            builder = builder.txn_fraction(spec.txn_fraction);
-        }
         #[expect(
             clippy::expect_used,
-            reason = "fuzz harness: the plan generator draws parameters from ranges the builder accepts by construction; a rejection is a generator bug the fuzzer must fail loudly on"
+            reason = "fuzz harness: the plan generator draws parameters from ranges the builder accepts by construction, so a rejection is a generator bug or a spec the caller got wrong (a fraction outside [0, 1], which the builder's `BadProbability` names); the fuzzer must fail loudly on both"
         )]
         let mut run = builder
+            .txn_fraction(spec.txn_fraction)
             .build()
-            .expect("a generated scenario always denotes a valid system");
+            .expect("a fuzz spec and its generated scenario denote a valid system");
         let end = SimTime::ZERO + spec.measure;
         run.run_until(end);
         run.stop_clients_at(end);

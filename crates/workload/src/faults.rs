@@ -1,5 +1,6 @@
-//! Fault-injection scenarios: the machinery behind the Table 1–3
-//! reproductions.
+//! Fault-injection scenarios: the machinery behind the Table 1–3 cells
+//! of the behavioural contract (`crash/…` and `claim/table1…3/…` in
+//! `CONTRACT.txt`).
 //!
 //! A [`CrashScenario`] runs the Table 4 workload against a chosen
 //! technique, crashes a configurable subset of the servers mid-run

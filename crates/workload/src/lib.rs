@@ -5,7 +5,9 @@
 //! and when they recover); [`run_crash_scenario`] compiles it to a core
 //! [`ScenarioPlan`](groupsafe_core::ScenarioPlan), runs it on a
 //! [`System::builder`](groupsafe_core::System::builder) system and
-//! audits the outcome ([`CrashOutcome`]) — the rows of Tables 1–3.
+//! audits the outcome ([`CrashOutcome`]) — the rows of Tables 1–3, held
+//! as the `crash/…` and `claim/table1…3/…` cells of the behavioural
+//! contract.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

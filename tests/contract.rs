@@ -4,13 +4,13 @@
 //! a few families per test so that they run side by side. `cargo run -p
 //! groupsafe-bench --bin contract -- --write` is the re-golden.
 
-use groupsafe_bench::contract::{self, Outcome};
+use groupsafe_bench::contract::{self, Bound, Outcome};
 
 const COMMITTED: &str = include_str!("../CONTRACT.txt");
 
 /// The name prefixes the tests below, and the three pin files that
 /// predate the contract, check: together every cell.
-const FAMILIES: [&str; 10] = [
+const FAMILIES: [&str; 11] = [
     // tests/fanout_fingerprints.rs
     "fanout/",
     // tests/failure_detector_fingerprints.rs
@@ -24,6 +24,7 @@ const FAMILIES: [&str; 10] = [
     "fuzz/sharded/",
     "fuzz/session-reads/",
     "fuzz/snapshot-txns/",
+    "claim/",
 ];
 
 /// Check the cells whose names start with one of `families`.
@@ -50,7 +51,15 @@ fn fuzz_sharded_row_cells_match_the_contract() {
 
 #[test]
 fn fuzz_read_and_txn_row_cells_match_the_contract() {
-    check(&FAMILIES[8..]);
+    check(&FAMILIES[8..10]);
+}
+
+/// The paper's claims: Tables 1–3, Fig. 5 and Fig. 7, §6's costs, §7's
+/// risk against n and the §5.1 ablations, each held to the witnesses
+/// that state it.
+#[test]
+fn claim_cells_match_the_contract() {
+    check(&FAMILIES[10..]);
 }
 
 #[test]
@@ -108,40 +117,46 @@ fn a_changed_missing_duplicate_or_undeclared_cell_is_an_error() {
     assert!(extra.contains("cell fuzz/none is in the contract but not declared"));
 }
 
-/// Non-vacuity: every cell has witnesses, each rejects some value of its
-/// counter, and a run that satisfies every witness of a cell but that
-/// one is rejected, naming it.
+/// Non-vacuity: every cell has witnesses, the witnesses on one counter
+/// admit a common value, each rejects the value one past its bound, and
+/// a run that satisfies every witness of a cell but that one is
+/// rejected, naming it.
 #[test]
 fn every_witness_rejects_a_run_where_its_path_did_not_fire() {
+    let mut upper_bounds = 0;
     for cell in contract::cells() {
+        let name = &cell.name;
         assert!(
             cell.witnesses.iter().any(|w| w.counter == "acked"),
-            "{}",
-            cell.name
+            "{name}"
         );
-        let counters = cell
-            .witnesses
-            .iter()
-            .map(|w| (w.counter, w.value))
-            .collect();
-        let fired = Outcome {
-            counters,
-            ..Outcome::default()
-        };
+        let on = |counter| cell.witnesses.iter().filter(move |w| w.counter == counter);
+        let mut fired = Outcome::default();
+        for w in &cell.witnesses {
+            let mut bounds = on(w.counter).map(|w| w.value);
+            let value = bounds.find(|&v| on(w.counter).all(|w| w.admits(v)));
+            let Some(value) = value else {
+                panic!("{name}: the witnesses on {} admit no value", w.counter)
+            };
+            fired.counters.push((w.counter.to_string(), value));
+        }
         cell.witness(&fired).expect("every witness at its bound");
-        for (i, w) in cell.witnesses.iter().enumerate() {
-            let missed = if w.exact {
-                w.value.checked_add(1)
-            } else {
-                w.value.checked_sub(1)
+        for w in &cell.witnesses {
+            let missed = match w.bound {
+                Bound::Exactly | Bound::AtMost => w.value.checked_add(1),
+                Bound::AtLeast => w.value.checked_sub(1),
             };
             let Some(missed) = missed else {
-                panic!("{}: {w} rejects nothing", cell.name)
+                panic!("{name}: {w} rejects nothing")
             };
             let mut unfired = fired.clone();
-            unfired.counters[i].1 = missed;
+            for c in unfired.counters.iter_mut().filter(|c| c.0 == w.counter) {
+                c.1 = missed;
+            }
             let err = cell.witness(&unfired).expect_err(&w.to_string());
-            assert!(err.contains(&w.to_string()), "{}: {err}", cell.name);
+            assert!(err.contains(&w.to_string()), "{name}: {err}");
+            upper_bounds += usize::from(w.bound == Bound::AtMost);
         }
     }
+    assert!(upper_bounds > 0, "no cell bounds a counter from above");
 }

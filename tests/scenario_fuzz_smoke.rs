@@ -11,9 +11,25 @@
 
 use groupsafe::core::scenario::fuzz::{generate_plan, run_fuzz_case, FuzzSpec};
 use groupsafe::core::scenario::{audit_scenario, OracleViolation, ScenarioPlan};
-use groupsafe::core::{Load, SafetyLevel, System, Technique};
+use groupsafe::core::{Load, ReadLevel, SafetyLevel, System, Technique};
 use groupsafe::sim::{SimDuration, SimTime};
 use groupsafe_bench::contract::ROWS;
+
+/// An envelope keeps the fraction it is given: one outside [0, 1] is the
+/// builder's `BadProbability`, which names it, never a silent clamp.
+#[test]
+#[should_panic(expected = "BadProbability { name: \"read_fraction\", value: 1.5 }")]
+fn an_out_of_range_read_fraction_fails_naming_it() {
+    let spec = FuzzSpec::smoke(SafetyLevel::GroupSafe).with_reads(ReadLevel::Session, 1.5);
+    run_fuzz_case(0, &spec);
+}
+
+/// As for reads, so for snapshot-isolation transactions.
+#[test]
+#[should_panic(expected = "BadProbability { name: \"txn_fraction\", value: 1.5 }")]
+fn an_out_of_range_txn_fraction_fails_naming_it() {
+    run_fuzz_case(0, &FuzzSpec::smoke(SafetyLevel::GroupSafe).with_txns(1.5));
+}
 
 /// Group-safe and 2-safe runs must satisfy the oracle on every seed.
 #[test]
