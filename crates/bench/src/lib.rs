@@ -1,19 +1,17 @@
 //! # groupsafe-bench — harnesses regenerating the paper's tables/figures
 //!
-//! The paper's claims that a run states — Tables 1–3, Fig. 5 and
-//! Fig. 7, §6's durability cost, §7's risk against n and the §5.1
+//! The paper's claims that a run states — Tables 1–3, Fig. 5, Fig. 7
+//! and Fig. 9, §6's durability cost, §7's risk against n and the §5.1
 //! ablations — are the `claim/…` cells of the behavioural contract
 //! ([`contract`]), run and witnessed by `contract --check`.
 //!
 //! Binaries:
 //! * `table4` — the simulator parameters in use,
-//! * `fig9` — response time vs load for the three techniques (plus
-//!   `--batch`: batched vs unbatched group-safe curves),
 //! * `batching` — abcast batch-size sweep under open-loop overload
 //!   (asserts the ≥2× saturated-throughput claim),
 //! * `scenario_fuzz` — seeded random fault scenarios through the
-//!   per-level safety oracle (`--shards G` runs the sharded envelope
-//!   with group-targeted faults and the cross-group atomicity digest),
+//!   per-level safety oracle, over the fuzz matrix the contract declares
+//!   ([`contract::FUZZ`], run by [`fuzz`]),
 //! * `sharding` — group-count × cross-group-ratio sweep (asserts that
 //!   aggregate commit throughput grows monotonically with the group
 //!   count at 0 % cross traffic),
@@ -31,17 +29,16 @@
 
 pub mod contract;
 pub mod flags;
-pub mod plot;
+pub mod fuzz;
 
 pub use flags::Flags;
 
 use groupsafe_core::WorkloadSpec;
 
-/// The ordering-bound workload the batching harnesses share (`batching`
-/// and `fig9 --batch`): short write-only transactions over the Table 4
-/// database, so the per-transaction abcast traffic — not the read
-/// phase or the data path — saturates first. Keeping it in one place
-/// keeps the two harnesses measuring the same regime.
+/// The ordering-bound workload of the `batching` sweep and `perf`'s
+/// `ordering` workload: short write-only transactions over the Table 4
+/// database, so the per-transaction abcast traffic — not the read phase
+/// or the data path — saturates first.
 pub fn ordering_bound_workload() -> WorkloadSpec {
     WorkloadSpec {
         n_items: 10_000,

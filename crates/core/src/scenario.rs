@@ -1778,16 +1778,10 @@ pub mod fuzz {
         /// a `fraction` of the generated update transactions run under
         /// SI (MVCC read phase, first-committer-wins certification), so
         /// every fault plan also stresses the snapshot machinery and the
-        /// SI anomaly audits check the outcome. The lazy baseline
-        /// (1-safe) executes them through its classic 2PL path, so the
-        /// fraction is zeroed there. Elsewhere the builder rejects a
+        /// SI anomaly audits check the outcome. The builder rejects a
         /// fraction outside [0, 1].
         pub fn with_txns(mut self, fraction: f64) -> FuzzSpec {
-            self.txn_fraction = if self.level == SafetyLevel::OneSafe {
-                0.0
-            } else {
-                fraction
-            };
+            self.txn_fraction = fraction;
             self
         }
 

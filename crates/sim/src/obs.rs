@@ -344,46 +344,6 @@ impl ObsConfig {
             ring_capacity: DEFAULT_RING_CAPACITY,
         }
     }
-
-    /// Parse an observability profile flag value (`scenario_fuzz --obs`):
-    /// `off`, `ring[:N]`, or `full[:N]` (`N` = ring capacity). Returns
-    /// `Ok(None)` for an empty value (caller keeps its default); malformed
-    /// values are an error string describing the problem.
-    pub fn parse(raw: &str) -> Result<Option<ObsConfig>, String> {
-        let raw = raw.trim();
-        if raw.is_empty() {
-            return Ok(None);
-        }
-        let (mode, cap) = match raw.split_once(':') {
-            Some((m, c)) => (m.trim(), Some(c.trim())),
-            None => (raw, None),
-        };
-        let capacity = match cap {
-            None => DEFAULT_RING_CAPACITY,
-            Some(c) => match c.parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => return Err(format!("cannot parse ring capacity {c:?}")),
-            },
-        };
-        if mode.eq_ignore_ascii_case("off") {
-            if cap.is_some() {
-                return Err("mode `off` takes no ring capacity".to_string());
-            }
-            return Ok(Some(ObsConfig::disabled()));
-        }
-        if mode.eq_ignore_ascii_case("ring") {
-            return Ok(Some(ObsConfig::ring(capacity)));
-        }
-        if mode.eq_ignore_ascii_case("full") || mode.eq_ignore_ascii_case("stream") {
-            return Ok(Some(ObsConfig {
-                mode: ObsMode::Stream,
-                ring_capacity: capacity,
-            }));
-        }
-        Err(format!(
-            "unknown mode {mode:?} (expected off, ring[:N] or full[:N])"
-        ))
-    }
 }
 
 /// The recording sink owned by the simulation kernel.
@@ -747,23 +707,6 @@ mod tests {
         });
         assert_eq!(obs.events().len(), 2);
         assert_eq!(obs.render_stream(), "1 a1 vote seq=4\n2 a2 apply txn=9\n");
-    }
-
-    #[test]
-    fn parse_profiles() {
-        assert_eq!(ObsConfig::parse("").unwrap(), None);
-        assert_eq!(
-            ObsConfig::parse("off").unwrap(),
-            Some(ObsConfig::disabled())
-        );
-        assert_eq!(
-            ObsConfig::parse("ring:64").unwrap(),
-            Some(ObsConfig::ring(64))
-        );
-        assert_eq!(ObsConfig::parse("full").unwrap(), Some(ObsConfig::stream()));
-        assert!(ObsConfig::parse("ring:0").is_err());
-        assert!(ObsConfig::parse("off:9").is_err());
-        assert!(ObsConfig::parse("sometimes").is_err());
     }
 
     #[test]

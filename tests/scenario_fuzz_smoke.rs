@@ -1,19 +1,19 @@
-//! Seeded scenario fuzzing, smoke-sized for `cargo test` (CI runs the
-//! full budget through the `scenario_fuzz` bench bin), plus the negative
-//! control: the oracle must demonstrably *catch* violations when a run
-//! is audited against a safety level it does not honour.
+//! Seeded scenario fuzzing, smoke-sized for `cargo test` (CI runs every
+//! row's budget through the `scenario_fuzz` bench bin), plus the negative
+//! controls: the oracle must *catch* a run audited against a safety level
+//! it does not honour, and the runner a row whose path did not fire.
 //!
-//! The system configurations every level is fuzzed under are the
-//! behavioural contract's [`ROWS`]: each row at every level and seed of
-//! `FUZZ_SEEDS` is a cell of `CONTRACT.txt`, audited clean, committing
-//! and replaying to the same fingerprint with the full event stream
-//! recorded (`tests/contract.rs`).
+//! The configurations every level is fuzzed under are the fuzz matrix
+//! [`FUZZ`]; its pinned rows are cells of `CONTRACT.txt`
+//! (`tests/contract.rs`).
 
 use groupsafe::core::scenario::fuzz::{generate_plan, run_fuzz_case, FuzzSpec};
 use groupsafe::core::scenario::{audit_scenario, OracleViolation, ScenarioPlan};
 use groupsafe::core::{Load, ReadLevel, SafetyLevel, System, Technique};
 use groupsafe::sim::{SimDuration, SimTime};
-use groupsafe_bench::contract::ROWS;
+use groupsafe_bench::contract::FUZZ;
+use groupsafe_bench::fuzz::{self, Selection, Tally};
+use groupsafe_bench::Flags;
 
 /// An envelope keeps the fraction it is given: one outside [0, 1] is the
 /// builder's `BadProbability`, which names it, never a silent clamp.
@@ -58,28 +58,83 @@ fn weak_levels_satisfy_their_accounting_rules() {
     }
 }
 
-/// Same seed, same plan, same fingerprint, in every declared row: a
-/// failing seed is a complete reproduction recipe.
+/// Same seed, same plan, same fingerprint, in every declared row at
+/// every one of its levels: a failing seed is a complete reproduction
+/// recipe.
 #[test]
 fn fuzz_cases_replay_bit_for_bit() {
-    for (row, envelope) in ROWS {
-        let spec = envelope(SafetyLevel::GroupSafe);
-        let a = run_fuzz_case(7, &spec);
-        let b = run_fuzz_case(7, &spec);
-        assert_eq!(
-            a.plan, b.plan,
-            "{row}: plan generation must be deterministic"
-        );
-        assert_eq!(
-            a.fingerprint, b.fingerprint,
-            "{row}: replay must be bit-for-bit"
-        );
-        assert_eq!(a.commits, b.commits, "{row}");
-        assert_ne!(
-            a.plan,
-            generate_plan(8, &spec),
-            "{row}: different seeds explore different scenarios"
-        );
+    for row in &FUZZ {
+        for &(level, _) in row.levels {
+            let spec = (row.envelope)(level);
+            let at = format!("{}/{level}", row.name);
+            let a = run_fuzz_case(0, &spec);
+            let b = run_fuzz_case(0, &spec);
+            assert_eq!(
+                a.plan, b.plan,
+                "{at}: plan generation must be deterministic"
+            );
+            assert_eq!(
+                a.fingerprint, b.fingerprint,
+                "{at}: replay must be bit-for-bit"
+            );
+            assert_eq!(a.commits, b.commits, "{at}");
+            assert_ne!(
+                a.plan,
+                generate_plan(1, &spec),
+                "{at}: different seeds explore different scenarios"
+            );
+        }
+    }
+}
+
+/// Negative controls of the runner's liveness checks: for every row at
+/// every level, a tally in which each path the row exists for fired
+/// passes, and one in which any of them did not is rejected, naming the
+/// row. Every kind of path is some row's.
+#[test]
+fn a_row_whose_path_did_not_fire_is_rejected() {
+    let mut fired = Tally::default();
+    (fired.group_failures, fired.reads_audited, fired.si_audited) = (1, 1, 1);
+    let mut unfired = [fired; 3];
+    (
+        unfired[0].group_failures,
+        unfired[1].reads_audited,
+        unfired[2].si_audited,
+    ) = (0, 0, 0);
+    let paths = ["whole-group failure", "local read", "certification"];
+    let mut rejected = [0; 3];
+    for row in &FUZZ {
+        for &(level, _) in row.levels {
+            let at = format!("{}/{level}", row.name);
+            assert_eq!(fired.fired(row, level), Ok(()), "{at}");
+            for (path, (name, tally)) in paths.iter().zip(&unfired).enumerate() {
+                if let Err(e) = tally.fired(row, level) {
+                    assert!(e.starts_with(&format!("{at}: ")), "{e}");
+                    assert!(e.contains(name), "{e}");
+                    rejected[path] += 1;
+                }
+            }
+        }
+    }
+    assert!(rejected.iter().all(|&n| n > 0), "{rejected:?}");
+}
+
+/// The line a violation prints replays that case alone: it parses back
+/// to its row, its level and its one seed, outside the budget.
+#[test]
+fn a_repro_line_parses_back_to_its_case() {
+    for row in &FUZZ {
+        for &(level, _) in row.levels {
+            let line = fuzz::repro(row, level, 17);
+            let args = line.split_whitespace().skip(1).map(String::from);
+            let flags = Flags::read(args, &[], &fuzz::FLAGS).expect(&line);
+            let selection = Selection::from_flags(&flags).expect(&line);
+            assert!(!selection.budget, "{line}");
+            let [(r, l, seeds)] = &selection.runs[..] else {
+                panic!("{line} selects {:?}", selection.runs)
+            };
+            assert_eq!((r.name, *l, seeds.clone()), (row.name, level, 17..18));
+        }
     }
 }
 
