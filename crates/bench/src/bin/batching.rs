@@ -9,10 +9,8 @@
 //! sequencer packs more transactions per frame (`max_msgs` from 1 to
 //! 32, 1 ms flush deadline).
 //!
-//! Usage: `batching [--quick] [--csv <path>] [--json <path>]`
+//! Usage: `batching [--quick]`
 //!   --quick   2 s measurement instead of 6 s
-//!   --csv     one row per batch size
-//!   --json    JSON array with the full structured reports
 //!
 //! The binary asserts the headline claim: at the highest load point,
 //! `max_msgs = 32` commits at least 2× what `max_msgs = 1` does on the
@@ -54,10 +52,7 @@ fn run_point(max_msgs: usize, quick: bool) -> Report {
 }
 
 fn main() {
-    let flags = Flags::parse(&["--quick"], &["--csv", "--json"]);
-    let quick = flags.has("--quick");
-    let csv_path = flags.value("--csv");
-    let json_path = flags.value("--json");
+    let quick = Flags::parse(&["--quick"], &[]).has("--quick");
 
     let sizes = [1usize, 2, 4, 8, 16, 32];
     println!("Batching sweep — group-safe, 9 servers, {OVERLOAD_TPS:.0} tps offered (overload)");
@@ -85,34 +80,6 @@ fn main() {
             r.achieved_tps / base_tps.max(1e-9),
         );
         reports.push((max_msgs, r));
-    }
-
-    if let Some(path) = csv_path {
-        let mut out =
-            String::from("max_msgs,commits,achieved_tps,mean_ms,p95_ms,mean_batch_size,votes_per_delivery,abcast_batches\n");
-        for (m, r) in &reports {
-            out.push_str(&format!(
-                "{},{},{:.2},{:.2},{:.2},{:.2},{:.3},{}\n",
-                m,
-                r.commits,
-                r.achieved_tps,
-                r.mean_ms,
-                r.p95_ms,
-                r.mean_batch_size,
-                r.votes_per_delivery,
-                r.abcast_batches
-            ));
-        }
-        std::fs::write(path, out).expect("write csv");
-        println!("wrote {path}");
-    }
-    if let Some(path) = json_path {
-        let rows: Vec<String> = reports
-            .iter()
-            .map(|(m, r)| format!("{{\"max_msgs\":{},\"report\":{}}}", m, r.to_json()))
-            .collect();
-        std::fs::write(path, format!("[{}]\n", rows.join(",\n"))).expect("write json");
-        println!("wrote {path}");
     }
 
     let top = &reports.last().expect("non-empty sweep").1;

@@ -10,9 +10,8 @@
 //! mostly-cached, read-heavy workload and measures committed read
 //! throughput per (read fraction × read path) point.
 //!
-//! Usage: `reads [--quick] [--csv <path>] [--json <path>]`
+//! Usage: `reads [--quick] [--json <path>]`
 //!   --quick   1.5 s measurement instead of 4 s
-//!   --csv     one row per (fraction, path) point
 //!   --json    JSON array with the full structured reports
 //!
 //! The binary asserts the headline claim — at a 90 % read mix,
@@ -63,9 +62,8 @@ fn label(path: ReadPath) -> &'static str {
 }
 
 fn main() {
-    let flags = Flags::parse(&["--quick"], &["--csv", "--json"]);
+    let flags = Flags::parse(&["--quick"], &["--json"]);
     let quick = flags.has("--quick");
-    let csv_path = flags.value("--csv");
     let json_path = flags.value("--json");
 
     let fractions = [0.5, 0.9];
@@ -115,29 +113,6 @@ fn main() {
         }
     }
 
-    if let Some(path) = csv_path {
-        let mut out = String::from(
-            "read_fraction,path,reads,read_tps,read_mean_ms,read_redirects,read_staleness,\
-             achieved_tps,commits,mean_ms\n",
-        );
-        for (fr, p, r) in &reports {
-            out.push_str(&format!(
-                "{},{},{},{:.2},{:.2},{},{:.3},{:.2},{},{:.2}\n",
-                fr,
-                label(*p),
-                r.reads,
-                r.read_tps,
-                r.read_mean_ms,
-                r.read_redirects,
-                r.read_staleness,
-                r.achieved_tps,
-                r.commits,
-                r.mean_ms
-            ));
-        }
-        std::fs::write(path, out).expect("write csv");
-        println!("wrote {path}");
-    }
     if let Some(path) = json_path {
         let rows: Vec<String> = reports
             .iter()

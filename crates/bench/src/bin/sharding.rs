@@ -13,10 +13,8 @@
 //! * what a 5 % / 20 % cross-group fraction costs (each cross
 //!   transaction occupies two groups' pipelines plus a decision round).
 //!
-//! Usage: `sharding [--quick] [--csv <path>] [--json <path>]`
+//! Usage: `sharding [--quick]`
 //!   --quick   1.5 s measurement instead of 4 s
-//!   --csv     one row per (groups, cross-ratio) point
-//!   --json    JSON array with the full structured reports
 //!
 //! The binary asserts the headline claim — throughput strictly
 //! increases 1 → 2 → 4 groups at 0 % cross traffic — and exits
@@ -59,10 +57,7 @@ fn run_point(groups: u32, cross: f64, quick: bool) -> Report {
 }
 
 fn main() {
-    let flags = Flags::parse(&["--quick"], &["--csv", "--json"]);
-    let quick = flags.has("--quick");
-    let csv_path = flags.value("--csv");
-    let json_path = flags.value("--json");
+    let quick = Flags::parse(&["--quick"], &[]).has("--quick");
 
     let group_counts = [1u32, 2, 4];
     let cross_ratios = [0.0f64, 0.05, 0.2];
@@ -74,7 +69,6 @@ fn main() {
         "{:>7} {:>7} {:>10} {:>9} {:>9} {:>11} {:>9}",
         "groups", "cross", "committed", "tps", "mean ms", "xg commits", "speedup"
     );
-    let mut reports: Vec<(u32, f64, Report)> = Vec::new();
     let mut zero_cross_tps: Vec<(u32, f64)> = Vec::new();
     let mut base_tps = 0.0;
     for &groups in &group_counts {
@@ -101,7 +95,6 @@ fn main() {
                 r.cross_group_commits,
                 r.achieved_tps / base_tps.max(1e-9),
             );
-            reports.push((groups, cross, r));
         }
     }
 
@@ -122,32 +115,4 @@ fn main() {
          ({:.2}x) at 0% cross traffic",
         tmax / base_tps.max(1e-9)
     );
-
-    if let Some(path) = csv_path {
-        let mut csv =
-            String::from("groups,cross_ratio,commits,achieved_tps,mean_ms,cross_group_commits\n");
-        for (groups, cross, r) in &reports {
-            csv.push_str(&format!(
-                "{},{:.2},{},{:.2},{:.2},{}\n",
-                groups, cross, r.commits, r.achieved_tps, r.mean_ms, r.cross_group_commits
-            ));
-        }
-        std::fs::write(path, csv).expect("write csv");
-        println!("wrote {path}");
-    }
-    if let Some(path) = json_path {
-        let mut json = String::from("[");
-        for (i, (groups, cross, r)) in reports.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            json.push_str(&format!(
-                "{{\"groups\":{groups},\"cross_ratio\":{cross:.2},\"report\":{}}}",
-                r.to_json()
-            ));
-        }
-        json.push(']');
-        std::fs::write(path, json).expect("write json");
-        println!("wrote {path}");
-    }
 }

@@ -12,12 +12,11 @@
 //! drives the identical contended mix through both pipelines and
 //! measures abort rate per (txn_fraction × ops-per-transaction) point.
 //!
-//! Usage: `txn [--quick] [--csv <path>] [--json <path>]`
+//! Usage: `txn [--quick] [--json <path>]`
 //!   --quick   only the gate points (classic baseline + all-snapshot
 //!             headline) at the full measurement window — shrinking the
 //!             window instead would dissolve the queueing the abort
 //!             storm is made of, and the gate would pass vacuously
-//!   --csv     one row per sweep point
 //!   --json    JSON array with the full structured reports
 //!
 //! The binary asserts the headline claim — at the 50 % read mix whose
@@ -64,9 +63,8 @@ fn run_point(txn_fraction: f64, ops: Option<(usize, usize)>) -> Report {
 }
 
 fn main() {
-    let flags = Flags::parse(&["--quick"], &["--csv", "--json"]);
+    let flags = Flags::parse(&["--quick"], &["--json"]);
     let quick = flags.has("--quick");
-    let csv_path = flags.value("--csv");
     let json_path = flags.value("--json");
 
     // (txn_fraction, ops-per-transaction range); None = the classic
@@ -117,30 +115,6 @@ fn main() {
         reports.push((fraction, ops, r));
     }
 
-    if let Some(path) = csv_path {
-        let mut out = String::from(
-            "txn_fraction,ops_min,ops_max,commits,abort_rate,txn_commits,txn_aborts,\
-             txn_abort_rate,achieved_tps,mean_ms\n",
-        );
-        for (fr, ops, r) in &reports {
-            let (lo, hi) = ops.unwrap_or((0, 0));
-            out.push_str(&format!(
-                "{},{},{},{},{:.4},{},{},{:.4},{:.2},{:.2}\n",
-                fr,
-                lo,
-                hi,
-                r.commits,
-                r.abort_rate,
-                r.txn_commits,
-                r.txn_aborts,
-                r.txn_abort_rate,
-                r.achieved_tps,
-                r.mean_ms
-            ));
-        }
-        std::fs::write(path, out).expect("write csv");
-        println!("wrote {path}");
-    }
     if let Some(path) = json_path {
         let rows: Vec<String> = reports
             .iter()

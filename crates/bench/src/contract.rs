@@ -1,8 +1,8 @@
 //! The behavioural contract: one declared table of cells and one
 //! committed file, `CONTRACT.txt`, that pins what each of them does.
 //!
-//! A cell is a run configured only through `SystemBuilder`, `FuzzSpec`
-//! and `CrashScenario` calls. A line of the file is one cell:
+//! A cell is a run configured only through `SystemBuilder` and
+//! `CrashScenario` calls. A line of the file is one cell:
 //! `name | settings | fingerprint=… [dispatched=…] [report=…] counters…`
 //! — the kernel's dispatch fingerprint and count, an [`Fnv64`] digest of
 //! `Report::to_json()` where the run yields a report, and the cell's
@@ -14,7 +14,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use groupsafe_core::scenario::fuzz::{generate_plan, run_fuzz_case, FuzzSpec};
+use groupsafe_core::scenario::fuzz::{self as envelopes, generate_plan, run_fuzz_case};
 use groupsafe_core::{BatchConfig, Load, ReadLevel, ReplicaServer, Report, Run, SafetyLevel};
 use groupsafe_core::{ScenarioPlan, System, SystemBuilder, Technique, WorkloadSpec};
 use groupsafe_db::{BufferModel, DbConfig, FlushPolicy};
@@ -35,8 +35,9 @@ pub struct FuzzRow {
     /// Its name: the `R` of its cells `fuzz/R/L/sS` and of `scenario_fuzz
     /// --row R`.
     pub name: &'static str,
-    /// Its envelope at a level.
-    pub envelope: fn(SafetyLevel) -> FuzzSpec,
+    /// Its envelope at a level: the system every case of it runs, before
+    /// the case's seed and fault plan.
+    pub envelope: fn(SafetyLevel) -> SystemBuilder,
     /// Whether the contract pins it: each of its levels at each seed of
     /// [`FUZZ_SEEDS`] is a cell.
     pub pinned: bool,
@@ -52,44 +53,51 @@ pub struct FuzzRow {
 pub static FUZZ: [FuzzRow; 13] = {
     use ReadLevel::{Latest, Session, Stable};
     use SafetyLevel::{GroupOneSafe, GroupSafe, OneSafe, TwoSafe, ZeroSafe};
-    use FuzzSpec as F;
+    use envelopes::{sharded, smoke};
     [
-        FuzzRow { name: "smoke", pinned: true, envelope: F::smoke, levels: &[
+        FuzzRow { name: "smoke", pinned: true, envelope: smoke, levels: &[
             (ZeroSafe, 40), (OneSafe, 40), (GroupSafe, 100), (GroupOneSafe, 0), (TwoSafe, 100)] },
         // Not at 1-safe: the lazy baseline builds no gcs endpoint, so
         // nothing reads its batching.
         FuzzRow { name: "batched", pinned: true, envelope: |l| {
-                F::smoke(l).with_batching(BatchConfig::of(8, SimDuration::from_micros(500)))
+                smoke(l).batching(BatchConfig::of(8, SimDuration::from_micros(500)))
             },
             levels: &[(ZeroSafe, 0), (GroupSafe, 0), (GroupOneSafe, 0), (TwoSafe, 0)] },
-        FuzzRow { name: "sharded", pinned: true, envelope: |l| F::sharded(l, 3), levels: &[
+        FuzzRow { name: "sharded", pinned: true, envelope: |l| sharded(l, 3), levels: &[
             (ZeroSafe, 0), (OneSafe, 0), (GroupSafe, 50), (GroupOneSafe, 30), (TwoSafe, 30)] },
-        FuzzRow { name: "session-reads", pinned: true,
-            envelope: |l| F::smoke(l).with_reads(Session, 0.4), levels: &[
-            (ZeroSafe, 0), (OneSafe, 0), (GroupSafe, 0), (GroupOneSafe, 0), (TwoSafe, 0)] },
+        // At 1-safe its reads ride the classic pipeline: the lazy
+        // baseline has no local read path.
+        FuzzRow { name: "session-reads", pinned: true, envelope: |l| {
+                let b = smoke(l);
+                if l == OneSafe { b } else { b.read_level(Session) }.read_fraction(0.4)
+            },
+            levels: &[(ZeroSafe, 0), (OneSafe, 0), (GroupSafe, 0), (GroupOneSafe, 0), (TwoSafe, 0)] },
         // Not at 1-safe: the lazy baseline has no snapshot path.
-        FuzzRow { name: "snapshot-txns", pinned: true, envelope: |l| F::smoke(l).with_txns(0.5),
+        FuzzRow { name: "snapshot-txns", pinned: true, envelope: |l| smoke(l).txn_fraction(0.5),
             levels: &[(ZeroSafe, 0), (GroupSafe, 50), (GroupOneSafe, 50), (TwoSafe, 50)] },
         FuzzRow { name: "stable-reads-50", pinned: false,
-            envelope: |l| F::smoke(l).with_reads(Stable, 0.5), levels: &[(GroupSafe, 50)] },
+            envelope: |l| smoke(l).read_level(Stable).read_fraction(0.5),
+            levels: &[(GroupSafe, 50)] },
         FuzzRow { name: "session-reads-50", pinned: false,
-            envelope: |l| F::smoke(l).with_reads(Session, 0.5),
+            envelope: |l| smoke(l).read_level(Session).read_fraction(0.5),
             levels: &[(GroupSafe, 50), (TwoSafe, 30)] },
         FuzzRow { name: "latest-reads-50", pinned: false,
-            envelope: |l| F::smoke(l).with_reads(Latest, 0.5), levels: &[(GroupSafe, 50)] },
+            envelope: |l| smoke(l).read_level(Latest).read_fraction(0.5),
+            levels: &[(GroupSafe, 50)] },
         FuzzRow { name: "sharded-session-reads", pinned: false,
-            envelope: |l| F::sharded(l, 3).with_reads(Session, 0.4), levels: &[(GroupSafe, 30)] },
+            envelope: |l| sharded(l, 3).read_level(Session).read_fraction(0.4),
+            levels: &[(GroupSafe, 30)] },
         FuzzRow { name: "sharded-snapshot-txns", pinned: false,
-            envelope: |l| F::sharded(l, 3).with_txns(0.5), levels: &[(GroupSafe, 50)] },
+            envelope: |l| sharded(l, 3).txn_fraction(0.5), levels: &[(GroupSafe, 50)] },
         FuzzRow { name: "session-reads-snapshot-txns", pinned: false,
-            envelope: |l| F::smoke(l).with_reads(Session, 0.4).with_txns(0.5),
+            envelope: |l| smoke(l).read_level(Session).read_fraction(0.4).txn_fraction(0.5),
             levels: &[(GroupSafe, 30)] },
         // The flight recorder's other two profiles: recording never moves
         // a run, and a violation dump carries what was recorded.
         FuzzRow { name: "traced", pinned: false,
-            envelope: |l| F::smoke(l).with_obs(ObsConfig::stream()), levels: &[(GroupSafe, 20)] },
+            envelope: |l| smoke(l).observe(ObsConfig::stream()), levels: &[(GroupSafe, 20)] },
         FuzzRow { name: "untraced", pinned: false,
-            envelope: |l| F::smoke(l).with_obs(ObsConfig::disabled()), levels: &[(GroupSafe, 20)] },
+            envelope: |l| smoke(l).observe(ObsConfig::disabled()), levels: &[(GroupSafe, 20)] },
     ]
 };
 
@@ -562,18 +570,11 @@ fn lazy_risk(n: u32) -> SystemBuilder {
 /// with the crash, so a stable read pins below the applied head where a
 /// latest read serves it: the same dispatches, other snapshots.
 pub fn parting_reads(level: ReadLevel) -> SystemBuilder {
-    let spec = FuzzSpec::smoke(SafetyLevel::TwoSafe).with_reads(level, 0.5);
-    System::builder()
-        .servers(spec.n_servers)
-        .clients_per_server(spec.clients_per_server)
-        .safety(spec.level)
+    let envelope = envelopes::smoke(SafetyLevel::TwoSafe)
         .read_level(level)
-        .read_fraction(spec.read_fraction)
-        .load(Load::open_tps(spec.load_tps))
-        .measure(spec.measure)
-        .drain(spec.drain)
-        .seed(13 ^ 0x5EED_CAFE)
-        .scenario(generate_plan(13, &spec))
+        .read_fraction(0.5);
+    let plan = generate_plan(13, &envelope);
+    envelope.seed(13 ^ 0x5EED_CAFE).scenario(plan)
 }
 
 /// [`parting_reads`] at `level`, its clients stopped at 6 s and drained
@@ -609,12 +610,11 @@ fn parting(level: ReadLevel) -> Cell {
 /// to the same fingerprint with the full event stream traced.
 fn fuzz(row: &'static FuzzRow, level: SafetyLevel, seed: u64) -> Cell {
     let run = move || {
-        let spec = (row.envelope)(level);
-        let out = run_fuzz_case(seed, &spec);
+        let out = run_fuzz_case(seed, (row.envelope)(level));
         if !out.ok() {
             return Err(format!("the oracle objects:\n{}", out.describe()));
         }
-        let twin = run_fuzz_case(seed, &spec.with_obs(ObsConfig::stream()));
+        let twin = run_fuzz_case(seed, (row.envelope)(level).observe(ObsConfig::stream()));
         if twin.fingerprint != out.fingerprint {
             return Err("full tracing moved the run".to_string());
         }

@@ -4,7 +4,7 @@
 
 use std::ops::Range;
 
-use groupsafe_core::scenario::fuzz::{run_fuzz_case, FuzzOutcome};
+use groupsafe_core::scenario::fuzz::{paths, run_fuzz_case, FuzzOutcome};
 use groupsafe_core::SafetyLevel;
 
 use crate::contract::{FuzzRow, FUZZ};
@@ -50,13 +50,13 @@ impl Tally {
     /// in a sharded row, a local read served in a read row, a snapshot
     /// transaction certified in an SI row.
     pub fn fired(&self, row: &FuzzRow, level: SafetyLevel) -> Result<(), String> {
-        let spec = (row.envelope)(level);
-        let paths = [
-            (spec.shards > 1, self.group_failures, "whole-group failure"),
-            (spec.read_level.is_some(), self.reads_audited, "local read"),
-            (spec.txn_fraction > 0.0, self.si_audited, "certification"),
+        let declared = paths(&(row.envelope)(level));
+        let checks = [
+            (declared.sharded, self.group_failures, "whole-group failure"),
+            (declared.local_reads, self.reads_audited, "local read"),
+            (declared.snapshots, self.si_audited, "certification"),
         ];
-        let missed = paths.iter().filter(|&&(on, count, _)| on && count == 0);
+        let missed = checks.iter().filter(|&&(on, count, _)| on && count == 0);
         let missed: Vec<&str> = missed.map(|&(_, _, path)| path).collect();
         match missed.join(", no ") {
             none if none.is_empty() => Ok(()),
@@ -109,8 +109,9 @@ impl Selection {
         let start: Option<u64> = number("--start")?;
         let seeds: Option<u64> = number("--seeds")?;
         let budget = start.is_none() && seeds.is_none();
-        let first = start.unwrap_or(0);
-        let given = first..first + seeds.unwrap_or(1);
+        let (first, n) = (start.unwrap_or(0), seeds.unwrap_or(1));
+        let overflow = || format!("--start {first} + --seeds {n} overflows a u64 seed");
+        let given = first..first.checked_add(n).ok_or_else(overflow)?;
         let (row, level) = (flags.value("--row"), flags.value("--level"));
         let mut runs = Vec::new();
         for r in FUZZ.iter().filter(|r| row.is_none_or(|n| n == r.name)) {
@@ -147,10 +148,9 @@ pub fn run(
 ) -> Result<Tally, String> {
     let mut total = Tally::default();
     for &(row, level, ref seeds) in &selection.runs {
-        let spec = (row.envelope)(level);
         let mut tally = Tally::default();
         for seed in seeds.clone() {
-            let out = run_fuzz_case(seed, &spec);
+            let out = run_fuzz_case(seed, (row.envelope)(level));
             if !out.ok() {
                 let (dump, repro) = (out.describe(), repro(row, level, seed));
                 return Err(format!("ORACLE VIOLATION\n{dump}reproduce with: {repro}"));

@@ -27,10 +27,12 @@
 //! * [`SystemBuilder`] is the whole configuration: [`SystemBuilder::build`]
 //!   checks and resolves every setting once ([`BuildError`]) and wires
 //!   the full system from the result — the same seed produces the same
-//!   commit count and state digests,
+//!   commit count and state digests; the fuzzer's envelopes are builders
+//!   too ([`fuzz::smoke`](crate::scenario::fuzz::smoke),
+//!   [`fuzz::sharded`](crate::scenario::fuzz::sharded)),
 //! * [`Run`] owns the warm-up → measure → stop-clients → drain lifecycle
-//!   and offers phase hooks ([`Run::at`], [`Run::switch_safety_at`]) for
-//!   mid-run commands such as [`ServerEvent::SwitchSafety`],
+//!   and fires the [`ScenarioPlan`]'s steps at their instants — mid-run
+//!   commands such as [`ScenarioPlan::switch_safety`] among them,
 //! * [`Report`] is the structured outcome — commits, mean/p95/p99,
 //!   aborts, lost transactions, convergence digests, per-phase and
 //!   per-shard-group stats — with [`Display`](std::fmt::Display) and
@@ -53,16 +55,15 @@ use rand::Rng;
 
 use groupsafe_db::{DbConfig, ItemId, Operation};
 use groupsafe_gcs::{BatchConfig, MAX_GROUP_SIZE};
-use groupsafe_net::NetConfig;
 use groupsafe_sim::{decompose_commits, CommitSpan, ObsConfig, SimDuration, SimTime};
 
 use crate::client::{LoadModel, OpGenerator, TxnPlan};
-use crate::msg::{ClientEvent, ServerEvent};
+use crate::msg::ClientEvent;
 use crate::reads::{ReadLevel, ReadPath};
 use crate::safety::SafetyLevel;
 use crate::scenario::ScenarioPlan;
 use crate::server::{ReplicaConfig, Technique};
-use crate::shard::{self, ShardError, ShardMap, ShardSpec, ShardStrategy};
+use crate::shard::{self, ShardError, ShardMap, ShardSpec};
 use crate::system::System;
 use crate::verify::{self, LostTransaction};
 
@@ -82,21 +83,14 @@ pub enum Load {
     /// Closed loop calibrated for a system-wide target rate: each client
     /// keeps one transaction outstanding and thinks between replies, with
     /// the think time chosen so that `n_clients / (think + resp) ≈ tps`
-    /// at the assumed base response time. Under overload the population
+    /// at [`DEFAULT_ASSUMED_RESP_MS`]. Under overload the population
     /// self-limits (the paper's client model).
-    ClosedTps {
-        /// Target system throughput.
-        tps: f64,
-        /// Assumed base response time for the think-time calibration.
-        assumed_resp_ms: f64,
-    },
+    ClosedTps(f64),
     /// Open loop with an explicit per-client mean inter-arrival time.
     OpenInterarrival(SimDuration),
-    /// Closed loop with an explicit per-client mean think time.
-    ClosedThink(SimDuration),
 }
 
-/// The assumed base response time `Load::closed_tps` calibrates against.
+/// The base response time `Load::closed_tps` calibrates against.
 pub const DEFAULT_ASSUMED_RESP_MS: f64 = 70.0;
 
 impl Load {
@@ -105,22 +99,9 @@ impl Load {
         Load::OpenTps(tps)
     }
 
-    /// Closed-loop clients calibrated for `tps` across the whole system
-    /// (assuming the default base response time).
+    /// Closed-loop clients calibrated for `tps` across the whole system.
     pub fn closed_tps(tps: f64) -> Load {
-        Load::ClosedTps {
-            tps,
-            assumed_resp_ms: DEFAULT_ASSUMED_RESP_MS,
-        }
-    }
-
-    /// Closed-loop clients calibrated for `tps`, assuming a base response
-    /// time of `assumed_resp_ms` for the think-time computation.
-    pub fn closed_tps_assuming(tps: f64, assumed_resp_ms: f64) -> Load {
-        Load::ClosedTps {
-            tps,
-            assumed_resp_ms,
-        }
+        Load::ClosedTps(tps)
     }
 
     /// Open loop with an explicit per-client mean inter-arrival time.
@@ -131,8 +112,8 @@ impl Load {
     /// The system-wide offered rate, when one is implied.
     pub fn offered_tps(&self) -> Option<f64> {
         match *self {
-            Load::OpenTps(tps) | Load::ClosedTps { tps, .. } => Some(tps),
-            Load::OpenInterarrival(_) | Load::ClosedThink(_) => None,
+            Load::OpenTps(tps) | Load::ClosedTps(tps) => Some(tps),
+            Load::OpenInterarrival(_) => None,
         }
     }
 
@@ -148,15 +129,12 @@ impl Load {
                     mean_interarrival: SimDuration::from_secs_f64(n / tps.max(1e-9)),
                 })
             }
-            Load::ClosedTps {
-                tps,
-                assumed_resp_ms,
-            } => {
+            Load::ClosedTps(tps) => {
                 if tps.is_nan() || tps <= 0.0 {
                     return Err(BuildError::NonPositiveLoad { tps });
                 }
                 let cycle = n / tps.max(1e-9);
-                let think = (cycle - assumed_resp_ms / 1_000.0).max(0.001);
+                let think = (cycle - DEFAULT_ASSUMED_RESP_MS / 1_000.0).max(0.001);
                 Ok(LoadModel::Closed {
                     mean_think: SimDuration::from_secs_f64(think),
                 })
@@ -169,7 +147,6 @@ impl Load {
                     mean_interarrival: mean,
                 })
             }
-            Load::ClosedThink(mean) => Ok(LoadModel::Closed { mean_think: mean }),
         }
     }
 }
@@ -548,15 +525,14 @@ pub struct SystemBuilder {
     pub(crate) replica: ReplicaConfig,
     load: Load,
     pub(crate) client_timeout: SimDuration,
-    pub(crate) net: NetConfig,
     pub(crate) seed: u64,
     pub(crate) warmup: SimDuration,
-    measure: SimDuration,
-    drain: SimDuration,
-    workload: WorkloadSpec,
+    pub(crate) measure: SimDuration,
+    pub(crate) drain: SimDuration,
+    pub(crate) workload: WorkloadSpec,
     generator: Option<GeneratorFactory>,
     scenario: ScenarioPlan,
-    shard: ShardSpec,
+    pub(crate) shard: ShardSpec,
     pub(crate) obs: ObsConfig,
 }
 
@@ -568,7 +544,6 @@ impl Default for SystemBuilder {
             replica: ReplicaConfig::default(),
             load: Load::OpenInterarrival(SimDuration::from_millis(1_200)),
             client_timeout: SimDuration::from_secs(2),
-            net: NetConfig::default(),
             seed: 42,
             warmup: SimDuration::ZERO,
             measure: SimDuration::from_secs(60),
@@ -617,6 +592,15 @@ impl SystemBuilder {
         self
     }
 
+    /// The client-visible safety level of the chosen technique (the
+    /// inverse of [`SystemBuilder::safety`]).
+    pub(crate) fn level(&self) -> SafetyLevel {
+        match self.replica.technique {
+            Technique::Lazy => SafetyLevel::OneSafe,
+            Technique::Dsm(level) => level,
+        }
+    }
+
     /// Choose the replication technique explicitly.
     /// `Technique::Dsm(SafetyLevel::OneSafe)` is a build error: no
     /// database state machine variant is 1-safe (use
@@ -644,16 +628,6 @@ impl SystemBuilder {
     /// bit-for-bit, same fingerprint.
     pub fn shards(mut self, n: u32) -> Self {
         self.shard.groups = n;
-        self
-    }
-
-    /// Use explicit key ranges instead of hash routing: one
-    /// `[start, end)` range per group, jointly covering the whole key
-    /// space (gaps, overlaps and empty ranges are build errors).
-    /// Implies `shards(ranges.len())`.
-    pub fn shard_ranges(mut self, ranges: Vec<(u32, u32)>) -> Self {
-        self.shard.groups = ranges.len() as u32;
-        self.shard.strategy = ShardStrategy::Ranges(ranges);
         self
     }
 
@@ -732,12 +706,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Network parameters.
-    pub fn net(mut self, net: NetConfig) -> Self {
-        self.net = net;
-        self
-    }
-
     /// Master seed (drives every random stream in the simulation).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -782,12 +750,6 @@ impl SystemBuilder {
     /// [`FlushPolicy::Sync`]: groupsafe_db::FlushPolicy::Sync
     pub fn db(mut self, db: DbConfig) -> Self {
         self.replica.db = db;
-        self
-    }
-
-    /// CPUs per server.
-    pub fn cpus(mut self, cpus: usize) -> Self {
-        self.replica.cpus = cpus;
         self
     }
 
@@ -951,7 +913,7 @@ impl SystemBuilder {
         let mut run = Run::new(system, self.warmup, self.measure, self.drain, offered_tps);
         // Every scenario step becomes a sim-time hook that fires exactly
         // at its instant, under `execute` and the stepwise API alike.
-        self.scenario.install(&mut run, &self.net);
+        self.scenario.install(&mut run);
         Ok(run)
     }
 }
@@ -974,15 +936,15 @@ struct ScheduledHook {
 }
 
 /// A wired system plus its run lifecycle: warm-up → measure →
-/// stop-clients → drain, with optional mid-run phase hooks.
+/// stop-clients → drain, with the [`ScenarioPlan`]'s steps as mid-run
+/// phase hooks.
 ///
 /// [`Run::execute`] performs the whole lifecycle; the stepwise methods
 /// ([`Run::start`], [`Run::run_until`], [`Run::stop_clients_at`],
 /// [`Run::finish`]) expose the same pieces for scripted scenarios that
-/// need manual control between phases. Hooks (including an installed
-/// [`ScenarioPlan`]) fire at their instants under both drivers:
-/// [`Run::run_until`] executes every hook whose time falls inside the
-/// advance.
+/// need manual control between phases. The plan's steps fire at their
+/// instants under both drivers: [`Run::run_until`] executes every hook
+/// whose time falls inside the advance.
 pub struct Run {
     system: System,
     warmup: SimDuration,
@@ -1035,8 +997,10 @@ impl Run {
         SimTime::ZERO + self.warmup + self.measure
     }
 
-    /// Register `hook` to fire at `at` (internal form of [`Run::at`];
-    /// the scenario engine installs its steps through this).
+    /// Register `hook` to fire at `at`: the run pauses the event loop
+    /// there and hands the system to `hook`, and `label` names the phase
+    /// that begins at the hook in the report's per-phase breakdown. The
+    /// scenario engine installs its steps through this.
     pub(crate) fn hook_at(
         &mut self,
         at: SimTime,
@@ -1074,42 +1038,6 @@ impl Run {
             (h.run)(&mut self.system);
         }
         self.system.engine.run_until(deadline);
-    }
-
-    /// Register a phase hook: at simulated time `at`, the run pauses the
-    /// event loop and hands the system to `hook`. The label names the
-    /// phase that *begins* at the hook for the per-phase breakdown in
-    /// the report. Hooks sharing a timestamp fire in registration order
-    /// (deterministic `(timestamp, insertion)` ordering).
-    pub fn at(
-        mut self,
-        at: SimTime,
-        label: &'static str,
-        hook: impl FnOnce(&mut System) + 'static,
-    ) -> Self {
-        self.hook_at(at, label, hook);
-        self
-    }
-
-    /// Convenience hook: switch every server's safety level at `at`
-    /// (group-safe ↔ group-1-safe, §5.2).
-    pub fn switch_safety_at(self, at: SimTime, level: SafetyLevel) -> Self {
-        let label = match level {
-            SafetyLevel::GroupOneSafe => "group-1-safe",
-            SafetyLevel::GroupSafe => "group-safe",
-            SafetyLevel::ZeroSafe
-            | SafetyLevel::OneSafe
-            | SafetyLevel::TwoSafe
-            | SafetyLevel::VerySafe => "switched",
-        };
-        self.at(at, label, move |system| {
-            let now = system.engine.now();
-            for &s in &system.servers.clone() {
-                system
-                    .engine
-                    .schedule_resilient(now.max(at), s, ServerEvent::SwitchSafety(level));
-            }
-        })
     }
 
     /// Start the servers and clients (idempotent; [`Run::execute`] calls
@@ -2177,7 +2105,7 @@ mod tests {
 
     #[test]
     fn hooks_after_the_measure_window_do_not_panic() {
-        let report = System::builder()
+        let mut run = System::builder()
             .servers(3)
             .clients_per_server(1)
             .load(Load::open_tps(8.0))
@@ -2185,11 +2113,11 @@ mod tests {
             .drain(SimDuration::from_secs(1))
             .seed(5)
             .build()
-            .expect("valid")
-            // Later than warmup + measure: the lifecycle must push the
-            // stop/drain window out instead of scheduling into the past.
-            .at(SimTime::from_secs(4), "late", |_| {})
-            .execute();
+            .expect("valid");
+        // Later than warmup + measure: the lifecycle must push the
+        // stop/drain window out instead of scheduling into the past.
+        run.hook_at(SimTime::from_secs(4), "late", |_| {});
+        let report = run.execute();
         assert!(report.commits > 0);
         assert_eq!(report.phases.last().expect("phases").label, "drain");
     }
@@ -2207,7 +2135,7 @@ mod tests {
         let t2 = SimTime::from_secs(2);
         // Registered out of time order, with a tie at t2: must fire as
         // (timestamp, then insertion) = late-a, early, late-b.
-        let report = System::builder()
+        let mut run = System::builder()
             .servers(3)
             .clients_per_server(1)
             .load(Load::open_tps(5.0))
@@ -2215,11 +2143,11 @@ mod tests {
             .drain(SimDuration::from_secs(1))
             .seed(17)
             .build()
-            .expect("valid")
-            .at(t2, "late-a", log("late-a"))
-            .at(t1, "early", log("early"))
-            .at(t2, "late-b", log("late-b"))
-            .execute();
+            .expect("valid");
+        run.hook_at(t2, "late-a", log("late-a"));
+        run.hook_at(t1, "early", log("early"));
+        run.hook_at(t2, "late-b", log("late-b"));
+        let report = run.execute();
         assert_eq!(*order.borrow(), vec!["early", "late-a", "late-b"]);
         assert!(report.commits > 0);
     }
@@ -2240,9 +2168,9 @@ mod tests {
             .measure(SimDuration::from_secs(3))
             .seed(19)
             .build()
-            .expect("valid")
-            .at(SimTime::from_millis(1_500), "mid", mark("mid"))
-            .at(SimTime::from_millis(2_500), "later", mark("later"));
+            .expect("valid");
+        run.hook_at(SimTime::from_millis(1_500), "mid", mark("mid"));
+        run.hook_at(SimTime::from_millis(2_500), "later", mark("later"));
         run.run_until(SimTime::from_secs(1));
         assert!(fired.borrow().is_empty(), "no hook is due yet");
         run.run_until(SimTime::from_secs(2));

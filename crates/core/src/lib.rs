@@ -96,7 +96,7 @@ pub use scenario::{
 pub use server::{
     RWire, ReplicaConfig, ReplicaServer, RestartServerCmd, Technique, DISKS_PER_SERVER,
 };
-pub use shard::{sharded_generator, ShardError, ShardMap, ShardSpec, ShardStrategy};
+pub use shard::{sharded_generator, ShardError, ShardMap, ShardSpec};
 pub use system::System;
 pub use verify::{
     check_convergence, check_lost_updates, check_no_loss, LostTransaction, LostUpdate, Oracle,

@@ -36,8 +36,8 @@
 //! [`fuzz::run_fuzz_case`] derives a random plan from a seed
 //! ([`fuzz::generate_plan`]), runs it on a small system and audits it.
 //! Same seed, same plan, same fingerprint — a failing seed is a complete
-//! reproduction recipe (see `ScenarioPlan::render`). Sharded specs
-//! ([`fuzz::FuzzSpec::sharded`]) draw group-targeted faults — including
+//! reproduction recipe (see `ScenarioPlan::render`). Sharded envelopes
+//! ([`fuzz::sharded`]) draw group-targeted faults — including
 //! whole-group failures with operator restarts — and additionally audit
 //! the cross-group atomicity digest.
 //!
@@ -554,9 +554,10 @@ impl ScenarioPlan {
 
     /// Install the plan on a [`Run`]: one hook per step (bursts and
     /// slow-disk windows add a second hook restoring the baseline at the
-    /// window's end). `baseline` is the network configuration bursts
-    /// reset to.
-    pub(crate) fn install(self, run: &mut Run, baseline: &NetConfig) {
+    /// window's end). Bursts reset to the default network configuration,
+    /// the one every system is wired with.
+    pub(crate) fn install(self, run: &mut Run) {
+        let baseline = NetConfig::default();
         for step in self.steps {
             let at = step.at;
             let label = step.event.label();
@@ -1644,163 +1645,74 @@ fn si_dirty_reads(oracle: &Oracle, audited: &dyn Fn(&SiOutcome) -> bool) -> Vec<
 /// Seeded random-scenario fuzzing: generate a plan, run it, audit it.
 pub mod fuzz {
     use super::*;
-    use crate::builder::Load;
-    use groupsafe_gcs::BatchConfig;
-    use groupsafe_sim::ObsConfig;
+    use crate::builder::{Load, SystemBuilder};
+    use crate::reads::ReadPath;
 
-    /// The envelope the generator draws scenarios from.
-    #[derive(Debug, Clone)]
-    pub struct FuzzSpec {
-        /// Safety level under test (selects the technique).
-        pub level: SafetyLevel,
-        /// Replica count.
-        pub n_servers: u32,
-        /// Clients per replica.
-        pub clients_per_server: u32,
-        /// Offered open-loop load, tps.
-        pub load_tps: f64,
-        /// Measurement window (faults land in its first half).
-        pub measure: SimDuration,
-        /// Drain window after the clients stop.
-        pub drain: SimDuration,
-        /// Maximum fault events per plan.
-        pub max_events: usize,
-        /// Allow loss bursts (generated only in crash-free plans: with
-        /// no crash, every delivered copy lives on a live replica, so
-        /// the no-loss invariant stays checkable under arbitrary loss).
-        pub allow_loss: bool,
-        /// Replica groups (1 = the classic unsharded envelope;
-        /// `n_servers` then counts servers per group and the generator
-        /// draws group-targeted faults, including whole-group failures
-        /// with operator restarts).
-        pub shards: u32,
-        /// Cross-group transaction fraction of the generated workload.
-        pub cross_fraction: f64,
-        /// Local read path under test (`None` = the classic pipeline,
-        /// the historical envelopes — plans and fingerprints replay
-        /// identically).
-        pub read_level: Option<crate::reads::ReadLevel>,
-        /// Read-only transaction fraction of the generated workload
-        /// (only meaningful with `read_level`).
-        pub read_fraction: f64,
-        /// Snapshot-isolation transaction fraction of the generated
-        /// update transactions (0 = the classic pipeline, the
-        /// historical envelopes — plans and fingerprints replay
-        /// identically).
-        pub txn_fraction: f64,
-        /// Observability mode of every run (the builder's default, the
-        /// bounded flight recorder, unless set). Recording never changes
-        /// a fingerprint.
-        pub obs: ObsConfig,
-        /// Batching of every group's atomic-broadcast pipeline
-        /// (unbatched unless set).
-        pub batch: BatchConfig,
+    /// Fault events a plan draws at most.
+    const MAX_EVENTS: usize = 3;
+
+    /// The CI smoke envelope: 5 servers × 2 clients at a moderate
+    /// open-loop load, 6 s of measurement and 3 s of drain.
+    pub fn smoke(level: SafetyLevel) -> SystemBuilder {
+        System::builder()
+            .servers(5)
+            .clients_per_server(2)
+            .safety(level)
+            .load(Load::open_tps(25.0))
+            .measure(SimDuration::from_secs(6))
+            .drain(SimDuration::from_secs(3))
     }
 
-    impl FuzzSpec {
-        /// The CI smoke envelope: 5 servers × 2 clients at a moderate
-        /// open-loop load, 6 s of measurement, up to 3 fault events.
-        pub fn smoke(level: SafetyLevel) -> FuzzSpec {
-            FuzzSpec {
-                level,
-                n_servers: 5,
-                clients_per_server: 2,
-                load_tps: 25.0,
-                measure: SimDuration::from_secs(6),
-                drain: SimDuration::from_secs(3),
-                max_events: 3,
-                allow_loss: true,
-                shards: 1,
-                cross_fraction: 0.0,
-                read_level: None,
-                read_fraction: 0.0,
-                txn_fraction: 0.0,
-                obs: ObsConfig::default(),
-                batch: BatchConfig::unbatched(),
-            }
-        }
+    /// The sharded envelope: `groups` groups of 3 servers × 2 clients
+    /// each, 10 % cross-group transactions, group-targeted faults
+    /// (crash / partition / sequencer kill scoped to one group,
+    /// occasional whole-group failure with an operator restart). The
+    /// offered load matches the smoke envelope's ~5 tps per server —
+    /// above it, the logging levels' per-entry disk costs put the retry
+    /// churn of a fault window past the saturation knee, and the run
+    /// never quiesces within the audit's drain budget.
+    pub fn sharded(level: SafetyLevel, groups: u32) -> SystemBuilder {
+        // The lazy baseline (1-safe) and very-safe cannot commit
+        // across groups (the builder rejects the combination), so
+        // their sharded envelopes run independent groups without
+        // cross traffic.
+        let cross_fraction = match level {
+            SafetyLevel::OneSafe | SafetyLevel::VerySafe => 0.0,
+            SafetyLevel::ZeroSafe
+            | SafetyLevel::GroupSafe
+            | SafetyLevel::GroupOneSafe
+            | SafetyLevel::TwoSafe => 0.1,
+        };
+        System::builder()
+            .servers(3)
+            .clients_per_server(2)
+            .safety(level)
+            .shards(groups)
+            .cross_shard_fraction(cross_fraction)
+            .load(Load::open_tps(15.0 * groups as f64))
+            .measure(SimDuration::from_secs(6))
+            .drain(SimDuration::from_secs(3))
+    }
 
-        /// The sharded envelope: `shards` groups of 3 servers × 2
-        /// clients each, 10 % cross-group transactions, group-targeted
-        /// faults (crash / partition / sequencer kill scoped to one
-        /// group, occasional whole-group failure with an operator
-        /// restart). The offered load matches the smoke envelope's
-        /// ~5 tps per server — above it, the logging levels' per-entry
-        /// disk costs put the retry churn of a fault window past the
-        /// saturation knee, and the run never quiesces within the
-        /// audit's drain budget.
-        pub fn sharded(level: SafetyLevel, shards: u32) -> FuzzSpec {
-            // The lazy baseline (1-safe) and very-safe cannot commit
-            // across groups (the builder rejects the combination), so
-            // their sharded envelopes run independent groups without
-            // cross traffic.
-            let cross_fraction = match level {
-                SafetyLevel::OneSafe | SafetyLevel::VerySafe => 0.0,
-                SafetyLevel::ZeroSafe
-                | SafetyLevel::GroupSafe
-                | SafetyLevel::GroupOneSafe
-                | SafetyLevel::TwoSafe => 0.1,
-            };
-            FuzzSpec {
-                level,
-                n_servers: 3,
-                clients_per_server: 2,
-                load_tps: 15.0 * shards.max(1) as f64,
-                measure: SimDuration::from_secs(6),
-                drain: SimDuration::from_secs(3),
-                max_events: 3,
-                allow_loss: true,
-                shards: shards.max(1),
-                cross_fraction,
-                read_level: None,
-                read_fraction: 0.0,
-                txn_fraction: 0.0,
-                obs: ObsConfig::default(),
-                batch: BatchConfig::unbatched(),
-            }
-        }
+    /// The paths beyond the classic pipeline an envelope exists to
+    /// exercise: a fuzz row whose runs never took one of them did not
+    /// test what it is for.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Paths {
+        /// More than one replica group: whole-group failures.
+        pub sharded: bool,
+        /// Read-only transactions served by the local read path.
+        pub local_reads: bool,
+        /// Update transactions under snapshot isolation.
+        pub snapshots: bool,
+    }
 
-        /// This envelope with read clients mixed in: a `fraction` of the
-        /// generated transactions are read-only and travel the local
-        /// read path at `level`, so every fault plan also stresses the
-        /// follower-read machinery and the read-freshness oracle audits
-        /// the outcome. Stable reads are not defined for 0-safe
-        /// (non-uniform delivery casts no stability votes), and a
-        /// fraction outside [0, 1] is no probability: the builder
-        /// rejects both.
-        pub fn with_reads(mut self, level: crate::reads::ReadLevel, fraction: f64) -> FuzzSpec {
-            self.read_level = Some(level);
-            self.read_fraction = fraction;
-            self
-        }
-
-        /// This envelope with snapshot-isolation transactions mixed in:
-        /// a `fraction` of the generated update transactions run under
-        /// SI (MVCC read phase, first-committer-wins certification), so
-        /// every fault plan also stresses the snapshot machinery and the
-        /// SI anomaly audits check the outcome. The builder rejects a
-        /// fraction outside [0, 1].
-        pub fn with_txns(mut self, fraction: f64) -> FuzzSpec {
-            self.txn_fraction = fraction;
-            self
-        }
-
-        /// This envelope recording under `obs` instead of the builder's
-        /// default (forwarded to [`SystemBuilder::observe`]).
-        ///
-        /// [`SystemBuilder::observe`]: crate::SystemBuilder::observe
-        pub fn with_obs(mut self, obs: ObsConfig) -> FuzzSpec {
-            self.obs = obs;
-            self
-        }
-
-        /// This envelope with every group's sequencer batching under
-        /// `batch` (forwarded to [`SystemBuilder::batching`]).
-        ///
-        /// [`SystemBuilder::batching`]: crate::SystemBuilder::batching
-        pub fn with_batching(mut self, batch: BatchConfig) -> FuzzSpec {
-            self.batch = batch;
-            self
+    /// The [`Paths`] `envelope` exercises.
+    pub fn paths(envelope: &SystemBuilder) -> Paths {
+        Paths {
+            sharded: envelope.shard.groups > 1,
+            local_reads: matches!(envelope.replica.reads, ReadPath::Local(_)),
+            snapshots: envelope.workload.txn_fraction > 0.0,
         }
     }
 
@@ -1860,35 +1772,38 @@ pub mod fuzz {
         }
     }
 
-    /// Derive a random scenario plan from `seed` within `spec`'s
-    /// envelope. Deterministic: same seed, same plan. Sharded specs
-    /// (`shards > 1`) draw from the group-targeted palette; the
-    /// single-group path is unchanged, so historical seeds replay
-    /// identically.
-    pub fn generate_plan(seed: u64, spec: &FuzzSpec) -> ScenarioPlan {
-        if spec.shards > 1 {
-            return generate_sharded_plan(seed, spec);
+    /// Derive a random scenario plan from `seed` for the system
+    /// `envelope` configures: its level, servers per group, group count
+    /// and measurement window shape the faults. Deterministic: same
+    /// seed, same plan. Sharded envelopes (more than one group) draw
+    /// from the group-targeted palette; the single-group path is
+    /// unchanged, so historical seeds replay identically.
+    pub fn generate_plan(seed: u64, envelope: &SystemBuilder) -> ScenarioPlan {
+        if envelope.shard.groups > 1 {
+            return generate_sharded_plan(seed, envelope);
         }
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let n = spec.n_servers;
+        let n = envelope.n_servers;
         let view_based = matches!(
-            spec.level,
+            envelope.level(),
             SafetyLevel::ZeroSafe | SafetyLevel::GroupSafe | SafetyLevel::GroupOneSafe
         );
         // Faults land in [500 ms, measure/2 + 500 ms]; every event is
         // over at most ~1.5 s later, leaving the rest of the window plus
         // the drain to quiesce (the oracle's settle margin is 2 s).
         let window_start = 500u64;
-        let window_end = (window_start + spec.measure.as_nanos() / 2_000_000).max(window_start + 1);
+        let window_end =
+            (window_start + envelope.measure.as_nanos() / 2_000_000).max(window_start + 1);
         fn at_ms(rng: &mut StdRng, start: u64, end: u64) -> SimTime {
             SimTime::from_millis(rng.random_range(start..=end))
         }
 
-        let n_events = rng.random_range(1..=spec.max_events.max(1));
+        let n_events = rng.random_range(1..=MAX_EVENTS);
         // Loss-only plans: under message loss the no-loss invariant is
-        // only airtight while nothing crashes (see `FuzzSpec::allow_loss`),
-        // so a plan draws either from the crash palette or the loss one.
-        let loss_plan = spec.allow_loss && rng.random_range(0..5) == 0;
+        // only airtight while nothing crashes (with no crash, every
+        // delivered copy lives on a live replica), so a plan draws either
+        // from the crash palette or the loss one.
+        let loss_plan = rng.random_range(0..5) == 0;
         let mut plan = ScenarioPlan::new();
         // Cap concurrent crash victims: view-based groups must keep a
         // majority to stay live, static (crash-recovery) groups tolerate
@@ -2000,16 +1915,17 @@ pub mod fuzz {
     /// sequencer kills, intra-group minority partitions, loss/dup/reorder
     /// bursts, and (in one plan out of four) a *whole-group failure*
     /// followed by the operator restart the view-based levels require.
-    fn generate_sharded_plan(seed: u64, spec: &FuzzSpec) -> ScenarioPlan {
+    fn generate_sharded_plan(seed: u64, envelope: &SystemBuilder) -> ScenarioPlan {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5A5A);
-        let spg = spec.n_servers;
-        let n_groups = spec.shards;
+        let spg = envelope.n_servers;
+        let n_groups = envelope.shard.groups;
         let view_based = matches!(
-            spec.level,
+            envelope.level(),
             SafetyLevel::ZeroSafe | SafetyLevel::GroupSafe | SafetyLevel::GroupOneSafe
         );
         let window_start = 500u64;
-        let window_end = (window_start + spec.measure.as_nanos() / 2_000_000).max(window_start + 1);
+        let window_end =
+            (window_start + envelope.measure.as_nanos() / 2_000_000).max(window_start + 1);
         let at_ms =
             |rng: &mut StdRng| SimTime::from_millis(rng.random_range(window_start..=window_end));
 
@@ -2034,8 +1950,8 @@ pub mod fuzz {
         let mut down_budget: Vec<u32> = (0..n_groups)
             .map(|_| if view_based { (spg - 1) / 2 } else { spg })
             .collect();
-        let n_events = rng.random_range(1..=spec.max_events.max(1));
-        let loss_plan = spec.allow_loss && plan.is_empty() && rng.random_range(0..5) == 0;
+        let n_events = rng.random_range(1..=MAX_EVENTS);
+        let loss_plan = plan.is_empty() && rng.random_range(0..5) == 0;
         // Overlapping windows of the same type would corrupt each other
         // (a later `partition` recolours the whole network, implicitly
         // healing the earlier one; a burst's end hook restores the
@@ -2133,43 +2049,25 @@ pub mod fuzz {
         out
     }
 
-    /// Generate, run and audit one fuzz case.
-    pub fn run_fuzz_case(seed: u64, spec: &FuzzSpec) -> FuzzOutcome {
-        let plan = generate_plan(seed, spec);
-        let mut builder = System::builder()
-            .servers(spec.n_servers)
-            .clients_per_server(spec.clients_per_server)
-            .safety(spec.level)
-            .shards(spec.shards.max(1))
-            .cross_shard_fraction(spec.cross_fraction)
-            .load(Load::open_tps(spec.load_tps))
-            .measure(spec.measure)
-            .drain(spec.drain)
-            .seed(seed ^ 0x5EED_CAFE)
-            .observe(spec.obs)
-            .batching(spec.batch)
-            .scenario(plan.clone());
-        if let Some(level) = spec.read_level {
-            // The lazy baseline has no local read path (the builder
-            // rejects it); its read-mixed envelope still carries the
-            // read-only fraction through the classic pipeline.
-            if spec.level != SafetyLevel::OneSafe {
-                builder = builder.read_level(level);
-            }
-            builder = builder.read_fraction(spec.read_fraction);
-        }
+    /// Generate, run and audit one fuzz case: `envelope` at seed
+    /// `seed ^ 0x5EED_CAFE` under the plan [`generate_plan`] draws from
+    /// `seed`.
+    pub fn run_fuzz_case(seed: u64, envelope: SystemBuilder) -> FuzzOutcome {
+        let plan = generate_plan(seed, &envelope);
+        let (level, drain) = (envelope.level(), envelope.drain);
         #[expect(
             clippy::expect_used,
-            reason = "fuzz harness: the plan generator draws parameters from ranges the builder accepts by construction, so a rejection is a generator bug or a spec the caller got wrong (a fraction outside [0, 1], which the builder's `BadProbability` names); the fuzzer must fail loudly on both"
+            reason = "fuzz harness: the plan generator draws parameters from ranges the builder accepts by construction, so a rejection is a generator bug or an envelope the caller got wrong (a fraction outside [0, 1], which the builder's `BadProbability` names; local reads at 1-safe, its `UnsupportedReads`); the fuzzer must fail loudly on both"
         )]
-        let mut run = builder
-            .txn_fraction(spec.txn_fraction)
+        let mut run = envelope
+            .seed(seed ^ 0x5EED_CAFE)
+            .scenario(plan.clone())
             .build()
-            .expect("a fuzz spec and its generated scenario denote a valid system");
-        let end = SimTime::ZERO + spec.measure;
+            .expect("a fuzz envelope and its generated scenario denote a valid system");
+        let end = run.measure_end();
         run.run_until(end);
         run.stop_clients_at(end);
-        run.run_until(end + spec.drain);
+        run.run_until(end + drain);
         // Convergence is an *eventually* property: a replica that spent a
         // fault window accumulating disk backlog (slow-disk, recovery
         // catch-up, a logging level's per-entry stable writes) may still
@@ -2177,7 +2075,7 @@ pub mod fuzz {
         // in bounded steps while live replicas still disagree — the
         // oracle then audits a quiesced system, and a genuinely diverged
         // run stops making progress and fails all the same.
-        let mut extra = end + spec.drain;
+        let mut extra = end + drain;
         let cap = extra + SimDuration::from_secs(30);
         while (run.system().convergence().len() > 1
             || run.system().delivery_backlog() > 0
@@ -2188,7 +2086,7 @@ pub mod fuzz {
             run.run_until(extra);
         }
         let system = run.into_system();
-        let audit = audit_scenario(&plan, &system, spec.level);
+        let audit = audit_scenario(&plan, &system, level);
         let commits = system.oracle.borrow().acked_count();
         let flight = system.engine.obs().render_tail();
         FuzzOutcome {

@@ -8,11 +8,9 @@
 //! direction of Sutra & Shapiro's fault-tolerant partial replication).
 //! This module owns the routing layer:
 //!
-//! * [`ShardMap`] — a deterministic key → group router with two
-//!   strategies: [`ShardStrategy::Hash`] (modulo striping) and
-//!   [`ShardStrategy::Ranges`] (explicit contiguous key ranges), both
-//!   validated at build time ([`ShardError`]: empty groups, unowned or
-//!   overlapping ranges are rejected before any actor is wired),
+//! * [`ShardMap`] — a deterministic key → group router by modulo
+//!   striping, validated at build time ([`ShardError`]: no groups, or a
+//!   group that owns no key, is rejected before any actor is wired),
 //! * [`ShardSpec`] — the builder-facing configuration
 //!   ([`SystemBuilder::shards`](crate::SystemBuilder::shards),
 //!   [`SystemBuilder::cross_shard_fraction`](crate::SystemBuilder::cross_shard_fraction)),
@@ -32,25 +30,20 @@
 //! # Example
 //!
 //! ```
-//! use groupsafe_core::shard::{ShardMap, ShardStrategy};
+//! use groupsafe_core::shard::ShardMap;
 //! use groupsafe_db::ItemId;
 //!
 //! // 10 000 keys striped over 4 groups.
 //! let map = ShardMap::hash(4, 10_000).unwrap();
 //! assert_eq!(map.group_of(ItemId(5)), 1);
 //! assert_eq!(map.group_of(ItemId(8)), 0);
-//!
-//! // The same space as explicit ranges; gaps and overlaps are rejected.
-//! let map = ShardMap::ranges(vec![(0, 2_500), (2_500, 10_000)], 10_000).unwrap();
-//! assert_eq!(map.n_groups(), 2);
-//! assert_eq!(map.group_of(ItemId(2_499)), 0);
-//! assert_eq!(map.group_of(ItemId(2_500)), 1);
-//! assert!(ShardMap::ranges(vec![(0, 2_500), (5_000, 10_000)], 10_000).is_err());
+//! // More groups than keys would leave a group empty.
+//! assert!(ShardMap::hash(11, 10).is_err());
 //! ```
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "ranges/slices are sized to the group count in the same constructor and indexed by group ids the shard map itself produced"
+    reason = "a routed transaction indexes its one or two groups below their count"
 )]
 
 use std::rc::Rc;
@@ -72,31 +65,10 @@ use crate::client::{OpGenerator, TxnPlan};
 pub enum ShardError {
     /// Zero groups: the router needs at least one.
     NoGroups,
-    /// A group owns no keys (hash striping with more groups than keys, or
-    /// an empty/inverted range).
+    /// A group owns no keys (more groups than keys).
     EmptyGroup {
         /// The group that owns nothing.
         group: u32,
-    },
-    /// Keys in `[from, to)` belong to no group (a gap between ranges, or
-    /// a tail past the last range).
-    UnownedKeys {
-        /// First unowned key.
-        from: u32,
-        /// One past the last unowned key.
-        to: u32,
-    },
-    /// Two ranges both claim `key`.
-    OverlappingRanges {
-        /// The doubly-owned key.
-        key: u32,
-    },
-    /// A range reaches past the key space.
-    OutOfRange {
-        /// The offending bound.
-        key: u32,
-        /// The key-space size.
-        n_items: u32,
     },
 }
 
@@ -106,18 +78,6 @@ impl std::fmt::Display for ShardError {
             ShardError::NoGroups => write!(f, "a shard map needs at least one group"),
             ShardError::EmptyGroup { group } => {
                 write!(f, "shard group {group} owns no keys")
-            }
-            ShardError::UnownedKeys { from, to } => {
-                write!(f, "keys {from}..{to} are owned by no shard group")
-            }
-            ShardError::OverlappingRanges { key } => {
-                write!(f, "key {key} is claimed by more than one shard range")
-            }
-            ShardError::OutOfRange { key, n_items } => {
-                write!(
-                    f,
-                    "shard range bound {key} exceeds the key space ({n_items} items)"
-                )
             }
         }
     }
@@ -129,27 +89,16 @@ impl std::error::Error for ShardError {}
 // ShardMap
 // ---------------------------------------------------------------------
 
-/// How keys map onto groups.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardStrategy {
-    /// Modulo striping: key `k` belongs to group `k % n_groups`. Spreads
-    /// any hotspot evenly and needs no configuration.
-    Hash,
-    /// Explicit contiguous ranges, one `[start, end)` per group in group
-    /// order. Must cover the whole key space with no gaps or overlaps.
-    Ranges(Vec<(u32, u32)>),
-}
-
-/// A validated, deterministic key → group router over a fixed key space.
+/// A validated, deterministic key → group router over a fixed key space:
+/// modulo striping, key `k` belongs to group `k % n_groups`, which
+/// spreads any hotspot evenly and needs no configuration.
 ///
-/// Construction validates the full partition: every key must belong to
-/// exactly one group and every group must own at least one key
-/// ([`ShardError`] otherwise).
+/// Construction validates the partition: every group must own at least
+/// one key ([`ShardError`] otherwise).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMap {
     n_groups: u32,
     n_items: u32,
-    strategy: ShardStrategy,
 }
 
 impl ShardMap {
@@ -162,54 +111,7 @@ impl ShardMap {
             // Some group would own nothing.
             return Err(ShardError::EmptyGroup { group: n_items });
         }
-        Ok(ShardMap {
-            n_groups,
-            n_items,
-            strategy: ShardStrategy::Hash,
-        })
-    }
-
-    /// Explicit `[start, end)` ranges, one per group. The ranges must be
-    /// non-empty and must jointly cover `0..n_items` exactly.
-    pub fn ranges(ranges: Vec<(u32, u32)>, n_items: u32) -> Result<ShardMap, ShardError> {
-        if ranges.is_empty() {
-            return Err(ShardError::NoGroups);
-        }
-        for (g, &(start, end)) in ranges.iter().enumerate() {
-            if start >= end {
-                return Err(ShardError::EmptyGroup { group: g as u32 });
-            }
-            if end > n_items {
-                return Err(ShardError::OutOfRange { key: end, n_items });
-            }
-        }
-        // Coverage: sort by start, check for gaps/overlaps.
-        let mut sorted: Vec<(u32, u32)> = ranges.clone();
-        sorted.sort_unstable();
-        let mut cursor = 0u32;
-        for &(start, end) in &sorted {
-            if start > cursor {
-                return Err(ShardError::UnownedKeys {
-                    from: cursor,
-                    to: start,
-                });
-            }
-            if start < cursor {
-                return Err(ShardError::OverlappingRanges { key: start });
-            }
-            cursor = end;
-        }
-        if cursor < n_items {
-            return Err(ShardError::UnownedKeys {
-                from: cursor,
-                to: n_items,
-            });
-        }
-        Ok(ShardMap {
-            n_groups: ranges.len() as u32,
-            n_items,
-            strategy: ShardStrategy::Ranges(ranges),
-        })
+        Ok(ShardMap { n_groups, n_items })
     }
 
     /// The degenerate single-group map (the unsharded system).
@@ -217,7 +119,6 @@ impl ShardMap {
         ShardMap {
             n_groups: 1,
             n_items: n_items.max(1),
-            strategy: ShardStrategy::Hash,
         }
     }
 
@@ -231,22 +132,10 @@ impl ShardMap {
         self.n_items
     }
 
-    /// The strategy in use.
-    pub fn strategy(&self) -> &ShardStrategy {
-        &self.strategy
-    }
-
     /// The group owning `item`.
     pub fn group_of(&self, item: ItemId) -> u32 {
         debug_assert!(item.0 < self.n_items, "key outside the shard map's space");
-        match &self.strategy {
-            ShardStrategy::Hash => item.0 % self.n_groups,
-            ShardStrategy::Ranges(ranges) => ranges
-                .iter()
-                .position(|&(s, e)| s <= item.0 && item.0 < e)
-                .map(|g| g as u32)
-                .unwrap_or(0),
-        }
+        item.0 % self.n_groups
     }
 
     /// The distinct groups touched by `ops`, in ascending group order.
@@ -259,45 +148,21 @@ impl ShardMap {
 
     /// Number of keys group `g` owns.
     pub fn group_len(&self, g: u32) -> u32 {
-        match &self.strategy {
-            ShardStrategy::Hash => {
-                let n = self.n_items / self.n_groups;
-                n + u32::from(g < self.n_items % self.n_groups)
-            }
-            ShardStrategy::Ranges(ranges) => {
-                let (s, e) = ranges[g as usize];
-                e - s
-            }
-        }
+        let n = self.n_items / self.n_groups;
+        n + u32::from(g < self.n_items % self.n_groups)
     }
 
     /// The `j`-th key of group `g` (closed-form uniform sampling over a
     /// group's key set; `j < group_len(g)`).
     pub fn nth_key(&self, g: u32, j: u32) -> ItemId {
-        match &self.strategy {
-            ShardStrategy::Hash => ItemId(g + j * self.n_groups),
-            ShardStrategy::Ranges(ranges) => ItemId(ranges[g as usize].0 + j),
-        }
+        ItemId(g + j * self.n_groups)
     }
 
     /// Number of keys of group `g` below `limit` (the hot-set prefix a
     /// workload's hotspot targets).
     pub fn group_len_below(&self, g: u32, limit: u32) -> u32 {
         let limit = limit.min(self.n_items);
-        match &self.strategy {
-            ShardStrategy::Hash => {
-                if limit == 0 {
-                    0
-                } else {
-                    let full = limit / self.n_groups;
-                    full + u32::from(g < limit % self.n_groups)
-                }
-            }
-            ShardStrategy::Ranges(ranges) => {
-                let (s, e) = ranges[g as usize];
-                e.min(limit).saturating_sub(s)
-            }
-        }
+        limit / self.n_groups + u32::from(g < limit % self.n_groups)
     }
 }
 
@@ -306,15 +171,13 @@ impl ShardMap {
 // ---------------------------------------------------------------------
 
 /// The sharding configuration a [`SystemBuilder`](crate::SystemBuilder)
-/// carries: group count and routing strategy (resolved into a validated
-/// [`ShardMap`] against the database size at build time) plus the
-/// built-in generator's cross-group transaction fraction.
+/// carries: group count (resolved into a validated [`ShardMap`] against
+/// the database size at build time) plus the built-in generator's
+/// cross-group transaction fraction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSpec {
     /// Number of replica groups (1 = the classic unsharded system).
     pub groups: u32,
-    /// Key → group routing strategy.
-    pub strategy: ShardStrategy,
     /// Fraction of generated transactions that span two groups (built-in
     /// generator only; 0.0 = every transaction stays within one group).
     pub cross_fraction: f64,
@@ -324,7 +187,6 @@ impl Default for ShardSpec {
     fn default() -> Self {
         ShardSpec {
             groups: 1,
-            strategy: ShardStrategy::Hash,
             cross_fraction: 0.0,
         }
     }
@@ -333,17 +195,7 @@ impl Default for ShardSpec {
 impl ShardSpec {
     /// Resolve into a validated [`ShardMap`] over `n_items` keys.
     pub fn resolve(&self, n_items: u32) -> Result<ShardMap, ShardError> {
-        match &self.strategy {
-            ShardStrategy::Hash => ShardMap::hash(self.groups, n_items),
-            ShardStrategy::Ranges(r) => {
-                let map = ShardMap::ranges(r.clone(), n_items)?;
-                if map.n_groups() != self.groups {
-                    // `.shards(n)` and an explicit range list disagree.
-                    return Err(ShardError::EmptyGroup { group: self.groups });
-                }
-                Ok(map)
-            }
-        }
+        ShardMap::hash(self.groups, n_items)
     }
 }
 
@@ -482,39 +334,6 @@ mod tests {
                 assert_eq!(map.group_of(map.nth_key(g, j)), g);
             }
         }
-    }
-
-    #[test]
-    fn range_map_validates_coverage() {
-        assert!(ShardMap::ranges(vec![], 10).is_err());
-        assert_eq!(
-            ShardMap::ranges(vec![(0, 5), (5, 5), (5, 10)], 10).err(),
-            Some(ShardError::EmptyGroup { group: 1 })
-        );
-        assert_eq!(
-            ShardMap::ranges(vec![(0, 4), (6, 10)], 10).err(),
-            Some(ShardError::UnownedKeys { from: 4, to: 6 })
-        );
-        assert_eq!(
-            ShardMap::ranges(vec![(0, 6), (4, 10)], 10).err(),
-            Some(ShardError::OverlappingRanges { key: 4 })
-        );
-        assert_eq!(
-            ShardMap::ranges(vec![(0, 6)], 10).err(),
-            Some(ShardError::UnownedKeys { from: 6, to: 10 })
-        );
-        assert_eq!(
-            ShardMap::ranges(vec![(0, 12)], 10).err(),
-            Some(ShardError::OutOfRange {
-                key: 12,
-                n_items: 10
-            })
-        );
-        let map = ShardMap::ranges(vec![(0, 4), (4, 10)], 10).unwrap();
-        assert_eq!(map.group_of(ItemId(3)), 0);
-        assert_eq!(map.group_of(ItemId(4)), 1);
-        assert_eq!(map.group_len_below(0, 2), 2);
-        assert_eq!(map.group_len_below(1, 2), 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 
 use groupsafe_db::DbEngine;
 use groupsafe_gcs::GcsStats;
-use groupsafe_net::{Network, NodeId};
+use groupsafe_net::{NetConfig, Network, NodeId};
 use groupsafe_sim::{ActorId, Engine, Fnv64, SimTime};
 
 use crate::builder::{GeneratorFactory, SystemBuilder};
@@ -66,7 +66,7 @@ impl System {
         let total_servers = spg * n_groups;
         let mut engine = Engine::new(b.seed);
         engine.set_obs(b.obs);
-        let net = Network::new(b.net.clone());
+        let net = Network::new(NetConfig::default());
         let oracle = Rc::new(RefCell::new(Oracle::default()));
         let mut seeder = StdRng::seed_from_u64(b.seed);
 

@@ -31,11 +31,7 @@ fn open_loop_achieves_offered_load() {
 
 #[test]
 fn closed_loop_achieves_target_at_moderate_load() {
-    let r = run(
-        SafetyLevel::GroupSafe,
-        Load::closed_tps_assuming(24.0, 70.0),
-        2,
-    );
+    let r = run(SafetyLevel::GroupSafe, Load::closed_tps(24.0), 2);
     let ratio = r.achieved_tps / 24.0;
     assert!(
         (0.85..=1.15).contains(&ratio),
@@ -49,11 +45,7 @@ fn closed_loop_self_limits_under_overload() {
     // Group-1-safe at 40 tps is beyond its pipeline capacity: the closed
     // population must saturate below the offered load instead of
     // diverging (this is what bounds the paper's Fig. 9 curve).
-    let r = run(
-        SafetyLevel::GroupOneSafe,
-        Load::closed_tps_assuming(40.0, 70.0),
-        3,
-    );
+    let r = run(SafetyLevel::GroupOneSafe, Load::closed_tps(40.0), 3);
     assert!(
         r.achieved_tps < 34.0,
         "group-1-safe cannot reach 40 tps (achieved {:.1})",

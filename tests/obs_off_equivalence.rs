@@ -3,7 +3,7 @@
 //! disabled, flight-recorder-ring and full-stream modes replay one seed
 //! bit-for-bit — same fingerprint, same commits, same digests.
 
-use groupsafe::core::scenario::fuzz::{run_fuzz_case, FuzzSpec};
+use groupsafe::core::scenario::fuzz::{run_fuzz_case, smoke};
 use groupsafe::core::scenario::OracleViolation;
 use groupsafe::core::{Load, SafetyLevel, System, SystemBuilder};
 use groupsafe::sim::{ObsConfig, SimDuration};
@@ -77,16 +77,16 @@ fn phase_means_reconcile_with_end_to_end_latency() {
 /// can never produce one.
 #[test]
 fn violation_dump_includes_the_flight_recorder_tail() {
-    let clean = run_fuzz_case(3, &FuzzSpec::smoke(SafetyLevel::GroupSafe));
+    let clean = run_fuzz_case(3, smoke(SafetyLevel::GroupSafe));
     assert!(clean.ok(), "{}", clean.describe());
     assert!(
         !clean.flight.is_empty(),
         "the default ring must have recorded the pipeline's tail"
     );
-    // A profile carried by the spec reaches the builder: `off` records
+    // A profile set on the envelope reaches the run: `off` records
     // nothing and replays the same run.
-    let spec = FuzzSpec::smoke(SafetyLevel::GroupSafe).with_obs(ObsConfig::disabled());
-    let off = run_fuzz_case(3, &spec);
+    let envelope = smoke(SafetyLevel::GroupSafe).observe(ObsConfig::disabled());
+    let off = run_fuzz_case(3, envelope);
     assert!(off.flight.is_empty(), "{}", off.flight);
     assert_eq!(off.fingerprint, clean.fingerprint);
     // Seed a violation into a copy of the outcome and check the dump.

@@ -308,12 +308,16 @@ fn lagging_replicas_redirect_session_reads() {
 
 #[test]
 fn read_mixed_fuzz_smoke() {
-    use groupsafe::core::scenario::fuzz::{run_fuzz_case, FuzzSpec};
+    use groupsafe::core::scenario::fuzz::{run_fuzz_case, smoke};
     for level in [ReadLevel::Stable, ReadLevel::Session, ReadLevel::Latest] {
-        let spec = FuzzSpec::smoke(SafetyLevel::GroupSafe).with_reads(level, 0.5);
+        let envelope = || {
+            smoke(SafetyLevel::GroupSafe)
+                .read_level(level)
+                .read_fraction(0.5)
+        };
         let mut reads_audited = 0usize;
         for seed in 0..8 {
-            let out = run_fuzz_case(seed, &spec);
+            let out = run_fuzz_case(seed, envelope());
             assert!(out.ok(), "{level}: {}", out.describe());
             reads_audited += out.audit.reads_audited;
         }
@@ -326,10 +330,14 @@ fn read_mixed_fuzz_smoke() {
 
 #[test]
 fn read_mixed_fuzz_replays_bit_for_bit() {
-    use groupsafe::core::scenario::fuzz::{run_fuzz_case, FuzzSpec};
-    let spec = FuzzSpec::smoke(SafetyLevel::GroupSafe).with_reads(ReadLevel::Session, 0.5);
-    let a = run_fuzz_case(3, &spec);
-    let b = run_fuzz_case(3, &spec);
+    use groupsafe::core::scenario::fuzz::{run_fuzz_case, smoke};
+    let envelope = || {
+        smoke(SafetyLevel::GroupSafe)
+            .read_level(ReadLevel::Session)
+            .read_fraction(0.5)
+    };
+    let a = run_fuzz_case(3, envelope());
+    let b = run_fuzz_case(3, envelope());
     assert_eq!(a.fingerprint, b.fingerprint);
     assert_eq!(a.commits, b.commits);
     assert_eq!(a.audit.reads_audited, b.audit.reads_audited);

@@ -1,10 +1,10 @@
 //! §5.2: "switching between group-1-safe and group-safe can be done
 //! easily at runtime". Run one system, flip every server's safety level
-//! mid-run through the `Run` handle's phase hooks, and verify (a) the
+//! mid-run through the run's scenario plan, and verify (a) the
 //! response-time regime changes accordingly, (b) nothing is lost and the
 //! replicas stay convergent throughout.
 
-use groupsafe::core::{Load, SafetyLevel, ServerEvent, System};
+use groupsafe::core::{Load, SafetyLevel, ScenarioPlan, ServerEvent, System};
 use groupsafe::sim::{SimDuration, SimTime};
 
 #[test]
@@ -17,12 +17,15 @@ fn switching_changes_the_reply_point_live() {
         .measure(SimDuration::from_secs(40))
         .drain(SimDuration::from_secs(2))
         .seed(55)
-        .build()
-        .expect("a valid configuration")
         // Phase 1: group-safe for 12 s. Then switch every server to
         // group-1-safe for 12 s, then back for the rest.
-        .switch_safety_at(SimTime::from_secs(12), SafetyLevel::GroupOneSafe)
-        .switch_safety_at(SimTime::from_secs(24), SafetyLevel::GroupSafe)
+        .scenario(
+            ScenarioPlan::new()
+                .switch_safety(SimTime::from_secs(12), SafetyLevel::GroupOneSafe)
+                .switch_safety(SimTime::from_secs(24), SafetyLevel::GroupSafe),
+        )
+        .build()
+        .expect("a valid configuration")
         .execute();
 
     // The per-phase breakdown names each hook's phase after its label.

@@ -7,7 +7,7 @@
 //! [`FUZZ`]; its pinned rows are cells of `CONTRACT.txt`
 //! (`tests/contract.rs`).
 
-use groupsafe::core::scenario::fuzz::{generate_plan, run_fuzz_case, FuzzSpec};
+use groupsafe::core::scenario::fuzz::{generate_plan, run_fuzz_case, smoke};
 use groupsafe::core::scenario::{audit_scenario, OracleViolation, ScenarioPlan};
 use groupsafe::core::{Load, ReadLevel, SafetyLevel, System, Technique};
 use groupsafe::sim::{SimDuration, SimTime};
@@ -20,24 +20,33 @@ use groupsafe_bench::Flags;
 #[test]
 #[should_panic(expected = "BadProbability { name: \"read_fraction\", value: 1.5 }")]
 fn an_out_of_range_read_fraction_fails_naming_it() {
-    let spec = FuzzSpec::smoke(SafetyLevel::GroupSafe).with_reads(ReadLevel::Session, 1.5);
-    run_fuzz_case(0, &spec);
+    let envelope = smoke(SafetyLevel::GroupSafe).read_level(ReadLevel::Session);
+    run_fuzz_case(0, envelope.read_fraction(1.5));
 }
 
 /// As for reads, so for snapshot-isolation transactions.
 #[test]
 #[should_panic(expected = "BadProbability { name: \"txn_fraction\", value: 1.5 }")]
 fn an_out_of_range_txn_fraction_fails_naming_it() {
-    run_fuzz_case(0, &FuzzSpec::smoke(SafetyLevel::GroupSafe).with_txns(1.5));
+    run_fuzz_case(0, smoke(SafetyLevel::GroupSafe).txn_fraction(1.5));
+}
+
+/// The lazy baseline has no local read path: an envelope that asks for
+/// one at 1-safe is the builder's `UnsupportedReads`, never a run whose
+/// reads silently ride the classic pipeline instead.
+#[test]
+#[should_panic(expected = "UnsupportedReads")]
+fn local_reads_at_1_safe_fail_naming_it() {
+    let envelope = smoke(SafetyLevel::OneSafe).read_level(ReadLevel::Session);
+    run_fuzz_case(0, envelope.read_fraction(0.4));
 }
 
 /// Group-safe and 2-safe runs must satisfy the oracle on every seed.
 #[test]
 fn strong_levels_survive_random_scenarios() {
     for level in [SafetyLevel::GroupSafe, SafetyLevel::TwoSafe] {
-        let spec = FuzzSpec::smoke(level);
         for seed in 0..25 {
-            let out = run_fuzz_case(seed, &spec);
+            let out = run_fuzz_case(seed, smoke(level));
             assert!(out.ok(), "{}", out.describe());
             assert!(out.commits > 0, "seed {seed} never committed");
         }
@@ -50,9 +59,8 @@ fn strong_levels_survive_random_scenarios() {
 #[test]
 fn weak_levels_satisfy_their_accounting_rules() {
     for level in [SafetyLevel::ZeroSafe, SafetyLevel::OneSafe] {
-        let spec = FuzzSpec::smoke(level);
         for seed in 0..10 {
-            let out = run_fuzz_case(seed, &spec);
+            let out = run_fuzz_case(seed, smoke(level));
             assert!(out.ok(), "{}", out.describe());
         }
     }
@@ -65,10 +73,9 @@ fn weak_levels_satisfy_their_accounting_rules() {
 fn fuzz_cases_replay_bit_for_bit() {
     for row in &FUZZ {
         for &(level, _) in row.levels {
-            let spec = (row.envelope)(level);
             let at = format!("{}/{level}", row.name);
-            let a = run_fuzz_case(0, &spec);
-            let b = run_fuzz_case(0, &spec);
+            let a = run_fuzz_case(0, (row.envelope)(level));
+            let b = run_fuzz_case(0, (row.envelope)(level));
             assert_eq!(
                 a.plan, b.plan,
                 "{at}: plan generation must be deterministic"
@@ -80,7 +87,7 @@ fn fuzz_cases_replay_bit_for_bit() {
             assert_eq!(a.commits, b.commits, "{at}");
             assert_ne!(
                 a.plan,
-                generate_plan(1, &spec),
+                generate_plan(1, &(row.envelope)(level)),
                 "{at}: different seeds explore different scenarios"
             );
         }
@@ -136,6 +143,16 @@ fn a_repro_line_parses_back_to_its_case() {
             assert_eq!((r.name, *l, seeds.clone()), (row.name, level, 17..18));
         }
     }
+}
+
+/// A seed range past the last `u64` seed is an error that names the two
+/// flags, not an overflow panic or an empty run reported as no match.
+#[test]
+fn a_seed_range_past_the_last_seed_is_rejected() {
+    let args = ["--start", "18446744073709551615", "--seeds", "2"].map(String::from);
+    let flags = Flags::read(args, &[], &fuzz::FLAGS).expect("known flags");
+    let err = Selection::from_flags(&flags).expect_err("the range overflows");
+    assert!(err.contains("--start") && err.contains("--seeds"), "{err}");
 }
 
 fn lazy_delegate_crash_system() -> (ScenarioPlan, groupsafe::core::System) {

@@ -11,7 +11,7 @@
 //!   group-safe level,
 //! * a sharded scenario-fuzz smoke (seeded, deterministic).
 
-use groupsafe_core::scenario::fuzz::{run_fuzz_case, FuzzSpec};
+use groupsafe_core::scenario::fuzz::{run_fuzz_case, sharded};
 use groupsafe_core::shard::ShardError;
 use groupsafe_core::{audit_scenario, BuildError, Load, SafetyLevel, ScenarioPlan, System};
 use groupsafe_sim::{SimDuration, SimTime};
@@ -64,38 +64,6 @@ fn shards_1_is_fingerprint_identical_to_unsharded() {
 
 #[test]
 fn bad_shard_configurations_are_typed_errors() {
-    // A gap in the ranges: keys 5000..6000 unowned.
-    let err = System::builder()
-        .shard_ranges(vec![(0, 5_000), (6_000, 10_000)])
-        .build()
-        .err();
-    assert_eq!(
-        err,
-        Some(BuildError::Shard(ShardError::UnownedKeys {
-            from: 5_000,
-            to: 6_000
-        }))
-    );
-    // An empty range.
-    let err = System::builder()
-        .shard_ranges(vec![(0, 5_000), (5_000, 5_000), (5_000, 10_000)])
-        .build()
-        .err();
-    assert_eq!(
-        err,
-        Some(BuildError::Shard(ShardError::EmptyGroup { group: 1 }))
-    );
-    // Overlap.
-    let err = System::builder()
-        .shard_ranges(vec![(0, 6_000), (5_000, 10_000)])
-        .build()
-        .err();
-    assert_eq!(
-        err,
-        Some(BuildError::Shard(ShardError::OverlappingRanges {
-            key: 5_000
-        }))
-    );
     // More hash groups than keys.
     let err = System::builder()
         .shards(10)
@@ -295,18 +263,16 @@ fn group_partition_isolates_one_groups_minority() {
 
 #[test]
 fn sharded_fuzz_smoke_10_seeds_group_safe() {
-    let spec = FuzzSpec::sharded(SafetyLevel::GroupSafe, 3);
     for seed in 0..10 {
-        let out = run_fuzz_case(seed, &spec);
+        let out = run_fuzz_case(seed, sharded(SafetyLevel::GroupSafe, 3));
         assert!(out.ok(), "seed {seed}:\n{}", out.describe());
     }
 }
 
 #[test]
 fn sharded_fuzz_replays_bit_for_bit() {
-    let spec = FuzzSpec::sharded(SafetyLevel::GroupSafe, 3);
-    let a = run_fuzz_case(4, &spec);
-    let b = run_fuzz_case(4, &spec);
+    let a = run_fuzz_case(4, sharded(SafetyLevel::GroupSafe, 3));
+    let b = run_fuzz_case(4, sharded(SafetyLevel::GroupSafe, 3));
     assert_eq!(a.fingerprint, b.fingerprint);
     assert_eq!(a.commits, b.commits);
     assert_eq!(a.plan, b.plan);
