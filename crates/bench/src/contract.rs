@@ -1087,23 +1087,67 @@ pub fn declared(text: &str, cells: &[Cell]) -> Result<(), String> {
     collect(errors)
 }
 
+/// The keys whose `key=value` fields differ between two lines of one
+/// cell, in the order they first appear; a differing settings field
+/// counts as the key `settings`.
+pub fn moved_keys(was: &str, now: &str) -> Vec<String> {
+    let fields = |line: &str| -> Vec<(String, String)> {
+        let mut parts = line.splitn(3, " | ");
+        let (_, settings) = (parts.next(), parts.next().unwrap_or(""));
+        let pins = parts.next().unwrap_or("").split_whitespace();
+        let pins = pins.map(|f| match f.split_once('=') {
+            Some((k, v)) => (k.to_string(), v.to_string()),
+            None => (f.to_string(), String::new()),
+        });
+        std::iter::once(("settings".to_string(), settings.to_string()))
+            .chain(pins)
+            .collect()
+    };
+    let (was, now) = (fields(was), fields(now));
+    let value = |fs: &[(String, String)], k: &str| {
+        fs.iter().find(|(key, _)| key == k).map(|(_, v)| v.clone())
+    };
+    let mut keys: Vec<String> = Vec::new();
+    for (k, _) in was.iter().chain(&now) {
+        if !keys.contains(k) && value(&was, k) != value(&now, k) {
+            keys.push(k.clone());
+        }
+    }
+    keys
+}
+
 /// Run `cells` and hold each to its committed line; name every cell that
-/// fails its witnesses, is missing or moved.
+/// fails its witnesses, is missing or moved — for a moved cell, the keys
+/// that differ before its two lines — and end with how often each key
+/// moved across all cells.
 pub fn check(text: &str, cells: &[Cell]) -> Result<(), String> {
     let lines = parse(text)?;
     let mut errors = Vec::new();
+    let mut tally: Vec<(String, usize)> = Vec::new();
     for cell in cells {
         let name = &cell.name;
         match (cell.line(), lines.get(name.as_str())) {
             (Err(e), _) => errors.push(e),
             (Ok(now), None) => errors.push(format!("cell {name} is missing:\n  now: {now}")),
             (Ok(now), Some(&was)) if now != was => {
+                let keys = moved_keys(was, &now);
+                for k in &keys {
+                    match tally.iter_mut().find(|(key, _)| key == k) {
+                        Some((_, n)) => *n += 1,
+                        None => tally.push((k.clone(), 1)),
+                    }
+                }
                 errors.push(format!(
-                    "cell {name} moved:\n  committed: {was}\n  now:       {now}"
+                    "cell {name} moved ({}):\n  committed: {was}\n  now:       {now}",
+                    keys.join(", ")
                 ));
             }
             (Ok(_), Some(_)) => {}
         }
+    }
+    if !tally.is_empty() {
+        let moved: Vec<String> = tally.iter().map(|(k, n)| format!("{k} ×{n}")).collect();
+        errors.push(format!("moved keys: {}", moved.join(", ")));
     }
     collect(errors)
 }

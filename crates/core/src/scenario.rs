@@ -198,12 +198,20 @@ pub enum ScenarioEvent {
 }
 
 impl ScenarioEvent {
-    /// Short static label for phase marks and progress dumps.
+    /// Short static label for phase marks and progress dumps; a safety
+    /// switch is labelled by its target level.
     pub fn label(&self) -> &'static str {
         match self {
             ScenarioEvent::Crash { .. } => "crash",
             ScenarioEvent::Recover { .. } => "recover",
-            ScenarioEvent::SwitchSafety { .. } => "switch-safety",
+            ScenarioEvent::SwitchSafety { level } => match level {
+                SafetyLevel::ZeroSafe => "switch-safety:0-safe",
+                SafetyLevel::OneSafe => "switch-safety:1-safe",
+                SafetyLevel::GroupSafe => "switch-safety:group-safe",
+                SafetyLevel::GroupOneSafe => "switch-safety:group-1-safe",
+                SafetyLevel::TwoSafe => "switch-safety:2-safe",
+                SafetyLevel::VerySafe => "switch-safety:very-safe",
+            },
             ScenarioEvent::Partition { .. } => "partition",
             ScenarioEvent::Heal => "heal",
             ScenarioEvent::KillSequencer { .. } => "kill-sequencer",

@@ -124,7 +124,7 @@ fn the_contract_holds_every_declared_cell_once() {
 }
 
 /// Negative controls: one digit changed in one cell's line fails the
-/// check and names the cell; a missing, a duplicate and an undeclared
+/// check and names the cell and the key that moved; a missing, a duplicate and an undeclared
 /// cell are errors that name it.
 #[test]
 fn a_changed_missing_duplicate_or_undeclared_cell_is_an_error() {
@@ -145,9 +145,13 @@ fn a_changed_missing_duplicate_or_undeclared_cell_is_an_error() {
         &COMMITTED.replace(line, &changed),
         std::slice::from_ref(cell),
     );
-    assert!(err
-        .expect_err("a moved cell")
-        .contains(&format!("cell {name} moved")));
+    let err = err.expect_err("a moved cell");
+    assert!(err.contains(&format!("cell {name} moved (dispatched):")));
+    assert!(err.ends_with("moved keys: dispatched ×1"), "{err}");
+    assert_eq!(
+        contract::moved_keys("a | s=1 | x=1 y=2", "a | s=2 | x=1 y=3 z=4"),
+        ["settings", "y", "z"]
+    );
 
     let line = format!("{line}\n");
     let missing = contract::declared(&COMMITTED.replace(&line, ""), &cells);

@@ -29,7 +29,16 @@ fn switching_changes_the_reply_point_live() {
         .execute();
 
     // The per-phase breakdown names each hook's phase after its label.
-    assert_eq!(report.phases.len(), 4, "measure + 2 switches + drain");
+    let labels: Vec<&str> = report.phases.iter().map(|p| p.label).collect();
+    assert_eq!(
+        labels,
+        [
+            "measure",
+            "switch-safety:group-1-safe",
+            "switch-safety:group-safe",
+            "drain"
+        ]
+    );
     let gs1 = &report.phases[0];
     let g1s = &report.phases[1];
     let gs2 = &report.phases[2];
