@@ -384,6 +384,7 @@ pub fn cells() -> Vec<Cell> {
         let plan = ScenarioPlan::new().crash_for(ms(1_500), victim, down);
         cells.push(detector("rejoin", n, seed, plan, 6_000, &rejoin));
     }
+    cells.push(census());
     for (name, sc, loses) in crash_shapes() {
         let lost = if loses { LOSES } else { KEEPS };
         cells.push(crash(format!("crash/{name}"), vec![sc], Some(lost)));
@@ -492,6 +493,43 @@ fn detector(
         name: format!("detector/{path}/n{n}"),
         settings: settings.split_whitespace().collect::<Vec<_>>().join(" "),
         witnesses: stable.iter().chain(fired).copied().collect(),
+        run: Box::new(run),
+    }
+}
+
+/// `perf`'s Table 4 system — 9 servers, group-safe, 4 clients a server
+/// at 30 tps open, 1 s warm-up, 10 s measured, 2 s drain — with the
+/// kernel's dispatches counted by message kind: where a fault-free run's
+/// events go.
+fn census() -> Cell {
+    let secs = SimDuration::from_secs;
+    let run = move || {
+        let mut run = build(
+            System::builder()
+                .servers(9)
+                .clients_per_server(4)
+                .safety(SafetyLevel::GroupSafe)
+                .batching(BatchConfig::unbatched())
+                .load(Load::open_tps(30.0))
+                .client_timeout(secs(5))
+                .warmup(secs(1))
+                .measure(secs(10))
+                .drain(secs(2))
+                .seed(42),
+        )?;
+        run.run_until(SimTime::from_secs(13));
+        let system = run.system();
+        let mut o = Outcome::new(system.engine.fingerprint(), &[]);
+        o.dispatched = Some(system.engine.dispatched());
+        o.count(system.engine.census());
+        let r = run.finish();
+        o.count([("lost", r.lost as u64), ("acked", r.acked as u64)]);
+        Ok(o.with_report(&r))
+    };
+    Cell {
+        name: "census/table4".to_string(),
+        settings: "safety=group-safe servers=9 clients=36 tps=30 seed=42".to_string(),
+        witnesses: vec![ACKED, exactly("lost", 0)],
         run: Box::new(run),
     }
 }

@@ -276,7 +276,53 @@ pub enum CoreMsg {
     Client(ClientEvent),
 }
 
-impl Message for CoreMsg {}
+impl Message for CoreMsg {
+    fn kind(&self) -> &'static str {
+        match self {
+            CoreMsg::Server(ev) => ev.kind(),
+            CoreMsg::Client(ev) => ev.kind(),
+        }
+    }
+}
+
+impl ServerEvent {
+    /// The event's kind, for an engine census.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            ServerEvent::Init => "server.init",
+            ServerEvent::Restart(_) => "server.restart",
+            ServerEvent::SwitchSafety(_) => "server.switch-safety",
+            ServerEvent::InstallCheckpoint(_) => "server.install-checkpoint",
+            ServerEvent::Wire(inc) => inc.msg.kind(),
+            ServerEvent::Heartbeat(_) => "gcs.wire.heartbeat",
+            ServerEvent::Request(_) => "server.request",
+            ServerEvent::Read(_) => "server.read",
+            ServerEvent::Confirm(_) => "server.confirm",
+            ServerEvent::Lazy(_) => "server.lazy",
+            ServerEvent::XgSub(_) => "server.xg-sub",
+            ServerEvent::XgVote(_) => "server.xg-vote",
+            ServerEvent::XgDecision(_) => "server.xg-decision",
+            ServerEvent::XgStatusQuery(_) => "server.xg-status-query",
+            ServerEvent::Gcs(timer) => timer.kind(),
+            ServerEvent::Timer(timer) => timer.kind(),
+        }
+    }
+}
+
+impl ClientEvent {
+    /// The event's kind, for an engine census.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            ClientEvent::Start => "client.start",
+            ClientEvent::Stop => "client.stop",
+            ClientEvent::Reply(_) => "client.reply",
+            ClientEvent::ReadReply(_) => "client.read-reply",
+            ClientEvent::Timer(ClientTimer::Arrival) => "client.timer.arrival",
+            ClientEvent::Timer(ClientTimer::Timeout { .. }) => "client.timer.timeout",
+            ClientEvent::Timer(ClientTimer::Resubmit { .. }) => "client.timer.resubmit",
+        }
+    }
+}
 
 /// What a replica server receives.
 #[derive(Debug, Clone)]

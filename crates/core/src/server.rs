@@ -259,6 +259,26 @@ pub enum ServerTimer {
     },
 }
 
+impl ServerTimer {
+    /// The timer's kind, for an engine census.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            ServerTimer::ExecDone(_) => "server.timer.exec-done",
+            ServerTimer::WalFlushTick => "server.timer.wal-flush",
+            ServerTimer::WalDurable(_) => "server.timer.wal-durable",
+            ServerTimer::PageFlushTick => "server.timer.page-flush",
+            ServerTimer::LazyPropTick => "server.timer.lazy-prop",
+            ServerTimer::Reply { .. } => "server.timer.reply",
+            ServerTimer::ReadReplyAt { .. } => "server.timer.read-reply",
+            ServerTimer::ReadWaitTimeout { .. } => "server.timer.read-wait-timeout",
+            ServerTimer::TxnWaitTimeout { .. } => "server.timer.txn-wait-timeout",
+            ServerTimer::XgVoteAt { .. } => "server.timer.xg-vote",
+            ServerTimer::XgProbe { .. } => "server.timer.xg-probe",
+            ServerTimer::XgRoundTimeout { .. } => "server.timer.xg-round-timeout",
+        }
+    }
+}
+
 /// How long a prepare's delegate waits for the decision before probing
 /// the coordinator's group for it.
 const XG_PROBE_DELAY: SimDuration = SimDuration::from_millis(300);

@@ -68,7 +68,19 @@ pub enum HostMsg {
     Processed,
 }
 
-impl Message for HostMsg {}
+impl Message for HostMsg {
+    fn kind(&self) -> &'static str {
+        match self {
+            HostMsg::Init => "host.init",
+            HostMsg::Broadcast(_) => "host.broadcast",
+            HostMsg::RestartGroup(_) => "host.restart-group",
+            HostMsg::Wire(inc) => inc.msg.kind(),
+            HostMsg::Heartbeat(_) => "gcs.wire.heartbeat",
+            HostMsg::Gcs(timer) => timer.kind(),
+            HostMsg::Processed => "host.processed",
+        }
+    }
+}
 
 impl From<Incoming<HostWire>> for HostMsg {
     fn from(inc: Incoming<HostWire>) -> Self {

@@ -246,6 +246,49 @@ pub enum GcsTimer {
     },
 }
 
+impl<P, S> Wire<P, S> {
+    /// The message's kind, for an engine census.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Wire::Forward { .. } => "gcs.wire.forward",
+            Wire::Ordered { .. } => "gcs.wire.ordered",
+            Wire::OrderedBatch { .. } => "gcs.wire.ordered-batch",
+            Wire::Ack { .. } => "gcs.wire.ack",
+            Wire::AckRange { .. } => "gcs.wire.ack-range",
+            Wire::Heartbeat => "gcs.wire.heartbeat",
+            Wire::ViewStart { .. } => "gcs.wire.view-start",
+            Wire::SyncReply { .. } => "gcs.wire.sync-reply",
+            Wire::SyncFetch { .. } => "gcs.wire.sync-fetch",
+            Wire::SyncEntries { .. } => "gcs.wire.sync-entries",
+            Wire::Retransmit { .. } => "gcs.wire.retransmit",
+            Wire::NewView { .. } => "gcs.wire.new-view",
+            Wire::NotInView { .. } => "gcs.wire.not-in-view",
+            Wire::JoinReq { .. } => "gcs.wire.join-req",
+            Wire::StateTransfer { .. } => "gcs.wire.state-transfer",
+            Wire::CatchUpReq { .. } => "gcs.wire.catch-up-req",
+            Wire::CatchUp { .. } => "gcs.wire.catch-up",
+        }
+    }
+}
+
+impl GcsTimer {
+    /// The timer's kind, for an engine census.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            GcsTimer::Heartbeat => "gcs.timer.heartbeat",
+            GcsTimer::Persisted { .. } => "gcs.timer.persisted",
+            GcsTimer::ViewChangeRetry { .. } => "gcs.timer.view-change-retry",
+            GcsTimer::JoinRetry { .. } => "gcs.timer.join-retry",
+            GcsTimer::ResendPending => "gcs.timer.resend-pending",
+            GcsTimer::GapRepair => "gcs.timer.gap-repair",
+            GcsTimer::SeqResume => "gcs.timer.seq-resume",
+            GcsTimer::ResumeRetry => "gcs.timer.resume-retry",
+            GcsTimer::BatchFlush { .. } => "gcs.timer.batch-flush",
+            GcsTimer::BatchPersisted { .. } => "gcs.timer.batch-persisted",
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

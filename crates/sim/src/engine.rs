@@ -141,7 +141,34 @@ impl<T: Any> Wrap<T> for Payload {
 /// carries, which is all [`Wrap`] needs. A fan-out clones it once per
 /// extra target, so a variant that travels by multicast holds an `Rc`
 /// and clones by bumping a count.
-pub trait Message: Clone + 'static {}
+pub trait Message: Clone + 'static {
+    /// What kind of event this is, for [`Engine::census`]: a short static
+    /// name such as `"gcs.wire.ack"`. Every value is one kind unless the
+    /// system names its variants.
+    fn kind(&self) -> &'static str {
+        "event"
+    }
+}
+
+/// What the kernel reads off any message it dispatches: its kind, for
+/// [`Engine::census`]. A typed [`Message`] names its own; a boxed
+/// [`Payload`] is one kind.
+pub trait Kind {
+    /// The kind [`Engine::census`] counts this message under.
+    fn kind_of(&self) -> &'static str;
+}
+
+impl Kind for Payload {
+    fn kind_of(&self) -> &'static str {
+        "payload"
+    }
+}
+
+impl<M: Message> Kind for M {
+    fn kind_of(&self) -> &'static str {
+        self.kind()
+    }
+}
 
 impl<T, M: Message + From<T>> Wrap<T> for M {
     fn wrap(value: T) -> M {
@@ -412,6 +439,9 @@ pub struct Kernel<M> {
     pub obs: Obs,
     fingerprint: Fnv64,
     dispatched: u64,
+    /// Dispatches by message kind, in order of first appearance; a kind
+    /// is found by the address of its name.
+    census: Vec<(&'static str, u64)>,
     halted: bool,
 }
 
@@ -435,6 +465,7 @@ impl<M> Kernel<M> {
             obs: Obs::default(),
             fingerprint: Fnv64::new(),
             dispatched: 0,
+            census: Vec::new(),
             halted: false,
         }
     }
@@ -509,6 +540,14 @@ impl<M> Kernel<M> {
                 msg,
             },
         );
+    }
+
+    /// Count one dispatch of kind `kind`.
+    fn count(&mut self, kind: &'static str) {
+        match self.census.iter_mut().find(|(k, _)| std::ptr::eq(*k, kind)) {
+            Some((_, n)) => *n += 1,
+            None => self.census.push((kind, 1)),
+        }
     }
 
     /// Write the current instant into `target`'s latch cell `slot`.
@@ -672,7 +711,9 @@ impl<M: 'static> Engine<M> {
     /// plus two words, so a variant of `M` larger than its slot share is
     /// boxed by the system that defines it.
     pub const SLOT_BYTES: usize = std::mem::size_of::<Option<EventKind<M>>>();
+}
 
+impl<M: Kind + 'static> Engine<M> {
     /// Create an engine for messages of type `M`, its RNG streams derived
     /// from `seed`, scheduled by the timing wheel.
     pub fn new(seed: u64) -> Self {
@@ -818,8 +859,15 @@ impl<M: 'static> Engine<M> {
         self.kernel.fingerprint.mix(self.kernel.now.as_nanos());
         self.kernel.fingerprint.mix(target.0 as u64);
         match latch {
-            Some(slot) if self.kernel.latching[idx] => self.kernel.latch(target, slot),
-            _ => self.call(target, |actor, ctx| actor.on_event(ctx, msg())),
+            Some(slot) if self.kernel.latching[idx] => {
+                self.kernel.count("latch");
+                self.kernel.latch(target, slot)
+            }
+            _ => {
+                let msg = msg();
+                self.kernel.count(msg.kind_of());
+                self.call(target, |actor, ctx| actor.on_event(ctx, msg));
+            }
         }
     }
 
@@ -891,6 +939,16 @@ impl<M: 'static> Engine<M> {
     /// Number of events dispatched so far.
     pub fn dispatched(&self) -> u64 {
         self.kernel.dispatched
+    }
+
+    /// The events dispatched so far by [`Message::kind`], in name order;
+    /// the counts add up to [`Engine::dispatched`].
+    pub fn census(&self) -> std::collections::BTreeMap<&'static str, u64> {
+        let mut census = std::collections::BTreeMap::new();
+        for &(kind, n) in &self.kernel.census {
+            *census.entry(kind).or_insert(0) += n;
+        }
+        census
     }
 
     /// The shared metrics registry.

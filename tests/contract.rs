@@ -11,8 +11,9 @@ const COMMITTED: &str = include_str!("../CONTRACT.txt");
 /// The name prefixes the tests below check: together every cell. The
 /// tests run two at a time, in name order, so each is sized — and the
 /// long ones named — for the two queues to end together.
-const FAMILIES: [&str; 18] = [
+const FAMILIES: [&str; 19] = [
     "fanout/",
+    "census/",
     "detector/retract/",
     "detector/not-in-view/",
     "detector/rejoin/",
@@ -40,10 +41,11 @@ fn check(families: &[&str]) {
 }
 
 /// The whole stack at six levels × n ∈ {3, 5, 9}: no delivery moved
-/// since each receiver of a multicast had a queue record of its own.
+/// since each receiver of a multicast had a queue record of its own; and
+/// the Table 4 system's dispatches by kind.
 #[test]
 fn fingerprints_match_the_per_receiver_kernel() {
-    check(&FAMILIES[..1]);
+    check(&FAMILIES[..2]);
 }
 
 /// The detector cells, where a heartbeat does more than refresh a
@@ -51,53 +53,53 @@ fn fingerprints_match_the_per_receiver_kernel() {
 /// partition no side holds a majority of.
 #[test]
 fn suspicion_by_silence_is_retracted_by_a_heartbeat() {
-    check(&FAMILIES[1..2]);
+    check(&FAMILIES[2..3]);
 }
 
 /// An excluded minority's heartbeats draw `NotInView`; it rejoins.
 #[test]
 fn exclusion_then_not_in_view_re_merges_after_the_heal() {
-    check(&FAMILIES[2..3]);
+    check(&FAMILIES[3..4]);
 }
 
 /// A crashed member rejoins under a fresh incarnation.
 #[test]
 fn crash_and_recovery_rejoin_the_view() {
-    check(&FAMILIES[3..4]);
+    check(&FAMILIES[4..5]);
 }
 
 #[test]
 fn crash_and_parting_read_cells_match_the_contract() {
-    check(&FAMILIES[4..6]);
+    check(&FAMILIES[5..7]);
 }
 
 #[test]
 fn fuzz_row_cells_match_the_contract() {
-    check(&FAMILIES[6..8]);
+    check(&FAMILIES[7..9]);
 }
 
 #[test]
 fn fuzz_sharded_row_cells_match_the_contract() {
-    check(&FAMILIES[8..9]);
+    check(&FAMILIES[9..10]);
 }
 
 #[test]
 fn fuzz_read_and_txn_row_cells_match_the_contract() {
-    check(&FAMILIES[9..11]);
+    check(&FAMILIES[10..12]);
 }
 
 /// The paper's Tables 1–3 as crash shapes, each cell with the loss its
 /// table claims.
 #[test]
 fn claim_cells_match_the_contract() {
-    check(&FAMILIES[11..12]);
+    check(&FAMILIES[12..13]);
 }
 
 /// Fig. 5 and Fig. 7 on the gcs harness, §6's costs, §7's risk against n
 /// and the §5.1 ablations, each held to the witnesses that state it.
 #[test]
 fn claim_cells_beyond_the_tables_match_the_contract() {
-    check(&FAMILIES[12..17]);
+    check(&FAMILIES[13..18]);
 }
 
 /// Fig. 9's shape: group-safe < lazy < group-1-safe at low load, lazy no
@@ -105,7 +107,7 @@ fn claim_cells_beyond_the_tables_match_the_contract() {
 /// The contract's longest cell: 33 runs of the Table 4 system.
 #[test]
 fn claim_fig9_cell_matches_the_contract() {
-    check(&FAMILIES[17..]);
+    check(&FAMILIES[18..]);
 }
 
 #[test]
