@@ -345,10 +345,10 @@ pub enum ServerEvent {
     InstallCheckpoint(Box<DbCheckpoint>),
     /// Group-communication traffic other than heartbeats.
     Wire(Rc<Incoming<RWire>>),
-    /// A failure-detector heartbeat from this node: the most frequent
-    /// message of all, so it travels without an allocation, and most
-    /// often as a kernel latch write instead (see
-    /// `ReplicaServer::publish_latching`).
+    /// A failure-detector heartbeat from this node: it travels without
+    /// an allocation, and only while the server does not hear beacons —
+    /// in steady state heartbeats are accounted, not sent (see
+    /// `ReplicaServer::publish_beacons`).
     Heartbeat(NodeId),
     /// A client's transaction, for this server as its delegate.
     Request(Box<TxnRequest>),

@@ -380,6 +380,13 @@ pub struct ReplicaServer {
     /// when the apply pipeline frees up (the next delivery's processing
     /// starts no earlier).
     apply_cursor: SimTime,
+    /// An instant of the WAL flush grid: the init or recovery instant.
+    /// A flush tick fires only at `wal_grid + k × wal_flush_interval`.
+    wal_grid: SimTime,
+    /// The instant of the queued `WalFlushTick`, while it is still due:
+    /// it is armed when the first record enters an empty buffer, never
+    /// to find nothing to flush.
+    wal_due: Option<SimTime>,
     /// (record lsn, gcs seq) pairs awaiting durability before `ack(m)`
     /// (2-safe and very-safe).
     pending_acks: Vec<(Lsn, u64)>,
@@ -522,6 +529,8 @@ impl ReplicaServer {
             execs: std::collections::BTreeMap::new(),
             applied_seq: 0,
             apply_cursor: SimTime::ZERO,
+            wal_grid: SimTime::ZERO,
+            wal_due: None,
             pending_acks: Vec::new(),
             pending_confirms: Vec::new(),
             very_waiting: std::collections::BTreeMap::new(),
@@ -695,7 +704,7 @@ impl ReplicaServer {
         if let Some(gcs) = &mut self.gcs {
             gcs.start(ctx);
         }
-        ctx.timer(self.cfg.wal_flush_interval, ServerTimer::WalFlushTick);
+        self.wal_grid = ctx.now();
         ctx.timer(self.cfg.page_flush_interval, ServerTimer::PageFlushTick);
         if self.technique == Technique::Lazy {
             ctx.timer(self.cfg.lazy_prop_interval, ServerTimer::LazyPropTick);
@@ -2261,13 +2270,7 @@ impl ReplicaServer {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, CoreMsg>, t: ServerTimer) {
         match t {
             ServerTimer::ExecDone(txn) => self.on_exec_done(ctx, txn),
-            ServerTimer::WalFlushTick => {
-                if let Some((done, lsn)) = self.db.flush_wal(ctx.now()) {
-                    let delay = done - ctx.now();
-                    ctx.timer(delay, ServerTimer::WalDurable(lsn));
-                }
-                ctx.timer(self.cfg.wal_flush_interval, ServerTimer::WalFlushTick);
-            }
+            ServerTimer::WalFlushTick => self.flush_wal_if_due(ctx),
             ServerTimer::WalDurable(lsn) => {
                 ctx.emit(|| ObsEvent::WalSync { lsn });
                 self.db.wal_mark_durable(lsn);
@@ -2304,6 +2307,12 @@ impl ReplicaServer {
                 }
             }
             ServerTimer::PageFlushTick => {
+                // A WAL tick at this instant was queued one WAL interval
+                // ago when it ran every interval, so it came first when
+                // that interval is the longer: it still does.
+                if self.cfg.wal_flush_interval >= self.cfg.page_flush_interval {
+                    self.flush_wal_if_due(ctx);
+                }
                 self.db.flush_pages(ctx.now());
                 // Multi-version retention is bounded by the group-stable
                 // watermark: snapshots below it are unreachable by any
@@ -2436,18 +2445,46 @@ impl ReplicaServer {
 }
 
 impl ReplicaServer {
-    /// Tell the kernel whether a heartbeat may reach this server as a
-    /// latch write instead of an event: only while the endpoint says a
+    /// Tell the network whether a heartbeat to this server may be a
+    /// beacon, accounted but not sent: only while the endpoint says a
     /// heartbeat could only refresh a timestamp, and no parked read or
     /// transaction waits. Every group-communication event retries those
     /// (see `handle_gcs_outputs`), and a heartbeat may be the one that
     /// serves them: a restart or a checkpoint install raises the state
     /// floor without draining them.
-    fn publish_latching(&self, ctx: &mut Ctx<'_, CoreMsg>) {
-        let latch = self.gcs.as_ref().is_some_and(|g| g.latches_heartbeats())
-            && self.parked_reads.is_empty()
-            && self.parked_txns.is_empty();
-        ctx.set_latching(latch);
+    fn publish_beacons(&self, ctx: &mut Ctx<'_, CoreMsg>) {
+        if let Some(gcs) = &self.gcs {
+            let receptive = self.parked_reads.is_empty() && self.parked_txns.is_empty();
+            gcs.publish_beacons(ctx, receptive);
+        }
+    }
+
+    /// Arm the background WAL flush at the next instant of its grid once
+    /// a record waits for it: the tick a record would meet, at the
+    /// instant it always fires, while a tick with nothing to flush is
+    /// never queued.
+    fn arm_wal_flush(&mut self, ctx: &mut Ctx<'_, CoreMsg>) {
+        if self.wal_due.is_some() || !self.db.wal_has_unflushed() {
+            return;
+        }
+        let interval = self.cfg.wal_flush_interval;
+        let k = ctx.now().since(self.wal_grid).as_nanos() / interval.as_nanos().max(1);
+        let at = self.wal_grid + interval * (k + 1);
+        ctx.timer(at - ctx.now(), ServerTimer::WalFlushTick);
+        self.wal_due = Some(at);
+    }
+
+    /// The background WAL flush due now, if it has not run yet: group
+    /// commit of every record no flush covers.
+    fn flush_wal_if_due(&mut self, ctx: &mut Ctx<'_, CoreMsg>) {
+        if self.wal_due != Some(ctx.now()) {
+            return;
+        }
+        self.wal_due = None;
+        if let Some((done, lsn)) = self.db.flush_wal(ctx.now()) {
+            let delay = done - ctx.now();
+            ctx.timer(delay, ServerTimer::WalDurable(lsn));
+        }
     }
 
     fn on_server_event(&mut self, ctx: &mut Ctx<'_, CoreMsg>, ev: ServerEvent) {
@@ -2508,7 +2545,8 @@ impl Actor<CoreMsg> for ReplicaServer {
             CoreMsg::Server(ev) => self.on_server_event(ctx, ev),
             CoreMsg::Client(_) => ctx.metrics().incr("misrouted"),
         }
-        self.publish_latching(ctx);
+        self.arm_wal_flush(ctx);
+        self.publish_beacons(ctx);
     }
 
     fn on_crash(&mut self, ctx: &mut Ctx<'_, CoreMsg>) {
@@ -2533,6 +2571,7 @@ impl Actor<CoreMsg> for ReplicaServer {
         self.cpu.borrow_mut().reset(ctx.now());
         self.log_disk.borrow_mut().reset(ctx.now());
         self.data_disk.borrow_mut().reset(ctx.now());
+        self.wal_due = None;
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<'_, CoreMsg>) {
@@ -2550,7 +2589,7 @@ impl Actor<CoreMsg> for ReplicaServer {
             gcs.on_recover(ctx, &mut outputs);
         }
         self.handle_gcs_outputs(ctx, outputs);
-        ctx.timer(self.cfg.wal_flush_interval, ServerTimer::WalFlushTick);
+        self.wal_grid = ctx.now();
         ctx.timer(self.cfg.page_flush_interval, ServerTimer::PageFlushTick);
         if self.technique == Technique::Lazy {
             ctx.timer(self.cfg.lazy_prop_interval, ServerTimer::LazyPropTick);
@@ -2559,7 +2598,8 @@ impl Actor<CoreMsg> for ReplicaServer {
         // back (their timers died with the crash).
         self.rearm_xg_probes(ctx);
         ctx.metrics().incr("server_recoveries");
-        self.publish_latching(ctx);
+        self.arm_wal_flush(ctx);
+        self.publish_beacons(ctx);
     }
 
     fn name(&self) -> &str {

@@ -67,6 +67,7 @@ impl System {
         let mut engine = Engine::new(b.seed);
         engine.set_obs(b.obs);
         let net = Network::new(NetConfig::default());
+        net.attach(engine.watch());
         let oracle = Rc::new(RefCell::new(Oracle::default()));
         let mut seeder = StdRng::seed_from_u64(b.seed);
 

@@ -695,6 +695,12 @@ impl DbEngine {
             .take_durable(|rec| redo.get_or_insert_with(|| Redo::empty(n_items)).apply(&rec));
     }
 
+    /// True when WAL records wait that no flush covers yet (see
+    /// [`Wal::has_unflushed`](crate::wal::Wal::has_unflushed)).
+    pub fn wal_has_unflushed(&self) -> bool {
+        self.wal.has_unflushed()
+    }
+
     /// LSN after the last appended record.
     pub fn wal_end_lsn(&self) -> Lsn {
         self.wal.end_lsn()

@@ -209,6 +209,12 @@ impl Wal {
         self.log.len() as Lsn
     }
 
+    /// True when records wait that no flush covers yet: a background
+    /// flush would find something to write.
+    pub fn has_unflushed(&self) -> bool {
+        self.log.len() > self.flushing
+    }
+
     /// Records at or above this LSN are not yet durable.
     pub fn durable_lsn(&self) -> Lsn {
         self.durable as Lsn

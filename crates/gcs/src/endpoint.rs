@@ -248,8 +248,8 @@ pub struct GcsEndpoint<P, S> {
     max_seq_seen: u64,
     /// Failure detector bookkeeping: when each member of the static
     /// group was last heard, by rank (`SimTime::ZERO`: not since start
-    /// or the last crash), other than by a latched heartbeat — those
-    /// the kernel keeps, and [`GcsEndpoint::heard`] reads both.
+    /// or the last crash), other than by a beacon — those the network
+    /// works out, and [`GcsEndpoint::heard`] reads both.
     last_heard: Vec<SimTime>,
     /// The suspected members of the view, as a mask over their ranks in
     /// the static group (like the log's vote masks).
@@ -287,6 +287,11 @@ pub struct GcsEndpoint<P, S> {
     /// The recovering sequencer may not assign sequence numbers until it
     /// has heard catch-up replies from a majority (static model).
     seq_resume_votes: Option<BTreeSet<NodeId>>,
+    /// Heartbeat timer chains running: one from `start` or `on_recover`,
+    /// and one more per `restart_group`, which arms a second beside the
+    /// first. Only a single chain beats on one grid, so only it sends
+    /// beacons and parks. A crash stops them all.
+    hb_chains: u32,
     stats: GcsStats,
 
     // ---- survives crashes ----
@@ -372,6 +377,7 @@ where
             gap_repair_armed: false,
             gap_repair_head: 0,
             seq_resume_votes: None,
+            hb_chains: 0,
             stats: GcsStats::default(),
             generation: 0,
             stable: BTreeMap::new(),
@@ -418,13 +424,30 @@ where
         self.rank(node).map_or(0, |rank| 1 << rank)
     }
 
-    /// When the member of rank `rank` was last heard: by any message
-    /// this endpoint handled, or by a heartbeat the kernel latched for it
-    /// (see [`GcsEndpoint::latches_heartbeats`]).
-    fn heard<M>(&self, ctx: &Ctx<'_, M>, rank: usize) -> SimTime {
+    /// When the member of rank `rank` was last heard, by `now`: by any
+    /// message this endpoint handled, or by a beacon (see
+    /// [`GcsEndpoint::hears_beacons`]).
+    fn heard(&self, now: SimTime, rank: usize) -> SimTime {
         let handled = self.last_heard.get(rank).copied();
-        let latched = self.group.get(rank).map(|p| ctx.latched(p.0));
-        handled.max(latched).unwrap_or(SimTime::ZERO)
+        let beacon = self
+            .group
+            .get(rank)
+            .map(|&p| self.net.heard(p, self.me, now));
+        handled.max(beacon).unwrap_or(SimTime::ZERO)
+    }
+
+    /// When each member of the static group was last heard by `now`, by
+    /// rank (inspection helper).
+    pub fn heard_by_rank(&self, now: SimTime) -> Vec<SimTime> {
+        (0..self.group.len())
+            .map(|rank| self.heard(now, rank))
+            .collect()
+    }
+
+    /// The suspected members of the view, as a mask over their ranks in
+    /// the static group (inspection helper).
+    pub fn suspicion_mask(&self) -> u64 {
+        self.suspected
     }
 
     fn is_suspected(&self, node: NodeId) -> bool {
@@ -443,16 +466,24 @@ where
     /// True when a heartbeat from any peer could only refresh the time
     /// it was last heard: the view-based endpoint is joined, suspects no
     /// one, and its view covers the whole static group, so the heartbeat
-    /// retracts no suspicion and draws no `NotInView`. A host republishes
-    /// this to the kernel after every event with [`Ctx::set_latching`];
-    /// the heartbeats then arrive not as events but as latch writes at
-    /// the sender's node index, which the failure detector reads back
-    /// with [`Ctx::latched`].
-    pub fn latches_heartbeats(&self) -> bool {
+    /// retracts no suspicion and draws no `NotInView`. Its peers'
+    /// heartbeats may then be beacons, which the network accounts but
+    /// does not send (see [`Network::beat`]).
+    pub fn hears_beacons(&self) -> bool {
         self.cfg.model == GcsModel::ViewBased
             && self.joined
             && self.suspected == 0
             && self.quorum.mask.count_ones() as usize == self.group.len()
+    }
+
+    /// Tell the network whether heartbeats to this endpoint may be
+    /// beacons: while it [hears beacons](GcsEndpoint::hears_beacons) and
+    /// its host, `receptive`, has nothing a heartbeat could unblock. A
+    /// host publishes this after every event it handles.
+    pub fn publish_beacons<M: GcsMessage<P, S>>(&self, ctx: &mut Ctx<'_, M>, receptive: bool) {
+        let on = receptive && self.hears_beacons();
+        self.net
+            .set_quiet(ctx, self.me, on, || Wire::<P, S>::Heartbeat);
     }
 
     /// This endpoint's node id.
@@ -545,6 +576,7 @@ where
         }
         self.last_heard.fill(ctx.now());
         if self.cfg.model == GcsModel::ViewBased {
+            self.hb_chains = 1;
             ctx.timer(self.cfg.hb_interval, GcsTimer::Heartbeat);
         }
     }
@@ -1465,12 +1497,16 @@ where
         ctx: &mut Ctx<'_, M>,
         out: &mut Vec<GcsOutput<P, S>>,
     ) {
+        let period = self.cfg.hb_interval;
         if !self.joined {
-            ctx.timer(self.cfg.hb_interval, GcsTimer::Heartbeat);
+            ctx.timer(period, GcsTimer::Heartbeat);
             return;
         }
-        self.net
-            .multicast_latched(ctx, self.me, &self.peers, Wire::<P, S>::Heartbeat);
+        let beacons = self.hb_chains == 1;
+        let heartbeat = Wire::<P, S>::Heartbeat;
+        let quiet = self
+            .net
+            .beat(ctx, self.me, &self.peers, heartbeat, period, beacons);
         let now = ctx.now();
         let was = self.suspected;
         // The view's other unsuspected members, by rank.
@@ -1478,7 +1514,7 @@ where
         while unsuspected != 0 {
             let rank = unsuspected.trailing_zeros() as usize;
             unsuspected &= unsuspected - 1;
-            if now.since(self.heard(ctx, rank)) > self.cfg.hb_timeout {
+            if now.since(self.heard(now, rank)) > self.cfg.hb_timeout {
                 self.suspected |= 1 << rank;
             }
         }
@@ -1500,7 +1536,15 @@ where
             }
             self.maybe_start_view_change(ctx, out);
         }
-        ctx.timer(self.cfg.hb_interval, GcsTimer::Heartbeat);
+        if quiet && self.hears_beacons() {
+            // Every heartbeat of this tick was a beacon, and every peer
+            // beats to this endpoint: until something ends a beacon the
+            // next ticks would do nothing else, so none is queued.
+            self.net.park(now, self.me, &self.peers, period);
+            ctx.park(period, GcsTimer::Heartbeat);
+        } else {
+            ctx.timer(period, GcsTimer::Heartbeat);
+        }
     }
 
     /// The coordinator among un-suspected members starts the view change.
@@ -1550,7 +1594,7 @@ where
                         && !survivors.contains(n)
                         && self
                             .rank(*n)
-                            .is_some_and(|rank| now.since(self.heard(ctx, rank)) <= fresh)
+                            .is_some_and(|rank| now.since(self.heard(now, rank)) <= fresh)
                 })
                 .count();
             if survivors.len() + rejoining < self.view.majority() {
@@ -2254,9 +2298,17 @@ where
     // Crash / recovery
     // ------------------------------------------------------------------
 
-    /// The host actor crashed: wipe volatile state. The stable log and the
-    /// generation counter survive.
+    /// The host actor crashed: wipe volatile state, and tell the network
+    /// its beacons end. The stable log and the generation counter
+    /// survive.
     pub fn on_crash(&mut self) {
+        self.net.silence(self.me);
+        self.hb_chains = 0;
+        self.wipe();
+    }
+
+    /// Drop all volatile state.
+    fn wipe(&mut self) {
         self.started = false;
         self.joined = false;
         self.set_view(View::initial(self.group.clone()));
@@ -2311,6 +2363,7 @@ where
                     generation: self.generation,
                 });
                 self.send_join_req(ctx);
+                self.hb_chains += 1;
                 ctx.timer(self.cfg.hb_interval, GcsTimer::Heartbeat);
             }
             GcsModel::CrashRecovery => {
@@ -2420,7 +2473,11 @@ where
             GcsModel::ViewBased,
             "restart_group is a dynamic-model operation"
         );
-        self.on_crash();
+        // The host lives on: its heartbeat chain keeps running beside the
+        // one armed below.
+        self.net.wake(self.me);
+        self.wipe();
+        self.hb_chains += 1;
         self.generation += 1;
         self.started = true;
         self.joined = true;

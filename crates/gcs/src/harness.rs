@@ -59,8 +59,8 @@ pub enum HostMsg {
     /// shared by every receiver of a multicast.
     Wire(Rc<Incoming<HostWire>>),
     /// A failure-detector heartbeat from this node, carried without an
-    /// allocation. Handed over only while the endpoint does not latch
-    /// heartbeats ([`GcsEndpoint::latches_heartbeats`]).
+    /// allocation. Sent only while the endpoint does not hear beacons
+    /// ([`GcsEndpoint::hears_beacons`]).
     Heartbeat(NodeId),
     /// A timer of the endpoint.
     Gcs(GcsTimer),
@@ -236,7 +236,7 @@ impl Actor<HostMsg> for GcsHost {
             }
             HostMsg::Processed => self.processed(ctx),
         }
-        ctx.set_latching(self.endpoint.latches_heartbeats());
+        self.endpoint.publish_beacons(ctx, true);
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_, HostMsg>) {
@@ -250,7 +250,7 @@ impl Actor<HostMsg> for GcsHost {
         self.endpoint.on_recover(ctx, &mut outputs);
         self.volatile_seen = self.stable_values.clone();
         self.handle_outputs(ctx, outputs);
-        ctx.set_latching(self.endpoint.latches_heartbeats());
+        self.endpoint.publish_beacons(ctx, true);
     }
 
     fn name(&self) -> &str {
@@ -286,6 +286,7 @@ impl Cluster {
     ) -> Self {
         let mut engine = Engine::new(seed);
         let net = Network::new(NetConfig::default());
+        net.attach(engine.watch());
         let obs = Rc::new(RefCell::new(RunObservation::default()));
         let group: Vec<NodeId> = (0..n).map(NodeId).collect();
         let mut hosts = Vec::with_capacity(n as usize);

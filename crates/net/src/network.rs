@@ -13,6 +13,24 @@
 //! by a random amount within [`NetConfig::reorder_window`], letting later
 //! sends overtake it). Each cause keeps its own counter in [`NetStats`] so
 //! scenario oracles can account for every perturbed delivery.
+//!
+//! # Beacons
+//!
+//! A failure-detector heartbeat ([`Network::beat`]) to a receiver that
+//! could learn nothing from it but when it was sent need not travel. A
+//! link is *quiet* when its receiver says so ([`Network::set_quiet`]),
+//! both ends share a partition colour and no loss, duplication,
+//! reordering or jitter is configured; on a quiet link a heartbeat is a
+//! *beacon*: charged to [`NetStats`] exactly as the multicast it belongs
+//! to, but made into no event. The receiver works out when it last heard
+//! the sender from the sender's beat grid ([`Network::heard`]). A sender
+//! whose every link is quiet parks its tick ([`Network::park`], with
+//! [`Ctx::park`]): its beats then follow its grid virtually, counted when
+//! [`Network::stats`] is read. Whatever ends a beacon — the receiver opts
+//! out, a partition, a fault burst, a crash ([`Network::silence`]) —
+//! wakes the parked ticks it touches through the kernel's [`Watch`], and
+//! a beat already in flight to a receiver that opts out arrives as a
+//! plain delivery.
 
 #![expect(
     clippy::indexing_slicing,
@@ -24,7 +42,7 @@ use std::rc::Rc;
 
 use rand::Rng;
 
-use groupsafe_sim::{ActorId, Ctx, SimDuration, Wrap};
+use groupsafe_sim::{ActorId, Ctx, SimDuration, SimTime, Watch, Wrap};
 
 use crate::node::NodeId;
 
@@ -116,6 +134,60 @@ pub struct Incoming<M> {
     pub msg: M,
 }
 
+/// The beacon run from one sender to one receiver: the sender's
+/// heartbeats to it at `first + k × period` for `k < beats`, or, while
+/// the run is `open` — its sender's tick parked — through the tick's
+/// last firing. `settled` is when the last beat of the runs before it
+/// arrived.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    from: NodeId,
+    first: SimTime,
+    beats: u64,
+    open: bool,
+    period: SimDuration,
+    settled: SimTime,
+}
+
+impl Run {
+    /// The instant of its last beat, if any; `fired` is when its
+    /// sender's tick last fired.
+    fn last(&self, fired: SimTime) -> Option<SimTime> {
+        if self.open {
+            return Some(fired);
+        }
+        let k = self.beats.checked_sub(1)?;
+        Some(self.first + self.period * k)
+    }
+}
+
+/// A sender whose tick is parked: it beats to `targets` whenever its
+/// tick fires, at `at + k × period` for `k ≥ 1`, each beat `wire`
+/// transmissions and one delivery per target.
+#[derive(Debug)]
+struct ParkedBeat {
+    node: NodeId,
+    actor: ActorId,
+    at: SimTime,
+    period: SimDuration,
+    targets: Vec<NodeId>,
+    wire: u64,
+}
+
+impl ParkedBeat {
+    /// The beats sent when its tick last fired at `fired`.
+    fn beats(&self, fired: SimTime) -> u64 {
+        fired.since(self.at).as_nanos() / self.period.as_nanos().max(1)
+    }
+
+    /// Charge `n` of its beats to `st`.
+    fn charge(&self, st: &mut NetStats, n: u64) {
+        st.broadcasts += n;
+        st.transmissions += n * self.wire;
+        st.sent += n * self.targets.len() as u64;
+    }
+}
+
 struct NetworkState {
     config: NetConfig,
     actors: Vec<Option<ActorId>>,
@@ -137,6 +209,15 @@ struct NetworkState {
     mark_epoch: u64,
     /// Scratch for the run of receivers a send is accumulating.
     run: Vec<ActorId>,
+    /// The kernel's watch, once [`Network::attach`]ed: without it no
+    /// link is quiet.
+    watch: Option<Rc<Watch>>,
+    /// Per node: heartbeats to it may be beacons ([`Network::set_quiet`]).
+    quiet: Vec<bool>,
+    /// Per receiving node: its beacon runs, one per sender.
+    runs: Vec<Vec<Run>>,
+    /// The senders whose tick is parked.
+    parked: Vec<ParkedBeat>,
 }
 
 impl NetworkState {
@@ -177,6 +258,97 @@ impl NetworkState {
             }
         }
         n
+    }
+
+    /// When the tick of `actor` last fired, parked.
+    fn fired(&self, actor: ActorId) -> SimTime {
+        self.watch
+            .as_ref()
+            .map_or(SimTime::ZERO, |w| w.fired(actor))
+    }
+
+    /// A fault now perturbs deliveries when `faulty`: no link is quiet.
+    fn wake_all_if(&mut self, faulty: bool) {
+        if faulty {
+            self.wake(|_, _| true);
+        }
+    }
+
+    /// True when a heartbeat from `from` to `to` may be a beacon.
+    fn quiet_link(&self, from: NodeId, to: NodeId) -> bool {
+        let cfg = &self.config;
+        self.watch.is_some()
+            && self.quiet[to.index()]
+            && self.colour[from.index()] == self.colour[to.index()]
+            && cfg.loss_probability <= 0.0
+            && cfg.duplicate_probability <= 0.0
+            && cfg.reorder_probability <= 0.0
+            && cfg.jitter.is_zero()
+    }
+
+    /// A beacon from `from` to `to` at `now`, one `period` of the
+    /// sender's grid after its last beat or starting a run.
+    fn extend_run(&mut self, from: NodeId, to: NodeId, now: SimTime, period: SimDuration) {
+        let latency = self.config.latency;
+        let runs = &mut self.runs[to.index()];
+        let Some(run) = runs.iter_mut().find(|r| r.from == from) else {
+            runs.push(Run {
+                from,
+                first: now,
+                beats: 1,
+                open: false,
+                period,
+                settled: SimTime::ZERO,
+            });
+            return;
+        };
+        debug_assert!(!run.open, "a parked sender beats");
+        if run.period == period && run.last(now).is_some_and(|l| l + period == now) {
+            run.beats += 1;
+        } else {
+            let settled = run.last(now).map_or(run.settled, |l| l + latency);
+            *run = Run {
+                from,
+                first: now,
+                beats: 1,
+                open: false,
+                period,
+                settled,
+            };
+        }
+    }
+
+    /// Wake every parked sender `woken` picks: charge the beats its tick
+    /// sent, close its runs at the last of them and name its actor to
+    /// the kernel, which hands it its tick at the next firing.
+    fn wake(&mut self, woken: impl Fn(&ParkedBeat, &[u32]) -> bool) {
+        let colour = &self.colour;
+        let (woken, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.parked)
+            .into_iter()
+            .partition(|p| woken(p, colour));
+        self.parked = kept;
+        for p in woken {
+            self.unpark(&p);
+            if let Some(watch) = &self.watch {
+                watch.wake(p.actor);
+            }
+        }
+    }
+
+    /// Charge the beats parked `p` sent and close its runs at the last
+    /// of them.
+    fn unpark(&mut self, p: &ParkedBeat) {
+        let until = self.fired(p.actor);
+        let n = p.beats(until);
+        let d = self.domain_of(p.node);
+        self.charge(d, |st| p.charge(st, n));
+        for &to in &p.targets {
+            let runs = &mut self.runs[to.index()];
+            if let Some(run) = runs.iter_mut().find(|r| r.from == p.node && r.open) {
+                run.open = false;
+                run.beats = until.since(run.first).as_nanos() / run.period.as_nanos().max(1) + 1;
+            }
+        }
     }
 
     /// Decide one receiver-side delivery: `None` if it is dropped, else
@@ -254,9 +426,6 @@ enum Cast {
     Unicast,
     /// Hardware multicast: one transmission per distinct receiver domain.
     Multicast,
-    /// A multicast whose receivers may latch it (see
-    /// [`Network::multicast_latched`]).
-    Latched,
 }
 
 /// Cloneable handle to the shared network state.
@@ -279,6 +448,10 @@ impl Network {
                 domain_mark: vec![0],
                 mark_epoch: 0,
                 run: Vec::new(),
+                watch: None,
+                quiet: Vec::new(),
+                runs: Vec::new(),
+                parked: Vec::new(),
             })),
         }
     }
@@ -298,7 +471,17 @@ impl Network {
             s.colour.resize(idx + 1, 0);
             s.domain.resize(idx + 1, 0);
         }
+        let n = s.actors.len();
+        s.quiet.resize(n, false);
+        s.runs.resize(n, Vec::new());
         s.actors[idx] = Some(actor);
+    }
+
+    /// Keep time by the kernel of `watch`: the heartbeats of
+    /// [`Network::beat`] may then be beacons. A network never attached
+    /// sends every heartbeat.
+    pub fn attach(&self, watch: Rc<Watch>) {
+        self.inner.borrow_mut().watch = Some(watch);
     }
 
     /// Carve the node space into multicast domains: `groups[d]` lists the
@@ -318,6 +501,8 @@ impl Network {
                     s.domain.resize(idx + 1, 0);
                     s.colour.resize(idx + 1, 0);
                     s.actors.resize(idx + 1, None);
+                    s.quiet.resize(idx + 1, false);
+                    s.runs.resize(idx + 1, Vec::new());
                 }
                 s.domain[idx] = d as u32;
             }
@@ -345,14 +530,19 @@ impl Network {
         self.inner.borrow().domain_of(node) as u32
     }
 
-    /// Delivery counters attributed to senders of domain `d`.
+    /// Delivery counters attributed to senders of domain `d`, beats of
+    /// parked ticks included.
     pub fn domain_stats(&self, d: u32) -> NetStats {
-        self.inner
-            .borrow()
-            .domain_stats
-            .get(d as usize)
-            .copied()
-            .unwrap_or_default()
+        let s = self.inner.borrow();
+        let mut stats = s.domain_stats.get(d as usize).copied().unwrap_or_default();
+        for p in s
+            .parked
+            .iter()
+            .filter(|p| s.domain_of(p.node) == d as usize)
+        {
+            p.charge(&mut stats, p.beats(s.fired(p.actor)));
+        }
+        stats
     }
 
     /// Multicast `msg` to every node of domain `d` (including the sender
@@ -398,8 +588,12 @@ impl Network {
     /// plain network a multicast is a single run; a duplicate's extra
     /// copy, scheduled ahead of its original for a later instant, closes
     /// the run before it, and jitter or reordering leave runs of one. The
-    /// last run takes `msg` by move. A [`Cast::Latched`] run is a latched
-    /// fan-out at the sender's node index.
+    /// last run takes `msg` by move. A target `beacon` takes is not sent
+    /// to at all.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the one path every send takes: each argument is one of the sends' differences"
+    )]
     fn transmit<T: Clone, M: Wrap<Incoming<T>>>(
         &self,
         ctx: &mut Ctx<'_, M>,
@@ -408,11 +602,12 @@ impl Network {
         msg: T,
         frame: Option<u64>,
         cast: Cast,
+        mut beacon: impl FnMut(&mut NetworkState, NodeId) -> bool,
     ) {
         let mut s = self.inner.borrow_mut();
         let cfg = s.config.clone();
         let d = s.domain_of(from);
-        let multicast = cast != Cast::Unicast;
+        let multicast = cast == Cast::Multicast;
         let wire = if multicast {
             s.distinct_domains(targets)
         } else {
@@ -423,12 +618,7 @@ impl Network {
             st.transmissions += wire;
         });
         let schedule = |ctx: &mut Ctx<'_, M>, run: &[ActorId], delay, msg| {
-            let incoming = Incoming { from, msg };
-            if cast == Cast::Latched {
-                ctx.latch_shared(run, delay, incoming, from.0);
-            } else {
-                ctx.send_shared(run, delay, incoming);
-            }
+            ctx.send_shared(run, delay, Incoming { from, msg });
         };
         let mut run = std::mem::take(&mut s.run);
         let mut run_delay = SimDuration::ZERO;
@@ -441,6 +631,9 @@ impl Network {
             run.push(actor);
         };
         for &to in targets {
+            if beacon(&mut s, to) {
+                continue;
+            }
             if let Some((delay, copy)) = s.plan_delivery(ctx, &cfg, d, from, to, frame) {
                 let actor = s.actor_of(to);
                 if let Some(copy_delay) = copy {
@@ -464,7 +657,7 @@ impl Network {
         to: NodeId,
         msg: T,
     ) {
-        self.transmit(ctx, from, &[to], msg, None, Cast::Unicast);
+        self.transmit(ctx, from, &[to], msg, None, Cast::Unicast, |_, _| false);
     }
 
     /// Send `msg` — a batch frame packing `msgs_in_frame` application
@@ -479,7 +672,8 @@ impl Network {
         msg: T,
         msgs_in_frame: u64,
     ) {
-        self.transmit(ctx, from, &[to], msg, Some(msgs_in_frame), Cast::Unicast);
+        let frame = Some(msgs_in_frame);
+        self.transmit(ctx, from, &[to], msg, frame, Cast::Unicast, |_, _| false);
     }
 
     /// Multicast a batch frame to every node in `targets` (one delivery
@@ -500,6 +694,7 @@ impl Network {
             msg,
             Some(msgs_in_frame),
             Cast::Multicast,
+            |_, _| false,
         );
     }
 
@@ -514,22 +709,145 @@ impl Network {
         targets: &[NodeId],
         msg: T,
     ) {
-        self.transmit(ctx, from, targets, msg, None, Cast::Multicast);
+        self.transmit(ctx, from, targets, msg, None, Cast::Multicast, |_, _| false);
     }
 
-    /// Multicast `msg` as [`Network::multicast`] does — same wire, same
-    /// drops, same draws, same counters — as latched fan-outs at the
-    /// sender's node index: a receiver that has opted in records the
-    /// arrival instant in its latch cell `from.0` instead of being handed
-    /// the message (see [`Ctx::latch_shared`]).
-    pub fn multicast_latched<T: Clone, M: Wrap<Incoming<T>>>(
+    /// Multicast the heartbeat `msg` of a tick of period `period`, as
+    /// [`Network::multicast`] does — same wire, same counters — except
+    /// that a target on a quiet link gets a beacon (see the [module
+    /// docs](self)) when `may_beacon`. True when every target got one and
+    /// the sender is quiet itself: it may [`Network::park`] its tick.
+    pub fn beat<T: Clone, M: Wrap<Incoming<T>>>(
         &self,
         ctx: &mut Ctx<'_, M>,
         from: NodeId,
         targets: &[NodeId],
         msg: T,
+        period: SimDuration,
+        may_beacon: bool,
+    ) -> bool {
+        let now = ctx.now();
+        let mut all = true;
+        let beacon = |s: &mut NetworkState, to: NodeId| {
+            let quiet = may_beacon && s.quiet_link(from, to);
+            if quiet {
+                let d = s.domain_of(from);
+                s.charge(d, |st| st.sent += 1);
+                s.extend_run(from, to, now, period);
+            }
+            all &= quiet;
+            quiet
+        };
+        self.transmit(ctx, from, targets, msg, None, Cast::Multicast, beacon);
+        all && self.inner.borrow().quiet[from.index()]
+    }
+
+    /// Park the tick of `from`, whose last beat to `targets` was just
+    /// sent at `now`, every one a beacon ([`Network::beat`] said so): its
+    /// beats follow the tick's firings, `period` apart, until something
+    /// wakes it. The caller parks the tick itself ([`Ctx::park`]).
+    pub fn park(&self, now: SimTime, from: NodeId, targets: &[NodeId], period: SimDuration) {
+        let mut s = self.inner.borrow_mut();
+        let actor = s.actor_of(from);
+        debug_assert!(s.parked.iter().all(|p| p.node != from), "parked twice");
+        let wire = s.distinct_domains(targets);
+        for &to in targets {
+            let runs = &mut s.runs[to.index()];
+            if let Some(run) = runs.iter_mut().find(|r| r.from == from) {
+                run.open = true;
+            }
+        }
+        s.parked.push(ParkedBeat {
+            node: from,
+            actor,
+            at: now,
+            period,
+            targets: targets.to_vec(),
+            wire,
+        });
+    }
+
+    /// When `to` last heard a beacon from `from` arrive, by `now`
+    /// (`SimTime::ZERO`: never since `to` last crashed).
+    pub fn heard(&self, from: NodeId, to: NodeId, now: SimTime) -> SimTime {
+        let s = self.inner.borrow();
+        let Some(run) = s
+            .runs
+            .get(to.index())
+            .and_then(|r| r.iter().find(|r| r.from == from))
+        else {
+            return SimTime::ZERO;
+        };
+        let latency = s.config.latency;
+        let Some(last) = run.last(s.fired(s.actor_of(from))) else {
+            return run.settled;
+        };
+        if now.as_nanos() < run.first.as_nanos() + latency.as_nanos() {
+            return run.settled;
+        }
+        let arrived = SimTime::from_nanos(now.as_nanos() - latency.as_nanos()).min(last);
+        let k = arrived.since(run.first).as_nanos() / run.period.as_nanos().max(1);
+        run.first + run.period * k + latency
+    }
+
+    /// Publish whether heartbeats to `node` may be beacons: only while a
+    /// heartbeat could tell it nothing but when it was sent. A node
+    /// republishes this after every event it handles. When it stops, the
+    /// parked ticks that beat to it and its own wake, and each beacon
+    /// still in flight to it arrives as a plain delivery of `beat()`.
+    pub fn set_quiet<T, M: Wrap<Incoming<T>>>(
+        &self,
+        ctx: &mut Ctx<'_, M>,
+        node: NodeId,
+        on: bool,
+        beat: impl Fn() -> T,
     ) {
-        self.transmit(ctx, from, targets, msg, None, Cast::Latched);
+        let mut s = self.inner.borrow_mut();
+        let idx = node.index();
+        if s.watch.is_none() || s.quiet[idx] == on {
+            return;
+        }
+        s.quiet[idx] = on;
+        if on {
+            return;
+        }
+        let now = ctx.now();
+        s.wake(|p, _| p.node == node || p.targets.contains(&node));
+        let (latency, actor) = (s.config.latency, s.actor_of(node));
+        for run in &mut s.runs[idx] {
+            if let Some(last) = run.last(now).filter(|&l| l + latency > now) {
+                run.beats -= 1;
+                let incoming = Incoming {
+                    from: run.from,
+                    msg: beat(),
+                };
+                ctx.send(actor, (last + latency) - now, incoming);
+            }
+        }
+    }
+
+    /// `node` crashed: heartbeats to it are sent again, its runs as a
+    /// receiver are forgotten, the parked ticks that beat to it wake,
+    /// and its own parked tick, which the crash dropped, last beat when
+    /// it last fired.
+    pub fn silence(&self, node: NodeId) {
+        let mut s = self.inner.borrow_mut();
+        let idx = node.index();
+        if s.watch.is_none() {
+            return;
+        }
+        s.quiet[idx] = false;
+        if let Some(i) = s.parked.iter().position(|p| p.node == node) {
+            let p = s.parked.remove(i);
+            s.unpark(&p);
+        }
+        s.runs[idx].clear();
+        s.wake(|p, _| p.targets.contains(&node));
+    }
+
+    /// Wake the parked tick of `node`, if any.
+    pub fn wake(&self, node: NodeId) {
+        self.inner.borrow_mut().wake(|p, _| p.node == node);
     }
 
     /// Broadcast `msg` from `from` to every registered node (including the
@@ -558,6 +876,10 @@ impl Network {
                 s.colour[node.index()] = i as u32 + 1;
             }
         }
+        s.wake(|p, colour| {
+            let own = colour[p.node.index()];
+            p.targets.iter().any(|t| colour[t.index()] != own)
+        });
     }
 
     /// Heal all partitions.
@@ -577,13 +899,17 @@ impl Network {
     /// Set the probabilistic per-delivery loss rate.
     pub fn set_loss_probability(&self, p: f64) {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
-        self.inner.borrow_mut().config.loss_probability = p;
+        let mut s = self.inner.borrow_mut();
+        s.config.loss_probability = p;
+        s.wake_all_if(p > 0.0);
     }
 
     /// Set the probabilistic per-delivery duplication rate.
     pub fn set_duplicate_probability(&self, p: f64) {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
-        self.inner.borrow_mut().config.duplicate_probability = p;
+        let mut s = self.inner.borrow_mut();
+        s.config.duplicate_probability = p;
+        s.wake_all_if(p > 0.0);
     }
 
     /// Set the probabilistic reordering rate and the window bounding both
@@ -593,11 +919,17 @@ impl Network {
         let mut s = self.inner.borrow_mut();
         s.config.reorder_probability = p;
         s.config.reorder_window = window;
+        s.wake_all_if(p > 0.0);
     }
 
-    /// Snapshot of delivery counters.
+    /// Snapshot of delivery counters, beats of parked ticks included.
     pub fn stats(&self) -> NetStats {
-        self.inner.borrow().stats
+        let s = self.inner.borrow();
+        let mut stats = s.stats;
+        for p in &s.parked {
+            p.charge(&mut stats, p.beats(s.fired(p.actor)));
+        }
+        stats
     }
 }
 
@@ -860,68 +1192,114 @@ mod tests {
         assert_eq!(stats.transmissions, 7);
     }
 
-    /// Opts in to latching on its first delivery and counts what it is
-    /// still handed afterwards.
-    struct Latcher {
-        got: u32,
+    /// Publishes its quiet flag — the message it is handed, a `bool`, or
+    /// `true` for a heartbeat — after every event, and records the
+    /// heartbeats it is handed.
+    struct Listener {
+        node: NodeId,
+        net: Network,
+        quiet: bool,
+        got: Vec<SimTime>,
     }
-    impl Actor for Latcher {
-        fn on_event(&mut self, ctx: &mut Ctx<'_>, _payload: Payload) {
-            self.got += 1;
-            ctx.set_latching(true);
+    impl Actor for Listener {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
+            match payload.downcast::<bool>() {
+                Ok(quiet) => self.quiet = *quiet,
+                Err(_) => self.got.push(ctx.now()),
+            }
+            let net = self.net.clone();
+            net.set_quiet(ctx, self.node, self.quiet, || 7u32);
         }
     }
 
-    /// Node 0 multicasts to nodes 1 and 2 on every kick, latched or not.
-    struct LatchKicker {
+    /// Node 0's heartbeat tick: beats to nodes 1 and 2 on every kick.
+    struct Beater {
         net: Network,
-        latched: bool,
+        parkable: Vec<bool>,
     }
-    impl Actor for LatchKicker {
+    impl Actor for Beater {
         fn on_event(&mut self, ctx: &mut Ctx<'_>, _payload: Payload) {
             let (net, to) = (self.net.clone(), [NodeId(1), NodeId(2)]);
-            if self.latched {
-                net.multicast_latched(ctx, NodeId(0), &to, 7u32);
-            } else {
-                net.multicast(ctx, NodeId(0), &to, 7u32);
-            }
+            let period = SimDuration::from_millis(10);
+            self.parkable
+                .push(net.beat(ctx, NodeId(0), &to, 7u32, period, true));
         }
     }
 
     #[test]
-    fn a_latched_multicast_draws_drops_and_counts_like_a_multicast() {
-        let run = |latched: bool| {
+    fn a_beacon_is_accounted_but_not_sent_and_one_in_flight_arrives() {
+        let us = SimTime::from_micros;
+        let run = |attach: bool| {
             let mut eng = Engine::new(5);
             let net = Network::paper_default();
-            net.set_loss_probability(0.3);
-            net.set_reorder(0.2, SimDuration::from_micros(50));
-            let ids: Vec<ActorId> = (0..3)
+            if attach {
+                net.attach(eng.watch());
+            }
+            let beater = eng.add_actor(Box::new(Beater {
+                net: net.clone(),
+                parkable: Vec::new(),
+            }));
+            net.register(NodeId(0), beater);
+            let ids: Vec<ActorId> = (1..3)
                 .map(|i| {
-                    let id = eng.add_actor(Box::new(Latcher { got: 0 }));
+                    let id = eng.add_actor(Box::new(Listener {
+                        node: NodeId(i),
+                        net: net.clone(),
+                        quiet: false,
+                        got: Vec::new(),
+                    }));
                     net.register(NodeId(i), id);
                     id
                 })
                 .collect();
-            let kicker = eng.add_actor(Box::new(LatchKicker {
-                net: net.clone(),
-                latched,
-            }));
-            for i in 0..100 {
-                eng.schedule(SimTime::from_micros(i * 100), kicker, Kick);
-            }
-            eng.run_to_completion();
-            let got: Vec<u32> = ids.iter().map(|&id| eng.actor::<Latcher>(id).got).collect();
+            // Node 1 is quiet from the start, node 2 never; node 1 opts
+            // out 30 µs after the second beat, which is then in flight.
+            eng.schedule(SimTime::ZERO, ids[0], true);
+            eng.schedule(SimTime::ZERO, ids[1], false);
+            eng.schedule(us(1_000), beater, Kick);
+            eng.run_until(us(2_000));
+            let heard = (net.heard(NodeId(0), NodeId(1), us(2_000)), eng.dispatched());
+            eng.schedule(us(3_000), beater, Kick);
+            eng.schedule(us(3_030), ids[0], false);
+            eng.run_until(us(4_000));
+            let got: Vec<Vec<SimTime>> = ids
+                .iter()
+                .map(|&id| eng.actor::<Listener>(id).got.clone())
+                .collect();
             let s = net.stats();
-            let counters = (s.sent, s.dropped_loss, s.reordered, s.transmissions);
-            (eng.fingerprint(), eng.dispatched(), counters, got)
+            let counters = (s.sent, s.transmissions, s.broadcasts);
+            let parkable = eng.actor::<Beater>(beater).parkable.clone();
+            (heard, got, counters, parkable)
         };
-        let (plain, latched) = (run(false), run(true));
-        assert_eq!((plain.0, plain.1), (latched.0, latched.1));
-        assert_eq!(plain.2, latched.2);
-        assert!(plain.2 .1 > 0 && plain.2 .2 > 0, "loss and reordering drew");
-        // Handed every delivery plainly; only the first one latched.
-        assert!(plain.3[1] > 50);
-        assert_eq!(latched.3, [0, 1, 1]);
+        let (plain, beacons) = (run(false), run(true));
+        // The same traffic is charged either way.
+        assert_eq!(plain.2, (4, 2, 2));
+        assert_eq!(beacons.2, plain.2);
+        // Unattached, every heartbeat is sent.
+        assert_eq!(plain.0, (SimTime::ZERO, 5));
+        assert_eq!(
+            plain.1,
+            [vec![us(1_070), us(3_070)], vec![us(1_070), us(3_070)]]
+        );
+        // Attached, node 1's first heartbeat is a beacon, heard on the
+        // sender's grid; its second, in flight when it opts out, arrives.
+        assert_eq!(beacons.0, (us(1_070), 4));
+        assert_eq!(
+            beacons.1,
+            plain.1[..]
+                .iter()
+                .enumerate()
+                .map(|(i, g)| {
+                    if i == 0 {
+                        vec![us(3_070)]
+                    } else {
+                        g.clone()
+                    }
+                })
+                .collect::<Vec<_>>()
+        );
+        // Node 2 never beacons: the tick may not park.
+        assert_eq!(beacons.3, [false, false]);
     }
 
     /// A domain multicast reaches exactly the domain's members, and the

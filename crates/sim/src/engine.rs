@@ -39,20 +39,24 @@
 //! owned `M`: the last one the record's own, the others a copy made by
 //! [`Wrap::share`] (a reference-count bump for a typed message).
 //!
-//! # Latched deliveries
+//! # Beacons
 //!
-//! [`Ctx::latch_shared`] schedules a fan-out whose message, for some
-//! receivers, carries nothing but its arrival time — a failure-detector
-//! heartbeat to a peer that suspects no one. A target that has opted in
-//! with [`Ctx::set_latching`] gets the delivery instant written to its
-//! latch cell `(target, slot)` instead of an [`Actor::on_event`] call,
-//! and reads it back with [`Ctx::latched`]; every other target is
-//! dispatched exactly as by [`Ctx::send_shared`]. A latch is checked per
-//! target at delivery — alive, same incarnation, opted in — and counted
-//! and fingerprinted like the dispatch it replaces, so switching it on or
-//! off never moves [`Engine::fingerprint`] or [`Engine::dispatched`]. A
-//! crash clears the actor's latch row and withdraws its opt-in, and the
-//! actor republishes its flag after every event it handles.
+//! A periodic timer whose every firing is, for a stretch of the run,
+//! known in advance to change nothing but what it sends — a failure
+//! detector's heartbeat tick while nothing fails — need not be handled
+//! at all. An actor *parks* it with [`Ctx::park`] instead of arming it:
+//! the timer then fires *virtually* at every instant of its grid, `now +
+//! k × period`, as a shadow entry of the queue that is popped in the
+//! very place the timer would have been and re-queued one period on,
+//! but neither dispatched, counted nor fingerprinted. What keeps time by
+//! those firings outside the kernel — the network's beacons, heartbeats
+//! that are accounted but not sent — reads the last one off the shared
+//! [`Watch`], and raises its alarm there to name the actors whose firings
+//! stop being idle (a crash, a partition, a receiver that opts out).
+//! Before its next event the kernel marks each named actor's parked
+//! timer woken, and its next shadow is dispatched as the timer itself:
+//! at its instant and in its order, as if it had never parked. A crash
+//! drops the actor's parked timer with its shadow.
 //!
 //! # Actors and crashes
 //!
@@ -78,6 +82,8 @@
 )]
 
 use std::any::Any;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -216,14 +222,54 @@ const ANY_INCARNATION: u32 = u32::MAX;
 const FAN_OUT: u32 = u32::MAX - 1;
 
 /// The targets of one pending fan-out in delivery order, each with its
-/// incarnation at scheduling time, how every target but the last gets
-/// its copy of the message ([`Wrap::share`] for the type it was sent as),
-/// and — for a latched fan-out — the latch slot an opted-in target's
-/// delivery writes instead.
+/// incarnation at scheduling time, and how every target but the last gets
+/// its copy of the message ([`Wrap::share`] for the type it was sent as).
 struct Fan<M> {
     targets: Vec<(ActorId, u32)>,
     share: fn(&M) -> M,
-    latch: Option<u32>,
+}
+
+/// A parked periodic timer (see [`Ctx::park`]): `msg`, due every
+/// `period`; once `woken`, its next shadow is dispatched as `msg`.
+struct Parked<M> {
+    period: SimDuration,
+    msg: M,
+    woken: bool,
+}
+
+/// What the kernel shares with the objects outside it that keep time by
+/// its parked timers (see the [module docs](self)): when each actor's
+/// parked timer last fired, and an alarm naming the actors whose parked
+/// timers it must wake before its next event.
+#[derive(Debug, Default)]
+pub struct Watch {
+    fired: RefCell<Vec<SimTime>>,
+    alarm: Cell<bool>,
+    wake: RefCell<Vec<ActorId>>,
+}
+
+impl Watch {
+    /// The instant `actor`'s parked timer last fired, virtually — the
+    /// instant it was parked if it has not fired since.
+    pub fn fired(&self, actor: ActorId) -> SimTime {
+        let fired = self.fired.borrow();
+        fired.get(actor.index()).copied().unwrap_or(SimTime::ZERO)
+    }
+
+    /// Ask the kernel to wake `actor`'s parked timer, if it has one,
+    /// before its next event.
+    pub fn wake(&self, actor: ActorId) {
+        self.wake.borrow_mut().push(actor);
+        self.alarm.set(true);
+    }
+
+    fn set_fired(&self, actor: ActorId, at: SimTime) {
+        let mut fired = self.fired.borrow_mut();
+        if fired.len() <= actor.index() {
+            fired.resize(actor.index() + 1, SimTime::ZERO);
+        }
+        fired[actor.index()] = at;
+    }
 }
 
 enum EventKind<M> {
@@ -234,6 +280,9 @@ enum EventKind<M> {
     /// same instant, would do. Both shapes share one variant so that a
     /// slot is one `M` and two words wide.
     Deliver { to: u32, stamp: u32, msg: M },
+    /// Fire the parked timer of actor `to` virtually, if its incarnation
+    /// still matches `stamp` — or dispatch it, once woken.
+    Shadow { to: u32, stamp: u32 },
     /// Crash `target` (idempotent if already down).
     Crash(ActorId),
     /// Recover `target` (idempotent if already up).
@@ -424,12 +473,9 @@ pub struct Kernel<M> {
     /// `free_fans` (its target vector keeps its capacity).
     fans: Vec<Fan<M>>,
     free_fans: Vec<u32>,
-    /// Per actor: a latched delivery writes its latch cell instead of
-    /// dispatching (see [`Ctx::set_latching`]).
-    latching: Vec<bool>,
-    /// Per actor, by slot: the instant of the last latched delivery
-    /// (`SimTime::ZERO`: none since registration or the last crash).
-    latches: Vec<Vec<SimTime>>,
+    /// Per actor: its parked timer, if any (see [`Ctx::park`]).
+    parked: Vec<Option<Parked<M>>>,
+    watch: Rc<Watch>,
     rng: StdRng,
     /// Metrics registry shared by the whole simulation.
     pub metrics: Metrics,
@@ -458,8 +504,8 @@ impl<M> Kernel<M> {
             alive: Vec::new(),
             fans: Vec::new(),
             free_fans: Vec::new(),
-            latching: Vec::new(),
-            latches: Vec::new(),
+            parked: Vec::new(),
+            watch: Rc::default(),
             rng: StdRng::seed_from_u64(seed),
             metrics: Metrics::new(),
             obs: Obs::default(),
@@ -504,26 +550,16 @@ impl<M> Kernel<M> {
     /// Schedule one fan-out record of `msg` for `targets` at `at`: a
     /// fan-out table entry, each target stamped with its current
     /// incarnation, and one queue record pointing at it.
-    fn fan_out(
-        &mut self,
-        at: SimTime,
-        targets: &[ActorId],
-        share: fn(&M) -> M,
-        latch: Option<u32>,
-        msg: M,
-    ) {
+    fn fan_out(&mut self, at: SimTime, targets: &[ActorId], share: fn(&M) -> M, msg: M) {
         let idx = match self.free_fans.pop() {
             Some(idx) => {
-                let fan = &mut self.fans[idx as usize];
-                fan.share = share;
-                fan.latch = latch;
+                self.fans[idx as usize].share = share;
                 idx
             }
             None => {
                 self.fans.push(Fan {
                     targets: Vec::with_capacity(targets.len()),
                     share,
-                    latch,
                 });
                 self.fans.len() as u32 - 1
             }
@@ -550,14 +586,15 @@ impl<M> Kernel<M> {
         }
     }
 
-    /// Write the current instant into `target`'s latch cell `slot`.
-    fn latch(&mut self, target: ActorId, slot: u32) {
-        let row = &mut self.latches[target.index()];
-        let slot = slot as usize;
-        if row.len() <= slot {
-            row.resize(slot + 1, SimTime::ZERO);
+    /// Mark the parked timer of every actor the watch names woken.
+    fn wake(&mut self) {
+        self.watch.alarm.set(false);
+        let woken = std::mem::take(&mut *self.watch.wake.borrow_mut());
+        for actor in woken {
+            if let Some(p) = &mut self.parked[actor.index()] {
+                p.woken = true;
+            }
         }
-        row[slot] = self.now;
     }
 }
 
@@ -602,50 +639,33 @@ impl<M> Ctx<'_, M> {
             _ => {
                 let at = self.kernel.now + delay;
                 let share = <M as Wrap<T>>::share;
-                self.kernel.fan_out(at, targets, share, None, M::wrap(msg));
+                self.kernel.fan_out(at, targets, share, M::wrap(msg));
             }
         }
     }
 
-    /// Schedule `msg` for `targets` as [`Ctx::send_shared`] does, as one
-    /// record even for a single target — except that a target which has
-    /// opted in with [`Ctx::set_latching`] by the delivery instant gets
-    /// that instant written to its latch cell `slot` instead of an
-    /// [`Actor::on_event`] call. The latch passes the same incarnation
-    /// check and is counted and fingerprinted like the dispatch it
-    /// replaces (see the [module docs](self)).
-    pub fn latch_shared<T: Clone>(
-        &mut self,
-        targets: &[ActorId],
-        delay: SimDuration,
-        msg: T,
-        slot: u32,
-    ) where
+    /// Park the executing actor's periodic timer `msg` of period `period`
+    /// instead of arming it: it would fire after `period` and every
+    /// `period` after that. A parked timer is never handed to the actor;
+    /// it fires virtually on its grid, where [`Watch::fired`] reads it,
+    /// until the [`Watch`] names the actor — then its next firing is
+    /// dispatched as `msg` (see the [module docs](self)). An actor has at
+    /// most one parked timer.
+    pub fn park<T>(&mut self, period: SimDuration, msg: T)
+    where
         M: Wrap<T>,
     {
-        if !targets.is_empty() {
-            let at = self.kernel.now + delay;
-            let share = <M as Wrap<T>>::share;
-            self.kernel
-                .fan_out(at, targets, share, Some(slot), M::wrap(msg));
-        }
-    }
-
-    /// The instant of the last latched delivery to the executing actor's
-    /// cell `slot` (`SimTime::ZERO` if none since it registered or last
-    /// crashed).
-    pub fn latched(&self, slot: u32) -> SimTime {
-        let row = &self.kernel.latches[self.me.index()];
-        row.get(slot as usize).copied().unwrap_or(SimTime::ZERO)
-    }
-
-    /// Publish whether a latched delivery to the executing actor writes
-    /// its latch cell (`true`) or dispatches (`false`, the default and the
-    /// state after a crash). The flag holds until the actor sets it again,
-    /// so an actor that opts in republishes it after every event it
-    /// handles.
-    pub fn set_latching(&mut self, on: bool) {
-        self.kernel.latching[self.me.index()] = on;
+        let (me, now) = (self.me, self.kernel.now);
+        debug_assert!(self.kernel.parked[me.index()].is_none(), "parked twice");
+        self.kernel.parked[me.index()] = Some(Parked {
+            period,
+            msg: M::wrap(msg),
+            woken: false,
+        });
+        self.kernel.watch.set_fired(me, now);
+        let stamp = self.kernel.incarnations[me.index()];
+        self.kernel
+            .push(now + period, EventKind::Shadow { to: me.0, stamp });
     }
 
     /// Schedule an event to the executing actor itself (a timer).
@@ -723,6 +743,12 @@ impl<M: Kind + 'static> Engine<M> {
         }
     }
 
+    /// The kernel's [`Watch`], for objects that keep time by its parked
+    /// timers.
+    pub fn watch(&self) -> Rc<Watch> {
+        Rc::clone(&self.kernel.watch)
+    }
+
     /// Configure the observability layer (mode + flight-recorder size).
     /// Replaces any previously recorded events.
     pub fn set_obs(&mut self, cfg: ObsConfig) {
@@ -741,8 +767,7 @@ impl<M: Kind + 'static> Engine<M> {
         self.actors.push(actor);
         self.kernel.incarnations.push(0);
         self.kernel.alive.push(true);
-        self.kernel.latching.push(false);
-        self.kernel.latches.push(Vec::new());
+        self.kernel.parked.push(None);
         id
     }
 
@@ -801,6 +826,9 @@ impl<M: Kind + 'static> Engine<M> {
     /// Returns the time of the last processed event.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
         while !self.kernel.halted {
+            if self.kernel.watch.alarm.get() {
+                self.kernel.wake();
+            }
             let Some((time, kind)) = self.kernel.pop_at_or_before(deadline) else {
                 break;
             };
@@ -817,6 +845,9 @@ impl<M: Kind + 'static> Engine<M> {
     /// Run until the event queue is empty (or a halt is requested).
     pub fn run_to_completion(&mut self) -> SimTime {
         while !self.kernel.halted {
+            if self.kernel.watch.alarm.get() {
+                self.kernel.wake();
+            }
             let Some((time, kind)) = self.kernel.pop_at_or_before(SimTime::MAX) else {
                 break;
             };
@@ -838,17 +869,9 @@ impl<M: Kind + 'static> Engine<M> {
 
     /// Hand `target` the message `msg` makes — unless it is down, or
     /// crashed since the event was stamped with `incarnation`, in which
-    /// case no message is made. A delivery latched at `latch` to a target
-    /// that opted in writes its latch cell instead, and makes no message
-    /// either; it is counted and mixed all the same.
+    /// case no message is made.
     #[deny(clippy::float_arithmetic)]
-    fn dispatch(
-        &mut self,
-        target: ActorId,
-        incarnation: u32,
-        latch: Option<u32>,
-        msg: impl FnOnce() -> M,
-    ) {
+    fn dispatch(&mut self, target: ActorId, incarnation: u32, msg: impl FnOnce() -> M) {
         let idx = target.index();
         if !self.kernel.alive[idx]
             || (incarnation != ANY_INCARNATION && self.kernel.incarnations[idx] != incarnation)
@@ -858,16 +881,31 @@ impl<M: Kind + 'static> Engine<M> {
         self.kernel.dispatched += 1;
         self.kernel.fingerprint.mix(self.kernel.now.as_nanos());
         self.kernel.fingerprint.mix(target.0 as u64);
-        match latch {
-            Some(slot) if self.kernel.latching[idx] => {
-                self.kernel.count("latch");
-                self.kernel.latch(target, slot)
+        let msg = msg();
+        self.kernel.count(msg.kind_of());
+        self.call(target, |actor, ctx| actor.on_event(ctx, msg));
+    }
+
+    /// The shadow of `target`'s parked timer is due: dispatch the timer
+    /// if it was woken, else let it fire virtually and queue the next
+    /// shadow. A shadow stamped for an incarnation since crashed is
+    /// dropped with the timer it stood for.
+    fn shadow(&mut self, target: ActorId, stamp: u32) {
+        let idx = target.index();
+        if !self.kernel.alive[idx] || self.kernel.incarnations[idx] != stamp {
+            return;
+        }
+        match self.kernel.parked[idx].take() {
+            Some(p) if p.woken => self.dispatch(target, stamp, || p.msg),
+            Some(p) => {
+                let now = self.kernel.now;
+                self.kernel.watch.set_fired(target, now);
+                let next = now + p.period;
+                self.kernel.parked[idx] = Some(p);
+                let to = target.0;
+                self.kernel.push(next, EventKind::Shadow { to, stamp });
             }
-            _ => {
-                let msg = msg();
-                self.kernel.count(msg.kind_of());
-                self.call(target, |actor, ctx| actor.on_event(ctx, msg));
-            }
+            None => {}
         }
     }
 
@@ -875,13 +913,13 @@ impl<M: Kind + 'static> Engine<M> {
     /// turn, `msg` itself to the last, then recycle the entry.
     fn deliver_fan(&mut self, fan: u32, msg: M) {
         let entry = &mut self.kernel.fans[fan as usize];
-        let (share, latch) = (entry.share, entry.latch);
+        let share = entry.share;
         let mut targets = std::mem::take(&mut entry.targets);
         if let Some((&(last, stamp), rest)) = targets.split_last() {
             for &(target, stamp) in rest {
-                self.dispatch(target, stamp, latch, || share(&msg));
+                self.dispatch(target, stamp, || share(&msg));
             }
-            self.dispatch(last, stamp, latch, || msg);
+            self.dispatch(last, stamp, || msg);
         }
         targets.clear();
         self.kernel.fans[fan as usize].targets = targets;
@@ -898,19 +936,17 @@ impl<M: Kind + 'static> Engine<M> {
                 stamp: FAN_OUT,
                 msg,
             } => self.deliver_fan(to, msg),
-            EventKind::Deliver { to, stamp, msg } => {
-                self.dispatch(ActorId(to), stamp, None, || msg)
-            }
+            EventKind::Deliver { to, stamp, msg } => self.dispatch(ActorId(to), stamp, || msg),
+            EventKind::Shadow { to, stamp } => self.shadow(ActorId(to), stamp),
             EventKind::Crash(target) => {
                 let idx = target.index();
                 if !self.kernel.alive[idx] {
                     return;
                 }
                 self.kernel.alive[idx] = false;
-                self.kernel.latching[idx] = false;
-                self.kernel.latches[idx].fill(SimTime::ZERO);
                 self.kernel.fingerprint.mix(0xDEAD);
                 self.kernel.fingerprint.mix(target.0 as u64);
+                self.kernel.parked[idx] = None;
                 self.call(target, |actor, ctx| actor.on_crash(ctx));
             }
             EventKind::Recover(target) => {
@@ -1068,7 +1104,10 @@ mod tests {
                 };
                 let got = wheel.pop_at_or_before(at).map(|(time, idx)| match slab.remove(idx) {
                     EventKind::Deliver { msg, .. } => (time, msg),
-                    EventKind::Crash(_) | EventKind::Recover(_) | EventKind::Halt => (time, u64::MAX),
+                    EventKind::Shadow { .. }
+                    | EventKind::Crash(_)
+                    | EventKind::Recover(_)
+                    | EventKind::Halt => (time, u64::MAX),
                 });
                 prop_assert_eq!(got, model);
                 now = got.map_or(at, |(time, _)| time);
@@ -1455,162 +1494,80 @@ mod tests {
         assert_eq!(eng.kernel.fans.len(), 1);
     }
 
-    /// The latch tests' cell.
-    const SLOT: u32 = 3;
-
-    /// Records each note it is handed, or — for tag 0, a probe — what its
-    /// latch cell [`SLOT`] reads; republishes `latch` after every event
-    /// and on recovery, and does nothing else in the kernel.
-    struct Sink {
-        latch: bool,
-        got: Vec<(SimTime, u32)>,
-        probes: Vec<SimTime>,
+    /// Ticks every 10 ms from its first event, parking the timer instead
+    /// of arming it at the `park_at`-th tick; records each tick.
+    struct Ticker {
+        park_at: u32,
+        ticks: Vec<SimTime>,
     }
 
-    impl Actor<Note> for Sink {
-        fn on_event(&mut self, ctx: &mut Ctx<'_, Note>, note: Note) {
-            match *note.0 {
-                0 => self.probes.push(ctx.latched(SLOT)),
-                tag => self.got.push((ctx.now(), tag)),
-            }
-            ctx.set_latching(self.latch);
-        }
-
-        fn on_recover(&mut self, ctx: &mut Ctx<'_, Note>) {
-            ctx.set_latching(self.latch);
-        }
-    }
-
-    /// On each event, sends its note to `targets` after 1 ms: latched at
-    /// [`SLOT`], or as a plain fan-out.
-    struct Latcher {
-        targets: Vec<ActorId>,
-        latched: bool,
-    }
-
-    impl Actor<Note> for Latcher {
-        fn on_event(&mut self, ctx: &mut Ctx<'_, Note>, note: Note) {
-            let delay = SimDuration::from_millis(1);
-            if self.latched {
-                ctx.latch_shared(&self.targets, delay, note, SLOT);
+    impl Actor<Note> for Ticker {
+        fn on_event(&mut self, ctx: &mut Ctx<'_, Note>, _note: Note) {
+            self.ticks.push(ctx.now());
+            let period = SimDuration::from_millis(10);
+            if self.ticks.len() as u32 == self.park_at {
+                ctx.park(period, 0);
             } else {
-                ctx.send_shared(&self.targets, delay, note);
+                ctx.timer(period, 0);
             }
         }
     }
 
-    type Sunk = Vec<(Vec<(SimTime, u32)>, Vec<SimTime>)>;
-
-    /// Four sinks — 0 and 2 opt in, 1 and 3 do not — probed at 0, 3 and
-    /// 5 ms, and a caster sending to `targets` at 1 and 3 ms. Sink 2 is
-    /// down at the first delivery and back, opted in again, for the
-    /// second; sink 0 crashes and recovers under the second, a new
-    /// incarnation since its stamp.
-    fn latch_cast(latched: bool, targets: &[u32]) -> (u64, u64, Sunk) {
-        let mut eng = Engine::new(1);
-        let ids: Vec<ActorId> = (0..4)
-            .map(|i| {
-                eng.add_actor(Box::new(Sink {
-                    latch: i % 2 == 0,
-                    got: Vec::new(),
-                    probes: Vec::new(),
-                }))
-            })
-            .collect();
-        let caster = eng.add_actor(Box::new(Latcher {
-            targets: targets.iter().map(|&t| ids[t as usize]).collect(),
-            latched,
+    fn ticker(park_at: u32) -> (Engine<Note>, ActorId) {
+        let mut eng: Engine<Note> = Engine::new(1);
+        let id = eng.add_actor(Box::new(Ticker {
+            park_at,
+            ticks: Vec::new(),
         }));
-        for probe in [0, 3, 5] {
-            for &id in &ids {
-                eng.schedule_resilient(SimTime::from_millis(probe), id, 0);
-            }
-        }
-        eng.schedule(SimTime::from_millis(1), caster, 1);
-        eng.schedule(SimTime::from_millis(3), caster, 2);
-        eng.schedule_crash(SimTime::from_micros(1_500), ids[2]);
-        eng.schedule_recover(SimTime::from_micros(2_500), ids[2]);
-        eng.schedule_crash(SimTime::from_micros(3_500), ids[0]);
-        eng.schedule_recover(SimTime::from_micros(3_800), ids[0]);
-        eng.run_to_completion();
-        let sunk = ids
-            .iter()
-            .map(|&id| {
-                let sink = eng.actor::<Sink>(id);
-                (sink.got.clone(), sink.probes.clone())
-            })
-            .collect();
-        (eng.fingerprint(), eng.dispatched(), sunk)
+        eng.schedule(SimTime::from_millis(10), id, 0);
+        (eng, id)
     }
 
     #[test]
-    fn a_latch_is_counted_and_mixed_like_the_dispatch_it_replaces() {
+    fn a_woken_timer_fires_on_its_grid_as_if_it_never_parked() {
         let ms = SimTime::from_millis;
-        for targets in [&[0, 1, 2, 3][..], &[0], &[1]] {
-            let latched = latch_cast(true, targets);
-            let plain = latch_cast(false, targets);
-            assert_eq!((latched.0, latched.1), (plain.0, plain.1), "{targets:?}");
-        }
-        let (_, dispatched, sunk) = latch_cast(true, &[0, 1, 2, 3]);
-        // 12 probes, 2 casts, 3 live targets per delivery.
-        assert_eq!(dispatched, 20);
-        // Sink 0 latched the first delivery, and its crash cleared
-        // the cell; the second was stamped for its old incarnation.
-        assert_eq!(sunk[0], (vec![], vec![SimTime::ZERO, ms(2), SimTime::ZERO]));
-        // Sinks 1 and 3 never opted in: dispatched both times.
-        let both = vec![(ms(2), 1), (ms(4), 2)];
-        assert_eq!(sunk[1], (both.clone(), vec![SimTime::ZERO; 3]));
-        assert_eq!(sunk[3], (both, vec![SimTime::ZERO; 3]));
-        // Sink 2 was down for the first and opted in again on
-        // recovery for the second.
-        assert_eq!(sunk[2], (vec![], vec![SimTime::ZERO, SimTime::ZERO, ms(4)]));
-        // Without the latch, the same deliveries reach `on_event`.
-        let (_, _, plain) = latch_cast(false, &[0, 1, 2, 3]);
-        assert_eq!(plain[0].0, [(ms(2), 1)]);
-        assert_eq!(plain[2].0, [(ms(4), 2)]);
+        let (mut parked, id) = ticker(2);
+        parked.run_until(ms(35));
+        assert_eq!(parked.actor::<Ticker>(id).ticks, [ms(10), ms(20)]);
+        // Woken between runs at 35 ms: armed at 40, then ticks as a
+        // plain timer would; woken at a grid instant, armed one later.
+        parked.watch().wake(id);
+        parked.run_until(ms(60));
+        let (mut plain, id2) = ticker(0);
+        plain.run_until(ms(60));
+        let never = &plain.actor::<Ticker>(id2).ticks;
+        let woken = &parked.actor::<Ticker>(id).ticks;
+        assert_eq!(woken[2..], never[3..]);
+        let (mut at_grid, id3) = ticker(1);
+        at_grid.run_until(ms(30));
+        at_grid.watch().wake(id3);
+        at_grid.run_until(ms(40));
+        assert_eq!(at_grid.actor::<Ticker>(id3).ticks, [ms(10), ms(40)]);
+        // A wake names an actor with no parked timer: nothing happens.
+        at_grid.watch().wake(id3);
+        at_grid.run_until(ms(50));
+        assert_eq!(at_grid.actor::<Ticker>(id3).ticks.len(), 3);
     }
 
     #[test]
-    fn an_unset_latch_cell_reads_zero() {
-        struct Probe(Vec<SimTime>);
-        impl Actor<Note> for Probe {
-            fn on_event(&mut self, ctx: &mut Ctx<'_, Note>, _note: Note) {
-                self.0.push(ctx.latched(0));
-                self.0.push(ctx.latched(u32::MAX));
-            }
-        }
-        let mut eng: Engine<Note> = Engine::new(1);
-        let id = eng.add_actor(Box::new(Probe(Vec::new())));
-        eng.schedule(SimTime::from_millis(1), id, 1);
-        eng.run_to_completion();
-        assert_eq!(eng.actor::<Probe>(id).0, [SimTime::ZERO; 2]);
-    }
-
-    #[test]
-    fn a_crash_clears_the_latch_row_and_the_opt_in() {
-        let mut eng: Engine<Note> = Engine::new(1);
-        let sink = eng.add_actor(Box::new(Sink {
-            latch: true,
-            got: Vec::new(),
-            probes: Vec::new(),
-        }));
-        let caster = eng.add_actor(Box::new(Latcher {
-            targets: vec![sink],
-            latched: true,
-        }));
-        eng.schedule(SimTime::ZERO, sink, 0);
-        eng.schedule(SimTime::ZERO, caster, 1);
-        eng.run_until(SimTime::from_millis(2));
-        assert_eq!(
-            eng.kernel.latches[sink.index()][SLOT as usize],
-            SimTime::from_millis(1)
-        );
-        eng.schedule_crash(SimTime::from_millis(2), sink);
-        eng.run_until(SimTime::from_millis(3));
-        assert!(eng.kernel.latches[sink.index()]
-            .iter()
-            .all(|&t| t == SimTime::ZERO));
-        assert!(!eng.kernel.latching[sink.index()]);
+    fn a_parked_timer_fires_virtually_in_queue_order_until_a_crash() {
+        let ms = SimTime::from_millis;
+        let fired = |crash_at: u64, scheduled_at: u64| {
+            let (mut eng, id) = ticker(1);
+            eng.run_until(ms(scheduled_at));
+            eng.schedule_crash(ms(crash_at), id);
+            eng.run_until(ms(crash_at + 1));
+            (eng.watch().fired(id), eng.dispatched())
+        };
+        // Parked at its 10 ms tick, dispatched once; then fired at 20,
+        // 30, ... without a dispatch.
+        assert_eq!(fired(35, 0), (ms(30), 1));
+        // A crash at a firing instant scheduled before that firing's
+        // shadow was queued comes first; one scheduled after, after.
+        assert_eq!(fired(30, 0), (ms(20), 1));
+        assert_eq!(fired(30, 20), (ms(30), 1));
+        // Before the first firing: the instant it parked.
+        assert_eq!(fired(15, 0), (ms(10), 1));
     }
 
     #[test]

@@ -11,12 +11,7 @@
 //! the systems do, so the storms drive the kernel's production path
 //! rather than its boxed-`Any` adapter.
 //!
-//! A third mode sends those hops as latched fan-outs while every worker
-//! flips its latch opt-in at random after each event and logs a latch
-//! cell it reads: a latched run changes what the workers see, so it is
-//! held to a replay of itself rather than to the reference.
-//!
-//! In every mode, each hop carries the order it was scheduled in, and the
+//! In both modes, each hop carries the order it was scheduled in, and the
 //! dispatches must arrive in ascending `(time, scheduling order)` — the
 //! order the binary heap the timing wheel replaced dispatched in (the
 //! engine's unit tests hold the wheel to that heap, pop for pop).
@@ -45,9 +40,6 @@ enum Multi {
     PerTarget,
     /// One `Ctx::send_shared`: a copy per target but the last.
     FanOut,
-    /// One `Ctx::latch_shared` at the sender's slot, to workers that opt
-    /// in and out at random.
-    Latched,
 }
 
 /// The ordered `(now, label)` log every worker of a run appends to.
@@ -114,9 +106,6 @@ impl Worker {
                     }
                 }
                 Multi::FanOut => ctx.send_shared(&targets, d, self.order.hop(hops - 1)),
-                Multi::Latched => {
-                    ctx.latch_shared(&targets, d, self.order.hop(hops - 1), self.id);
-                }
             }
         } else {
             ctx.send(ActorId(first), d, self.order.hop(hops - 1));
@@ -136,13 +125,6 @@ impl Actor<Hop> for Worker {
             .borrow_mut()
             .push((ctx.now(), hop.order));
         self.on_hop(ctx, hop.hops);
-        if self.multi == Multi::Latched {
-            let slot = ctx.rng().random_range(0..self.peers);
-            let cell = ctx.latched(slot);
-            self.record(ctx, format_args!("latch{slot}={cell:?}"));
-            let on = ctx.rng().random_bool(0.5);
-            ctx.set_latching(on);
-        }
     }
 
     fn on_crash(&mut self, ctx: &mut Ctx<'_, Hop>) {
@@ -214,7 +196,7 @@ fn run_plan(
 proptest! {
     /// Random storms + fault plans: a fan-out run agrees with the
     /// per-target run on the fingerprint, the dispatch count, and every
-    /// single log entry; a latched run replays to itself.
+    /// single log entry.
     #[test]
     fn fan_out_and_per_target_traces_are_identical(
         seed in 0u64..1_000_000,
@@ -236,11 +218,6 @@ proptest! {
         for (i, (r, f)) in reference.2.iter().zip(run.2.iter()).enumerate() {
             prop_assert_eq!(r, f, "log entry {} diverged", i);
         }
-        prop_assert_eq!(
-            run_plan(Multi::Latched, seed, n_workers, &plans),
-            run_plan(Multi::Latched, seed, n_workers, &plans),
-            "latched runs diverged"
-        );
     }
 
     /// Crash/recover exactly at a delivery tick: events stamped with the
@@ -260,9 +237,5 @@ proptest! {
         ];
         let reference = run_plan(Multi::PerTarget, seed, 2, &plans);
         prop_assert_eq!(&reference, &run_plan(Multi::FanOut, seed, 2, &plans));
-        prop_assert_eq!(
-            run_plan(Multi::Latched, seed, 2, &plans),
-            run_plan(Multi::Latched, seed, 2, &plans)
-        );
     }
 }
