@@ -33,7 +33,6 @@ fn run_point(max_msgs: usize, quick: bool) -> Report {
         .safety(SafetyLevel::GroupSafe)
         .batching(BatchConfig {
             max_msgs,
-            max_bytes: 0,
             max_delay: SimDuration::from_millis(1),
         })
         // Short write-heavy transactions: the ordering traffic, not the

@@ -4,30 +4,27 @@ use groupsafe_sim::SimDuration;
 
 /// Sequencer-side batching of the ordering pipeline.
 ///
-/// With `max_msgs > 1` the sequencer accumulates pending broadcasts and
-/// ships them as one `OrderedBatch` frame carrying a contiguous sequence
-/// range; receivers persist the whole frame with a single stable-log
-/// write and acknowledge it with one aggregated `AckRange` vote instead
-/// of one message per sequence number. Sequence numbers are assigned at
-/// forward-receipt time exactly as in the unbatched path, so the total
-/// order a run produces is independent of the knobs — only the framing
-/// (and therefore the per-transaction message and CPU cost) changes.
+/// The sequencer assigns a sequence number when a forward arrives and
+/// holds the entry in an accumulator; it ships the accumulator as one
+/// `Ordered` frame carrying a contiguous sequence range. Every receiver
+/// persists a frame with a single stable-log write and votes for it with
+/// one `Ack` covering the range. The total order a run produces is
+/// independent of the knobs — only the framing (and therefore the
+/// per-transaction message and CPU cost) changes.
 ///
-/// A batch is flushed as soon as *any* trigger fires:
+/// Unbatched is a frame of one: with `max_msgs = 1` every entry is
+/// flushed as it is ordered, on the same pipeline. A frame of one costs
+/// one message's wire time (`latency + (1 − 1) × frame_unit_cost`).
+///
+/// A batch is flushed as soon as *either* trigger fires:
 /// * it holds `max_msgs` messages,
-/// * its estimated payload volume reaches `max_bytes` (0 disables the
-///   byte trigger; payload sizes are estimated as `size_of::<P>()` —
-///   an in-memory proxy, adequate for the simulation),
 /// * `max_delay` elapsed since the first message entered the
 ///   accumulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Flush when this many messages accumulated. `1` disables batching
-    /// (the endpoint runs the classic per-message path bit-for-bit).
+    /// Flush when this many messages accumulated. `1` is unbatched:
+    /// every frame holds one message.
     pub max_msgs: usize,
-    /// Flush when the accumulated payload estimate reaches this many
-    /// bytes (0 = no byte trigger).
-    pub max_bytes: usize,
     /// Flush when the oldest accumulated message has waited this long.
     pub max_delay: SimDuration,
 }
@@ -39,29 +36,22 @@ impl Default for BatchConfig {
 }
 
 impl BatchConfig {
-    /// One message per frame: the classic unbatched pipeline.
+    /// One message per frame: the unbatched pipeline.
     pub fn unbatched() -> Self {
         BatchConfig {
             max_msgs: 1,
-            max_bytes: 0,
             max_delay: SimDuration::ZERO,
         }
     }
 
     /// Batch up to `max_msgs` messages, flushing after at most
-    /// `max_delay` (no byte trigger).
+    /// `max_delay`.
     pub fn of(max_msgs: usize, max_delay: SimDuration) -> Self {
         assert!(max_msgs >= 1, "a batch holds at least one message");
         BatchConfig {
             max_msgs,
-            max_bytes: 0,
             max_delay,
         }
-    }
-
-    /// True when the batched pipeline is in force.
-    pub fn enabled(&self) -> bool {
-        self.max_msgs > 1 || self.max_bytes > 0
     }
 }
 
@@ -205,26 +195,12 @@ mod tests {
             GcsConfig::crash_recovery(),
             GcsConfig::end_to_end(),
         ] {
-            assert!(!cfg.batch.enabled());
+            assert_eq!(cfg.batch, BatchConfig::unbatched());
+            assert_eq!(cfg.batch.max_msgs, 1);
         }
         let batched = GcsConfig::end_to_end()
             .with_batching(BatchConfig::of(16, SimDuration::from_micros(300)));
-        assert!(batched.batch.enabled());
         assert_eq!(batched.batch.max_msgs, 16);
-    }
-
-    #[test]
-    fn batch_config_triggers() {
-        assert!(!BatchConfig::unbatched().enabled());
-        assert!(BatchConfig::of(2, SimDuration::ZERO).enabled());
-        assert!(
-            BatchConfig {
-                max_msgs: 1,
-                max_bytes: 4096,
-                max_delay: SimDuration::ZERO,
-            }
-            .enabled(),
-            "a byte trigger alone enables the batched pipeline"
-        );
+        assert_eq!(batched.batch.max_delay, SimDuration::from_micros(300));
     }
 }

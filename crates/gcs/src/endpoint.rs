@@ -13,14 +13,17 @@
 //!
 //! * `A-broadcast(m)`: send `Forward(m)` to the sequencer (the smallest
 //!   member of the current view). The sequencer assigns the next global
-//!   sequence number and broadcasts `Ordered(seq, m)`.
+//!   sequence number and broadcasts it in an `Ordered` frame: a frame of
+//!   one, or up to `max_msgs` entries when batching (see
+//!   [`crate::BatchConfig`]). Every receiver runs the same path for
+//!   every frame.
 //! * *Non-uniform* delivery: deliver in sequence order on receipt.
-//! * *Uniform* delivery ("safe delivery"): on receiving `Ordered`, each
-//!   process acknowledges to all; an entry is *stable* — and deliverable —
-//!   once a majority of the view has acknowledged it. Group-safety rests
-//!   on exactly this guarantee.
-//! * *Crash-recovery model*: the endpoint persists each entry to its log
-//!   disk before acknowledging, marks entries `delivered` (write-ahead)
+//! * *Uniform* delivery ("safe delivery"): on receiving a frame, each
+//!   process votes for it with one `Ack` to all; an entry is *stable* —
+//!   and deliverable — once a majority of the view has voted for it.
+//!   Group-safety rests on exactly this guarantee.
+//! * *Crash-recovery model*: the endpoint persists each frame to its log
+//!   disk before voting, marks entries `delivered` (write-ahead)
 //!   before handing them up, and on recovery rebuilds from the stable log
 //!   and catches up from peers. Without the end-to-end extension it must
 //!   not redeliver entries marked `delivered` (uniform integrity) — the
@@ -71,15 +74,16 @@ pub struct GcsStats {
     pub delivered: u64,
     /// Redeliveries after recovery (end-to-end mode only).
     pub redelivered: u64,
-    /// Stable-log writes performed (crash-recovery model). A batched
-    /// frame persists with ONE write covering all its entries.
+    /// Stable-log writes performed (crash-recovery model). A frame
+    /// persists with ONE write covering all its entries.
     pub persists: u64,
-    /// Stability-vote messages sent. An aggregated [`Wire::AckRange`]
-    /// covering a whole batch counts once.
+    /// Stability-vote messages sent. A [`Wire::Ack`] covering a whole
+    /// frame counts once.
     pub acks_sent: u64,
     /// View changes completed (coordinator or member side).
     pub view_changes: u64,
-    /// Batch frames flushed by this endpoint as sequencer.
+    /// Ordered frames flushed by this endpoint as sequencer (one per
+    /// entry when unbatched).
     pub batches_sent: u64,
     /// Application messages carried in those frames.
     pub batch_msgs_sent: u64,
@@ -107,7 +111,8 @@ impl GcsStats {
         self.retractions += other.retractions;
     }
 
-    /// Mean messages per flushed batch (1.0 when nothing was batched).
+    /// Mean messages per flushed frame (1.0 unbatched, or when nothing
+    /// was flushed).
     pub fn mean_batch_size(&self) -> f64 {
         if self.batches_sent == 0 {
             1.0
@@ -117,9 +122,9 @@ impl GcsStats {
     }
 
     /// Stability-vote messages per delivered entry. Both counters sum
-    /// per-node over the group, so the unbatched pipeline measures 1.0
-    /// (each node sends one vote for each entry it delivers); the
-    /// batched pipeline measures ≈ `1 / batch`.
+    /// per-node over the group, so an unbatched run measures 1.0 (each
+    /// node sends one vote for each frame of one it delivers); a
+    /// batched one measures ≈ `1 / batch`.
     pub fn votes_per_delivery(&self) -> f64 {
         if self.delivered == 0 {
             0.0
@@ -264,10 +269,8 @@ pub struct GcsEndpoint<P, S> {
     /// (joiner, generation, view to install, flush watermark).
     pending_state_transfers: Vec<(NodeId, u64, View, u64)>,
     /// Sequencer-side batch accumulator: entries with assigned sequence
-    /// numbers not yet multicast (batched pipeline only).
+    /// numbers not yet multicast.
     batch_acc: Vec<Entry<P>>,
-    /// Estimated payload volume of the accumulator (byte trigger).
-    batch_acc_bytes: usize,
     /// Bumped on every flush, crash and view change; a `BatchFlush`
     /// timer is honoured only if its epoch still matches, so stale
     /// deadlines can never flush a later incarnation's accumulator.
@@ -369,7 +372,6 @@ where
             join: None,
             pending_state_transfers: Vec::new(),
             batch_acc: Vec::new(),
-            batch_acc_bytes: 0,
             batch_epoch: 0,
             batch_timer_armed: false,
             batch_hist: BTreeMap::new(),
@@ -646,20 +648,14 @@ where
         }
         match *wire {
             Wire::Forward { id, ref payload } => self.on_forward(ctx, id, payload.clone()),
-            Wire::Ordered { view, ref entry } => self.on_ordered(ctx, view, entry.clone(), out),
-            Wire::OrderedBatch { view, ref entries } => {
-                self.on_ordered_batch(ctx, view, entries, out)
-            }
-            Wire::Ack {
-                seq,
-                era,
-                delivered,
-            } => {
-                self.note_head(rank, delivered);
-                self.record_ack(from, seq, era);
+            Wire::Ordered { ref entries, .. } => {
+                if !self.joined {
+                    return; // mid-join: the state transfer will cover these entries
+                }
+                self.store_frame(ctx, entries);
                 self.try_deliver(ctx, out);
             }
-            Wire::AckRange {
+            Wire::Ack {
                 lo,
                 hi,
                 era,
@@ -707,9 +703,7 @@ where
                 self.on_sync_entries(ctx, epoch, entries, out)
             }
             Wire::Retransmit { ref entries } => {
-                for e in entries {
-                    self.store_entry(ctx, e.clone());
-                }
+                self.store_frames_of_one(ctx, entries);
                 self.try_deliver(ctx, out);
             }
             Wire::NewView {
@@ -738,9 +732,7 @@ where
                 stable_up_to,
             } => {
                 self.stable_floor = self.stable_floor.max(stable_up_to);
-                for e in entries {
-                    self.store_entry(ctx, e.clone());
-                }
+                self.store_frames_of_one(ctx, entries);
                 // A recovering sequencer resumes assigning only after a
                 // majority of peers confirmed what they hold, so it can
                 // never reuse a sequence number it lost in the crash.
@@ -773,7 +765,9 @@ where
     ) {
         match timer {
             GcsTimer::Heartbeat => self.on_heartbeat_timer(ctx, out),
-            GcsTimer::Persisted { seq } => self.on_persisted(ctx, seq, out),
+            GcsTimer::Persisted { lo, span } => {
+                self.on_persisted(ctx, lo, lo + u64::from(span) - 1, out)
+            }
             GcsTimer::ViewChangeRetry { epoch } => {
                 if let Some(vc) = self.vc.take_if(|vc| vc.epoch == epoch) {
                     // The abandoned change took its joiners out of
@@ -803,9 +797,6 @@ where
                 if self.started && epoch == self.batch_epoch {
                     self.flush_batch(ctx);
                 }
-            }
-            GcsTimer::BatchPersisted { lo, span } => {
-                self.on_batch_persisted(ctx, lo, lo + u64::from(span) - 1, out)
             }
             GcsTimer::SeqResume => {
                 if self.cfg.model == GcsModel::CrashRecovery
@@ -905,12 +896,10 @@ where
                 },
             };
             let view = self.view.id;
-            self.net.multicast(
-                ctx,
-                self.me,
-                &self.targets,
-                Wire::<P, S>::Ordered { view, entry },
-            );
+            let entries = vec![entry];
+            let frame = Wire::<P, S>::Ordered { view, entries };
+            self.net
+                .multicast_frame(ctx, self.me, &self.targets, frame, 1);
             return;
         }
         // Record immediately: a duplicate forward arriving before our own
@@ -924,25 +913,7 @@ where
             payload,
             era: self.assign_era(),
         };
-        if self.cfg.batch.enabled() {
-            self.accumulate(ctx, entry);
-            return;
-        }
-        // The assignment is committed to the wire here: reflect it in
-        // max_seq_seen immediately. Waiting for the self-delivery loopback
-        // leaves a window in which a finishing view change snapshots a
-        // watermark BELOW this entry — the next sequencer would then
-        // reuse its sequence number for a different message.
-        self.max_seq_seen = self.max_seq_seen.max(next);
-        let view = self.view.id;
-        let fanout = self.targets.len() as u32;
-        ctx.emit(|| ObsEvent::MulticastSend { fanout });
-        self.net.multicast(
-            ctx,
-            self.me,
-            &self.targets,
-            Wire::<P, S>::Ordered { view, entry },
-        );
+        self.accumulate(ctx, entry);
     }
 
     /// The era a sequence number assigned now is tagged with. Static
@@ -956,16 +927,14 @@ where
         }
     }
 
-    /// Sequencer side of the batched pipeline: hold the freshly ordered
-    /// entry until a flush trigger fires (size, bytes or deadline). The
-    /// sequence number is already assigned, so accumulation changes the
-    /// framing of the total order, never the order itself.
+    /// Sequencer side of the pipeline: hold the freshly ordered entry
+    /// until a flush trigger fires (size or deadline; unbatched, the
+    /// size trigger fires at once). The sequence number is already
+    /// assigned, so accumulation changes the framing of the total order,
+    /// never the order itself.
     fn accumulate<M: GcsMessage<P, S>>(&mut self, ctx: &mut Ctx<'_, M>, entry: Entry<P>) {
-        self.batch_acc_bytes += std::mem::size_of::<P>();
         self.batch_acc.push(entry);
-        let full = self.batch_acc.len() >= self.cfg.batch.max_msgs
-            || (self.cfg.batch.max_bytes > 0 && self.batch_acc_bytes >= self.cfg.batch.max_bytes);
-        if full {
+        if self.batch_acc.len() >= self.cfg.batch.max_msgs {
             self.flush_batch(ctx);
         } else if !self.batch_timer_armed {
             self.batch_timer_armed = true;
@@ -978,20 +947,22 @@ where
         }
     }
 
-    /// Ship the accumulator as one `OrderedBatch` frame.
+    /// Ship the accumulator as one `Ordered` frame.
     fn flush_batch<M: GcsMessage<P, S>>(&mut self, ctx: &mut Ctx<'_, M>) {
         if self.batch_acc.is_empty() {
             return;
         }
-        let entries = std::mem::take(&mut self.batch_acc);
-        self.batch_acc_bytes = 0;
+        // A copy of exactly the frame's size; the accumulator keeps its
+        // buffer for the next frame.
+        let entries: Vec<Entry<P>> = self.batch_acc.drain(..).collect();
         self.batch_timer_armed = false;
         self.batch_epoch += 1; // invalidate any armed deadline
         let n = entries.len() as u64;
-        // As in the unbatched path: the frame's sequence numbers are
-        // committed to the wire now (never rolled back after this point),
-        // so max_seq_seen must cover them before any concurrent view
-        // change snapshots its watermark.
+        // The frame's sequence numbers are committed to the wire now
+        // (never rolled back after this point): max_seq_seen must cover
+        // them before any concurrent view change snapshots its
+        // watermark, or the next sequencer would reuse them for
+        // different messages.
         if let Some(last) = entries.last() {
             self.max_seq_seen = self.max_seq_seen.max(last.seq);
         }
@@ -1006,7 +977,7 @@ where
             ctx,
             self.me,
             &self.targets,
-            Wire::<P, S>::OrderedBatch { view, entries },
+            Wire::<P, S>::Ordered { view, entries },
             n,
         );
     }
@@ -1024,7 +995,6 @@ where
         for e in self.batch_acc.drain(..) {
             self.ordered_ids.remove(e.id);
         }
-        self.batch_acc_bytes = 0;
         self.batch_timer_armed = false;
         self.batch_epoch += 1;
         if self.seq_assign.is_some() {
@@ -1032,9 +1002,10 @@ where
         }
     }
 
-    /// Record an ordered entry locally without the delivery-path side
-    /// effects (ack/persist). Returns true if the entry was new.
-    fn store_entry_raw(&mut self, entry: Entry<P>) -> bool {
+    /// Record an ordered entry locally, carried in a frame of `span`
+    /// entries, without the delivery-path side effects (persist, vote).
+    /// Returns true if the entry was new.
+    fn store(&mut self, entry: Entry<P>, span: u32) -> bool {
         if entry.seq < self.next_deliver {
             return false;
         }
@@ -1061,6 +1032,7 @@ where
         self.ordered_ids.insert(entry.id, entry.seq);
         self.pending.remove(&entry.id);
         slot.entry = Some(entry);
+        slot.frame_span = span;
         true
     }
 
@@ -1077,40 +1049,12 @@ where
         done
     }
 
-    /// Record an ordered entry locally; in the view model also acknowledge.
-    fn store_entry<M: GcsMessage<P, S>>(&mut self, ctx: &mut Ctx<'_, M>, entry: Entry<P>) {
-        let seq = entry.seq;
-        if !self.store_entry_raw(entry) {
-            return;
-        }
-        match self.cfg.model {
-            GcsModel::ViewBased => {
-                if self.cfg.guarantee == DeliveryGuarantee::Uniform {
-                    self.send_ack(ctx, seq);
-                }
-            }
-            GcsModel::CrashRecovery => {
-                // Persist before acknowledging: stability is backed by
-                // stable storage in this model.
-                let done = self.persist(ctx.now());
-                ctx.timer(done - ctx.now(), GcsTimer::Persisted { seq });
-            }
-        }
-    }
-
-    /// Receiver side of a batch frame: store every entry, then run the
-    /// per-frame (instead of per-entry) side effects — ONE stable-log
-    /// write covering the whole frame, ONE aggregated stability vote.
-    fn on_ordered_batch<M: GcsMessage<P, S>>(
-        &mut self,
-        ctx: &mut Ctx<'_, M>,
-        _view: u64,
-        entries: &[Entry<P>],
-        out: &mut Vec<GcsOutput<P, S>>,
-    ) {
-        if !self.joined {
-            return; // mid-join: the state transfer will cover these entries
-        }
+    /// The one store/persist/vote path: store every entry of a frame,
+    /// then run its side effects once — ONE stable-log write covering
+    /// the whole frame (crash-recovery model) before ONE vote for it,
+    /// or that vote at once (view-based uniform model). Nothing happens
+    /// if the frame held no new entry.
+    fn store_frame<M: GcsMessage<P, S>>(&mut self, ctx: &mut Ctx<'_, M>, entries: &[Entry<P>]) {
         let (Some(first), Some(last)) = (entries.first(), entries.last()) else {
             return;
         };
@@ -1118,32 +1062,40 @@ where
         let span = entries.len() as u32;
         let mut fresh = false;
         for e in entries {
-            if let Some(slot) = self.log.slot_mut(e.seq) {
-                slot.frame_span = span;
-            }
-            fresh |= self.store_entry_raw(e.clone());
+            fresh |= self.store(e.clone(), span);
         }
-        if fresh {
-            match self.cfg.model {
-                GcsModel::ViewBased => {
-                    if self.cfg.guarantee == DeliveryGuarantee::Uniform {
-                        self.send_ack_range(ctx, lo, hi);
-                    }
-                }
-                GcsModel::CrashRecovery => {
-                    // One sequential stable-log write for the whole frame;
-                    // the aggregated vote follows once it is on disk.
-                    let done = self.persist(ctx.now());
-                    ctx.timer(done - ctx.now(), GcsTimer::BatchPersisted { lo, span });
+        if !fresh {
+            return;
+        }
+        match self.cfg.model {
+            GcsModel::ViewBased => {
+                if self.cfg.guarantee == DeliveryGuarantee::Uniform {
+                    self.send_vote(ctx, lo, hi);
                 }
             }
+            GcsModel::CrashRecovery => {
+                let done = self.persist(ctx.now());
+                ctx.timer(done - ctx.now(), GcsTimer::Persisted { lo, span });
+            }
         }
-        self.try_deliver(ctx, out);
     }
 
-    /// The frame-wide stable-log write finished: mark everything in the
-    /// window persisted and send one aggregated vote for it.
-    fn on_batch_persisted<M: GcsMessage<P, S>>(
+    /// Store entries that came outside the sequencer's frames (a
+    /// view-change retransmission or fetch, a catch-up reply), each as a
+    /// frame of one.
+    fn store_frames_of_one<M: GcsMessage<P, S>>(
+        &mut self,
+        ctx: &mut Ctx<'_, M>,
+        entries: &[Entry<P>],
+    ) {
+        for e in entries {
+            self.store_frame(ctx, std::slice::from_ref(e));
+        }
+    }
+
+    /// The stable-log write covering the frame `lo..=hi` finished: mark
+    /// every entry of it persisted and vote once for the frame.
+    fn on_persisted<M: GcsMessage<P, S>>(
         &mut self,
         ctx: &mut Ctx<'_, M>,
         lo: u64,
@@ -1152,42 +1104,26 @@ where
     ) {
         let mut any = false;
         for seq in lo..=hi {
-            any |= self.mark_persisted(seq, true);
+            any |= self.mark_persisted(seq);
         }
         if any {
-            // One frame-wide stable-log write covered the whole window.
             ctx.emit(|| ObsEvent::StableWrite { seq: hi });
-            self.send_ack_range(ctx, lo, hi);
+            self.send_vote(ctx, lo, hi);
             self.try_deliver(ctx, out);
         }
     }
 
-    fn on_ordered<M: GcsMessage<P, S>>(
-        &mut self,
-        ctx: &mut Ctx<'_, M>,
-        _view: u64,
-        entry: Entry<P>,
-        out: &mut Vec<GcsOutput<P, S>>,
-    ) {
-        if !self.joined {
-            return; // mid-join: the state transfer will cover this entry
-        }
-        self.store_entry(ctx, entry);
-        self.try_deliver(ctx, out);
-    }
-
-    /// The stable-log write covering `seq` finished: mark the entry held
-    /// there persisted and copy it into the stable log. False if there is
-    /// no such entry, or (`skip_persisted`, the frame-wide write) it was
-    /// persisted already.
-    fn mark_persisted(&mut self, seq: u64, skip_persisted: bool) -> bool {
+    /// Mark the entry held at `seq` persisted and copy it into the
+    /// stable log. False if there is no such entry, or it was persisted
+    /// already.
+    fn mark_persisted(&mut self, seq: u64) -> bool {
         let Some(slot) = self.log.get_mut(seq) else {
             return false;
         };
         let Some(entry) = &slot.entry else {
             return false;
         };
-        if skip_persisted && slot.persisted {
+        if slot.persisted {
             return false;
         }
         slot.persisted = true;
@@ -1204,47 +1140,15 @@ where
         true
     }
 
-    fn on_persisted<M: GcsMessage<P, S>>(
-        &mut self,
-        ctx: &mut Ctx<'_, M>,
-        seq: u64,
-        out: &mut Vec<GcsOutput<P, S>>,
-    ) {
-        if !self.mark_persisted(seq, false) {
-            return;
-        }
-        ctx.emit(|| ObsEvent::StableWrite { seq });
-        self.send_ack(ctx, seq);
-        self.try_deliver(ctx, out);
-    }
-
     /// Era of the entry held at `seq` (0 without one).
     fn entry_era(&self, seq: u64) -> u64 {
         self.log.get(seq).map_or(0, |slot| slot.era())
     }
 
-    fn send_ack<M: GcsMessage<P, S>>(&mut self, ctx: &mut Ctx<'_, M>, seq: u64) {
-        ctx.emit(|| ObsEvent::Vote { seq });
-        let era = self.entry_era(seq);
-        self.record_ack(self.me, seq, era);
-        self.stats.acks_sent += 1;
-        let delivered = self.delivered_head();
-        self.net.multicast(
-            ctx,
-            self.me,
-            &self.peers,
-            Wire::<P, S>::Ack {
-                seq,
-                era,
-                delivered,
-            },
-        );
-    }
-
-    /// One aggregated stability vote covering `lo..=hi` (batched
-    /// pipeline): semantically `hi - lo + 1` acks, one message.
-    fn send_ack_range<M: GcsMessage<P, S>>(&mut self, ctx: &mut Ctx<'_, M>, lo: u64, hi: u64) {
-        // One aggregated vote: the window's head stands for the frame.
+    /// One stability vote covering `lo..=hi`: counted here, multicast
+    /// to the peers as one message.
+    fn send_vote<M: GcsMessage<P, S>>(&mut self, ctx: &mut Ctx<'_, M>, lo: u64, hi: u64) {
+        // One vote: the window's head stands for the frame.
         ctx.emit(|| ObsEvent::Vote { seq: hi });
         let era = self.entry_era(lo);
         for seq in lo..=hi {
@@ -1256,7 +1160,7 @@ where
             ctx,
             self.me,
             &self.peers,
-            Wire::<P, S>::AckRange {
+            Wire::<P, S>::Ack {
                 lo,
                 hi,
                 era,
@@ -1751,9 +1655,7 @@ where
         entries: &[Entry<P>],
         out: &mut Vec<GcsOutput<P, S>>,
     ) {
-        for e in entries {
-            self.store_entry(ctx, e.clone());
-        }
+        self.store_frames_of_one(ctx, entries);
         if let Some(vc) = &mut self.vc {
             if vc.epoch == epoch {
                 vc.fetching_from = None;
@@ -2127,26 +2029,23 @@ where
     // Catch-up (crash-recovery model and view-change gap fill)
     // ------------------------------------------------------------------
 
-    /// Compress an ascending sequence list into contiguous `(lo, hi)`
-    /// runs (aggregated-vote framing).
-    fn contiguous_runs(seqs: &[u64]) -> Vec<(u64, u64)> {
-        let mut runs: Vec<(u64, u64)> = Vec::new();
-        for &s in seqs {
+    /// The stability votes to replay for the entries persisted locally
+    /// at or above `from`, as `(lo, hi, era)` runs: contiguous, of one
+    /// era, and at most `max_msgs` long — so an unbatched endpoint
+    /// replays one vote per entry, as it voted in the first place.
+    fn vote_runs(&self, from: u64) -> Vec<(u64, u64, u64)> {
+        let cap = self.cfg.batch.max_msgs as u64;
+        let mut runs: Vec<(u64, u64, u64)> = Vec::new();
+        for (seq, slot) in self.log.range(from).filter(|(_, slot)| slot.persisted) {
+            let era = slot.era();
             match runs.last_mut() {
-                Some((_, hi)) if *hi + 1 == s => *hi = s,
-                _ => runs.push((s, s)),
+                Some((lo, hi, run_era)) if *hi + 1 == seq && *run_era == era && seq - *lo < cap => {
+                    *hi = seq
+                }
+                _ => runs.push((seq, seq, era)),
             }
         }
         runs
-    }
-
-    /// Sequence numbers at or above `from` persisted locally, ascending.
-    fn persisted_from(&self, from: u64) -> Vec<u64> {
-        self.log
-            .range(from)
-            .filter(|(_, slot)| slot.persisted)
-            .map(|(seq, _)| seq)
-            .collect()
     }
 
     /// Highest sequence number with the whole prefix persisted locally.
@@ -2231,48 +2130,15 @@ where
         // *delivered* yet (so `stable_up_to` does not cover them) would
         // otherwise never reach majority at the requester, stalling its
         // delivery cursor forever.
-        let persisted = self.persisted_from(stable_up_to + 1);
         let delivered = self.delivered_head();
-        if self.cfg.batch.enabled() {
-            // Compress into contiguous runs: one aggregated vote per run
-            // (split further wherever the era changes inside a run).
-            for (lo, hi) in Self::contiguous_runs(&persisted) {
-                let mut start = lo;
-                while start <= hi {
-                    let era = self.entry_era(start);
-                    let mut end = start;
-                    while end < hi && self.entry_era(end + 1) == era {
-                        end += 1;
-                    }
-                    self.net.send_frame(
-                        ctx,
-                        self.me,
-                        from,
-                        Wire::<P, S>::AckRange {
-                            lo: start,
-                            hi: end,
-                            era,
-                            delivered,
-                        },
-                        end - start + 1,
-                    );
-                    start = end + 1;
-                }
-            }
-        } else {
-            for seq in persisted {
-                let era = self.entry_era(seq);
-                self.net.send(
-                    ctx,
-                    self.me,
-                    from,
-                    Wire::<P, S>::Ack {
-                        seq,
-                        era,
-                        delivered,
-                    },
-                );
-            }
+        for (lo, hi, era) in self.vote_runs(stable_up_to + 1) {
+            let vote = Wire::<P, S>::Ack {
+                lo,
+                hi,
+                era,
+                delivered,
+            };
+            self.net.send_frame(ctx, self.me, from, vote, hi - lo + 1);
         }
     }
 
@@ -2329,7 +2195,6 @@ where
         self.join = None;
         self.pending_state_transfers.clear();
         self.batch_acc.clear();
-        self.batch_acc_bytes = 0;
         self.batch_epoch += 1; // any armed flush deadline is now stale
         self.batch_timer_armed = false;
         self.resend_armed = false;
@@ -2415,17 +2280,8 @@ where
                     self.next_deliver = delivered_prefix + 1;
                 }
                 // Help others' stability and catch up on what we missed.
-                let persisted = self.persisted_from(0);
-                if self.cfg.batch.enabled() {
-                    // Aggregated votes, as on the fast path: one range
-                    // message per contiguous run of the stable log.
-                    for (lo, hi) in Self::contiguous_runs(&persisted) {
-                        self.send_ack_range(ctx, lo, hi);
-                    }
-                } else {
-                    for seq in persisted {
-                        self.send_ack(ctx, seq);
-                    }
+                for (lo, hi, _) in self.vote_runs(0) {
+                    self.send_vote(ctx, lo, hi);
                 }
                 self.net.multicast(
                     ctx,

@@ -4,10 +4,11 @@
 //! Schiper, EDBT 2004, §2.3–§4):
 //!
 //! * fixed-sequencer **atomic broadcast** with uniform ("safe") or
-//!   non-uniform delivery, with an optional **batched pipeline**
-//!   ([`BatchConfig`]): the sequencer packs pending broadcasts into one
-//!   `OrderedBatch` frame per flush, receivers persist the frame with a
-//!   single stable-log write and vote with one aggregated `AckRange`,
+//!   non-uniform delivery over one ordering pipeline: the sequencer
+//!   ships ordered entries in `Ordered` frames, and receivers persist a
+//!   frame with a single stable-log write and vote for it with one
+//!   `Ack`. Unbatched, every frame holds one entry; **batching**
+//!   ([`BatchConfig`]) packs pending broadcasts into larger frames,
 //!   amortising the per-transaction ordering cost without changing the
 //!   total order,
 //! * the **dynamic crash no-recovery** model: views, heartbeat failure

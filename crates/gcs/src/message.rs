@@ -48,50 +48,35 @@ pub enum Wire<P, S> {
         /// Payload.
         payload: P,
     },
-    /// Sequencer → all: the message got position `seq` in the total order.
+    /// Sequencer → all: one frame of ordered entries, a contiguous run
+    /// of sequence numbers. An unbatched sequencer sends frames of one;
+    /// a batched one packs up to [`crate::BatchConfig::max_msgs`].
+    /// Every receiver stores the frame, persists it with one stable-log
+    /// write (crash-recovery model) and votes for it with one
+    /// [`Wire::Ack`].
     Ordered {
-        /// View (or era) in which the order was assigned.
-        view: u64,
-        /// The ordered entry.
-        entry: Entry<P>,
-    },
-    /// Sequencer → all: one frame carrying a contiguous run of ordered
-    /// entries (batched pipeline). Semantically equivalent to one
-    /// [`Wire::Ordered`] per entry, but accounted as a single
-    /// transmission and acknowledged with one [`Wire::AckRange`].
-    OrderedBatch {
         /// View (or era) in which the order was assigned.
         view: u64,
         /// The entries, in ascending contiguous `seq` order.
         entries: Vec<Entry<P>>,
     },
     /// All → all: "I have (and, in the crash-recovery model, have
-    /// persisted) the entry at `seq`". Majority of acks ⇒ stability.
+    /// persisted) the entries at `lo..=hi`" — one stability vote for
+    /// each. Majority of votes ⇒ stability.
     Ack {
-        /// Acknowledged sequence number.
-        seq: u64,
-        /// Era of the entry being acknowledged (see [`Entry::era`]):
-        /// votes for a superseded incarnation of the seq must not count
-        /// toward its replacement's stability.
+        /// First acknowledged sequence number.
+        lo: u64,
+        /// Last acknowledged sequence number (inclusive).
+        hi: u64,
+        /// Era of the acknowledged entries (see [`Entry::era`]), which
+        /// they all share: votes for a superseded incarnation of a seq
+        /// must not count toward its replacement's stability.
         era: u64,
         /// The sender's delivery head when it voted: every sequence
         /// number at or below it is delivered at the sender. A receiver
         /// keeps the highest head each member reported, and the
         /// view-based endpoint frees the log below the lowest of them
         /// (the group has delivered it, so no member asks for it again).
-        delivered: u64,
-    },
-    /// All → all: aggregated stability vote — one message covering every
-    /// sequence number in `lo..=hi` (batched pipeline; equivalent to
-    /// `hi - lo + 1` individual [`Wire::Ack`]s).
-    AckRange {
-        /// First acknowledged sequence number.
-        lo: u64,
-        /// Last acknowledged sequence number (inclusive).
-        hi: u64,
-        /// Era of the acknowledged frame (all its entries share it).
-        era: u64,
-        /// The sender's delivery head, as in [`Wire::Ack`].
         delivered: u64,
     },
     /// Failure-detector heartbeat.
@@ -195,10 +180,15 @@ pub enum Wire<P, S> {
 pub enum GcsTimer {
     /// Emit a heartbeat and check peers for silence.
     Heartbeat,
-    /// A stable-log write finished for `seq` (crash-recovery model).
+    /// The one stable-log write covering a whole frame finished
+    /// (crash-recovery model).
     Persisted {
-        /// The sequence number whose entry is now on disk.
-        seq: u64,
+        /// First sequence number of the frame.
+        lo: u64,
+        /// Entries in the frame, whose sequence numbers are contiguous:
+        /// it covers `lo..lo + span`. A `u32` keeps the timer two words
+        /// wide, small enough to travel inline in a host's message.
+        span: u32,
     },
     /// A view-change attempt timed out; retry.
     ViewChangeRetry {
@@ -234,16 +224,6 @@ pub enum GcsTimer {
         /// Batch epoch the timer belongs to.
         epoch: u64,
     },
-    /// The single stable-log write covering a whole batch frame finished
-    /// (crash-recovery model, batched pipeline).
-    BatchPersisted {
-        /// First sequence number of the frame.
-        lo: u64,
-        /// Entries in the frame, whose sequence numbers are contiguous:
-        /// it covers `lo..lo + span`. A `u32` keeps the timer two words
-        /// wide, small enough to travel inline in a host's message.
-        span: u32,
-    },
 }
 
 impl<P, S> Wire<P, S> {
@@ -252,9 +232,7 @@ impl<P, S> Wire<P, S> {
         match self {
             Wire::Forward { .. } => "gcs.wire.forward",
             Wire::Ordered { .. } => "gcs.wire.ordered",
-            Wire::OrderedBatch { .. } => "gcs.wire.ordered-batch",
             Wire::Ack { .. } => "gcs.wire.ack",
-            Wire::AckRange { .. } => "gcs.wire.ack-range",
             Wire::Heartbeat => "gcs.wire.heartbeat",
             Wire::ViewStart { .. } => "gcs.wire.view-start",
             Wire::SyncReply { .. } => "gcs.wire.sync-reply",
@@ -284,7 +262,6 @@ impl GcsTimer {
             GcsTimer::SeqResume => "gcs.timer.seq-resume",
             GcsTimer::ResumeRetry => "gcs.timer.resume-retry",
             GcsTimer::BatchFlush { .. } => "gcs.timer.batch-flush",
-            GcsTimer::BatchPersisted { .. } => "gcs.timer.batch-persisted",
         }
     }
 }
@@ -322,10 +299,13 @@ mod tests {
             payload: "txn".to_string(),
             era: 0,
         };
-        let w: Wire<String, ()> = Wire::Ordered { view: 0, entry: e };
-        let Wire::Ordered { entry, .. } = w else {
+        let w: Wire<String, ()> = Wire::Ordered {
+            view: 0,
+            entries: vec![e],
+        };
+        let Wire::Ordered { entries, .. } = w else {
             panic!("built as Wire::Ordered");
         };
-        assert_eq!(entry.payload, "txn");
+        assert_eq!(entries.first().map(|e| e.payload.as_str()), Some("txn"));
     }
 }

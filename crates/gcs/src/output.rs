@@ -27,9 +27,9 @@ pub enum GcsOutput<P, S> {
         id: MsgId,
         /// The payload.
         payload: P,
-        /// Messages in the batch frame that carried it (1 when it came
-        /// on the unbatched path, or by catch-up or retransmission): the
-        /// host spreads per-frame costs over them.
+        /// Messages in the frame that carried it (1 unbatched, and for
+        /// an entry that came by catch-up or retransmission, a frame of
+        /// one): the host spreads per-frame costs over them.
         span: u32,
         /// True if this is a redelivery after recovery (end-to-end mode).
         redelivery: bool,

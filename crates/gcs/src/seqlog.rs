@@ -61,8 +61,9 @@ pub(crate) struct Slot<P> {
     pub persisted: bool,
     /// Handed to the application in this incarnation.
     pub emitted: bool,
-    /// Messages in the batch frame that carried this seq (0 = none seen:
-    /// the unbatched path, catch-up or retransmit).
+    /// Messages in the frame that carried the entry held (1 for an
+    /// entry retransmitted or caught up, a frame of one; 0 for one a
+    /// state transfer or a recovery installed).
     pub frame_span: u32,
 }
 

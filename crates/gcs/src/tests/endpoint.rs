@@ -62,7 +62,8 @@ fn late_acks_neither_regress_the_watermark_nor_redeliver() {
     for (k, seq) in (1..=8u64).enumerate() {
         let from = NodeId((k % 4) as u32);
         let wire = Wire::Ack {
-            seq,
+            lo: seq,
+            hi: seq,
             era: 0,
             delivered: 0,
         };
@@ -76,7 +77,8 @@ fn late_acks_neither_regress_the_watermark_nor_redeliver() {
     }
     for seq in [3, 8] {
         let wire = Wire::Ack {
-            seq,
+            lo: seq,
+            hi: seq,
             era: 9,
             delivered: 0,
         };
@@ -111,7 +113,7 @@ fn a_shrinking_view_reevaluates_stability_against_the_new_members() {
     for (node, voter) in [(NodeId(4), NodeId(3)), (NodeId(3), NodeId(1))] {
         let ordered = Wire::Ordered {
             view: 0,
-            entry: entry(5, 555),
+            entries: vec![entry(5, 555)],
         };
         inject(&mut cluster, step, NodeId(0), node, ordered);
         inject(
@@ -120,7 +122,8 @@ fn a_shrinking_view_reevaluates_stability_against_the_new_members() {
             voter,
             node,
             Wire::Ack {
-                seq: 5,
+                lo: 5,
+                hi: 5,
                 era: 0,
                 delivered: 4,
             },
@@ -210,7 +213,7 @@ impl Actor for RestartProbe {
         assert_eq!(self.endpoint.log.allocated(), 0, "built lazily");
         let ordered = Wire::Ordered {
             view: 0,
-            entry: entry(FAR + 1, 42),
+            entries: vec![entry(FAR + 1, 42)],
         };
         self.endpoint.on_net(ctx, me, &ordered, &mut self.out);
     }

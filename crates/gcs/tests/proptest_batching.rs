@@ -46,13 +46,10 @@ fn schedule(n: u32) -> impl Strategy<Value = Schedule> {
     })
 }
 
-/// Random batching knobs, including the byte trigger (payloads are `u64`,
-/// so `max_bytes = 32` flushes every fourth message).
+/// Random batching knobs.
 fn knobs() -> impl Strategy<Value = BatchConfig> {
-    (2usize..32, 0u64..3_000, 0usize..3).prop_map(|(max_msgs, delay_us, byte_mode)| BatchConfig {
-        max_msgs,
-        max_bytes: [0, 32, 128][byte_mode],
-        max_delay: SimDuration::from_micros(delay_us),
+    (2usize..32, 0u64..3_000).prop_map(|(max_msgs, delay_us)| {
+        BatchConfig::of(max_msgs, SimDuration::from_micros(delay_us))
     })
 }
 

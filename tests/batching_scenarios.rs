@@ -27,7 +27,6 @@ fn ms(v: u64) -> SimTime {
 fn batch(max_msgs: usize, max_delay_ms: u64) -> BatchConfig {
     BatchConfig {
         max_msgs,
-        max_bytes: 0,
         max_delay: SimDuration::from_millis(max_delay_ms),
     }
 }

@@ -114,7 +114,6 @@ fn heal_then_catch_up_rejoins_via_state_transfer() {
 fn sequencer_kill_mid_batch_is_safe_and_deterministic() {
     let batch = BatchConfig {
         max_msgs: 8,
-        max_bytes: 0,
         max_delay: SimDuration::from_micros(500),
     };
     let plan = ScenarioPlan::new().kill_sequencer(ms(2_500), Some(SimDuration::from_millis(700)));
