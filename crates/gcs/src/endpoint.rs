@@ -32,8 +32,9 @@
 //!   (§4.2), closing the gap.
 //! * *View changes* (dynamic model): a heartbeat failure detector drives a
 //!   coordinator-led flush: collect ordering state from surviving members,
-//!   fill gaps, retransmit, then install the new view with a watermark
-//!   that everyone delivers up to first (virtual synchrony).
+//!   fill gaps, then install the new view with a watermark that everyone
+//!   delivers up to first (virtual synchrony); the new view carries the
+//!   entries below the watermark that any member may miss.
 //!
 //! Partitionable membership is out of scope (as in the paper, §8): the
 //! view-change rule follows the crash-chain (survivors of the old view),
@@ -702,14 +703,11 @@ where
             Wire::SyncEntries { epoch, ref entries } => {
                 self.on_sync_entries(ctx, epoch, entries, out)
             }
-            Wire::Retransmit { ref entries } => {
-                self.store_frames_of_one(ctx, entries);
-                self.try_deliver(ctx, out);
-            }
             Wire::NewView {
                 ref view,
                 watermark,
-            } => self.on_new_view(ctx, view.clone(), watermark, out),
+                ref entries,
+            } => self.on_new_view(ctx, view.clone(), watermark, entries, out),
             Wire::JoinReq { generation } => self.on_join_req(ctx, from, generation, out),
             Wire::StateTransfer {
                 ref view,
@@ -1080,8 +1078,8 @@ where
         }
     }
 
-    /// Store entries that came outside the sequencer's frames (a
-    /// view-change retransmission or fetch, a catch-up reply), each as a
+    /// Store entries that came outside the sequencer's frames (a new
+    /// view's flush, a view-change fetch, a catch-up reply), each as a
     /// frame of one.
     fn store_frames_of_one<M: GcsMessage<P, S>>(
         &mut self,
@@ -1385,7 +1383,7 @@ where
                 // anywhere else it is a hole.
                 debug_assert!(
                     seq < self.log.floor(),
-                    "flush gap at seq {seq} (missing retransmit)"
+                    "flush gap at seq {seq} (missing from the flush)"
                 );
                 self.next_deliver += 1;
             }
@@ -1677,7 +1675,8 @@ where
         )]
         let vc = self.vc.take().expect("called with vc");
         let min_nd = vc.replies.values().map(|r| r.1).min().unwrap_or(1);
-        // Retransmit everything any member might miss.
+        // The new view carries everything any member might miss: a
+        // member that installs it holds the whole flush.
         let entries = self.entries_between(min_nd, watermark);
         let joiner_nodes: Vec<NodeId> = vc.joiners.iter().map(|(n, _)| *n).collect();
         let new_view = View {
@@ -1696,16 +1695,6 @@ where
             .copied()
             .filter(|&p| p != self.me)
             .collect();
-        if !entries.is_empty() {
-            self.net.multicast(
-                ctx,
-                self.me,
-                &old_members,
-                Wire::<P, S>::Retransmit {
-                    entries: entries.clone(),
-                },
-            );
-        }
         self.net.multicast(
             ctx,
             self.me,
@@ -1713,6 +1702,7 @@ where
             Wire::<P, S>::NewView {
                 view: new_view.clone(),
                 watermark,
+                entries,
             },
         );
         // Joiners are served via state transfer; ask the application for a
@@ -1741,9 +1731,12 @@ where
         ctx: &mut Ctx<'_, M>,
         view: View,
         watermark: u64,
+        entries: &[Entry<P>],
         out: &mut Vec<GcsOutput<P, S>>,
     ) {
+        self.store_frames_of_one(ctx, entries);
         if view.id <= self.view.id || !self.joined {
+            self.try_deliver(ctx, out);
             return;
         }
         self.install_view(ctx, view, watermark, out);

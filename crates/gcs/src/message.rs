@@ -112,11 +112,6 @@ pub enum Wire<P, S> {
         /// The requested entries.
         entries: Vec<Entry<P>>,
     },
-    /// Coordinator → member: entries you may be missing (flush).
-    Retransmit {
-        /// Entries in ascending `seq` order.
-        entries: Vec<Entry<P>>,
-    },
     /// Coordinator → members: install this view; all entries up to
     /// `watermark` must be delivered in it (virtual-synchrony flush).
     NewView {
@@ -124,6 +119,11 @@ pub enum Wire<P, S> {
         view: View,
         /// Every member delivers up to here before switching.
         watermark: u64,
+        /// The flush: the entries from the lowest delivery head any
+        /// member reported up to `watermark`, in ascending `seq` order.
+        /// They travel in the same message as the view, so a member that
+        /// installs it holds every entry it must deliver.
+        entries: Vec<Entry<P>>,
     },
     /// Member → non-member: "you are not in my (newer) view". Sent in
     /// response to a heartbeat from a process the receiver's view does
@@ -238,7 +238,6 @@ impl<P, S> Wire<P, S> {
             Wire::SyncReply { .. } => "gcs.wire.sync-reply",
             Wire::SyncFetch { .. } => "gcs.wire.sync-fetch",
             Wire::SyncEntries { .. } => "gcs.wire.sync-entries",
-            Wire::Retransmit { .. } => "gcs.wire.retransmit",
             Wire::NewView { .. } => "gcs.wire.new-view",
             Wire::NotInView { .. } => "gcs.wire.not-in-view",
             Wire::JoinReq { .. } => "gcs.wire.join-req",

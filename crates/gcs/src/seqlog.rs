@@ -62,8 +62,8 @@ pub(crate) struct Slot<P> {
     /// Handed to the application in this incarnation.
     pub emitted: bool,
     /// Messages in the frame that carried the entry held (1 for an
-    /// entry retransmitted or caught up, a frame of one; 0 for one a
-    /// state transfer or a recovery installed).
+    /// entry a view's flush, a fetch or a catch-up carried, a frame of
+    /// one; 0 for one a state transfer or a recovery installed).
     pub frame_span: u32,
 }
 

@@ -138,6 +138,7 @@ fn a_shrinking_view_reevaluates_stability_against_the_new_members() {
         let new_view = Wire::NewView {
             view: shrunk.clone(),
             watermark: 4,
+            entries: Vec::new(),
         };
         inject(&mut cluster, step, NodeId(0), node, new_view);
     }
