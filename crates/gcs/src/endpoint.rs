@@ -291,11 +291,6 @@ pub struct GcsEndpoint<P, S> {
     /// The recovering sequencer may not assign sequence numbers until it
     /// has heard catch-up replies from a majority (static model).
     seq_resume_votes: Option<BTreeSet<NodeId>>,
-    /// Heartbeat timer chains running: one from `start` or `on_recover`,
-    /// and one more per `restart_group`, which arms a second beside the
-    /// first. Only a single chain beats on one grid, so only it sends
-    /// beacons and parks. A crash stops them all.
-    hb_chains: u32,
     stats: GcsStats,
 
     // ---- survives crashes ----
@@ -380,7 +375,6 @@ where
             gap_repair_armed: false,
             gap_repair_head: 0,
             seq_resume_votes: None,
-            hb_chains: 0,
             stats: GcsStats::default(),
             generation: 0,
             stable: BTreeMap::new(),
@@ -579,7 +573,6 @@ where
         }
         self.last_heard.fill(ctx.now());
         if self.cfg.model == GcsModel::ViewBased {
-            self.hb_chains = 1;
             ctx.timer(self.cfg.hb_interval, GcsTimer::Heartbeat);
         }
     }
@@ -1404,11 +1397,8 @@ where
             ctx.timer(period, GcsTimer::Heartbeat);
             return;
         }
-        let beacons = self.hb_chains == 1;
         let heartbeat = Wire::<P, S>::Heartbeat;
-        let quiet = self
-            .net
-            .beat(ctx, self.me, &self.peers, heartbeat, period, beacons);
+        let quiet = self.net.beat(ctx, self.me, &self.peers, heartbeat, period);
         let now = ctx.now();
         let was = self.suspected;
         // The view's other unsuspected members, by rank.
@@ -2162,7 +2152,6 @@ where
     /// survive.
     pub fn on_crash(&mut self) {
         self.net.silence(self.me);
-        self.hb_chains = 0;
         self.wipe();
     }
 
@@ -2221,7 +2210,6 @@ where
                     generation: self.generation,
                 });
                 self.send_join_req(ctx);
-                self.hb_chains += 1;
                 ctx.timer(self.cfg.hb_interval, GcsTimer::Heartbeat);
             }
             GcsModel::CrashRecovery => {
@@ -2322,11 +2310,10 @@ where
             GcsModel::ViewBased,
             "restart_group is a dynamic-model operation"
         );
-        // The host lives on: its heartbeat chain keeps running beside the
-        // one armed below.
+        // The host lives on, and so does the heartbeat chain that `start`
+        // or `on_recover` armed: wake it if it is parked, arm no other.
         self.net.wake(self.me);
         self.wipe();
-        self.hb_chains += 1;
         self.generation += 1;
         self.started = true;
         self.joined = true;
@@ -2351,7 +2338,6 @@ where
             self.seq_assign = Some(seq_base + 1);
         }
         self.hear_view(ctx.now());
-        ctx.timer(self.cfg.hb_interval, GcsTimer::Heartbeat);
     }
 
     /// Entries currently in the stable log (inspection/test helper).

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use groupsafe_gcs::harness::{GcsHost, HostMsg};
+use groupsafe_gcs::harness::{Cluster, GcsHost, HostMsg};
 use groupsafe_gcs::{GcsConfig, GcsEndpoint, RunObservation};
 use groupsafe_net::{NetConfig, Network, NodeId};
 use groupsafe_sim::{ActorId, Disk, Engine, SimDuration, SimTime};
@@ -232,4 +232,30 @@ fn a_beacon_that_outlives_its_sender_by_one_beat_is_caught() {
     );
     let overrun = run(Mode::Overrun, 5, 7, &faults);
     assert!(first_difference(&reference, &overrun).is_some());
+}
+
+/// A group restart keeps one heartbeat chain per host: once the
+/// restarted group is quiet, each of 3 hosts beats to its 2 peers every
+/// 10 ms — 300 heartbeat multicasts and 600 deliveries charged per
+/// simulated second — and every tick parks again, so a quiet second
+/// dispatches nothing.
+#[test]
+fn a_group_restart_keeps_one_parked_heartbeat_chain_per_host() {
+    let mut cluster = Cluster::new(3, GcsConfig::view_based_uniform(), 11);
+    let members: Box<[NodeId]> = (0..3).map(NodeId).collect();
+    for &h in &cluster.hosts {
+        let restart = HostMsg::RestartGroup(members.clone());
+        cluster.engine.schedule(ms(500), h, restart);
+    }
+    cluster.engine.run_until(ms(1_000));
+    let (before, dispatched) = (cluster.net.stats(), cluster.engine.dispatched());
+    cluster.engine.run_until(ms(2_000));
+    let after = cluster.net.stats();
+    assert_eq!(
+        after.broadcasts - before.broadcasts,
+        300,
+        "one chain per host"
+    );
+    assert_eq!(after.sent - before.sent, 600);
+    assert_eq!(cluster.engine.dispatched(), dispatched, "the ticks park");
 }

@@ -715,8 +715,9 @@ impl Network {
     /// Multicast the heartbeat `msg` of a tick of period `period`, as
     /// [`Network::multicast`] does — same wire, same counters — except
     /// that a target on a quiet link gets a beacon (see the [module
-    /// docs](self)) when `may_beacon`. True when every target got one and
-    /// the sender is quiet itself: it may [`Network::park`] its tick.
+    /// docs](self)). True when every target got one and the sender is
+    /// quiet itself: it may [`Network::park`] its tick. A sender beats
+    /// from one tick chain, whose grid its beacons follow.
     pub fn beat<T: Clone, M: Wrap<Incoming<T>>>(
         &self,
         ctx: &mut Ctx<'_, M>,
@@ -724,12 +725,11 @@ impl Network {
         targets: &[NodeId],
         msg: T,
         period: SimDuration,
-        may_beacon: bool,
     ) -> bool {
         let now = ctx.now();
         let mut all = true;
         let beacon = |s: &mut NetworkState, to: NodeId| {
-            let quiet = may_beacon && s.quiet_link(from, to);
+            let quiet = s.quiet_link(from, to);
             if quiet {
                 let d = s.domain_of(from);
                 s.charge(d, |st| st.sent += 1);
@@ -1222,7 +1222,7 @@ mod tests {
             let (net, to) = (self.net.clone(), [NodeId(1), NodeId(2)]);
             let period = SimDuration::from_millis(10);
             self.parkable
-                .push(net.beat(ctx, NodeId(0), &to, 7u32, period, true));
+                .push(net.beat(ctx, NodeId(0), &to, 7u32, period));
         }
     }
 
