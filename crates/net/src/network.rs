@@ -19,8 +19,8 @@
 //! A failure-detector heartbeat ([`Network::beat`]) to a receiver that
 //! could learn nothing from it but when it was sent need not travel. A
 //! link is *quiet* when its receiver says so ([`Network::set_quiet`]),
-//! both ends share a partition colour and no loss, duplication,
-//! reordering or jitter is configured; on a quiet link a heartbeat is a
+//! both ends share a partition colour and no loss, duplication or
+//! reordering is configured; on a quiet link a heartbeat is a
 //! *beacon*: charged to [`NetStats`] exactly as the multicast it belongs
 //! to, but made into no event. The receiver works out when it last heard
 //! the sender from the sender's beat grid ([`Network::heard`]). A sender
@@ -51,8 +51,6 @@ use crate::node::NodeId;
 pub struct NetConfig {
     /// Wire time per message or broadcast (Table 4: 0.07 ms).
     pub latency: SimDuration,
-    /// Additional uniformly-distributed jitter upper bound (0 = none).
-    pub jitter: SimDuration,
     /// Probability that any given point-to-point delivery is lost
     /// (0.0 = quasi-reliable channels, the paper's assumption).
     pub loss_probability: f64,
@@ -81,7 +79,6 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             latency: SimDuration::from_micros(70),
-            jitter: SimDuration::ZERO,
             loss_probability: 0.0,
             duplicate_probability: 0.0,
             reorder_probability: 0.0,
@@ -283,7 +280,6 @@ impl NetworkState {
             && cfg.loss_probability <= 0.0
             && cfg.duplicate_probability <= 0.0
             && cfg.reorder_probability <= 0.0
-            && cfg.jitter.is_zero()
     }
 
     /// A beacon from `from` to `to` at `now`, one `period` of the
@@ -353,7 +349,7 @@ impl NetworkState {
 
     /// Decide one receiver-side delivery: `None` if it is dropped, else
     /// its delay and, when it is duplicated, the delay of the extra copy.
-    /// The RNG is drawn in a fixed order — loss, jitter, reorder (coin,
+    /// The RNG is drawn in a fixed order — loss, reorder (coin,
     /// then deferral), duplicate (coin, then deferral) — and each draw
     /// happens only when its knob is non-zero, so disabled features never
     /// touch the stream.
@@ -377,10 +373,6 @@ impl NetworkState {
             return None;
         }
         let mut delay = cfg.latency;
-        if !cfg.jitter.is_zero() {
-            let extra = ctx.rng().random_range(0..=cfg.jitter.as_nanos());
-            delay += SimDuration::from_nanos(extra);
-        }
         if let Some(k) = frame {
             delay += cfg.frame_unit_cost * k.saturating_sub(1);
         }
@@ -587,7 +579,7 @@ impl Network {
     /// [`Incoming`], wrapped into the caller's message type `M`. On a
     /// plain network a multicast is a single run; a duplicate's extra
     /// copy, scheduled ahead of its original for a later instant, closes
-    /// the run before it, and jitter or reordering leave runs of one. The
+    /// the run before it, and reordering leaves runs of one. The
     /// last run takes `msg` by move. A target `beacon` takes is not sent
     /// to at all.
     #[expect(
@@ -663,7 +655,7 @@ impl Network {
     /// Send `msg` — a batch frame packing `msgs_in_frame` application
     /// messages — from `from` to `to`. The frame is accounted as ONE
     /// transmission whose wire time grows with its size: `latency +
-    /// (msgs_in_frame - 1) × frame_unit_cost` (plus jitter, if any).
+    /// (msgs_in_frame - 1) × frame_unit_cost`.
     pub fn send_frame<T: Clone, M: Wrap<Incoming<T>>>(
         &self,
         ctx: &mut Ctx<'_, M>,

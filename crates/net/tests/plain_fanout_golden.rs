@@ -1,5 +1,5 @@
-//! Pins the plain-configuration multicast: no loss, jitter, reordering
-//! or duplication, so every multicast is one run of equal-instant
+//! Pins the plain-configuration multicast: no loss, reordering or
+//! duplication, so every multicast is one run of equal-instant
 //! deliveries (the kernel's fan-out record at full length), with a
 //! partition window that thins runs out and two multicast domains. The
 //! golden values were captured with one queue record per receiver;
