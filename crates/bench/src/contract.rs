@@ -47,7 +47,7 @@ pub struct FuzzRow {
 
 /// The fuzz matrix: every envelope the safety levels are fuzzed under,
 /// declared once. The contract's `fuzz/…` cells are its pinned rows;
-/// `scenario_fuzz` with no arguments runs every row's budget (870
+/// `scenario_fuzz` with no arguments runs every row's budget (1 070
 /// scenarios).
 #[rustfmt::skip]
 pub static FUZZ: [FuzzRow; 13] = {
@@ -62,7 +62,7 @@ pub static FUZZ: [FuzzRow; 13] = {
         FuzzRow { name: "batched", pinned: true, envelope: |l| {
                 smoke(l).batching(BatchConfig::of(8, SimDuration::from_micros(500)))
             },
-            levels: &[(ZeroSafe, 0), (GroupSafe, 0), (GroupOneSafe, 0), (TwoSafe, 0)] },
+            levels: &[(ZeroSafe, 0), (GroupSafe, 100), (GroupOneSafe, 0), (TwoSafe, 100)] },
         FuzzRow { name: "sharded", pinned: true, envelope: |l| sharded(l, 3), levels: &[
             (ZeroSafe, 0), (OneSafe, 0), (GroupSafe, 50), (GroupOneSafe, 30), (TwoSafe, 30)] },
         // At 1-safe its reads ride the classic pipeline: the lazy

@@ -32,6 +32,8 @@ pub struct Tally {
     pub reads_audited: u64,
     /// Delegate certifications audited for snapshot isolation.
     pub si_audited: u64,
+    /// Ordered frames of two or more entries.
+    pub batched_frames: u64,
 }
 
 impl Tally {
@@ -44,17 +46,21 @@ impl Tally {
         self.group_failures += u64::from(out.audit.group_failed);
         self.reads_audited += out.audit.reads_audited as u64;
         self.si_audited += out.audit.si_audited as u64;
+        self.batched_frames += out.batched_frames;
     }
 
     /// The paths `row` exists for fired at `level`: a whole-group failure
     /// in a sharded row, a local read served in a read row, a snapshot
-    /// transaction certified in an SI row.
+    /// transaction certified in an SI row, a frame of two or more
+    /// entries in a batched row (every run flushes frames, so a frame of
+    /// one does not count).
     pub fn fired(&self, row: &FuzzRow, level: SafetyLevel) -> Result<(), String> {
         let declared = paths(&(row.envelope)(level));
         let checks = [
             (declared.sharded, self.group_failures, "whole-group failure"),
             (declared.local_reads, self.reads_audited, "local read"),
             (declared.snapshots, self.si_audited, "certification"),
+            (declared.batched, self.batched_frames, "batched frame"),
         ];
         let missed = checks.iter().filter(|&&(on, count, _)| on && count == 0);
         let missed: Vec<&str> = missed.map(|&(_, _, path)| path).collect();
@@ -74,7 +80,7 @@ impl std::fmt::Display for Tally {
             f,
             "{} scenarios, {} fully audited, {} with loss bursts, {} commits, \
              {} cross-group audited, {} whole-group failures, {} reads audited, \
-             {} SI audited",
+             {} SI audited, {} batched frames",
             self.scenarios,
             self.quiescent,
             self.with_loss,
@@ -82,7 +88,8 @@ impl std::fmt::Display for Tally {
             self.cross_group_audited,
             self.group_failures,
             self.reads_audited,
-            self.si_audited
+            self.si_audited,
+            self.batched_frames
         )
     }
 }

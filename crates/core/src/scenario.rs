@@ -1713,6 +1713,9 @@ pub mod fuzz {
         pub local_reads: bool,
         /// Update transactions under snapshot isolation.
         pub snapshots: bool,
+        /// Sequencer batching (`max_msgs > 1`): ordered frames of more
+        /// than one entry.
+        pub batched: bool,
     }
 
     /// The [`Paths`] `envelope` exercises.
@@ -1721,6 +1724,7 @@ pub mod fuzz {
             sharded: envelope.shard.groups > 1,
             local_reads: matches!(envelope.replica.reads, ReadPath::Local(_)),
             snapshots: envelope.workload.txn_fraction > 0.0,
+            batched: envelope.replica.batch.max_msgs > 1,
         }
     }
 
@@ -1735,6 +1739,9 @@ pub mod fuzz {
         pub audit: ScenarioAudit,
         /// Client-acknowledged commits over the whole run.
         pub commits: usize,
+        /// Ordered frames of two or more entries the sequencers flushed
+        /// (an unbatched run flushes frames of one only).
+        pub batched_frames: u64,
         /// The engine's dispatch fingerprint (replay witness).
         pub fingerprint: u64,
         /// The flight recorder's tail at the end of the run: the last
@@ -2096,12 +2103,19 @@ pub mod fuzz {
         let system = run.into_system();
         let audit = audit_scenario(&plan, &system, level);
         let commits = system.oracle.borrow().acked_count();
+        let (_, batch_hist) = system.gcs_stats();
+        let batched_frames = batch_hist
+            .iter()
+            .filter(|&&(size, _)| size >= 2)
+            .map(|&(_, count)| count)
+            .sum();
         let flight = system.engine.obs().render_tail();
         FuzzOutcome {
             seed,
             plan,
             audit,
             commits,
+            batched_frames,
             fingerprint: system.engine.fingerprint(),
             flight,
         }

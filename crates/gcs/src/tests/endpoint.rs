@@ -253,3 +253,55 @@ fn a_group_restart_far_above_one_allocates_no_empty_slots() {
     assert_eq!(probe.endpoint.stable_watermark(), FAR + 1);
     assert_eq!(probe.endpoint.log.allocated(), 1);
 }
+
+proptest::proptest! {
+    /// A replayed vote run — the catch-up reply's and the crash-recovery
+    /// re-vote's — never covers more than `max_msgs` entries, never
+    /// spans a hole or an era change, and the runs cover exactly the
+    /// persisted entries at or above the replay's start, each run as
+    /// long as those three rules allow.
+    #[test]
+    fn replayed_vote_runs_are_capped_at_max_msgs(
+        max_msgs in 1usize..10,
+        slots in proptest::collection::vec((0u8..5, 0u64..3), 0..48),
+        from in 0u64..8,
+    ) {
+        let cfg = GcsConfig::view_based_uniform()
+            .with_batching(crate::BatchConfig::of(max_msgs, SimDuration::from_micros(500)));
+        let mut ep: GcsEndpoint<u64, AppCheckpoint> = GcsEndpoint::new(
+            cfg,
+            NodeId(0),
+            vec![NodeId(0), NodeId(1), NodeId(2)],
+            Network::new(NetConfig::default()),
+            None,
+            StdRng::seed_from_u64(1),
+        );
+        // Eras only grow along the log, as a recovering sequencer's do.
+        let mut era = 0;
+        let mut persisted = Vec::new();
+        for (i, &(held, step)) in slots.iter().enumerate() {
+            let (seq, held) = (i as u64 + 1, held != 0);
+            era += u64::from(step == 2);
+            let slot = ep.log.slot_mut(seq).expect("no release yet");
+            slot.entry = Some(Entry { era, ..entry(seq, seq) });
+            slot.persisted = held;
+            if held && seq >= from {
+                persisted.push(seq);
+            }
+        }
+        let runs = ep.vote_runs(from);
+        let covered: Vec<u64> = runs.iter().flat_map(|&(lo, hi, _)| lo..=hi).collect();
+        proptest::prop_assert_eq!(covered, persisted);
+        for &(lo, hi, era) in &runs {
+            proptest::prop_assert!(hi - lo < max_msgs as u64, "{lo}..={hi} over {max_msgs}");
+            for seq in lo..=hi {
+                proptest::prop_assert_eq!(ep.entry_era(seq), era);
+            }
+        }
+        for pair in runs.windows(2) {
+            let ((lo, hi, era), (next, _, next_era)) = (pair[0], pair[1]);
+            let joinable = hi + 1 == next && era == next_era;
+            proptest::prop_assert!(!joinable || hi - lo + 1 == max_msgs as u64);
+        }
+    }
+}

@@ -101,15 +101,26 @@ fn fuzz_cases_replay_bit_for_bit() {
 #[test]
 fn a_row_whose_path_did_not_fire_is_rejected() {
     let mut fired = Tally::default();
-    (fired.group_failures, fired.reads_audited, fired.si_audited) = (1, 1, 1);
-    let mut unfired = [fired; 3];
+    (
+        fired.group_failures,
+        fired.reads_audited,
+        fired.si_audited,
+        fired.batched_frames,
+    ) = (1, 1, 1, 1);
+    let mut unfired = [fired; 4];
     (
         unfired[0].group_failures,
         unfired[1].reads_audited,
         unfired[2].si_audited,
-    ) = (0, 0, 0);
-    let paths = ["whole-group failure", "local read", "certification"];
-    let mut rejected = [0; 3];
+        unfired[3].batched_frames,
+    ) = (0, 0, 0, 0);
+    let paths = [
+        "whole-group failure",
+        "local read",
+        "certification",
+        "batched frame",
+    ];
+    let mut rejected = [0; 4];
     for row in &FUZZ {
         for &(level, _) in row.levels {
             let at = format!("{}/{level}", row.name);
