@@ -65,13 +65,10 @@ pub static FUZZ: [FuzzRow; 13] = {
             levels: &[(ZeroSafe, 0), (GroupSafe, 100), (GroupOneSafe, 0), (TwoSafe, 100)] },
         FuzzRow { name: "sharded", pinned: true, envelope: |l| sharded(l, 3), levels: &[
             (ZeroSafe, 0), (OneSafe, 0), (GroupSafe, 50), (GroupOneSafe, 30), (TwoSafe, 30)] },
-        // At 1-safe its reads ride the classic pipeline: the lazy
-        // baseline has no local read path.
-        FuzzRow { name: "session-reads", pinned: true, envelope: |l| {
-                let b = smoke(l);
-                if l == OneSafe { b } else { b.read_level(Session) }.read_fraction(0.4)
-            },
-            levels: &[(ZeroSafe, 0), (OneSafe, 0), (GroupSafe, 0), (GroupOneSafe, 0), (TwoSafe, 0)] },
+        // Not at 1-safe: the lazy baseline has no local read path.
+        FuzzRow { name: "session-reads", pinned: true,
+            envelope: |l| smoke(l).read_level(Session).read_fraction(0.4),
+            levels: &[(ZeroSafe, 0), (GroupSafe, 0), (GroupOneSafe, 0), (TwoSafe, 0)] },
         // Not at 1-safe: the lazy baseline has no snapshot path.
         FuzzRow { name: "snapshot-txns", pinned: true, envelope: |l| smoke(l).txn_fraction(0.5),
             levels: &[(ZeroSafe, 0), (GroupSafe, 50), (GroupOneSafe, 50), (TwoSafe, 50)] },
