@@ -613,9 +613,9 @@ impl SystemBuilder {
     /// Batching knobs of the atomic-broadcast pipeline: the sequencer
     /// packs up to `batch.max_msgs` pending broadcasts (flushed after at
     /// most `batch.max_delay`) into one ordered frame, and the replicas
-    /// persist and vote per frame instead of per transaction.
-    /// [`BatchConfig::unbatched`] (the default) reproduces the classic
-    /// per-message pipeline bit-for-bit.
+    /// persist and vote once per frame. [`BatchConfig::unbatched`] (the
+    /// default) is a frame of one: every broadcast is flushed as it is
+    /// ordered, at one message's wire time, on the same pipeline.
     pub fn batching(mut self, batch: BatchConfig) -> Self {
         self.replica.batch = batch;
         self
@@ -1379,7 +1379,8 @@ pub struct GroupStats {
     /// Snapshot-isolation transactions certified abort by this group's
     /// delegates (whole run).
     pub txn_aborts: usize,
-    /// Batch frames flushed by this group's sequencers.
+    /// Ordered frames flushed by this group's sequencers (one per entry
+    /// unbatched).
     pub abcast_batches: u64,
     /// Mean messages per flushed frame.
     pub mean_batch_size: f64,
@@ -1532,10 +1533,10 @@ pub struct Report {
     pub digests: Vec<u64>,
     /// Lost updates among acknowledged commits (lazy anomaly, §7).
     pub lost_updates: usize,
-    /// Atomic-broadcast batch frames flushed across the group (0 when
-    /// batching is off or the technique uses no group communication).
+    /// Atomic-broadcast frames flushed across the group: one per ordered
+    /// entry unbatched, 0 when the technique uses no group communication.
     pub abcast_batches: u64,
-    /// Mean messages per flushed batch frame (1.0 unbatched).
+    /// Mean messages per flushed frame (1.0 unbatched).
     pub mean_batch_size: f64,
     /// Stability-vote messages per delivered entry, both summed per-node
     /// over the whole group — the amortisation batching buys (1.0

@@ -1065,6 +1065,8 @@ where
                 }
             }
             GcsModel::CrashRecovery => {
+                // Persist before voting: stability is backed by stable
+                // storage in this model.
                 let done = self.persist(ctx.now());
                 ctx.timer(done - ctx.now(), GcsTimer::Persisted { lo, span });
             }
