@@ -1760,7 +1760,9 @@ impl std::fmt::Display for Report {
             self.distinct_states
         )?;
         writeln!(f, "lost updates           : {}", self.lost_updates)?;
-        if self.abcast_batches > 0 {
+        // Every gcs run flushes frames; only a frame of two or more
+        // entries shows batching at work.
+        if self.batch_hist.iter().any(|&(size, _)| size > 1) {
             writeln!(
                 f,
                 "abcast batching        : {} frames, mean {:.1} msgs/frame, {:.2} votes/delivery",
