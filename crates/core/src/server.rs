@@ -558,6 +558,12 @@ impl ReplicaServer {
         &self.db
     }
 
+    /// Share `group`'s WAL store ([`DbEngine::join_wal`]): the system
+    /// joins the replicas of one group before they run.
+    pub(crate) fn join_wal(&mut self, group: &ReplicaServer) {
+        self.db.join_wal(&group.db);
+    }
+
     /// This server's node id.
     pub fn node(&self) -> NodeId {
         self.node

@@ -74,7 +74,7 @@ impl System {
         let mut servers = Vec::with_capacity(total_servers as usize);
         for i in 0..total_servers {
             let node = NodeId(i);
-            let server = ReplicaServer::new(
+            let mut server = ReplicaServer::new(
                 node,
                 spg,
                 b.replica.clone(),
@@ -83,6 +83,12 @@ impl System {
                 seeder.random(),
                 shard.clone(),
             );
+            // The replicas of a group append the same log records: they
+            // share one WAL store, each group its own.
+            if i % spg != 0 {
+                let first: &ReplicaServer = engine.actor(servers[(i - i % spg) as usize]);
+                server.join_wal(first);
+            }
             let id = engine.add_actor(Box::new(server));
             net.register(node, id);
             servers.push(id);

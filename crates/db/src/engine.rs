@@ -269,6 +269,17 @@ impl DbEngine {
         }
     }
 
+    /// Share `group`'s WAL store: the replicas of one group append the
+    /// same records, and the store keeps one copy of each (see
+    /// [`Wal::join`]). Nothing either engine observes changes.
+    ///
+    /// # Panics
+    ///
+    /// If either engine has logged anything: engines join before that.
+    pub fn join_wal(&mut self, group: &DbEngine) {
+        self.wal.join(&group.wal);
+    }
+
     /// The configuration in use.
     pub fn config(&self) -> &DbConfig {
         &self.config

@@ -8,7 +8,7 @@
 //! replication basically allows all disk writes to be done
 //! asynchronously").
 //!
-//! The log is a [`Ragged`] log indexed by LSN: a 32-byte header per
+//! The records are a [`Ragged`] log indexed by LSN: a 32-byte header per
 //! record, its body the `(item, value)` pairs of the writes. A write
 //! needs no version of its own: every write of one commit carries the
 //! record's (the delivery sequence number under the state machine, the
@@ -24,6 +24,45 @@
 //! prefix. So the log holds its non-durable tail, the durable records
 //! not yet taken and at most a block of each column below them — not
 //! its history.
+//!
+//! # One store per replica group
+//!
+//! A [`Wal`] keeps only its cursors — the LSNs below which it has handed
+//! records to redo, covered them by a flush, made them durable and
+//! appended them — beside its disk and counters. The records live in a
+//! store that one or more logs share, record `i` of the store being the
+//! record at the same LSN of every member. A lone log ([`Wal::new`],
+//! and so [`DbEngine::new`](crate::DbEngine::new)) is the only member of
+//! a store of its own. The system joins the logs of one replica group,
+//! each shard's group apart, into one store before anything is appended
+//! ([`Wal::join`]): under the state machine every replica appends the
+//! same records at the same LSNs, and since group-safety lets a log's
+//! durable point trail what its replica applied (§5.1) — on a run whose
+//! disks are busy, by most of the run — a copy per replica would keep
+//! the group's non-durable tail once per replica.
+//!
+//! A member appending a record the store already holds at its next LSN
+//! compares header and body, and on a match only moves its end. A member
+//! leaves for a store of its own, copying its live records (those not
+//! yet taken), when
+//! * it appends a record that differs from the one the store holds there
+//!   — under lazy replication, a delegate's first own commit;
+//! * it crashes or installs a checkpoint ([`Wal::crash`]) — a crash folds
+//!   the durable records first, so a crashed member leaves with nothing
+//!   live, and a member that stays down pins nothing;
+//! * its live records all lie below every other member's taken point —
+//!   a lagging or partitioned member, or one that never appends — or,
+//!   while the store would hold more records than its members' logs
+//!   would hold apart, its taken point is the lowest. Another member's
+//!   take or leave moves it; the member picks its new store up at its
+//!   next append, take or crash.
+//!
+//! The store frees below the lowest member's taken point and cuts above
+//! the highest member's end. So what pins a record is a member that has
+//! not taken it, and by the last rule the store never holds more records
+//! than its members' logs would hold apart. Nothing a member observes —
+//! its LSNs, flush batches, durable point and redo stream — depends on
+//! whom it shares its store with.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -66,6 +105,15 @@ struct Header {
     client: u32,
     end: u32,
     kind: WalKind,
+}
+
+impl Header {
+    /// True when both headers describe the same record, wherever its
+    /// body is stored.
+    fn same_record(&self, other: &Header) -> bool {
+        (self.seq, self.version, self.client, self.kind)
+            == (other.seq, other.version, other.client, other.kind)
+    }
 }
 
 impl Extent for Header {
@@ -134,32 +182,157 @@ pub struct WalStats {
     pub flushed_records: u64,
 }
 
-/// The write-ahead log. It keeps each record until redo has taken it
-/// ([`Wal::take_durable`]); see the module docs for how the records are
-/// laid out.
-pub struct Wal {
+/// The records that one or more [`Wal`]s hold; see the module docs.
+#[derive(Debug)]
+struct WalStore {
     log: Ragged<Header, ItemId, Value>,
-    /// Records below this index are on disk.
-    durable: usize,
-    /// Records below this index were handed to redo (`≤ durable`).
-    taken: usize,
-    /// Records below this index are covered by an in-flight flush.
-    flushing: usize,
+    /// The LSN of record 0: 0 for a store its members joined empty, the
+    /// leaver's first live LSN for a store a member left for.
+    base: Lsn,
+    /// Each member's slot, in joining order.
+    members: Vec<Member>,
+}
+
+/// What a store knows of one of its members.
+#[derive(Debug)]
+enum Member {
+    /// In the store, with the records `taken..end` live.
+    In { taken: Lsn, end: Lsn },
+    /// Moved to a store of its own by another member's take; the member
+    /// picks it up at its next append, take or crash.
+    Moved(Rc<RefCell<WalStore>>),
+    /// Left the store.
+    Out,
+}
+
+impl WalStore {
+    /// A store of one member, holding `log` from LSN `base` on.
+    fn alone(log: Ragged<Header, ItemId, Value>, base: Lsn, end: Lsn) -> Rc<RefCell<WalStore>> {
+        let members = vec![Member::In { taken: base, end }];
+        Rc::new(RefCell::new(WalStore { log, base, members }))
+    }
+
+    /// Where the record at `lsn` is stored.
+    fn index(&self, lsn: Lsn) -> usize {
+        (lsn - self.base) as usize
+    }
+
+    fn set(&mut self, slot: usize, member: Member) {
+        if let Some(m) = self.members.get_mut(slot) {
+            *m = member;
+        }
+    }
+
+    /// A store of its own for a member whose records `taken..end` are
+    /// live, holding a copy of them.
+    fn split_off(&self, taken: Lsn, end: Lsn) -> Rc<RefCell<WalStore>> {
+        let mut log = Ragged::default();
+        let live = self.log.iter_from(self.index(taken));
+        for (header, body) in live.take((end - taken) as usize) {
+            log.push(*header, body.iter());
+        }
+        WalStore::alone(log, taken, end)
+    }
+
+    /// The members in the store: `(slot, taken, end)`.
+    fn live(&self) -> impl Iterator<Item = (usize, Lsn, Lsn)> + '_ {
+        (self.members.iter().enumerate()).filter_map(|(slot, m)| match *m {
+            Member::In { taken, end } => Some((slot, taken, end)),
+            Member::Moved(_) | Member::Out => None,
+        })
+    }
+
+    /// The member to move to a store of its own, if any: one whose live
+    /// records all lie below every other member's taken point, or else,
+    /// while the store would hold more records than its members' logs
+    /// would hold apart, the one with the lowest taken point.
+    fn laggard(&self) -> Option<(usize, Lsn, Lsn)> {
+        let below_all = self.live().find(|&(slot, _, end)| {
+            let mut others = self
+                .live()
+                .filter(|&(other, _, _)| other != slot)
+                .peekable();
+            others.peek().is_some() && others.all(|(_, taken, _)| end < taken)
+        });
+        if below_all.is_some() {
+            return below_all;
+        }
+        let lowest = self.live().min_by_key(|&(_, taken, _)| taken)?;
+        let highest = self.live().map(|(_, _, end)| end).max()?;
+        let apart: Lsn = self.live().map(|(_, taken, end)| end - taken).sum();
+        (highest - lowest.1 > apart).then_some(lowest)
+    }
+
+    /// Move the laggards to stores of their own, then free below the
+    /// lowest taken point left and cut above the highest end.
+    fn settle(&mut self) {
+        while let Some((slot, taken, end)) = self.laggard() {
+            let own = self.split_off(taken, end);
+            self.set(slot, Member::Moved(own));
+        }
+        let lowest = self.live().map(|(_, taken, _)| taken).min();
+        let highest = self.live().map(|(_, _, end)| end).max();
+        if let (Some(lowest), Some(highest)) = (lowest, highest) {
+            self.log.release_below(self.index(lowest));
+            self.log.truncate(self.index(highest));
+        }
+    }
+}
+
+/// The write-ahead log of one engine: its cursors over the records of a
+/// store it may share with the logs of its replica group (see the module
+/// docs). It keeps each record until redo has taken it
+/// ([`Wal::take_durable`]).
+pub struct Wal {
+    store: Rc<RefCell<WalStore>>,
+    /// This log's slot among the store's members.
+    slot: usize,
+    /// Records below this LSN were handed to redo (`≤ durable`).
+    taken: Lsn,
+    /// Records below this LSN are covered by an in-flight flush.
+    flushing: Lsn,
+    /// Records below this LSN are on disk (`≤ end`).
+    durable: Lsn,
+    /// The LSN of the next record.
+    end: Lsn,
     log_disk: Rc<RefCell<Disk>>,
     stats: WalStats,
 }
 
 impl Wal {
-    /// Create a WAL backed by `log_disk`.
+    /// Create a WAL backed by `log_disk`, the only member of a store of
+    /// its own.
     pub fn new(log_disk: Rc<RefCell<Disk>>) -> Self {
         Wal {
-            log: Ragged::default(),
-            durable: 0,
+            store: WalStore::alone(Ragged::default(), 0, 0),
+            slot: 0,
             taken: 0,
             flushing: 0,
+            durable: 0,
+            end: 0,
             log_disk,
             stats: WalStats::default(),
         }
+    }
+
+    /// Share `group`'s store from now on: a record this log appends that
+    /// the store already holds at the same LSN is not stored again. See
+    /// the module docs.
+    ///
+    /// # Panics
+    ///
+    /// If either log has appended anything: logs join before that.
+    pub fn join(&mut self, group: &Wal) {
+        let fresh = |store: &WalStore| store.base == 0 && store.log.is_empty();
+        assert!(
+            self.end == 0 && fresh(&self.store.borrow()) && fresh(&group.store.borrow()),
+            "logs join a store before anything is appended"
+        );
+        self.store.borrow_mut().set(self.slot, Member::Out);
+        self.store = group.store.clone();
+        let mut store = self.store.borrow_mut();
+        self.slot = store.members.len();
+        store.members.push(Member::In { taken: 0, end: 0 });
     }
 
     /// Append a commit record for `txn`, copying `writes` into the log
@@ -183,7 +356,7 @@ impl Wal {
 
     /// Append a record releasing `txn`'s reservations. Returns its LSN.
     pub fn append_release(&mut self, txn: TxnId) -> Lsn {
-        self.push(txn, WalKind::Release, 0, [])
+        self.push(txn, WalKind::Release, 0, [].into_iter())
     }
 
     fn push(
@@ -191,7 +364,7 @@ impl Wal {
         txn: TxnId,
         kind: WalKind,
         version: Version,
-        body: impl IntoIterator<Item = (ItemId, Value)>,
+        body: impl Iterator<Item = (ItemId, Value)> + Clone,
     ) -> Lsn {
         self.stats.appends += 1;
         let header = Header {
@@ -201,34 +374,94 @@ impl Wal {
             end: 0,
             kind,
         };
-        self.log.push(header, body) as Lsn
+        self.follow();
+        let held = {
+            let store = self.store.borrow();
+            let held = store.log.get(store.index(self.end));
+            held.map(|(h, cells)| h.same_record(&header) && cells.iter().eq(body.clone()))
+        };
+        if held != Some(true) {
+            if held == Some(false) {
+                self.leave();
+            }
+            let mut store = self.store.borrow_mut();
+            let index = store.log.push(header, body);
+            debug_assert_eq!(index, store.index(self.end), "a record lands at its LSN");
+        }
+        let lsn = self.end;
+        self.end += 1;
+        self.publish();
+        lsn
+    }
+
+    /// Pick up the store another member's take moved this log to.
+    fn follow(&mut self) {
+        let mut store = self.store.borrow_mut();
+        let Some(member) = store.members.get_mut(self.slot) else {
+            return;
+        };
+        if let Member::Moved(_) = member {
+            if let Member::Moved(own) = std::mem::replace(member, Member::Out) {
+                drop(store);
+                self.store = own;
+                self.slot = 0;
+            }
+        }
+    }
+
+    /// Tell the store this log's live range.
+    fn publish(&mut self) {
+        let (taken, end) = (self.taken, self.end);
+        self.store
+            .borrow_mut()
+            .set(self.slot, Member::In { taken, end });
+    }
+
+    /// Leave the store for one of this log's own holding a copy of its
+    /// live records, unless no other member is in it; then settle the
+    /// store left.
+    fn leave(&mut self) {
+        let mut store = self.store.borrow_mut();
+        let slot = self.slot;
+        let others = (store.members.iter().enumerate())
+            .any(|(k, m)| k != slot && matches!(m, Member::In { .. }));
+        let own = others.then(|| store.split_off(self.taken, self.end));
+        if own.is_some() {
+            store.set(slot, Member::Out);
+        }
+        store.settle();
+        drop(store);
+        if let Some(own) = own {
+            self.store = own;
+            self.slot = 0;
+        }
     }
 
     /// Highest appended LSN + 1 (0 when empty).
     pub fn end_lsn(&self) -> Lsn {
-        self.log.len() as Lsn
+        self.end
     }
 
     /// True when records wait that no flush covers yet: a background
     /// flush would find something to write.
     pub fn has_unflushed(&self) -> bool {
-        self.log.len() > self.flushing
+        self.end > self.flushing
     }
 
     /// Records at or above this LSN are not yet durable.
     pub fn durable_lsn(&self) -> Lsn {
-        self.durable as Lsn
+        self.durable
     }
 
     /// True when the durable records not yet taken fill a block of
     /// headers: taking fewer would free no header block.
     pub fn durable_block_ready(&self) -> bool {
-        self.durable - self.taken >= BlockVec::<Header>::BLOCK_LEN
+        self.durable - self.taken >= BlockVec::<Header>::BLOCK_LEN as Lsn
     }
 
     /// True if `lsn` is on disk.
     pub fn is_durable(&self, lsn: Lsn) -> bool {
-        (lsn as usize) < self.durable
+        lsn < self.durable
     }
 
     /// Start flushing everything appended so far that is not yet covered
@@ -238,16 +471,15 @@ impl Wal {
     ///
     /// Group commit: all pending records go out as one sequential batch.
     pub fn flush(&mut self, now: SimTime, rng: &mut StdRng) -> Option<(SimTime, Lsn)> {
-        let end = self.log.len();
-        if end <= self.flushing {
+        if self.end <= self.flushing {
             return None;
         }
-        let batch = end - self.flushing;
-        self.flushing = end;
+        let batch = self.end - self.flushing;
+        self.flushing = self.end;
         self.stats.flushes += 1;
-        self.stats.flushed_records += batch as u64;
-        let done = self.log_disk.borrow_mut().sequential_batch(now, batch, rng);
-        Some((done, end as Lsn))
+        self.stats.flushed_records += batch;
+        let done = (self.log_disk.borrow_mut()).sequential_batch(now, batch as usize, rng);
+        Some((done, self.end))
     }
 
     /// Synchronous flush: a single pending commit record is forced with
@@ -259,61 +491,91 @@ impl Wal {
     /// flush the synchronous-durability techniques pay on their critical
     /// path; the background [`Wal::flush`] always batches.
     pub fn flush_unbatched(&mut self, now: SimTime, rng: &mut StdRng) -> Option<(SimTime, Lsn)> {
-        let end = self.log.len();
-        if end <= self.flushing {
+        if self.end <= self.flushing {
             return None;
         }
-        let batch = end - self.flushing;
+        let batch = self.end - self.flushing;
         let done = {
             let mut disk = self.log_disk.borrow_mut();
             if batch == 1 {
                 disk.access(now, rng)
             } else {
-                disk.sequential_batch(now, batch, rng)
+                disk.sequential_batch(now, batch as usize, rng)
             }
         };
         self.stats.flushes += 1;
-        self.stats.flushed_records += batch as u64;
-        self.flushing = end;
-        Some((done, end as Lsn))
+        self.stats.flushed_records += batch;
+        self.flushing = self.end;
+        Some((done, self.end))
     }
 
     /// A flush covering records below `lsn` completed.
     pub fn mark_durable(&mut self, lsn: Lsn) {
-        self.durable = self.durable.max(lsn as usize).min(self.log.len());
+        self.durable = self.durable.max(lsn).min(self.end);
     }
 
     /// Redo: hand every record that became durable since the last call
     /// to `redo`, in LSN order, then release the records taken: no
-    /// reader needs them or their bodies any more.
+    /// reader needs them or their bodies any more, once every member of
+    /// the store has taken them.
     pub fn take_durable(&mut self, mut redo: impl FnMut(WalRecord<'_>)) {
-        let newly_durable = self.log.iter_from(self.taken);
-        for (h, body) in newly_durable.take(self.durable - self.taken) {
-            redo(WalRecord {
-                txn: TxnId {
-                    client: h.client,
-                    seq: h.seq,
-                },
-                kind: h.kind,
-                version: h.version,
-                body,
-            });
+        self.follow();
+        {
+            let store = self.store.borrow();
+            let newly_durable = store.log.iter_from(store.index(self.taken));
+            for (h, body) in newly_durable.take((self.durable - self.taken) as usize) {
+                redo(WalRecord {
+                    txn: TxnId {
+                        client: h.client,
+                        seq: h.seq,
+                    },
+                    kind: h.kind,
+                    version: h.version,
+                    body,
+                });
+            }
         }
         self.taken = self.durable;
-        self.log.release_below(self.taken);
+        self.publish();
+        self.store.borrow_mut().settle();
     }
 
     /// Crash: lose everything that never reached the disk. In-flight
     /// flushes are conservatively treated as failed (their completion
-    /// event dies with the crash).
+    /// event dies with the crash). The log leaves a shared store with
+    /// its durable records not yet taken.
     pub fn crash(&mut self) {
-        self.log.truncate(self.durable);
+        self.follow();
+        self.end = self.durable;
         self.flushing = self.durable;
+        self.publish();
+        self.leave();
     }
 
     /// Counters.
     pub fn stats(&self) -> WalStats {
         self.stats
+    }
+
+    /// The store this log reads, a move another member's take made
+    /// included.
+    fn current_store(&self) -> Rc<RefCell<WalStore>> {
+        let store = self.store.borrow();
+        if let Some(Member::Moved(own)) = store.members.get(self.slot) {
+            return own.clone();
+        }
+        self.store.clone()
+    }
+
+    /// Records the store holds (freed ones not counted): at most the sum
+    /// of its members' records appended and not yet taken.
+    pub fn store_records(&self) -> usize {
+        self.current_store().borrow().log.live()
+    }
+
+    /// True when this log and `other` read one store.
+    pub fn shares_store_with(&self, other: &Wal) -> bool {
+        Rc::ptr_eq(&self.current_store(), &other.current_store())
     }
 }
 
@@ -343,6 +605,15 @@ mod tests {
             Wal::new(Rc::new(RefCell::new(Disk::paper_default()))),
             StdRng::seed_from_u64(3),
         )
+    }
+
+    fn with_log<T>(w: &Wal, read: impl FnOnce(&Ragged<Header, ItemId, Value>) -> T) -> T {
+        read(&w.current_store().borrow().log)
+    }
+
+    /// The lengths of the store's item and value columns.
+    fn cells(w: &Wal) -> (usize, usize) {
+        with_log(w, |log| (log.columns().0.len(), log.columns().1.len()))
     }
 
     #[test]
@@ -385,14 +656,13 @@ mod tests {
         });
         assert_eq!(taken, 1100);
         // Headers and bodies below the taken point's block are gone.
-        let (items, values) = w.log.columns();
-        assert_eq!((items.held(), values.held()), (176, 176));
-        assert!(w.log.get(1099).is_none() && w.log.get(1100).is_some());
+        let held = with_log(&w, |log| (log.columns().0.held(), log.columns().1.held()));
+        assert_eq!(held, (176, 176));
+        assert!(with_log(&w, |log| log.get(1099).is_none() && log.get(1100).is_some()));
         // The tail is intact: a crash cuts it at the durable point, and
         // appends go on at absolute positions.
         w.crash();
-        let (items, values) = w.log.columns();
-        assert_eq!((w.end_lsn(), items.len(), values.len()), (1100, 1100, 1100));
+        assert_eq!((w.end_lsn(), cells(&w)), (1100, (1100, 1100)));
         assert_eq!(commit(&mut w, 7), 1100);
         w.mark_durable(1101);
         let mut last = None;
@@ -427,9 +697,7 @@ mod tests {
         w.crash();
         assert_eq!(w.durable_lsn(), 1);
         assert_eq!(w.end_lsn(), 1);
-        let (items, values) = w.log.columns();
-        assert_eq!(items.len(), 1, "the dropped bodies went with them");
-        assert_eq!(values.len(), 1);
+        assert_eq!(cells(&w), (1, 1), "the dropped bodies went with them");
         // New appends continue after the truncation point.
         let lsn = commit(&mut w, 4);
         assert_eq!(lsn, 1);
@@ -593,9 +861,8 @@ mod tests {
                 prop_assert_eq!(&taken[..], &model.records[..model.taken]);
                 // Both columns count the surviving bodies, freed or not.
                 let bodies = model.records.iter().map(|r| r.writes.len() + r.items.len());
-                let cells = bodies.sum::<usize>();
-                let (items, values) = wal.log.columns();
-                prop_assert_eq!((items.len(), values.len()), (cells, cells));
+                let n = bodies.sum::<usize>();
+                prop_assert_eq!(cells(&wal), (n, n));
             }
             wal.take_durable(|r| taken.push(owned(r)));
             prop_assert_eq!(&taken[..], &model.records[..model.durable]);

@@ -68,6 +68,11 @@ impl<R: Extent, A: Copy, B: Copy> Ragged<R, A, B> {
         self.records.is_empty()
     }
 
+    /// Number of records not released.
+    pub fn live(&self) -> usize {
+        self.len() - self.first
+    }
+
     /// The two columns.
     pub fn columns(&self) -> &(BlockVec<A>, BlockVec<B>) {
         &self.columns
@@ -310,6 +315,7 @@ mod tests {
                 }
                 prop_assert_eq!(log.len(), model.len());
                 prop_assert_eq!(log.is_empty(), model.is_empty());
+                prop_assert_eq!(log.live(), model.len() - first);
                 let cells: usize = model.iter().map(|(_, body)| body.len()).sum();
                 let (items, versions) = log.columns();
                 prop_assert_eq!((items.len(), versions.len()), (cells, cells));
