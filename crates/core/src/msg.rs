@@ -128,6 +128,16 @@ pub enum GroupMsg {
     XgDecision(XgDecision),
 }
 
+impl GroupMsg {
+    /// The decision, if this is a [`GroupMsg::XgDecision`].
+    pub fn xg_decision(&self) -> Option<&XgDecision> {
+        match self {
+            GroupMsg::XgDecision(d) => Some(d),
+            GroupMsg::Txn(_) | GroupMsg::XgPrepare(_) => None,
+        }
+    }
+}
+
 /// Phase 1 of the cross-group protocol, broadcast within one touched
 /// group: the group's slice of the transaction (read set for
 /// certification, write set for the reservation). At delivery every

@@ -406,9 +406,10 @@ pub struct ReplicaServer {
     lazy_buffer: Vec<(TxnId, Vec<WriteOp>)>,
     /// Coordinator bookkeeping for in-flight cross-group transactions.
     xg_coord: std::collections::BTreeMap<TxnId, XgCoord>,
-    /// Decisions this replica has delivered (or learned), kept to answer
-    /// participants' status probes and to suppress duplicate rebroadcasts.
-    xg_decided: std::collections::BTreeMap<TxnId, XgDecision>,
+    /// Decisions this replica has delivered, kept as delivered (a
+    /// [`GroupMsg::XgDecision`]) to answer participants' status probes
+    /// and to suppress duplicate rebroadcasts.
+    xg_decided: std::collections::BTreeMap<TxnId, Rc<GroupMsg>>,
     /// (coordinator, attempt) per undecided prepare this replica
     /// delivered (probe-target bookkeeping). An entry leaves only when a
     /// decision of the *same or a later* attempt arrives — a stale
@@ -1511,14 +1512,14 @@ impl ReplicaServer {
         &mut self,
         ctx: &mut Ctx<'_, CoreMsg>,
         seq: u64,
-        msg: &GroupMsg,
+        msg: &Rc<GroupMsg>,
         redelivery: bool,
         span: u32,
     ) {
-        match msg {
+        match &**msg {
             GroupMsg::Txn(m) => self.deliver_txn(ctx, seq, m, redelivery, span),
             GroupMsg::XgPrepare(p) => self.deliver_xg_prepare(ctx, seq, p, span),
-            GroupMsg::XgDecision(d) => self.deliver_xg_decision(ctx, seq, d, span),
+            GroupMsg::XgDecision(d) => self.deliver_xg_decision(ctx, seq, msg, d, span),
         }
     }
 
@@ -1920,6 +1921,7 @@ impl ReplicaServer {
         &mut self,
         ctx: &mut Ctx<'_, CoreMsg>,
         seq: u64,
+        msg: &Rc<GroupMsg>,
         d: &XgDecision,
         span: u32,
     ) {
@@ -1948,11 +1950,14 @@ impl ReplicaServer {
         // and rebroadcast suppression.
         match self.xg_decided.entry(d.txn) {
             std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(d.clone());
+                e.insert(msg.clone());
             }
             std::collections::btree_map::Entry::Occupied(mut e) => {
-                if d.attempt > e.get().attempt {
-                    e.insert(d.clone());
+                if e.get()
+                    .xg_decision()
+                    .is_none_or(|kept| d.attempt > kept.attempt)
+                {
+                    e.insert(msg.clone());
                 }
             }
         }
@@ -2166,6 +2171,7 @@ impl ReplicaServer {
         if self
             .xg_decided
             .get(&d.txn)
+            .and_then(|seen| seen.xg_decision())
             .is_some_and(|seen| seen.attempt >= d.attempt)
             || self
                 .xg_forwarded
@@ -2185,7 +2191,8 @@ impl ReplicaServer {
     /// the stored decision if this replica delivered it.
     fn on_xg_status_query(&mut self, ctx: &mut Ctx<'_, CoreMsg>, from: NodeId, q: XgStatusQuery) {
         self.charge_net_cpu(ctx.now());
-        if let Some(d) = self.xg_decided.get(&q.txn) {
+        let kept = self.xg_decided.get(&q.txn);
+        if let Some(d) = kept.and_then(|msg| msg.xg_decision()) {
             let d = d.clone();
             self.net.send(ctx, self.node, from, XgDecisionFwd(d));
         }
