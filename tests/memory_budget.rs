@@ -102,23 +102,26 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTING: Counting = Counting;
 
 /// Peak live heap bytes per acknowledged transaction this test allows:
-/// the value measured when the budget was set, 167 bytes (8 090 176
+/// the value measured when the budget was set, 147 bytes (7 155 344
 /// bytes over 48 535 transactions, debug and release alike), plus 10 %.
-/// While the lost-update audit stored every candidate, `Run::finish`
-/// copied each phase's samples and the SI log kept two vectors per
-/// transaction, 176 bytes were needed here (8 539 068), which fails it;
-/// while a local read's acknowledgement was a 16-byte record beside an
-/// 8-byte index word and every response time a kept sample, 211 bytes
-/// were needed here (10 217 668), which fails it; while the oracle kept
-/// every served read and every read acknowledgement for a replay after
-/// the run, 365 (17 729 372); while the oracle kept two vectors per
-/// commit and the first latency quantile copied every sample, 400
-/// (19 424 804); while every endpoint's sequence log kept each entry
-/// for the whole run and the report copied the latency samples twice,
-/// 444 (21 545 700); the layout before the oracle's tables were indexed
-/// by id — B-trees of acknowledgements and commits, a vector per served
-/// read, a completion set per client — needed 583.
-const BUDGET_BYTES_PER_ACK: f64 = 184.0;
+/// While every replica kept its own copy of its group's WAL records, 165
+/// bytes were needed here (8 030 656), which fails it; when the budget
+/// was set before that, 167 (8 090 176). While the lost-update audit
+/// stored every candidate, `Run::finish` copied each phase's samples and
+/// the SI log kept two vectors per transaction, 176 bytes were needed
+/// here (8 539 068), which fails it; while a local read's
+/// acknowledgement was a 16-byte record beside an 8-byte index word and
+/// every response time a kept sample, 211 bytes were needed here
+/// (10 217 668), which fails it; while the oracle kept every served read
+/// and every read acknowledgement for a replay after the run, 365
+/// (17 729 372); while the oracle kept two vectors per commit and the
+/// first latency quantile copied every sample, 400 (19 424 804); while
+/// every endpoint's sequence log kept each entry for the whole run and
+/// the report copied the latency samples twice, 444 (21 545 700); the
+/// layout before the oracle's tables were indexed by id — B-trees of
+/// acknowledgements and commits, a vector per served read, a completion
+/// set per client — needed 583.
+const BUDGET_BYTES_PER_ACK: f64 = 162.0;
 
 #[test]
 fn readmix_peak_heap_per_acknowledged_transaction_stays_in_budget() {
@@ -168,18 +171,21 @@ fn readmix_peak_heap_per_acknowledged_transaction_stays_in_budget() {
 
 /// Peak live heap bytes per acknowledged transaction this test allows
 /// on the Table 4 system: the value measured when the budget was set,
-/// 1 834 bytes (7 129 504 bytes over 3 888 transactions, debug and
-/// release alike), plus 10 %. While the lost-update audit stored every
-/// candidate, 1 987 bytes were needed here (7 724 360), just inside it;
-/// while every engine kept an empty version
-/// chain per item without the version store, the oracle's index took 8
-/// bytes per id and every response time was a kept sample, 2 569 bytes
-/// were needed here (9 989 152), which fails it; while the oracle kept
-/// two vectors per commit and the WAL a 24-byte copy of each write,
-/// 2 840 (11 043 488); while every endpoint's sequence log kept each
-/// entry for the whole run, 3 759 (14 616 768); while every replica's
-/// WAL also kept each record, 5 087 (19 779 248).
-const TABLE4_BUDGET_BYTES_PER_ACK: f64 = 2018.0;
+/// 1 711 bytes (6 652 416 bytes over 3 888 transactions, debug and
+/// release alike), plus 10 %. While every replica kept its own copy of
+/// its group's WAL records, 1 826 bytes were needed here (7 097 640),
+/// just inside it; when the budget was set before that, 1 834
+/// (7 129 504). While the lost-update audit stored every candidate,
+/// 1 987 bytes were needed here (7 724 360), which fails it; while every
+/// engine kept an empty version chain per item without the version
+/// store, the oracle's index took 8 bytes per id and every response
+/// time was a kept sample, 2 569 bytes were needed here (9 989 152),
+/// which fails it; while the oracle kept two vectors per commit and the
+/// WAL a 24-byte copy of each write, 2 840 (11 043 488); while every
+/// endpoint's sequence log kept each entry for the whole run, 3 759
+/// (14 616 768); while every replica's WAL also kept each record, 5 087
+/// (19 779 248).
+const TABLE4_BUDGET_BYTES_PER_ACK: f64 = 1883.0;
 
 #[test]
 fn table4_peak_heap_per_acknowledged_transaction_stays_in_budget() {
@@ -217,17 +223,20 @@ fn table4_peak_heap_per_acknowledged_transaction_stays_in_budget() {
 
 /// Peak live heap bytes per acknowledged transaction this test allows
 /// on an `ordering`-shaped system: the value measured when the budget
-/// was set, 903 bytes (27 894 488 bytes over 30 878 transactions, debug
-/// and release alike), plus 10 %. While the lost-update audit stored
-/// every candidate — every write here, since the read phase records the
-/// version each write overwrites — 962 bytes were needed here
-/// (29 718 816), just inside it; while every engine kept an empty
+/// was set, 455 bytes (14 040 400 bytes over 30 878 transactions, debug
+/// and release alike), plus 10 %. While every replica kept its own copy
+/// of its group's WAL records — nine copies of one non-durable tail —
+/// 900 bytes were needed here (27 778 816), which fails it; when the
+/// budget was set before that, 903 (27 894 488). While the lost-update
+/// audit stored every candidate — every write here, since the read phase
+/// records the version each write overwrites — 962 bytes were needed here
+/// (29 718 816), which fails it; while every engine kept an empty
 /// version chain per item, the oracle's index took 8 bytes per id and
 /// every response time was a kept sample, 1 058 bytes were needed here
-/// (32 663 144), just inside it; while the WAL stored each write as a
+/// (32 663 144), which fails it; while the WAL stored each write as a
 /// 24-byte record with its own version and the oracle kept two vectors
 /// per commit, 1 404 (43 365 016), which fails it.
-const ORDERING_BUDGET_BYTES_PER_ACK: f64 = 994.0;
+const ORDERING_BUDGET_BYTES_PER_ACK: f64 = 501.0;
 
 #[test]
 fn ordering_peak_heap_per_acknowledged_transaction_stays_in_budget() {
@@ -443,13 +452,17 @@ fn shardfault_plan() -> ScenarioPlan {
 /// on a `shardfault`-shaped system — four groups of three, 2000 tps of
 /// short writes, 5 % of them cross-group, through the pinned fault
 /// plan — counting `audit_scenario` and `Run::finish` as `perf` runs
-/// them: the value measured when the budget was set, 575 bytes
-/// (22 876 436 bytes over 39 779 transactions, debug and release alike,
-/// reached before the audit), plus 10 %. While the scenario audit built
-/// a set of every committed write to check the snapshot reads — of which
-/// this run has none — its peak came inside the audit, at 639 bytes
-/// (25 432 292), which fails it.
-const SHARDFAULT_BUDGET_BYTES_PER_ACK: f64 = 633.0;
+/// them: the value measured when the budget was set, 471 bytes
+/// (18 746 724 bytes over 39 779 transactions, debug and release alike,
+/// reached before the audit), plus 10 %. While every replica kept its
+/// own copy of its group's WAL records and a deep copy of every
+/// cross-group decision it delivered, 571 bytes were needed here
+/// (22 718 924), which fails it; when the budget was set before that,
+/// 575 (22 876 436). While the scenario audit built a set of every
+/// committed write to check the snapshot reads — of which this run has
+/// none — its peak came inside the audit, at 639 bytes (25 432 292),
+/// which fails it.
+const SHARDFAULT_BUDGET_BYTES_PER_ACK: f64 = 519.0;
 
 #[test]
 fn shardfault_peak_heap_per_acknowledged_transaction_stays_in_budget() {
