@@ -30,6 +30,7 @@ use crate::buffer::{BufferModel, BufferPool};
 use crate::lock::{LockManager, LockMode, LockOutcome};
 use crate::txnset::TxnSet;
 use crate::types::{ItemId, ItemState, TxnId, Value, Version, WriteOp};
+use crate::versions::VersionStore;
 use crate::wal::{FlushPolicy, Lsn, Wal, WalKind, WalRecord};
 
 /// Engine configuration (defaults follow Table 4).
@@ -136,35 +137,12 @@ pub struct DbEngine {
     /// redoes it; it is *not* part of [`DbEngine::state_digest`] (a
     /// quiesced system has released every reservation).
     reservations: BTreeMap<ItemId, (TxnId, u32)>,
-    /// Bounded multi-version store backing snapshot reads: per item
-    /// (indexed by [`ItemId::index`], mirroring `items`), the retained
-    /// `(version, state)` chain as a contiguous vector in ascending
-    /// version order (versions are delivery sequence numbers under the
-    /// DSM technique), so snapshot lookups binary-search instead of
-    /// walking a tree. Allocated and populated only when
-    /// `config.mvcc_depth > 0` (empty otherwise, so an engine without
-    /// the version store pays no chain per item); pruned at the
-    /// group-stable watermark by [`DbEngine::prune_versions`].
-    history: Vec<Vec<(Version, ItemState)>>,
-    /// Indices of the non-empty chains of `history`, in no particular
-    /// order: what pruning, reseeding and counting visit instead of all
-    /// `n_items` chains. Outside [`DbEngine::prune_versions`] a
-    /// non-empty chain has at least two entries (the head alone is
-    /// implied by the item table).
-    populated: Vec<u32>,
-    /// A lower bound on the watermarks at which pruning changes
-    /// anything: the smallest second-oldest version over the populated
-    /// chains (pruning at `w` drops a chain's oldest entry only if the
-    /// next one is also at or below `w`). `Version::MAX` when nothing is
-    /// retained.
-    prune_from: Version,
-    /// Newest group-stable watermark seen by [`DbEngine::prune_versions`]:
-    /// the depth cap may only trim chain entries strictly below the
-    /// snapshot floor this watermark pins.
-    stable_floor: Version,
-    /// Entries the depth cap trimmed (always already below the pruning
-    /// floor — the floor itself is pinned until the watermark passes it).
-    mvcc_evictions: u64,
+    /// Bounded multi-version store backing snapshot reads: the retained
+    /// versions of the items written since the group-stable watermark,
+    /// in recycled chain buffers behind a 4-byte index per item.
+    /// Allocates nothing when `config.mvcc_depth == 0`; pruned at the
+    /// watermark by [`DbEngine::prune_versions`].
+    versions: VersionStore,
 
     // Stable.
     wal: Wal,
@@ -251,15 +229,7 @@ impl DbEngine {
             dirty_pages: 0,
             stats: DbStats::default(),
             reservations: BTreeMap::new(),
-            history: if config.mvcc_depth > 0 {
-                vec![Vec::new(); config.n_items as usize]
-            } else {
-                Vec::new()
-            },
-            populated: Vec::new(),
-            prune_from: Version::MAX,
-            stable_floor: 0,
-            mvcc_evictions: 0,
+            versions: VersionStore::new(config.n_items as usize, config.mvcc_depth),
             wal: Wal::new(log_disk),
             redo: None,
             config,
@@ -433,138 +403,29 @@ impl DbEngine {
     /// snapshot below everything retained — the oldest version still
     /// retained (bounded-staleness fallback).
     pub fn version_at(&self, item: ItemId, limit: Version) -> ItemState {
-        let head = self.items[item.index()];
-        if head.version <= limit {
-            return head;
-        }
-        let Some(chain) = self.history.get(item.index()).filter(|c| !c.is_empty()) else {
-            // No retained history (store disabled or item chain pruned
-            // to the head): the head is all we have.
-            return head;
-        };
-        // Chains are version-sorted: binary-search the newest `≤ limit`.
-        let above = chain.partition_point(|&(v, _)| v <= limit);
-        if above > 0 {
-            return chain[above - 1].1;
-        }
-        if chain[0].0 > 0 {
-            // The snapshot predates everything retained: serve the
-            // oldest retained version (bounded-staleness fallback).
-            return chain[0].1;
-        }
-        ItemState::default()
+        self.versions
+            .version_at(item, limit, self.items[item.index()])
     }
 
     /// Drop retained versions below the newest one at or below `stable`
     /// (the group-stable watermark): snapshots at or above the watermark
     /// stay servable, everything older is unreachable by construction.
     ///
-    /// Visits only the populated chains, and none at all while `stable`
+    /// Visits only the chains still held, and none at all while `stable`
     /// is below every chain's second-oldest version (the usual case
     /// between two advances of the watermark).
     pub fn prune_versions(&mut self, stable: Version) {
-        if self.config.mvcc_depth == 0 {
-            return;
-        }
-        self.stable_floor = self.stable_floor.max(stable);
-        if stable < self.prune_from {
-            return;
-        }
-        let history = &mut self.history;
-        let mut prune_from = Version::MAX;
-        self.populated.retain(|&i| {
-            let Some(chain) = history.get_mut(i as usize) else {
-                return false;
-            };
-            // Index of the first version above the watermark; the entry
-            // just below it is the floor snapshot and must survive.
-            let above = chain.partition_point(|&(v, _)| v <= stable);
-            if above > 1 {
-                chain.drain(..above - 1);
-            }
-            // A chain collapsed to the committed head alone carries no
-            // information the item table lacks.
-            if chain.len() <= 1 {
-                chain.clear();
-            }
-            if let Some(&(second, _)) = chain.get(1) {
-                prune_from = prune_from.min(second);
-            }
-            !chain.is_empty()
-        });
-        self.prune_from = prune_from;
+        self.versions.prune(stable);
     }
 
     /// Retained versions across all items (inspection/test helper).
     pub fn mvcc_retained(&self) -> usize {
-        self.populated
-            .iter()
-            .filter_map(|&i| self.history.get(i as usize))
-            .map(Vec::len)
-            .sum()
+        self.versions.retained()
     }
 
     /// Entries the depth cap trimmed below the pruning floor.
     pub fn mvcc_evictions(&self) -> u64 {
-        self.mvcc_evictions
-    }
-
-    /// Record the committed head of `item` in the version store (called
-    /// under every apply path once the item table is updated; `old` is
-    /// the state the apply overwrote). A chain starts with the
-    /// overwritten state — the never-written default, or the single
-    /// consistent snapshot a crash redo / checkpoint install left — so
-    /// snapshots below the first retained write stay servable.
-    fn retain_version(&mut self, item: ItemId, old: ItemState) {
-        if self.config.mvcc_depth == 0 {
-            return;
-        }
-        let state = self.items[item.index()];
-        let chain = &mut self.history[item.index()];
-        if chain.is_empty() {
-            chain.push((old.version, old));
-            self.populated.push(item.0);
-        }
-        match chain.last_mut() {
-            Some(last @ &mut (v, _)) if v == state.version => *last = (state.version, state),
-            Some(&mut (v, _)) if v > state.version => {
-                // Out-of-order version (lazy Thomas-rule interleavings):
-                // insert in place to keep the chain sorted.
-                let pos = chain.partition_point(|&(cv, _)| cv < state.version);
-                chain.insert(pos, (state.version, state));
-            }
-            _ => chain.push((state.version, state)),
-        }
-        // Over the cap, trim from the front — but only entries strictly
-        // below the stable floor (the successor must still be at or
-        // below the floor, so the floor snapshot stays servable). Under
-        // a lagging watermark the chain grows past the cap instead;
-        // `prune_versions` re-bounds it once the watermark advances.
-        while chain.len() > self.config.mvcc_depth.max(2)
-            && chain.get(1).is_some_and(|&(v, _)| v <= self.stable_floor)
-        {
-            chain.remove(0);
-            self.mvcc_evictions += 1;
-        }
-        // A one-entry chain (a write at the version it overwrote) is
-        // cleared by the next prune at any watermark.
-        let second = chain.get(1).map_or(0, |&(v, _)| v);
-        self.prune_from = self.prune_from.min(second);
-    }
-
-    /// Reset the version store after a crash redo or checkpoint install:
-    /// the surviving state is a single consistent snapshot, so chains of
-    /// length one are implied by the item table and nothing needs
-    /// retaining until new commits layer versions on top (the next
-    /// `retain_version` call seeds each touched chain with the snapshot
-    /// state it overwrites).
-    fn reseed_versions(&mut self) {
-        for i in self.populated.drain(..) {
-            if let Some(chain) = self.history.get_mut(i as usize) {
-                chain.clear();
-            }
-        }
-        self.prune_from = Version::MAX;
+        self.versions.evictions()
     }
 
     /// Apply and commit `writes` for `txn` at `now`.
@@ -598,13 +459,13 @@ impl DbEngine {
         let cpu_time = self.config.cpu_per_op * writes.len().max(1) as u64;
         let cpu_done = self.cpu.borrow_mut().request(now, cpu_time);
         for w in writes {
-            let old = self.items[w.item.index()];
-            self.items[w.item.index()] = ItemState {
+            let state = ItemState {
                 value: w.value,
                 version: w.version,
             };
+            let old = std::mem::replace(&mut self.items[w.item.index()], state);
             self.buffer.mark_dirty(w.item);
-            self.retain_version(w.item, old);
+            self.versions.retain(w.item, old, state);
         }
         self.dirty_pages += writes.len();
         self.wal.append_commit(txn, writes);
@@ -670,13 +531,14 @@ impl DbEngine {
         for w in writes {
             let old = self.items[w.item.index()];
             if w.version > old.version {
-                self.items[w.item.index()] = ItemState {
+                let state = ItemState {
                     value: w.value,
                     version: w.version,
                 };
+                self.items[w.item.index()] = state;
                 self.buffer.mark_dirty(w.item);
                 self.dirty_pages += 1;
-                self.retain_version(w.item, old);
+                self.versions.retain(w.item, old, state);
             }
         }
         CommitResult {
@@ -782,7 +644,7 @@ impl DbEngine {
         // that crash recovers.
         self.wal.crash();
         self.dirty_pages = 0;
-        self.reseed_versions();
+        self.versions.reseed();
     }
 
     /// Crash: volatile state is lost. The committed state becomes the
@@ -809,7 +671,7 @@ impl DbEngine {
                 self.reservations.clear();
             }
         }
-        self.reseed_versions();
+        self.versions.reseed();
     }
 
     /// Highest committed version in the database (the sequence-number
@@ -1246,51 +1108,6 @@ mod tests {
         assert_eq!(e.version_at(ItemId(1), 30).version, 30);
     }
 
-    proptest::proptest! {
-        /// Pruning by the list of populated chains, skipped while the
-        /// watermark is below every chain's second entry, retains and
-        /// serves exactly what a scan of every chain at every call does
-        /// — also when versions arrive out of order or at or below the
-        /// floor (lazy interleavings, redelivery after a crash).
-        #[test]
-        fn indexed_pruning_matches_a_full_scan(
-            ops in proptest::collection::vec((0u8..10, 0u32..6, 0u64..40), 1..80),
-        ) {
-            let mut fast = mvcc_engine(3);
-            let mut scan = mvcc_engine(3);
-            for (i, (op, item, v)) in ops.into_iter().enumerate() {
-                match op {
-                    0 => {
-                        fast.reseed_versions();
-                        scan.reseed_versions();
-                    }
-                    1..=3 => {
-                        fast.prune_versions(v);
-                        scan.prune_from = 0;
-                        scan.populated = (0..scan.config.n_items).collect();
-                        scan.prune_versions(v);
-                    }
-                    _ => {
-                        let write = [w(item, i as i64, v)];
-                        fast.commit(SimTime::ZERO, t(i as u64), &write);
-                        scan.commit(SimTime::ZERO, t(i as u64), &write);
-                    }
-                }
-                proptest::prop_assert_eq!(fast.mvcc_retained(), scan.mvcc_retained());
-                proptest::prop_assert_eq!(fast.mvcc_evictions(), scan.mvcc_evictions());
-                proptest::prop_assert_eq!(&fast.history, &scan.history);
-                for item in 0..6 {
-                    for limit in 0..41 {
-                        proptest::prop_assert_eq!(
-                            fast.version_at(ItemId(item), limit),
-                            scan.version_at(ItemId(item), limit)
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     #[test]
     fn mvcc_disabled_retains_nothing() {
         let mut e = mvcc_engine(0);
@@ -1324,7 +1141,7 @@ mod tests {
     #[test]
     fn an_engine_without_the_version_store_allocates_no_chains() {
         let mut e = mvcc_engine(0);
-        assert_eq!(e.history.capacity(), 0);
+        assert_eq!(e.versions.capacity(), 0);
         e.commit(SimTime::ZERO, t(1), &[w(1, 10, 2)]);
         e.commit(SimTime::ZERO, t(2), &[w(1, 20, 5)]);
         assert_eq!(e.version_at(ItemId(1), 3).value, 20);
@@ -1337,7 +1154,7 @@ mod tests {
         e.install_checkpoint(donor.checkpoint());
         e.commit(SimTime::ZERO, t(3), &[w(2, 30, 9)]);
         assert_eq!(e.version_at(ItemId(2), 1).value, 30);
-        assert_eq!((e.mvcc_retained(), e.history.capacity()), (0, 0));
+        assert_eq!((e.mvcc_retained(), e.versions.capacity()), (0, 0));
     }
 
     #[test]

@@ -41,6 +41,7 @@ pub mod lock;
 pub mod txnset;
 pub mod txntable;
 pub mod types;
+mod versions;
 pub mod wal;
 
 pub use buffer::{BufferAccess, BufferModel, BufferPool, BufferStats, ITEMS_PER_PAGE};
