@@ -52,7 +52,7 @@ use groupsafe_net::{Incoming, Network, NodeId};
 use groupsafe_sim::{Ctx, Disk, ObsEvent, SimTime, Wrap};
 
 use crate::config::{DeliveryGuarantee, GcsConfig, GcsModel};
-use crate::idtable::IdTable;
+use crate::idtable::{IdTable, Lookup};
 use crate::message::{Entry, GcsTimer, MsgId, Wire};
 use crate::output::GcsOutput;
 use crate::seqlog::{Quorum, SeqLog, Slot, MAX_GROUP_SIZE};
@@ -229,7 +229,11 @@ pub struct GcsEndpoint<P, S> {
     seq_assign: Option<u64>,
     /// Ids already ordered and the sequence number each was assigned
     /// (sequencer dedup; the seq lets a resent forward be answered with
-    /// a retransmission of the original assignment).
+    /// a retransmission of the original assignment). The view-based
+    /// endpoint releases an id with its log entry, once every member of
+    /// the static group has delivered it: the table then only answers
+    /// that it was ordered, and holds a page per 64 ids of each origin
+    /// above that point (see [`GcsEndpoint::trim_log`]).
     ordered_ids: IdTable,
     /// Per sequence number: the ordered entry received, the stability
     /// votes for it, and the persisted / emitted / frame-span marks.
@@ -292,6 +296,9 @@ pub struct GcsEndpoint<P, S> {
     /// has heard catch-up replies from a majority (static model).
     seq_resume_votes: Option<BTreeSet<NodeId>>,
     stats: GcsStats,
+    /// Forwards dropped as sequencer because every member had delivered
+    /// their id already.
+    released_forwards: u64,
 
     // ---- survives crashes ----
     /// Incarnation generation (bumped by `on_recover`).
@@ -376,6 +383,7 @@ where
             gap_repair_head: 0,
             seq_resume_votes: None,
             stats: GcsStats::default(),
+            released_forwards: 0,
             generation: 0,
             stable: BTreeMap::new(),
             _state: PhantomData,
@@ -531,6 +539,18 @@ where
     /// helper).
     pub fn log_held(&self) -> usize {
         self.log.held()
+    }
+
+    /// Pages of 64 ids the sequencer's duplicate table holds
+    /// (inspection/test helper).
+    pub fn ids_held(&self) -> usize {
+        self.ordered_ids.pages()
+    }
+
+    /// Forwards this endpoint dropped as sequencer because every member
+    /// had delivered their message already (inspection/test helper).
+    pub fn released_forwards(&self) -> u64 {
+        self.released_forwards
     }
 
     /// Entries this endpoint knows exist but has not delivered yet (the
@@ -864,7 +884,14 @@ where
         let Some(next) = self.seq_assign else {
             return; // not the sequencer (stale forward); sender will resend
         };
-        if let Some(seq) = self.ordered_ids.get(id) {
+        let ordered = self.ordered_ids.get(id);
+        if ordered == Lookup::Released {
+            // Every member delivered it, the broadcaster included:
+            // whatever this forward is late for, nothing is missing.
+            self.released_forwards += 1;
+            return;
+        }
+        if let Lookup::At(seq) = ordered {
             // Duplicate (resend after a view change or a retry timer). A
             // resend means the broadcaster has not seen its message
             // ordered: the original Ordered multicast may have been lost
@@ -1345,6 +1372,7 @@ where
             .min(self.delivered_head())
             .min(self.stable_watermark());
         self.log.release_below(all_delivered + 1);
+        self.ordered_ids.release_below(all_delivered + 1);
     }
 
     /// Debug-build tripwire on every path that serves entries from the

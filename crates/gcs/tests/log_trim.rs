@@ -2,11 +2,17 @@
 //! history: every endpoint frees the log below the highest sequence
 //! number all members of the static group have delivered. While a
 //! member is down, its last reported delivery head holds that point
-//! back; once it has rejoined, trimming resumes.
+//! back; once it has rejoined, trimming resumes. The sequencer's
+//! duplicate table releases the ids of what it frees, so it is bounded
+//! the same way, and a forward that arrives after its id was released
+//! is dropped, not ordered again.
 
-use groupsafe_gcs::harness::Cluster;
-use groupsafe_gcs::{BatchConfig, GcsConfig, ProcessClass};
-use groupsafe_net::NodeId;
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
+use groupsafe_gcs::harness::{Cluster, HostMsg};
+use groupsafe_gcs::{BatchConfig, GcsConfig, MsgId, ProcessClass, Wire};
+use groupsafe_net::{Incoming, NodeId};
 use groupsafe_sim::{BlockVec, SimDuration, SimTime};
 
 const N: u32 = 5;
@@ -17,6 +23,11 @@ const BLOCK: u64 = BlockVec::<()>::BLOCK_LEN as u64;
 const PER_PHASE: u64 = 2_000;
 /// One broadcast per millisecond, from rotating origins.
 const STEP_US: u64 = 1_000;
+/// Ids per page of the duplicate table.
+const PAGE: u64 = 64;
+/// (origin, generation) runs of ids over a whole test: one per member,
+/// and one more for the member that rejoins under a new generation.
+const RUNS: u64 = N as u64 + 1;
 
 /// Broadcast `count` values from rotating origins among the first
 /// `origins` nodes, one per millisecond from `from`, valued from `value`.
@@ -44,7 +55,9 @@ fn in_flight(cluster: &Cluster, members: &[u32]) -> u64 {
 /// Step the run to `until` in 20 ms strides and check, at every stride,
 /// that each of `members` holds at most two blocks plus twice the
 /// largest spread seen so far (the spread when it last trimmed, and
-/// now). Returns that largest spread.
+/// now), and ids within the log's bound: a page for every 64 slots the
+/// log holds, plus two per run of ids (the partly released page at its
+/// floor, and its newest). Returns that largest spread.
 fn run_bounded(cluster: &mut Cluster, until: SimTime, members: &[u32], mut spread: u64) -> u64 {
     let stride = SimDuration::from_millis(20);
     while cluster.engine.now() < until {
@@ -58,9 +71,28 @@ fn run_bounded(cluster: &mut Cluster, until: SimTime, members: &[u32], mut sprea
                 "node {i} holds {held} slots at {:?} (spread {spread})",
                 cluster.engine.now()
             );
+            assert_ids_within_the_log(cluster, i);
         }
     }
     spread
+}
+
+/// Pages of ids a drained member holds: the ids above the last trim's
+/// bound, less than two blocks of them, plus two pages per run.
+fn drained_ids_bound() -> u64 {
+    (2 * BLOCK).div_ceil(PAGE) + 2 * RUNS
+}
+
+/// `node`'s duplicate table holds at most a page per 64 slots its log
+/// holds, plus two pages per run of ids.
+fn assert_ids_within_the_log(cluster: &Cluster, node: u32) {
+    let ep = cluster.endpoint(NodeId(node));
+    let (ids, held) = (ep.ids_held() as u64, ep.log_held() as u64);
+    assert!(
+        ids <= held.div_ceil(PAGE) + 2 * RUNS,
+        "node {node} holds {ids} pages of ids beside {held} log slots at {:?}",
+        cluster.engine.now()
+    );
 }
 
 fn trims_below_what_every_member_delivered(cfg: GcsConfig, seed: u64) {
@@ -82,10 +114,15 @@ fn trims_below_what_every_member_delivered(cfg: GcsConfig, seed: u64) {
             "node {i} trimmed only below {}",
             ep.log_floor()
         );
+        assert!(
+            ep.ids_held() as u64 <= drained_ids_bound(),
+            "node {i} holds {} pages of ids",
+            ep.ids_held()
+        );
     }
 
     // Phase 2: one member down. Nobody frees what it has not reported
-    // delivered, so every survivor keeps everything since.
+    // delivered, so every survivor keeps everything since, ids too.
     let last_head = cluster.endpoint(down).next_deliver() - 1;
     cluster
         .engine
@@ -112,7 +149,16 @@ fn trims_below_what_every_member_delivered(cfg: GcsConfig, seed: u64) {
             ep.log_held() as u64 >= PER_PHASE,
             "node {i} freed entries delivered while a member was down"
         );
+        assert!(
+            ep.ids_held() as u64 >= PER_PHASE / PAGE,
+            "node {i} released ids delivered while a member was down"
+        );
+        assert_ids_within_the_log(&cluster, i);
     }
+    let grown: Vec<usize> = survivors
+        .iter()
+        .map(|&i| cluster.endpoint(NodeId(i)).ids_held())
+        .collect();
 
     // Phase 3: the member rejoins by state transfer and reports its
     // head again; trimming resumes everywhere within the next trim
@@ -138,6 +184,18 @@ fn trims_below_what_every_member_delivered(cfg: GcsConfig, seed: u64) {
             ep.log_floor() > 3 * PER_PHASE - 2 * BLOCK,
             "node {i} did not resume trimming: floor {}",
             ep.log_floor()
+        );
+        assert!(
+            ep.ids_held() as u64 <= drained_ids_bound(),
+            "node {i} holds {} pages of ids after the rejoin",
+            ep.ids_held()
+        );
+    }
+    for (&i, &grown) in survivors.iter().zip(&grown) {
+        let held = cluster.endpoint(NodeId(i)).ids_held();
+        assert!(
+            held < grown,
+            "node {i}'s ids did not shrink back: {held} ≥ {grown}"
         );
     }
 
@@ -171,4 +229,80 @@ fn the_batched_log_frees_what_every_member_delivered() {
     let cfg = GcsConfig::view_based_uniform()
         .with_batching(BatchConfig::of(8, SimDuration::from_micros(500)));
     trims_below_what_every_member_delivered(cfg, 37);
+}
+
+/// A forward that reaches the sequencer after every member delivered its
+/// message and the sequencer released its id — a copy the network held
+/// back past the trim — is dropped: the message is not ordered again,
+/// and every member delivers every message exactly once.
+#[test]
+fn a_forward_late_past_its_release_is_not_ordered_again() {
+    let mut cluster = Cluster::new(N, GcsConfig::view_based_uniform(), 41);
+    broadcast(&mut cluster, SimTime::from_millis(10), PER_PHASE, N, 0);
+    let late = SimTime::from_millis(10) + SimDuration::from_micros(PER_PHASE * STEP_US + 50_000);
+    cluster.engine.run_until(late);
+    let sequencer = NodeId(0);
+    assert!(cluster.endpoint(sequencer).is_sequencer());
+    assert_eq!(cluster.endpoint(sequencer).released_forwards(), 0);
+
+    // The first page of every origin's ids, delivered everywhere long
+    // ago, forwarded once more from its origin with another payload.
+    let stale: Vec<MsgId> = cluster
+        .obs
+        .borrow()
+        .broadcast
+        .iter()
+        .filter(|id| id.counter < PAGE)
+        .copied()
+        .collect();
+    assert_eq!(stale.len() as u64, u64::from(N) * (PAGE - 1));
+    for (i, &id) in (0u64..).zip(&stale) {
+        let forward = Incoming {
+            from: id.origin,
+            msg: Wire::Forward {
+                id,
+                payload: u64::MAX - i,
+            },
+        };
+        cluster.engine.schedule(
+            late + SimDuration::from_micros(i),
+            cluster.hosts[sequencer.index()],
+            HostMsg::Wire(Rc::new(forward)),
+        );
+    }
+    cluster
+        .engine
+        .run_until(late + SimDuration::from_millis(200));
+    assert_eq!(
+        cluster.endpoint(sequencer).released_forwards(),
+        stale.len() as u64,
+        "every stale forward met a released id"
+    );
+
+    for i in 0..N {
+        cluster
+            .obs
+            .borrow_mut()
+            .classes
+            .insert(NodeId(i), ProcessClass::Green);
+    }
+    let obs = cluster.obs.borrow();
+    assert_eq!(obs.deliveries.len(), N as usize);
+    for (node, records) in &obs.deliveries {
+        let mut times: BTreeMap<MsgId, u32> = BTreeMap::new();
+        for r in records {
+            *times.entry(r.id).or_insert(0) += 1;
+        }
+        assert_eq!(
+            times.len() as u64,
+            PER_PHASE,
+            "{node:?} delivered every message"
+        );
+        assert!(
+            times.values().all(|&n| n == 1),
+            "{node:?} delivered a message twice"
+        );
+    }
+    let violations = obs.check_all(false);
+    assert!(violations.is_empty(), "{violations:?}");
 }

@@ -15,6 +15,7 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Words per page (512 bytes).
 pub const PAGE_WORDS: u64 = 64;
@@ -26,8 +27,8 @@ type Page = Box<[u64; PAGE_WORDS as usize]>;
 /// module docs.
 ///
 /// A page is allocated by the first non-zero store into it and lives
-/// until [`WordPages::clear`], so two arrays that went through the same
-/// stores compare equal.
+/// until [`WordPages::clear`] or [`WordPages::free_page_if`], so two
+/// arrays that went through the same stores (and frees) compare equal.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WordPages {
     pages: BTreeMap<(u32, u64), Page>,
@@ -65,6 +66,24 @@ impl WordPages {
         }
     }
 
+    /// Free the page holding `(space, index)` if `free` says so of its
+    /// words, which then read 0 again; true if a page was freed. An
+    /// absent page is not offered to `free`.
+    pub fn free_page_if(
+        &mut self,
+        space: u32,
+        index: u64,
+        free: impl FnOnce(&[u64]) -> bool,
+    ) -> bool {
+        match self.pages.entry((space, index / PAGE_WORDS)) {
+            Entry::Occupied(page) if free(page.get().as_slice()) => {
+                page.remove();
+                true
+            }
+            Entry::Occupied(_) | Entry::Vacant(_) => false,
+        }
+    }
+
     /// Zero every word and free every page.
     pub fn clear(&mut self) {
         self.pages.clear();
@@ -73,6 +92,17 @@ impl WordPages {
     /// Pages currently allocated.
     pub fn pages(&self) -> usize {
         self.pages.len()
+    }
+
+    /// Pages currently allocated that hold a word of `(space, indices)`.
+    pub fn pages_in(&self, space: u32, indices: Range<u64>) -> usize {
+        if indices.is_empty() {
+            return 0;
+        }
+        let last = (indices.end - 1) / PAGE_WORDS;
+        self.pages
+            .range((space, indices.start / PAGE_WORDS)..=(space, last))
+            .count()
     }
 
     /// The non-zero words as `(space, index, word)`, ascending by
@@ -109,6 +139,22 @@ mod tests {
             w.iter().collect::<Vec<_>>(),
             vec![(0, 0, 9), (u32::MAX, u64::MAX, 7)]
         );
+    }
+
+    #[test]
+    fn a_page_is_freed_only_if_asked_to() {
+        let mut w = WordPages::default();
+        w.update(1, 70, |_| 3);
+        w.update(1, 200, |_| 4);
+        assert_eq!(w.pages_in(1, 0..PAGE_WORDS), 0);
+        assert_eq!(w.pages_in(1, 64..201), 2);
+        assert_eq!(w.pages_in(1, 64..64), 0);
+        // An absent page is never offered.
+        assert!(!w.free_page_if(1, 0, |_| panic!("an absent page was offered")));
+        assert!(!w.free_page_if(1, 64, |words| words.iter().all(|&x| x == 0)));
+        assert!(w.free_page_if(1, 127, |words| words[70 - 64] == 3));
+        assert_eq!(w.get(1, 70), 0);
+        assert_eq!((w.pages(), w.get(1, 200)), (1, 4));
     }
 
     proptest! {

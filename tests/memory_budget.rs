@@ -102,9 +102,11 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTING: Counting = Counting;
 
 /// Peak live heap bytes per acknowledged transaction this test allows:
-/// the value measured when the budget was set, 83 bytes (4 004 312
+/// the value measured when the budget was set, 80 bytes (3 889 256
 /// bytes over 48 535 transactions, debug and release alike), plus 10 %.
-/// While every engine kept a version chain buffer for each item it had
+/// While every endpoint's duplicate table kept each ordered id for the
+/// whole run, 83 bytes were needed here (4 004 312), just inside it;
+/// while every engine kept a version chain buffer for each item it had
 /// ever written, 147 bytes were needed here (7 155 344), which fails it;
 /// while every replica also kept its own copy of its group's WAL
 /// records, 165 (8 030 656); when the budget was set before that, 167
@@ -123,7 +125,7 @@ static COUNTING: Counting = Counting;
 /// layout before the oracle's tables were indexed by id — B-trees of
 /// acknowledgements and commits, a vector per served read, a completion
 /// set per client — needed 583.
-const BUDGET_BYTES_PER_ACK: f64 = 91.0;
+const BUDGET_BYTES_PER_ACK: f64 = 88.0;
 
 #[test]
 fn readmix_peak_heap_per_acknowledged_transaction_stays_in_budget() {
@@ -173,10 +175,12 @@ fn readmix_peak_heap_per_acknowledged_transaction_stays_in_budget() {
 
 /// Peak live heap bytes per acknowledged transaction this test allows
 /// on the Table 4 system: the value measured when the budget was set,
-/// 1 711 bytes (6 652 416 bytes over 3 888 transactions, debug and
-/// release alike), plus 10 %. While every replica kept its own copy of
+/// 1 655 bytes (6 433 248 bytes over 3 888 transactions, debug and
+/// release alike), plus 10 %. While every endpoint's duplicate table
+/// kept each ordered id for the whole run, 1 711 bytes were needed here
+/// (6 652 920), just inside it; while every replica kept its own copy of
 /// its group's WAL records, 1 826 bytes were needed here (7 097 640),
-/// just inside it; when the budget was set before that, 1 834
+/// which fails it; when the budget was set before that, 1 834
 /// (7 129 504). While the lost-update audit stored every candidate,
 /// 1 987 bytes were needed here (7 724 360), which fails it; while every
 /// engine kept an empty version chain per item without the version
@@ -187,7 +191,7 @@ fn readmix_peak_heap_per_acknowledged_transaction_stays_in_budget() {
 /// endpoint's sequence log kept each entry for the whole run, 3 759
 /// (14 616 768); while every replica's WAL also kept each record, 5 087
 /// (19 779 248).
-const TABLE4_BUDGET_BYTES_PER_ACK: f64 = 1883.0;
+const TABLE4_BUDGET_BYTES_PER_ACK: f64 = 1821.0;
 
 #[test]
 fn table4_peak_heap_per_acknowledged_transaction_stays_in_budget() {
@@ -225,8 +229,11 @@ fn table4_peak_heap_per_acknowledged_transaction_stays_in_budget() {
 
 /// Peak live heap bytes per acknowledged transaction this test allows
 /// on an `ordering`-shaped system: the value measured when the budget
-/// was set, 455 bytes (14 040 400 bytes over 30 878 transactions, debug
-/// and release alike), plus 10 %. While every replica kept its own copy
+/// was set, 379 bytes (11 698 816 bytes over 30 878 transactions, debug
+/// and release alike), plus 10 %. While every endpoint's duplicate
+/// table kept each ordered id for the whole run — nine tables of every
+/// id — 455 bytes were needed here (14 040 904), which fails it; while
+/// every replica kept its own copy
 /// of its group's WAL records — nine copies of one non-durable tail —
 /// 900 bytes were needed here (27 778 816), which fails it; when the
 /// budget was set before that, 903 (27 894 488). While the lost-update
@@ -238,7 +245,7 @@ fn table4_peak_heap_per_acknowledged_transaction_stays_in_budget() {
 /// (32 663 144), which fails it; while the WAL stored each write as a
 /// 24-byte record with its own version and the oracle kept two vectors
 /// per commit, 1 404 (43 365 016), which fails it.
-const ORDERING_BUDGET_BYTES_PER_ACK: f64 = 501.0;
+const ORDERING_BUDGET_BYTES_PER_ACK: f64 = 417.0;
 
 #[test]
 fn ordering_peak_heap_per_acknowledged_transaction_stays_in_budget() {
@@ -454,9 +461,12 @@ fn shardfault_plan() -> ScenarioPlan {
 /// on a `shardfault`-shaped system — four groups of three, 2000 tps of
 /// short writes, 5 % of them cross-group, through the pinned fault
 /// plan — counting `audit_scenario` and `Run::finish` as `perf` runs
-/// them: the value measured when the budget was set, 471 bytes
-/// (18 746 724 bytes over 39 779 transactions, debug and release alike,
-/// reached before the audit), plus 10 %. While every replica kept its
+/// them: the value measured when the budget was set, 444 bytes
+/// (17 673 820 bytes over 39 779 transactions, debug and release alike,
+/// reached before the audit), plus 10 %. While every endpoint's
+/// duplicate table kept each ordered id for the whole run, 471 bytes
+/// were needed here (18 747 396), just inside it; while every replica
+/// kept its
 /// own copy of its group's WAL records and a deep copy of every
 /// cross-group decision it delivered, 571 bytes were needed here
 /// (22 718 924), which fails it; when the budget was set before that,
@@ -464,7 +474,7 @@ fn shardfault_plan() -> ScenarioPlan {
 /// committed write to check the snapshot reads — of which this run has
 /// none — its peak came inside the audit, at 639 bytes (25 432 292),
 /// which fails it.
-const SHARDFAULT_BUDGET_BYTES_PER_ACK: f64 = 519.0;
+const SHARDFAULT_BUDGET_BYTES_PER_ACK: f64 = 489.0;
 
 #[test]
 fn shardfault_peak_heap_per_acknowledged_transaction_stays_in_budget() {
