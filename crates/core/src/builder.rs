@@ -48,6 +48,7 @@
     reason = "servers/slices are indexed by indices derived from their own construction loops (i < n_servers, group < n_groups)"
 )]
 
+use std::ops::Range;
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
@@ -55,7 +56,7 @@ use rand::Rng;
 
 use groupsafe_db::{DbConfig, ItemId, Operation};
 use groupsafe_gcs::{BatchConfig, MAX_GROUP_SIZE};
-use groupsafe_sim::{decompose_commits, CommitSpan, ObsConfig, SimDuration, SimTime};
+use groupsafe_sim::{decompose_commits, CommitSpan, Histogram, ObsConfig, SimDuration, SimTime};
 
 use crate::client::{LoadModel, OpGenerator, TxnPlan};
 use crate::msg::ClientEvent;
@@ -1244,7 +1245,7 @@ impl Run {
             (Vec::new(), 0, 0)
         };
 
-        // Per-phase stats from the sample slices between marks. Samples
+        // Per-phase stats from the sample ranges between marks. Samples
         // append in simulated-time order, so index ranges captured at the
         // boundaries segment the run exactly; compute before any quantile
         // call sorts the histogram in place. Each phase selects its
@@ -1252,17 +1253,14 @@ impl Run {
         // others', so nothing is copied.
         let mut phases = Vec::new();
         {
-            let all = system
+            let h = system
                 .engine
                 .metrics_mut()
-                .histogram_mut("response_total_ms")
-                .samples_mut();
-            let len = all.len();
+                .histogram_mut("response_total_ms");
             for w in self.marks.windows(2) {
                 let (label, from) = w[0];
                 let (_, to) = w[1];
-                let slice = &mut all[from.min(len)..to.min(len)];
-                phases.push(PhaseStats::from_samples(label, slice));
+                phases.push(PhaseStats::from_range(label, h, from..to));
             }
         }
 
@@ -1408,10 +1406,12 @@ pub struct PhaseStats {
 }
 
 impl PhaseStats {
-    /// The phase's statistics, from its samples in recording order;
-    /// leaves them reordered.
-    fn from_samples(label: &'static str, samples: &mut [f64]) -> PhaseStats {
-        if samples.is_empty() {
+    /// The phase's statistics, from the samples `h` recorded at `range`
+    /// while they are in recording order; leaves them reordered within
+    /// the range.
+    fn from_range(label: &'static str, h: &mut Histogram, range: Range<usize>) -> PhaseStats {
+        let commits = range.end.min(h.count()).saturating_sub(range.start);
+        if commits == 0 {
             return PhaseStats {
                 label,
                 commits: 0,
@@ -1425,14 +1425,11 @@ impl PhaseStats {
         // poisoning the percentile), and equal ranks are equal bits, so
         // selecting picks exactly what a full sort would put at that
         // rank.
-        let mean_ms = samples.iter().sum::<f64>() / samples.len() as f64;
-        let idx = ((0.95 * samples.len() as f64).ceil() as usize)
-            .saturating_sub(1)
-            .min(samples.len() - 1);
-        let (_, &mut p95_ms, _) = samples.select_nth_unstable_by(idx, f64::total_cmp);
+        let mean_ms = h.range_sum(range.clone()) / commits as f64;
+        let p95_ms = h.range_quantile(range, 0.95);
         PhaseStats {
             label,
-            commits: samples.len(),
+            commits,
             mean_ms,
             p95_ms,
         }
@@ -1857,10 +1854,12 @@ mod tests {
                     proptest::strategy::Just(f64::NAN),
                     proptest::strategy::Just(17.25),
                 ],
-                1..300,
+                1..1_300,
             )
         ) {
-            let stats = PhaseStats::from_samples("measure", &mut samples.clone());
+            let mut h = Histogram::new();
+            samples.iter().for_each(|&v| h.record(v));
+            let stats = PhaseStats::from_range("measure", &mut h, 0..samples.len());
             let mut sorted = samples.clone();
             sorted.sort_by(f64::total_cmp);
             let idx = ((0.95 * sorted.len() as f64).ceil() as usize)
@@ -1873,13 +1872,14 @@ mod tests {
         }
 
         /// Phases selected in place, one after the other in the one
-        /// sample buffer, give the bits the copying selection gave each
+        /// histogram, give the bits the copying selection gave each
         /// phase: the mean is summed before the phase's range is
-        /// reordered, and no phase disturbs another's samples.
+        /// reordered, and no phase disturbs another's samples, within a
+        /// block of samples or across blocks.
         #[test]
         fn phase_stats_in_place_match_a_copy_per_phase(
-            samples in proptest::collection::vec(0.001f64..5_000.0, 0..400),
-            cuts in proptest::collection::vec(0usize..400, 0..5),
+            samples in proptest::collection::vec(0.001f64..5_000.0, 0..1_400),
+            cuts in proptest::collection::vec(0usize..1_400, 0..5),
         ) {
             /// The selection before it worked in place: on a copy.
             fn from_a_copy(samples: &[f64]) -> (usize, u64, u64) {
@@ -1898,9 +1898,10 @@ mod tests {
             bounds.push(0);
             bounds.push(samples.len());
             bounds.sort_unstable();
-            let mut buffer = samples.clone();
+            let mut h = Histogram::new();
+            samples.iter().for_each(|&v| h.record(v));
             for w in bounds.windows(2) {
-                let stats = PhaseStats::from_samples("phase", &mut buffer[w[0]..w[1]]);
+                let stats = PhaseStats::from_range("phase", &mut h, w[0]..w[1]);
                 let got = (stats.commits, stats.mean_ms.to_bits(), stats.p95_ms.to_bits());
                 proptest::prop_assert_eq!(got, from_a_copy(&samples[w[0]..w[1]]));
             }

@@ -144,28 +144,25 @@ pub struct DbEngine {
     /// watermark by [`DbEngine::prune_versions`].
     versions: VersionStore,
 
-    // Stable.
+    // Stable: the log, whose store keeps the redo image.
     wal: Wal,
-    /// The fold of the durable WAL prefix — all of it but the records
-    /// still in the WAL's durable block (see
-    /// [`DbEngine::wal_mark_durable`]). Allocated at the first fold, so
-    /// a replica whose WAL never fills a durable block before a crash
-    /// pays nothing.
-    redo: Option<Redo>,
 }
 
-/// The redo image: the committed state that redoing the durable WAL
-/// prefix from the empty database yields.
-#[derive(Debug)]
-struct Redo {
-    items: Vec<ItemState>,
-    committed: TxnSet,
-    reservations: BTreeMap<ItemId, (TxnId, u32)>,
+/// A full application checkpoint (state transfer payload).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DbCheckpoint {
+    /// All item states.
+    pub items: Vec<ItemState>,
+    /// Committed transaction ids (testable-transaction table).
+    pub committed: TxnSet,
+    /// In-flight cross-group reservations (item → (holder, coordinator)).
+    pub reservations: BTreeMap<ItemId, (TxnId, u32)>,
 }
 
-impl Redo {
-    fn empty(n_items: usize) -> Self {
-        Redo {
+impl DbCheckpoint {
+    /// The empty database of `n_items` items.
+    pub(crate) fn empty(n_items: usize) -> Self {
+        DbCheckpoint {
             items: vec![ItemState::default(); n_items],
             committed: TxnSet::new(),
             reservations: BTreeMap::new(),
@@ -176,7 +173,7 @@ impl Redo {
     /// writes and drop the transaction's reservations; reserve/release
     /// records rebuild the reservation table exactly as the pre-crash
     /// processing left its durable prefix.
-    fn apply(&mut self, rec: &WalRecord<'_>) {
+    pub(crate) fn redo(&mut self, rec: &WalRecord<'_>) {
         match rec.kind {
             WalKind::Commit => {
                 for w in rec.writes() {
@@ -200,17 +197,6 @@ impl Redo {
     }
 }
 
-/// A full application checkpoint (state transfer payload).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DbCheckpoint {
-    /// All item states.
-    pub items: Vec<ItemState>,
-    /// Committed transaction ids (testable-transaction table).
-    pub committed: TxnSet,
-    /// In-flight cross-group reservations (item → (holder, coordinator)).
-    pub reservations: BTreeMap<ItemId, (TxnId, u32)>,
-}
-
 impl DbEngine {
     /// Create an engine over the given shared resources.
     pub fn new(
@@ -230,8 +216,7 @@ impl DbEngine {
             stats: DbStats::default(),
             reservations: BTreeMap::new(),
             versions: VersionStore::new(config.n_items as usize, config.mvcc_depth),
-            wal: Wal::new(log_disk),
-            redo: None,
+            wal: Wal::new(log_disk, config.n_items as usize),
             config,
             cpu,
             data_disk,
@@ -240,14 +225,20 @@ impl DbEngine {
     }
 
     /// Share `group`'s WAL store: the replicas of one group append the
-    /// same records, and the store keeps one copy of each (see
-    /// [`Wal::join`]). Nothing either engine observes changes.
+    /// same records, and the store keeps one copy of each and one redo
+    /// image (see [`Wal::join`]). Nothing either engine observes
+    /// changes.
     ///
     /// # Panics
     ///
     /// If either engine has logged anything: engines join before that.
     pub fn join_wal(&mut self, group: &DbEngine) {
         self.wal.join(&group.wal);
+    }
+
+    /// The write-ahead log (inspection: its cursors and its store).
+    pub fn wal(&self) -> &Wal {
+        &self.wal
     }
 
     /// The configuration in use.
@@ -549,10 +540,11 @@ impl DbEngine {
     }
 
     /// A WAL flush completed: records below `lsn` are durable. Once the
-    /// durable records not yet folded fill a block of WAL headers, they
-    /// are folded into the redo image and the WAL frees them: the WAL
-    /// frees whole blocks, so folding fewer would free nothing, and a
-    /// short run (or a warm-up) folds nothing at all.
+    /// durable records not yet taken fill a block of WAL headers, the
+    /// WAL takes them, and its store folds them into its redo image and
+    /// frees them once every member has: the store frees whole blocks,
+    /// so taking fewer would free nothing, and a short run (or a
+    /// warm-up) folds nothing at all.
     pub fn wal_mark_durable(&mut self, lsn: Lsn) {
         self.wal.mark_durable(lsn);
         if self.wal.durable_block_ready() {
@@ -560,12 +552,11 @@ impl DbEngine {
         }
     }
 
-    /// Fold every durable record the WAL still holds into the redo
-    /// image, in LSN order.
+    /// Hand every durable record the WAL still holds to redo: its
+    /// store folds it into the redo image once every member has taken
+    /// it.
     fn fold_durable(&mut self) {
-        let (redo, n_items) = (&mut self.redo, self.config.n_items as usize);
-        self.wal
-            .take_durable(|rec| redo.get_or_insert_with(|| Redo::empty(n_items)).apply(&rec));
+        self.wal.take_durable();
     }
 
     /// True when WAL records wait that no flush covers yet (see
@@ -638,7 +629,7 @@ impl DbEngine {
         self.reservations = ckpt.reservations;
         // The checkpoint replaces the committed state, not the log: the
         // WAL drops its non-durable tail but keeps its durable prefix,
-        // and the redo image its fold. So a crash after an install
+        // and its store the image of it. So a crash after an install
         // redoes the pre-install durable log and loses the checkpoint's
         // state. Resetting the log to the checkpoint would change what
         // that crash recovers.
@@ -647,30 +638,30 @@ impl DbEngine {
         self.versions.reseed();
     }
 
-    /// Crash: volatile state is lost. The committed state becomes the
-    /// redo image — the fold of the durable WAL prefix, kept as flushes
-    /// complete ([`DbEngine::wal_mark_durable`]) and completed here with
-    /// the durable records of the WAL's last block — or the empty
-    /// database when nothing has become durable. History is never
-    /// replayed.
+    /// Crash: volatile state is lost. The committed state becomes what
+    /// redoing the durable WAL prefix from the empty database yields:
+    /// the WAL takes its last durable records and leaves for a store of
+    /// its own ([`Wal::crash`]), whose redo image — the fold its group's
+    /// store kept as flushes completed, carried up to this replica's
+    /// taken point — is copied in ([`Wal::recover_into`]). History is
+    /// never replayed.
     pub fn crash(&mut self) {
         self.fold_durable();
         self.wal.crash();
         self.buffer.clear();
         self.locks.clear();
         self.dirty_pages = 0;
-        match &self.redo {
-            Some(image) => {
-                self.items.clone_from(&image.items);
-                self.committed.clone_from(&image.committed);
-                self.reservations.clone_from(&image.reservations);
-            }
-            None => {
-                self.items.fill(ItemState::default());
-                self.committed.clear();
-                self.reservations.clear();
-            }
-        }
+        let mut state = DbCheckpoint {
+            items: std::mem::take(&mut self.items),
+            committed: std::mem::take(&mut self.committed),
+            reservations: std::mem::take(&mut self.reservations),
+        };
+        self.wal.recover_into(&mut state);
+        DbCheckpoint {
+            items: self.items,
+            committed: self.committed,
+            reservations: self.reservations,
+        } = state;
         self.versions.reseed();
     }
 

@@ -50,4 +50,4 @@ pub use lock::{LockManager, LockMode, LockOutcome};
 pub use txnset::TxnSet;
 pub use txntable::TxnTable;
 pub use types::{ItemId, ItemState, Operation, TxnId, Value, Version, WriteOp};
-pub use wal::{FlushPolicy, Lsn, Wal, WalKind, WalRecord, WalStats};
+pub use wal::{FlushPolicy, Lsn, Wal, WalKind, WalStats};

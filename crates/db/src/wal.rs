@@ -17,20 +17,20 @@
 //! debug-asserts. A reserve record's items share the item column; their
 //! value cells are 0 and never read.
 //!
-//! Redo is a fold kept as the log goes: [`Wal::take_durable`] hands
-//! each record over once, after it has become durable, as a
-//! [`WalRecord`] view borrowed from the log, and then releases the
-//! records taken; [`Wal::crash`] truncates the log to its durable
-//! prefix. So the log holds its non-durable tail, the durable records
-//! not yet taken and at most a block of each column below them — not
-//! its history.
+//! Redo is a fold kept as the log goes: [`Wal::take_durable`] marks
+//! the records that have become durable as taken, and the store the log
+//! shares (below) folds each record into one redo image once every
+//! member has taken it, then releases it; [`Wal::crash`] truncates the
+//! log to its durable prefix. So the log holds its non-durable tail,
+//! the durable records not yet folded and at most a block of each
+//! column below them — not its history.
 //!
 //! # One store per replica group
 //!
-//! A [`Wal`] keeps only its cursors — the LSNs below which it has handed
-//! records to redo, covered them by a flush, made them durable and
-//! appended them — beside its disk and counters. The records live in a
-//! store that one or more logs share, record `i` of the store being the
+//! A [`Wal`] keeps only its cursors — the LSNs below which it has taken
+//! records, covered them by a flush, made them durable and appended
+//! them — beside its disk and counters. The records live in a store
+//! that one or more logs share, record `i` of the store being the
 //! record at the same LSN of every member. A lone log ([`Wal::new`],
 //! and so [`DbEngine::new`](crate::DbEngine::new)) is the only member of
 //! a store of its own. The system joins the logs of one replica group,
@@ -41,13 +41,24 @@
 //! disks are busy, by most of the run — a copy per replica would keep
 //! the group's non-durable tail once per replica.
 //!
+//! The store also keeps the redo image: the committed state that
+//! redoing its records from the empty database up to the image point
+//! yields, the image point being the lowest member's taken point. Right
+//! before the store frees below that point it folds the records up to
+//! it into the image, so each record is applied once per store, not
+//! once per member, and a record that one member has not yet taken —
+//! not yet made durable — never reaches that member's recovery. What a
+//! member's crash recovers ([`Wal::recover_into`]) is the image plus
+//! the store's records from the image point up to that member's own
+//! taken point, which the store still holds.
+//!
 //! A member appending a record the store already holds at its next LSN
 //! compares header and body, and on a match only moves its end. A member
 //! leaves for a store of its own, copying its live records (those not
-//! yet taken), when
+//! yet taken) and the image at its taken point, when
 //! * it appends a record that differs from the one the store holds there
 //!   — under lazy replication, a delegate's first own commit;
-//! * it crashes or installs a checkpoint ([`Wal::crash`]) — a crash folds
+//! * it crashes or installs a checkpoint ([`Wal::crash`]) — a crash takes
 //!   the durable records first, so a crashed member leaves with nothing
 //!   live, and a member that stays down pins nothing;
 //! * its live records all lie below every other member's taken point —
@@ -57,12 +68,12 @@
 //!   take or leave moves it; the member picks its new store up at its
 //!   next append, take or crash.
 //!
-//! The store frees below the lowest member's taken point and cuts above
-//! the highest member's end. So what pins a record is a member that has
-//! not taken it, and by the last rule the store never holds more records
-//! than its members' logs would hold apart. Nothing a member observes —
-//! its LSNs, flush batches, durable point and redo stream — depends on
-//! whom it shares its store with.
+//! The store folds and frees below the lowest member's taken point and
+//! cuts above the highest member's end. So what pins a record is a
+//! member that has not taken it, and by the last rule the store never
+//! holds more records than its members' logs would hold apart. Nothing a
+//! member observes — its LSNs, flush batches, durable point and what a
+//! crash recovers — depends on whom it shares its store with.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -71,6 +82,7 @@ use rand::rngs::StdRng;
 
 use groupsafe_sim::{BlockVec, Body, Disk, Extent, Ragged, SimTime};
 
+use crate::engine::DbCheckpoint;
 use crate::types::{ItemId, TxnId, Value, Version, WriteOp};
 
 /// Log sequence number: index of a record in the log (0-based).
@@ -114,6 +126,19 @@ impl Header {
         (self.seq, self.version, self.client, self.kind)
             == (other.seq, other.version, other.client, other.kind)
     }
+
+    /// The record with `body`, as redo reads it.
+    fn record<'a>(&self, body: Body<'a, ItemId, Value>) -> WalRecord<'a> {
+        WalRecord {
+            txn: TxnId {
+                client: self.client,
+                seq: self.seq,
+            },
+            kind: self.kind,
+            version: self.version,
+            body,
+        }
+    }
 }
 
 impl Extent for Header {
@@ -126,9 +151,8 @@ impl Extent for Header {
     }
 }
 
-/// A log record as redo sees it: a view borrowed from the log
-/// ([`Wal::take_durable`]).
-pub struct WalRecord<'a> {
+/// A log record as redo sees it: a view borrowed from the store's log.
+pub(crate) struct WalRecord<'a> {
     /// The transaction the record belongs to.
     pub txn: TxnId,
     /// What redo does with the record.
@@ -182,7 +206,8 @@ pub struct WalStats {
     pub flushed_records: u64,
 }
 
-/// The records that one or more [`Wal`]s hold; see the module docs.
+/// The records that one or more [`Wal`]s hold, and their redo image;
+/// see the module docs.
 #[derive(Debug)]
 struct WalStore {
     log: Ragged<Header, ItemId, Value>,
@@ -191,6 +216,15 @@ struct WalStore {
     base: Lsn,
     /// Each member's slot, in joining order.
     members: Vec<Member>,
+    /// Items in the database the log redoes into.
+    n_items: usize,
+    /// The fold of the records below `image_lsn`. Allocated at the first
+    /// record folded, so a store whose members never take a record pays
+    /// nothing.
+    image: Option<DbCheckpoint>,
+    /// The image point: the lowest member's taken point at the last
+    /// settle, at or above `base`.
+    image_lsn: Lsn,
 }
 
 /// What a store knows of one of its members.
@@ -206,10 +240,23 @@ enum Member {
 }
 
 impl WalStore {
-    /// A store of one member, holding `log` from LSN `base` on.
-    fn alone(log: Ragged<Header, ItemId, Value>, base: Lsn, end: Lsn) -> Rc<RefCell<WalStore>> {
-        let members = vec![Member::In { taken: base, end }];
-        Rc::new(RefCell::new(WalStore { log, base, members }))
+    /// A store of one member, holding `log` from LSN `base` on and the
+    /// image of the records below it.
+    fn alone(
+        log: Ragged<Header, ItemId, Value>,
+        base: Lsn,
+        end: Lsn,
+        n_items: usize,
+        image: Option<DbCheckpoint>,
+    ) -> Rc<RefCell<WalStore>> {
+        Rc::new(RefCell::new(WalStore {
+            log,
+            base,
+            members: vec![Member::In { taken: base, end }],
+            n_items,
+            image,
+            image_lsn: base,
+        }))
     }
 
     /// Where the record at `lsn` is stored.
@@ -224,14 +271,26 @@ impl WalStore {
     }
 
     /// A store of its own for a member whose records `taken..end` are
-    /// live, holding a copy of them.
+    /// live, holding a copy of them and the image at `taken`.
     fn split_off(&self, taken: Lsn, end: Lsn) -> Rc<RefCell<WalStore>> {
         let mut log = Ragged::default();
         let live = self.log.iter_from(self.index(taken));
         for (header, body) in live.take((end - taken) as usize) {
             log.push(*header, body.iter());
         }
-        WalStore::alone(log, taken, end)
+        let mut image = self.image.clone();
+        self.fold_into(&mut image, taken);
+        WalStore::alone(log, taken, end, self.n_items, image)
+    }
+
+    /// Fold the records from the image point up to `lsn` into `image`,
+    /// in LSN order, allocating it at the first record.
+    fn fold_into(&self, image: &mut Option<DbCheckpoint>, lsn: Lsn) {
+        let records = self.log.iter_from(self.index(self.image_lsn));
+        for (header, body) in records.take((lsn - self.image_lsn) as usize) {
+            let image = image.get_or_insert_with(|| DbCheckpoint::empty(self.n_items));
+            image.redo(&header.record(body));
+        }
     }
 
     /// The members in the store: `(slot, taken, end)`.
@@ -263,8 +322,9 @@ impl WalStore {
         (highest - lowest.1 > apart).then_some(lowest)
     }
 
-    /// Move the laggards to stores of their own, then free below the
-    /// lowest taken point left and cut above the highest end.
+    /// Move the laggards to stores of their own, then fold the image up
+    /// to the lowest taken point left, free below it and cut above the
+    /// highest end.
     fn settle(&mut self) {
         while let Some((slot, taken, end)) = self.laggard() {
             let own = self.split_off(taken, end);
@@ -273,6 +333,9 @@ impl WalStore {
         let lowest = self.live().map(|(_, taken, _)| taken).min();
         let highest = self.live().map(|(_, _, end)| end).max();
         if let (Some(lowest), Some(highest)) = (lowest, highest) {
+            let mut image = self.image.take();
+            self.fold_into(&mut image, lowest);
+            (self.image, self.image_lsn) = (image, lowest);
             self.log.release_below(self.index(lowest));
             self.log.truncate(self.index(highest));
         }
@@ -281,13 +344,14 @@ impl WalStore {
 
 /// The write-ahead log of one engine: its cursors over the records of a
 /// store it may share with the logs of its replica group (see the module
-/// docs). It keeps each record until redo has taken it
-/// ([`Wal::take_durable`]).
+/// docs). It keeps each record until every member of the store has
+/// taken it ([`Wal::take_durable`]) and the store has folded it into its
+/// redo image.
 pub struct Wal {
     store: Rc<RefCell<WalStore>>,
     /// This log's slot among the store's members.
     slot: usize,
-    /// Records below this LSN were handed to redo (`≤ durable`).
+    /// Records below this LSN were taken for redo (`≤ durable`).
     taken: Lsn,
     /// Records below this LSN are covered by an in-flight flush.
     flushing: Lsn,
@@ -300,11 +364,11 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Create a WAL backed by `log_disk`, the only member of a store of
-    /// its own.
-    pub fn new(log_disk: Rc<RefCell<Disk>>) -> Self {
+    /// Create a WAL backed by `log_disk` that redoes into a database of
+    /// `n_items` items, the only member of a store of its own.
+    pub fn new(log_disk: Rc<RefCell<Disk>>, n_items: usize) -> Self {
         Wal {
-            store: WalStore::alone(Ragged::default(), 0, 0),
+            store: WalStore::alone(Ragged::default(), 0, 0, n_items, None),
             slot: 0,
             taken: 0,
             flushing: 0,
@@ -321,12 +385,18 @@ impl Wal {
     ///
     /// # Panics
     ///
-    /// If either log has appended anything: logs join before that.
+    /// If either log has appended anything: logs join before that; or if
+    /// they redo into databases of different sizes.
     pub fn join(&mut self, group: &Wal) {
         let fresh = |store: &WalStore| store.base == 0 && store.log.is_empty();
         assert!(
             self.end == 0 && fresh(&self.store.borrow()) && fresh(&group.store.borrow()),
             "logs join a store before anything is appended"
+        );
+        assert_eq!(
+            self.store.borrow().n_items,
+            group.store.borrow().n_items,
+            "logs of one store redo into one database"
         );
         self.store.borrow_mut().set(self.slot, Member::Out);
         self.store = group.store.clone();
@@ -514,36 +584,47 @@ impl Wal {
         self.durable = self.durable.max(lsn).min(self.end);
     }
 
-    /// Redo: hand every record that became durable since the last call
-    /// to `redo`, in LSN order, then release the records taken: no
-    /// reader needs them or their bodies any more, once every member of
-    /// the store has taken them.
-    pub fn take_durable(&mut self, mut redo: impl FnMut(WalRecord<'_>)) {
+    /// Take every record that became durable since the last call for
+    /// redo: the store folds a record into its image, and frees it,
+    /// once every member has taken it.
+    pub fn take_durable(&mut self) {
         self.follow();
-        {
-            let store = self.store.borrow();
-            let newly_durable = store.log.iter_from(store.index(self.taken));
-            for (h, body) in newly_durable.take((self.durable - self.taken) as usize) {
-                redo(WalRecord {
-                    txn: TxnId {
-                        client: h.client,
-                        seq: h.seq,
-                    },
-                    kind: h.kind,
-                    version: h.version,
-                    body,
-                });
-            }
-        }
         self.taken = self.durable;
         self.publish();
         self.store.borrow_mut().settle();
     }
 
+    /// Write into `state` what redo recovers for this log: the store's
+    /// image — the empty database when the store has none — and then
+    /// the store's records from the image point up to this log's taken
+    /// point. The items reuse `state`'s buffer, which holds as many as
+    /// the database.
+    pub fn recover_into(&self, state: &mut DbCheckpoint) {
+        let store = self.current_store();
+        let store = store.borrow();
+        match &store.image {
+            Some(image) => {
+                state.items.clone_from(&image.items);
+                state.committed.clone_from(&image.committed);
+                state.reservations.clone_from(&image.reservations);
+            }
+            None => {
+                state.items.fill(Default::default());
+                state.committed.clear();
+                state.reservations.clear();
+            }
+        }
+        let tail = store.log.iter_from(store.index(store.image_lsn));
+        for (header, body) in tail.take((self.taken - store.image_lsn) as usize) {
+            state.redo(&header.record(body));
+        }
+    }
+
     /// Crash: lose everything that never reached the disk. In-flight
     /// flushes are conservatively treated as failed (their completion
     /// event dies with the crash). The log leaves a shared store with
-    /// its durable records not yet taken.
+    /// its durable records not yet taken and the image at its taken
+    /// point.
     pub fn crash(&mut self) {
         self.follow();
         self.end = self.durable;
@@ -573,6 +654,19 @@ impl Wal {
         self.current_store().borrow().log.live()
     }
 
+    /// The LSN the store's redo image stands at, if the store has
+    /// allocated one: one image per store, whatever its members.
+    pub fn store_image(&self) -> Option<Lsn> {
+        let store = self.current_store();
+        let store = store.borrow();
+        store.image.as_ref().map(|_| store.image_lsn)
+    }
+
+    /// Records below this LSN are taken for redo (`≤ durable`).
+    pub fn taken_lsn(&self) -> Lsn {
+        self.taken
+    }
+
     /// True when this log and `other` read one store.
     pub fn shares_store_with(&self, other: &Wal) -> bool {
         Rc::ptr_eq(&self.current_store(), &other.current_store())
@@ -582,6 +676,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::ItemState;
     use proptest::prelude::*;
     use rand::SeedableRng;
 
@@ -600,11 +695,20 @@ mod tests {
         )
     }
 
+    const N_ITEMS: usize = 1000;
+
     fn wal() -> (Wal, StdRng) {
         (
-            Wal::new(Rc::new(RefCell::new(Disk::paper_default()))),
+            Wal::new(Rc::new(RefCell::new(Disk::paper_default())), N_ITEMS),
             StdRng::seed_from_u64(3),
         )
+    }
+
+    /// What a crash of `w`'s replica would recover.
+    fn recovered(w: &Wal) -> DbCheckpoint {
+        let mut state = DbCheckpoint::empty(N_ITEMS);
+        w.recover_into(&mut state);
+        state
     }
 
     fn with_log<T>(w: &Wal, read: impl FnOnce(&Ragged<Header, ItemId, Value>) -> T) -> T {
@@ -632,10 +736,16 @@ mod tests {
         assert_eq!(covered, 1);
         w.mark_durable(covered);
         assert!(w.is_durable(lsn));
-        let mut taken = Vec::new();
-        w.take_durable(|r| taken.push(r.txn));
-        w.take_durable(|r| taken.push(r.txn));
-        assert_eq!(taken, [t(1)], "a record is taken once");
+        w.take_durable();
+        w.take_durable();
+        assert_eq!((w.taken_lsn(), w.store_image()), (1, Some(1)));
+        let state = recovered(&w);
+        let one = ItemState {
+            value: 1,
+            version: 1,
+        };
+        assert_eq!(state.items.get(1), Some(&one));
+        assert!(state.committed.iter().eq([t(1)]), "a record is folded once");
     }
 
     #[test]
@@ -646,15 +756,14 @@ mod tests {
         }
         let (_, covered) = w.flush(SimTime::ZERO, &mut rng).expect("flush");
         w.mark_durable(covered - 100);
-        let mut taken = 0;
-        w.take_durable(|r| {
-            assert_eq!(
-                r.writes().map(|op| op.version).collect::<Vec<_>>(),
-                [r.txn.seq]
-            );
-            taken += 1;
-        });
-        assert_eq!(taken, 1100);
+        w.take_durable();
+        let state = recovered(&w);
+        assert!(state.committed.iter().eq((0..1100).map(t)));
+        let last = ItemState {
+            value: 1099,
+            version: 1099,
+        };
+        assert_eq!(state.items.get(1), Some(&last));
         // Headers and bodies below the taken point's block are gone.
         let held = with_log(&w, |log| (log.columns().0.held(), log.columns().1.held()));
         assert_eq!(held, (176, 176));
@@ -665,9 +774,12 @@ mod tests {
         assert_eq!((w.end_lsn(), cells(&w)), (1100, (1100, 1100)));
         assert_eq!(commit(&mut w, 7), 1100);
         w.mark_durable(1101);
-        let mut last = None;
-        w.take_durable(|r| last = Some((r.txn, r.writes().count())));
-        assert_eq!(last, Some((t(7), 1)));
+        w.take_durable();
+        let seven = ItemState {
+            value: 7,
+            version: 7,
+        };
+        assert_eq!(recovered(&w).items.get(1), Some(&seven));
     }
 
     #[test]
@@ -762,25 +874,47 @@ mod tests {
             self.records.truncate(self.durable);
             self.flushing = self.durable;
         }
+
+        /// Take the durable records, replaying them into `image`.
+        fn take(&mut self, image: &mut DbCheckpoint) {
+            for record in self.records.get(self.taken..self.durable).unwrap_or(&[]) {
+                replay(image, record);
+            }
+            self.taken = self.durable;
+        }
     }
 
-    fn owned(r: WalRecord<'_>) -> OwnedRecord {
-        OwnedRecord {
-            txn: r.txn,
-            kind: r.kind,
-            writes: r.writes().collect(),
-            items: r.items().collect(),
+    /// Redo `record` into `image`, as a replay of owned records does it.
+    fn replay(image: &mut DbCheckpoint, record: &OwnedRecord) {
+        let txn = record.txn;
+        match record.kind {
+            WalKind::Commit => {
+                for w in &record.writes {
+                    if let Some(item) = image.items.get_mut(w.item.index()) {
+                        (item.value, item.version) = (w.value, w.version);
+                    }
+                }
+                image.committed.insert(txn);
+                image.reservations.retain(|_, &mut (t, _)| t != txn);
+            }
+            WalKind::Reserve { coordinator } => {
+                for &item in &record.items {
+                    image.reservations.insert(item, (txn, coordinator));
+                }
+            }
+            WalKind::Release => image.reservations.retain(|_, &mut (t, _)| t != txn),
         }
     }
 
     proptest! {
         /// Any sequence of appends of the three kinds, flushes of both
-        /// sorts, completions, takes and crashes leaves the LSNs, the
-        /// counters and the redo stream of the vector of owned records:
-        /// every durable record taken once, in LSN order, with its body,
-        /// whatever was freed below it. Reserve bodies, short or longer
-        /// than a column block, sit between commit bodies in the shared
-        /// item column, and a crash may follow a take at once.
+        /// sorts, completions, takes and crashes leaves the LSNs and the
+        /// counters of the vector of owned records, and redo recovers
+        /// what a replay of the records taken recovers: every durable
+        /// record folded once, in LSN order, with its body, whatever was
+        /// freed below it. Reserve bodies, short or longer than a column
+        /// block, sit between commit bodies in the shared item column,
+        /// and a crash may follow a take at once.
         #[test]
         fn behaves_like_a_vec_of_owned_records(
             ops in proptest::collection::vec((0u8..10, 0u64..6, 0usize..700), 1..60),
@@ -788,7 +922,8 @@ mod tests {
             let (mut wal, mut rng) = wal();
             let mut model = VecWal::default();
             let mut covered: Vec<Lsn> = Vec::new();
-            let mut taken: Vec<OwnedRecord> = Vec::new();
+            // The replay of `model.records[..model.taken]`.
+            let mut image = DbCheckpoint::empty(N_ITEMS);
             for (i, (op, n, len)) in ops.into_iter().enumerate() {
                 let txn = TxnId { client: n as u32, seq: i as u64 };
                 match op {
@@ -841,8 +976,8 @@ mod tests {
                         }
                     }
                     7 | 8 => {
-                        wal.take_durable(|r| taken.push(owned(r)));
-                        model.taken = model.durable;
+                        wal.take_durable();
+                        model.take(&mut image);
                         if op == 8 {
                             // A crash right after a take cuts the columns
                             // at the taken bodies' end.
@@ -858,14 +993,16 @@ mod tests {
                 prop_assert_eq!(wal.end_lsn(), model.records.len() as Lsn);
                 prop_assert_eq!(wal.durable_lsn(), model.durable as Lsn);
                 prop_assert_eq!(wal.stats(), model.stats);
-                prop_assert_eq!(&taken[..], &model.records[..model.taken]);
+                prop_assert_eq!(wal.taken_lsn(), model.taken as Lsn);
+                prop_assert_eq!(&recovered(&wal), &image);
                 // Both columns count the surviving bodies, freed or not.
                 let bodies = model.records.iter().map(|r| r.writes.len() + r.items.len());
                 let n = bodies.sum::<usize>();
                 prop_assert_eq!(cells(&wal), (n, n));
             }
-            wal.take_durable(|r| taken.push(owned(r)));
-            prop_assert_eq!(&taken[..], &model.records[..model.durable]);
+            wal.take_durable();
+            model.take(&mut image);
+            prop_assert_eq!(&recovered(&wal), &image);
         }
     }
 }

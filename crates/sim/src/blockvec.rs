@@ -24,7 +24,7 @@ const BLOCK: usize = 512;
 /// Every block but the last is full, and the last is never empty —
 /// except the first `released` blocks, which are freed: empty, owning
 /// no allocation, and kept in place so that indices stay absolute.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BlockVec<T> {
     blocks: Vec<Vec<T>>,
     len: usize,
@@ -146,6 +146,18 @@ impl<T> BlockVec<T> {
     /// As [`BlockVec::iter`], mutable.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.blocks.iter_mut().flatten()
+    }
+
+    /// The blocks in order, as slices: block `k` holds the elements from
+    /// index `k × BLOCK_LEN` on (a released block is empty).
+    pub fn blocks(&self) -> impl Iterator<Item = &[T]> {
+        self.blocks.iter().map(Vec::as_slice)
+    }
+
+    /// As [`BlockVec::blocks`], mutable: a caller may reorder the
+    /// elements within a block, and none moves to another block.
+    pub fn blocks_mut(&mut self) -> impl Iterator<Item = &mut [T]> {
+        self.blocks.iter_mut().map(Vec::as_mut_slice)
     }
 
     /// The elements from `start` on, in order, found without walking

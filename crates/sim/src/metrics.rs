@@ -4,28 +4,33 @@
 //! — 8 bytes each for the whole run — which makes exact percentiles
 //! trivial and avoids bucket-resolution artefacts in the paper-figure
 //! reproductions; record into one only what some reader asks a quantile
-//! of. A summary ([`Metrics::summarize`]) keeps a count and a running
-//! sum and nothing else, for a series whose only reader is the
-//! Prometheus export's count and sum.
-
-#![expect(
-    clippy::indexing_slicing,
-    reason = "quantile index is clamped to len-1 after an is_empty early return two lines above"
-)]
+//! of. The samples are kept in fixed 4 KiB blocks ([`BlockVec`]) that
+//! never move: a histogram of a long run grows a block at a time, and
+//! never reallocates or frees a multi-megabyte buffer whose hole the
+//! allocator would have to place. A summary ([`Metrics::summarize`])
+//! keeps a count and a running sum and nothing else, for a series whose
+//! only reader is the Prometheus export's count and sum.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
+
+use crate::BlockVec;
+
+/// Samples per block.
+const BLOCK: usize = BlockVec::<f64>::BLOCK_LEN;
 
 /// A histogram over `f64` samples with exact quantiles.
 ///
-/// Quantile queries keep the sample vector sorted and remember how much of
-/// it is (`sorted_len`); a query after new recordings sorts only the
-/// unsorted tail and back-merges it into the sorted prefix, instead of
-/// re-sorting the full vector on every `quantile`/`min`/`max` call the
-/// reporting loops make.
+/// A quantile sorts each block in place and finds the nearest rank
+/// across the sorted blocks by a search over the samples' `total_cmp`
+/// order that counts, per block, the samples at or below a candidate:
+/// no sample is copied and nothing is allocated. The histogram remembers
+/// how much of it is sorted (`sorted_len`), so a query after new
+/// recordings sorts only the blocks they landed in.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
-    samples: Vec<f64>,
-    /// Length of the sorted prefix of `samples`.
+    samples: BlockVec<f64>,
+    /// The blocks below the one this index falls in are sorted.
     sorted_len: usize,
     /// Running sum of all samples, maintained at record time so `mean`
     /// and `stddev` are O(1) instead of rescanning inside reporting loops.
@@ -34,15 +39,29 @@ pub struct Histogram {
     sum_sq: f64,
 }
 
+/// `v`'s place in the `total_cmp` order, as an integer that orders the
+/// same way (the key [`f64::total_cmp`] compares).
+fn key(v: f64) -> i64 {
+    let bits = v.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The sample whose [`key`] is `k`: the map is its own inverse.
+fn from_key(k: i64) -> f64 {
+    f64::from_bits((k ^ (((k >> 63) as u64) >> 1) as i64) as u64)
+}
+
+/// The part of block `k`, `len` samples long, that `range` covers, as
+/// indices within the block.
+fn part(range: &Range<usize>, k: usize, len: usize) -> Range<usize> {
+    let start = k * BLOCK;
+    range.start.saturating_sub(start).min(len)..range.end.saturating_sub(start).min(len)
+}
+
 impl Histogram {
     /// Create an empty histogram.
     pub fn new() -> Self {
-        Histogram {
-            samples: Vec::new(),
-            sorted_len: 0,
-            sum: 0.0,
-            sum_sq: 0.0,
-        }
+        Histogram::default()
     }
 
     /// Record one sample.
@@ -88,55 +107,72 @@ impl Histogram {
         var.sqrt()
     }
 
+    /// Sort the blocks not yet sorted, each in place. total_cmp:
+    /// NaN-free total order, no panic path (a NaN sample would sort last
+    /// instead of poisoning quantiles). Samples it calls equal have the
+    /// same bits, so an unstable sort gives the stable sort's order.
     fn ensure_sorted(&mut self) {
         if self.sorted_len == self.samples.len() {
             return;
         }
-        // total_cmp: NaN-free total order, no panic path (a NaN sample
-        // would sort last instead of poisoning quantiles). Samples it
-        // calls equal have the same bits, so an unstable sort gives the
-        // stable sort's order.
-        if self.sorted_len == 0 {
-            // Nothing sorted yet: sort in place, copying nothing.
-            self.samples.sort_unstable_by(f64::total_cmp);
-        } else {
-            let mut tail = self.samples.split_off(self.sorted_len);
-            tail.sort_by(f64::total_cmp);
-            // Back-merge the sorted tail into the sorted prefix: O(tail +
-            // displaced-prefix) moves, and the untouched low prefix never
-            // moves at all.
-            let prefix_len = self.samples.len();
-            self.samples.resize(prefix_len + tail.len(), 0.0);
-            let mut dst = self.samples.len();
-            let mut i = prefix_len;
-            let mut j = tail.len();
-            while j > 0 {
-                dst -= 1;
-                if i > 0
-                    && self.samples[i - 1].total_cmp(&tail[j - 1]) == std::cmp::Ordering::Greater
-                {
-                    self.samples[dst] = self.samples[i - 1];
-                    i -= 1;
-                } else {
-                    self.samples[dst] = tail[j - 1];
-                    j -= 1;
-                }
-            }
+        let first = self.sorted_len / BLOCK;
+        for block in self.samples.blocks_mut().skip(first) {
+            block.sort_unstable_by(f64::total_cmp);
         }
         self.sorted_len = self.samples.len();
     }
 
+    /// `range` cut to the samples recorded.
+    fn clamp(&self, range: Range<usize>) -> Range<usize> {
+        let len = self.samples.len();
+        range.start.min(len)..range.end.min(len)
+    }
+
+    /// The samples at `range`, one slice per block it meets.
+    fn pieces(&self, range: Range<usize>) -> impl Iterator<Item = &[f64]> {
+        let end = range.end;
+        let blocks = self.samples.blocks().enumerate().skip(range.start / BLOCK);
+        let blocks = blocks.take_while(move |(k, _)| k * BLOCK < end);
+        blocks.map(move |(k, block)| block.get(part(&range, k, block.len())).unwrap_or(&[]))
+    }
+
+    /// The nearest-rank `q`-quantile of the samples at `range`, each of
+    /// whose pieces is sorted (0.0 if the range is empty).
+    fn nearest_rank(&self, range: Range<usize>, q: f64) -> f64 {
+        let n = range.len();
+        let firsts = self.pieces(range.clone()).filter_map(|p| p.first());
+        let lasts = self.pieces(range.clone()).filter_map(|p| p.last());
+        let (Some(mut lo), Some(mut hi)) =
+            (firsts.map(|&v| key(v)).min(), lasts.map(|&v| key(v)).max())
+        else {
+            return 0.0;
+        };
+        let q = q.clamp(0.0, 1.0);
+        let idx = ((q * n as f64).ceil() as usize)
+            .saturating_sub(1)
+            .min(n - 1);
+        // The smallest key with more than `idx` samples at or below it
+        // is the key of the sample a full sort puts at `idx`.
+        let at_or_below = |k: i64| -> usize {
+            self.pieces(range.clone())
+                .map(|p| p.partition_point(|&v| key(v) <= k))
+                .sum()
+        };
+        while lo < hi {
+            let mid = ((i128::from(lo) + i128::from(hi)) >> 1) as i64;
+            if at_or_below(mid) > idx {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        from_key(lo)
+    }
+
     /// Exact quantile by nearest-rank (`q` in `[0, 1]`; 0.0 if empty).
     pub fn quantile(&mut self, q: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
         self.ensure_sorted();
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((q * self.samples.len() as f64).ceil() as usize)
-            .saturating_sub(1)
-            .min(self.samples.len() - 1);
-        self.samples[idx]
+        self.nearest_rank(0..self.samples.len(), q)
     }
 
     /// Smallest sample (0.0 if empty).
@@ -149,18 +185,36 @@ impl Histogram {
         self.quantile(1.0)
     }
 
-    /// Borrow the raw samples (unsorted order not guaranteed).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
+    /// Sum of the samples at `range` (cut to the samples recorded),
+    /// added in the order they are stored: recording order until a
+    /// quantile sorts them.
+    pub fn range_sum(&self, range: Range<usize>) -> f64 {
+        self.pieces(self.clamp(range)).flatten().sum()
     }
 
-    /// Mutably borrow the raw samples, in recording order until a
-    /// quantile sorts them: a caller may reorder them in place (no
-    /// statistic depends on their order), and the next quantile sorts
-    /// them all again.
-    pub fn samples_mut(&mut self) -> &mut [f64] {
-        self.sorted_len = 0;
-        &mut self.samples
+    /// Exact nearest-rank quantile of the samples at `range` (cut to the
+    /// samples recorded; 0.0 if that is empty): the samples recorded at
+    /// those indices while they are in recording order, as a phase of a
+    /// run reads them. Sorts the range's part of each block in place,
+    /// which leaves the other samples where they are.
+    pub fn range_quantile(&mut self, range: Range<usize>, q: f64) -> f64 {
+        let range = self.clamp(range);
+        let blocks = self.samples.blocks_mut().enumerate();
+        let blocks = blocks.skip(range.start / BLOCK);
+        for (k, block) in blocks.take_while(|(k, _)| k * BLOCK < range.end) {
+            let part = part(&range, k, block.len());
+            if let Some(piece) = block.get_mut(part) {
+                piece.sort_unstable_by(f64::total_cmp);
+            }
+        }
+        // A sorted block stays sorted: a piece of it is sorted already.
+        self.nearest_rank(range, q)
+    }
+
+    /// The raw samples, block by block: in recording order until a
+    /// quantile sorts them in place.
+    pub fn samples(&self) -> impl Iterator<Item = f64> + '_ {
+        self.samples.iter().copied()
     }
 }
 
@@ -250,6 +304,153 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The histogram this one replaces: every sample in one `Vec`,
+    /// sorted whole by a quantile.
+    #[derive(Default)]
+    struct VecHistogram {
+        samples: Vec<f64>,
+        sum: f64,
+        sum_sq: f64,
+    }
+
+    impl VecHistogram {
+        fn record(&mut self, v: f64) {
+            self.samples.push(v);
+            self.sum += v;
+            self.sum_sq += v * v;
+        }
+
+        fn mean(&self) -> f64 {
+            if self.samples.is_empty() {
+                return 0.0;
+            }
+            self.sum / self.samples.len() as f64
+        }
+
+        fn stddev(&self) -> f64 {
+            let n = self.samples.len();
+            if n < 2 {
+                return 0.0;
+            }
+            let m = self.mean();
+            let var = ((self.sum_sq - m * m * n as f64) / (n - 1) as f64).max(0.0);
+            var.sqrt()
+        }
+
+        fn quantile(&mut self, q: f64) -> f64 {
+            if self.samples.is_empty() {
+                return 0.0;
+            }
+            self.samples.sort_by(f64::total_cmp);
+            let q = q.clamp(0.0, 1.0);
+            let idx = ((q * self.samples.len() as f64).ceil() as usize)
+                .saturating_sub(1)
+                .min(self.samples.len() - 1);
+            self.samples[idx]
+        }
+    }
+
+    /// A run's phase as its rows were read from the `Vec`: the sum of
+    /// the range in recording order, and its quantile selected in a
+    /// copy.
+    fn phase_of_a_copy(samples: &[f64], q: f64) -> (u64, u64) {
+        let sum = samples.iter().sum::<f64>();
+        if samples.is_empty() {
+            return (sum.to_bits(), 0.0f64.to_bits());
+        }
+        let idx = ((q * samples.len() as f64).ceil() as usize)
+            .saturating_sub(1)
+            .min(samples.len() - 1);
+        let mut ranked = samples.to_vec();
+        let (_, &mut at, _) = ranked.select_nth_unstable_by(idx, f64::total_cmp);
+        (sum.to_bits(), at.to_bits())
+    }
+
+    fn sample() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            0.0f64..5_000.0,
+            (0u32..20).prop_map(f64::from),
+            Just(0.0),
+            Just(-0.0),
+            Just(-3.5),
+            Just(f64::NAN),
+        ]
+    }
+
+    /// Samples across block boundaries; cuts that split them into
+    /// consecutive ranges, each with a quantile; then quantiles of the
+    /// whole, each after recording some more samples.
+    type Case = (Vec<f64>, Vec<(usize, f64)>, Vec<(f64, Vec<f64>)>);
+
+    fn case() -> impl Strategy<Value = Case> {
+        (
+            proptest::collection::vec(sample(), 0..3 * BLOCK + 200),
+            proptest::collection::vec((0usize..4 * BLOCK, 0.0f64..=1.0), 0..6),
+            proptest::collection::vec(
+                (
+                    0.0f64..=1.0,
+                    proptest::collection::vec(sample(), 0..BLOCK + 50),
+                ),
+                1..5,
+            ),
+        )
+    }
+
+    fn check_against_vec((samples, cuts, queries): Case) -> Result<(), TestCaseError> {
+        let mut h = Histogram::new();
+        let mut model = VecHistogram::default();
+        for &v in &samples {
+            h.record(v);
+            model.record(v);
+        }
+        // The ranges, in recording order, one after the other.
+        let mut bounds: Vec<(usize, f64)> = cuts;
+        bounds.sort_by_key(|&(cut, _)| cut);
+        let mut from = 0;
+        for (to, q) in bounds {
+            let sum = h.range_sum(from..to).to_bits();
+            let at = h.range_quantile(from..to, q).to_bits();
+            let cut = |i: usize| i.min(samples.len());
+            prop_assert_eq!((sum, at), phase_of_a_copy(&samples[cut(from)..cut(to)], q));
+            from = to;
+        }
+        for (q, more) in queries {
+            for v in more {
+                h.record(v);
+                model.record(v);
+            }
+            prop_assert_eq!(h.quantile(q).to_bits(), model.quantile(q).to_bits());
+            prop_assert_eq!(h.count(), model.samples.len());
+            prop_assert_eq!(h.sum().to_bits(), model.sum.to_bits());
+            prop_assert_eq!(h.mean().to_bits(), model.mean().to_bits());
+            prop_assert_eq!(h.stddev().to_bits(), model.stddev().to_bits());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Quantiles of the whole and of consecutive ranges, count, sum,
+        /// mean and standard deviation are what the `Vec` histogram
+        /// gave, bit for bit: ties, signed zeros and NaNs included.
+        #[test]
+        fn behaves_like_a_vec_histogram(c in case()) {
+            check_against_vec(c)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+        /// The same comparison over more cases (CI's bench job runs it:
+        /// `cargo test --release -p groupsafe-sim --lib metrics -- --ignored`).
+        #[test]
+        #[ignore = "heavy: 1 000 cases, run in release by CI's bench job"]
+        fn behaves_like_a_vec_histogram_heavy(c in case()) {
+            check_against_vec(c)?;
+        }
+    }
 
     #[test]
     fn counters_accumulate() {
@@ -292,17 +493,14 @@ mod tests {
         for v in values {
             h.record(v);
         }
-        let (ptr, capacity) = (h.samples().as_ptr(), h.samples.capacity());
+        let first: *const f64 = h.samples.get(0).expect("recorded");
         assert_eq!(h.quantile(0.5), 1.0);
-        assert_eq!(
-            (h.samples().as_ptr(), h.samples.capacity()),
-            (ptr, capacity)
-        );
+        assert!(std::ptr::eq(first, h.samples.get(0).expect("still there")));
         // The order a stable sort gives, bit for bit.
         let mut stable = values;
         stable.sort_by(f64::total_cmp);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(h.samples()), bits(&stable));
+        let bits = |v: &mut dyn Iterator<Item = f64>| v.map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(&mut h.samples()), bits(&mut stable.into_iter()));
     }
 
     #[test]
@@ -351,9 +549,9 @@ mod tests {
         seen.sort_by(f64::total_cmp);
         assert_eq!(h.min(), 0.1);
         assert_eq!(h.max(), 9.5);
-        assert_eq!(h.samples().len(), seen.len());
-        // After queries the samples are fully sorted.
-        assert_eq!(h.samples(), seen.as_slice());
+        assert_eq!(h.samples().count(), seen.len());
+        // After queries the samples, one block of them, are sorted.
+        assert!(h.samples().eq(seen.iter().copied()));
     }
 
     #[test]
