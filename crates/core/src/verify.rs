@@ -14,8 +14,8 @@
 //!
 //! * [`Oracle::acked`] is a [`TxnTable`] of the acknowledgements of
 //!   transactions that went through a commit path: the 8-byte instants
-//!   in insertion order, found through a paged index of 4-byte positions
-//!   addressed by `(client, seq)`. An acknowledgement of a read served by
+//!   in insertion order, found through a paged index addressed by
+//!   `(client, seq)`: a bit per id, a 4-byte position per stored one. An acknowledgement of a read served by
 //!   the local read path is one bit in a [`TxnSet`] instead, and a count
 //!   of those inside the measurement window: no reader asks when one
 //!   arrived. The first acknowledgement of a transaction wins, across

@@ -13,9 +13,10 @@
 //!   policies (async is the optimisation group-safety legitimises),
 //!   stored as a [`Ragged`](groupsafe_sim::Ragged) log,
 //! * [`TxnSet`] — the committed-transaction table as a paged bitmap
-//!   over each client's own transaction counter, and [`TxnTable`], the
-//!   same index holding one value per transaction (the run oracle's
-//!   acknowledgement and commit tables),
+//!   over each client's own transaction counter, and [`TxnTable`], one
+//!   value per transaction found through a presence mask and packed
+//!   positions per page (a bit per id, 4 bytes per stored id: the run
+//!   oracle's acknowledgement and commit tables),
 //! * [`DbEngine`] — operation execution with simulated timing, exactly-
 //!   once commits (testable transactions), WAL-redo crash recovery,
 //!   checkpoints for state transfer, and state digests for replica-

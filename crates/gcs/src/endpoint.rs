@@ -418,9 +418,15 @@ where
         };
     }
 
-    /// `node`'s rank in the static group (`None` for an outsider).
+    /// `node`'s rank in the static group (`None` for an outsider). A
+    /// group of consecutive ids — every system's — ranks `node` at its
+    /// distance from the first member; the search covers any other.
     fn rank(&self, node: NodeId) -> Option<usize> {
-        self.group.binary_search(&node).ok()
+        let guess = node.index().wrapping_sub(self.group.first()?.index());
+        match self.group.get(guess) {
+            Some(&member) if member == node => Some(guess),
+            _ => self.group.binary_search(&node).ok(),
+        }
     }
 
     /// `node`'s bit in the log's vote masks: its rank in the static

@@ -305,3 +305,24 @@ proptest::proptest! {
         }
     }
 }
+
+#[test]
+fn a_rank_is_the_position_in_the_sorted_group() {
+    let consecutive = [3, 4, 5, 6];
+    let gapped = [1, 2, 5, 9, 10];
+    for group in [&consecutive[..], &gapped[..]] {
+        let members: Vec<NodeId> = group.iter().rev().map(|&n| NodeId(n)).collect();
+        let ep: GcsEndpoint<u64, AppCheckpoint> = GcsEndpoint::new(
+            GcsConfig::view_based_uniform(),
+            members[0],
+            members,
+            Network::new(NetConfig::default()),
+            None,
+            StdRng::seed_from_u64(1),
+        );
+        for node in (0..12).chain([u32::MAX]) {
+            let rank = group.iter().position(|&n| n == node);
+            assert_eq!(ep.rank(NodeId(node)), rank, "node {node} of {group:?}");
+        }
+    }
+}
