@@ -8,7 +8,7 @@
 //! FILE defaults to `CONTRACT.txt`. Both modes hold every cell to its
 //! witness predicates first (see `groupsafe_bench::contract`); `--check`
 //! names every cell that moved, is missing or is not declared, and exits
-//! non-zero.
+//! 1. Any other command line prints the usage line and exits 2.
 
 use groupsafe_bench::contract;
 
@@ -28,7 +28,10 @@ fn main() {
             .and_then(|text| {
                 contract::declared(&text, &cells).and_then(|()| contract::check(&text, &cells))
             }),
-        _ => Err("usage: contract --check|--write [FILE]".to_string()),
+        _ => {
+            eprintln!("usage: contract --check|--write [FILE]");
+            std::process::exit(2)
+        }
     };
     match result {
         Ok(()) => println!("contract: {} cells, {path} {}", cells.len(), &mode[2..]),

@@ -15,8 +15,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use groupsafe_core::scenario::fuzz::{self as envelopes, generate_plan, run_fuzz_case};
-use groupsafe_core::{BatchConfig, Load, ReadLevel, ReplicaServer, Report, Run, SafetyLevel};
-use groupsafe_core::{ScenarioPlan, System, SystemBuilder, Technique, WorkloadSpec};
+use groupsafe_core::{BatchConfig, Load, ReadLevel, ReadPath, ReplicaServer, Report, Run};
+use groupsafe_core::{SafetyLevel, ScenarioPlan, System, SystemBuilder, Technique, WorkloadSpec};
 use groupsafe_db::{BufferModel, DbConfig, FlushPolicy};
 use groupsafe_gcs::harness::{Cluster, HostMsg};
 use groupsafe_gcs::{DeliveryRecord, GcsConfig};
@@ -677,8 +677,10 @@ fn fuzz(row: &'static FuzzRow, level: SafetyLevel, seed: u64) -> Cell {
 
 /// The paper's own claims, each a cell whose witnesses state the claim:
 /// Tables 1–3 as crash shapes, Fig. 5 and Fig. 7 and §6's costs on the
-/// gcs harness, §7's risk against n and the §5.1 ablations. A claim
-/// across runs is a margin counter inside one cell, with its bound.
+/// gcs harness, §7's risk against n and the §5.1 ablations; then the
+/// claims beyond the paper, each a sweep: batching, sharding, follower
+/// reads and snapshot transactions. A claim across runs is a margin
+/// counter inside one cell, with its bound.
 fn claims() -> Vec<Cell> {
     let mut cells = table_claims();
     cells.extend([
@@ -689,6 +691,11 @@ fn claims() -> Vec<Cell> {
         durability_cost(),
         risk_against_n(),
         ablations(),
+        batching(),
+        sharding_scaling(),
+        sharding_cross_cost(),
+        follower_reads(),
+        snapshot_txns(),
     ]);
     cells
 }
@@ -844,38 +851,35 @@ fn response_against_load() -> Cell {
     use SafetyLevel::{GroupOneSafe, GroupSafe, OneSafe};
     const LOADS: [u32; 11] = [20, 22, 24, 26, 28, 30, 32, 34, 36, 38, 40];
     let run = || {
-        let point =
-            |level, tps: u32| build(closed(level, f64::from(tps), 10, 42)).map(Run::execute);
         let mean_us = |points: &[Report]| {
             let sum: f64 = points.iter().map(|r| r.mean_ms).sum();
             (sum / points.len() as f64 * 1_000.0) as u64
         };
-        let (mut o, mut reports, mut ends) = (Outcome::default(), Vec::new(), Vec::new());
-        for (name, level) in [
+        let levels = [
             ("group_safe", GroupSafe),
             ("lazy", OneSafe),
             ("group_1_safe", GroupOneSafe),
-        ] {
-            let curve = LOADS.map(|tps| point(level, tps));
-            let curve = curve.into_iter().collect::<Result<Vec<_>, _>>()?;
+        ];
+        let point = |level, tps| closed(level, f64::from(tps), 10, 42);
+        let points = levels
+            .iter()
+            .flat_map(|&(_, level)| LOADS.map(|tps| point(level, tps)));
+        let reports = sweep(points)?;
+        let (mut o, mut ends) = (chained(&reports), Vec::new());
+        for ((name, _), curve) in levels.iter().zip(reports.chunks(LOADS.len())) {
             let (low, high) = (mean_us(&curve[..3]), mean_us(&curve[curve.len() - 3..]));
             o.counters.extend([
                 (format!("{name}_low_mean_us"), low),
                 (format!("{name}_high_mean_us"), high),
             ]);
             ends.push((low, high));
-            reports.extend(curve);
         }
-        o.fingerprint = chain(reports.iter().map(|r| r.fingerprint));
-        o.report = Some(chain(reports.iter().map(digest)));
         let [(gs_lo, gs_hi), (lazy_lo, lazy_hi), (g1_lo, g1_hi)] = ends[..] else {
             return Err("a level did not run".to_string());
         };
         // Group-safe's curve comes first.
         let aborts = reports[..LOADS.len()].iter();
-        let aborts: Vec<u64> = aborts
-            .map(|r| (r.abort_rate * 1_000_000.0) as u64)
-            .collect();
+        let aborts: Vec<u64> = aborts.map(|r| ppm(r.abort_rate)).collect();
         let (min, max) = (aborts.iter().min(), aborts.iter().max());
         let margins = [
             ("lazy_over_group_safe_low_us", lazy_lo, gs_lo),
@@ -966,16 +970,14 @@ fn durability_cost() -> Cell {
 fn risk_against_n() -> Cell {
     const NS: [u32; 6] = [3, 5, 7, 9, 12, 15];
     let run = || {
-        let runs = NS.map(|n| build(lazy_risk(n)).map(Run::execute));
-        let reports = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let reports = sweep(NS.map(lazy_risk))?;
         let group_failures = NS.map(|n| {
             let mut rng = StdRng::seed_from_u64(77 + u64::from(n));
             let draws = (0..200_000).filter(|_| (0..n).all(|_| rng.random_bool(0.3)));
             draws.count() as u64
         });
         let ppm = |r: &Report| (r.lost_updates * 1_000_000 / r.commits.max(1)) as u64;
-        let mut o = Outcome::new(chain(reports.iter().map(|r| r.fingerprint)), &[]);
-        o.report = Some(chain(reports.iter().map(digest)));
+        let mut o = chained(&reports);
         for ((n, r), failures) in NS.iter().zip(&reports).zip(group_failures) {
             o.counters.extend([
                 (format!("n{n}_lost_updates"), r.lost_updates as u64),
@@ -1037,19 +1039,16 @@ fn ablations() -> Cell {
             ("lru", base().db(lru)),
         ];
         let us = |ms: f64| (ms * 1_000.0) as u64;
-        let ppm = |ratio: f64| (ratio * 1_000_000.0) as u64;
-        let (mut o, mut reports) = (Outcome::default(), Vec::new());
-        for (name, b) in variants {
-            let r = build(b)?.execute();
+        let (names, builders): (Vec<_>, Vec<_>) = variants.into_iter().unzip();
+        let reports = sweep(builders)?;
+        let mut o = chained(&reports);
+        for (name, r) in names.iter().zip(&reports) {
             o.counters.extend([
                 (format!("{name}_mean_us"), us(r.mean_ms)),
                 (format!("{name}_p95_us"), us(r.p95_ms)),
                 (format!("{name}_abort_ppm"), ppm(r.abort_rate)),
             ]);
-            reports.push(r);
         }
-        o.fingerprint = chain(reports.iter().map(|r| r.fingerprint));
-        o.report = Some(chain(reports.iter().map(digest)));
         let [cached, uncached, zero_safe, no_hotspot, _] = &reports[..] else {
             return Err("a variant did not run".to_string());
         };
@@ -1078,6 +1077,278 @@ fn ablations() -> Cell {
         ],
         run: Box::new(run),
     }
+}
+
+/// A ratio in parts per million, truncated.
+fn ppm(ratio: f64) -> u64 {
+    (ratio * 1_000_000.0) as u64
+}
+
+/// A rate ×10, rounded: its first decimal kept in an integer.
+fn x10(rate: f64) -> u64 {
+    (rate * 10.0).round() as u64
+}
+
+/// An outcome chaining several runs' fingerprints and report digests.
+fn chained(reports: &[Report]) -> Outcome {
+    let mut o = Outcome::new(chain(reports.iter().map(|r| r.fingerprint)), &[]);
+    o.report = Some(chain(reports.iter().map(digest)));
+    o
+}
+
+/// Run a sweep's points, in order.
+fn sweep(points: impl IntoIterator<Item = SystemBuilder>) -> Result<Vec<Report>, String> {
+    points
+        .into_iter()
+        .map(|b| build(b).map(Run::execute))
+        .collect()
+}
+
+/// Margin counters over a sweep's reports and headline figures.
+type Margins = fn(&[Report], &[u64]) -> Vec<(&'static str, u64)>;
+
+/// A claim beyond the paper, the cell `claim/{name}`: a sweep whose line
+/// carries each point's `figure` under the point's key, the `margins`,
+/// then what the points lost, how many ended with their replicas in more
+/// than one state (`diverged`) and what they acknowledged.
+fn sweep_cell(
+    (name, settings): (&str, &str),
+    points: impl Fn() -> Vec<(String, SystemBuilder)> + 'static,
+    figure: fn(&Report) -> u64,
+    margins: Margins,
+    claim: &[Witness],
+) -> Cell {
+    let run = move || {
+        let (keys, builders): (Vec<_>, Vec<_>) = points().into_iter().unzip();
+        let reports = sweep(builders)?;
+        let figures: Vec<u64> = reports.iter().map(figure).collect();
+        let mut o = chained(&reports);
+        o.counters.extend(keys.into_iter().zip(figures.clone()));
+        o.count(margins(&reports, &figures));
+        let sum = |f: fn(&Report) -> usize| reports.iter().map(f).sum::<usize>() as u64;
+        o.count([
+            ("lost", sum(|r| r.lost)),
+            ("diverged", sum(|r| usize::from(r.distinct_states != 1))),
+            ("acked", sum(|r| r.acked)),
+        ]);
+        Ok(o)
+    };
+    Cell {
+        name: format!("claim/{name}"),
+        settings: settings.to_string(),
+        witnesses: [&[ACKED, exactly("lost", 0), exactly("diverged", 0)], claim].concat(),
+        run: Box::new(run),
+    }
+}
+
+/// The sweeps' overload: `servers` group-safe servers a group, `clients`
+/// a server, `tps` of ordering-bound transactions offered open; failover
+/// after 60 s, so the clients queue behind the pipeline; 1 s warm-up,
+/// `measure`, 2 s drain, seed 42.
+fn overload(servers: u32, clients: u32, tps: f64, measure: SimDuration) -> SystemBuilder {
+    let secs = SimDuration::from_secs;
+    System::builder()
+        .servers(servers)
+        .clients_per_server(clients)
+        .safety(SafetyLevel::GroupSafe)
+        .workload(crate::ordering_bound_workload())
+        .load(Load::open_tps(tps))
+        .client_timeout(secs(60))
+        .warmup(secs(1))
+        .measure(measure)
+        .drain(secs(2))
+        .seed(42)
+}
+
+/// Batching at saturation: the Table 4 group offered 4 000 tps, far past
+/// its unbatched knee. `max_msgs = 32` commits at least twice what 1
+/// does, in frames of more than four on average.
+fn batching() -> Cell {
+    let points = || {
+        let point = |m| {
+            let b = overload(9, 4, 4_000.0, SimDuration::from_secs(2));
+            let batch = BatchConfig::of(m, SimDuration::from_millis(1));
+            (format!("m{m}_tps_x10"), b.batching(batch))
+        };
+        Vec::from([1, 2, 4, 8, 16, 32].map(point))
+    };
+    let margins: Margins = |r, tps| {
+        let (speedup, batch) = (tps[5] * 100 / tps[0].max(1), x10(r[5].mean_batch_size));
+        vec![("speedup_pct", speedup), ("m32_batch_x10", batch)]
+    };
+    let cell = (
+        "batching/4000tps",
+        "safety=group-safe servers=9 clients=36 open_tps=4000 workload=ordering-bound \
+         max_msgs=1,2,4,8,16,32 max_delay=1ms client_timeout=60s warmup=1s measure=2s drain=2s \
+         seed=42",
+    );
+    let claim = [at_least("speedup_pct", 200), at_least("m32_batch_x10", 41)];
+    sweep_cell(cell, points, |r| x10(r.achieved_tps), margins, &claim)
+}
+
+/// A sharding claim over `(groups, cross)` points: groups of 3 servers
+/// offered 14 000 tps, far past one group's knee, `cross` of the
+/// transactions spanning groups.
+fn sharding(
+    name: &str,
+    points: &'static [(u32, f64)],
+    margins: Margins,
+    claim: &[Witness],
+) -> Cell {
+    let point = |&(groups, cross): &(u32, f64)| {
+        let b = overload(3, 4, 14_000.0, SimDuration::from_millis(1_500));
+        let key = format!("g{groups}_cross{}_tps_x10", (cross * 100.0).round());
+        (key, b.shards(groups).cross_shard_fraction(cross))
+    };
+    let grid: Vec<String> = points.iter().map(|(g, c)| format!("{g}x{c}")).collect();
+    let settings = format!(
+        "safety=group-safe servers_per_group=3 clients_per_server=4 open_tps=14000 \
+         workload=ordering-bound groups_x_cross={} client_timeout=60s warmup=1s measure=1.5s \
+         drain=2s seed=42",
+        grid.join(",")
+    );
+    let points = move || points.iter().map(point).collect();
+    sweep_cell(
+        (name, &settings),
+        points,
+        |r| x10(r.achieved_tps),
+        margins,
+        claim,
+    )
+}
+
+/// Sharding scales: with no transaction crossing groups, 1, 2 and 4
+/// groups commit strictly more at each step (`rises`).
+fn sharding_scaling() -> Cell {
+    let rises: Margins = |_, tps| {
+        let rises = tps.windows(2).filter(|w| w[1] > w[0]).count();
+        vec![("rises", rises as u64)]
+    };
+    let points = &[(1, 0.0), (2, 0.0), (4, 0.0)];
+    sharding("sharding/scaling", points, rises, &[exactly("rises", 2)])
+}
+
+/// What crossing groups costs: at 2 and at 4 groups, 20 % cross traffic
+/// commits less than 5 %, since a crossing transaction occupies two
+/// groups' pipelines and a decision round.
+fn sharding_cross_cost() -> Cell {
+    let costs: Margins = |_, tps| {
+        let cost = |i: usize| tps[i].saturating_sub(tps[i + 1]);
+        vec![
+            ("g2_cross5_over_cross20_tps_x10", cost(0)),
+            ("g4_cross5_over_cross20_tps_x10", cost(2)),
+        ]
+    };
+    let claim = [
+        at_least("g2_cross5_over_cross20_tps_x10", 1),
+        at_least("g4_cross5_over_cross20_tps_x10", 1),
+    ];
+    let points = &[(2, 0.05), (2, 0.2), (4, 0.05), (4, 0.2)];
+    sharding("sharding/cross-cost", points, costs, &claim)
+}
+
+/// Follower reads: a group of 3 servers over a mostly cached database
+/// (on `DbConfig::default()`, whose flush is synchronous) offered 9 000
+/// tps, far past the broadcast pipeline's knee, at read mixes of 50 %
+/// and 90 % over each read path. At 90 %, session reads serve at least
+/// 5× the broadcast baseline's read rate.
+fn follower_reads() -> Cell {
+    use ReadLevel::{Latest, Session, Stable};
+    let points = || {
+        let paths = [
+            ("broadcast", ReadPath::Broadcast),
+            ("stable", ReadPath::Local(Stable)),
+            ("session", ReadPath::Local(Session)),
+            ("latest", ReadPath::Local(Latest)),
+        ];
+        let cached = DbConfig {
+            buffer: BufferModel::Probabilistic { hit_ratio: 0.95 },
+            ..DbConfig::default()
+        };
+        let point = |(name, path), mix: f64| {
+            let b = overload(3, 6, 9_000.0, SimDuration::from_secs(4));
+            let b = b.read_path(path).db(cached.clone());
+            let key = format!("{name}{}_read_tps_x10", (mix * 100.0).round());
+            (key, b.workload(crate::read_bound_workload(mix)))
+        };
+        let grid = [0.5, 0.9].map(|mix| paths.map(|p| point(p, mix)));
+        grid.into_iter().flatten().collect()
+    };
+    let gain: Margins = |_, reads| {
+        let gain = reads[6] * 100 / reads[4].max(1);
+        vec![("session90_over_broadcast_pct", gain)]
+    };
+    let cell = (
+        "reads/9000tps",
+        "safety=group-safe servers=3 clients=18 open_tps=9000 workload=read-bound hit_ratio=0.95 \
+         read_fraction=0.5,0.9 paths=broadcast,local-stable,local-session,local-latest \
+         client_timeout=60s warmup=1s measure=4s drain=2s seed=42",
+    );
+    let claim = [at_least("session90_over_broadcast_pct", 500)];
+    sweep_cell(cell, points, |r| x10(r.read_tps), gain, &claim)
+}
+
+/// Snapshot transactions dissolve the first-writer-wins abort storm: a
+/// 50 % read mix over broadcast reads, offered just past the classic
+/// pipeline's knee, which aborts more than 0.3 of its attempts; all
+/// snapshot at 10–20 operations (`snapshot`), less than 0.1 of its
+/// attempts and of its snapshot transactions, over more than 100 of
+/// them, and less than a third of the classic rate.
+fn snapshot_txns() -> Cell {
+    let points = || {
+        let point = |(name, txn_fraction, ops): (&str, f64, Option<(usize, usize)>)| {
+            let b = System::builder()
+                .servers(3)
+                .clients_per_server(4)
+                .safety(SafetyLevel::GroupSafe)
+                .read_path(ReadPath::Broadcast)
+                .workload(WorkloadSpec {
+                    read_fraction: 0.5,
+                    ..WorkloadSpec::default()
+                })
+                .txn_fraction(txn_fraction)
+                .load(Load::open_tps(32.0))
+                .measure(SimDuration::from_secs(20))
+                .drain(SimDuration::from_secs(2))
+                .seed(11);
+            let b = match ops {
+                Some((lo, hi)) => b.txn_ops(lo, hi),
+                None => b,
+            };
+            (format!("{name}_abort_ppm"), b)
+        };
+        let points = [
+            ("classic", 0.0, None),
+            ("txn25", 0.25, Some((10, 20))),
+            ("txn50", 0.5, Some((10, 20))),
+            ("snapshot_short", 1.0, Some((4, 8))),
+            ("snapshot", 1.0, Some((10, 20))),
+            ("snapshot_long", 1.0, Some((20, 30))),
+        ];
+        Vec::from(points.map(point))
+    };
+    let calm: Margins = |r, aborts| {
+        let margin = aborts[0].saturating_sub(3 * aborts[4]);
+        vec![
+            ("snapshot_txn_abort_ppm", ppm(r[4].txn_abort_rate)),
+            ("snapshot_txn_commits", r[4].txn_commits as u64),
+            ("classic_over_thrice_snapshot_ppm", margin),
+        ]
+    };
+    let cell = (
+        "txn/32tps",
+        "safety=group-safe servers=3 clients=12 open_tps=32 read_path=broadcast read_fraction=0.5 \
+         txn_fraction:ops=0:table4,0.25:10-20,0.5:10-20,1:4-8,1:10-20,1:20-30 measure=20s \
+         drain=2s seed=11",
+    );
+    let claim = [
+        at_least("classic_abort_ppm", 300_001),
+        at_most("snapshot_abort_ppm", 99_999),
+        at_most("snapshot_txn_abort_ppm", 99_999),
+        at_least("snapshot_txn_commits", 101),
+        at_least("classic_over_thrice_snapshot_ppm", 1),
+    ];
+    sweep_cell(cell, points, |r| ppm(r.abort_rate), calm, &claim)
 }
 
 const HEADER: &str = "\

@@ -2,21 +2,16 @@
 //!
 //! The paper's claims that a run states — Tables 1–3, Fig. 5, Fig. 7
 //! and Fig. 9, §6's durability cost, §7's risk against n and the §5.1
-//! ablations — are the `claim/…` cells of the behavioural contract
-//! ([`contract`]), run and witnessed by `contract --check`.
+//! ablations — and the repo's own claims beyond it — batching, sharding,
+//! follower reads and snapshot transactions, each a sweep — are the
+//! `claim/…` cells of the behavioural contract ([`contract`]), run and
+//! witnessed by `contract --check`.
 //!
 //! Binaries:
 //! * `table4` — the simulator parameters in use,
-//! * `batching` — abcast batch-size sweep under open-loop overload
-//!   (asserts the ≥2× saturated-throughput claim),
 //! * `scenario_fuzz` — seeded random fault scenarios through the
 //!   per-level safety oracle, over the fuzz matrix the contract declares
 //!   ([`contract::FUZZ`], run by [`fuzz`]),
-//! * `sharding` — group-count × cross-group-ratio sweep (asserts that
-//!   aggregate commit throughput grows monotonically with the group
-//!   count at 0 % cross traffic),
-//! * `reads` / `txn` — the follower-read and snapshot-transaction
-//!   sweeps behind `BENCH_reads.json` / `BENCH_txn.json`,
 //! * `obs_export` — the observability exporter and its golden check,
 //! * `contract` — writes and checks the behavioural contract
 //!   (`CONTRACT.txt`, see [`contract`]).
@@ -35,10 +30,11 @@ pub use flags::Flags;
 
 use groupsafe_core::WorkloadSpec;
 
-/// The ordering-bound workload of the `batching` sweep and `perf`'s
-/// `ordering` workload: short write-only transactions over the Table 4
-/// database, so the per-transaction abcast traffic — not the read phase
-/// or the data path — saturates first.
+/// The ordering-bound workload of the `claim/batching/…` and
+/// `claim/sharding/…` cells and of `perf`'s `ordering` workload: short
+/// write-only transactions over the Table 4 database, so the
+/// per-transaction abcast traffic — not the read phase or the data path
+/// — saturates first.
 pub fn ordering_bound_workload() -> WorkloadSpec {
     WorkloadSpec {
         n_items: 10_000,
@@ -52,10 +48,11 @@ pub fn ordering_bound_workload() -> WorkloadSpec {
     }
 }
 
-/// The read-bound workload the `reads` bench sweeps: short transactions
-/// over a mostly-cached database, so the ordering pipeline — not the
-/// data disks — is what a broadcast read pays and a local read skips.
-/// The read fraction is the sweep's x-axis; callers override it.
+/// The read-bound workload the `claim/reads/…` cell sweeps and `perf`'s
+/// `readmix` workload starts from: short transactions over a
+/// mostly-cached database, so the ordering pipeline — not the data disks
+/// — is what a broadcast read pays and a local read skips. The read
+/// fraction is the sweep's x-axis; callers override it.
 pub fn read_bound_workload(read_fraction: f64) -> WorkloadSpec {
     WorkloadSpec {
         n_items: 10_000,

@@ -100,8 +100,8 @@ pub enum ReadPath {
     Classic,
     /// Read-only transactions are atomically broadcast and certified at
     /// delivery like updates: strictly serializable reads that pay the
-    /// full ordering round (the baseline the `reads` bench measures the
-    /// local path against).
+    /// full ordering round (the baseline the contract's `claim/reads/…`
+    /// cell measures the local path against).
     Broadcast,
     /// Serve read-only transactions locally at any replica of the owning
     /// group, at the given freshness level — no broadcast.

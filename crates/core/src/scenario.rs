@@ -802,30 +802,6 @@ impl ScenarioPlan {
         out
     }
 
-    /// The maximum number of servers simultaneously down under this plan
-    /// (conservative: kill-sequencer events count as one extra server).
-    pub fn max_simultaneous_down(&self, n_servers: u32) -> u32 {
-        let intervals = self.down_intervals(n_servers, 1);
-        let mut worst = 0;
-        for &(_, from, _) in &intervals {
-            let overlap = intervals
-                .iter()
-                .filter(|&&(_, f, t)| f <= from && from < t)
-                .map(|(s, _, _)| *s)
-                .collect::<std::collections::BTreeSet<_>>()
-                .len() as u32;
-            worst = worst.max(overlap);
-        }
-        worst
-    }
-
-    /// True when the plan may crash the whole (single-group) system at
-    /// once. Sharded audits use [`ScenarioPlan::group_failure_of`] per
-    /// group instead.
-    pub fn group_failure(&self, n_servers: u32) -> bool {
-        n_servers > 0 && self.max_simultaneous_down(n_servers) >= n_servers
-    }
-
     /// True when the plan may take *all* of group `g`'s members (out of
     /// `n_groups` groups of `spg` servers) down at once. Sequencer kills
     /// targeting the group — or untargeted ones, whose victim could be
@@ -1282,20 +1258,13 @@ const SETTLE: SimDuration = SimDuration::from_secs(2);
 /// ran at; passing a stronger claim than the system honours is how the
 /// negative tests prove the oracle catches violations.
 pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) -> ScenarioAudit {
-    let n = system.n_servers;
     let spg = system.servers_per_group.max(1);
     let n_groups = system.n_groups.max(1);
-    let sharded = n_groups > 1;
-    // Whole-group failure, per group: the single-group system keeps the
-    // historical whole-system check; a sharded one applies the loss rules
-    // group by group.
-    let group_failed_of: Vec<bool> = if sharded {
-        (0..n_groups)
-            .map(|g| plan.group_failure_of(spg, n_groups, g))
-            .collect()
-    } else {
-        vec![plan.group_failure(n)]
-    };
+    // Whole-group failure, per group: the loss rules apply group by group
+    // (one group of every server when unsharded).
+    let group_failed_of: Vec<bool> = (0..n_groups)
+        .map(|g| plan.group_failure_of(spg, n_groups, g))
+        .collect();
     let group_failed = group_failed_of.iter().any(|&b| b);
     let lost = system.lost_transactions();
     let mut violations = Vec::new();
@@ -1383,7 +1352,7 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
     // coordinator group's death before the decision could spread) excuse
     // the missing slice.
     let mut cross_group_audited = 0usize;
-    if sharded {
+    {
         let oracle = system.oracle.borrow();
         for (txn, xg) in &oracle.xg {
             if !oracle.is_acked(*txn) {
@@ -1449,7 +1418,11 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
     let mut quiescent_groups = 0u32;
     for g in 0..n_groups {
         let g_failed = group_failed_of.get(g as usize).copied().unwrap_or(false);
-        let repaired = if sharded {
+        // Not `has_restart_of` for one group: the two part on a
+        // `RestartGroup` that leaves a crashed member out, which is what
+        // `CrashScenario`'s stay-down shapes produce, and the single-group
+        // audit takes any operator restart for the repair.
+        let repaired = if n_groups > 1 {
             plan.has_restart_of(spg, g)
         } else {
             plan.has_restart()
@@ -1459,11 +1432,7 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
             continue;
         }
         quiescent_groups += 1;
-        let digests = if sharded {
-            crate::verify::check_convergence(&system.replica_states_of(g))
-        } else {
-            system.convergence()
-        };
+        let digests = crate::verify::check_convergence(&system.replica_states_of(g));
         if digests.len() > 1 {
             violations.push(OracleViolation::Divergence { digests });
         }
@@ -1471,11 +1440,7 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
         // peer checkpoint processed every delivery themselves — their
         // decision digests must agree (per group: different groups order
         // different histories by design).
-        let members: Vec<u32> = if sharded {
-            system.group_server_indices(g)
-        } else {
-            (0..n).collect()
-        };
+        let members = system.group_server_indices(g);
         let mut order: Vec<(u32, u64)> = members
             .iter()
             .copied()

@@ -11,7 +11,7 @@ const COMMITTED: &str = include_str!("../CONTRACT.txt");
 /// The name prefixes the tests below check: together every cell. The
 /// tests run two at a time, in name order, so each is sized — and the
 /// long ones named — for the two queues to end together.
-const FAMILIES: [&str; 19] = [
+const FAMILIES: [&str; 24] = [
     "fanout/",
     "census/",
     "detector/retract/",
@@ -31,6 +31,11 @@ const FAMILIES: [&str; 19] = [
     "claim/fig10/",
     "claim/ablation/",
     "claim/fig9/",
+    "claim/batching/",
+    "claim/sharding/scaling",
+    "claim/sharding/cross-cost",
+    "claim/reads/",
+    "claim/txn/",
 ];
 
 /// Check the cells whose names start with one of `families`.
@@ -103,11 +108,42 @@ fn claim_cells_beyond_the_tables_match_the_contract() {
 }
 
 /// Fig. 9's shape: group-safe < lazy < group-1-safe at low load, lazy no
-/// slower than group-safe at high load, group-1-safe more than doubling.
-/// The contract's longest cell: 33 runs of the Table 4 system.
+/// slower than group-safe at high load, group-1-safe more than doubling:
+/// 33 runs of the Table 4 system.
 #[test]
 fn claim_fig9_cell_matches_the_contract() {
-    check(&FAMILIES[18..]);
+    check(&FAMILIES[18..19]);
+}
+
+/// Batching at saturation: `max_msgs = 32` commits twice what 1 does.
+#[test]
+fn batching_at_least_doubles_the_saturated_commit_rate() {
+    check(&FAMILIES[19..20]);
+}
+
+/// Sharding scales: 1, 2 and 4 groups commit more at each step.
+#[test]
+fn aggregate_throughput_grows_with_the_group_count() {
+    check(&FAMILIES[20..21]);
+}
+
+/// 20 % cross-group traffic commits less than 5 %. The contract's longest
+/// cell (≈ 14 s in debug): named to start first, beside the rest.
+#[test]
+fn across_groups_more_cross_traffic_commits_less() {
+    check(&FAMILIES[21..22]);
+}
+
+/// Session reads serve 5× the broadcast baseline at a 90 % read mix.
+#[test]
+fn follower_reads_serve_five_times_the_broadcast_baseline() {
+    check(&FAMILIES[22..23]);
+}
+
+/// Where classic certification aborts over 0.3, snapshots abort under 0.1.
+#[test]
+fn snapshot_txns_dissolve_the_first_writer_wins_abort_storm() {
+    check(&FAMILIES[23..]);
 }
 
 #[test]
