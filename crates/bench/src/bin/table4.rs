@@ -4,7 +4,7 @@
 
 use groupsafe_bench::Flags;
 use groupsafe_core::{ReplicaConfig, System, WorkloadSpec, DISKS_PER_SERVER};
-use groupsafe_db::BufferModel;
+use groupsafe_db::{BufferModel, CPU_PER_IO};
 use groupsafe_net::{NetConfig, NET_CPU};
 use groupsafe_sim::DiskConfig;
 
@@ -45,7 +45,7 @@ fn main() {
         ("Time for a write", io),
         (
             "CPU Time used for an I/O operation",
-            format!("{} ms", db.cpu_per_io.as_millis_f64()),
+            format!("{} ms", CPU_PER_IO.as_millis_f64()),
         ),
         (
             "Time for a message or a broadcast on the Network",

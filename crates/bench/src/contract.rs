@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use groupsafe_core::scenario::fuzz::{self as envelopes, generate_plan, run_fuzz_case};
 use groupsafe_core::{BatchConfig, Load, ReadLevel, ReadPath, ReplicaServer, Report, Run};
 use groupsafe_core::{SafetyLevel, ScenarioPlan, System, SystemBuilder, Technique, WorkloadSpec};
-use groupsafe_db::{BufferModel, DbConfig, FlushPolicy};
+use groupsafe_db::{BufferModel, DbConfig};
 use groupsafe_gcs::harness::{Cluster, HostMsg};
 use groupsafe_gcs::{DeliveryRecord, GcsConfig};
 use groupsafe_net::NodeId;
@@ -1026,9 +1026,6 @@ fn ablations() -> Cell {
         };
         let lru = DbConfig {
             buffer: BufferModel::Lru { capacity: 200 },
-            // The replica server orders every flush per safety level; the
-            // engine must never flush inside `commit`.
-            flush_policy: FlushPolicy::Async,
             ..DbConfig::default()
         };
         let variants = [
@@ -1248,8 +1245,7 @@ fn sharding_cross_cost() -> Cell {
 }
 
 /// Follower reads: a group of 3 servers over a mostly cached database
-/// (on `DbConfig::default()`, whose flush is synchronous) offered 9 000
-/// tps, far past the broadcast pipeline's knee, at read mixes of 50 %
+/// offered 9 000 tps, far past the broadcast pipeline's knee, at read mixes of 50 %
 /// and 90 % over each read path. At 90 %, session reads serve at least
 /// 5× the broadcast baseline's read rate.
 fn follower_reads() -> Cell {

@@ -738,17 +738,16 @@ impl SystemBuilder {
         self
     }
 
-    /// Local database configuration of every replica. Start from
-    /// `ReplicaConfig::default().db`, whose engine leaves flushing to the
-    /// server; `..DbConfig::default()` selects [`FlushPolicy::Sync`].
+    /// Local database configuration of every replica, from
+    /// `..DbConfig::default()` (which `ReplicaConfig::default().db` is).
+    /// When the log is forced is not part of it: the server decides
+    /// that per safety level.
     ///
     /// The workload owns the item space: with the built-in generator,
     /// `n_items` is the [`WorkloadSpec`]'s and the value here does not
     /// count. It counts only under [`SystemBuilder::generator`]. A zero
     /// `mvcc_depth` becomes 64 when the local read path or the built-in
     /// generator's snapshot transactions need the multi-version store.
-    ///
-    /// [`FlushPolicy::Sync`]: groupsafe_db::FlushPolicy::Sync
     pub fn db(mut self, db: DbConfig) -> Self {
         self.replica.db = db;
         self

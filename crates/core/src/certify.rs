@@ -70,7 +70,7 @@ pub fn certify_versions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use groupsafe_db::{DbConfig, FlushPolicy, TxnId, WriteOp};
+    use groupsafe_db::{DbConfig, TxnId, WriteOp};
     use groupsafe_sim::{Disk, Fcfs, SimTime};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -81,7 +81,6 @@ mod tests {
         DbEngine::new(
             DbConfig {
                 n_items: 10,
-                flush_policy: FlushPolicy::Async,
                 ..DbConfig::default()
             },
             Rc::new(RefCell::new(Fcfs::new(2))),

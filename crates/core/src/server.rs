@@ -63,8 +63,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use groupsafe_db::{
-    DbCheckpoint, DbConfig, DbEngine, FlushPolicy, ItemId, LockMode, LockOutcome, Lsn, Operation,
-    TxnId, Value, Version, WriteOp,
+    DbCheckpoint, DbConfig, DbEngine, ItemId, LockMode, LockOutcome, Lsn, Operation, TxnId, Value,
+    Version, WriteOp, CPU_PER_OP,
 };
 use groupsafe_gcs::{BatchConfig, GcsConfig, GcsEndpoint, GcsOutput, Wire};
 use groupsafe_net::{Network, NodeId, NET_CPU};
@@ -163,12 +163,7 @@ impl Default for ReplicaConfig {
     fn default() -> Self {
         ReplicaConfig {
             technique: Technique::Dsm(SafetyLevel::GroupSafe),
-            db: DbConfig {
-                // Flushing is orchestrated by the server per safety level;
-                // the engine itself never flushes inside `commit`.
-                flush_policy: FlushPolicy::Async,
-                ..DbConfig::default()
-            },
+            db: DbConfig::default(),
             cpus: 2,
             wal_flush_interval: SimDuration::from_millis(20),
             page_flush_interval: SimDuration::from_millis(100),
@@ -1172,10 +1167,7 @@ impl ReplicaServer {
                     exec.cursor = r.done;
                 }
                 (Operation::Write(item, value), None) => {
-                    let done = self
-                        .cpu
-                        .borrow_mut()
-                        .request(exec.cursor, self.db.config().cpu_per_op);
+                    let done = self.cpu.borrow_mut().request(exec.cursor, CPU_PER_OP);
                     // Updates overwrite the current version: record it so
                     // certification catches write-write conflicts (and the
                     // oracle can recognise lost updates). The version is
@@ -1191,10 +1183,7 @@ impl ReplicaServer {
                     // the readset for the oracle's dirty-read audit but
                     // never conflict at certification.
                     if exec.writes.iter().any(|&(i, _)| i == item) {
-                        exec.cursor = self
-                            .cpu
-                            .borrow_mut()
-                            .request(exec.cursor, self.db.config().cpu_per_op);
+                        exec.cursor = self.cpu.borrow_mut().request(exec.cursor, CPU_PER_OP);
                     } else {
                         let r = self.db.read_versioned(exec.cursor, item, snap);
                         exec.cursor = r.done;
@@ -1217,10 +1206,7 @@ impl ReplicaServer {
                     // this transaction merely overwrites no longer aborts
                     // it at read-set certification. First-committer-wins
                     // over the write set happens at delivery instead.
-                    let done = self
-                        .cpu
-                        .borrow_mut()
-                        .request(exec.cursor, self.db.config().cpu_per_op);
+                    let done = self.cpu.borrow_mut().request(exec.cursor, CPU_PER_OP);
                     exec.writes.push((item, value));
                     exec.cursor = done;
                 }
@@ -1266,10 +1252,7 @@ impl ReplicaServer {
                             exec.cursor = r.done;
                         }
                         Operation::Write(item, value) => {
-                            let done = self
-                                .cpu
-                                .borrow_mut()
-                                .request(from, self.db.config().cpu_per_op);
+                            let done = self.cpu.borrow_mut().request(from, CPU_PER_OP);
                             let version = self.db.item(item).version;
                             exec.readset.push((item, version));
                             exec.writes.push((item, value));
@@ -1480,13 +1463,7 @@ impl ReplicaServer {
             .borrow_mut()
             .record_commit(txn, self.node, &exec.readset, &writes);
         // 1-safe: reply after the local synchronous log flush.
-        let reply_at = if let Some((flush_done, lsn)) = self.db.flush_wal_sync(res.done) {
-            let delay = flush_done - now;
-            ctx.timer(delay, ServerTimer::WalDurable(lsn));
-            flush_done
-        } else {
-            res.done
-        };
+        let reply_at = self.force_log(ctx, res.done);
         self.reply_at(
             ctx,
             reply_at,
@@ -1554,7 +1531,7 @@ impl ReplicaServer {
         // frees up.
         let start = now.max(self.apply_cursor);
         // Certification cost.
-        let cert_cpu = self.db.config().cpu_per_op * cert_items.max(1) as u64;
+        let cert_cpu = CPU_PER_OP * cert_items.max(1) as u64;
         self.cpu.borrow_mut().request(start, cert_cpu)
     }
 
@@ -1709,12 +1686,7 @@ impl ReplicaServer {
                     // step — force the commit record (serialised in the
                     // delivery pipeline) and install the written pages
                     // synchronously (concurrent with later deliveries).
-                    let mut done = res.done;
-                    if let Some((flush_done, lsn)) = self.db.flush_wal_sync(res.done) {
-                        let delay = flush_done - now;
-                        ctx.timer(delay, ServerTimer::WalDurable(lsn));
-                        done = flush_done;
-                    }
+                    let done = self.force_log(ctx, res.done);
                     self.db.sync_install(done, msg.writes.len())
                 };
                 self.apply_cursor = processed_at;
@@ -2018,12 +1990,7 @@ impl ReplicaServer {
         let processed_at = if level.reply_before_logging() || res.duplicate {
             res.done
         } else {
-            let mut done = res.done;
-            if let Some((flush_done, lsn)) = self.db.flush_wal_sync(res.done) {
-                let delay = flush_done - now;
-                ctx.timer(delay, ServerTimer::WalDurable(lsn));
-                done = flush_done;
-            }
+            let done = self.force_log(ctx, res.done);
             self.db.sync_install(done, slice.len())
         };
         self.apply_cursor = processed_at;
@@ -2485,6 +2452,18 @@ impl ReplicaServer {
         let at = self.wal_grid + interval * (k + 1);
         ctx.timer(at - ctx.now(), ServerTimer::WalFlushTick);
         self.wal_due = Some(at);
+    }
+
+    /// Force the log inside the pipeline (the logging safety levels):
+    /// write every record no flush covers, starting at `at`, and arm its
+    /// completion. Returns when those records are durable, or `at` when
+    /// none waited.
+    fn force_log(&mut self, ctx: &mut Ctx<'_, CoreMsg>, at: SimTime) -> SimTime {
+        let Some((done, lsn)) = self.db.flush_wal_sync(at) else {
+            return at;
+        };
+        ctx.timer(done - ctx.now(), ServerTimer::WalDurable(lsn));
+        done
     }
 
     /// The background WAL flush due now, if it has not run yet: group

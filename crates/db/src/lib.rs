@@ -9,9 +9,10 @@
 //!   LRU variant for ablations,
 //! * [`LockManager`] — strict two-phase locking with wait-for-graph
 //!   deadlock detection,
-//! * [`Wal`] — write-ahead log with group commit and sync/async flush
-//!   policies (async is the optimisation group-safety legitimises),
-//!   stored as a [`Ragged`](groupsafe_sim::Ragged) log,
+//! * [`Wal`] — write-ahead log with group commit, forced by the host
+//!   per safety level (background flushes are the optimisation
+//!   group-safety legitimises), stored as a
+//!   [`Ragged`](groupsafe_sim::Ragged) log,
 //! * [`TxnSet`] — the committed-transaction table as a paged bitmap
 //!   over each client's own transaction counter, and [`TxnTable`], one
 //!   value per transaction found through a presence mask and packed
@@ -46,9 +47,11 @@ mod versions;
 pub mod wal;
 
 pub use buffer::{BufferAccess, BufferModel, BufferPool, BufferStats, ITEMS_PER_PAGE};
-pub use engine::{CommitResult, DbCheckpoint, DbConfig, DbEngine, DbStats, ReadResult};
+pub use engine::{
+    CommitResult, DbCheckpoint, DbConfig, DbEngine, DbStats, ReadResult, CPU_PER_IO, CPU_PER_OP,
+};
 pub use lock::{LockManager, LockMode, LockOutcome};
 pub use txnset::TxnSet;
 pub use txntable::TxnTable;
 pub use types::{ItemId, ItemState, Operation, TxnId, Value, Version, WriteOp};
-pub use wal::{FlushPolicy, Lsn, Wal, WalKind, WalStats};
+pub use wal::{Lsn, Wal, WalKind, WalStats};

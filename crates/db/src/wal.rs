@@ -1,11 +1,13 @@
-//! Write-ahead log with group commit and sync/async flush policies.
+//! Write-ahead log with group commit.
 //!
 //! The WAL is the authority for crash recovery: the recovered state is the
-//! redo of the *durable* prefix. Under the synchronous policy the commit
-//! reply waits for the flush (1-safe, group-1-safe); under the
-//! asynchronous policy flushes happen periodically in the background —
-//! exactly the optimisation group-safety legitimises (§5.1: "group-safe
-//! replication basically allows all disk writes to be done
+//! redo of the *durable* prefix. Appending never writes the disk; the
+//! host decides when the log is forced, per safety level. The logging
+//! levels (1-safe, group-1-safe, 2-safe) force a commit record inside
+//! the pipeline ([`Wal::flush_unbatched`]) before the reply; group-safe
+//! replication flushes periodically in the background ([`Wal::flush`])
+//! — exactly the optimisation group-safety legitimises (§5.1:
+//! "group-safe replication basically allows all disk writes to be done
 //! asynchronously").
 //!
 //! The records are a [`Ragged`] log indexed by LSN: a 32-byte header per
@@ -184,15 +186,6 @@ impl<'a> WalRecord<'a> {
         let items = reserve.then(|| self.body.iter());
         items.into_iter().flatten().map(|(item, _)| item)
     }
-}
-
-/// When commit records reach the disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushPolicy {
-    /// Flush before acknowledging the commit (the commit pays the write).
-    Sync,
-    /// Flush in the background on a timer; commits return immediately.
-    Async,
 }
 
 /// WAL counters.

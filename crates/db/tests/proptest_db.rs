@@ -4,8 +4,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use groupsafe_db::{
-    DbConfig, DbEngine, FlushPolicy, ItemId, ItemState, LockManager, LockMode, LockOutcome, TxnId,
-    WriteOp,
+    DbConfig, DbEngine, ItemId, ItemState, LockManager, LockMode, LockOutcome, TxnId, WriteOp,
 };
 use groupsafe_sim::{Disk, Fcfs, SimTime};
 use proptest::prelude::*;
@@ -16,7 +15,6 @@ fn engine(n_items: u32, seed: u64) -> DbEngine {
     DbEngine::new(
         DbConfig {
             n_items,
-            flush_policy: FlushPolicy::Async,
             ..DbConfig::default()
         },
         Rc::new(RefCell::new(Fcfs::new(2))),

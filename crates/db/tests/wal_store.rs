@@ -18,8 +18,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use groupsafe_db::{
-    DbCheckpoint, DbConfig, DbEngine, FlushPolicy, ItemId, ItemState, Lsn, TxnId, TxnSet, Wal,
-    WalKind, WriteOp,
+    DbCheckpoint, DbConfig, DbEngine, ItemId, ItemState, Lsn, TxnId, TxnSet, Wal, WalKind, WriteOp,
 };
 use groupsafe_sim::{Disk, Fcfs, SimTime};
 use proptest::prelude::*;
@@ -446,17 +445,14 @@ struct Engines {
     /// The private engine's log: its records below its end.
     log: Vec<Rec>,
     stopped: bool,
+    /// Start a flush right after each commit, at its completion.
+    flush_each_commit: bool,
 }
 
-fn db_engine(seed: u64, sync: bool) -> DbEngine {
+fn db_engine(seed: u64) -> DbEngine {
     let disk = || Rc::new(RefCell::new(Disk::paper_default()));
     let config = DbConfig {
         n_items: N_ITEMS as u32,
-        flush_policy: if sync {
-            FlushPolicy::Sync
-        } else {
-            FlushPolicy::Async
-        },
         ..DbConfig::default()
     };
     let cpu = Rc::new(RefCell::new(Fcfs::new(2)));
@@ -468,8 +464,13 @@ impl Engines {
     /// logged reservation or release.
     fn apply(&mut self, rec: Rec, now: SimTime) -> Result<(), TestCaseError> {
         let end = self.private.wal_end_lsn();
+        let flush_each_commit = self.flush_each_commit;
         let apply = |e: &mut DbEngine| match rec.kind {
-            WalKind::Commit => e.commit(now, rec.txn, &rec.writes).flush,
+            WalKind::Commit => {
+                let res = e.commit(now, rec.txn, &rec.writes);
+                let flush = flush_each_commit && !res.duplicate;
+                flush.then(|| e.flush_wal(res.done)).flatten()
+            }
             WalKind::Reserve { coordinator } => {
                 e.reserve_logged(rec.txn, coordinator, &rec.items);
                 None
@@ -530,7 +531,7 @@ impl Engines {
 /// What a crash recovered on both engines of a member: equal on every
 /// count the system reads.
 fn same_recovery(shared: &DbCheckpoint, private: &DbEngine) -> Result<(), TestCaseError> {
-    let mut alone = db_engine(0, false);
+    let mut alone = db_engine(0);
     alone.install_checkpoint(shared.clone());
     prop_assert_eq!(alone.state_digest(), private.state_digest(), "digest");
     prop_assert_eq!(alone.max_version(), private.max_version(), "max version");
@@ -548,17 +549,18 @@ fn same_recovery(shared: &DbCheckpoint, private: &DbEngine) -> Result<(), TestCa
 /// records up to that point, made durable on its own disk or not.
 fn check_recovery(
     n: usize,
-    sync: bool,
+    flush_each_commit: bool,
     steps: &[Step],
     fold_to_highest: bool,
 ) -> Result<(), TestCaseError> {
     let mut members: Vec<Engines> = (0..n as u64)
         .map(|i| Engines {
-            shared: db_engine(i, sync),
-            private: db_engine(i, sync),
+            shared: db_engine(i),
+            private: db_engine(i),
             started: Vec::new(),
             log: Vec::new(),
             stopped: false,
+            flush_each_commit,
         })
         .collect();
     for i in 1..n {
@@ -672,9 +674,9 @@ proptest! {
     /// crash, what each engine alone recovers.
     #[test]
     fn recovery_through_a_shared_image_equals_recovery_alone(
-        (n, sync, steps) in engine_steps(),
+        (n, flush_each_commit, steps) in engine_steps(),
     ) {
-        check_recovery(n, sync, &steps, false)?;
+        check_recovery(n, flush_each_commit, &steps, false)?;
     }
 }
 
@@ -686,9 +688,9 @@ proptest! {
     #[test]
     #[ignore = "heavy: 1 000 cases, run in release by CI's bench job"]
     fn recovery_through_a_shared_image_equals_recovery_alone_heavy(
-        (n, sync, steps) in engine_steps(),
+        (n, flush_each_commit, steps) in engine_steps(),
     ) {
-        check_recovery(n, sync, &steps, false)?;
+        check_recovery(n, flush_each_commit, &steps, false)?;
     }
 }
 
@@ -699,8 +701,8 @@ proptest! {
 #[test]
 fn a_store_folding_past_the_lowest_taken_point_fails_the_comparison() {
     let failed = (0..64u64).find(|&case| {
-        let (n, sync, steps) = engine_steps().generate(&mut StdRng::seed_from_u64(case));
-        check_recovery(n, sync, &steps, true).is_err()
+        let (n, flush_each, steps) = engine_steps().generate(&mut StdRng::seed_from_u64(case));
+        check_recovery(n, flush_each, &steps, true).is_err()
     });
     assert!(failed.is_some(), "no case caught a store folding too far");
 }

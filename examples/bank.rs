@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example bank`
 
 use groupsafe::core::{Load, OpGenerator, SafetyLevel, System};
-use groupsafe::db::{DbConfig, FlushPolicy, ItemId, Operation};
+use groupsafe::db::{DbConfig, ItemId, Operation};
 use groupsafe::sim::SimDuration;
 use rand::Rng;
 
@@ -44,7 +44,6 @@ fn main() {
         .safety(SafetyLevel::GroupSafe)
         .db(DbConfig {
             n_items: ACCOUNTS,
-            flush_policy: FlushPolicy::Async,
             ..DbConfig::default()
         })
         .generator(|_| transfer_generator())

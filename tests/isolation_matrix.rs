@@ -35,7 +35,7 @@ use groupsafe::core::msg::{ClientMsg, TxnRequest};
 use groupsafe::core::scenario::{audit_scenario, OracleViolation, ScenarioPlan};
 use groupsafe::core::server::ReplicaServer;
 use groupsafe::core::{Load, SafetyLevel, SiRecord, SiView, System};
-use groupsafe::db::{DbConfig, FlushPolicy, ItemId, Operation, TxnId};
+use groupsafe::db::{DbConfig, ItemId, Operation, TxnId};
 use groupsafe::net::{Incoming, NodeId};
 use groupsafe::sim::{SimDuration, SimTime};
 
@@ -97,7 +97,6 @@ fn run_matrix(level: SafetyLevel, scripts: &[Script], corrupt_delegate: Option<u
         .safety(level)
         .db(DbConfig {
             mvcc_depth: 64,
-            flush_policy: FlushPolicy::Async,
             ..DbConfig::default()
         })
         .load(Load::open_tps(1.0))

@@ -145,14 +145,12 @@ fn group_one_safe_outliving_delegate_loss_requires_delegate_death() {
     );
 }
 
-/// A known bug, pinned: a group-safe replica built on
-/// `DbConfig::default()` (`FlushPolicy::Sync`) never makes its WAL
-/// durable. `DbEngine::commit` starts a flush whose completion no caller
-/// schedules (`CommitResult::flush` has no reader), and the background
-/// tick then finds nothing new to flush — so a crash redoes nothing. The
-/// re-golden that fixes the `Sync` base flips the last assertion.
+/// A group-safe replica built on `DbConfig::default()` makes its WAL
+/// durable: the engine never forces the log inside `commit`, so the
+/// server's background flush covers each commit record and arms its
+/// completion.
 #[test]
-fn a_sync_base_group_safe_replica_never_makes_its_wal_durable() {
+fn a_default_db_replica_makes_its_wal_durable() {
     let mut run = System::builder()
         .safety(SafetyLevel::GroupSafe)
         .servers(3)
@@ -167,7 +165,10 @@ fn a_sync_base_group_safe_replica_never_makes_its_wal_durable() {
     run.run_until(SimTime::from_secs(2));
     for i in 0..3 {
         let db = run.system().server(i).db();
-        assert!(db.wal_end_lsn() > 0, "replica {i} logged no commit");
-        assert_eq!(db.wal_durable_lsn(), 0, "replica {i}");
+        let (durable, end) = (db.wal_durable_lsn(), db.wal_end_lsn());
+        assert!(
+            0 < durable && durable <= end,
+            "replica {i}: {durable} of {end}"
+        );
     }
 }
