@@ -102,14 +102,18 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTING: Counting = Counting;
 
 /// Peak live heap bytes per acknowledged transaction this test allows:
-/// the value measured when the budget was last set, 71 bytes (3 452 816
+/// the value measured when the budget was last set, 68 bytes (3 298 112
 /// bytes over 48 535 transactions, debug and release alike), plus 10 %.
+/// While its engines ran on the `Sync` base, whose WAL never became
+/// durable, 71 bytes were needed here (3 452 816), which passes it:
+/// that is what was measured when the budget was set before, at 78.
 /// While the oracle's transaction tables indexed every id of a client's
 /// counter at 4 bytes each, stored or not (nine in ten of them are
 /// local reads, never stored), 77 bytes were needed here (3 751 344),
-/// which passes it: that is what was left, once each replica group kept
+/// which fails it: that is what was left, once each replica group kept
 /// one redo image and a histogram its samples in fixed blocks, of the
-/// 80 bytes (3 889 256) measured when the budget was set before, at 88.
+/// 80 bytes (3 889 256) measured when the budget was set before that,
+/// at 88.
 /// While every endpoint's duplicate table kept each ordered id for the
 /// whole run, 83 bytes were needed here (4 004 312), which fails it
 /// (it was just inside 88); while every engine kept a version chain buffer for each item it had
@@ -131,7 +135,7 @@ static COUNTING: Counting = Counting;
 /// layout before the oracle's tables were indexed by id — B-trees of
 /// acknowledgements and commits, a vector per served read, a completion
 /// set per client — needed 583.
-const BUDGET_BYTES_PER_ACK: f64 = 78.0;
+const BUDGET_BYTES_PER_ACK: f64 = 75.0;
 
 #[test]
 fn readmix_peak_heap_per_acknowledged_transaction_stays_in_budget() {
