@@ -67,6 +67,13 @@ impl SafetyLevel {
     pub fn reply_before_logging(self) -> bool {
         matches!(self, SafetyLevel::ZeroSafe | SafetyLevel::GroupSafe)
     }
+
+    /// Whether a replica's `ack(m)` waits until its processing of the
+    /// message is logged (end-to-end atomic broadcast, §4): an acked
+    /// message is never redelivered, so what it changed must be durable.
+    pub fn acks_after_logging(self) -> bool {
+        matches!(self, SafetyLevel::TwoSafe | SafetyLevel::VerySafe)
+    }
 }
 
 impl fmt::Display for SafetyLevel {
@@ -179,6 +186,11 @@ mod tests {
         assert!(SafetyLevel::ZeroSafe.reply_before_logging());
         assert!(!SafetyLevel::GroupOneSafe.reply_before_logging());
         assert!(!SafetyLevel::TwoSafe.reply_before_logging());
+        assert!(SafetyLevel::TwoSafe.acks_after_logging());
+        assert!(SafetyLevel::VerySafe.acks_after_logging());
+        assert!(!SafetyLevel::GroupOneSafe.acks_after_logging());
+        assert!(!SafetyLevel::GroupSafe.acks_after_logging());
+        assert!(!SafetyLevel::ZeroSafe.acks_after_logging());
     }
 
     #[test]

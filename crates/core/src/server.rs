@@ -67,8 +67,8 @@ use groupsafe_db::{
     Version, WriteOp, CPU_PER_OP,
 };
 use groupsafe_gcs::{BatchConfig, GcsConfig, GcsEndpoint, GcsOutput, Wire};
-use groupsafe_net::{Network, NodeId, NET_CPU};
-use groupsafe_sim::{Actor, Ctx, Disk, Fcfs, Fnv64, ObsEvent, SimDuration, SimTime};
+use groupsafe_net::{Incoming, Network, NodeId, NET_CPU};
+use groupsafe_sim::{Actor, Ctx, Disk, Fcfs, Fnv64, ObsEvent, SimDuration, SimTime, Wrap};
 
 use crate::certify::{certify, certify_snapshot, Certification};
 use crate::msg::{
@@ -329,6 +329,22 @@ struct Exec {
     snapshot_too_old: bool,
 }
 
+impl Exec {
+    /// The execution of `req` from `cursor`, before its first operation.
+    fn new(req: TxnRequest, kind: ExecKind, cursor: SimTime, snapshot: Option<u64>) -> Self {
+        Exec {
+            req,
+            kind,
+            idx: 0,
+            cursor,
+            readset: Vec::new(),
+            writes: Vec::new(),
+            snapshot,
+            snapshot_too_old: false,
+        }
+    }
+}
+
 /// Coordinator-side bookkeeping for one cross-group transaction between
 /// its sub-request fan-out and its decision broadcast.
 struct XgCoord {
@@ -342,6 +358,17 @@ struct XgCoord {
     votes: std::collections::BTreeMap<u32, bool>,
 }
 
+/// What certification at delivery decided.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// No conflict: commit.
+    Commit,
+    /// A certified item is stale: abort.
+    Stale,
+    /// An in-flight cross-group transaction reserved an item: abort.
+    Reserved,
+}
+
 /// The replicated database server actor.
 pub struct ReplicaServer {
     node: NodeId,
@@ -352,8 +379,9 @@ pub struct ReplicaServer {
     technique: Technique,
     net: Network,
     cpu: Rc<RefCell<Fcfs>>,
-    log_disk: Rc<RefCell<Disk>>,
-    data_disk: Rc<RefCell<Disk>>,
+    /// The disk pool: the log, the data pages and the group
+    /// communication endpoint's stable storage share it.
+    disks: Rc<RefCell<Disk>>,
     gcs: Option<GcsEndpoint<Rc<GroupMsg>, DbCheckpoint>>,
     db: DbEngine,
     oracle: Rc<RefCell<Oracle>>,
@@ -435,7 +463,6 @@ pub struct ReplicaServer {
     /// right after recovery would claim a snapshot older than the
     /// values it returns.
     state_floor: u64,
-    up: bool,
 
     // Audit metadata for the scenario oracle (not replica state: it
     // survives crashes and is never part of any digest or checkpoint).
@@ -477,15 +504,13 @@ impl ReplicaServer {
         shard: Rc<ShardMap>,
     ) -> Self {
         let cpu = Rc::new(RefCell::new(Fcfs::new(cfg.cpus)));
-        let disk_pool = Rc::new(RefCell::new(Disk::pool(
+        let disks = Rc::new(RefCell::new(Disk::pool(
             groupsafe_sim::DiskConfig {
                 sequential_factor: cfg.disk_sequential_factor,
                 ..groupsafe_sim::DiskConfig::default()
             },
             DISKS_PER_SERVER,
         )));
-        let log_disk = disk_pool.clone();
-        let data_disk = disk_pool;
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_0000_0000 ^ node.0 as u64);
         let group_id = node.0 / n_servers.max(1);
         let group_base = group_id * n_servers;
@@ -496,15 +521,15 @@ impl ReplicaServer {
                 node,
                 group,
                 net.clone(),
-                Some(log_disk.clone()),
+                Some(disks.clone()),
                 StdRng::seed_from_u64(rng.random()),
             )
         });
         let db = DbEngine::new(
             cfg.db.clone(),
             cpu.clone(),
-            log_disk.clone(),
-            data_disk.clone(),
+            disks.clone(),
+            disks.clone(),
             StdRng::seed_from_u64(rng.random()),
         );
         ReplicaServer {
@@ -513,8 +538,7 @@ impl ReplicaServer {
             cfg,
             net,
             cpu,
-            log_disk,
-            data_disk,
+            disks,
             gcs,
             db,
             oracle,
@@ -540,7 +564,6 @@ impl ReplicaServer {
             parked_reads: std::collections::BTreeMap::new(),
             parked_txns: std::collections::BTreeMap::new(),
             state_floor: 0,
-            up: true,
             crashes: 0,
             transfers: 0,
             order_digest: Fnv64::new(),
@@ -669,12 +692,9 @@ impl ReplicaServer {
     }
 
     /// Scale this server's disk service times (1.0 = nominal). Applies to
-    /// the pooled log/data disks the server and its GC endpoint share.
+    /// the disk pool the server and its GC endpoint share.
     pub fn set_disk_slowdown(&mut self, factor: f64) {
-        self.log_disk.borrow_mut().set_slowdown(factor);
-        if !Rc::ptr_eq(&self.log_disk, &self.data_disk) {
-            self.data_disk.borrow_mut().set_slowdown(factor);
-        }
+        self.disks.borrow_mut().set_slowdown(factor);
     }
 
     #[deny(clippy::float_arithmetic)]
@@ -766,6 +786,29 @@ impl ReplicaServer {
         ctx.timer(delay, ServerTimer::Reply { client, reply });
     }
 
+    /// Answer `client` once the network operation this costs is done.
+    fn reply_now(&mut self, ctx: &mut Ctx<'_, CoreMsg>, client: NodeId, reply: ServerReply) {
+        let at = self.charge_net_cpu(ctx.now());
+        self.reply_at(ctx, at, client, reply);
+    }
+
+    /// Send `msg` to `to`, charging its network CPU.
+    fn send<T: Clone>(&mut self, ctx: &mut Ctx<'_, CoreMsg>, to: NodeId, msg: T)
+    where
+        CoreMsg: Wrap<Incoming<T>>,
+    {
+        self.charge_net_cpu(ctx.now());
+        self.net.send(ctx, self.node, to, msg);
+    }
+
+    /// Release `txn`'s locks and resume every lazy execution the release
+    /// granted.
+    fn release_locks(&mut self, ctx: &mut Ctx<'_, CoreMsg>, txn: TxnId) {
+        for (t, _) in self.db.locks().release_all(txn) {
+            self.continue_lazy(ctx, t);
+        }
+    }
+
     // ------------------------------------------------------------------
     // Request handling (delegate side)
     // ------------------------------------------------------------------
@@ -813,16 +856,7 @@ impl ReplicaServer {
             // to classic 2PL execution.
             Technique::Dsm(_) | Technique::Lazy => None,
         };
-        let exec = Exec {
-            req,
-            kind: ExecKind::Local,
-            idx: 0,
-            cursor: start,
-            readset: Vec::new(),
-            writes: Vec::new(),
-            snapshot,
-            snapshot_too_old: false,
-        };
+        let exec = Exec::new(req, ExecKind::Local, start, snapshot);
         let id = exec.req.id;
         self.execs.insert(id, exec);
         ctx.emit(|| ObsEvent::ExecStart { txn: obs_txn(id) });
@@ -856,14 +890,8 @@ impl ReplicaServer {
     /// A parked snapshot transaction's bounded wait expired: execute at
     /// the snapshot this replica has.
     fn on_txn_wait_timeout(&mut self, ctx: &mut Ctx<'_, CoreMsg>, txn: TxnId, attempt: u32) {
-        let Some(req) = self.parked_txns.get(&txn) else {
-            return; // started meanwhile
-        };
-        if req.attempt != attempt {
-            return; // a resubmission owns the entry now
-        }
-        let Some(req) = self.parked_txns.remove(&txn) else {
-            return; // raced with drain above
+        let Some(req) = take_parked(&mut self.parked_txns, txn, attempt, |r| r.attempt) else {
+            return;
         };
         ctx.metrics().incr("txn_park_timeouts");
         let start = ctx.now();
@@ -1009,14 +1037,8 @@ impl ReplicaServer {
     /// A parked read's bounded wait expired: answer with a redirect so
     /// the client retries at a fresher group member.
     fn on_read_wait_timeout(&mut self, ctx: &mut Ctx<'_, CoreMsg>, txn: TxnId, attempt: u32) {
-        let Some(req) = self.parked_reads.get(&txn) else {
-            return; // served meanwhile
-        };
-        if req.attempt != attempt {
-            return; // a resubmission owns the entry now
-        }
-        let Some(req) = self.parked_reads.remove(&txn) else {
-            return; // raced with drain above
+        let Some(req) = take_parked(&mut self.parked_reads, txn, attempt, |r| r.attempt) else {
+            return;
         };
         ctx.metrics().incr("read_redirects");
         self.oracle.borrow_mut().record_read_redirect(self.group);
@@ -1085,39 +1107,26 @@ impl ReplicaServer {
         );
         for (i, &g) in groups.iter().enumerate() {
             if g == self.group {
-                let exec = Exec {
-                    req: TxnRequest {
-                        id: req.id,
-                        ops: slices[i].clone(),
-                        client: req.client,
-                        attempt: req.attempt,
-                        snapshot: false,
-                        token: 0,
-                    },
-                    kind: ExecKind::XgHome,
-                    idx: 0,
-                    cursor: start,
-                    readset: Vec::new(),
-                    writes: Vec::new(),
-                    snapshot: None,
-                    snapshot_too_old: false,
+                let slice = TxnRequest {
+                    id: req.id,
+                    ops: slices[i].clone(),
+                    client: req.client,
+                    attempt: req.attempt,
+                    snapshot: false,
+                    token: 0,
                 };
+                let exec = Exec::new(slice, ExecKind::XgHome, start, None);
                 self.execs.insert(req.id, exec);
                 self.run_dsm_read_phase(ctx, req.id);
             } else {
-                self.charge_net_cpu(ctx.now());
-                self.net.send(
-                    ctx,
-                    self.node,
-                    self.gateway(g),
-                    XgSubRequest {
-                        txn: req.id,
-                        attempt: req.attempt,
-                        coordinator: self.node,
-                        client: req.client,
-                        ops: slices[i].clone(),
-                    },
-                );
+                let sub = XgSubRequest {
+                    txn: req.id,
+                    attempt: req.attempt,
+                    coordinator: self.node,
+                    client: req.client,
+                    ops: slices[i].clone(),
+                };
+                self.send(ctx, self.gateway(g), sub);
             }
         }
     }
@@ -1127,25 +1136,18 @@ impl ReplicaServer {
     fn on_xg_sub(&mut self, ctx: &mut Ctx<'_, CoreMsg>, sub: XgSubRequest) {
         ctx.metrics().incr("xg_sub_requests");
         let start = self.charge_net_cpu(ctx.now());
-        let exec = Exec {
-            req: TxnRequest {
-                id: sub.txn,
-                ops: sub.ops,
-                client: sub.client,
-                attempt: sub.attempt,
-                snapshot: false,
-                token: 0,
-            },
-            kind: ExecKind::XgSub {
-                coordinator: sub.coordinator,
-            },
-            idx: 0,
-            cursor: start,
-            readset: Vec::new(),
-            writes: Vec::new(),
-            snapshot: None,
-            snapshot_too_old: false,
+        let slice = TxnRequest {
+            id: sub.txn,
+            ops: sub.ops,
+            client: sub.client,
+            attempt: sub.attempt,
+            snapshot: false,
+            token: 0,
         };
+        let kind = ExecKind::XgSub {
+            coordinator: sub.coordinator,
+        };
+        let exec = Exec::new(slice, kind, start, None);
         self.execs.insert(sub.txn, exec);
         self.run_dsm_read_phase(ctx, sub.txn);
     }
@@ -1287,12 +1289,8 @@ impl ReplicaServer {
             txn,
             attempt: exec.req.attempt,
         };
-        let at = self.charge_net_cpu(ctx.now());
-        self.reply_at(ctx, at, exec.req.client, reply);
-        let granted = self.db.locks().release_all(txn);
-        for (t, _) in granted {
-            self.continue_lazy(ctx, t);
-        }
+        self.reply_now(ctx, exec.req.client, reply);
+        self.release_locks(ctx, txn);
     }
 
     fn on_exec_done(&mut self, ctx: &mut Ctx<'_, CoreMsg>, txn: TxnId) {
@@ -1326,16 +1324,11 @@ impl ReplicaServer {
                 let writes = exec.writes.iter().map(|&(i, _)| i);
                 oracle.record_si_outcome(outcome, &exec.readset, writes);
             }
-            let at = self.charge_net_cpu(ctx.now());
-            self.reply_at(
-                ctx,
-                at,
-                exec.req.client,
-                ServerReply::Aborted {
-                    txn,
-                    attempt: exec.req.attempt,
-                },
-            );
+            let reply = ServerReply::Aborted {
+                txn,
+                attempt: exec.req.attempt,
+            };
+            self.reply_now(ctx, exec.req.client, reply);
             return;
         }
         if exec.kind != ExecKind::Local {
@@ -1377,17 +1370,12 @@ impl ReplicaServer {
                 // transaction pipeline; this branch still serves the ones
                 // it falls back on, e.g. cross-group read-only.)
                 ctx.metrics().incr("txn_readonly");
-                let at = self.charge_net_cpu(ctx.now());
-                self.reply_at(
-                    ctx,
-                    at,
-                    exec.req.client,
-                    ServerReply::Committed {
-                        txn,
-                        attempt: exec.req.attempt,
-                        commit_seq: 0,
-                    },
-                );
+                let reply = ServerReply::Committed {
+                    txn,
+                    attempt: exec.req.attempt,
+                    commit_seq: 0,
+                };
+                self.reply_now(ctx, exec.req.client, reply);
                 return;
             }
             // Broadcast reads: the read-only transaction's read set goes
@@ -1420,23 +1408,15 @@ impl ReplicaServer {
             return;
         };
         let now = ctx.now();
+        let reply = ServerReply::Committed {
+            txn,
+            attempt: exec.req.attempt,
+            commit_seq: 0,
+        };
         if exec.writes.is_empty() {
             ctx.metrics().incr("txn_readonly");
-            let at = self.charge_net_cpu(now);
-            self.reply_at(
-                ctx,
-                at,
-                exec.req.client,
-                ServerReply::Committed {
-                    txn,
-                    attempt: exec.req.attempt,
-                    commit_seq: 0,
-                },
-            );
-            let granted = self.db.locks().release_all(txn);
-            for (t, _) in granted {
-                self.continue_lazy(ctx, t);
-            }
+            self.reply_now(ctx, exec.req.client, reply);
+            self.release_locks(ctx, txn);
             return;
         }
         // Version: origin timestamp (µs) with the node id as tiebreaker —
@@ -1464,37 +1444,18 @@ impl ReplicaServer {
             .record_commit(txn, self.node, &exec.readset, &writes);
         // 1-safe: reply after the local synchronous log flush.
         let reply_at = self.force_log(ctx, res.done);
-        self.reply_at(
-            ctx,
-            reply_at,
-            exec.req.client,
-            ServerReply::Committed {
-                txn,
-                attempt: exec.req.attempt,
-                commit_seq: 0,
-            },
-        );
+        self.reply_at(ctx, reply_at, exec.req.client, reply);
         self.lazy_buffer.push((txn, writes));
-        let granted = self.db.locks().release_all(txn);
-        for (t, _) in granted {
-            self.continue_lazy(ctx, t);
-        }
+        self.release_locks(ctx, txn);
     }
 
     // ------------------------------------------------------------------
     // DSM delivery handling (every replica)
     // ------------------------------------------------------------------
 
-    fn on_deliver(
-        &mut self,
-        ctx: &mut Ctx<'_, CoreMsg>,
-        seq: u64,
-        msg: &Rc<GroupMsg>,
-        redelivery: bool,
-        span: u32,
-    ) {
+    fn on_deliver(&mut self, ctx: &mut Ctx<'_, CoreMsg>, seq: u64, msg: &Rc<GroupMsg>, span: u32) {
         match &**msg {
-            GroupMsg::Txn(m) => self.deliver_txn(ctx, seq, m, redelivery, span),
+            GroupMsg::Txn(m) => self.deliver_txn(ctx, seq, m, span),
             GroupMsg::XgPrepare(p) => self.deliver_xg_prepare(ctx, seq, p, span),
             GroupMsg::XgDecision(d) => self.deliver_xg_decision(ctx, seq, msg, d, span),
         }
@@ -1535,68 +1496,131 @@ impl ReplicaServer {
         self.cpu.borrow_mut().request(start, cert_cpu)
     }
 
-    fn deliver_txn(
+    /// Certification at delivery, the same deterministic function of
+    /// (delivery order, message) at every replica. A transaction that
+    /// already committed here passes (testable transactions): a
+    /// lost-reply retry must be answered "committed", not re-certified
+    /// against state that includes its own writes. Otherwise a
+    /// snapshot-isolation delivery certifies first-committer-wins over
+    /// its writes against `snapshot`, any other its read set; then an
+    /// item reserved by an in-flight cross-group transaction aborts any
+    /// other transaction (all replicas share the reservation table at
+    /// every delivery point).
+    fn certify_delivered(
+        &self,
+        txn: TxnId,
+        snapshot: Option<u64>,
+        readset: &[(ItemId, Version)],
+        writes: &[(ItemId, Value)],
+    ) -> Verdict {
+        if self.db.is_committed(txn) {
+            return Verdict::Commit;
+        }
+        // Certification first; the reservation table only for a
+        // transaction that passes it.
+        let reserved = match snapshot {
+            Some(snap) => {
+                (certify_snapshot(&self.db, snap, writes) == Certification::Commit).then(|| {
+                    self.db
+                        .reserved_conflict(txn, writes.iter().map(|&(i, _)| i))
+                })
+            }
+            None => (certify(&self.db, readset) == Certification::Commit).then(|| {
+                self.db
+                    .reserved_conflict(txn, readset.iter().map(|&(i, _)| i))
+            }),
+        };
+        match reserved {
+            None => Verdict::Stale,
+            Some(Some(_)) => Verdict::Reserved,
+            Some(None) => Verdict::Commit,
+        }
+    }
+
+    /// Apply a committed delivery's `slice` at version `seq` from `at`,
+    /// and complete its processing step by the level's rule. Under
+    /// 0-safe and group-safe all disk writes leave the transaction
+    /// boundary and the pipeline only pays CPU (Fig. 8). Under the
+    /// logging levels commit(t) completes within the step (Fig. 2): the
+    /// commit record is forced, serialised in the delivery pipeline,
+    /// and the written pages are installed synchronously, concurrent
+    /// with later deliveries. A duplicate was processed before. The
+    /// next delivery's processing starts once this one's completes.
+    ///
+    /// Returns the writes, whether the commit was a duplicate, the
+    /// instant processing completed and the commit record's LSN.
+    fn apply(
         &mut self,
         ctx: &mut Ctx<'_, CoreMsg>,
         seq: u64,
-        msg: &DsmMsg,
-        redelivery: bool,
-        span: u32,
-    ) {
+        txn: TxnId,
+        slice: &[(ItemId, Value)],
+        at: SimTime,
+    ) -> (Vec<WriteOp>, bool, SimTime, Lsn) {
+        let writes: Vec<WriteOp> = slice
+            .iter()
+            .map(|&(item, value)| WriteOp {
+                item,
+                value,
+                version: seq,
+            })
+            .collect();
+        let res = self.db.commit(at, txn, &writes);
+        let record_lsn = self.db.wal_end_lsn().saturating_sub(1);
+        let processed_at = if self.delivered_level().reply_before_logging() || res.duplicate {
+            res.done
+        } else {
+            let done = self.force_log(ctx, res.done);
+            self.db.sync_install(done, slice.len())
+        };
+        self.apply_cursor = processed_at;
+        (writes, res.duplicate, processed_at, record_lsn)
+    }
+
+    /// `ack(m)` for the delivery at `seq`, at the levels whose `ack(m)`
+    /// waits for logging: once the record at `lsn` is durable, or now
+    /// when the delivery logged nothing new.
+    fn ack(&mut self, seq: u64, lsn: Option<Lsn>) {
+        if !self.delivered_level().acks_after_logging() {
+            return;
+        }
+        match lsn {
+            Some(lsn) => self.pending_acks.push((lsn, seq)),
+            None => {
+                if let Some(gcs) = &mut self.gcs {
+                    gcs.app_ack(seq);
+                }
+            }
+        }
+    }
+
+    /// Very-safe: tell `delegate` that this replica's copy of `txn` is
+    /// logged.
+    fn confirm_logged(&mut self, ctx: &mut Ctx<'_, CoreMsg>, txn: TxnId, delegate: NodeId) {
+        if delegate == self.node {
+            self.record_confirm(ctx, txn, self.node);
+        } else {
+            self.send(ctx, delegate, LoggedConfirm { txn });
+        }
+    }
+
+    fn deliver_txn(&mut self, ctx: &mut Ctx<'_, CoreMsg>, seq: u64, msg: &DsmMsg, span: u32) {
         let now = ctx.now();
         let cert_items = match msg.snapshot {
             Some(_) => msg.writes.len(),
             None => msg.readset.len(),
         };
         let decided_at = self.delivery_cpu(now, span, cert_items);
-        // Certification, extended by the cross-group reservation check:
-        // an item reserved by an in-flight cross-group transaction aborts
-        // any other transaction deterministically (all replicas share the
-        // reservation table at every delivery point). A transaction that
-        // already committed here short-circuits to its outcome (testable
-        // transactions): a lost-reply retry must be answered "committed",
-        // not re-certified against state that includes its own writes.
-        // Snapshot-isolation deliveries certify first-committer-wins over
-        // the write set against the shipped snapshot instead of the read
-        // set — the same deterministic function of (delivery order,
-        // message) at every replica.
-        let verdict = if self.force_commit_cert || self.db.is_committed(msg.txn) {
-            Certification::Commit
-        } else if let Some(snap) = msg.snapshot {
-            match certify_snapshot(&self.db, snap, &msg.writes) {
-                Certification::Commit => {
-                    match self
-                        .db
-                        .reserved_conflict(msg.txn, msg.writes.iter().map(|&(i, _)| i))
-                    {
-                        Some(conflict) => {
-                            ctx.metrics().incr("txn_aborted_reserved");
-                            Certification::Abort { conflict }
-                        }
-                        None => Certification::Commit,
-                    }
-                }
-                abort @ Certification::Abort { .. } => abort,
-            }
+        let verdict = if self.force_commit_cert {
+            Verdict::Commit
         } else {
-            match certify(&self.db, &msg.readset) {
-                Certification::Commit => {
-                    match self
-                        .db
-                        .reserved_conflict(msg.txn, msg.readset.iter().map(|&(i, _)| i))
-                    {
-                        Some(conflict) => {
-                            ctx.metrics().incr("txn_aborted_reserved");
-                            Certification::Abort { conflict }
-                        }
-                        None => Certification::Commit,
-                    }
-                }
-                abort @ Certification::Abort { .. } => abort,
-            }
+            self.certify_delivered(msg.txn, msg.snapshot, &msg.readset, &msg.writes)
         };
+        if verdict == Verdict::Reserved {
+            ctx.metrics().incr("txn_aborted_reserved");
+        }
         let level = self.delivered_level();
-        let committed = matches!(verdict, Certification::Commit);
+        let committed = verdict == Verdict::Commit;
         {
             let txn = msg.txn;
             ctx.emit(|| ObsEvent::Certify {
@@ -1623,160 +1647,100 @@ impl ReplicaServer {
                     .record_si_outcome(outcome, &msg.readset, writes);
             }
         }
-        match verdict {
-            Certification::Abort { .. } => {
-                ctx.metrics().incr("txn_aborted_cert");
-                self.apply_cursor = decided_at;
-                if msg.delegate == self.node {
-                    self.oracle.borrow_mut().aborts += 1;
-                    let reply = ServerReply::Aborted {
-                        txn: msg.txn,
-                        attempt: msg.attempt,
-                    };
-                    self.reply_at(ctx, decided_at, msg.client, reply);
-                }
-                // Processing is complete (nothing to log): ack immediately.
-                if matches!(level, SafetyLevel::TwoSafe | SafetyLevel::VerySafe) {
-                    if let Some(gcs) = &mut self.gcs {
-                        gcs.app_ack(ctx, seq);
-                    }
-                }
-            }
-            Certification::Commit => {
-                let writes: Vec<WriteOp> = msg
-                    .writes
-                    .iter()
-                    .map(|&(item, value)| WriteOp {
-                        item,
-                        value,
-                        version: seq,
-                    })
-                    .collect();
-                let res = self.db.commit(decided_at, msg.txn, &writes);
-                if !res.duplicate {
-                    let txn = msg.txn;
-                    ctx.emit(|| ObsEvent::Apply { txn: obs_txn(txn) });
-                }
-                if !res.duplicate && !writes.is_empty() {
-                    // Broadcast read-only transactions leave no commit
-                    // record: like classic read-only commits they promise
-                    // no durability, so the loss audit must not demand it.
-                    ctx.metrics().incr("txn_committed");
-                    self.oracle.borrow_mut().record_commit(
-                        msg.txn,
-                        msg.delegate,
-                        &msg.readset,
-                        &writes,
-                    );
-                }
-                let record_lsn = self.db.wal_end_lsn().saturating_sub(1);
-                let is_delegate = msg.delegate == self.node;
-                // Processing completion per safety level. Under
-                // group-1-safe and 2-safe, *every* replica writes the
-                // commit record synchronously inside the delivery pipeline
-                // (Fig. 2: all servers run commit(t) as part of
-                // processing); under 0-safe/group-safe the log write is
-                // asynchronous and the pipeline only pays CPU (Fig. 8).
-                let processed_at = if level.reply_before_logging() || res.duplicate {
-                    // Fig. 8: all disk writes leave the transaction
-                    // boundary; the pipeline only pays CPU.
-                    res.done
-                } else {
-                    // Fig. 2: commit(t) completes within the processing
-                    // step — force the commit record (serialised in the
-                    // delivery pipeline) and install the written pages
-                    // synchronously (concurrent with later deliveries).
-                    let done = self.force_log(ctx, res.done);
-                    self.db.sync_install(done, msg.writes.len())
+        let is_delegate = msg.delegate == self.node;
+        if !committed {
+            ctx.metrics().incr("txn_aborted_cert");
+            self.apply_cursor = decided_at;
+            if is_delegate {
+                self.oracle.borrow_mut().aborts += 1;
+                let reply = ServerReply::Aborted {
+                    txn: msg.txn,
+                    attempt: msg.attempt,
                 };
-                self.apply_cursor = processed_at;
-                if level == SafetyLevel::VerySafe && !res.duplicate {
-                    // Confirmations flow to the delegate once each record
-                    // is durable; the delegate answers after all n.
-                    self.pending_confirms
-                        .push((record_lsn, msg.txn, msg.delegate));
-                    ctx.metrics().incr("very_confirm_registered");
-                    if is_delegate {
-                        let early = self.very_early.remove(&msg.txn).unwrap_or_default();
-                        self.very_waiting
-                            .insert(msg.txn, (msg.client, msg.attempt, seq, early));
-                        ctx.metrics().incr("very_waiting_opened");
-                        self.check_very_complete(ctx, msg.txn);
-                    }
-                } else if level == SafetyLevel::VerySafe {
-                    // Duplicate delivery of a very-safe transaction — a
-                    // failover resubmission through a *different* delegate,
-                    // or a retry after a lost reply. The answer must still
-                    // wait until the whole group confirms logging (a new
-                    // delegate holds none of the original confirmations),
-                    // so the group re-confirms: every replica re-announces
-                    // durability of its copy once its appended log prefix
-                    // is on disk.
-                    if is_delegate {
-                        let early = self.very_early.remove(&msg.txn).unwrap_or_default();
-                        let entry = self.very_waiting.entry(msg.txn).or_insert_with(|| {
-                            (
-                                msg.client,
-                                msg.attempt,
-                                seq,
-                                std::collections::BTreeSet::new(),
-                            )
-                        });
-                        entry.0 = msg.client;
-                        entry.1 = msg.attempt;
-                        entry.2 = seq;
-                        entry.3.extend(early);
-                        ctx.metrics().incr("very_waiting_reopened");
-                    }
-                    // The original record sits at an unknown earlier LSN;
-                    // the prefix appended so far covers it.
-                    let fence = self.db.wal_end_lsn();
-                    if self.db.wal_durable_lsn() >= fence {
-                        // Our copy is already durable: confirm at once.
-                        if is_delegate {
-                            self.record_confirm(ctx, msg.txn, self.node);
-                        } else {
-                            self.charge_net_cpu(ctx.now());
-                            self.net.send(
-                                ctx,
-                                self.node,
-                                msg.delegate,
-                                LoggedConfirm { txn: msg.txn },
-                            );
-                        }
-                    } else {
-                        self.pending_confirms.push((
-                            fence.saturating_sub(1),
-                            msg.txn,
-                            msg.delegate,
-                        ));
-                    }
-                    if is_delegate {
-                        self.check_very_complete(ctx, msg.txn);
-                    }
-                } else if is_delegate {
-                    let reply = ServerReply::Committed {
-                        txn: msg.txn,
-                        attempt: msg.attempt,
-                        commit_seq: seq,
-                    };
-                    self.reply_at(ctx, processed_at, msg.client, reply);
-                }
-                if matches!(level, SafetyLevel::TwoSafe | SafetyLevel::VerySafe) {
-                    if res.duplicate {
-                        // Already logged previously.
-                        if let Some(gcs) = &mut self.gcs {
-                            gcs.app_ack(ctx, seq);
-                        }
-                    } else {
-                        // ack(m) once the record is durable.
-                        self.pending_acks.push((record_lsn, seq));
-                    }
-                }
+                self.reply_at(ctx, decided_at, msg.client, reply);
             }
+            // Processing is complete (nothing to log): ack immediately.
+            self.ack(seq, None);
+            self.applied_seq = seq.max(self.applied_seq);
+            return;
         }
+        let (writes, duplicate, processed_at, record_lsn) =
+            self.apply(ctx, seq, msg.txn, &msg.writes, decided_at);
+        if !duplicate {
+            let txn = msg.txn;
+            ctx.emit(|| ObsEvent::Apply { txn: obs_txn(txn) });
+        }
+        if !duplicate && !writes.is_empty() {
+            // Broadcast read-only transactions leave no commit record:
+            // like classic read-only commits they promise no durability,
+            // so the loss audit must not demand it.
+            ctx.metrics().incr("txn_committed");
+            self.oracle
+                .borrow_mut()
+                .record_commit(msg.txn, msg.delegate, &msg.readset, &writes);
+        }
+        if level == SafetyLevel::VerySafe && !duplicate {
+            // Confirmations flow to the delegate once each record is
+            // durable; the delegate answers after all n.
+            self.pending_confirms
+                .push((record_lsn, msg.txn, msg.delegate));
+            ctx.metrics().incr("very_confirm_registered");
+            if is_delegate {
+                let early = self.very_early.remove(&msg.txn).unwrap_or_default();
+                self.very_waiting
+                    .insert(msg.txn, (msg.client, msg.attempt, seq, early));
+                ctx.metrics().incr("very_waiting_opened");
+                self.check_very_complete(ctx, msg.txn);
+            }
+        } else if level == SafetyLevel::VerySafe {
+            // Duplicate delivery of a very-safe transaction — a failover
+            // resubmission through a *different* delegate, or a retry
+            // after a lost reply. The answer must still wait until the
+            // whole group confirms logging (a new delegate holds none of
+            // the original confirmations), so the group re-confirms:
+            // every replica re-announces durability of its copy once its
+            // appended log prefix is on disk.
+            if is_delegate {
+                let early = self.very_early.remove(&msg.txn).unwrap_or_default();
+                let entry = self.very_waiting.entry(msg.txn).or_insert_with(|| {
+                    (
+                        msg.client,
+                        msg.attempt,
+                        seq,
+                        std::collections::BTreeSet::new(),
+                    )
+                });
+                entry.0 = msg.client;
+                entry.1 = msg.attempt;
+                entry.2 = seq;
+                entry.3.extend(early);
+                ctx.metrics().incr("very_waiting_reopened");
+            }
+            // The original record sits at an unknown earlier LSN; the
+            // prefix appended so far covers it.
+            let fence = self.db.wal_end_lsn();
+            if self.db.wal_durable_lsn() >= fence {
+                // Our copy is already durable: confirm at once.
+                self.confirm_logged(ctx, msg.txn, msg.delegate);
+            } else {
+                self.pending_confirms
+                    .push((fence.saturating_sub(1), msg.txn, msg.delegate));
+            }
+            if is_delegate {
+                self.check_very_complete(ctx, msg.txn);
+            }
+        } else if is_delegate {
+            let reply = ServerReply::Committed {
+                txn: msg.txn,
+                attempt: msg.attempt,
+                commit_seq: seq,
+            };
+            self.reply_at(ctx, processed_at, msg.client, reply);
+        }
+        // ack(m) once the record is durable; a duplicate was logged
+        // before.
+        self.ack(seq, (!duplicate).then_some(record_lsn));
         self.applied_seq = seq.max(self.applied_seq);
-        let _ = redelivery;
     }
 
     /// Phase 1 delivery: certify the slice (certification plus the
@@ -1792,7 +1756,6 @@ impl ReplicaServer {
     ) {
         let now = ctx.now();
         let decided_at = self.delivery_cpu(now, span, p.readset.len());
-        let level = self.delivered_level();
         // The verdict depends only on delivery-ordered state that state
         // transfer carries (committed versions + the reservation table),
         // so every group member — including a mid-protocol joiner —
@@ -1800,17 +1763,12 @@ impl ReplicaServer {
         // earlier decision is safe: reservations are keyed by
         // transaction and re-released by the retry's decision, and the
         // commit apply is idempotent. A slice already committed here
-        // votes yes outright (testable transactions): the retry of a
-        // decided-but-unacknowledged commit must converge on "committed".
-        let ok = self.db.is_committed(p.txn)
-            || (matches!(certify(&self.db, &p.readset), Certification::Commit)
-                && self
-                    .db
-                    .reserved_conflict(p.txn, p.readset.iter().map(|&(i, _)| i))
-                    .is_none());
+        // votes yes outright: the retry of a decided-but-unacknowledged
+        // commit must converge on "committed".
+        let ok = self.certify_delivered(p.txn, None, &p.readset, &[]) == Verdict::Commit;
         self.mix_order(seq, p.txn, ok);
         self.apply_cursor = decided_at;
-        let logging = matches!(level, SafetyLevel::TwoSafe | SafetyLevel::VerySafe);
+        let mut reserve_lsn = None;
         if ok {
             ctx.metrics().incr("xg_reserved");
             let items: Vec<ItemId> = p
@@ -1819,7 +1777,7 @@ impl ReplicaServer {
                 .map(|&(i, _)| i)
                 .chain(p.writes.iter().map(|&(i, _)| i))
                 .collect();
-            if logging {
+            if self.delivered_level().acks_after_logging() {
                 // End-to-end abcast: the reservation must survive a
                 // crash before `ack(m)` — an acked entry is never
                 // redelivered, so an unlogged reservation would silently
@@ -1827,17 +1785,13 @@ impl ReplicaServer {
                 // peers keep theirs. Append the record and ack once the
                 // background group-commit flush covers it; nothing else
                 // (vote, pipeline) waits on the disk.
-                let record_lsn = self.db.reserve_logged(p.txn, p.coordinator.0, &items);
-                self.pending_acks.push((record_lsn, seq));
+                reserve_lsn = Some(self.db.reserve_logged(p.txn, p.coordinator.0, &items));
             } else {
                 self.db.reserve(p.txn, p.coordinator.0, items);
             }
-        } else if logging {
-            // A rejected prepare changes nothing durable: ack at once.
-            if let Some(gcs) = &mut self.gcs {
-                gcs.app_ack(ctx, seq);
-            }
         }
+        // A rejected prepare changes nothing durable: ack at once.
+        self.ack(seq, reserve_lsn);
         if p.delegate == self.node {
             {
                 let (txn, group) = (p.txn, self.group);
@@ -1898,9 +1852,8 @@ impl ReplicaServer {
         span: u32,
     ) {
         let now = ctx.now();
-        let slice: Vec<(ItemId, Value)> = d.writes_of(self.group).unwrap_or(&[]).to_vec();
+        let slice = d.writes_of(self.group).unwrap_or(&[]);
         let decided_at = self.delivery_cpu(now, span, slice.len());
-        let level = self.delivered_level();
         {
             let (txn, commit) = (d.txn, d.commit);
             ctx.emit(|| ObsEvent::XgDecision {
@@ -1935,93 +1888,47 @@ impl ReplicaServer {
         }
         self.mix_order(seq, d.txn, d.commit);
         let is_coord = d.coordinator == self.node;
-        let logging = matches!(level, SafetyLevel::TwoSafe | SafetyLevel::VerySafe);
-        if !d.commit {
+        let commit_lsn = if d.commit {
+            let (writes, duplicate, processed_at, record_lsn) =
+                self.apply(ctx, seq, d.txn, slice, decided_at);
+            if !duplicate {
+                ctx.metrics().incr("txn_committed");
+                ctx.metrics().incr("xg_commits_applied");
+                let coord_group = self.group_of_server(d.coordinator);
+                let mut oracle = self.oracle.borrow_mut();
+                oracle.record_commit_slice(d.txn, d.coordinator, &writes);
+                oracle.record_xg(d.txn, d.groups.clone(), coord_group);
+            }
+            if is_coord {
+                let reply = ServerReply::Committed {
+                    txn: d.txn,
+                    attempt: d.attempt,
+                    commit_seq: seq,
+                };
+                self.reply_at(ctx, processed_at, d.client, reply);
+            }
+            (!duplicate).then_some(record_lsn)
+        } else {
             ctx.metrics().incr("xg_aborts_applied");
             self.apply_cursor = decided_at;
             if is_coord {
                 self.oracle.borrow_mut().aborts += 1;
-                self.reply_at(
-                    ctx,
-                    decided_at,
-                    d.client,
-                    ServerReply::Aborted {
-                        txn: d.txn,
-                        attempt: d.attempt,
-                    },
-                );
-            }
-            if logging {
-                if held {
-                    // The release must be redo-visible before ack(m),
-                    // for the same reason the reservation was logged.
-                    let record_lsn = self.db.release_logged(d.txn);
-                    self.pending_acks.push((record_lsn, seq));
-                } else if let Some(gcs) = &mut self.gcs {
-                    // Nothing durable changed: ack at once.
-                    gcs.app_ack(ctx, seq);
-                }
-            }
-            self.applied_seq = seq.max(self.applied_seq);
-            return;
-        }
-        let writes: Vec<WriteOp> = slice
-            .iter()
-            .map(|&(item, value)| WriteOp {
-                item,
-                value,
-                version: seq,
-            })
-            .collect();
-        let res = self.db.commit(decided_at, d.txn, &writes);
-        if !res.duplicate {
-            ctx.metrics().incr("txn_committed");
-            ctx.metrics().incr("xg_commits_applied");
-            let coord_group = self.group_of_server(d.coordinator);
-            let mut oracle = self.oracle.borrow_mut();
-            oracle.record_commit_slice(d.txn, d.coordinator, &writes);
-            oracle.record_xg(d.txn, d.groups.clone(), coord_group);
-        }
-        let record_lsn = self.db.wal_end_lsn().saturating_sub(1);
-        // Per-level processing completion, exactly as for single-group
-        // commits: group-safe levels leave all disk writes outside the
-        // boundary, the logging levels force the record (and pages) inside
-        // the delivery pipeline.
-        let processed_at = if level.reply_before_logging() || res.duplicate {
-            res.done
-        } else {
-            let done = self.force_log(ctx, res.done);
-            self.db.sync_install(done, slice.len())
-        };
-        self.apply_cursor = processed_at;
-        if is_coord {
-            self.reply_at(
-                ctx,
-                processed_at,
-                d.client,
-                ServerReply::Committed {
+                let reply = ServerReply::Aborted {
                     txn: d.txn,
                     attempt: d.attempt,
-                    commit_seq: seq,
-                },
-            );
-        }
-        if logging {
-            if res.duplicate {
-                if held {
-                    // The commit record (which releases at redo) is from
-                    // an earlier delivery; only this decision's release
-                    // of a re-prepare reservation is new — make it
-                    // redo-visible before ack(m).
-                    let dup_lsn = self.db.release_logged(d.txn);
-                    self.pending_acks.push((dup_lsn, seq));
-                } else if let Some(gcs) = &mut self.gcs {
-                    gcs.app_ack(ctx, seq);
-                }
-            } else {
-                self.pending_acks.push((record_lsn, seq));
+                };
+                self.reply_at(ctx, decided_at, d.client, reply);
             }
-        }
+            None
+        };
+        // A first commit's record releases the reservations at redo.
+        // Otherwise only this decision's release is new (an abort, or a
+        // duplicate commit releasing a re-prepare's reservation): it must
+        // be redo-visible before ack(m), for the same reason the
+        // reservation was logged.
+        let logging = self.delivered_level().acks_after_logging();
+        let lsn = commit_lsn.or_else(|| (logging && held).then(|| self.db.release_logged(d.txn)));
+        self.ack(seq, lsn);
         self.applied_seq = seq.max(self.applied_seq);
     }
 
@@ -2115,9 +2022,7 @@ impl ReplicaServer {
                 self.xg_gcs()
                     .broadcast(ctx, Rc::new(GroupMsg::XgDecision(d.clone())));
             } else {
-                self.charge_net_cpu(ctx.now());
-                self.net
-                    .send(ctx, self.node, self.gateway(g), XgDecisionFwd(d.clone()));
+                self.send(ctx, self.gateway(g), XgDecisionFwd(d.clone()));
             }
         }
     }
@@ -2175,8 +2080,7 @@ impl ReplicaServer {
         let spg = self.n_servers.max(1);
         let base = (coordinator.0 / spg) * spg;
         let target = NodeId(base + (coordinator.0 - base + tries) % spg);
-        self.charge_net_cpu(ctx.now());
-        self.net.send(ctx, self.node, target, XgStatusQuery { txn });
+        self.send(ctx, target, XgStatusQuery { txn });
         ctx.metrics().incr("xg_probes");
         // Mild backoff: a decision that stays missing (its coordinator
         // group is down, or the delivery backlog is deep) is probed less
@@ -2199,12 +2103,8 @@ impl ReplicaServer {
         for o in outputs {
             match o {
                 GcsOutput::Deliver {
-                    seq,
-                    payload,
-                    span,
-                    redelivery,
-                    ..
-                } => self.on_deliver(ctx, seq, &payload, redelivery, span),
+                    seq, payload, span, ..
+                } => self.on_deliver(ctx, seq, &payload, span),
                 GcsOutput::CheckpointRequest { joiner, generation } => {
                     let ckpt = self.db.checkpoint();
                     let applied = self.applied_seq;
@@ -2265,7 +2165,7 @@ impl ReplicaServer {
                 self.pending_acks.retain(|(l, _)| *l >= lsn);
                 if let Some(gcs) = &mut self.gcs {
                     for seq in ready {
-                        gcs.app_ack(ctx, seq);
+                        gcs.app_ack(seq);
                     }
                 }
                 // Very-safe: tell each delegate its record is on our disk.
@@ -2277,13 +2177,7 @@ impl ReplicaServer {
                     .collect();
                 self.pending_confirms.retain(|(l, _, _)| *l >= lsn);
                 for (txn, delegate) in confirms {
-                    if delegate == self.node {
-                        self.record_confirm(ctx, txn, self.node);
-                    } else {
-                        self.charge_net_cpu(ctx.now());
-                        self.net
-                            .send(ctx, self.node, delegate, LoggedConfirm { txn });
-                    }
+                    self.confirm_logged(ctx, txn, delegate);
                 }
             }
             ServerTimer::PageFlushTick => {
@@ -2329,13 +2223,9 @@ impl ReplicaServer {
                     group,
                     committed,
                 });
-                self.charge_net_cpu(ctx.now());
-                self.net.send(ctx, self.node, client, *reply);
+                self.send(ctx, client, *reply);
             }
-            ServerTimer::ReadReplyAt { client, reply } => {
-                self.charge_net_cpu(ctx.now());
-                self.net.send(ctx, self.node, client, *reply);
-            }
+            ServerTimer::ReadReplyAt { client, reply } => self.send(ctx, client, *reply),
             ServerTimer::ReadWaitTimeout { txn, attempt } => {
                 self.on_read_wait_timeout(ctx, txn, attempt)
             }
@@ -2346,8 +2236,7 @@ impl ReplicaServer {
                 if to == self.node {
                     self.on_xg_vote(ctx, *vote);
                 } else {
-                    self.charge_net_cpu(ctx.now());
-                    self.net.send(ctx, self.node, to, *vote);
+                    self.send(ctx, to, *vote);
                 }
             }
             ServerTimer::XgProbe { txn, tries } => self.on_xg_probe(ctx, txn, tries),
@@ -2387,17 +2276,12 @@ impl ReplicaServer {
         if slot.get().3.len() == self.n_servers as usize {
             ctx.metrics().incr("very_replies");
             let (client, attempt, commit_seq, _) = slot.remove();
-            let at = self.charge_net_cpu(ctx.now());
-            self.reply_at(
-                ctx,
-                at,
-                client,
-                ServerReply::Committed {
-                    txn,
-                    attempt,
-                    commit_seq,
-                },
-            );
+            let reply = ServerReply::Committed {
+                txn,
+                attempt,
+                commit_seq,
+            };
+            self.reply_now(ctx, client, reply);
         }
     }
 
@@ -2542,7 +2426,6 @@ impl Actor<CoreMsg> for ReplicaServer {
     }
 
     fn on_crash(&mut self, ctx: &mut Ctx<'_, CoreMsg>) {
-        self.up = false;
         self.crashes += 1;
         if let Some(gcs) = &mut self.gcs {
             gcs.on_crash();
@@ -2561,13 +2444,11 @@ impl Actor<CoreMsg> for ReplicaServer {
         self.xg_forwarded.clear();
         // In-flight work on the server's resources dies with it.
         self.cpu.borrow_mut().reset(ctx.now());
-        self.log_disk.borrow_mut().reset(ctx.now());
-        self.data_disk.borrow_mut().reset(ctx.now());
+        self.disks.borrow_mut().reset(ctx.now());
         self.wal_due = None;
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<'_, CoreMsg>) {
-        self.up = true;
         // Local database recovery: redo the durable WAL prefix.
         self.db.crash();
         // The redone state reflects versions up to its durable prefix;
@@ -2597,4 +2478,16 @@ impl Actor<CoreMsg> for ReplicaServer {
     fn name(&self) -> &str {
         "replica-server"
     }
+}
+
+/// Take `txn`'s parked entry when its bounded wait for `attempt` expires:
+/// none if it was served meanwhile or a resubmission owns it now.
+fn take_parked<T>(
+    parked: &mut std::collections::BTreeMap<TxnId, T>,
+    txn: TxnId,
+    attempt: u32,
+    attempt_of: fn(&T) -> u32,
+) -> Option<T> {
+    let owned = parked.get(&txn).is_some_and(|r| attempt_of(r) == attempt);
+    owned.then(|| parked.remove(&txn)).flatten()
 }

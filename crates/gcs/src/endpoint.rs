@@ -634,7 +634,7 @@ where
 
     /// Application-level `ack(m)` (end-to-end mode, §4.2): the message at
     /// `seq` was processed (successfully delivered). Idempotent.
-    pub fn app_ack<M: GcsMessage<P, S>>(&mut self, _ctx: &mut Ctx<'_, M>, seq: u64) {
+    pub fn app_ack(&mut self, seq: u64) {
         if let Some(e) = self.stable.get_mut(&seq) {
             e.acked = true;
         }
@@ -1322,7 +1322,6 @@ where
             id: head.id,
             payload: head.payload,
             span: head.span,
-            redelivery,
         });
     }
 

@@ -193,7 +193,7 @@ impl GcsHost {
 
     /// The oldest delivery in process finished: apply it to the stable
     /// state, at most once per message (testable transactions).
-    fn processed(&mut self, ctx: &mut Ctx<'_, HostMsg>) {
+    fn processed(&mut self) {
         let Some((seq, id, value)) = self.in_process.pop_front() else {
             return;
         };
@@ -202,7 +202,7 @@ impl GcsHost {
             self.applied_seq = self.applied_seq.max(seq);
             self.obs.borrow_mut().mark_processed(self.node, id);
         }
-        self.endpoint.app_ack(ctx, seq);
+        self.endpoint.app_ack(seq);
     }
 }
 
@@ -234,7 +234,7 @@ impl Actor<HostMsg> for GcsHost {
                 self.endpoint.on_timer(ctx, timer, &mut outputs);
                 self.handle_outputs(ctx, outputs);
             }
-            HostMsg::Processed => self.processed(ctx),
+            HostMsg::Processed => self.processed(),
         }
         self.endpoint.publish_beacons(ctx, true);
     }

@@ -31,8 +31,6 @@ pub enum GcsOutput<P, S> {
         /// an entry that came by catch-up or retransmission, a frame of
         /// one): the host spreads per-frame costs over them.
         span: u32,
-        /// True if this is a redelivery after recovery (end-to-end mode).
-        redelivery: bool,
     },
     /// A new view was installed (dynamic model).
     ViewInstalled {
@@ -81,7 +79,6 @@ mod tests {
             },
             payload: 9,
             span: 1,
-            redelivery: false,
         };
         assert_eq!(a.clone(), a);
         assert_ne!(a, GcsOutput::GroupFailed);
