@@ -5,13 +5,14 @@
 //! back; once it has rejoined, trimming resumes. The sequencer's
 //! duplicate table releases the ids of what it frees, so it is bounded
 //! the same way, and a forward that arrives after its id was released
-//! is dropped, not ordered again.
+//! is dropped, not ordered again — except at a sequencer that rejoined
+//! by state transfer, which is pinned here as it stands.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use groupsafe_gcs::harness::{Cluster, HostMsg};
-use groupsafe_gcs::{BatchConfig, GcsConfig, MsgId, ProcessClass, Wire};
+use groupsafe_gcs::{BatchConfig, DeliveryRecord, GcsConfig, MsgId, ProcessClass, Wire};
 use groupsafe_net::{Incoming, NodeId};
 use groupsafe_sim::{BlockVec, SimDuration, SimTime};
 
@@ -305,4 +306,65 @@ fn a_forward_late_past_its_release_is_not_ordered_again() {
     }
     let violations = obs.check_all(false);
     assert!(violations.is_empty(), "{violations:?}");
+}
+
+/// Today's behaviour, pinned: a sequencer that rejoins by state transfer
+/// takes its donor's state but not its duplicate table, so a forward of
+/// a message delivered before the crash is ordered again, and every
+/// member delivers that message twice. That breaks uniform integrity
+/// (a message is delivered at most once); ROADMAP.md's one rejoin path
+/// (item 27) hands the donor's release floors over and flips the count
+/// to one.
+#[test]
+fn a_rejoined_sequencer_orders_a_forward_from_before_its_crash_again() {
+    let mut cluster = Cluster::new(N, GcsConfig::view_based_uniform(), 41);
+    let ms = SimTime::from_millis;
+    broadcast(&mut cluster, ms(10), 600, N, 0);
+    let sequencer = NodeId(0);
+    cluster
+        .engine
+        .schedule_crash(ms(800), cluster.hosts[sequencer.index()]);
+    cluster
+        .engine
+        .schedule_recover(ms(1_300), cluster.hosts[sequencer.index()]);
+    cluster.engine.run_until(ms(1_800));
+    assert!(cluster.endpoint(sequencer).is_joined(), "node 0 rejoined");
+    assert!(
+        cluster.endpoint(sequencer).is_sequencer(),
+        "node 0 orders again"
+    );
+
+    let id = MsgId {
+        origin: NodeId(2),
+        counter: 1,
+    };
+    let deliveries = |cluster: &Cluster| -> Vec<usize> {
+        let obs = cluster.obs.borrow();
+        assert_eq!(obs.deliveries.len(), N as usize);
+        let times = |records: &Vec<DeliveryRecord>| records.iter().filter(|r| r.id == id).count();
+        obs.deliveries.values().map(times).collect()
+    };
+    assert_eq!(
+        deliveries(&cluster),
+        vec![1; N as usize],
+        "before the forward"
+    );
+    let forward = Incoming {
+        from: id.origin,
+        msg: Wire::Forward {
+            id,
+            payload: u64::MAX,
+        },
+    };
+    cluster.engine.schedule(
+        ms(1_800),
+        cluster.hosts[sequencer.index()],
+        HostMsg::Wire(Rc::new(forward)),
+    );
+    cluster.engine.run_until(ms(2_300));
+    assert_eq!(
+        deliveries(&cluster),
+        vec![2; N as usize],
+        "after the forward"
+    );
 }
